@@ -344,7 +344,7 @@ let run_micro () =
    reference: for every candidate processor it re-reduces every
    predecessor's replica row, where lib/kernel hoists that reduction into
    per-target-processor arrival bounds filled once per task.  Same
-   priority list, same selection and commit — only the evaluation
+   priority heap, same selection and commit — only the evaluation
    differs. *)
 module Unhoisted_ftsa = struct
   module Dag = Ftsched_dag.Dag
@@ -352,18 +352,7 @@ module Unhoisted_ftsa = struct
   module Instance = Ftsched_model.Instance
   module Levels = Ftsched_model.Levels
   module Rng = Ftsched_util.Rng
-
-  module Prio_key = struct
-    type t = { prio : float; tie : float; task : int }
-
-    let compare a b =
-      match compare a.prio b.prio with
-      | 0 -> (
-          match compare a.tie b.tie with 0 -> compare a.task b.task | c -> c)
-      | c -> c
-  end
-
-  module Alpha = Ftsched_ds.Avl.Make (Prio_key)
+  module Alpha = Ftsched_ds.Bin_heap
 
   type committed = { proc : int; finish_opt : float; finish_pess : float }
 
@@ -375,7 +364,7 @@ module Unhoisted_ftsa = struct
     let bl = Levels.bottom_levels inst in
     let placed = Array.make v None in
     let ready_opt = Array.make m 0. and ready_pess = Array.make m 0. in
-    let alpha = ref Alpha.empty in
+    let alpha = Alpha.create ~capacity:v () in
     let replicas_of t = Option.get placed.(t) in
     let push_free t =
       let tl =
@@ -391,64 +380,58 @@ module Unhoisted_ftsa = struct
             Float.max acc earliest)
           0. (Dag.preds g t)
       in
-      let key =
-        { Prio_key.prio = tl +. bl.(t); tie = Rng.float_in rng 0. 1.; task = t }
-      in
-      alpha := Alpha.add key () !alpha
+      Alpha.push alpha ~prio:(tl +. bl.(t)) ~tie:(Rng.float_in rng 0. 1.)
+        ~task:t
     in
     List.iter push_free (Dag.entries g);
     let remaining = Array.init v (fun t -> Dag.in_degree g t) in
-    let continue_run = ref true in
-    while !continue_run do
-      match Alpha.pop_max !alpha with
-      | None -> continue_run := false
-      | Some (key, (), rest) ->
-          alpha := rest;
-          let t = key.Prio_key.task in
-          let estimate p =
-            (* the unhoisted inner loops: preds × replicas per processor *)
-            let in_opt = ref 0. and in_pess = ref 0. in
-            List.iter
-              (fun (t', vol) ->
-                let e_opt = ref infinity and e_pess = ref 0. in
-                Array.iter
-                  (fun c ->
-                    let w = vol *. Platform.delay pl c.proc p in
-                    let a = c.finish_opt +. w and ap = c.finish_pess +. w in
-                    if a < !e_opt then e_opt := a;
-                    if ap > !e_pess then e_pess := ap)
-                  (replicas_of t');
-                if !e_opt > !in_opt then in_opt := !e_opt;
-                if !e_pess > !in_pess then in_pess := !e_pess)
-              (Dag.preds g t);
-            let e = Instance.exec inst t p in
-            ( e +. Float.max !in_opt ready_opt.(p),
-              e +. Float.max !in_pess ready_pess.(p) )
-          in
-          let cand = Array.init m (fun p -> (p, estimate p)) in
-          Array.sort
-            (fun (pa, (fa, _)) (pb, (fb, _)) ->
-              match compare fa fb with 0 -> compare pa pb | c -> c)
-            cand;
-          let committed =
-            Array.map
-              (fun (p, (f_opt, f_pess)) ->
-                { proc = p; finish_opt = f_opt; finish_pess = f_pess })
-              (Array.sub cand 0 (eps + 1))
-          in
-          placed.(t) <- Some committed;
-          Array.iter
-            (fun c ->
-              if c.finish_opt > ready_opt.(c.proc) then
-                ready_opt.(c.proc) <- c.finish_opt;
-              if c.finish_pess > ready_pess.(c.proc) then
-                ready_pess.(c.proc) <- c.finish_pess)
-            committed;
-          List.iter
-            (fun (t', _) ->
-              remaining.(t') <- remaining.(t') - 1;
-              if remaining.(t') = 0 then push_free t')
-            (Dag.succs g t)
+    while not (Alpha.is_empty alpha) do
+      let t = Alpha.max_task alpha in
+      Alpha.drop_max alpha;
+      let estimate p =
+        (* the unhoisted inner loops: preds × replicas per processor *)
+        let in_opt = ref 0. and in_pess = ref 0. in
+        List.iter
+          (fun (t', vol) ->
+            let e_opt = ref infinity and e_pess = ref 0. in
+            Array.iter
+              (fun c ->
+                let w = vol *. Platform.delay pl c.proc p in
+                let a = c.finish_opt +. w and ap = c.finish_pess +. w in
+                if a < !e_opt then e_opt := a;
+                if ap > !e_pess then e_pess := ap)
+              (replicas_of t');
+            if !e_opt > !in_opt then in_opt := !e_opt;
+            if !e_pess > !in_pess then in_pess := !e_pess)
+          (Dag.preds g t);
+        let e = Instance.exec inst t p in
+        ( e +. Float.max !in_opt ready_opt.(p),
+          e +. Float.max !in_pess ready_pess.(p) )
+      in
+      let cand = Array.init m (fun p -> (p, estimate p)) in
+      Array.sort
+        (fun (pa, (fa, _)) (pb, (fb, _)) ->
+          match compare fa fb with 0 -> compare pa pb | c -> c)
+        cand;
+      let committed =
+        Array.map
+          (fun (p, (f_opt, f_pess)) ->
+            { proc = p; finish_opt = f_opt; finish_pess = f_pess })
+          (Array.sub cand 0 (eps + 1))
+      in
+      placed.(t) <- Some committed;
+      Array.iter
+        (fun c ->
+          if c.finish_opt > ready_opt.(c.proc) then
+            ready_opt.(c.proc) <- c.finish_opt;
+          if c.finish_pess > ready_pess.(c.proc) then
+            ready_pess.(c.proc) <- c.finish_pess)
+        committed;
+      List.iter
+        (fun (t', _) ->
+          remaining.(t') <- remaining.(t') - 1;
+          if remaining.(t') = 0 then push_free t')
+        (Dag.succs g t)
     done;
     Array.fold_left Float.max 0. ready_pess
 end
@@ -1033,7 +1016,7 @@ let write_sim_json rows warms =
 
 let run_sim ~strict () =
   let module Event_sim = Ftsched_sim.Event_sim in
-  let module Event_sim_ref = Ftsched_sim.Event_sim_ref in
+  let module Event_sim_ref = Ftsched_oracle.Event_sim_ref in
   let module Scenario = Ftsched_sim.Scenario in
   let module Recovery = Ftsched_recovery.Recovery in
   section "Sim: flat-array engine vs pairing-heap reference (v=800, m=50, eps=2)";

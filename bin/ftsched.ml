@@ -1203,48 +1203,20 @@ let fuzz_cmd =
         let report =
           Fuzz.campaign ?jobs ~should_stop ~dir ~save:(not no_save) ~seeds ()
         in
-        Printf.printf
-          "fuzz: %d/%d seeds x %d schedulers, %d violation(s), %d stream \
-           violation(s), %d parser violation(s)\n"
+        Printf.printf "fuzz: %d/%d seeds x %d schedulers, %d finding(s)\n"
           report.Fuzz.seeds_run report.Fuzz.seeds_requested
           report.Fuzz.schedulers_run
-          (List.length report.Fuzz.counterexamples)
-          (List.length report.Fuzz.stream_violations)
-          (List.length report.Fuzz.parser_violations);
+          (List.length report.Fuzz.findings);
         List.iter
-          (fun (ce, path) ->
-            Format.printf "@[<v>%a@]@." Fuzz.pp_counterexample ce;
+          (fun (f, path) ->
+            Format.printf "@[<v>%a@]@." Fuzz.pp_finding f;
             Option.iter
               (fun p ->
                 Printf.printf "  witness: %s\n  replay:  %s\n" p
                   (Fuzz.replay_command ~path:p))
               path)
-          report.Fuzz.counterexamples;
-        List.iter
-          (fun (seed, violations, path) ->
-            Printf.printf "stream seed %d: never-lost oracle fired\n" seed;
-            print_violations violations;
-            Option.iter
-              (fun p ->
-                Printf.printf "  witness: %s\n  replay:  %s\n" p
-                  (Fuzz.replay_command ~path:p))
-              path)
-          report.Fuzz.stream_violations;
-        List.iter
-          (fun (seed, violations, path) ->
-            Printf.printf "parser seed %d: parser-safety oracle fired\n" seed;
-            print_violations violations;
-            Option.iter
-              (fun p ->
-                Printf.printf "  witness: %s\n  replay:  %s\n" p
-                  (Fuzz.replay_command ~path:p))
-              path)
-          report.Fuzz.parser_violations;
-        if
-          report.Fuzz.counterexamples <> []
-          || report.Fuzz.stream_violations <> []
-          || report.Fuzz.parser_violations <> []
-        then exit 1
+          report.Fuzz.findings;
+        if report.Fuzz.findings <> [] then exit 1
   in
   Cmd.v
     (Cmd.info "fuzz"
@@ -1340,9 +1312,9 @@ let tournament_cmd =
       value & opt (some string) None
       & info [ "replay" ] ~docv:"PATH"
           ~doc:
-            "Re-score a saved witness (or every $(b,.case) file in a \
-             directory) instead of searching; exits non-zero unless the \
-             stored ratio is reproduced bit-for-bit.")
+            "Re-score a saved witness (or every tournament $(b,.case) file \
+             in a directory) instead of searching; exits non-zero unless \
+             the stored ratio is reproduced bit-for-bit.")
   in
   let json_escape s =
     let buf = Buffer.create (String.length s + 8) in
@@ -1407,10 +1379,16 @@ let tournament_cmd =
     apply_jobs jobs;
     match replay with
     | Some path when Sys.file_exists path && Sys.is_directory path ->
+        (* a corpus may mix in other witness kinds: skip those, but
+           keep unreadable files so they fail loudly *)
         let cases =
           Sys.readdir path |> Array.to_list |> List.sort compare
           |> List.filter (fun f -> Filename.check_suffix f ".case")
           |> List.map (Filename.concat path)
+          |> List.filter (fun p ->
+                 match Fuzz.read_witness ~path:p with
+                 | Fuzz.Tournament _ | (exception _) -> true
+                 | _ -> false)
         in
         if cases = [] then begin
           Printf.printf "%s: no .case files to replay\n" path;

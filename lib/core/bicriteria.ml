@@ -54,8 +54,10 @@ let with_deadlines ?(seed = 0) ?(mc = false) inst ~eps ~latency =
   let deadlines = Deadline.compute inst ~eps ~latency in
   let rng = Rng.create ~seed in
   let mode =
-    if mc then Engine.Min_comm Engine.Greedy_edges else Engine.All_to_all_comm
+    if mc then Ftsa_policy.Min_comm Ftsa_policy.Greedy_edges
+    else Ftsa_policy.All_to_all_comm
   in
-  match Engine.run ~rng ~instance:inst ~eps ~mode ~deadlines () with
+  match Ftsa_policy.run ~rng ~instance:inst ~eps ~mode ~deadlines () with
   | Ok s -> Ok s
-  | Error { Engine.task; deadline; finish } -> Error { task; deadline; finish }
+  | Error { Ftsa_policy.task; deadline; finish } ->
+      Error { task; deadline; finish }

@@ -6,8 +6,8 @@ let make_rng ?(seed = 0) ?rng () =
 let schedule ?seed ?rng ?release ?trace ?workspace inst ~eps =
   let rng = make_rng ?seed ?rng () in
   match
-    Engine.run ~rng ~instance:inst ~eps ~mode:Engine.All_to_all_comm ?release
-      ?trace ?workspace ()
+    Ftsa_policy.run ~rng ~instance:inst ~eps ~mode:Ftsa_policy.All_to_all_comm
+      ?release ?trace ?workspace ()
   with
   | Ok s -> s
   | Error _ -> assert false (* no deadlines supplied: cannot fail *)

@@ -148,7 +148,7 @@ let policy ~instance ~eps ~mode =
 let run ~rng ~instance ~eps ~mode ?release ?deadlines ?trace ?workspace () =
   let m = Instance.n_procs instance in
   if eps < 0 || eps >= m then
-    invalid_arg "Engine.run: need 0 <= eps < number of processors";
+    invalid_arg "Ftsa_policy.run: need 0 <= eps < number of processors";
   match
     Driver.run ~rng ~instance ~policy:(policy ~instance ~eps ~mode) ?release
       ?deadlines ?trace ?workspace ()

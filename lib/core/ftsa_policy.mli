@@ -1,7 +1,7 @@
 (** The FTSA / MC-FTSA instantiation of the kernel driver.
 
     One pass of Algorithm 4.1, expressed as a {!Ftsched_kernel.Driver}
-    policy: the AVL-backed priority list [α] keyed by criticalness
+    policy: the heap-backed priority list [α] keyed by criticalness
     [tℓ(t) + bℓ(t)], equation-(1) finish evaluation on every processor,
     the [ε+1] best processors kept, replicas committed.  In
     minimum-communication mode the commit rule additionally runs the

@@ -6,13 +6,13 @@ let schedule ?(seed = 0) ?rng ?(strategy = Greedy) ?trace inst ~eps =
   let rng = match rng with Some r -> r | None -> Rng.create ~seed in
   let edge_strategy =
     match strategy with
-    | Greedy -> Engine.Greedy_edges
-    | Bottleneck -> Engine.Bottleneck_edges
-    | Redundant senders -> Engine.Redundant_edges senders
+    | Greedy -> Ftsa_policy.Greedy_edges
+    | Bottleneck -> Ftsa_policy.Bottleneck_edges
+    | Redundant senders -> Ftsa_policy.Redundant_edges senders
   in
   match
-    Engine.run ~rng ~instance:inst ~eps ~mode:(Engine.Min_comm edge_strategy)
-      ?trace ()
+    Ftsa_policy.run ~rng ~instance:inst ~eps
+      ~mode:(Ftsa_policy.Min_comm edge_strategy) ?trace ()
   with
   | Ok s -> s
   | Error _ -> assert false (* no deadlines supplied: cannot fail *)

@@ -1,5 +1,15 @@
+(* Typed validation instead of [assert], which -noassert compiles out:
+   every entry point checks its arguments before building anything. *)
+let check ~who ~volume ok what =
+  if not ok then invalid_arg (Printf.sprintf "Classic.%s: %s" who what);
+  if not (Float.is_finite volume) || volume < 0. then
+    invalid_arg
+      (Printf.sprintf "Classic.%s: volume %g must be finite and >= 0" who
+         volume)
+
 let gaussian_elimination ?(volume = 100.) ~size () =
-  assert (size >= 2);
+  check ~who:"gaussian_elimination" ~volume (size >= 2)
+    (Printf.sprintf "size %d must be >= 2" size);
   let b = Dag.Builder.create () in
   (* ids.(k).(j) is the update task of column j at elimination step k
      (j = k means the pivot task of step k). *)
@@ -26,7 +36,9 @@ let gaussian_elimination ?(volume = 100.) ~size () =
 let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
 let fft ?(volume = 100.) ~points () =
-  assert (points >= 2 && is_power_of_two points);
+  check ~who:"fft" ~volume
+    (points >= 2 && is_power_of_two points)
+    (Printf.sprintf "points %d must be a power of two >= 2" points);
   let stages =
     let rec log2 acc n = if n = 1 then acc else log2 (acc + 1) (n / 2) in
     log2 0 points
@@ -52,7 +64,9 @@ let fft ?(volume = 100.) ~points () =
   Dag.Builder.build b
 
 let wavefront ?(volume = 100.) ~rows ~cols () =
-  assert (rows > 0 && cols > 0);
+  check ~who:"wavefront" ~volume
+    (rows > 0 && cols > 0)
+    (Printf.sprintf "rows %d and cols %d must be positive" rows cols);
   let b = Dag.Builder.create ~expected_tasks:(rows * cols) () in
   let ids = Array.make_matrix rows cols (-1) in
   for i = 0 to rows - 1 do
@@ -69,7 +83,8 @@ let wavefront ?(volume = 100.) ~rows ~cols () =
   Dag.Builder.build b
 
 let cholesky ?(volume = 100.) ~tiles () =
-  assert (tiles >= 2);
+  check ~who:"cholesky" ~volume (tiles >= 2)
+    (Printf.sprintf "tiles %d must be >= 2" tiles);
   let b = Dag.Builder.create () in
   let t = tiles in
   (* Same-tile updates are chained (the usual task-graph linearization of
@@ -111,7 +126,8 @@ let cholesky ?(volume = 100.) ~tiles () =
   Dag.Builder.build b
 
 let diamond ?(volume = 100.) ~layers () =
-  assert (layers > 0);
+  check ~who:"diamond" ~volume (layers > 0)
+    (Printf.sprintf "layers %d must be positive" layers);
   let b = Dag.Builder.create () in
   let layer w lvl =
     Array.init w (fun i ->

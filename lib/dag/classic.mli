@@ -4,7 +4,10 @@
     schedulers (Gaussian elimination, FFT butterflies, wavefront sweeps).
     The examples and some integration tests run the fault-tolerant
     schedulers on them because their critical paths and widths are known
-    in closed form, which makes results easy to sanity-check. *)
+    in closed form, which makes results easy to sanity-check.
+
+    Every generator raises [Invalid_argument] on a size outside its
+    documented domain or on a negative or non-finite [volume]. *)
 
 val gaussian_elimination : ?volume:float -> size:int -> unit -> Dag.t
 (** Task graph of column-oriented Gaussian elimination on a [size × size]

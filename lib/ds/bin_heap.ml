@@ -3,8 +3,8 @@
    unboxed arrays, so pushes and pops allocate nothing once the arrays
    have grown to the working size.  The key order is the total
    lexicographic order on the triple; tasks are unique per heap, so the
-   maximum is unique and a pop sequence is deterministic — this is what
-   lets the heap replace the AVL priority list bit-for-bit. *)
+   maximum is unique and a pop sequence is deterministic, which keeps
+   schedules bit-identical across runs. *)
 
 type t = {
   mutable prio : float array;

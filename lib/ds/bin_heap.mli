@@ -1,17 +1,16 @@
 (** Allocation-free binary max-heap over [(priority, tie, task)] keys.
 
     The driver's priority list [α] pops the maximum
-    [(priority, tie, task)] binding once per scheduled task.  The AVL
-    list it used allocates O(log n) nodes per operation; this heap keeps
-    the three key components in parallel unboxed arrays (doubling
+    [(priority, tie, task)] binding once per scheduled task.  The heap
+    keeps the three key components in parallel unboxed arrays (doubling
     growth), so pushes and pops allocate nothing once the arrays reach
     the working size.
 
     Keys are ordered lexicographically with [Float.compare] on the two
     float components.  Task ids are unique within a heap, so keys are
     distinct, the maximum is unique, and the pop sequence matches any
-    other faithful implementation of the same total order bit for bit —
-    the digest-pinned schedules prove it against the AVL baseline. *)
+    other faithful implementation of the same total order bit for bit,
+    so schedules are bit-identical. *)
 
 type t
 

@@ -11,7 +11,7 @@ module Edge_select = Ftsched_core.Edge_select
 module Scenario = Ftsched_sim.Scenario
 module Crash_exec = Ftsched_sim.Crash_exec
 module Event_sim = Ftsched_sim.Event_sim
-module Event_sim_ref = Ftsched_sim.Event_sim_ref
+module Event_sim_ref = Ftsched_oracle.Event_sim_ref
 module Par = Ftsched_par.Par
 module Stream = Ftsched_stream.Stream
 
@@ -533,110 +533,6 @@ let shrink ?(max_evals = 2000) sched case oracle =
   (!current, !steps, !evals)
 
 (* ------------------------------------------------------------------ *)
-(* Campaign                                                            *)
-
-type counterexample = {
-  seed : int;
-  scheduler : string;
-  violation : violation;
-  original : case;
-  shrunk : case;
-  shrink_steps : int;
-  evaluations : int;
-}
-
-let run_seed ?(schedulers = schedulers) seed =
-  let case = gen_case ~seed in
-  List.concat_map
-    (fun sched ->
-      check sched case
-      |> List.map (fun v ->
-             let shrunk, shrink_steps, evaluations =
-               shrink sched case v.oracle
-             in
-             (* prefer the violation detail as seen on the minimal
-                witness — that is what the witness file reproduces *)
-             let violation =
-               match
-                 List.find_opt
-                   (fun v' -> v'.oracle = v.oracle)
-                   (check sched shrunk)
-               with
-               | Some v' -> v'
-               | None -> v
-             in
-             {
-               seed;
-               scheduler = sched.name;
-               violation;
-               original = case;
-               shrunk;
-               shrink_steps;
-               evaluations;
-             }))
-    schedulers
-
-(* ------------------------------------------------------------------ *)
-(* Witness files                                                       *)
-
-let write_case ~path ~scheduler ~oracle case =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "ftsched-fuzz v1\n";
-  Printf.bprintf buf "scheduler %s\n" scheduler;
-  Printf.bprintf buf "eps %d\n" case.eps;
-  Printf.bprintf buf "sched-seed %d\n" case.sched_seed;
-  Printf.bprintf buf "oracle %s\n" (oracle_name oracle);
-  Buffer.add_string buf (Serialize.instance_to_string case.instance);
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> Buffer.output_buffer oc buf)
-
-let read_case ~path =
-  let ic = open_in path in
-  let body =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let lines = String.split_on_char '\n' body in
-  (match lines with
-  | magic :: _ when String.trim magic = "ftsched-fuzz v1" -> ()
-  | _ -> failwith (path ^ ": bad magic (expected \"ftsched-fuzz v1\")"));
-  let header, rest =
-    let rec split acc = function
-      | [] -> failwith (path ^ ": missing instance document")
-      | l :: tl when String.trim l = "ftsched v1" -> (List.rev acc, l :: tl)
-      | l :: tl -> split (l :: acc) tl
-    in
-    split [] (List.tl lines)
-  in
-  let find key =
-    List.find_map
-      (fun l ->
-        match String.split_on_char ' ' (String.trim l) with
-        | k :: rest when k = key -> Some (String.concat " " rest)
-        | _ -> None)
-      header
-  in
-  let req key =
-    match find key with
-    | Some v -> v
-    | None -> failwith (Printf.sprintf "%s: missing %S header" path key)
-  in
-  let int_of key v =
-    match int_of_string_opt v with
-    | Some i -> i
-    | None -> failwith (Printf.sprintf "%s: bad %s %S" path key v)
-  in
-  let scheduler = req "scheduler" in
-  let eps = int_of "eps" (req "eps") in
-  let sched_seed = int_of "sched-seed" (req "sched-seed") in
-  let oracle = Option.bind (find "oracle") oracle_of_name in
-  let instance = Serialize.instance_of_string (String.concat "\n" rest) in
-  (scheduler, oracle, { instance; eps; sched_seed })
-
-(* ------------------------------------------------------------------ *)
 (* Stream traces: the fifth oracle family.  A whole streaming trace —
    arrivals, admission, chaos, execution — is a pure function of one
    trace seed, so the case IS the seed: nothing to shrink, and the
@@ -662,46 +558,6 @@ let check_stream ~seed =
       List.map
         (fun detail -> { oracle = Stream_lost; detail })
         (Stream.check_report report)
-
-let stream_magic = "ftsched-stream v1"
-
-let write_stream_case ~path ~seed violations =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "%s\nseed %d\n" stream_magic seed;
-      List.iter (fun v -> Printf.fprintf oc "# %s\n" v.detail) violations)
-
-(* Shared by the seed-only witness formats (stream, parser): versioned
-   magic line, then a "seed N" header. *)
-let read_seed_case ~path ~magic body =
-  match String.split_on_char '\n' body with
-  | m :: rest when String.trim m = magic -> (
-      let seed_line =
-        List.find_opt
-          (fun l ->
-            match String.split_on_char ' ' (String.trim l) with
-            | "seed" :: _ -> true
-            | _ -> false)
-          rest
-      in
-      match seed_line with
-      | Some l -> (
-          match String.split_on_char ' ' (String.trim l) with
-          | [ _; v ] when int_of_string_opt v <> None -> int_of_string v
-          | _ -> failwith (path ^ ": bad seed line"))
-      | None -> failwith (path ^ ": missing \"seed\" header"))
-  | _ -> failwith (path ^ ": bad magic (expected \"" ^ magic ^ "\")")
-
-let read_body path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let read_stream_case ~path =
-  read_seed_case ~path ~magic:stream_magic (read_body path)
 
 (* ------------------------------------------------------------------ *)
 (* Parser safety: the sixth oracle family.  Like stream traces the case
@@ -789,149 +645,172 @@ let check_parser ~seed =
         (Serialize.schedule_to_string s));
   List.rev !bad
 
-let parser_magic = "ftsched-parser v1"
-
-let write_parser_case ~path ~seed violations =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      Printf.fprintf oc "%s\nseed %d\n" parser_magic seed;
-      List.iter (fun v -> Printf.fprintf oc "# %s\n" v.detail) violations)
-
-let read_parser_case ~path =
-  read_seed_case ~path ~magic:parser_magic (read_body path)
-
 (* ------------------------------------------------------------------ *)
-(* Tournament witnesses.  The instance-space tournament
-   (lib/tournament) serializes every accepted incumbent in this format;
-   owning it here lets [ftsched fuzz --replay] ingest those witnesses —
-   a found adversarial instance immediately becomes a fuzz seed run
-   through the full oracle battery of both policies it separates. *)
+(* Witnesses: one versioned envelope for every replayable case.  A
+   magic line, a [kind] header, the kind's own headers, optional [#]
+   note lines, and — for the instance-carrying kinds — the
+   {!Serialize} instance document.  The tournament (lib/tournament)
+   writes its incumbents through the same pair, so [ftsched fuzz
+   --replay] ingests them: a found adversarial instance becomes a fuzz
+   seed run through the full oracle battery of both policies it
+   separates. *)
 
-let tournament_magic = "ftsched-tournament v1"
+type witness =
+  | Instance of { scheduler : string; oracle : oracle; case : case }
+  | Stream_seed of int
+  | Parser_seed of int
+  | Tournament of {
+      policy_a : string;
+      policy_b : string;
+      metric : string;
+      ratio : float;
+      case : case;
+    }
 
-type tournament_witness = {
-  policy_a : string;
-  policy_b : string;
-  metric : string;
-  ratio : float;
-  case : case;
-}
+let witness_magic = "ftsched-witness v2"
 
-let write_tournament_case ~path w =
+let kind_name = function
+  | Instance _ -> "instance"
+  | Stream_seed _ -> "stream"
+  | Parser_seed _ -> "parser"
+  | Tournament _ -> "tournament"
+
+let write_witness ~path ?(notes = []) w =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf (tournament_magic ^ "\n");
-  Printf.bprintf buf "policy-a %s\n" w.policy_a;
-  Printf.bprintf buf "policy-b %s\n" w.policy_b;
-  Printf.bprintf buf "metric %s\n" w.metric;
-  (* %h keeps the ratio bit-exact across the round trip, like every
-     float in the instance document below. *)
-  Printf.bprintf buf "ratio %h\n" w.ratio;
-  Printf.bprintf buf "eps %d\n" w.case.eps;
-  Printf.bprintf buf "sched-seed %d\n" w.case.sched_seed;
-  Buffer.add_string buf (Serialize.instance_to_string w.case.instance);
+  let header key fmt = Printf.bprintf buf ("%s " ^^ fmt ^^ "\n") key in
+  Buffer.add_string buf (witness_magic ^ "\n");
+  header "kind" "%s" (kind_name w);
+  let case_headers c =
+    header "eps" "%d" c.eps;
+    header "sched-seed" "%d" c.sched_seed
+  in
+  (match w with
+  | Instance { scheduler; oracle; case } ->
+      header "scheduler" "%s" scheduler;
+      header "oracle" "%s" (oracle_name oracle);
+      case_headers case
+  | Stream_seed seed | Parser_seed seed -> header "seed" "%d" seed
+  | Tournament { policy_a; policy_b; metric; ratio; case } ->
+      header "policy-a" "%s" policy_a;
+      header "policy-b" "%s" policy_b;
+      header "metric" "%s" metric;
+      (* %h keeps the ratio bit-exact across the round trip, like every
+         float in the instance document below. *)
+      header "ratio" "%h" ratio;
+      case_headers case);
+  List.iter
+    (fun n ->
+      Printf.bprintf buf "# %s\n"
+        (String.map (function '\n' -> ' ' | c -> c) n))
+    notes;
+  (match w with
+  | Instance { case; _ } | Tournament { case; _ } ->
+      Buffer.add_string buf (Serialize.instance_to_string case.instance)
+  | Stream_seed _ | Parser_seed _ -> ());
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> Buffer.output_buffer oc buf)
 
-let read_tournament_case ~path =
-  let body = read_body path in
-  let lines = String.split_on_char '\n' body in
+let read_witness ~path =
+  let fail fmt = Printf.ksprintf (fun m -> failwith (path ^ ": " ^ m)) fmt in
+  let lines =
+    let ic = open_in path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+    |> String.split_on_char '\n'
+  in
   (match lines with
-  | magic :: _ when String.trim magic = tournament_magic -> ()
-  | _ -> failwith (path ^ ": bad magic (expected \"" ^ tournament_magic ^ "\")"));
-  let header, rest =
-    let rec split acc = function
-      | [] -> failwith (path ^ ": missing instance document")
-      | l :: tl when String.trim l = "ftsched v1" -> (List.rev acc, l :: tl)
-      | l :: tl -> split (l :: acc) tl
-    in
-    split [] (List.tl lines)
+  | magic :: _ when String.trim magic = witness_magic -> ()
+  | _ -> fail "bad magic (expected %S)" witness_magic);
+  (* headers run up to the instance document's own magic line *)
+  let rec split acc = function
+    | [] -> (List.rev acc, None)
+    | l :: _ as doc when String.trim l = "ftsched v1" ->
+        (List.rev acc, Some (String.concat "\n" doc))
+    | l :: tl -> split (l :: acc) tl
   in
-  let find key =
-    List.find_map
-      (fun l ->
-        match String.split_on_char ' ' (String.trim l) with
-        | k :: rest when k = key -> Some (String.concat " " rest)
-        | _ -> None)
-      header
-  in
+  let headers, doc = split [] (List.tl lines) in
   let req key =
-    match find key with
+    match
+      List.find_map
+        (fun l ->
+          match String.split_on_char ' ' (String.trim l) with
+          | k :: rest when k = key -> Some (String.concat " " rest)
+          | _ -> None)
+        headers
+    with
     | Some v -> v
-    | None -> failwith (Printf.sprintf "%s: missing %S header" path key)
+    | None -> fail "missing %S header" key
   in
-  let int_of key v =
-    match int_of_string_opt v with
-    | Some i -> i
-    | None -> failwith (Printf.sprintf "%s: bad %s %S" path key v)
+  let parsed key parse =
+    let v = req key in
+    match parse v with Some x -> x | None -> fail "bad %s %S" key v
   in
-  let ratio =
-    let v = req "ratio" in
-    match float_of_string_opt v with
-    | Some r -> r
-    | None -> failwith (Printf.sprintf "%s: bad ratio %S" path v)
+  let case () =
+    match doc with
+    | None -> fail "missing instance document"
+    | Some d ->
+        let eps = parsed "eps" int_of_string_opt in
+        let sched_seed = parsed "sched-seed" int_of_string_opt in
+        { instance = Serialize.instance_of_string d; eps; sched_seed }
   in
-  let instance = Serialize.instance_of_string (String.concat "\n" rest) in
-  {
-    policy_a = req "policy-a";
-    policy_b = req "policy-b";
-    metric = req "metric";
-    ratio;
-    case =
-      {
-        instance;
-        eps = int_of "eps" (req "eps");
-        sched_seed = int_of "sched-seed" (req "sched-seed");
-      };
-  }
+  match req "kind" with
+  | "instance" ->
+      let scheduler = req "scheduler" in
+      let oracle = parsed "oracle" oracle_of_name in
+      Instance { scheduler; oracle; case = case () }
+  | "stream" -> Stream_seed (parsed "seed" int_of_string_opt)
+  | "parser" -> Parser_seed (parsed "seed" int_of_string_opt)
+  | "tournament" ->
+      let policy_a = req "policy-a" and policy_b = req "policy-b" in
+      let metric = req "metric" in
+      let ratio = parsed "ratio" float_of_string_opt in
+      Tournament { policy_a; policy_b; metric; ratio; case = case () }
+  | k -> fail "unknown witness kind %S" k
 
-(* ------------------------------------------------------------------ *)
+let witness_name = function
+  | Instance { scheduler; _ } -> scheduler
+  | Stream_seed seed -> Printf.sprintf "stream seed %d" seed
+  | Parser_seed seed -> Printf.sprintf "parser seed %d" seed
+  | Tournament { policy_a; policy_b; _ } ->
+      Printf.sprintf "%s-vs-%s" policy_a policy_b
 
-let file_magic path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> try String.trim (input_line ic) with End_of_file -> "")
+let witness_filename ~seed = function
+  | Instance { scheduler; oracle; _ } ->
+      Printf.sprintf "seed%d-%s-%s.case" seed scheduler (oracle_name oracle)
+  | Stream_seed s -> Printf.sprintf "stream-seed%d.case" s
+  | Parser_seed s -> Printf.sprintf "parser-seed%d.case" s
+  | Tournament { policy_a; policy_b; _ } ->
+      Printf.sprintf "%s-vs-%s-seed%d.case" policy_a policy_b seed
 
 let replay ?(schedulers = schedulers) path =
-  match file_magic path with
+  let ( let* ) = Result.bind in
+  let find name =
+    match List.find_opt (fun s -> s.name = name) schedulers with
+    | Some s -> Ok s
+    | None -> Error (Printf.sprintf "unknown scheduler %S" name)
+  in
+  match read_witness ~path with
   | exception e -> Error (Printexc.to_string e)
-  | magic when magic = stream_magic -> (
-      match read_stream_case ~path with
-      | exception e -> Error (Printexc.to_string e)
-      | seed -> Ok (Printf.sprintf "stream seed %d" seed, check_stream ~seed))
-  | magic when magic = parser_magic -> (
-      match read_parser_case ~path with
-      | exception e -> Error (Printexc.to_string e)
-      | seed -> Ok (Printf.sprintf "parser seed %d" seed, check_parser ~seed))
-  | magic when magic = tournament_magic -> (
-      match read_tournament_case ~path with
-      | exception e -> Error (Printexc.to_string e)
-      | w -> (
-          let find name = List.find_opt (fun s -> s.name = name) schedulers in
-          match (find w.policy_a, find w.policy_b) with
-          | None, _ -> Error (Printf.sprintf "unknown scheduler %S" w.policy_a)
-          | _, None -> Error (Printf.sprintf "unknown scheduler %S" w.policy_b)
-          | Some a, Some b ->
-              let tag p vs =
-                List.map
-                  (fun v -> { v with detail = p ^ ": " ^ v.detail })
-                  vs
-              in
-              Ok
-                ( Printf.sprintf "%s-vs-%s" w.policy_a w.policy_b,
-                  tag w.policy_a (check a w.case)
-                  @ tag w.policy_b (check b w.case) )))
-  | _ -> (
-      match read_case ~path with
-      | exception e -> Error (Printexc.to_string e)
-      | name, _oracle, case -> (
-          match List.find_opt (fun s -> s.name = name) schedulers with
-          | None -> Error (Printf.sprintf "unknown scheduler %S" name)
-          | Some sched -> Ok (name, check sched case)))
+  | w ->
+      let* violations =
+        match w with
+        | Instance { scheduler; case; _ } ->
+            let* s = find scheduler in
+            Ok (check s case)
+        | Stream_seed seed -> Ok (check_stream ~seed)
+        | Parser_seed seed -> Ok (check_parser ~seed)
+        | Tournament { policy_a; policy_b; case; _ } ->
+            let* a = find policy_a in
+            let* b = find policy_b in
+            let tag p =
+              List.map (fun v -> { v with detail = p ^ ": " ^ v.detail })
+            in
+            Ok (tag policy_a (check a case) @ tag policy_b (check b case))
+      in
+      Ok (witness_name w, violations)
 
 let replay_corpus ?schedulers dir =
   let entries = Sys.readdir dir in
@@ -945,102 +824,99 @@ let replay_corpus ?schedulers dir =
 let replay_command ~path = Printf.sprintf "ftsched fuzz --replay %s" path
 
 (* ------------------------------------------------------------------ *)
+(* Campaign                                                            *)
+
+type shrink_stats = { original : case; steps : int; evaluations : int }
+
+type finding = {
+  seed : int;
+  witness : witness;
+  violations : violation list;
+  shrink : shrink_stats option;
+}
+
+let run_seed ?(schedulers = schedulers) seed =
+  let case = gen_case ~seed in
+  List.concat_map
+    (fun sched ->
+      check sched case
+      |> List.map (fun v ->
+             let shrunk, steps, evaluations = shrink sched case v.oracle in
+             (* prefer the violation detail as seen on the minimal
+                witness — that is what the witness file reproduces *)
+             let violation =
+               match
+                 List.find_opt
+                   (fun v' -> v'.oracle = v.oracle)
+                   (check sched shrunk)
+               with
+               | Some v' -> v'
+               | None -> v
+             in
+             {
+               seed;
+               witness =
+                 Instance
+                   { scheduler = sched.name; oracle = v.oracle; case = shrunk };
+               violations = [ violation ];
+               shrink = Some { original = case; steps; evaluations };
+             }))
+    schedulers
+
+(* The stream and parser-safety cases ARE their seed: nothing to shrink. *)
+let seed_finding ~seed witness = function
+  | [] -> []
+  | violations -> [ { seed; witness; violations; shrink = None } ]
 
 type report = {
   seeds_requested : int;
   seeds_run : int;
   schedulers_run : int;
-  counterexamples : (counterexample * string option) list;
-  stream_violations : (int * violation list * string option) list;
-  parser_violations : (int * violation list * string option) list;
+  findings : (finding * string option) list;
 }
-
-let witness_path ~dir ce =
-  Filename.concat dir
-    (Printf.sprintf "seed%d-%s-%s.case" ce.seed ce.scheduler
-       (oracle_name ce.violation.oracle))
 
 let campaign ?(schedulers = schedulers) ?jobs ?(should_stop = fun () -> false)
     ?(dir = "_fuzz") ?(save = true) ~seeds () =
   let jobs_eff = match jobs with Some j -> j | None -> Par.default_jobs () in
   let chunk = max 1 (jobs_eff * 4) in
-  let ces = ref [] and svs = ref [] and pvs = ref [] and start = ref 0 in
+  let found = ref [] and start = ref 0 in
   while !start < seeds && not (should_stop ()) do
     let n = min chunk (seeds - !start) in
     let base = !start in
     let results =
       Par.parallel_init ?jobs n (fun i ->
-          run_seed ~schedulers (base + i))
+          let seed = base + i in
+          run_seed ~schedulers seed
+          @ seed_finding ~seed (Stream_seed seed) (check_stream ~seed)
+          @ seed_finding ~seed (Parser_seed seed) (check_parser ~seed))
     in
-    let stream_results =
-      Par.parallel_init ?jobs n (fun i -> check_stream ~seed:(base + i))
-    in
-    let parser_results =
-      Par.parallel_init ?jobs n (fun i -> check_parser ~seed:(base + i))
-    in
-    ces := !ces @ List.concat results;
-    List.iteri
-      (fun i vs -> if vs <> [] then svs := (base + i, vs) :: !svs)
-      stream_results;
-    List.iteri
-      (fun i vs -> if vs <> [] then pvs := (base + i, vs) :: !pvs)
-      parser_results;
+    found := !found @ List.concat results;
     start := !start + n
   done;
-  let ensure_dir () =
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
-  in
-  let counterexamples =
-    List.map
-      (fun ce ->
-        if save then begin
-          ensure_dir ();
-          let path = witness_path ~dir ce in
-          write_case ~path ~scheduler:ce.scheduler
-            ~oracle:ce.violation.oracle ce.shrunk;
-          (ce, Some path)
-        end
-        else (ce, None))
-      !ces
-  in
-  let stream_violations =
-    List.rev_map
-      (fun (seed, vs) ->
-        if save then begin
-          ensure_dir ();
-          let path =
-            Filename.concat dir (Printf.sprintf "stream-seed%d.case" seed)
-          in
-          write_stream_case ~path ~seed vs;
-          (seed, vs, Some path)
-        end
-        else (seed, vs, None))
-      !svs
-  in
-  let parser_violations =
-    List.rev_map
-      (fun (seed, vs) ->
-        if save then begin
-          ensure_dir ();
-          let path =
-            Filename.concat dir (Printf.sprintf "parser-seed%d.case" seed)
-          in
-          write_parser_case ~path ~seed vs;
-          (seed, vs, Some path)
-        end
-        else (seed, vs, None))
-      !pvs
+  let save_finding f =
+    if not save then (f, None)
+    else begin
+      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+      let path =
+        Filename.concat dir (witness_filename ~seed:f.seed f.witness)
+      in
+      let notes =
+        List.map
+          (fun v -> Printf.sprintf "[%s] %s" (oracle_name v.oracle) v.detail)
+          f.violations
+      in
+      write_witness ~path ~notes f.witness;
+      (f, Some path)
+    end
   in
   {
     seeds_requested = seeds;
     seeds_run = !start;
     schedulers_run = List.length schedulers;
-    counterexamples;
-    stream_violations;
-    parser_violations;
+    findings = List.map save_finding !found;
   }
 
-let pp_counterexample ppf ce =
+let pp_finding ppf f =
   let size c =
     Format.asprintf "%d tasks / %d edges / %d procs / eps %d"
       (Instance.n_tasks c.instance)
@@ -1048,10 +924,17 @@ let pp_counterexample ppf ce =
       (Instance.n_procs c.instance)
       c.eps
   in
-  Format.fprintf ppf
-    "seed %d / %s: [%s] %s@,  original: %s@,  shrunk:   %s (%d steps, %d \
-     evaluations)"
-    ce.seed ce.scheduler
-    (oracle_name ce.violation.oracle)
-    ce.violation.detail (size ce.original) (size ce.shrunk) ce.shrink_steps
-    ce.evaluations
+  (match f.witness with
+  | Instance { scheduler; _ } ->
+      Format.fprintf ppf "seed %d / %s:" f.seed scheduler
+  | w -> Format.fprintf ppf "%s:" (witness_name w));
+  List.iter
+    (fun v ->
+      Format.fprintf ppf "@,  [%s] %s" (oracle_name v.oracle) v.detail)
+    f.violations;
+  match (f.witness, f.shrink) with
+  | Instance { case; _ }, Some s ->
+      Format.fprintf ppf
+        "@,  original: %s@,  shrunk:   %s (%d steps, %d evaluations)"
+        (size s.original) (size case) s.steps s.evaluations
+  | _ -> ()

@@ -134,98 +134,57 @@ val shrink :
     evaluations)].  Deterministic; bounded by [max_evals] (default
     2000) oracle evaluations. *)
 
-type counterexample = {
-  seed : int;
-  scheduler : string;
-  violation : violation;  (** re-evaluated on the shrunk case *)
-  original : case;
-  shrunk : case;
-  shrink_steps : int;
-  evaluations : int;
-}
-
-val run_seed : ?schedulers:scheduler list -> int -> counterexample list
-(** [run_seed seed] generates, checks every scheduler, shrinks every
-    violation.  Pure function of the seed (and the scheduler list). *)
-
-type report = {
-  seeds_requested : int;
-  seeds_run : int;  (** < requested only when [should_stop] fired *)
-  schedulers_run : int;
-  counterexamples : (counterexample * string option) list;
-      (** with the witness path when saving was enabled *)
-  stream_violations : (int * violation list * string option) list;
-      (** per trace seed that violated the stream oracle: the
-          violations and the witness path when saving was enabled *)
-  parser_violations : (int * violation list * string option) list;
-      (** per seed that violated the parser-safety oracle *)
-}
-
-val campaign :
-  ?schedulers:scheduler list ->
-  ?jobs:int ->
-  ?should_stop:(unit -> bool) ->
-  ?dir:string ->
-  ?save:bool ->
-  seeds:int ->
-  unit ->
-  report
-(** Fuzz seeds [0 .. seeds-1], parallel over seeds ([jobs] worker
-    domains, default {!Ftsched_par.Par.default_jobs}); results are
-    bit-identical for any job count.  [should_stop] (the [--time-budget]
-    hook) is polled between seed chunks: the run then stops early with
-    [seeds_run < seeds_requested] — the only way output depends on
-    anything but the seeds.  Witnesses are written under [dir] (default
-    ["_fuzz"], created on demand) unless [save = false]; writing happens
-    after the parallel phase, in seed order. *)
-
 (** {2 Witness files} *)
 
-val write_case :
-  path:string -> scheduler:string -> oracle:oracle -> case -> unit
-(** Versioned header (scheduler, eps, scheduler seed, oracle) followed
-    by the {!Ftsched_schedule.Serialize} instance document. *)
+type witness =
+  | Instance of { scheduler : string; oracle : oracle; case : case }
+      (** a (shrunk) instance that made [scheduler] fail [oracle] *)
+  | Stream_seed of int  (** a trace seed for {!check_stream} *)
+  | Parser_seed of int  (** a seed for {!check_parser} *)
+  | Tournament of {
+      policy_a : string;
+      policy_b : string;
+      metric : string;  (** tournament metric name, e.g. ["guaranteed"] *)
+      ratio : float;  (** the makespan ratio the tournament reported *)
+      case : case;
+    }
+      (** an adversarial instance found by the instance-space tournament
+          ({!Ftsched_tournament}): the ordered policy pair it separates
+          and the metric and ratio it was scored under *)
+(** Every replayable case the fuzzer and the tournament save. *)
 
-val read_case : path:string -> string * oracle option * case
-(** [(scheduler_name, oracle, case)].  Raises [Failure] on a malformed
-    file. *)
+val write_witness : path:string -> ?notes:string list -> witness -> unit
+(** One envelope for every kind: the ["ftsched-witness v2"] magic line,
+    a [kind] header ([instance], [stream], [parser] or [tournament]),
+    the kind's headers (floats in [%h] hex so the round trip is
+    bit-exact), one [#] comment line per note, then — for the
+    instance-carrying kinds — the {!Ftsched_schedule.Serialize} instance
+    document. *)
 
-type tournament_witness = {
-  policy_a : string;
-  policy_b : string;
-  metric : string;  (** tournament metric name, e.g. ["guaranteed"] *)
-  ratio : float;  (** the makespan ratio the tournament reported *)
-  case : case;
-}
-(** An adversarial instance found by the instance-space tournament
-    ({!Ftsched_tournament}): the ordered policy pair it separates, the
-    metric and ratio it was scored under, and the instance itself as a
-    regular fuzz {!case}. *)
+val read_witness : path:string -> witness
+(** Inverse of {!write_witness}; notes are ignored.  Raises [Failure]
+    on any other magic (including the retired v1 formats), a missing or
+    unknown [kind], a missing or malformed header, or a malformed
+    instance document. *)
 
-val write_tournament_case : path:string -> tournament_witness -> unit
-(** ["ftsched-tournament v1"] magic, headers (policies, metric, ratio
-    in [%h] hex-float so the round trip is bit-exact, eps, scheduler
-    seed), then the {!Ftsched_schedule.Serialize} instance document. *)
-
-val read_tournament_case : path:string -> tournament_witness
-(** Raises [Failure] on a malformed file. *)
+val witness_filename : seed:int -> witness -> string
+(** The file name a witness is saved under: [seed<N>-<scheduler>-<oracle>],
+    [stream-seed<N>], [parser-seed<N>] or [<A>-vs-<B>-seed<N>], with the
+    [.case] suffix. *)
 
 val replay :
   ?schedulers:scheduler list ->
   string ->
   (string * violation list, string) result
-(** [replay path] re-runs every oracle on a saved witness:
-    [Ok (scheduler, violations)] ([violations = []] means the bug no
-    longer reproduces), or [Error] for an unreadable file / unknown
-    scheduler.  Dispatches on the file magic: ["ftsched-fuzz v1"]
-    witnesses replay the saved instance through the saved scheduler;
-    ["ftsched-stream v1"] witnesses re-run the saved trace seed through
-    the stream oracle; ["ftsched-parser v1"] witnesses re-run the saved
-    seed through the parser-safety oracle; ["ftsched-tournament v1"]
-    witnesses run the saved instance through the {e full oracle
-    battery} of {e both} saved policies (violation details prefixed
-    with the policy name) — a found adversarial instance doubles as a
-    fuzz seed. *)
+(** [replay path] re-runs the oracles on a saved witness:
+    [Ok (name, violations)] ([violations = []] means the bug no longer
+    reproduces), or [Error] for an unreadable file / unknown scheduler.
+    An [Instance] replays through its scheduler; a [Stream_seed] or
+    [Parser_seed] re-runs its seed through {!check_stream} or
+    {!check_parser}; a [Tournament] runs its instance through the
+    {e full oracle battery} of {e both} policies (violation details
+    prefixed with the policy name) — a found adversarial instance
+    doubles as a fuzz seed. *)
 
 val replay_corpus :
   ?schedulers:scheduler list ->
@@ -239,4 +198,56 @@ val replay_corpus :
 val replay_command : path:string -> string
 (** The CLI invocation reported next to a saved witness. *)
 
-val pp_counterexample : Format.formatter -> counterexample -> unit
+(** {2 Campaigns} *)
+
+type shrink_stats = {
+  original : case;  (** the generated case before shrinking *)
+  steps : int;  (** accepted shrink steps *)
+  evaluations : int;  (** oracle evaluations spent shrinking *)
+}
+
+type finding = {
+  seed : int;  (** the campaign seed that produced it *)
+  witness : witness;
+      (** the replayable case: the shrunk [Instance], or the
+          [Stream_seed] / [Parser_seed] itself *)
+  violations : violation list;  (** as evaluated on [witness] *)
+  shrink : shrink_stats option;  (** [Instance] findings only *)
+}
+
+val run_seed : ?schedulers:scheduler list -> int -> finding list
+(** [run_seed seed] generates, checks every scheduler, shrinks every
+    violation: one [Instance] finding per (scheduler, violated oracle).
+    Pure function of the seed (and the scheduler list). *)
+
+type report = {
+  seeds_requested : int;
+  seeds_run : int;  (** < requested only when [should_stop] fired *)
+  schedulers_run : int;
+  findings : (finding * string option) list;
+      (** in seed order, with the witness path when saving was enabled *)
+}
+
+val campaign :
+  ?schedulers:scheduler list ->
+  ?jobs:int ->
+  ?should_stop:(unit -> bool) ->
+  ?dir:string ->
+  ?save:bool ->
+  seeds:int ->
+  unit ->
+  report
+(** Fuzz seeds [0 .. seeds-1] — every scheduler ({!run_seed}), the
+    stream oracle and the parser-safety oracle per seed — parallel over
+    seeds ([jobs] worker domains, default
+    {!Ftsched_par.Par.default_jobs}); results are bit-identical for any
+    job count.  [should_stop] (the [--time-budget] hook) is polled
+    between seed chunks: the run then stops early with [seeds_run <
+    seeds_requested] — the only way output depends on anything but the
+    seeds.  Witnesses are written under [dir] (default ["_fuzz"],
+    created on demand) unless [save = false]; writing happens after the
+    parallel phase, in seed order. *)
+
+val pp_finding : Format.formatter -> finding -> unit
+(** Headline, one line per violation, and the shrink statistics of an
+    [Instance] finding.  Use inside a vertical box. *)

@@ -180,8 +180,8 @@ let commit_insertion st t chosen =
 
 (* Priority list α: a binary max-heap keyed by (priority, tie, task id);
    the head H(α) is the maximum binding.  Task ids are unique, so the
-   key order is total and the pop sequence is identical to the AVL list
-   this replaces — the pinned schedule digests prove it. *)
+   key order is total, the pop sequence is unique, and schedules are
+   bit-identical — the pinned schedule digests check it. *)
 module Alpha = Ftsched_ds.Bin_heap
 
 (* A reusable allocation arena for [run]: every per-call array (timeline

@@ -1,5 +1,6 @@
 (* The flat-array event engine.  Same semantics as the pairing-heap
-   engine it replaced (kept frozen in {!Event_sim_ref}), rebuilt in the
+   engine it replaced (kept frozen as the test oracle [Event_sim_ref]
+   under test/oracle), rebuilt in the
    kernel driver's idiom:
 
    - static replicas live in a flat grid indexed by

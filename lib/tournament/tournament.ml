@@ -325,9 +325,6 @@ let matrix_table r =
 (* ------------------------------------------------------------------ *)
 (* Witnesses                                                           *)
 
-let witness_filename p =
-  Printf.sprintf "%s-vs-%s-seed%d.case" p.policy_a p.policy_b p.pair_seed
-
 let save_witnesses ~dir r =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   List.filter_map
@@ -335,52 +332,51 @@ let save_witnesses ~dir r =
       match p.best with
       | None -> None
       | Some g ->
-          let path = Filename.concat dir (witness_filename p) in
-          Fuzz.write_tournament_case ~path
-            {
-              Fuzz.policy_a = p.policy_a;
-              policy_b = p.policy_b;
-              metric = metric_name r.metric;
-              ratio = p.best_ratio;
-              case =
-                {
-                  Fuzz.instance = g.Mutate.instance;
-                  eps = g.Mutate.eps;
-                  sched_seed = p.sched_seed;
-                };
-            };
+          let w =
+            Fuzz.Tournament
+              {
+                policy_a = p.policy_a;
+                policy_b = p.policy_b;
+                metric = metric_name r.metric;
+                ratio = p.best_ratio;
+                case =
+                  {
+                    Fuzz.instance = g.Mutate.instance;
+                    eps = g.Mutate.eps;
+                    sched_seed = p.sched_seed;
+                  };
+              }
+          in
+          let path =
+            Filename.concat dir (Fuzz.witness_filename ~seed:p.pair_seed w)
+          in
+          Fuzz.write_witness ~path w;
           Some (p, path))
     r.pair_reports
 
 (* Re-run a saved witness and require the stored ratio bit-for-bit. *)
 let replay path =
-  match Fuzz.read_tournament_case ~path with
+  match Fuzz.read_witness ~path with
   | exception e -> Error (Printexc.to_string e)
-  | w -> (
+  | Fuzz.Tournament w -> (
       let find name =
         List.find_opt (fun s -> s.Fuzz.name = name) Fuzz.schedulers
       in
-      match (find w.Fuzz.policy_a, find w.Fuzz.policy_b, metric_of_name w.Fuzz.metric) with
-      | None, _, _ -> Error (Printf.sprintf "unknown policy %S" w.Fuzz.policy_a)
-      | _, None, _ -> Error (Printf.sprintf "unknown policy %S" w.Fuzz.policy_b)
-      | _, _, None -> Error (Printf.sprintf "unknown metric %S" w.Fuzz.metric)
+      match (find w.policy_a, find w.policy_b, metric_of_name w.metric) with
+      | None, _, _ -> Error (Printf.sprintf "unknown policy %S" w.policy_a)
+      | _, None, _ -> Error (Printf.sprintf "unknown policy %S" w.policy_b)
+      | _, _, None -> Error (Printf.sprintf "unknown metric %S" w.metric)
       | Some a, Some b, Some metric -> (
-          let g =
-            {
-              Mutate.instance = w.Fuzz.case.Fuzz.instance;
-              eps = w.Fuzz.case.Fuzz.eps;
-            }
-          in
-          match
-            score ~a ~b ~metric ~sched_seed:w.Fuzz.case.Fuzz.sched_seed g
-          with
+          let g = { Mutate.instance = w.case.instance; eps = w.case.eps } in
+          match score ~a ~b ~metric ~sched_seed:w.case.sched_seed g with
           | None -> Error "witness instance no longer scores"
           | Some r ->
-              if Float.compare r w.Fuzz.ratio = 0 then Ok r
+              if Float.compare r w.ratio = 0 then Ok r
               else
                 Error
                   (Printf.sprintf "ratio drifted: stored %h, replayed %h"
-                     w.Fuzz.ratio r)))
+                     w.ratio r)))
+  | _ -> Error (path ^ ": not a tournament witness")
 
 let replay_command ~path = Printf.sprintf "ftsched tournament --replay %s" path
 

@@ -6,7 +6,7 @@
     space} directly: per ordered policy pair (A, B), a simulated
     annealer over {!Mutate.genome}s maximizes the makespan ratio
     [M_A(I) / M_B(I)], and every accepted incumbent is serialized as a
-    replayable witness ({!Ftsched_fuzz.Fuzz.write_tournament_case}).
+    replayable witness ({!Ftsched_fuzz.Fuzz.write_witness}).
 
     Ranking is NaN-safe by construction: outcomes are validated finite
     makespans or [Defeated], a defeated A against a surviving B scores
@@ -122,18 +122,18 @@ val matrix_table : report -> Ftsched_util.Table.t
     [M_A / M_B] found, ["inf"] for a defeat of A, ["-"] when the pair
     was not searched or never scored, ["."] on the diagonal. *)
 
-val witness_filename : pair_report -> string
-(** [<A>-vs-<B>-seed<N>.case]. *)
-
 val save_witnesses :
   dir:string -> report -> (pair_report * string) list
-(** Write every pair's incumbent under [dir] (created on demand);
-    returns the (report, path) pairs actually written. *)
+(** Write every pair's incumbent under [dir] (created on demand) as a
+    {!Ftsched_fuzz.Fuzz.Tournament} witness named
+    [<A>-vs-<B>-seed<N>.case]; returns the (report, path) pairs actually
+    written. *)
 
 val replay : string -> (float, string) result
 (** Re-score a saved witness under its stored metric and policies:
     [Ok ratio] iff the replayed ratio equals the stored one
-    {e bit-for-bit} ([Float.compare] = 0). *)
+    {e bit-for-bit} ([Float.compare] = 0); [Error] for any other
+    witness kind. *)
 
 val replay_command : path:string -> string
 

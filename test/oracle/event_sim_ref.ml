@@ -22,7 +22,7 @@ module Event = struct
     match compare a.at b.at with 0 -> compare a.seq b.seq | c -> c
 end
 
-module Heap = Ftsched_ds.Pairing_heap.Make (Event)
+module Heap = Pairing_heap.Make (Event)
 
 type rstate = {
   proc : int;

@@ -1,8 +1,8 @@
 (** Pairing heaps: fast mergeable min-priority queues.
 
-    The discrete-event crash simulator ([Ftsched_sim.Event_sim]) pops the
-    earliest pending event on every step; a pairing heap gives O(1) insert
-    and amortized O(log n) delete-min with very small constants, and being
+    The frozen reference simulator ({!Event_sim_ref}) pops the earliest
+    pending event on every step; a pairing heap gives O(1) insert and
+    amortized O(log n) delete-min with very small constants, and being
     purely functional it composes with the simulator's replayable design. *)
 
 module type ORDERED = sig

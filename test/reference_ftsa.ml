@@ -1,7 +1,7 @@
 (* A deliberately naive re-implementation of FTSA used as a test oracle.
 
-   Same algorithm as Ftsched_core.Engine in all-to-all mode, written with
-   none of its machinery: plain lists instead of the AVL priority tree,
+   Same algorithm as Ftsched_core.Ftsa_policy in all-to-all mode, written
+   with none of its machinery: plain lists instead of the priority heap,
    quadratic scans instead of incremental updates, and fresh recomputation
    of every quantity at every step.  Slow and obvious — if the optimized
    engine and this one ever disagree on a schedule, one of them is wrong.

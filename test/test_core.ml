@@ -4,7 +4,7 @@ module Edge_select = Ftsched_core.Edge_select
 module Ftsa = Ftsched_core.Ftsa
 module Mc_ftsa = Ftsched_core.Mc_ftsa
 module Bicriteria = Ftsched_core.Bicriteria
-module Engine = Ftsched_core.Engine
+module Ftsa_policy = Ftsched_core.Ftsa_policy
 module Schedule = Ftsched_schedule.Schedule
 module Comm_plan = Ftsched_schedule.Comm_plan
 module Rng = Ftsched_util.Rng
@@ -205,7 +205,7 @@ let test_ftsa_eps_equals_m_minus_1 () =
 let test_ftsa_invalid_eps () =
   let inst = random_instance ~seed:6 ~m:4 () in
   Alcotest.check_raises "eps too large"
-    (Invalid_argument "Engine.run: need 0 <= eps < number of processors")
+    (Invalid_argument "Ftsa_policy.run: need 0 <= eps < number of processors")
     (fun () -> ignore (Ftsa.schedule inst ~eps:4))
 
 let test_ftsa_deterministic () =

@@ -460,12 +460,36 @@ let test_fft_structure () =
   check_int "exits" 8 (List.length (Dag.exits g));
   check_int "height" 4 (Properties.height g)
 
+let rejects what f =
+  check_bool what true
+    (match f () with _ -> false | exception Invalid_argument _ -> true)
+
 let test_fft_rejects_non_power () =
-  check_bool "assert fires" true
-    (try
-       ignore (Classic.fft ~points:6 ());
-       false
-     with Assert_failure _ -> true)
+  rejects "fft 6 points" (fun () -> Classic.fft ~points:6 ());
+  rejects "fft 1 point" (fun () -> Classic.fft ~points:1 ())
+
+(* one typed rejection per generator, with asserts or without *)
+let classic_rejections =
+  [
+    ( "gauss rejects bad args",
+      fun () ->
+        rejects "size 1" (fun () -> Classic.gaussian_elimination ~size:1 ());
+        rejects "nan volume" (fun () ->
+            Classic.gaussian_elimination ~volume:nan ~size:3 ()) );
+    ( "wavefront rejects bad args",
+      fun () ->
+        rejects "0 cols" (fun () -> Classic.wavefront ~rows:3 ~cols:0 ());
+        (* a 1x1 wavefront has no edge to carry the volume *)
+        rejects "negative volume" (fun () ->
+            Classic.wavefront ~volume:(-1.) ~rows:1 ~cols:1 ()) );
+    ( "cholesky rejects bad args",
+      fun () -> rejects "1 tile" (fun () -> Classic.cholesky ~tiles:1 ()) );
+    ( "diamond rejects bad args",
+      fun () ->
+        rejects "0 layers" (fun () -> Classic.diamond ~layers:0 ());
+        rejects "infinite volume" (fun () ->
+            Classic.diamond ~volume:infinity ~layers:2 ()) );
+  ]
 
 let test_wavefront_structure () =
   let g = Classic.wavefront ~rows:4 ~cols:5 () in
@@ -621,7 +645,10 @@ let () =
           Alcotest.test_case "wavefront" `Quick test_wavefront_structure;
           Alcotest.test_case "diamond" `Quick test_diamond_structure;
           Alcotest.test_case "cholesky" `Quick test_cholesky_structure;
-        ] );
+        ]
+        @ List.map
+            (fun (name, f) -> Alcotest.test_case name `Quick f)
+            classic_rejections );
       ( "stg",
         [
           Alcotest.test_case "parse" `Quick test_stg_parse;

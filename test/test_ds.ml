@@ -1,123 +1,11 @@
-(* Tests for Ftsched_ds: AVL trees, pairing heaps, Hopcroft–Karp. *)
+(* Tests for Ftsched_ds (event and priority heaps, Hopcroft–Karp) and
+   for the pairing heap behind the test-only reference simulator. *)
 
-module Avl = Ftsched_ds.Avl
-module Heap = Ftsched_ds.Pairing_heap
+module Heap = Ftsched_oracle.Pairing_heap
 module Hk = Ftsched_ds.Hopcroft_karp
 open Helpers
 
-module Int_avl = Avl.Make (Int)
 module Int_heap = Heap.Make (Int)
-module Int_map = Map.Make (Int)
-
-(* ------------------------------------------------------------------ *)
-(* AVL                                                                 *)
-
-type op = Add of int * int | Remove of int
-
-let op_gen =
-  QCheck.Gen.(
-    frequency
-      [
-        (3, map2 (fun k v -> Add (k, v)) (int_bound 50) (int_bound 1000));
-        (1, map (fun k -> Remove k) (int_bound 50));
-      ])
-
-let ops_arb =
-  QCheck.make
-    ~print:(fun ops ->
-      String.concat ";"
-        (List.map
-           (function
-             | Add (k, v) -> Printf.sprintf "+%d=%d" k v
-             | Remove k -> Printf.sprintf "-%d" k)
-           ops))
-    QCheck.Gen.(list_size (int_range 0 200) op_gen)
-
-let apply_ops ops =
-  List.fold_left
-    (fun (t, m) op ->
-      match op with
-      | Add (k, v) -> (Int_avl.add k v t, Int_map.add k v m)
-      | Remove k -> (Int_avl.remove k t, Int_map.remove k m))
-    (Int_avl.empty, Int_map.empty)
-    ops
-
-let prop_avl_vs_map =
-  QCheck.Test.make ~name:"Avl agrees with Map model" ~count:300 ops_arb
-    (fun ops ->
-      let t, m = apply_ops ops in
-      Int_avl.to_list t = Int_map.bindings m
-      && Int_avl.cardinal t = Int_map.cardinal m
-      && List.for_all
-           (fun k -> Int_avl.find_opt k t = Int_map.find_opt k m)
-           (List.init 51 (fun i -> i)))
-
-let prop_avl_invariants =
-  QCheck.Test.make ~name:"Avl invariants after random ops" ~count:300 ops_arb
-    (fun ops ->
-      let t, _ = apply_ops ops in
-      Int_avl.check_invariants t)
-
-let prop_avl_balance =
-  QCheck.Test.make ~name:"Avl height is O(log n)" ~count:50
-    QCheck.(int_range 1 2000)
-    (fun n ->
-      (* worst adversary for naive BSTs: sorted insertion *)
-      let t = ref Int_avl.empty in
-      for i = 1 to n do
-        t := Int_avl.add i i !t
-      done;
-      let h = Int_avl.height !t in
-      float_of_int h <= 1.4405 *. (log (float_of_int n +. 2.) /. log 2.))
-
-let prop_avl_pop_max_sorted =
-  QCheck.Test.make ~name:"Avl pop_max drains in decreasing order" ~count:200
-    QCheck.(list (int_bound 1000))
-    (fun l ->
-      let t = Int_avl.of_list (List.map (fun k -> (k, k)) l) in
-      let rec drain acc t =
-        match Int_avl.pop_max t with
-        | None -> List.rev acc
-        | Some (k, _, t') -> drain (k :: acc) t'
-      in
-      drain [] t = List.rev (List.sort_uniq compare l))
-
-let test_avl_pop_min () =
-  let t = Int_avl.of_list [ (3, "c"); (1, "a"); (2, "b") ] in
-  match Int_avl.pop_min t with
-  | Some (1, "a", t') ->
-      check_int "cardinal" 2 (Int_avl.cardinal t');
-      check_bool "1 gone" false (Int_avl.mem 1 t')
-  | _ -> Alcotest.fail "wrong minimum"
-
-let test_avl_empty () =
-  check_bool "is_empty" true (Int_avl.is_empty Int_avl.empty);
-  check_bool "pop_max none" true (Int_avl.pop_max Int_avl.empty = None);
-  check_bool "pop_min none" true (Int_avl.pop_min Int_avl.empty = None);
-  check_bool "min none" true (Int_avl.min_binding_opt Int_avl.empty = None);
-  check_int "cardinal" 0 (Int_avl.cardinal Int_avl.empty)
-
-let test_avl_replace () =
-  let t = Int_avl.add 1 "old" Int_avl.empty in
-  let t = Int_avl.add 1 "new" t in
-  check_int "no duplicate" 1 (Int_avl.cardinal t);
-  Alcotest.(check (option string)) "replaced" (Some "new") (Int_avl.find_opt 1 t)
-
-let test_avl_remove_absent () =
-  let t = Int_avl.add 1 1 Int_avl.empty in
-  let t' = Int_avl.remove 99 t in
-  check_int "unchanged" 1 (Int_avl.cardinal t')
-
-let test_avl_fold_order () =
-  let t = Int_avl.of_list [ (2, ()); (1, ()); (3, ()) ] in
-  let keys = List.rev (Int_avl.fold (fun k () acc -> k :: acc) t []) in
-  Alcotest.(check (list int)) "increasing" [ 1; 2; 3 ] keys
-
-let test_avl_persistence () =
-  let t1 = Int_avl.of_list [ (1, 1); (2, 2) ] in
-  let t2 = Int_avl.remove 1 t1 in
-  check_bool "t1 untouched" true (Int_avl.mem 1 t1);
-  check_bool "t2 updated" false (Int_avl.mem 1 t2)
 
 (* ------------------------------------------------------------------ *)
 (* Pairing heap                                                        *)
@@ -458,19 +346,6 @@ let test_hk_bad_input () =
 let () =
   Alcotest.run "ds"
     [
-      ( "avl",
-        [
-          quick prop_avl_vs_map;
-          quick prop_avl_invariants;
-          quick prop_avl_balance;
-          quick prop_avl_pop_max_sorted;
-          Alcotest.test_case "pop_min" `Quick test_avl_pop_min;
-          Alcotest.test_case "empty" `Quick test_avl_empty;
-          Alcotest.test_case "replace" `Quick test_avl_replace;
-          Alcotest.test_case "remove absent" `Quick test_avl_remove_absent;
-          Alcotest.test_case "fold order" `Quick test_avl_fold_order;
-          Alcotest.test_case "persistence" `Quick test_avl_persistence;
-        ] );
       ( "pairing-heap",
         [
           quick prop_heap_sorts;

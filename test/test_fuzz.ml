@@ -6,7 +6,8 @@
    pipeline end to end: the structural oracle fires, the shrinker
    converges to the 1-task / 2-processor / 0-edge minimal witness, the
    witness file under [_fuzz/] is replayable, and the replay reproduces
-   the same violation. *)
+   the same violation.  Every witness kind shares one file envelope,
+   round-tripped below. *)
 
 module Fuzz = Ftsched_fuzz.Fuzz
 module Schedule = Ftsched_schedule.Schedule
@@ -74,10 +75,9 @@ let test_clean_seeds () =
   for seed = 0 to 4 do
     match Fuzz.run_seed seed with
     | [] -> ()
-    | ce :: _ ->
-        Alcotest.failf "seed %d: %a" seed
-          (fun ppf -> Fuzz.pp_counterexample ppf)
-          ce
+    | f :: _ ->
+        Alcotest.failf "seed %d: %s" seed
+          (Format.asprintf "@[<v>%a@]" Fuzz.pp_finding f)
   done
 
 let test_gen_case_deterministic () =
@@ -105,20 +105,80 @@ let test_shrinker_converges () =
        (fun v -> v.Fuzz.oracle = Fuzz.Structural)
        (Fuzz.check dup_proc_bug shrunk))
 
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path body =
+  Out_channel.with_open_bin path (fun oc -> output_string oc body)
+
+(* The serialized form of a witness: the writer emits every field (floats
+   in hex), so equal bytes after write -> read -> write prove the reader
+   inverts the writer. *)
+let witness_bytes w =
+  let path = Filename.temp_file "ftsched_fuzz" ".case" in
+  Fuzz.write_witness ~path w;
+  let body = read_file path in
+  Sys.remove path;
+  body
+
 let test_witness_roundtrip () =
   let case = Fuzz.gen_case ~seed:buggy_seed in
+  let witnesses =
+    [
+      Fuzz.Instance
+        { scheduler = "ftsa-dup-proc"; oracle = Fuzz.Structural; case };
+      Fuzz.Stream_seed 17;
+      Fuzz.Parser_seed 4;
+      Fuzz.Tournament
+        {
+          policy_a = "ftsa";
+          policy_b = "mc-greedy";
+          metric = "guaranteed";
+          ratio = 0x1.921fb54442d18p+1;
+          case;
+        };
+    ]
+  in
   let path = Filename.temp_file "ftsched_fuzz" ".case" in
-  Fuzz.write_case ~path ~scheduler:"ftsa-dup-proc" ~oracle:Fuzz.Structural case;
-  let name, oracle, case' = Fuzz.read_case ~path in
-  Sys.remove path;
-  Alcotest.(check string) "scheduler" "ftsa-dup-proc" name;
-  check_bool "oracle" true (oracle = Some Fuzz.Structural);
-  check_int "eps" case.eps case'.Fuzz.eps;
-  check_int "sched seed" case.sched_seed case'.Fuzz.sched_seed;
-  Alcotest.(check string)
-    "instance bytes"
-    (Serialize.instance_to_string case.instance)
-    (Serialize.instance_to_string case'.Fuzz.instance)
+  List.iter
+    (fun w ->
+      (* notes are comments: written, then ignored by the reader *)
+      Fuzz.write_witness ~path ~notes:[ "a note"; "two\nlines" ] w;
+      let body = read_file path in
+      check_bool "v2 magic first" true
+        (String.starts_with ~prefix:"ftsched-witness v2\nkind " body);
+      let w' = Fuzz.read_witness ~path in
+      Alcotest.(check string)
+        "round trip is the identity" (witness_bytes w) (witness_bytes w'))
+    witnesses;
+  (match Fuzz.read_witness ~path with
+  | Fuzz.Tournament { ratio; case = c; _ } ->
+      check_bool "ratio bit-exact" true
+        (Float.compare ratio 0x1.921fb54442d18p+1 = 0);
+      check_int "eps" case.eps c.Fuzz.eps;
+      check_int "sched seed" case.sched_seed c.Fuzz.sched_seed;
+      Alcotest.(check string)
+        "instance bytes"
+        (Serialize.instance_to_string case.instance)
+        (Serialize.instance_to_string c.Fuzz.instance)
+  | _ -> Alcotest.fail "kind not preserved");
+  (* the retired v1 formats and an envelope without a kind are rejected *)
+  let rejects what body needle =
+    write_file path body;
+    match Fuzz.read_witness ~path with
+    | _ -> Alcotest.failf "%s accepted" what
+    | exception Failure msg ->
+        check_bool (what ^ " names the problem") true
+          (Helpers.contains msg needle)
+  in
+  List.iter
+    (fun old ->
+      rejects (old ^ " v1 magic")
+        (Printf.sprintf "ftsched-%s v1\nseed 3\n" old)
+        "magic")
+    [ "fuzz"; "stream"; "parser"; "tournament" ];
+  rejects "missing kind" "ftsched-witness v2\nseed 3\n" "kind";
+  rejects "unknown kind" "ftsched-witness v2\nkind bogus\nseed 3\n" "kind";
+  Sys.remove path
 
 let test_campaign_saves_replayable_witness () =
   (* end-to-end: campaign with the buggy scheduler finds, shrinks and
@@ -131,15 +191,18 @@ let test_campaign_saves_replayable_witness () =
   check_int "all seeds run" (buggy_seed + 1) report.Fuzz.seeds_run;
   (* duplicated processors defeat several oracles at once; one
      counterexample (and one witness file) per violated oracle *)
-  let ce, path =
+  let shrunk, path =
     match
-      List.filter
-        (fun (ce, _) ->
-          ce.Fuzz.seed = buggy_seed
-          && ce.Fuzz.violation.oracle = Fuzz.Structural)
-        report.Fuzz.counterexamples
+      List.filter_map
+        (fun (f, path) ->
+          match f.Fuzz.witness with
+          | Fuzz.Instance { oracle = Fuzz.Structural; case; _ }
+            when f.Fuzz.seed = buggy_seed ->
+              Some (case, path)
+          | _ -> None)
+        report.Fuzz.findings
     with
-    | [ (ce, Some path) ] -> (ce, path)
+    | [ (shrunk, Some path) ] -> (shrunk, path)
     | [ (_, None) ] -> Alcotest.fail "witness not saved"
     | l ->
         Alcotest.failf "expected one structural counterexample, got %d"
@@ -147,7 +210,7 @@ let test_campaign_saves_replayable_witness () =
   in
   check_bool "under _fuzz/" true (String.length path >= 6 && String.sub path 0 6 = "_fuzz/");
   check_bool "witness exists" true (Sys.file_exists path);
-  check_size "witness is minimal" ((1, 0), (2, 1)) (case_size ce.Fuzz.shrunk);
+  check_size "witness is minimal" ((1, 0), (2, 1)) (case_size shrunk);
   check_bool "replay command mentions file" true
     (Helpers.contains (Fuzz.replay_command ~path) path);
   (match Fuzz.replay ~schedulers:[ dup_proc_bug ] path with
@@ -160,9 +223,7 @@ let test_campaign_saves_replayable_witness () =
   (match Fuzz.replay path with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "replay should reject an unknown scheduler");
-  List.iter
-    (fun (_, p) -> Option.iter Sys.remove p)
-    report.Fuzz.counterexamples
+  List.iter (fun (_, p) -> Option.iter Sys.remove p) report.Fuzz.findings
 
 let test_campaign_bit_identical_across_jobs () =
   let run jobs =
@@ -171,15 +232,16 @@ let test_campaign_bit_identical_across_jobs () =
         ~seeds:(buggy_seed + 3) ()
     in
     List.map
-      (fun (ce, _) ->
-        ( ce.Fuzz.seed,
-          ce.Fuzz.scheduler,
-          Fuzz.oracle_name ce.Fuzz.violation.oracle,
-          ce.Fuzz.violation.detail,
-          case_size ce.Fuzz.shrunk,
-          ce.Fuzz.shrink_steps,
-          ce.Fuzz.evaluations ))
-      r.Fuzz.counterexamples
+      (fun ((f : Fuzz.finding), _) ->
+        ( Fuzz.witness_filename ~seed:f.seed f.witness,
+          witness_bytes f.witness,
+          List.map
+            (fun v -> (Fuzz.oracle_name v.Fuzz.oracle, v.Fuzz.detail))
+            f.violations,
+          Option.map
+            (fun s -> (case_size s.Fuzz.original, s.Fuzz.steps, s.evaluations))
+            f.shrink ))
+      r.Fuzz.findings
   in
   check_bool "j1 = j3" true (run 1 = run 3)
 
@@ -215,7 +277,7 @@ let test_stream_witness_roundtrip_via_replay () =
   (* a stream witness replays through the stream oracle... *)
   let spath = Filename.concat dir "stream-seed3.case" in
   let oc = open_out spath in
-  output_string oc "ftsched-stream v1\nseed 3\n";
+  output_string oc "ftsched-witness v2\nkind stream\nseed 3\n";
   close_out oc;
   (match Fuzz.replay spath with
   | Ok (name, violations) ->
@@ -223,10 +285,14 @@ let test_stream_witness_roundtrip_via_replay () =
       check_bool "clean seed replays clean" true (violations = [])
   | Error msg -> Alcotest.failf "stream replay failed: %s" msg);
   (* ...an instance witness through its scheduler, from the same dir *)
-  let case = Fuzz.gen_case ~seed:1 in
-  Fuzz.write_case
+  Fuzz.write_witness
     ~path:(Filename.concat dir "seed1-ftsa-structural.case")
-    ~scheduler:"ftsa" ~oracle:Fuzz.Structural case;
+    (Fuzz.Instance
+       {
+         scheduler = "ftsa";
+         oracle = Fuzz.Structural;
+         case = Fuzz.gen_case ~seed:1;
+       });
   (* non-.case files are ignored *)
   let oc = open_out (Filename.concat dir "README.txt") in
   output_string oc "not a witness\n";
@@ -245,7 +311,7 @@ let test_stream_witness_roundtrip_via_replay () =
   check_bool "sorted" true (paths = List.sort compare paths);
   (* a corrupt file surfaces as an Error entry, not an exception *)
   let oc = open_out (Filename.concat dir "zz-bad.case") in
-  output_string oc "ftsched-stream v1\nno seed here\n";
+  output_string oc "ftsched-witness v2\nkind stream\nno seed here\n";
   close_out oc;
   (match Fuzz.replay_corpus dir with
   | [ _; _; (_, Error msg) ] ->
@@ -258,15 +324,16 @@ let test_stream_witness_roundtrip_via_replay () =
   Sys.rmdir dir
 
 let test_campaign_reports_stream_violations_field () =
-  (* a clean campaign must report no stream violations — and the field
-     must stay bit-identical across worker counts *)
+  (* with no schedulers a campaign runs only the per-seed stream and
+     parser oracles: a clean one reports no findings, identically across
+     worker counts *)
   let run jobs =
     Fuzz.campaign ~schedulers:[] ~jobs ~save:false ~seeds:6 ()
   in
   let r1 = run 1 and r3 = run 3 in
-  check_bool "clean" true (r1.Fuzz.stream_violations = []);
-  check_bool "j1 = j3" true
-    (r1.Fuzz.stream_violations = r3.Fuzz.stream_violations)
+  check_int "seeds run" 6 r1.Fuzz.seeds_run;
+  check_bool "clean" true (r1.Fuzz.findings = []);
+  check_bool "j1 = j3" true (r3.Fuzz.findings = [])
 
 let () =
   Alcotest.run "fuzz"

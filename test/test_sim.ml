@@ -658,7 +658,7 @@ let prop_redundant_messaging_survives_loss_better =
 (* ------------------------------------------------------------------ *)
 (* Flat-array engine vs the frozen pairing-heap reference              *)
 
-module Event_sim_ref = Ftsched_sim.Event_sim_ref
+module Event_sim_ref = Ftsched_oracle.Event_sim_ref
 
 (* One instance per DAG family: the five fuzz families, small enough to
    run hundreds of differential cases. *)

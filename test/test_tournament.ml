@@ -210,35 +210,42 @@ let test_tournament_witness_io_roundtrip () =
   with_temp_dir (fun dir ->
       let rng = Rng.create ~seed:13 in
       let g = Mutate.random rng in
-      let w =
+      let ratio = 0x1.921fb54442d18p+1 in
+      let case =
         {
-          Fuzz.policy_a = "ftsa";
-          policy_b = "mc-greedy";
-          metric = "guaranteed";
-          ratio = 0x1.921fb54442d18p+1;
-          case =
-            {
-              Fuzz.instance = g.Mutate.instance;
-              eps = g.Mutate.eps;
-              sched_seed = 99;
-            };
+          Fuzz.instance = g.Mutate.instance;
+          eps = g.Mutate.eps;
+          sched_seed = 99;
         }
       in
       let path = Filename.concat dir "io-roundtrip.case" in
-      Fuzz.write_tournament_case ~path w;
-      let w' = Fuzz.read_tournament_case ~path in
-      Alcotest.(check string) "policy a" w.Fuzz.policy_a w'.Fuzz.policy_a;
-      Alcotest.(check string) "policy b" w.Fuzz.policy_b w'.Fuzz.policy_b;
-      Alcotest.(check string) "metric" w.Fuzz.metric w'.Fuzz.metric;
-      Alcotest.(check bool) "ratio bit-exact" true
-        (Float.compare w.Fuzz.ratio w'.Fuzz.ratio = 0);
-      check_int "eps" w.Fuzz.case.Fuzz.eps w'.Fuzz.case.Fuzz.eps;
-      check_int "sched seed" w.Fuzz.case.Fuzz.sched_seed
-        w'.Fuzz.case.Fuzz.sched_seed;
-      Alcotest.(check bool) "instance bit-identical" true
-        (Ftsched_schedule.Serialize.instance_to_string w.Fuzz.case.Fuzz.instance
-        = Ftsched_schedule.Serialize.instance_to_string
-            w'.Fuzz.case.Fuzz.instance))
+      Fuzz.write_witness ~path
+        (Fuzz.Tournament
+           {
+             policy_a = "ftsa";
+             policy_b = "mc-greedy";
+             metric = "guaranteed";
+             ratio;
+             case;
+           });
+      (match Fuzz.read_witness ~path with
+      | Fuzz.Tournament w ->
+          Alcotest.(check string) "policy a" "ftsa" w.policy_a;
+          Alcotest.(check string) "policy b" "mc-greedy" w.policy_b;
+          Alcotest.(check string) "metric" "guaranteed" w.metric;
+          Alcotest.(check bool) "ratio bit-exact" true
+            (Float.compare ratio w.ratio = 0);
+          check_int "eps" case.eps w.case.eps;
+          check_int "sched seed" case.sched_seed w.case.sched_seed;
+          Alcotest.(check bool) "instance bit-identical" true
+            (Ftsched_schedule.Serialize.instance_to_string case.instance
+            = Ftsched_schedule.Serialize.instance_to_string w.case.instance)
+      | _ -> Alcotest.fail "read back as another witness kind");
+      (* the tournament replays only its own kind *)
+      Fuzz.write_witness ~path (Fuzz.Stream_seed 3);
+      match Tournament.replay path with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "a stream witness replayed as a tournament")
 
 let () =
   Alcotest.run "tournament"

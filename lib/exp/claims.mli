@@ -5,13 +5,13 @@
     {e shapes} — who wins, by roughly what factor, where crossovers fall.
     This module turns each of those shape claims into a predicate over
     freshly computed experiment tables, so a single run
-    ([dune exec bench/main.exe -- claims]) re-verifies the whole
+    ([ftsched experiment claims]) re-verifies the whole
     paper-vs-measured story instead of trusting a hand-written document.
 
     Verdicts are computed on means over the configured workload; with few
-    graphs per point individual claims can wobble — the bench uses the
-    default quick spec (8 graphs) or the paper spec under
-    [FTSCHED_FULL=1]. *)
+    graphs per point individual claims can wobble — [ftsched experiment]
+    uses the default quick spec (8 graphs) or the paper spec under
+    [--full]. *)
 
 type verdict = {
   id : string;  (** short identifier, e.g. "fig1.ftsa-vs-ftbar-lb" *)

@@ -662,6 +662,39 @@ let link_loss_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
   List.iter (Table.add_row table) (Par.parallel_map ?jobs loss_row losses);
   table
 
+(* Adversarial timed worst case (Ftsched_sim.Adversary) on instance 0 at
+   granularity 1.0: one FTSA and one MC-FTSA schedule, each searched for
+   its worst eps processor deaths plus one link blackout. *)
+let adversary_table ?(spec = Workload.quick) ?(master_seed = 2008) ?jobs ~eps
+    () =
+  let module Adversary = Ftsched_sim.Adversary in
+  let inst = Workload.instance spec ~master_seed ~granularity:1.0 ~index:0 in
+  let fmt_outcome = function
+    | Adversary.Defeated -> "defeated"
+    | Adversary.Latency l -> Printf.sprintf "%.1f" l
+  in
+  let table =
+    Table.create
+      ~columns:[ "algo"; "verdict"; "untimed worst"; "timed worst"; "evals" ]
+  in
+  List.iter
+    (fun (name, s) ->
+      let r = Adversary.search ~links:1 ?jobs s ~count:eps in
+      Table.add_row table
+        [
+          name;
+          (match r.Adversary.verdict with
+          | Adversary.Certified -> "certified"
+          | Adversary.Empirical -> "empirical");
+          fmt_outcome r.Adversary.untimed_worst;
+          fmt_outcome r.Adversary.worst;
+          string_of_int r.Adversary.evaluations;
+        ])
+    [
+      ("ftsa", Ftsa.schedule inst ~eps); ("mc-ftsa", Mc_ftsa.schedule inst ~eps);
+    ];
+  table
+
 let time_once f =
   let t0 = Sys.time () in
   ignore (Sys.opaque_identity (f ()));

@@ -178,6 +178,21 @@ val link_loss_ablation :
     every loss rate with retransmission off, and the gap narrows with it
     on. *)
 
+val adversary_table :
+  ?spec:Workload.spec ->
+  ?master_seed:int ->
+  ?jobs:int ->
+  eps:int ->
+  unit ->
+  Ftsched_util.Table.t
+(** Beyond the paper: the adversarial timed worst case
+    ({!Ftsched_sim.Adversary.search}, [eps] deaths plus one link
+    blackout) of one FTSA and one MC-FTSA schedule of the spec's
+    instance 0 at granularity 1.0.  One row per algorithm: certified or
+    empirical verdict, the untimed exhaustive worst, the timed worst and
+    the simulator runs spent.  [jobs] fans each search out; the table is
+    bit-identical for any worker count. *)
+
 val redundancy_ablation :
   ?spec:Workload.spec ->
   ?master_seed:int ->

@@ -23,8 +23,8 @@ val paper : spec
 (** The exact Section 6 parameters (60 graphs per point, 20 processors). *)
 
 val quick : spec
-(** Same distributions with 8 graphs per point — used by the default
-    [bench/main.exe] run so the whole harness executes in seconds. *)
+(** Same distributions with 8 graphs per point — the default of
+    [ftsched experiment], so the whole harness executes in minutes. *)
 
 val granularities : float list
 (** 0.2, 0.4, …, 2.0. *)

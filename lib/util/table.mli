@@ -1,6 +1,6 @@
 (** Plain-text and CSV rendering of experiment tables.
 
-    The benchmark harness prints the same rows/series the paper reports;
+    The experiment harness prints the same rows/series the paper reports;
     this module owns the formatting so that every figure driver emits
     uniformly aligned tables and machine-readable CSV. *)
 

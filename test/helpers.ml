@@ -25,6 +25,16 @@ let random_instance ?(n_tasks = 40) ?(m = 6) ?(granularity = 1.0) ~seed () =
   let inst = Instance.random_exec rng ~dag ~platform () in
   Granularity.scale_to inst ~target:granularity
 
+(* The benchmark-size instance: a v=800 layered DAG on m=50 processors
+   (seed 2008, costs as generated, no granularity rescaling).  The
+   engine differential and the warm-start tests check it next to their
+   small random inputs. *)
+let layered_v800 () =
+  let rng = Rng.create ~seed:2008 in
+  let dag = Generators.layered rng ~n_tasks:800 () in
+  let platform = Platform.random rng ~m:50 ~delay_lo:0.5 ~delay_hi:1.0 () in
+  Instance.random_exec rng ~dag ~platform ()
+
 (* A tiny fixed instance for hand computations: 3-task chain on 2 procs.
 
    exec: t0 -> [2; 4], t1 -> [3; 3], t2 -> [5; 1]; volumes 10 and 20;

@@ -1,7 +1,7 @@
 (* The pairing-heap reference engine: the pre-flat-array implementation
    of {!Event_sim}, kept verbatim as a differential baseline.  The flat
    engine must agree with this one bit for bit on every run — the test
-   suite, the fuzzer and [bench … sim] all compare the two.  Keep this
+   suite and the fuzzer compare the two.  Keep this
    file frozen; behavioural changes belong in {!Event_sim}. *)
 
 module Dag = Ftsched_dag.Dag

@@ -5,8 +5,8 @@
     Hashtbls, per-processor [list ref] queues.  It exists purely as a
     differential baseline — the flat-array engine in {!Event_sim} must
     produce bit-for-bit identical results on every run, and the test
-    suite, the fuzzer's executor-agreement oracle and [bench … sim] all
-    check the two against each other.  Behavioural changes belong in
+    suite (including a v = 800 schedule) and the fuzzer's
+    executor-agreement oracle check the two against each other.  Behavioural changes belong in
     {!Event_sim}; this module only tracks interface renames.
 
     All types are shared with {!Event_sim}, so results compare with

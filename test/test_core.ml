@@ -765,19 +765,28 @@ let test_deadline_mode_impossible () =
 (* ------------------------------------------------------------------ *)
 (* Warm-start workspace: reusing one Driver.workspace across calls must
    be invisible — bit-identical schedules versus the cold path, for
-   varying instance sizes and eps so the pooled arrays shrink and grow. *)
+   varying instance sizes and eps so the pooled arrays shrink and grow,
+   then at benchmark size: five replans of the v=800, m=50 layered
+   instance. *)
 
 let test_workspace_schedules_identical () =
   let ws = Ftsched_kernel.Driver.workspace () in
+  let same name inst ~eps ~seed =
+    let cold = Ftsa.schedule ~seed inst ~eps in
+    let warm = Ftsa.schedule ~seed ~workspace:ws inst ~eps in
+    check_bool (name ^ " warm = cold") true (warm = cold)
+  in
   List.iter
     (fun (n_tasks, m, eps, seed) ->
-      let inst = random_instance ~n_tasks ~m ~seed () in
-      let cold = Ftsa.schedule ~seed inst ~eps in
-      let warm = Ftsa.schedule ~seed ~workspace:ws inst ~eps in
-      check_bool
-        (Printf.sprintf "v=%d m=%d eps=%d warm = cold" n_tasks m eps)
-        true (warm = cold))
-    [ (40, 6, 2, 1); (12, 3, 0, 2); (60, 8, 3, 3); (25, 4, 1, 4) ]
+      same
+        (Printf.sprintf "v=%d m=%d eps=%d" n_tasks m eps)
+        (random_instance ~n_tasks ~m ~seed ())
+        ~eps ~seed)
+    [ (40, 6, 2, 1); (12, 3, 0, 2); (60, 8, 3, 3); (25, 4, 1, 4) ];
+  let inst = layered_v800 () in
+  for seed = 0 to 4 do
+    same (Printf.sprintf "v=800 replan %d" seed) inst ~eps:2 ~seed
+  done
 
 let () =
   Alcotest.run "core"

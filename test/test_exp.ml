@@ -120,6 +120,34 @@ let test_contention_ablation_shape () =
   check_bool "free column" true (contains csv "FTSA free");
   check_bool "one-port column" true (contains csv "MC-FTSA 1-port")
 
+(* The link-loss and recovery ablations at the smallest sweep that still
+   runs every column: 2 graphs per point, 2 scenarios per graph. *)
+let test_link_loss_ablation_shape () =
+  let t =
+    Figures.link_loss_ablation ~spec:tiny_spec ~scenarios_per_graph:2 ~eps:2
+      ~losses:[ 0.05; 0.3 ] ()
+  in
+  check_int "one row per loss rate" 2 (Table.row_count t);
+  let csv = Table.to_csv t in
+  check_bool "no-retransmission column" true (contains csv "MC dft noRT");
+  check_bool "recovery column" true (contains csv "MC+rec dft")
+
+let test_recovery_ablation_shape () =
+  let p =
+    Figures.recovery_ablation ~spec:tiny_spec ~scenarios_per_graph:2 ~eps:2
+      ~intensities:[ 0.15 ] ~delta_factors:[ 0.02 ] ()
+  in
+  check_int "one campaign row" 1 (Table.row_count p.Figures.campaign);
+  check_int "one exactly-eps row" 1 (Table.row_count p.Figures.exact_eps);
+  (* Finding 1's regime: recovery survives exactly eps failures *)
+  match String.split_on_char '\n' (Table.to_csv p.Figures.exact_eps) with
+  | header :: row :: _ ->
+      check_bool "recovery defeat column" true (contains header "MC+rec defeat");
+      Alcotest.(check string)
+        "MC+rec defeat rate under exactly eps failures" "0.000"
+        (List.nth (String.split_on_char ',' row) 2)
+  | _ -> Alcotest.fail "csv shape"
+
 let test_redundancy_ablation_shape () =
   let t = Figures.redundancy_ablation ~spec:micro_spec ~scenarios_per_graph:2 ~eps:2 () in
   check_int "one row per k" 3 (Table.row_count t);
@@ -156,8 +184,8 @@ let test_procs_sweep_shape_and_trend () =
   | _ -> Alcotest.fail "csv shape"
 
 (* Claims verifier: the shape is stable at any spec; at >= 4 graphs per
-   point the verdicts themselves are expected to all hold (the bench run
-   re-verifies them at full scale). *)
+   point the verdicts themselves are expected to all hold
+   ([ftsched experiment claims --full] re-verifies them at paper scale). *)
 let test_claims () =
   let spec = Workload.with_graphs_per_point Workload.quick 4 in
   let verdicts = Figures_claims.verify ~spec () in
@@ -199,6 +227,10 @@ let () =
         [
           Alcotest.test_case "contention shape" `Slow
             test_contention_ablation_shape;
+          Alcotest.test_case "link loss shape" `Slow
+            test_link_loss_ablation_shape;
+          Alcotest.test_case "recovery shape" `Slow
+            test_recovery_ablation_shape;
           Alcotest.test_case "redundancy shape" `Slow
             test_redundancy_ablation_shape;
           Alcotest.test_case "reliability shape" `Slow

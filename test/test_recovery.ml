@@ -324,24 +324,43 @@ let test_exponential_scenario () =
 
 (* Warm-start workspace: the template/DAG caches must be invisible —
    identical outcomes versus the cold path while the workspace is reused
-   across fail patterns of one schedule and then across schedules. *)
+   across fail patterns of one schedule, then across schedules, up to
+   the benchmark-size v=800, m=50, eps=2 layered FTSA schedule with one
+   processor failing at 30% of its fault-free horizon (the shadow-plan
+   candidates of a streaming job). *)
 let test_recovery_workspace_identical () =
   let ws = Recovery.workspace () in
+  let same ?delta s ~fail_times =
+    let cold = Recovery.run ?delta s ~fail_times in
+    let warm = Recovery.run ?delta ~workspace:ws s ~fail_times in
+    check_bool "warm outcome = cold outcome" true (warm = cold)
+  in
   List.iter
     (fun seed ->
       let inst = random_instance ~n_tasks:25 ~m:5 ~seed () in
       let s = Ftsa.schedule ~seed inst ~eps:1 in
       List.iter
-        (fun fail_times ->
-          let cold = Recovery.run ~delta:0.3 s ~fail_times in
-          let warm = Recovery.run ~delta:0.3 ~workspace:ws s ~fail_times in
-          check_bool "warm outcome = cold outcome" true (warm = cold))
+        (fun fail_times -> same ~delta:0.3 s ~fail_times)
         [
           [| infinity; infinity; infinity; infinity; infinity |];
           [| 2.; infinity; infinity; 40.; infinity |];
           [| 1.; 5.; infinity; infinity; 9. |];
         ])
-    [ 11; 12 ]
+    [ 11; 12 ];
+  let inst = layered_v800 () in
+  let s = Ftsa.schedule ~seed:2008 inst ~eps:2 in
+  let no_fail = Array.make (Instance.n_procs inst) infinity in
+  let horizon =
+    match (Event_sim.run s ~fail_times:no_fail).Event_sim.latency with
+    | Some l -> l
+    | None -> Alcotest.fail "fault-free run defeated"
+  in
+  List.iter
+    (fun p ->
+      let fail_times = Array.copy no_fail in
+      fail_times.(p) <- 0.3 *. horizon;
+      same s ~fail_times)
+    [ 0; 7; 23; 49 ]
 
 let () =
   Alcotest.run "recovery"

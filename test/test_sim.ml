@@ -715,6 +715,51 @@ let prop_flat_engine_equals_reference =
          = Event_sim_ref.run_timed ~faults s timed
       && Event_sim.run_crash s crash = Event_sim_ref.run_crash s crash)
 
+(* The same differential at benchmark size: the v=800, m=50, eps=2
+   layered FTSA schedule under the scenarios a streaming replay hits
+   hardest — fault-free, one timed crash, loss plus an outage on top of
+   it, one-port contention — and through [run_timed]. *)
+let test_flat_engine_equals_reference_v800 () =
+  let inst = layered_v800 () in
+  let m = Instance.n_procs inst in
+  let s = Ftsa.schedule ~seed:2008 inst ~eps:2 in
+  let no_fail = Array.make m infinity in
+  let horizon =
+    match (Event_sim.run s ~fail_times:no_fail).Event_sim.latency with
+    | Some l -> l
+    | None -> Alcotest.fail "fault-free run defeated"
+  in
+  let crash = Array.copy no_fail in
+  crash.(7) <- 0.25 *. horizon;
+  let faults =
+    Scenario.lossy ~loss:0.05
+      ~outages:
+        [
+          Scenario.outage ~src:0 ~dst:1 ~from_t:(0.1 *. horizon)
+            ~until_t:(0.4 *. horizon);
+        ]
+      ~retries:3 ~seed:42 ()
+  in
+  let same name flat reference =
+    check_bool (name ^ ": flat = reference") true (flat = reference)
+  in
+  same "fault-free"
+    (Event_sim.run s ~fail_times:no_fail)
+    (Event_sim_ref.run s ~fail_times:no_fail);
+  same "single crash"
+    (Event_sim.run s ~fail_times:crash)
+    (Event_sim_ref.run s ~fail_times:crash);
+  same "loss+outage"
+    (Event_sim.run ~faults s ~fail_times:crash)
+    (Event_sim_ref.run ~faults s ~fail_times:crash);
+  same "one-port"
+    (Event_sim.run ~network:(Event_sim.Sender_ports 1) s ~fail_times:no_fail)
+    (Event_sim_ref.run ~network:(Event_sim.Sender_ports 1) s
+       ~fail_times:no_fail);
+  let timed = [ { Scenario.proc = 7; at = 0.25 *. horizon } ] in
+  same "run_timed" (Event_sim.run_timed s timed)
+    (Event_sim_ref.run_timed s timed)
+
 (* Pinned regression for the queue-cursor rewrite: replicas injected on
    one processor execute in injection (FIFO) order, back to back — the
    list engine appended with [@ [x]], the flat engine moves a tail
@@ -766,6 +811,8 @@ let () =
       ( "engine-differential",
         [
           quick prop_flat_engine_equals_reference;
+          Alcotest.test_case "v=800 layered = reference" `Quick
+            test_flat_engine_equals_reference_v800;
           Alcotest.test_case "injection FIFO order" `Quick
             test_injection_fifo_order;
         ] );

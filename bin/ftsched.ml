@@ -677,24 +677,131 @@ let bicriteria_cmd =
 (* ------------------------------------------------------------------ *)
 (* experiment                                                          *)
 
-(* The figure targets in the order [all] runs them; [stream] and
-   [tournament] are separate campaigns, run only when named. *)
+(* What an experiment target sees of the command line. *)
+type experiment_ctx = {
+  spec : Workload.spec;
+  full : bool;
+  graphs : int option;
+  master_seed : int option;
+  gate : bool;  (** exit 1 when a claim fails *)
+  show : string -> Table.t -> unit;  (** print, and archive under [--out] *)
+}
+
+let panels id ~eps ~crash_counts c =
+  let p =
+    Figures.figure ~spec:c.spec ?master_seed:c.master_seed ~eps ~crash_counts
+      ()
+  in
+  c.show (id ^ "_bounds") p.Figures.bounds;
+  c.show (id ^ "_crash") p.Figures.crash;
+  c.show (id ^ "_overhead") p.Figures.overhead;
+  c.show (id ^ "_mc_defeats") p.Figures.mc_defeats
+
+(* The figure targets, in the order [all] runs them. *)
 let figure_targets =
   [
-    "fig1"; "fig2"; "fig3"; "fig4"; "table1"; "claims"; "contention";
-    "redundancy"; "procs"; "rftsa"; "reliability"; "recovery"; "linkloss";
-    "adversary";
+    ("fig1", panels "fig1" ~eps:1 ~crash_counts:[ 0; 1 ]);
+    ("fig2", panels "fig2" ~eps:2 ~crash_counts:[ 0; 1; 2 ]);
+    ("fig3", panels "fig3" ~eps:5 ~crash_counts:[ 0; 2; 5 ]);
+    ( "fig4",
+      fun c ->
+        let latency, overhead =
+          Figures.figure4 ~spec:c.spec ?master_seed:c.master_seed ()
+        in
+        c.show "fig4_latency" latency;
+        c.show "fig4_overhead" overhead );
+    ( "table1",
+      fun c ->
+        let sizes = if c.full then Figures.paper_sizes else [ 100; 500; 1000 ] in
+        c.show "table1" (Figures.table1 ~sizes ?seed:c.master_seed ()) );
+    ( "claims",
+      fun c ->
+        let verdicts =
+          Ftsched_exp.Claims.verify ~spec:c.spec ?master_seed:c.master_seed ()
+        in
+        c.show "claims" (Ftsched_exp.Claims.to_table verdicts);
+        Printf.printf "claims verified: %d/%d\n"
+          (List.length
+             (List.filter (fun v -> v.Ftsched_exp.Claims.holds) verdicts))
+          (List.length verdicts);
+        if c.gate && not (Ftsched_exp.Claims.all_hold verdicts) then exit 1 );
+    ( "contention",
+      fun c ->
+        c.show "contention"
+          (Figures.contention_ablation ~spec:c.spec ?master_seed:c.master_seed
+             ~eps:2 ~ports:[ 1; 4 ] ()) );
+    ( "redundancy",
+      fun c ->
+        c.show "redundancy"
+          (Figures.redundancy_ablation ~spec:c.spec ?master_seed:c.master_seed
+             ~eps:2 ()) );
+    ( "procs",
+      fun c ->
+        c.show "procs_sweep"
+          (Figures.procs_sweep ~spec:c.spec ?master_seed:c.master_seed ~eps:2
+             ~procs:[ 5; 8; 12; 16; 20; 30 ] ()) );
+    ( "rftsa",
+      fun c ->
+        c.show "rftsa"
+          (Figures.rftsa_ablation ~spec:c.spec ?master_seed:c.master_seed
+             ~eps:2 ()) );
+    ( "reliability",
+      fun c ->
+        c.show "reliability"
+          (Figures.reliability_ablation ~spec:c.spec
+             ?master_seed:c.master_seed ~p_fail:0.1 ()) );
+    ( "recovery",
+      fun c ->
+        let p =
+          Figures.recovery_ablation ~spec:c.spec ?master_seed:c.master_seed
+            ~eps:2 ()
+        in
+        c.show "recovery_campaign" p.Figures.campaign;
+        c.show "recovery_exact_eps" p.Figures.exact_eps );
+    ( "linkloss",
+      fun c ->
+        c.show "linkloss"
+          (Figures.link_loss_ablation ~spec:c.spec ?master_seed:c.master_seed
+             ~eps:2 ()) );
+    ( "adversary",
+      fun c ->
+        c.show "adversary"
+          (Figures.adversary_table ~spec:c.spec ?master_seed:c.master_seed
+             ~eps:2 ()) );
+  ]
+
+(* Separate campaigns, run only when named. *)
+let campaign_targets =
+  [
+    ( "stream",
+      fun c ->
+        let seeds_per_point =
+          match c.graphs with
+          | Some n -> n
+          | None -> if c.full then 30 else 10
+        in
+        c.show "stream"
+          (Figures.stream_ablation ?master_seed:c.master_seed ~seeds_per_point
+             ()) );
+    ( "tournament",
+      fun c ->
+        let pairs = if c.full then 30 else 12 in
+        let iters = if c.full then 400 else 120 in
+        c.show "tournament"
+          (Figures.tournament_matrix ?master_seed:c.master_seed ~pairs ~iters
+             ()) );
   ]
 
 let experiment_cmd =
-  let targets = ("all" :: figure_targets) @ [ "stream"; "tournament" ] in
+  let targets = figure_targets @ campaign_targets in
+  let names = "all" :: List.map fst targets in
   let what =
     Arg.(
       value
-      & pos 0 (enum (List.map (fun t -> (t, t)) targets)) "fig1"
+      & pos 0 (enum (List.map (fun n -> (n, n)) names)) "fig1"
       & info [] ~docv:"WHAT"
           ~doc:
-            (String.concat " | " targets
+            (String.concat " | " names
             ^ ".  $(b,all) runs every target but stream and tournament, in \
                that order, and reports the claims verdict without failing \
                on it; $(b,claims) alone exits 1 when a claim fails."))
@@ -745,76 +852,10 @@ let experiment_cmd =
           Ftsched_util.Gnuplot.save table ~basename)
         out
     in
-    let show_panels id ~eps ~crash_counts =
-      let p = Figures.figure ~spec ?master_seed ~eps ~crash_counts () in
-      show (id ^ "_bounds") p.Figures.bounds;
-      show (id ^ "_crash") p.Figures.crash;
-      show (id ^ "_overhead") p.Figures.overhead;
-      show (id ^ "_mc_defeats") p.Figures.mc_defeats
-    in
-    (* [gate]: exit 1 when a claim fails *)
-    let run_target ~gate = function
-      | "fig1" -> show_panels "fig1" ~eps:1 ~crash_counts:[ 0; 1 ]
-      | "fig2" -> show_panels "fig2" ~eps:2 ~crash_counts:[ 0; 1; 2 ]
-      | "fig3" -> show_panels "fig3" ~eps:5 ~crash_counts:[ 0; 2; 5 ]
-      | "fig4" ->
-          let latency, overhead = Figures.figure4 ~spec ?master_seed () in
-          show "fig4_latency" latency;
-          show "fig4_overhead" overhead
-      | "table1" ->
-          let sizes = if full then Figures.paper_sizes else [ 100; 500; 1000 ] in
-          show "table1" (Figures.table1 ~sizes ?seed:master_seed ())
-      | "claims" ->
-          let verdicts = Ftsched_exp.Claims.verify ~spec ?master_seed () in
-          show "claims" (Ftsched_exp.Claims.to_table verdicts);
-          Printf.printf "claims verified: %d/%d\n"
-            (List.length
-               (List.filter (fun v -> v.Ftsched_exp.Claims.holds) verdicts))
-            (List.length verdicts);
-          if gate && not (Ftsched_exp.Claims.all_hold verdicts) then exit 1
-      | "contention" ->
-          show "contention"
-            (Figures.contention_ablation ~spec ?master_seed ~eps:2
-               ~ports:[ 1; 4 ] ())
-      | "redundancy" ->
-          show "redundancy"
-            (Figures.redundancy_ablation ~spec ?master_seed ~eps:2 ())
-      | "procs" ->
-          show "procs_sweep"
-            (Figures.procs_sweep ~spec ?master_seed ~eps:2
-               ~procs:[ 5; 8; 12; 16; 20; 30 ] ())
-      | "rftsa" ->
-          show "rftsa" (Figures.rftsa_ablation ~spec ?master_seed ~eps:2 ())
-      | "reliability" ->
-          show "reliability"
-            (Figures.reliability_ablation ~spec ?master_seed ~p_fail:0.1 ())
-      | "recovery" ->
-          let p = Figures.recovery_ablation ~spec ?master_seed ~eps:2 () in
-          show "recovery_campaign" p.Figures.campaign;
-          show "recovery_exact_eps" p.Figures.exact_eps
-      | "linkloss" ->
-          show "linkloss"
-            (Figures.link_loss_ablation ~spec ?master_seed ~eps:2 ())
-      | "adversary" ->
-          show "adversary" (Figures.adversary_table ~spec ?master_seed ~eps:2 ())
-      | "stream" ->
-          let seeds_per_point =
-            match graphs with
-            | Some n -> n
-            | None -> if full then 30 else 10
-          in
-          show "stream"
-            (Figures.stream_ablation ?master_seed ~seeds_per_point ())
-      | "tournament" ->
-          let pairs = if full then 30 else 12 in
-          let iters = if full then 400 else 120 in
-          show "tournament"
-            (Figures.tournament_matrix ?master_seed ~pairs ~iters ())
-      | t -> invalid_arg ("experiment: unknown target " ^ t)
-    in
+    let c = { spec; full; graphs; master_seed; gate = true; show } in
     match what with
-    | "all" -> List.iter (run_target ~gate:false) figure_targets
-    | t -> run_target ~gate:true t
+    | "all" -> List.iter (fun (_, f) -> f { c with gate = false }) figure_targets
+    | name -> List.assoc name targets c
   in
   Cmd.v (Cmd.info "experiment" ~doc:"Regenerate the paper's figures/tables")
     Term.(const run $ what $ full $ graphs $ seed $ jobs_arg $ out)

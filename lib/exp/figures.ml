@@ -665,8 +665,7 @@ let link_loss_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
 (* Adversarial timed worst case (Ftsched_sim.Adversary) on instance 0 at
    granularity 1.0: one FTSA and one MC-FTSA schedule, each searched for
    its worst eps processor deaths plus one link blackout. *)
-let adversary_table ?(spec = Workload.quick) ?(master_seed = 2008) ?jobs ~eps
-    () =
+let adversary_table ?(spec = Workload.quick) ?(master_seed = 2008) ~eps () =
   let module Adversary = Ftsched_sim.Adversary in
   let inst = Workload.instance spec ~master_seed ~granularity:1.0 ~index:0 in
   let fmt_outcome = function
@@ -679,7 +678,7 @@ let adversary_table ?(spec = Workload.quick) ?(master_seed = 2008) ?jobs ~eps
   in
   List.iter
     (fun (name, s) ->
-      let r = Adversary.search ~links:1 ?jobs s ~count:eps in
+      let r = Adversary.search ~links:1 s ~count:eps in
       Table.add_row table
         [
           name;

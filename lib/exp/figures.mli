@@ -181,7 +181,6 @@ val link_loss_ablation :
 val adversary_table :
   ?spec:Workload.spec ->
   ?master_seed:int ->
-  ?jobs:int ->
   eps:int ->
   unit ->
   Ftsched_util.Table.t
@@ -190,8 +189,7 @@ val adversary_table :
     blackout) of one FTSA and one MC-FTSA schedule of the spec's
     instance 0 at granularity 1.0.  One row per algorithm: certified or
     empirical verdict, the untimed exhaustive worst, the timed worst and
-    the simulator runs spent.  [jobs] fans each search out; the table is
-    bit-identical for any worker count. *)
+    the simulator runs spent. *)
 
 val redundancy_ablation :
   ?spec:Workload.spec ->

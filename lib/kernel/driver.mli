@@ -26,8 +26,7 @@
     earliest/latest-replica reduction hoisted out of the per-processor
     loop: each predecessor's replica row is folded into per-target-
     processor arrival bounds once per task, instead of once per candidate
-    processor as the pre-kernel engine did (about 1.9× slower at v = 800,
-    m = 50, ε = 2; EXPERIMENTS.md, "Kernel refactor benchmarks"). *)
+    processor. *)
 
 type committed = {
   proc : int;

@@ -34,11 +34,9 @@ module Granularity = Ftsched_model.Granularity
 module Schedule = Ftsched_schedule.Schedule
 module Validate = Ftsched_schedule.Validate
 module Gantt = Ftsched_schedule.Gantt
-module Ftsa = Ftsched_core.Ftsa
 module Mc_ftsa = Ftsched_core.Mc_ftsa
+module Schedulers = Ftsched_core.Schedulers
 module Bicriteria = Ftsched_core.Bicriteria
-module Ftbar = Ftsched_baseline.Ftbar
-module Heft = Ftsched_baseline.Heft
 module Scenario = Ftsched_sim.Scenario
 module Crash_exec = Ftsched_sim.Crash_exec
 module Event_sim = Ftsched_sim.Event_sim
@@ -117,13 +115,11 @@ let kind_arg =
 let algo_arg =
   Arg.(
     value
-    & opt (enum
-             [ ("ftsa", `Ftsa); ("mc-ftsa", `Mc); ("mc-bottleneck", `Mcb);
-               ("ftbar", `Ftbar); ("heft", `Heft); ("cpop", `Cpop);
-               ("ca-ftsa", `Ca); ("peft", `Peft) ])
-        `Ftsa
+    & opt
+        (enum (List.map (fun s -> (s.Schedulers.name, s)) Schedulers.all))
+        (Option.get (Schedulers.find "ftsa"))
     & info [ "algo" ] ~docv:"ALGO"
-        ~doc:"Scheduler: ftsa, mc-ftsa, mc-bottleneck, ca-ftsa, ftbar, heft, cpop, peft.")
+        ~doc:("Scheduler: " ^ String.concat ", " Schedulers.names ^ "."))
 
 let redundancy_arg =
   Arg.(
@@ -158,29 +154,24 @@ let make_instance ~kind ~seed ~n ~m ~granularity =
   if Dag.n_edges dag = 0 then inst
   else Granularity.scale_to inst ~target:granularity
 
-let run_algo ?redundancy ?trace algo ~seed inst ~eps =
-  match algo with
-  | `Ftsa -> Ftsa.schedule ~seed ?trace inst ~eps
-  | `Mc -> (
-      match redundancy with
-      | Some k ->
-          Mc_ftsa.schedule ~seed ~strategy:(Mc_ftsa.Redundant k) ?trace inst ~eps
-      | None -> Mc_ftsa.schedule ~seed ?trace inst ~eps)
-  | `Mcb -> Mc_ftsa.schedule ~seed ~strategy:Mc_ftsa.Bottleneck ?trace inst ~eps
-  | `Ftbar -> Ftbar.schedule ~seed ?trace inst ~npf:eps
-  | `Heft ->
-      if eps > 0 then
-        prerr_endline "note: heft is fault-free; ignoring --eps";
-      Heft.schedule ?trace inst
-  | `Cpop ->
-      if eps > 0 then
-        prerr_endline "note: cpop is fault-free; ignoring --eps";
-      Ftsched_baseline.Cpop.schedule ?trace inst
-  | `Ca -> Ftsched_core.Ca_ftsa.schedule ~seed ?trace inst ~eps
-  | `Peft ->
-      if eps > 0 then
-        prerr_endline "note: peft is fault-free; ignoring --eps";
-      Ftsched_baseline.Peft.schedule ?trace inst
+(* Bad input that only shows against other flags: one line on stderr,
+   exit 2. *)
+let input_error fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("ftsched: " ^ msg);
+      exit 2)
+    fmt
+
+(* Run the --algo scheduler.  A policy rejecting --eps for the instance
+   is an input error; the fault-free policies ignore --eps. *)
+let plan ?trace (algo : Schedulers.t) ~seed inst ~eps =
+  match algo.run ?trace ~seed inst ~eps with
+  | exception Invalid_argument msg -> input_error "%s" msg
+  | s ->
+      if eps > 0 && Schedule.eps s = 0 then
+        Printf.eprintf "note: %s is fault-free; ignoring --eps\n%!" algo.name;
+      s
 
 (* ------------------------------------------------------------------ *)
 (* gen                                                                 *)
@@ -288,7 +279,15 @@ let schedule_cmd =
       if stats || trace_file <> None then Some (Ftsched_kernel.Trace.create ())
       else None
     in
-    let s = run_algo ?redundancy ?trace algo ~seed inst ~eps in
+    let algo =
+      match redundancy with
+      | Some k when algo.Schedulers.name = "mc-ftsa" ->
+          let strategy = Mc_ftsa.Redundant k in
+          let run ?trace ~seed = Mc_ftsa.schedule ~seed ~strategy ?trace in
+          { algo with run }
+      | _ -> algo
+    in
+    let s = plan ?trace algo ~seed inst ~eps in
     Format.printf "%a@." Schedule.pp_summary s;
     Format.printf "granularity=%.3f  comm-volume=%.4g@."
       (Granularity.granularity inst)
@@ -433,8 +432,12 @@ let simulate_cmd =
   let run kind n m eps granularity seed algo fail crashes timed strict ports
       worst recover delta rounds loss retries adversary links jobs =
     apply_jobs jobs;
+    (match (crashes, List.find_opt (fun p -> p >= m) fail) with
+    | Some k, _ when k > m -> input_error "--crashes %d: only %d processors" k m
+    | None, Some p -> input_error "--fail %d: no such processor (-m %d)" p m
+    | _ -> ());
     let inst = make_instance ~kind ~seed ~n ~m ~granularity in
-    let s = run_algo algo ~seed inst ~eps in
+    let s = plan algo ~seed inst ~eps in
     Format.printf "%a@." Schedule.pp_summary s;
     let faults =
       if loss = 0. then Scenario.reliable
@@ -485,9 +488,13 @@ let simulate_cmd =
       let horizon = Schedule.latency_upper_bound s in
       let t =
         if timed then
-          Scenario.random_timed rng ~m
-            ~count:(Array.length scenario.Scenario.failed)
-            ~horizon
+          (* random instants; with --crashes also random processors *)
+          match crashes with
+          | Some k -> Scenario.random_timed rng ~m ~count:k ~horizon
+          | None ->
+              List.map
+                (fun proc -> { Scenario.proc; at = Rng.float_in rng 0. horizon })
+                fail
         else
           List.map
             (fun p -> { Scenario.proc = p; at = 0. })
@@ -599,7 +606,7 @@ let reliability_cmd =
   in
   let run kind n m eps granularity seed algo p_fail rate trials strict =
     let inst = make_instance ~kind ~seed ~n ~m ~granularity in
-    let s = run_algo algo ~seed inst ~eps in
+    let s = plan algo ~seed inst ~eps in
     Format.printf "%a@." Schedule.pp_summary s;
     let policy = if strict then R.Strict else R.Reroute in
     match rate with
@@ -1486,17 +1493,13 @@ let tournament_cmd =
     | None ->
         let policies =
           match policies with
-          | None -> Fuzz.schedulers
+          | None -> Schedulers.all
           | Some names ->
               String.split_on_char ',' names
               |> List.map String.trim
               |> List.filter (fun s -> s <> "")
               |> List.map (fun name ->
-                     match
-                       List.find_opt
-                         (fun s -> s.Fuzz.name = name)
-                         Fuzz.schedulers
-                     with
+                     match Schedulers.find name with
                      | Some s -> s
                      | None ->
                          Printf.eprintf "unknown policy %S\n" name;

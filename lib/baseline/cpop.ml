@@ -1,7 +1,6 @@
 module Dag = Ftsched_dag.Dag
 module Instance = Ftsched_model.Instance
 module Levels = Ftsched_model.Levels
-module Rng = Ftsched_util.Rng
 module Driver = Ftsched_kernel.Driver
 
 (* The critical path: start from the entry task with maximal priority and
@@ -54,21 +53,13 @@ let schedule ?trace inst =
     if on_cp.(t) then [| evals.(cp_proc) |]
     else Driver.best_by_finish evals ~k:1
   in
-  let policy =
-    {
-      Driver.name = "cpop";
-      replicas = 1;
-      discipline =
-        Driver.Priority { key = (fun _ t -> priority.(t)); tie = Driver.Lifo_tie };
-      prepare = Driver.prepare_inputs;
-      evaluate = Driver.eval_insertion;
-      choose;
-      commit = Driver.commit_insertion;
-      after_commit = Driver.no_after_commit;
-      insertion = true;
-      selected_comm = false;
-    }
-  in
-  match Driver.run ~rng:(Rng.create ~seed:0) ~instance:inst ~policy ?trace () with
-  | Ok s -> s
-  | Error _ -> assert false (* no deadlines supplied: cannot fail *)
+  Driver.schedule ~instance:inst ?trace
+    ~policy:
+      {
+        Insertion_list.policy with
+        name = "cpop";
+        discipline =
+          Driver.Priority { key = (fun _ t -> priority.(t)); tie = Driver.Lifo_tie };
+        choose;
+      }
+    ()

@@ -4,8 +4,7 @@ module Proc_state = Ftsched_kernel.Proc_state
 module Rng = Ftsched_util.Rng
 module Driver = Ftsched_kernel.Driver
 
-let schedule ?(seed = 0) ?rng ?trace inst ~npf =
-  let rng = match rng with Some r -> r | None -> Rng.create ~seed in
+let schedule ?seed ?trace inst ~npf =
   let m = Instance.n_procs inst in
   if npf < 0 || npf >= m then
     invalid_arg "Ftbar.schedule: need 0 <= npf < number of processors";
@@ -85,26 +84,24 @@ let schedule ?(seed = 0) ?rng ?trace inst ~npf =
     in
     (t, u, evals)
   in
-  let policy =
-    {
-      Driver.name = "ftbar";
-      replicas = npf + 1;
-      discipline = Driver.Urgency urgency;
-      prepare = Driver.prepare_inputs;
-      evaluate = Driver.eval_inputs;
-      choose = (fun _ _ evals -> evals);
-      commit = (fun _ _ _ -> !pending);
-      after_commit =
-        (fun _ _ committed ->
-          Array.iter
-            (fun (c : Driver.committed) ->
-              if c.Driver.finish_opt > !schedule_length then
-                schedule_length := c.Driver.finish_opt)
-            committed);
-      insertion = false;
-      selected_comm = false;
-    }
-  in
-  match Driver.run ~rng ~instance:inst ~policy ?trace () with
-  | Ok s -> s
-  | Error _ -> assert false (* no deadlines supplied: cannot fail *)
+  Driver.schedule ?seed ~instance:inst ?trace
+    ~policy:
+      {
+        Driver.name = "ftbar";
+        replicas = npf + 1;
+        discipline = Driver.Urgency urgency;
+        prepare = Driver.prepare_inputs;
+        evaluate = Driver.eval_inputs;
+        choose = (fun _ _ evals -> evals);
+        commit = (fun _ _ _ -> !pending);
+        after_commit =
+          (fun _ _ committed ->
+            Array.iter
+              (fun (c : Driver.committed) ->
+                if c.Driver.finish_opt > !schedule_length then
+                  schedule_length := c.Driver.finish_opt)
+              committed);
+        insertion = false;
+        selected_comm = false;
+      }
+    ()

@@ -22,7 +22,6 @@
 
 val schedule :
   ?seed:int ->
-  ?rng:Ftsched_util.Rng.t ->
   ?trace:Ftsched_kernel.Trace.t ->
   Ftsched_model.Instance.t ->
   npf:int ->

@@ -1,23 +1,13 @@
 module Levels = Ftsched_model.Levels
-module Rng = Ftsched_util.Rng
 module Driver = Ftsched_kernel.Driver
 
 let schedule ?trace inst =
   let order = Levels.sorted_by_bottom_level inst in
-  let policy =
-    {
-      Driver.name = "heft";
-      replicas = 1;
-      discipline = Driver.Fixed_order (fun _ -> order);
-      prepare = Driver.prepare_inputs;
-      evaluate = Driver.eval_insertion;
-      choose = (fun _ _ evals -> Driver.best_by_finish evals ~k:1);
-      commit = Driver.commit_insertion;
-      after_commit = Driver.no_after_commit;
-      insertion = true;
-      selected_comm = false;
-    }
-  in
-  match Driver.run ~rng:(Rng.create ~seed:0) ~instance:inst ~policy ?trace () with
-  | Ok s -> s
-  | Error _ -> assert false (* no deadlines supplied: cannot fail *)
+  Driver.schedule ~instance:inst ?trace
+    ~policy:
+      {
+        Insertion_list.policy with
+        name = "heft";
+        discipline = Driver.Fixed_order (fun _ -> order);
+      }
+    ()

@@ -1,6 +1,5 @@
 module Dag = Ftsched_dag.Dag
 module Instance = Ftsched_model.Instance
-module Rng = Ftsched_util.Rng
 module Driver = Ftsched_kernel.Driver
 
 let oct inst =
@@ -50,21 +49,13 @@ let schedule ?trace inst =
       cand;
     [| cand.(0) |]
   in
-  let policy =
-    {
-      Driver.name = "peft";
-      replicas = 1;
-      discipline =
-        Driver.Priority { key = (fun _ t -> rank.(t)); tie = Driver.Lifo_tie };
-      prepare = Driver.prepare_inputs;
-      evaluate = Driver.eval_insertion;
-      choose;
-      commit = Driver.commit_insertion;
-      after_commit = Driver.no_after_commit;
-      insertion = true;
-      selected_comm = false;
-    }
-  in
-  match Driver.run ~rng:(Rng.create ~seed:0) ~instance:inst ~policy ?trace () with
-  | Ok s -> s
-  | Error _ -> assert false (* no deadlines supplied: cannot fail *)
+  Driver.schedule ~instance:inst ?trace
+    ~policy:
+      {
+        Insertion_list.policy with
+        name = "peft";
+        discipline =
+          Driver.Priority { key = (fun _ t -> rank.(t)); tie = Driver.Lifo_tie };
+        choose;
+      }
+    ()

@@ -1,12 +1,12 @@
 module Instance = Ftsched_model.Instance
 module Deadline = Ftsched_model.Deadline
 module Schedule = Ftsched_schedule.Schedule
-module Rng = Ftsched_util.Rng
+module Driver = Ftsched_kernel.Driver
 
 type bound = Lower_bound | Upper_bound
 
-type infeasible = {
-  task : Ftsched_dag.Dag.task;
+type infeasible = Driver.deadline_failure = {
+  task : int;
   deadline : float;
   finish : float;
 }
@@ -50,14 +50,12 @@ let latency_profile ?(seed = 0) ?(mc = false) inst ~max_eps =
       let s = run_once ~seed ~mc inst ~eps in
       (eps, Schedule.latency_lower_bound s, Schedule.latency_upper_bound s))
 
-let with_deadlines ?(seed = 0) ?(mc = false) inst ~eps ~latency =
+let with_deadlines ?seed ?(mc = false) inst ~eps ~latency =
   let deadlines = Deadline.compute inst ~eps ~latency in
-  let rng = Rng.create ~seed in
   let mode =
     if mc then Ftsa_policy.Min_comm Ftsa_policy.Greedy_edges
     else Ftsa_policy.All_to_all_comm
   in
-  match Ftsa_policy.run ~rng ~instance:inst ~eps ~mode ~deadlines () with
-  | Ok s -> Ok s
-  | Error { Ftsa_policy.task; deadline; finish } ->
-      Error { task; deadline; finish }
+  Driver.run ?seed ~instance:inst
+    ~policy:(Ftsa_policy.policy ~instance:inst ~eps ~mode)
+    ~deadlines ()

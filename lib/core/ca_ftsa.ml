@@ -1,20 +1,14 @@
 module Dag = Ftsched_dag.Dag
 module Platform = Ftsched_platform.Platform
 module Instance = Ftsched_model.Instance
-module Levels = Ftsched_model.Levels
-module Rng = Ftsched_util.Rng
 module Proc_state = Ftsched_kernel.Proc_state
 module Driver = Ftsched_kernel.Driver
 
-let schedule ?(seed = 0) ?rng ?(ports = 1) ?trace inst ~eps =
-  let rng = match rng with Some r -> r | None -> Rng.create ~seed in
+let schedule ?seed ?(ports = 1) ?trace inst ~eps =
   let g = Instance.dag inst in
   let pl = Instance.platform inst in
   let m = Instance.n_procs inst in
-  if eps < 0 || eps >= m then
-    invalid_arg "Ca_ftsa.schedule: need 0 <= eps < number of processors";
   if ports < 1 then invalid_arg "Ca_ftsa.schedule: ports must be positive";
-  let bl = Levels.bottom_levels inst in
   (* Per-processor outgoing ports: the policy's private state, threaded
      through the closures below.  Evaluation peeks, commit books. *)
   let port_free = Array.init m (fun _ -> Array.make ports 0.) in
@@ -119,22 +113,12 @@ let schedule ?(seed = 0) ?rng ?(ports = 1) ?trace inst ~eps =
         })
       chosen
   in
-  let policy =
+  Ftsa_policy.run ?seed ?trace ~instance:inst
     {
-      Driver.name = "ca-ftsa";
-      replicas = eps + 1;
-      discipline =
-        Driver.Priority
-          { key = (fun st t -> Driver.top_level st t +. bl.(t)); tie = Driver.Rng_tie };
+      (Ftsa_policy.policy ~instance:inst ~eps ~mode:Ftsa_policy.All_to_all_comm)
+      with
+      name = "ca-ftsa";
       prepare;
       evaluate;
-      choose = (fun _ _ evals -> Driver.best_by_finish evals ~k:(eps + 1));
       commit;
-      after_commit = Driver.no_after_commit;
-      insertion = false;
-      selected_comm = false;
     }
-  in
-  match Driver.run ~rng ~instance:inst ~policy ?trace () with
-  | Ok s -> s
-  | Error _ -> assert false (* no deadlines supplied: cannot fail *)

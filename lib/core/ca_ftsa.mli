@@ -20,7 +20,6 @@
 
 val schedule :
   ?seed:int ->
-  ?rng:Ftsched_util.Rng.t ->
   ?ports:int ->
   ?trace:Ftsched_kernel.Trace.t ->
   Ftsched_model.Instance.t ->

@@ -10,7 +10,6 @@
 
 val schedule :
   ?seed:int ->
-  ?rng:Ftsched_util.Rng.t ->
   ?release:float array ->
   ?trace:Ftsched_kernel.Trace.t ->
   ?workspace:Ftsched_kernel.Driver.workspace ->
@@ -19,7 +18,7 @@ val schedule :
   Ftsched_schedule.Schedule.t
 (** [schedule inst ~eps] runs FTSA.  [eps = 0] yields the fault-free
     (replication-less) variant used as the baseline in the figures.
-    Randomness ([?rng], or [?seed], default 0) only breaks priority ties.
+    Randomness ([?seed], default 0) only breaks priority ties.
     [?release] (one instant per processor) places the job on residual
     timelines: processor [p] carries foreign work until [release.(p)] and
     equation (1) starts its ready queue there — the online admission path

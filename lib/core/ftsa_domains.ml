@@ -1,7 +1,5 @@
 module Instance = Ftsched_model.Instance
-module Levels = Ftsched_model.Levels
 module Schedule = Ftsched_schedule.Schedule
-module Rng = Ftsched_util.Rng
 module Driver = Ftsched_kernel.Driver
 
 let procs_of_domain ~domains d =
@@ -22,8 +20,7 @@ let distinct_replica_domains s ~domains =
   done;
   !ok
 
-let schedule ?(seed = 0) ?rng ?trace ~domains inst ~eps =
-  let rng = match rng with Some r -> r | None -> Rng.create ~seed in
+let schedule ?seed ?trace ~domains inst ~eps =
   let m = Instance.n_procs inst in
   if Array.length domains <> m then
     invalid_arg "Ftsa_domains.schedule: domains size";
@@ -32,7 +29,6 @@ let schedule ?(seed = 0) ?rng ?trace ~domains inst ~eps =
   in
   if eps < 0 || eps >= n_domains then
     invalid_arg "Ftsa_domains.schedule: need 0 <= eps < number of domains";
-  let bl = Levels.bottom_levels inst in
   (* Greedy by equation-(1) finish time, one processor per failure
      domain. *)
   let choose _st _t evals =
@@ -51,22 +47,10 @@ let schedule ?(seed = 0) ?rng ?trace ~domains inst ~eps =
     assert (Array.length chosen = eps + 1);
     chosen
   in
-  let policy =
+  Ftsa_policy.run ?seed ?trace ~instance:inst
     {
-      Driver.name = "ftsa-domains";
-      replicas = eps + 1;
-      discipline =
-        Driver.Priority
-          { key = (fun st t -> Driver.top_level st t +. bl.(t)); tie = Driver.Rng_tie };
-      prepare = Driver.prepare_inputs;
-      evaluate = Driver.eval_inputs;
+      (Ftsa_policy.policy ~instance:inst ~eps ~mode:Ftsa_policy.All_to_all_comm)
+      with
+      name = "ftsa-domains";
       choose;
-      commit = Driver.commit_straight;
-      after_commit = Driver.no_after_commit;
-      insertion = false;
-      selected_comm = false;
     }
-  in
-  match Driver.run ~rng ~instance:inst ~policy ?trace () with
-  | Ok s -> s
-  | Error _ -> assert false (* no deadlines supplied: cannot fail *)

@@ -19,7 +19,6 @@
 
 val schedule :
   ?seed:int ->
-  ?rng:Ftsched_util.Rng.t ->
   ?trace:Ftsched_kernel.Trace.t ->
   domains:int array ->
   Ftsched_model.Instance.t ->

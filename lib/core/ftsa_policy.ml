@@ -2,14 +2,11 @@ module Dag = Ftsched_dag.Dag
 module Platform = Ftsched_platform.Platform
 module Instance = Ftsched_model.Instance
 module Levels = Ftsched_model.Levels
-module Rng = Ftsched_util.Rng
 module Driver = Ftsched_kernel.Driver
 module Proc_state = Ftsched_kernel.Proc_state
 
 type edge_strategy = Greedy_edges | Bottleneck_edges | Redundant_edges of int
 type mode = All_to_all_comm | Min_comm of edge_strategy
-
-type deadline_failure = { task : Dag.task; deadline : float; finish : float }
 
 (* Commit for MC-FTSA: per incoming DAG edge, build the bipartite replica
    graph of §4.2, select a robust one-to-one edge set, and re-time every
@@ -145,13 +142,8 @@ let policy ~instance ~eps ~mode =
     selected_comm;
   }
 
-let run ~rng ~instance ~eps ~mode ?release ?deadlines ?trace ?workspace () =
-  let m = Instance.n_procs instance in
-  if eps < 0 || eps >= m then
+let run ?seed ?release ?trace ?workspace ~instance policy =
+  let eps = policy.Driver.replicas - 1 in
+  if eps < 0 || eps >= Instance.n_procs instance then
     invalid_arg "Ftsa_policy.run: need 0 <= eps < number of processors";
-  match
-    Driver.run ~rng ~instance ~policy:(policy ~instance ~eps ~mode) ?release
-      ?deadlines ?trace ?workspace ()
-  with
-  | Ok s -> Ok s
-  | Error { Driver.task; deadline; finish } -> Error { task; deadline; finish }
+  Driver.schedule ?seed ~instance ~policy ?release ?trace ?workspace ()

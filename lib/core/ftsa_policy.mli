@@ -8,8 +8,9 @@
     robust edge selection of §4.2 per incoming DAG edge and re-times the
     replicas against their single selected sender.
 
-    This module is the implementation substrate; user-facing entry points
-    are {!Ftsa}, {!Mc_ftsa} and {!Bicriteria}. *)
+    This module is the implementation substrate of the whole FTSA family;
+    user-facing entry points are {!Ftsa}, {!Mc_ftsa}, {!R_ftsa},
+    {!Ftsa_domains}, {!Ca_ftsa} and {!Bicriteria}. *)
 
 type edge_strategy =
   | Greedy_edges  (** the paper's greedy rule *)
@@ -22,33 +23,28 @@ type mode =
   | All_to_all_comm  (** plain FTSA: replicas broadcast to all successors *)
   | Min_comm of edge_strategy  (** MC-FTSA *)
 
-type deadline_failure = {
-  task : Ftsched_dag.Dag.task;
-  deadline : float;
-  finish : float;  (** the best achievable [max over chosen procs F(t,P)] *)
-}
-(** Witness that the dual-fixed bicriteria test of §4.3 failed: scheduling
-    [task] could not meet its deadline. *)
-
-val run :
-  rng:Ftsched_util.Rng.t ->
+val policy :
   instance:Ftsched_model.Instance.t ->
   eps:int ->
   mode:mode ->
+  Ftsched_kernel.Driver.policy
+(** The FTSA ([All_to_all_comm], named ["ftsa"]) or MC-FTSA ([Min_comm],
+    named ["mc-ftsa"]) policy for [ε = eps].  The FTSA variants derive
+    theirs from it by record update: R-FTSA and domain-aware FTSA
+    override [name] and [choose], contention-aware FTSA overrides
+    [name], [prepare], [evaluate] and [commit]. *)
+
+val run :
+  ?seed:int ->
   ?release:float array ->
-  ?deadlines:float array ->
   ?trace:Ftsched_kernel.Trace.t ->
   ?workspace:Ftsched_kernel.Driver.workspace ->
-  unit ->
-  (Ftsched_schedule.Schedule.t, deadline_failure) result
-(** [run ~rng ~instance ~eps ~mode ()] schedules the whole DAG.
-    [eps] must satisfy [0 ≤ eps < m].  With [?deadlines] (one per task),
-    the per-step feasibility check of §4.3 is enabled and the first missed
-    deadline aborts the run.  [rng] drives only priority tie-breaking.
-    [?release] pre-occupies each processor until the given instant
-    (residual timelines — see {!Ftsched_kernel.Driver.run}).
-    [?trace] records every scheduling decision (see
-    {!Ftsched_kernel.Trace}).  [?workspace] reuses a
-    {!Ftsched_kernel.Driver.workspace} across calls (bit-for-bit
-    identical results, no per-call allocation).  Raises
-    [Invalid_argument] on malformed parameters. *)
+  instance:Ftsched_model.Instance.t ->
+  Ftsched_kernel.Driver.policy ->
+  Ftsched_schedule.Schedule.t
+(** [run ~instance policy] schedules the whole DAG with a {!policy} (or
+    one derived from it), whose [ε = replicas − 1] must satisfy
+    [0 ≤ ε < m].  [?seed] (default 0) drives only priority tie-breaking;
+    [?release], [?trace] and [?workspace] are those of
+    {!Ftsched_kernel.Driver.run}.  Raises [Invalid_argument] on
+    malformed parameters. *)

@@ -21,7 +21,6 @@ type strategy =
 
 val schedule :
   ?seed:int ->
-  ?rng:Ftsched_util.Rng.t ->
   ?strategy:strategy ->
   ?trace:Ftsched_kernel.Trace.t ->
   Ftsched_model.Instance.t ->

@@ -1,17 +1,11 @@
 module Instance = Ftsched_model.Instance
-module Levels = Ftsched_model.Levels
-module Rng = Ftsched_util.Rng
 module Driver = Ftsched_kernel.Driver
 
-let schedule ?(seed = 0) ?rng ?(alpha = 0.15) ?trace ~rates inst ~eps =
-  let rng = match rng with Some r -> r | None -> Rng.create ~seed in
+let schedule ?seed ?(alpha = 0.15) ?trace ~rates inst ~eps =
   let m = Instance.n_procs inst in
-  if eps < 0 || eps >= m then
-    invalid_arg "R_ftsa.schedule: need 0 <= eps < number of processors";
   if alpha < 0. then invalid_arg "R_ftsa.schedule: alpha must be >= 0";
   if Array.length rates <> m || Array.exists (fun r -> r < 0.) rates then
     invalid_arg "R_ftsa.schedule: rates";
-  let bl = Levels.bottom_levels inst in
   (* FTSA's selection, relaxed: among processors finishing within the
      [1 + alpha] slack of the ε+1-th best equation-(1) time, prefer the
      smallest in-window failure probability (rate·E), then finish. *)
@@ -34,22 +28,10 @@ let schedule ?(seed = 0) ?rng ?(alpha = 0.15) ?trace ~rates inst ~eps =
     in
     Array.of_list (List.filteri (fun i _ -> i <= eps) admissible)
   in
-  let policy =
+  Ftsa_policy.run ?seed ?trace ~instance:inst
     {
-      Driver.name = "r-ftsa";
-      replicas = eps + 1;
-      discipline =
-        Driver.Priority
-          { key = (fun st t -> Driver.top_level st t +. bl.(t)); tie = Driver.Rng_tie };
-      prepare = Driver.prepare_inputs;
-      evaluate = Driver.eval_inputs;
+      (Ftsa_policy.policy ~instance:inst ~eps ~mode:Ftsa_policy.All_to_all_comm)
+      with
+      name = "r-ftsa";
       choose;
-      commit = Driver.commit_straight;
-      after_commit = Driver.no_after_commit;
-      insertion = false;
-      selected_comm = false;
     }
-  in
-  match Driver.run ~rng ~instance:inst ~policy ?trace () with
-  | Ok s -> s
-  | Error _ -> assert false (* no deadlines supplied: cannot fail *)

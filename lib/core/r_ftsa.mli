@@ -18,7 +18,6 @@
 
 val schedule :
   ?seed:int ->
-  ?rng:Ftsched_util.Rng.t ->
   ?alpha:float ->
   ?trace:Ftsched_kernel.Trace.t ->
   rates:float array ->

@@ -120,45 +120,56 @@ let verify ?(spec = Workload.quick) ?(master_seed = 2008) () =
     (c2 < 1.10 *. c0)
     (Printf.sprintf "mean crash2/crash0 = %.3f" (c2 /. c0));
   (* --- Table 1 ------------------------------------------------------- *)
-  let time algo n =
-    (* best of 5: CPU-time ratios get noisy when the test battery runs
-       in parallel with domain-heavy suites *)
-    let once () =
-      let rng = Ftsched_util.Rng.create ~seed:(master_seed + n) in
-      let dag = Ftsched_dag.Generators.layered rng ~n_tasks:n () in
-      let platform =
-        Ftsched_platform.Platform.random rng ~m:20 ~delay_lo:0.5
-          ~delay_hi:1.0 ()
-      in
-      let inst = Instance.random_exec rng ~dag ~platform () in
-      (* quiesce the GC so the short runs don't pay major-heap slices
-         for garbage the sweeps above left behind *)
-      Gc.full_major ();
-      let t0 = Sys.time () in
-      (match algo with
-      | `Ftsa -> ignore (Sys.opaque_identity (Ftsa.schedule inst ~eps:2))
-      | `Ftbar -> ignore (Sys.opaque_identity (Ftbar.schedule inst ~npf:2)));
-      Sys.time () -. t0
+  (* Growth of the running time from 200 to 1600 tasks — sizes large
+     enough that the asymptotic free-set factor dominates the flat-array
+     engine's small constants.  CPU-time ratios get noisy when the test
+     battery runs beside domain-heavy suites, so every sample repeats its
+     run back to back until it has taken at least 10 ms, each round
+     interleaves the samples of both schedulers, and the verdict is the
+     median over rounds of FTBAR's growth over FTSA's. *)
+  let instance n =
+    let rng = Ftsched_util.Rng.create ~seed:(master_seed + n) in
+    let dag = Ftsched_dag.Generators.layered rng ~n_tasks:n () in
+    let platform =
+      Ftsched_platform.Platform.random rng ~m:20 ~delay_lo:0.5 ~delay_hi:1.0 ()
     in
-    let best = ref (once ()) in
-    for _ = 1 to 4 do
-      best := Float.min !best (once ())
-    done;
-    !best
+    Instance.random_exec rng ~dag ~platform ()
   in
-  (* sizes large enough that the asymptotic free-set factor dominates
-     the flat-array engine's small constants — at n=100 the whole run
-     sits near the timer's noise floor *)
-  let f_small = time `Ftsa 200 and f_big = time `Ftsa 1600 in
-  let b_small = time `Ftbar 200 and b_big = time `Ftbar 1600 in
-  let ftsa_growth = f_big /. Float.max f_small 1e-6 in
-  let ftbar_growth = b_big /. Float.max b_small 1e-6 in
+  let cpu_per_run schedule inst =
+    (* quiesce the GC so the sample doesn't pay major-heap slices for
+       garbage the sweeps above left behind *)
+    Gc.full_major ();
+    let t0 = Sys.time () in
+    let rec go runs =
+      ignore (Sys.opaque_identity (schedule inst));
+      let dt = Sys.time () -. t0 in
+      if dt >= 0.01 then dt /. float_of_int runs else go (runs + 1)
+    in
+    go 1
+  in
+  let small = instance 200 and big = instance 1600 in
+  (* the big run sits between two small samples, so a drift in machine
+     speed over the sample pair cancels to first order *)
+  let growth schedule =
+    let before = cpu_per_run schedule small in
+    let t_big = cpu_per_run schedule big in
+    2. *. t_big /. (before +. cpu_per_run schedule small)
+  in
+  let rounds =
+    Array.init 7 (fun _ ->
+        let f = growth (fun i -> Ftsa.schedule i ~eps:2) in
+        (f, growth (fun i -> Ftbar.schedule i ~npf:2)))
+  in
+  let median f = Ftsched_util.Stats.median (Array.map f rounds) in
+  let ratio = median (fun (f, b) -> b /. f) in
   check "table1.ftbar-scales-worse"
     "FTBAR's running time grows much faster with the task count than \
      FTSA's (Table 1)"
-    (ftbar_growth > 2. *. ftsa_growth)
-    (Printf.sprintf "growth x8 tasks: FTSA %.1fx, FTBAR %.1fx" ftsa_growth
-       ftbar_growth);
+    (ratio > 2.)
+    (Printf.sprintf
+       "growth x8 tasks: FTSA %.1fx, FTBAR %.1fx (median ratio %.2f over %d \
+        rounds)"
+       (median fst) (median snd) ratio (Array.length rounds));
   (* --- message economics --------------------------------------------- *)
   let inst =
     Workload.instance spec ~master_seed ~granularity:1.0 ~index:0

@@ -8,6 +8,7 @@ module Validate = Ftsched_schedule.Validate
 module Serialize = Ftsched_schedule.Serialize
 module Comm_plan = Ftsched_schedule.Comm_plan
 module Edge_select = Ftsched_core.Edge_select
+module Schedulers = Ftsched_core.Schedulers
 module Scenario = Ftsched_sim.Scenario
 module Crash_exec = Ftsched_sim.Crash_exec
 module Event_sim = Ftsched_sim.Event_sim
@@ -16,99 +17,6 @@ module Par = Ftsched_par.Par
 module Stream = Ftsched_stream.Stream
 
 type case = { instance : Instance.t; eps : int; sched_seed : int }
-
-type scheduler = {
-  name : string;
-  run : seed:int -> Instance.t -> eps:int -> Schedule.t;
-}
-
-(* Deterministic per-platform parameters for the variants that need
-   extra structure: heterogeneous failure rates for R-FTSA and a
-   [min m (eps+2)]-way domain partition for FTSA-domains (>= eps+1
-   domains, as required; recomputed from the current m so the shrinker
-   can drop processors). *)
-let rates_for m = Array.init m (fun p -> 0.0005 *. float_of_int (p + 1))
-
-let domains_for ~m ~eps =
-  let d = min m (eps + 2) in
-  Array.init m (fun p -> p mod d)
-
-(* Campaign seeds fan out over domains (Par.parallel_init), so the
-   warm-start workspace is per-domain: each domain reuses its arrays
-   across every seed it processes, and the bit-for-bit guarantee of
-   Driver.workspace keeps the campaign's digests unchanged. *)
-let fuzz_workspace : Ftsched_kernel.Driver.workspace Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Ftsched_kernel.Driver.workspace ())
-
-let schedulers =
-  [
-    {
-      name = "ftsa";
-      run =
-        (fun ~seed inst ~eps ->
-          Ftsched_core.Ftsa.schedule ~seed
-            ~workspace:(Domain.DLS.get fuzz_workspace)
-            inst ~eps);
-    };
-    {
-      name = "mc-greedy";
-      run =
-        (fun ~seed inst ~eps -> Ftsched_core.Mc_ftsa.schedule ~seed inst ~eps);
-    };
-    {
-      name = "mc-bottleneck";
-      run =
-        (fun ~seed inst ~eps ->
-          Ftsched_core.Mc_ftsa.schedule ~seed
-            ~strategy:Ftsched_core.Mc_ftsa.Bottleneck inst ~eps);
-    };
-    {
-      name = "mc-redundant";
-      run =
-        (fun ~seed inst ~eps ->
-          Ftsched_core.Mc_ftsa.schedule ~seed
-            ~strategy:(Ftsched_core.Mc_ftsa.Redundant 2) inst ~eps);
-    };
-    {
-      name = "ca-ftsa";
-      run =
-        (fun ~seed inst ~eps -> Ftsched_core.Ca_ftsa.schedule ~seed inst ~eps);
-    };
-    {
-      name = "r-ftsa";
-      run =
-        (fun ~seed inst ~eps ->
-          Ftsched_core.R_ftsa.schedule ~seed
-            ~rates:(rates_for (Instance.n_procs inst))
-            inst ~eps);
-    };
-    {
-      name = "ftsa-domains";
-      run =
-        (fun ~seed inst ~eps ->
-          Ftsched_core.Ftsa_domains.schedule ~seed
-            ~domains:(domains_for ~m:(Instance.n_procs inst) ~eps)
-            inst ~eps);
-    };
-    {
-      name = "ftbar";
-      run =
-        (fun ~seed inst ~eps ->
-          Ftsched_baseline.Ftbar.schedule ~seed inst ~npf:eps);
-    };
-    {
-      name = "heft";
-      run = (fun ~seed:_ inst ~eps:_ -> Ftsched_baseline.Heft.schedule inst);
-    };
-    {
-      name = "peft";
-      run = (fun ~seed:_ inst ~eps:_ -> Ftsched_baseline.Peft.schedule inst);
-    };
-    {
-      name = "cpop";
-      run = (fun ~seed:_ inst ~eps:_ -> Ftsched_baseline.Cpop.schedule inst);
-    };
-  ]
 
 type oracle =
   | Crash
@@ -224,7 +132,7 @@ let candidate_edges s ~src ~dst ~volume =
                    forced = false;
                  })))
 
-let check sched case =
+let check (sched : Schedulers.t) case =
   let { instance = inst; eps; sched_seed } = case in
   match sched.run ~seed:sched_seed inst ~eps with
   | exception e ->
@@ -785,10 +693,10 @@ let witness_filename ~seed = function
   | Tournament { policy_a; policy_b; _ } ->
       Printf.sprintf "%s-vs-%s-seed%d.case" policy_a policy_b seed
 
-let replay ?(schedulers = schedulers) path =
+let replay ?(schedulers = Schedulers.all) path =
   let ( let* ) = Result.bind in
   let find name =
-    match List.find_opt (fun s -> s.name = name) schedulers with
+    match List.find_opt (fun s -> s.Schedulers.name = name) schedulers with
     | Some s -> Ok s
     | None -> Error (Printf.sprintf "unknown scheduler %S" name)
   in
@@ -835,7 +743,7 @@ type finding = {
   shrink : shrink_stats option;
 }
 
-let run_seed ?(schedulers = schedulers) seed =
+let run_seed ?(schedulers = Schedulers.all) seed =
   let case = gen_case ~seed in
   List.concat_map
     (fun sched ->
@@ -857,7 +765,7 @@ let run_seed ?(schedulers = schedulers) seed =
                seed;
                witness =
                  Instance
-                   { scheduler = sched.name; oracle = v.oracle; case = shrunk };
+                   { scheduler = sched.Schedulers.name; oracle = v.oracle; case = shrunk };
                violations = [ violation ];
                shrink = Some { original = case; steps; evaluations };
              }))
@@ -875,7 +783,7 @@ type report = {
   findings : (finding * string option) list;
 }
 
-let campaign ?(schedulers = schedulers) ?jobs ?(should_stop = fun () -> false)
+let campaign ?(schedulers = Schedulers.all) ?jobs ?(should_stop = fun () -> false)
     ?(dir = "_fuzz") ?(save = true) ~seeds () =
   let jobs_eff = match jobs with Some j -> j | None -> Par.default_jobs () in
   let chunk = max 1 (jobs_eff * 4) in

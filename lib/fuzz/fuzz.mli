@@ -10,8 +10,9 @@
     round-trip).  Independent implementations drift silently; this
     harness makes the drift loud.
 
-    Per seed it generates a small random instance, runs every
-    registered scheduler policy, and cross-checks four oracle families:
+    Per seed it generates a small random instance, runs every scheduler
+    of {!Ftsched_core.Schedulers.all} (or the list passed as
+    [?schedulers]), and cross-checks four oracle families:
 
     - {b structural}: [Validate.check] plus [M* <= M];
     - {b survivability}: [survives_all_subsets] for all-to-all plans
@@ -63,21 +64,6 @@ type case = {
   sched_seed : int;  (** seed handed to the scheduler (tie-breaking) *)
 }
 
-type scheduler = {
-  name : string;
-  run :
-    seed:int -> Ftsched_model.Instance.t -> eps:int ->
-    Ftsched_schedule.Schedule.t;
-}
-
-val schedulers : scheduler list
-(** The full registry: every policy instantiation of the scheduling
-    kernel — ftsa, mc-greedy, mc-bottleneck, mc-redundant, ca-ftsa,
-    r-ftsa (fixed heterogeneous rates), ftsa-domains (deterministic
-    [min m (ε+2)]-way partition), ftbar, heft, peft, cpop.  The
-    fault-free baselines ignore [eps] and produce [ε = 0] schedules,
-    which still exercise every oracle. *)
-
 type oracle =
   | Crash  (** the scheduler itself raised *)
   | Structural
@@ -104,7 +90,7 @@ val gen_case : seed:int -> case
     from five DAG families (layered, Erdős–Rényi, fork–join, out-tree,
     chain), random platform/cost matrices, [ε] in [0 .. min 2 (m-1)]. *)
 
-val check : scheduler -> case -> violation list
+val check : Ftsched_core.Schedulers.t -> case -> violation list
 (** Run the scheduler on the case and evaluate every applicable oracle.
     Empty list = clean.  Exceptions anywhere in the pipeline become
     {!Crash} / per-oracle violations, never escape. *)
@@ -128,7 +114,7 @@ val check_parser : seed:int -> violation list
     function of the seed. *)
 
 val shrink :
-  ?max_evals:int -> scheduler -> case -> oracle -> case * int * int
+  ?max_evals:int -> Ftsched_core.Schedulers.t -> case -> oracle -> case * int * int
 (** [shrink sched case oracle] minimizes a failing case while the same
     oracle keeps failing.  Returns [(minimal, accepted_steps,
     evaluations)].  Deterministic; bounded by [max_evals] (default
@@ -173,7 +159,7 @@ val witness_filename : seed:int -> witness -> string
     [.case] suffix. *)
 
 val replay :
-  ?schedulers:scheduler list ->
+  ?schedulers:Ftsched_core.Schedulers.t list ->
   string ->
   (string * violation list, string) result
 (** [replay path] re-runs the oracles on a saved witness:
@@ -187,7 +173,7 @@ val replay :
     doubles as a fuzz seed. *)
 
 val replay_corpus :
-  ?schedulers:scheduler list ->
+  ?schedulers:Ftsched_core.Schedulers.t list ->
   string ->
   (string * (string * violation list, string) result) list
 (** [replay_corpus dir] replays every [*.case] file under [dir] (sorted
@@ -215,7 +201,7 @@ type finding = {
   shrink : shrink_stats option;  (** [Instance] findings only *)
 }
 
-val run_seed : ?schedulers:scheduler list -> int -> finding list
+val run_seed : ?schedulers:Ftsched_core.Schedulers.t list -> int -> finding list
 (** [run_seed seed] generates, checks every scheduler, shrinks every
     violation: one [Instance] finding per (scheduler, violated oracle).
     Pure function of the seed (and the scheduler list). *)
@@ -229,7 +215,7 @@ type report = {
 }
 
 val campaign :
-  ?schedulers:scheduler list ->
+  ?schedulers:Ftsched_core.Schedulers.t list ->
   ?jobs:int ->
   ?should_stop:(unit -> bool) ->
   ?dir:string ->

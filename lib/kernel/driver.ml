@@ -184,15 +184,8 @@ let commit_insertion st t chosen =
    bit-identical — the pinned schedule digests check it. *)
 module Alpha = Ftsched_ds.Bin_heap
 
-(* A reusable allocation arena for [run]: every per-call array (timeline
-   state, placement rows, per-processor scratch, priority heap, free-set
-   links) lives here and is resized only when the instance shape grows.
-   One workspace serves one caller at a time — sharing it between
-   concurrent runs corrupts both. *)
 type workspace = {
   mutable w_m : int;
-  mutable w_v : int;
-  mutable w_ne : int;
   mutable w_insertion : bool;
   mutable w_timeline : Proc_state.t;
   mutable w_placed : committed array option array;
@@ -207,11 +200,9 @@ type workspace = {
   mutable w_prev : int array;
 }
 
-let workspace () =
+let empty_workspace () =
   {
     w_m = 1;
-    w_v = 0;
-    w_ne = 0;
     w_insertion = false;
     w_timeline = Proc_state.create ~m:1 ~insertion:false;
     w_placed = [||];
@@ -225,6 +216,8 @@ let workspace () =
     w_next = [||];
     w_prev = [||];
   }
+
+let workspace = empty_workspace
 
 (* Bring a workspace to the exact state fresh allocation would produce
    for this call shape, growing (never shrinking) what mismatches. *)
@@ -250,13 +243,11 @@ let ready_workspace w ~v ~m ~ne ~insertion =
     w.w_next <- Array.make v (-1);
     w.w_prev <- Array.make v (-1)
   end;
-  w.w_v <- v;
-  w.w_ne <- ne;
   Alpha.clear w.w_alpha
 
 let now () = Sys.time ()
 
-let run ~rng ~instance ~policy ?release ?deadlines ?trace ?workspace () =
+let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
   let g = Instance.dag instance in
   let v = Dag.n_tasks g in
   let m = Instance.n_procs instance in
@@ -271,35 +262,21 @@ let run ~rng ~instance ~policy ?release ?deadlines ?trace ?workspace () =
   | Some d when Array.length d <> v -> invalid_arg "Driver.run: deadlines size"
   | _ -> ());
   let ne = Dag.n_edges g in
-  (match workspace with
-  | Some w -> ready_workspace w ~v ~m ~ne ~insertion:policy.insertion
-  | None -> ());
+  let w = match workspace with Some w -> w | None -> empty_workspace () in
+  ready_workspace w ~v ~m ~ne ~insertion:policy.insertion;
   let st =
     {
       inst = instance;
-      rng;
+      rng = Rng.create ~seed;
       n_tasks = v;
       n_procs = m;
-      timeline =
-        (match workspace with
-        | Some w -> w.w_timeline
-        | None -> Proc_state.create ~m ~insertion:policy.insertion);
-      placed =
-        (match workspace with
-        | Some w -> w.w_placed
-        | None -> Array.make v None);
-      selected =
-        (match workspace with
-        | Some w -> w.w_selected
-        | None -> Array.make ne []);
-      in_opt =
-        (match workspace with Some w -> w.w_in_opt | None -> Array.make m 0.);
-      in_pess =
-        (match workspace with Some w -> w.w_in_pess | None -> Array.make m 0.);
-      tmp_opt =
-        (match workspace with Some w -> w.w_tmp_opt | None -> Array.make m 0.);
-      tmp_pess =
-        (match workspace with Some w -> w.w_tmp_pess | None -> Array.make m 0.);
+      timeline = w.w_timeline;
+      placed = w.w_placed;
+      selected = w.w_selected;
+      in_opt = w.w_in_opt;
+      in_pess = w.w_in_pess;
+      tmp_opt = w.w_tmp_opt;
+      tmp_pess = w.w_tmp_pess;
       pred_off = Dag.Csr.pred_offsets g;
       pred_task = Dag.Csr.pred_tasks g;
       pred_vol = Dag.Csr.pred_volumes g;
@@ -321,6 +298,18 @@ let run ~rng ~instance ~policy ?release ?deadlines ?trace ?workspace () =
   (match trace with
   | Some tr -> Trace.start tr ~algorithm:policy.name
   | None -> ());
+  (* Phase timers: [lap phase since] books the time elapsed since [since]
+     to [phase] and returns the current instant; both cost nothing on an
+     untraced run. *)
+  let tick () = match trace with Some _ -> now () | None -> 0. in
+  let lap phase since =
+    match trace with
+    | Some tr ->
+        let t = now () in
+        Trace.add_phase tr phase (t -. since);
+        t
+    | None -> 0.
+  in
   let failure = ref None in
   let step_count = ref 0 in
   (* Evaluate, select and commit one task.  Under [Urgency] the policy
@@ -330,21 +319,14 @@ let run ~rng ~instance ~policy ?release ?deadlines ?trace ?workspace () =
     let evals, chosen =
       match pre_chosen with
       | Some chosen -> (chosen, chosen)
-      | None -> (
-          match trace with
-          | None ->
-              policy.prepare st t;
-              let evals = Array.init m (policy.evaluate st t) in
-              (evals, policy.choose st t evals)
-          | Some tr ->
-              let t0 = now () in
-              policy.prepare st t;
-              let evals = Array.init m (policy.evaluate st t) in
-              let t1 = now () in
-              let chosen = policy.choose st t evals in
-              Trace.add_phase tr `Evaluate (t1 -. t0);
-              Trace.add_phase tr `Choose (now () -. t1);
-              (evals, chosen))
+      | None ->
+          let t0 = tick () in
+          policy.prepare st t;
+          let evals = Array.init m (policy.evaluate st t) in
+          let t1 = lap `Evaluate t0 in
+          let chosen = policy.choose st t evals in
+          ignore (lap `Choose t1);
+          (evals, chosen)
     in
     (match trace with
     | Some tr -> Trace.add_evals tr (Array.length evals)
@@ -365,7 +347,7 @@ let run ~rng ~instance ~policy ?release ?deadlines ?trace ?workspace () =
           else true
     in
     if deadline_ok then begin
-      let t2 = match trace with Some _ -> now () | None -> 0. in
+      let t2 = tick () in
       let committed = policy.commit st t chosen in
       st.placed.(t) <- Some committed;
       Array.iter
@@ -374,9 +356,9 @@ let run ~rng ~instance ~policy ?release ?deadlines ?trace ?workspace () =
             ~finish:c.finish_opt ~pess_finish:c.finish_pess)
         committed;
       policy.after_commit st t committed;
+      ignore (lap `Commit t2);
       (match trace with
       | Some tr ->
-          Trace.add_phase tr `Commit (now () -. t2);
           let edges =
             if policy.selected_comm then
               List.map (fun e -> (e, st.selected.(e))) (Dag.in_edges g t)
@@ -412,21 +394,24 @@ let run ~rng ~instance ~policy ?release ?deadlines ?trace ?workspace () =
   let entry_tasks = Dag.Csr.entries g in
   (* Incremental ready counts: a task enters the free set exactly when
      its pending-predecessor counter hits zero. *)
-  let remaining =
-    match workspace with
-    | Some w -> w.w_remaining
-    | None -> Array.make v 0
-  in
+  let remaining = w.w_remaining in
   for t = 0 to v - 1 do
     remaining.(t) <- st.pred_off.(t + 1) - st.pred_off.(t)
   done;
+  (* Count [t]'s successors down; [free] each one whose last input just
+     arrived. *)
+  let release_succs t free =
+    for k = st.succ_off.(t) to st.succ_off.(t + 1) - 1 do
+      let t' = st.succ_task.(k) in
+      remaining.(t') <- remaining.(t') - 1;
+      if remaining.(t') = 0 then free t'
+    done
+  in
+  (* cleared when the bicriteria deadline test fails *)
+  let running = ref true in
   (match policy.discipline with
   | Priority { key; tie } ->
-      let alpha =
-        match workspace with
-        | Some w -> w.w_alpha
-        | None -> Alpha.create ~capacity:(max 1 v) ()
-      in
+      let alpha = w.w_alpha in
       let seq = ref 0 in
       let push_free t =
         let prio = key st t in
@@ -449,39 +434,22 @@ let run ~rng ~instance ~policy ?release ?deadlines ?trace ?workspace () =
           for i = Array.length entry_tasks - 1 downto 0 do
             push_free entry_tasks.(i)
           done);
-      let continue_run = ref true in
-      while !continue_run do
-        if Alpha.is_empty alpha then continue_run := false
-        else begin
-          let t = Alpha.max_task alpha and prio = Alpha.max_prio alpha in
-          Alpha.drop_max alpha;
-          if not (do_task ~prio t) then continue_run := false
-          else
-            for k = st.succ_off.(t) to st.succ_off.(t + 1) - 1 do
-              let t' = st.succ_task.(k) in
-              remaining.(t') <- remaining.(t') - 1;
-              if remaining.(t') = 0 then push_free t'
-            done
-        end
+      while !running && not (Alpha.is_empty alpha) do
+        let t = Alpha.max_task alpha and prio = Alpha.max_prio alpha in
+        Alpha.drop_max alpha;
+        if do_task ~prio t then release_succs t push_free else running := false
       done
   | Fixed_order order ->
-      let order = order st in
-      (try
-         Array.iter
-           (fun t -> if not (do_task ~prio:nan t) then raise Exit)
-           order
-       with Exit -> ())
+      Array.iter
+        (fun t -> if !running && not (do_task ~prio:nan t) then running := false)
+        (order st)
   | Urgency urgency ->
       (* The free set as an intrusive doubly-linked list over int arrays,
          newest first: O(1) insertion and removal where the list-based
          loop paid an O(n) [List.filter] per scheduled task.  [snapshot]
          materializes the membership for the policy callback, newest
          first — the order the old list exposed. *)
-      let next, prev =
-        match workspace with
-        | Some w -> (w.w_next, w.w_prev)
-        | None -> (Array.make v (-1), Array.make v (-1))
-      in
+      let next = w.w_next and prev = w.w_prev in
       let head = ref (-1) in
       let count = ref 0 in
       let push_front t =
@@ -511,27 +479,16 @@ let run ~rng ~instance ~policy ?release ?deadlines ?trace ?workspace () =
         done;
         a
       in
-      let continue_run = ref true in
-      while !continue_run && !count > 0 do
+      while !running && !count > 0 do
         let free = snapshot () in
-        let t, prio, chosen =
-          match trace with
-          | None -> urgency st ~free
-          | Some tr ->
-              let t0 = now () in
-              let r = urgency st ~free in
-              Trace.add_phase tr `Evaluate (now () -. t0);
-              r
-        in
-        if not (do_task ~pre_chosen:chosen ~prio t) then continue_run := false
-        else begin
+        let t0 = tick () in
+        let t, prio, chosen = urgency st ~free in
+        ignore (lap `Evaluate t0);
+        if do_task ~pre_chosen:chosen ~prio t then begin
           remove t;
-          for k = st.succ_off.(t) to st.succ_off.(t + 1) - 1 do
-            let t' = st.succ_task.(k) in
-            remaining.(t') <- remaining.(t') - 1;
-            if remaining.(t') = 0 then push_front t'
-          done
+          release_succs t push_front
         end
+        else running := false
       done);
   (match trace with
   | Some tr -> Trace.finish tr ~gap:(Proc_state.gap_stats st.timeline)
@@ -572,3 +529,8 @@ let run ~rng ~instance ~policy ?release ?deadlines ?trace ?workspace () =
         else Comm_plan.All_to_all
       in
       Ok (Schedule.create ~instance ~eps:(policy.replicas - 1) ~replicas ~comm)
+
+let schedule ?seed ~instance ~policy ?release ?trace ?workspace () =
+  match run ?seed ~instance ~policy ?release ?trace ?workspace () with
+  | Ok s -> s
+  | Error _ -> assert false (* no deadlines supplied: cannot fail *)

@@ -137,7 +137,7 @@ val workspace : unit -> workspace
 (** A fresh, empty workspace, usable with any instance shape. *)
 
 val run :
-  rng:Ftsched_util.Rng.t ->
+  ?seed:int ->
   instance:Ftsched_model.Instance.t ->
   policy:policy ->
   ?release:float array ->
@@ -146,9 +146,12 @@ val run :
   ?workspace:workspace ->
   unit ->
   (Ftsched_schedule.Schedule.t, deadline_failure) result
-(** Run the loop to completion.  With [?deadlines] (one per task) the
+(** Run the loop to completion.  [?seed] (default 0) seeds the run's RNG,
+    which breaks exact priority ties ([Rng_tie]) and whatever draws the
+    policy makes from [state.rng].  With [?deadlines] (one per task) the
     per-step feasibility check of §4.3 aborts at the first missed
-    deadline.  [?trace] records every decision (see {!Trace}).
+    deadline.  [?trace] records every decision (see {!Trace}).  Without
+    [?workspace] the run allocates a fresh one.
 
     [?release] (one entry per processor, default all zero) models
     {e residual} timelines: processor [p] is busy with foreign work until
@@ -161,6 +164,18 @@ val run :
     [release] has the wrong size or holds a negative, NaN or infinite
     entry, if [deadlines] has the wrong size, or if [policy.replicas] is
     not in [1, m]. *)
+
+val schedule :
+  ?seed:int ->
+  instance:Ftsched_model.Instance.t ->
+  policy:policy ->
+  ?release:float array ->
+  ?trace:Trace.t ->
+  ?workspace:workspace ->
+  unit ->
+  Ftsched_schedule.Schedule.t
+(** {!run} without deadlines, which cannot fail: the entry point of every
+    scheduler. *)
 
 (** {2 Equation-(1)/(3) helpers}
 

@@ -21,6 +21,8 @@
       metrics                                   no body
     v}
 
+    [<algo>] is any name of {!Ftsched_core.Schedulers.all} (the same
+    names as the CLI's [--algo]); any other name is {!Unsupported}.
     [budget] is the client deadline in seconds, relative to the
     server's acceptance of the frame ([inf] = none).  Responses are
     either [ok <kind>] followed by the result body, or

@@ -168,36 +168,6 @@ let accounting_line m =
 
 type exec_outcome = [ `Served | `Malformed | `Unsupported | `Internal ]
 
-(* Handlers run on the Domain pool; each domain warm-starts its FTSA
-   calls from its own scheduling arena (a workspace is single-owner, and
-   results are bit-for-bit identical with or without one). *)
-let domain_workspace : Ftsched_kernel.Driver.workspace Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Ftsched_kernel.Driver.workspace ())
-
-let schedulers :
-    (string * (seed:int -> Instance.t -> eps:int -> Schedule.t)) list =
-  [
-    ( "ftsa",
-      fun ~seed inst ~eps ->
-        Ftsched_core.Ftsa.schedule ~seed
-          ~workspace:(Domain.DLS.get domain_workspace)
-          inst ~eps );
-    ( "mc-ftsa",
-      fun ~seed inst ~eps -> Ftsched_core.Mc_ftsa.schedule ~seed inst ~eps );
-    ( "mc-bottleneck",
-      fun ~seed inst ~eps ->
-        Ftsched_core.Mc_ftsa.schedule ~seed
-          ~strategy:Ftsched_core.Mc_ftsa.Bottleneck inst ~eps );
-    ( "ca-ftsa",
-      fun ~seed inst ~eps -> Ftsched_core.Ca_ftsa.schedule ~seed inst ~eps );
-    ( "ftbar",
-      fun ~seed inst ~eps -> Ftsched_baseline.Ftbar.schedule ~seed inst ~npf:eps
-    );
-    ("heft", fun ~seed:_ inst ~eps:_ -> Ftsched_baseline.Heft.schedule inst);
-    ("peft", fun ~seed:_ inst ~eps:_ -> Ftsched_baseline.Peft.schedule inst);
-    ("cpop", fun ~seed:_ inst ~eps:_ -> Ftsched_baseline.Cpop.schedule inst);
-  ]
-
 let err e : string * exec_outcome =
   let outcome =
     match e with
@@ -225,10 +195,10 @@ let execute ~cfg request : string * exec_outcome =
   | Protocol.Health | Protocol.Metrics ->
       err (Protocol.Internal "info request reached the work pool")
   | Protocol.Schedule { algo; eps; seed; body } -> (
-      match List.assoc_opt algo schedulers with
+      match Ftsched_core.Schedulers.find algo with
       | None ->
           err (Protocol.Unsupported (Printf.sprintf "unknown scheduler %S" algo))
-      | Some run -> (
+      | Some sched -> (
           match Serialize.instance_of_string body with
           | exception (Failure msg | Invalid_argument msg) ->
               err (Protocol.Malformed msg)
@@ -242,7 +212,7 @@ let execute ~cfg request : string * exec_outcome =
                       (Protocol.Malformed
                          (Printf.sprintf "eps %d out of range (m=%d)" eps m))
                   else (
-                    match run ~seed inst ~eps with
+                    match sched.Ftsched_core.Schedulers.run ~seed inst ~eps with
                     | exception e ->
                         err (Protocol.Internal (Printexc.to_string e))
                     | s ->

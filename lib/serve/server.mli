@@ -3,7 +3,8 @@
     One thread owns everything: a non-blocking [select] loop accepts
     connections, decodes {!Protocol} frames incrementally, answers
     [health]/[metrics] inline, and pushes work requests through a
-    bounded admission queue.  Work executes in batches on the
+    bounded admission queue.  [schedule] requests run any scheduler of
+    {!Ftsched_core.Schedulers.all}, looked up by name.  Work executes in batches on the
     {!Ftsched_par.Par} Domain pool — every handler is a pure function
     of its request, so responses are byte-identical for any worker
     count — and successful responses are cached in an LRU keyed by the
@@ -61,7 +62,7 @@ type fate =
   | Rejected_overloaded  (** queue full at admission *)
   | Rejected_infeasible  (** admission estimate exceeded the budget *)
   | Rejected_malformed  (** body rejected by the hardened parser *)
-  | Rejected_unsupported  (** unknown scheduler *)
+  | Rejected_unsupported  (** scheduler not in {!Ftsched_core.Schedulers.all} *)
   | Expired  (** budget ran out before or during execution *)
   | Failed_internal  (** handler raised; typed [internal] response *)
   | Aborted_disconnect  (** connection died before the response *)

@@ -78,7 +78,13 @@ let run ?(policy = Strict) s scenario =
   let eps = Schedule.eps s in
   let v = Dag.n_tasks g and m = Instance.n_procs inst in
   let dead = Array.make m false in
-  Array.iter (fun p -> dead.(p) <- true) scenario.Scenario.failed;
+  Array.iter
+    (fun p ->
+      if p < 0 || p >= m then
+        invalid_arg
+          (Printf.sprintf "Crash_exec.run: processor %d not in [0, %d)" p m);
+      dead.(p) <- true)
+    scenario.Scenario.failed;
   let productive = productivity s ~policy ~dead in
   (* Replica-level dependency graph: data edges (effective sender →
      receiver) plus per-processor chains between consecutive productive

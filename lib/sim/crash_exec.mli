@@ -47,7 +47,8 @@ type t = {
 }
 
 val run : ?policy:policy -> Ftsched_schedule.Schedule.t -> Scenario.t -> t
-(** Default policy is [Strict]. *)
+(** Default policy is [Strict].  Raises [Invalid_argument] naming the
+    processor if the scenario fails one outside [\[0, m)]. *)
 
 type defeat = { task : int; scenario : Scenario.t }
 (** [task] is the first (lowest-id) task with no completed replica. *)

@@ -988,5 +988,11 @@ let run_timed ?network ?faults ?release s timed =
 let run_crash ?network ?faults s scenario =
   let m = Instance.n_procs (Schedule.instance s) in
   let fail_times = Array.make m infinity in
-  Array.iter (fun p -> fail_times.(p) <- 0.) scenario.Scenario.failed;
+  Array.iter
+    (fun p ->
+      if p < 0 || p >= m then
+        invalid_arg
+          (Printf.sprintf "Event_sim.run_crash: processor %d not in [0, %d)" p m);
+      fail_times.(p) <- 0.)
+    scenario.Scenario.failed;
   run ?network ?faults s ~fail_times

@@ -217,4 +217,5 @@ val run_crash :
   Scenario.t ->
   result
 (** All scenario processors dead from time 0 — comparable with
-    {!Crash_exec.run}. *)
+    {!Crash_exec.run}.  Raises [Invalid_argument] naming the processor if
+    the scenario fails one outside [\[0, m)]. *)

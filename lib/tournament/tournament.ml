@@ -7,6 +7,7 @@ module Serialize = Ftsched_schedule.Serialize
 module Scenario = Ftsched_sim.Scenario
 module Crash_exec = Ftsched_sim.Crash_exec
 module Fuzz = Ftsched_fuzz.Fuzz
+module Schedulers = Ftsched_core.Schedulers
 module Par = Ftsched_par.Par
 
 (* ------------------------------------------------------------------ *)
@@ -30,9 +31,9 @@ type outcome = Defeated | Makespan of float
    rejected the output).  Those are fuzzer findings, not tournament
    evidence: the candidate instance is rejected so every witness this
    module saves replays through clean schedules. *)
-let eval_policy (sched : Fuzz.scheduler) ~metric ~sched_seed
+let eval_policy (sched : Schedulers.t) ~metric ~sched_seed
     (g : Mutate.genome) =
-  match sched.Fuzz.run ~seed:sched_seed g.Mutate.instance ~eps:g.Mutate.eps with
+  match sched.Schedulers.run ~seed:sched_seed g.Mutate.instance ~eps:g.Mutate.eps with
   | exception _ -> None
   | s -> (
       match Validate.check s with
@@ -118,7 +119,7 @@ let temperature ~temp ~iters i =
   temp *. (0.02 ** (float_of_int i /. float_of_int (max 1 iters)))
 
 let search ?(iters = 200) ?(temp = 0.25) ?(metric = Guaranteed)
-    ?(baseline = 0) ~seed (a : Fuzz.scheduler) (b : Fuzz.scheduler) =
+    ?(baseline = 0) ~seed (a : Schedulers.t) (b : Schedulers.t) =
   let sched_seed = seed in
   let score_g g = score ~a ~b ~metric ~sched_seed g in
   let evaluated = ref 0 in
@@ -224,8 +225,8 @@ let search ?(iters = 200) ?(temp = 0.25) ?(metric = Guaranteed)
     end
   in
   {
-    policy_a = a.Fuzz.name;
-    policy_b = b.Fuzz.name;
+    policy_a = a.Schedulers.name;
+    policy_b = b.Schedulers.name;
     pair_seed = seed;
     sched_seed;
     best = !best;
@@ -254,11 +255,11 @@ let ordered_pairs policies =
     (fun a ->
       List.filter_map
         (fun b ->
-          if a.Fuzz.name = b.Fuzz.name then None else Some (a, b))
+          if a.Schedulers.name = b.Schedulers.name then None else Some (a, b))
         policies)
     policies
 
-let campaign ?jobs ?(policies = Fuzz.schedulers) ?pairs ?(iters = 200)
+let campaign ?jobs ?(policies = Schedulers.all) ?pairs ?(iters = 200)
     ?(temp = 0.25) ?(metric = Guaranteed) ?(baseline = 0) ~seed () =
   let all = ordered_pairs policies in
   let all =
@@ -359,9 +360,7 @@ let replay path =
   match Fuzz.read_witness ~path with
   | exception e -> Error (Printexc.to_string e)
   | Fuzz.Tournament w -> (
-      let find name =
-        List.find_opt (fun s -> s.Fuzz.name = name) Fuzz.schedulers
-      in
+      let find = Schedulers.find in
       match (find w.policy_a, find w.policy_b, metric_of_name w.metric) with
       | None, _, _ -> Error (Printf.sprintf "unknown policy %S" w.policy_a)
       | _, None, _ -> Error (Printf.sprintf "unknown policy %S" w.policy_b)

@@ -32,7 +32,7 @@ val metric_of_name : string -> metric option
 type outcome = Defeated | Makespan of float
 
 val eval_policy :
-  Ftsched_fuzz.Fuzz.scheduler ->
+  Ftsched_core.Schedulers.t ->
   metric:metric ->
   sched_seed:int ->
   Mutate.genome ->
@@ -75,8 +75,8 @@ val search :
   ?metric:metric ->
   ?baseline:int ->
   seed:int ->
-  Ftsched_fuzz.Fuzz.scheduler ->
-  Ftsched_fuzz.Fuzz.scheduler ->
+  Ftsched_core.Schedulers.t ->
+  Ftsched_core.Schedulers.t ->
   pair_report
 (** [search ~seed a b] anneals for [iters] (default 200) proposals with
     geometric cooling from [temp] (default 0.25) down to 2% of it.
@@ -95,13 +95,13 @@ type report = {
 }
 
 val ordered_pairs :
-  Ftsched_fuzz.Fuzz.scheduler list ->
-  (Ftsched_fuzz.Fuzz.scheduler * Ftsched_fuzz.Fuzz.scheduler) list
+  Ftsched_core.Schedulers.t list ->
+  (Ftsched_core.Schedulers.t * Ftsched_core.Schedulers.t) list
 (** All ordered pairs (A, B), A ≠ B, in registry order. *)
 
 val campaign :
   ?jobs:int ->
-  ?policies:Ftsched_fuzz.Fuzz.scheduler list ->
+  ?policies:Ftsched_core.Schedulers.t list ->
   ?pairs:int ->
   ?iters:int ->
   ?temp:float ->

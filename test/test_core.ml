@@ -1,10 +1,12 @@
-(* Tests for Ftsched_core: edge selection, FTSA, MC-FTSA, bicriteria. *)
+(* Tests for Ftsched_core: edge selection, FTSA, MC-FTSA, bicriteria and
+   the scheduler catalogue. *)
 
 module Edge_select = Ftsched_core.Edge_select
 module Ftsa = Ftsched_core.Ftsa
 module Mc_ftsa = Ftsched_core.Mc_ftsa
 module Bicriteria = Ftsched_core.Bicriteria
 module Ftsa_policy = Ftsched_core.Ftsa_policy
+module Schedulers = Ftsched_core.Schedulers
 module Schedule = Ftsched_schedule.Schedule
 module Comm_plan = Ftsched_schedule.Comm_plan
 module Rng = Ftsched_util.Rng
@@ -788,6 +790,40 @@ let test_workspace_schedules_identical () =
     same (Printf.sprintf "v=800 replan %d" seed) inst ~eps:2 ~seed
   done
 
+(* ------------------------------------------------------------------ *)
+(* Scheduler catalogue                                                 *)
+
+(* The one list the CLI, the daemon, the fuzzer and the tournament pick
+   from.  Its order fixes the tournament's pair seeds, so it is pinned;
+   MC-FTSA carries the paper's name. *)
+let test_schedulers_registry () =
+  Alcotest.(check (list string))
+    "eleven schedulers, in order"
+    [
+      "ftsa"; "mc-ftsa"; "mc-bottleneck"; "mc-redundant"; "ca-ftsa"; "r-ftsa";
+      "ftsa-domains"; "ftbar"; "heft"; "peft"; "cpop";
+    ]
+    Schedulers.names;
+  List.iter
+    (fun name ->
+      match Schedulers.find name with
+      | Some s -> Alcotest.(check string) "find" name s.Schedulers.name
+      | None -> Alcotest.failf "find %S" name)
+    Schedulers.names;
+  (* each entry is the scheduler it names *)
+  let inst = random_instance ~n_tasks:20 ~m:5 ~seed:3 () in
+  let run name =
+    (Option.get (Schedulers.find name)).Schedulers.run ~seed:4 inst ~eps:1
+  in
+  let same what a b =
+    let doc = Ftsched_schedule.Serialize.schedule_to_string in
+    Alcotest.(check string) what (doc b) (doc a)
+  in
+  same "ftsa entry = Ftsa.schedule" (run "ftsa") (Ftsa.schedule ~seed:4 inst ~eps:1);
+  same "mc-ftsa entry = greedy MC-FTSA" (run "mc-ftsa")
+    (Mc_ftsa.schedule ~seed:4 inst ~eps:1);
+  check_int "fault-free entries ignore eps" 0 (Schedule.eps (run "heft"))
+
 let () =
   Alcotest.run "core"
     [
@@ -804,6 +840,8 @@ let () =
           quick prop_bottleneck_matches_brute_force;
           quick prop_greedy_bijective_and_bounded;
         ] );
+      ( "schedulers",
+        [ Alcotest.test_case "registry" `Quick test_schedulers_registry ] );
       ( "ftsa",
         [
           Alcotest.test_case "tiny hand trace" `Quick test_ftsa_tiny_trace;

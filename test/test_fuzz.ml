@@ -22,9 +22,9 @@ let check_size = Alcotest.(check (pair (pair int int) (pair int int)))
    Only misbehaves when eps >= 1, so eps cannot shrink below 1. *)
 let dup_proc_bug =
   {
-    Fuzz.name = "ftsa-dup-proc";
+    Ftsched_core.Schedulers.name = "ftsa-dup-proc";
     run =
-      (fun ~seed inst ~eps ->
+      (fun ?trace:_ ~seed inst ~eps ->
         let s = Ftsched_core.Ftsa.schedule ~seed inst ~eps in
         if eps = 0 then s
         else begin
@@ -54,11 +54,6 @@ let case_size (c : Fuzz.case) =
     (Instance.n_procs c.instance, c.eps) )
 
 let test_registry () =
-  check_int "eleven schedulers" 11 (List.length Fuzz.schedulers);
-  let names = List.map (fun s -> s.Fuzz.name) Fuzz.schedulers in
-  check_int "distinct names"
-    (List.length names)
-    (List.length (List.sort_uniq compare names));
   List.iter
     (fun n ->
       match Fuzz.oracle_of_name n with
@@ -131,7 +126,7 @@ let test_witness_roundtrip () =
       Fuzz.Tournament
         {
           policy_a = "ftsa";
-          policy_b = "mc-greedy";
+          policy_b = "mc-ftsa";
           metric = "guaranteed";
           ratio = 0x1.921fb54442d18p+1;
           case;

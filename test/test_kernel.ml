@@ -126,33 +126,9 @@ let test_ready_times () =
 (* ------------------------------------------------------------------ *)
 (* Differential harness: every scheduler through the kernel driver.    *)
 
-let all_schedulers ~m ~eps =
-  let rates = Array.init m (fun p -> if p mod 2 = 0 then 0.0001 else 0.002) in
-  let domains = Array.init m (fun p -> p mod (eps + 2)) in
-  [
-    ("ftsa", fun ?trace inst -> Ftsa.schedule ~seed:7 ?trace inst ~eps);
-    ("mc-greedy", fun ?trace inst -> Mc_ftsa.schedule ~seed:7 ?trace inst ~eps);
-    ( "mc-bottleneck",
-      fun ?trace inst ->
-        Mc_ftsa.schedule ~seed:7 ~strategy:Mc_ftsa.Bottleneck ?trace inst ~eps );
-    ( "ca-ftsa",
-      fun ?trace inst -> Ftsched_core.Ca_ftsa.schedule ~seed:7 ?trace inst ~eps );
-    ( "r-ftsa",
-      fun ?trace inst ->
-        Ftsched_core.R_ftsa.schedule ~seed:7 ?trace ~rates inst ~eps );
-    ( "ftsa-domains",
-      fun ?trace inst ->
-        Ftsched_core.Ftsa_domains.schedule ~seed:7 ?trace ~domains inst ~eps );
-    ( "ftbar",
-      fun ?trace inst -> Ftsched_baseline.Ftbar.schedule ~seed:7 ?trace inst ~npf:eps );
-    ("heft", fun ?trace inst -> Ftsched_baseline.Heft.schedule ?trace inst);
-    ("peft", fun ?trace inst -> Ftsched_baseline.Peft.schedule ?trace inst);
-    ("cpop", fun ?trace inst -> Ftsched_baseline.Cpop.schedule ?trace inst)
-  ]
-
-(* Every scheduler, on several seeded instances, must produce a schedule
-   the validator accepts — and the trace must agree with the schedule on
-   the decisions taken. *)
+(* Every scheduler of the catalogue, on several seeded instances, must
+   produce a schedule the validator accepts — and the trace must agree
+   with the schedule on the decisions taken. *)
 let test_differential () =
   List.iter
     (fun seed ->
@@ -160,9 +136,9 @@ let test_differential () =
       let inst = random_instance ~n_tasks:30 ~m ~seed () in
       let v = Instance.n_tasks inst in
       List.iter
-        (fun (name, run) ->
+        (fun { Ftsched_core.Schedulers.name; run } ->
           let trace = Trace.create () in
-          let s = run ?trace:(Some trace) inst in
+          let s = run ~trace ~seed:7 inst ~eps in
           (match Validate.check s with
           | Ok () -> ()
           | Error errs ->
@@ -189,7 +165,7 @@ let test_differential () =
                     && c.Trace.finish = reps.(i).Schedule.finish))
                 st.Trace.chosen)
             steps)
-        (all_schedulers ~m ~eps))
+        Ftsched_core.Schedulers.all)
     [ 1; 2; 3 ]
 
 let test_trace_stats () =

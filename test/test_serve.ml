@@ -315,6 +315,36 @@ let test_jobs_identical_responses () =
       | `Junk -> Alcotest.fail "junk response")
     r1
 
+(* The daemon serves the whole scheduler catalogue: a [schedule] request
+   for every registry name answers with that scheduler's own plan, byte
+   for byte. *)
+let test_schedule_every_registry_name () =
+  let inst = random_instance ~n_tasks:12 ~m:4 ~seed:5 () in
+  let doc = Serialize.instance_to_string inst in
+  let names = Ftsched_core.Schedulers.names in
+  let responses =
+    with_server ~jobs:2 (fun a ->
+        send_and_collect a
+          (List.map
+             (fun name -> Printf.sprintf "schedule %s 1 7 infinity\n%s" name doc)
+             names))
+  in
+  List.iter2
+    (fun name r ->
+      let sched = Option.get (Ftsched_core.Schedulers.find name) in
+      let expected =
+        Serialize.schedule_to_string
+          (sched.Ftsched_core.Schedulers.run ~seed:7 inst ~eps:1)
+      in
+      match Protocol.classify_response r with
+      | `Ok (kind, body) ->
+          Alcotest.(check string) (name ^ " response kind") "schedule" kind;
+          Alcotest.(check string) (name ^ " plan") expected body
+      | `Error (code, detail) ->
+          Alcotest.failf "%s: typed error %s: %s" name code detail
+      | `Junk -> Alcotest.failf "%s: junk response" name)
+    names responses
+
 let () =
   Alcotest.run "serve"
     [
@@ -340,5 +370,7 @@ let () =
           Alcotest.test_case "chaos soak" `Quick test_soak;
           Alcotest.test_case "jobs-count response identity" `Quick
             test_jobs_identical_responses;
+          Alcotest.test_case "schedules every registry name" `Quick
+            test_schedule_every_registry_name;
         ] );
     ]

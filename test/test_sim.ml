@@ -478,6 +478,19 @@ let test_event_sim_bad_fail_times () =
     (Invalid_argument "Event_sim.run: fail_times") (fun () ->
       ignore (Event_sim.run s ~fail_times:[| 0. |]))
 
+(* A scenario naming a processor the platform lacks is outside input (a
+   CLI flag, a daemon request): both crash executors must reject it with
+   a typed error naming the processor, not an index exception. *)
+let test_scenario_unknown_processor () =
+  let inst = random_instance ~m:4 ~seed:25 () in
+  let s = Ftsa.schedule inst ~eps:1 in
+  Alcotest.check_raises "Crash_exec.run"
+    (Invalid_argument "Crash_exec.run: processor 9 not in [0, 4)") (fun () ->
+      ignore (Crash_exec.run s (Scenario.of_list [ 1; 9 ])));
+  Alcotest.check_raises "Event_sim.run_crash"
+    (Invalid_argument "Event_sim.run_crash: processor 9 not in [0, 4)")
+    (fun () -> ignore (Event_sim.run_crash s (Scenario.of_list [ 9 ])))
+
 (* ------------------------------------------------------------------ *)
 (* Communication faults and retransmission                             *)
 
@@ -847,6 +860,8 @@ let () =
           Alcotest.test_case "timed vs crash-at-zero" `Quick
             test_event_sim_timed_vs_crash_at_zero;
           Alcotest.test_case "bad fail_times" `Quick test_event_sim_bad_fail_times;
+          Alcotest.test_case "unknown scenario processor" `Quick
+            test_scenario_unknown_processor;
         ] );
       ( "worst-case",
         [

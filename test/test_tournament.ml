@@ -11,9 +11,9 @@ module Rng = Ftsched_util.Rng
 module Instance = Ftsched_model.Instance
 open Helpers
 
-let sched name = List.find (fun s -> s.Fuzz.name = name) Fuzz.schedulers
+let sched name = Option.get (Ftsched_core.Schedulers.find name)
 let ftsa = sched "ftsa"
-let mc_greedy = sched "mc-greedy"
+let mc_ftsa = sched "mc-ftsa"
 
 (* ------------------------------------------------------------------ *)
 (* Mutation closure                                                    *)
@@ -112,7 +112,7 @@ let prop_incumbent_monotone =
   QCheck.Test.make ~name:"incumbent ratio monotone non-decreasing" ~count:15
     QCheck.(int_range 0 5_000)
     (fun seed ->
-      let r = Tournament.search ~iters:40 ~seed ftsa mc_greedy in
+      let r = Tournament.search ~iters:40 ~seed ftsa mc_ftsa in
       let rec mono = function
         | a :: (b :: _ as tl) ->
             if Float.compare a b > 0 then
@@ -126,7 +126,7 @@ let test_search_beats_nothing_silently () =
   (* A short search on the default metric must produce an incumbent:
      every policy schedules every valid instance, so only round-trip
      failures could starve it — and those are counted. *)
-  let r = Tournament.search ~iters:30 ~seed:11 ftsa mc_greedy in
+  let r = Tournament.search ~iters:30 ~seed:11 ftsa mc_ftsa in
   Alcotest.(check bool) "found incumbent" true (r.Tournament.best <> None);
   Alcotest.(check bool) "ratio is finite or +inf" true
     (not (Float.is_nan r.Tournament.best_ratio));
@@ -143,8 +143,8 @@ let test_campaign_digest_jobs_invariant () =
 let test_baseline_stream_independent () =
   (* Scoring a baseline must not perturb the annealing stream: same
      seed, with and without baseline, same incumbent. *)
-  let a = Tournament.search ~iters:25 ~seed:5 ftsa mc_greedy in
-  let b = Tournament.search ~iters:25 ~seed:5 ~baseline:20 ftsa mc_greedy in
+  let a = Tournament.search ~iters:25 ~seed:5 ftsa mc_ftsa in
+  let b = Tournament.search ~iters:25 ~seed:5 ~baseline:20 ftsa mc_ftsa in
   Alcotest.(check bool) "same incumbent ratio" true
     (Float.compare a.Tournament.best_ratio b.Tournament.best_ratio = 0);
   Alcotest.(check bool) "baseline present" true
@@ -223,7 +223,7 @@ let test_tournament_witness_io_roundtrip () =
         (Fuzz.Tournament
            {
              policy_a = "ftsa";
-             policy_b = "mc-greedy";
+             policy_b = "mc-ftsa";
              metric = "guaranteed";
              ratio;
              case;
@@ -231,7 +231,7 @@ let test_tournament_witness_io_roundtrip () =
       (match Fuzz.read_witness ~path with
       | Fuzz.Tournament w ->
           Alcotest.(check string) "policy a" "ftsa" w.policy_a;
-          Alcotest.(check string) "policy b" "mc-greedy" w.policy_b;
+          Alcotest.(check string) "policy b" "mc-ftsa" w.policy_b;
           Alcotest.(check string) "metric" "guaranteed" w.metric;
           Alcotest.(check bool) "ratio bit-exact" true
             (Float.compare ratio w.ratio = 0);

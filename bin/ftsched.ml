@@ -163,6 +163,10 @@ let input_error fmt =
       exit 2)
     fmt
 
+(* A file that does not parse is bad input too. *)
+let parse_file load path =
+  try load path with Failure msg -> input_error "%s: %s" path msg
+
 (* Run the --algo scheduler.  A policy rejecting --eps for the instance
    is an input error; the fault-free policies ignore --eps. *)
 let plan ?trace (algo : Schedulers.t) ~seed inst ~eps =
@@ -265,7 +269,7 @@ let schedule_cmd =
     let inst =
       match from_stg with
       | Some path ->
-          let dag, costs = Ftsched_dag.Stg.load path in
+          let dag, costs = parse_file Ftsched_dag.Stg.load path in
           let rng = Rng.create ~seed in
           let platform =
             Platform.random rng ~m ~delay_lo:0.5 ~delay_hi:1.0 ()
@@ -421,7 +425,7 @@ let simulate_cmd =
           ~doc:
             "Search for the worst timed failure scenario (death instants, \
              optionally --links dropped links) instead of sampling; prints \
-             a replayable witness.")
+             the witness, the scenario that Adversary.replay re-executes.")
   in
   let links =
     Arg.(
@@ -559,7 +563,9 @@ let inspect_cmd =
     Arg.(value & flag & info [ "gantt" ] ~doc:"Draw an ASCII Gantt chart.")
   in
   let run file gantt =
-    let s = Ftsched_schedule.Serialize.load_schedule ~path:file in
+    let s =
+      parse_file (fun path -> Ftsched_schedule.Serialize.load_schedule ~path) file
+    in
     let inst = Schedule.instance s in
     Format.printf "%a@." Instance.pp inst;
     Format.printf "%a@." Schedule.pp_summary s;
@@ -848,12 +854,18 @@ let experiment_cmd =
       | Some n -> Workload.with_graphs_per_point spec n
       | None -> spec
     in
+    (* Prepare the --out directory before any target spends its time. *)
+    Option.iter
+      (fun dir ->
+        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+        else if not (Sys.is_directory dir) then
+          input_error "--out %s: not a directory" dir)
+      out;
     let show slug table =
       Printf.printf "-- %s --\n" slug;
       Table.print table;
       Option.iter
         (fun dir ->
-          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
           let basename = Filename.concat dir slug in
           Table.save_csv table ~path:(basename ^ ".csv");
           Ftsched_util.Gnuplot.save table ~basename)
@@ -1548,11 +1560,24 @@ let () =
         "Fault-tolerant scheduling of precedence task graphs on heterogeneous \
          platforms (FTSA / MC-FTSA / FTBAR)"
   in
+  (* A file that cannot be opened, read or written is bad outside input:
+     one line and exit 2.  Any other exception is an internal error. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            gen_cmd; schedule_cmd; simulate_cmd; bicriteria_cmd;
-            reliability_cmd; inspect_cmd; experiment_cmd; fuzz_cmd;
-            stream_cmd; serve_cmd; tournament_cmd;
-          ]))
+    (try
+       Cmd.eval ~catch:false
+         (Cmd.group info
+            [
+              gen_cmd; schedule_cmd; simulate_cmd; bicriteria_cmd;
+              reliability_cmd; inspect_cmd; experiment_cmd; fuzz_cmd;
+              stream_cmd; serve_cmd; tournament_cmd;
+            ])
+     with
+    | Sys_error msg ->
+        prerr_endline ("ftsched: " ^ msg);
+        2
+    | e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Printf.eprintf "ftsched: internal error, uncaught exception:\n%s\n%s%!"
+          (Printexc.to_string e)
+          (Printexc.raw_backtrace_to_string bt);
+        Cmd.Exit.internal_error)

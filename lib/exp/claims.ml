@@ -1,5 +1,4 @@
 module Table = Ftsched_util.Table
-module Instance = Ftsched_model.Instance
 module Ftsa = Ftsched_core.Ftsa
 module Mc_ftsa = Ftsched_core.Mc_ftsa
 module Ftbar = Ftsched_baseline.Ftbar
@@ -12,8 +11,8 @@ type verdict = {
 }
 
 (* Helpers over per-granularity series. *)
-let series results key =
-  List.map (fun (g, rs) -> (g, Runner.mean_of rs key)) results
+let series results metric =
+  List.map (fun (g, rs) -> (g, Runner.mean_of rs metric)) results
 
 let forall_g pairs f = List.for_all (fun (_, v) -> f v) pairs
 
@@ -29,12 +28,7 @@ let fmt_ratio pairs =
 
 let verify ?(spec = Workload.quick) ?(master_seed = 2008) () =
   let sweep eps crash_counts =
-    List.map
-      (fun granularity ->
-        ( granularity,
-          Runner.run_point spec ~master_seed ~granularity ~eps ~crash_counts
-            ~crash_samples:2 () ))
-      Workload.granularities
+    Runner.sweep spec ~master_seed ~eps ~crash_counts ~crash_samples:2 ()
   in
   let e1 = sweep 1 [ 1 ] in
   let e2 = sweep 2 [ 0; 2 ] in
@@ -43,19 +37,21 @@ let verify ?(spec = Workload.quick) ?(master_seed = 2008) () =
     verdicts := { id; claim; holds; detail } :: !verdicts
   in
   (* --- bounds, ε = 1 ------------------------------------------------ *)
-  let ftsa_lb = series e1 "ftsa_lb" and ftbar_lb = series e1 "ftbar_lb" in
+  let ftsa_lb = series e1 Runner.(Lower Ftsa)
+  and ftbar_lb = series e1 Runner.(Lower Ftbar) in
   let r1 = zip_with ftsa_lb ftbar_lb (fun a b -> a /. b) in
   check "fig1.ftsa-lb-beats-ftbar-lb"
     "FTSA's lower bound is below FTBAR's at every granularity (Fig. 1a)"
     (forall_g r1 (fun r -> r < 1.))
     (fmt_ratio r1);
-  let ff = series e1 "ff_ftsa" in
+  let ff = series e1 Runner.Fault_free_ftsa in
   let r2 = zip_with ftsa_lb ff (fun a b -> a /. b) in
   check "fig1.ftsa-lb-near-fault-free"
     "FTSA's lower bound stays close to the fault-free latency (within 40%)"
     (forall_g r2 (fun r -> r < 1.4))
     (fmt_ratio r2);
-  let mc_lb = series e1 "mc_lb" and mc_ub = series e1 "mc_ub" in
+  let mc_lb = series e1 Runner.(Lower Mc_ftsa)
+  and mc_ub = series e1 Runner.(Upper Mc_ftsa) in
   let r3 = zip_with mc_ub mc_lb (fun a b -> a /. b) in
   check "fig1.mc-ub-tight"
     "MC-FTSA's upper bound is within 10% of its lower bound (Fig. 1a)"
@@ -74,7 +70,9 @@ let verify ?(spec = Workload.quick) ?(master_seed = 2008) () =
     (fmt_ratio r4);
   (* --- crashes ------------------------------------------------------- *)
   let r5 =
-    zip_with (series e1 "ftsa_crash1") (series e1 "ftbar_crash1")
+    zip_with
+      (series e1 Runner.(Crash (Ftsa, 1)))
+      (series e1 Runner.(Crash (Ftbar, 1)))
       (fun a b -> a /. b)
   in
   check "fig1.crash-ftsa-beats-ftbar"
@@ -82,7 +80,9 @@ let verify ?(spec = Workload.quick) ?(master_seed = 2008) () =
     (forall_g r5 (fun r -> r < 1.))
     (fmt_ratio r5);
   let r6 =
-    zip_with (coarse (series e1 "mc_crash1")) (coarse (series e1 "ftbar_crash1"))
+    zip_with
+      (coarse (series e1 Runner.(Crash (Mc_ftsa, 1))))
+      (coarse (series e1 Runner.(Crash (Ftbar, 1))))
       (fun a b -> a /. b)
   in
   check "fig1.crash-mc-beats-ftbar-coarse"
@@ -108,12 +108,13 @@ let verify ?(spec = Workload.quick) ?(master_seed = 2008) () =
   (* --- ε = 2 vs ε = 1 ------------------------------------------------ *)
   let mean l = List.fold_left (fun acc (_, v) -> acc +. v) 0. l
                /. float_of_int (List.length l) in
-  let lb1 = mean ftsa_lb and lb2 = mean (series e2 "ftsa_lb") in
+  let lb1 = mean ftsa_lb and lb2 = mean (series e2 Runner.(Lower Ftsa)) in
   check "fig2.overhead-grows-with-eps"
     "Tolerating more failures costs more latency (Fig. 2 vs Fig. 1)"
     (lb2 > lb1)
     (Printf.sprintf "mean FTSA-LB eps1=%.1f eps2=%.1f" lb1 lb2);
-  let c2 = mean (series e2 "ftsa_crash2") and c0 = mean (series e2 "ftsa_crash0") in
+  let c2 = mean (series e2 Runner.(Crash (Ftsa, 2)))
+  and c0 = mean (series e2 Runner.(Crash (Ftsa, 0))) in
   check "fig2.crashes-absorbed"
     "On 20 processors the extra latency caused by actual crashes is small \
      (already absorbed by replication)"
@@ -127,25 +128,9 @@ let verify ?(spec = Workload.quick) ?(master_seed = 2008) () =
      run back to back until it has taken at least 10 ms, each round
      interleaves the samples of both schedulers, and the verdict is the
      median over rounds of FTBAR's growth over FTSA's. *)
-  let instance n =
-    let rng = Ftsched_util.Rng.create ~seed:(master_seed + n) in
-    let dag = Ftsched_dag.Generators.layered rng ~n_tasks:n () in
-    let platform =
-      Ftsched_platform.Platform.random rng ~m:20 ~delay_lo:0.5 ~delay_hi:1.0 ()
-    in
-    Instance.random_exec rng ~dag ~platform ()
-  in
+  let instance n = Workload.sized ~seed:(master_seed + n) ~n_tasks:n ~m:20 in
   let cpu_per_run schedule inst =
-    (* quiesce the GC so the sample doesn't pay major-heap slices for
-       garbage the sweeps above left behind *)
-    Gc.full_major ();
-    let t0 = Sys.time () in
-    let rec go runs =
-      ignore (Sys.opaque_identity (schedule inst));
-      let dt = Sys.time () -. t0 in
-      if dt >= 0.01 then dt /. float_of_int runs else go (runs + 1)
-    in
-    go 1
+    Runner.cpu_per_run (fun () -> schedule inst)
   in
   let small = instance 200 and big = instance 1600 in
   (* the big run sits between two small samples, so a drift in machine

@@ -1,13 +1,12 @@
 module Table = Ftsched_util.Table
 module Rng = Ftsched_util.Rng
-module Gen = Ftsched_dag.Generators
-module Platform = Ftsched_platform.Platform
 module Instance = Ftsched_model.Instance
 module Ftsa = Ftsched_core.Ftsa
 module Mc_ftsa = Ftsched_core.Mc_ftsa
 module Ca_ftsa = Ftsched_core.Ca_ftsa
 module Ftbar = Ftsched_baseline.Ftbar
 module Par = Ftsched_par.Par
+module Esim = Ftsched_sim.Event_sim
 
 type panels = {
   bounds : Table.t;
@@ -19,165 +18,119 @@ type panels = {
 let fmt3 x = Printf.sprintf "%.3f" x
 let fmt_pct x = Printf.sprintf "%.1f" x
 
-(* Overhead of metric [key] against fault-free FTSA, per graph, then
-   averaged — the §6 formula.  Lookups go through the per-graph
-   pre-indexed metric table, not the assoc list. *)
-let mean_overhead results key =
-  let values =
-    List.map
-      (fun (r : Runner.graph_result) ->
-        let get k =
-          match Runner.metric r k with
-          | Some v -> v
-          | None -> invalid_arg ("Figures: unknown metric " ^ k)
-        in
-        let baseline = get "ff_ftsa" in
-        100. *. (get key -. baseline) /. baseline)
-      results
-  in
-  List.fold_left ( +. ) 0. values /. float_of_int (List.length values)
+let sum f xs = List.fold_left (fun acc x -> acc +. f x) 0. xs
 
-let figure ?(spec = Workload.quick) ?(master_seed = 2008) ?crash_samples ?jobs
-    ~eps ~crash_counts () =
-  let points =
-    Par.parallel_map ?jobs
-      (fun granularity ->
-        ( granularity,
-          Runner.run_point spec ~master_seed ~granularity ~eps ~crash_counts
-            ?crash_samples ?jobs () ))
-      Workload.granularities
+(* Column-wise sums of equally long rows, each summed in list order. *)
+let column_sums rows =
+  List.mapi (fun c _ -> sum (fun row -> List.nth row c) rows) (List.hd rows)
+
+(* [f g x] for every graph [g] of the point and every sweep value [x] of
+   [xs], one row of cells per [x]; each cell summed over the graphs in
+   index order. *)
+let cell_sums spec ~master_seed ~granularity xs f =
+  let per_graph =
+    Workload.graphs spec ~master_seed ~granularity (fun g -> List.map (f g) xs)
   in
-  let bounds =
-    Table.create
-      ~columns:
-        [
-          "granularity"; "FTSA-LB"; "FTSA-UB"; "FTBAR-LB"; "FTBAR-UB";
-          "MC-FTSA-LB"; "MC-FTSA-UB"; "FaultFree-FTSA"; "FaultFree-FTBAR";
-        ]
-  in
+  List.mapi
+    (fun i _ -> column_sums (List.map (fun rows -> List.nth rows i) per_graph))
+    xs
+
+(* Overhead of [metric] against fault-free FTSA, per graph, then
+   averaged — the §6 formula. *)
+let mean_overhead results metric =
+  Runner.mean
+    (fun r ->
+      let baseline = Runner.value r Runner.Fault_free_ftsa in
+      100. *. (Runner.value r metric -. baseline) /. baseline)
+    results
+
+(* One row per [(label, graph results)] point, one cell per
+   [(header, cell)] column. *)
+let results_table first_header columns points =
+  let t = Table.create ~columns:(first_header :: List.map fst columns) in
   List.iter
-    (fun (gr, rs) ->
-      let v k = Runner.mean_of rs k in
-      Table.add_row bounds
-        (Printf.sprintf "%.1f" gr
-        :: List.map fmt3
-             [
-               v "ftsa_lb"; v "ftsa_ub"; v "ftbar_lb"; v "ftbar_ub";
-               v "mc_lb"; v "mc_ub"; v "ff_ftsa"; v "ff_ftbar";
-             ]))
+    (fun (label, rs) ->
+      Table.add_row t (label :: List.map (fun (_, cell) -> cell rs) columns))
     points;
-  let crash_cols =
+  t
+
+let by_granularity points =
+  List.map (fun (gr, rs) -> (Printf.sprintf "%.1f" gr, rs)) points
+
+let mean_column (header, metric) =
+  (header, fun rs -> fmt3 (Runner.mean_of rs metric))
+
+let overhead_column (header, metric) =
+  (header ^ " ovh%", fun rs -> fmt_pct (mean_overhead rs metric))
+
+let algo_label = function
+  | Runner.Ftsa -> "FTSA"
+  | Runner.Mc_ftsa -> "MC-FTSA"
+  | Runner.Ftbar -> "FTBAR"
+
+(* The crash and overhead panels: FTSA at every crash count, [rivals] too
+   at the count equal to ε. *)
+let crash_panels ~eps ~crash_counts ~rivals points =
+  let columns =
     List.concat_map
       (fun c ->
-        if c = eps then
-          [
-            Printf.sprintf "FTSA-%dcrash" c;
-            Printf.sprintf "MC-FTSA-%dcrash" c;
-            Printf.sprintf "FTBAR-%dcrash" c;
-          ]
-        else [ Printf.sprintf "FTSA-%dcrash" c ])
+        List.map
+          (fun a ->
+            (Printf.sprintf "%s-%dcrash" (algo_label a) c, Runner.Crash (a, c)))
+          (if c = eps then Runner.Ftsa :: rivals else [ Runner.Ftsa ]))
       crash_counts
   in
-  let crash =
-    Table.create ~columns:(("granularity" :: crash_cols) @ [ "FaultFree-FTSA" ])
+  ( results_table "granularity"
+      (List.map mean_column
+         (columns @ [ ("FaultFree-FTSA", Runner.Fault_free_ftsa) ]))
+      points,
+    results_table "granularity" (List.map overhead_column columns) points )
+
+let figure ?(spec = Workload.quick) ?(master_seed = 2008) ?crash_samples ~eps
+    ~crash_counts () =
+  let points =
+    by_granularity
+      (Runner.sweep spec ~master_seed ~eps ~crash_counts ?crash_samples ())
   in
-  let crash_keys c =
-    if c = eps then
-      [
-        Printf.sprintf "ftsa_crash%d" c;
-        Printf.sprintf "mc_crash%d" c;
-        Printf.sprintf "ftbar_crash%d" c;
-      ]
-    else [ Printf.sprintf "ftsa_crash%d" c ]
+  let bounds =
+    results_table "granularity"
+      (List.map mean_column
+         Runner.
+           [
+             ("FTSA-LB", Lower Ftsa); ("FTSA-UB", Upper Ftsa);
+             ("FTBAR-LB", Lower Ftbar); ("FTBAR-UB", Upper Ftbar);
+             ("MC-FTSA-LB", Lower Mc_ftsa); ("MC-FTSA-UB", Upper Mc_ftsa);
+             ("FaultFree-FTSA", Fault_free_ftsa);
+             ("FaultFree-FTBAR", Fault_free_ftbar);
+           ])
+      points
   in
-  List.iter
-    (fun (gr, rs) ->
-      let cells =
-        List.concat_map
-          (fun c -> List.map (fun k -> fmt3 (Runner.mean_of rs k)) (crash_keys c))
-          crash_counts
-      in
-      Table.add_row crash
-        ((Printf.sprintf "%.1f" gr :: cells)
-        @ [ fmt3 (Runner.mean_of rs "ff_ftsa") ]))
-    points;
-  let overhead =
-    Table.create ~columns:("granularity" :: List.map (fun c -> c ^ " ovh%") crash_cols)
+  let crash, overhead =
+    crash_panels ~eps ~crash_counts ~rivals:[ Runner.Mc_ftsa; Runner.Ftbar ]
+      points
   in
-  List.iter
-    (fun (gr, rs) ->
-      let cells =
-        List.concat_map
-          (fun c ->
-            List.map (fun k -> fmt_pct (mean_overhead rs k)) (crash_keys c))
-          crash_counts
-      in
-      Table.add_row overhead (Printf.sprintf "%.1f" gr :: cells))
-    points;
   let mc_defeats =
-    Table.create ~columns:[ "granularity"; "MC-strict-defeat-rate" ]
+    results_table "granularity"
+      [
+        ( "MC-strict-defeat-rate",
+          fun rs ->
+            fmt3 (Runner.mean (fun r -> r.Runner.mc_strict_defeated) rs) );
+      ]
+      points
   in
-  List.iter
-    (fun (gr, rs) ->
-      Table.add_row mc_defeats
-        [ Printf.sprintf "%.1f" gr; fmt3 (Runner.mean_defeat_rate rs) ])
-    points;
   { bounds; crash; overhead; mc_defeats }
 
-let figure4 ?(spec = Workload.quick) ?(master_seed = 2008) ?crash_samples
-    ?jobs () =
-  let spec = Workload.with_procs spec 5 in
-  let eps = 2 in
-  let crash_counts = [ 0; 1; 2 ] in
-  let points =
-    Par.parallel_map ?jobs
-      (fun granularity ->
-        ( granularity,
-          Runner.run_point spec ~master_seed ~granularity ~eps ~crash_counts
-            ?crash_samples ?jobs () ))
-      Workload.granularities
-  in
-  let latency =
-    Table.create
-      ~columns:
-        [
-          "granularity"; "FTSA-0crash"; "FTSA-1crash"; "FTSA-2crash";
-          "FaultFree-FTSA";
-        ]
-  in
-  let overhead =
-    Table.create
-      ~columns:
-        [ "granularity"; "FTSA-0crash ovh%"; "FTSA-1crash ovh%"; "FTSA-2crash ovh%" ]
-  in
-  List.iter
-    (fun (gr, rs) ->
-      Table.add_row latency
-        (Printf.sprintf "%.1f" gr
-        :: List.map fmt3
-             [
-               Runner.mean_of rs "ftsa_crash0";
-               Runner.mean_of rs "ftsa_crash1";
-               Runner.mean_of rs "ftsa_crash2";
-               Runner.mean_of rs "ff_ftsa";
-             ]);
-      Table.add_row overhead
-        (Printf.sprintf "%.1f" gr
-        :: List.map fmt_pct
-             [
-               mean_overhead rs "ftsa_crash0";
-               mean_overhead rs "ftsa_crash1";
-               mean_overhead rs "ftsa_crash2";
-             ]))
-    points;
-  (latency, overhead)
+let figure4 ?(spec = Workload.quick) ?(master_seed = 2008) ?crash_samples () =
+  let eps = 2 and crash_counts = [ 0; 1; 2 ] in
+  Runner.sweep (Workload.with_procs spec 5) ~master_seed ~eps ~crash_counts
+    ?crash_samples ()
+  |> by_granularity
+  |> crash_panels ~eps ~crash_counts ~rivals:[]
 
 let paper_sizes = [ 100; 500; 1000; 2000; 3000; 5000 ]
 
 let contention_ablation ?(spec = Workload.quick) ?(master_seed = 2008) ~eps
     ~ports () =
-  let module Esim = Ftsched_sim.Event_sim in
-  let module Schedule = Ftsched_schedule.Schedule in
   let models =
     (Esim.Contention_free, "free", None)
     :: List.map
@@ -191,47 +144,43 @@ let contention_ablation ?(spec = Workload.quick) ?(master_seed = 2008) ~eps
     | None -> [ "FTSA " ^ tag; "MC-FTSA " ^ tag ]
     | Some _ -> [ "FTSA " ^ tag; "CA-FTSA " ^ tag; "MC-FTSA " ^ tag ]
   in
-  let columns = "granularity" :: List.concat_map columns_of models in
-  let n_cols = List.length columns - 1 in
-  let table = Table.create ~columns in
+  let table =
+    Table.create ~columns:("granularity" :: List.concat_map columns_of models)
+  in
   List.iter
     (fun granularity ->
-      let totals = Array.make n_cols 0. in
-      let norm = ref 0. in
-      for index = 0 to spec.Workload.graphs_per_point - 1 do
-        let inst = Workload.instance spec ~master_seed ~granularity ~index in
-        let seed = master_seed + (31 * index) in
-        let f = Ftsa.schedule ~seed inst ~eps in
-        let mc = Mc_ftsa.schedule ~seed inst ~eps in
-        norm := !norm +. Runner.mean_edge_comm inst;
-        let m = Instance.n_procs inst in
-        let col = ref 0 in
-        let add v =
-          totals.(!col) <- totals.(!col) +. v;
-          incr col
-        in
-        List.iter
-          (fun (model, _, ca) ->
-            let lat s =
-              match
-                (Esim.run ~network:model s ~fail_times:(Array.make m infinity))
-                  .Esim.latency
-              with
-              | Some l -> l
-              | None -> invalid_arg "contention_ablation: defeated"
-            in
-            add (lat f);
-            (match ca with
-            | Some k -> add (lat (Ca_ftsa.schedule ~seed ~ports:k inst ~eps))
-            | None -> ());
-            add (lat mc))
-          models
-      done;
+      let per_graph =
+        Workload.graphs spec ~master_seed ~granularity (fun g ->
+            let inst = g.Workload.instance and seed = g.Workload.seed in
+            let f = Ftsa.schedule ~seed inst ~eps in
+            let mc = Mc_ftsa.schedule ~seed inst ~eps in
+            let m = Instance.n_procs inst in
+            g.Workload.normalizer
+            :: List.concat_map
+                 (fun (model, _, ca) ->
+                   let lat s =
+                     match
+                       (Esim.run ~network:model s
+                          ~fail_times:(Array.make m infinity))
+                         .Esim.latency
+                     with
+                     | Some l -> l
+                     | None -> invalid_arg "contention_ablation: defeated"
+                   in
+                   match ca with
+                   | Some k ->
+                       [ lat f; lat (Ca_ftsa.schedule ~seed ~ports:k inst ~eps);
+                         lat mc ]
+                   | None -> [ lat f; lat mc ])
+                 models)
+      in
       let n = float_of_int spec.Workload.graphs_per_point in
-      let norm = !norm /. n in
-      Table.add_row table
-        (Printf.sprintf "%.1f" granularity
-        :: (Array.to_list totals |> List.map (fun t -> fmt3 (t /. n /. norm)))))
+      match column_sums per_graph with
+      | norm :: totals ->
+          Table.add_row table
+            (Printf.sprintf "%.1f" granularity
+            :: List.map (fun t -> fmt3 (t /. n /. (norm /. n))) totals)
+      | [] -> assert false)
     Workload.granularities;
   table
 
@@ -246,63 +195,48 @@ let reliability_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
           "MC-FTSA reroute (MC est)";
         ]
   in
-  let granularity = 1.0 in
-  let max_eps = 4 in
-  for eps = 0 to max_eps do
-    let b = ref 0. and f = ref 0. and ms = ref 0. and mr = ref 0. in
-    for index = 0 to spec.Workload.graphs_per_point - 1 do
-      let inst = Workload.instance spec ~master_seed ~granularity ~index in
-      let seed = master_seed + (31 * index) in
-      let s_ftsa = Ftsa.schedule ~seed inst ~eps in
-      let s_mc = Mc_ftsa.schedule ~seed inst ~eps in
-      let rng = Rng.create ~seed:(seed + 101) in
-      b := !b +. R.binomial_bound s_ftsa ~p_fail;
-      f := !f +. (R.monte_carlo rng s_ftsa R.Strict ~p_fail ~trials).R.mean;
-      ms := !ms +. (R.monte_carlo rng s_mc R.Strict ~p_fail ~trials).R.mean;
-      mr := !mr +. (R.monte_carlo rng s_mc R.Reroute ~p_fail ~trials).R.mean
-    done;
-    let n = float_of_int spec.Workload.graphs_per_point in
-    Table.add_row table
-      [
-        string_of_int eps;
-        Printf.sprintf "%.4f" (!b /. n);
-        Printf.sprintf "%.4f" (!f /. n);
-        Printf.sprintf "%.4f" (!ms /. n);
-        Printf.sprintf "%.4f" (!mr /. n);
-      ]
-  done;
+  let epsilons = [ 0; 1; 2; 3; 4 ] in
+  let sums =
+    cell_sums spec ~master_seed ~granularity:1.0 epsilons (fun g eps ->
+        let inst = g.Workload.instance and seed = g.Workload.seed in
+        let s_ftsa = Ftsa.schedule ~seed inst ~eps in
+        let s_mc = Mc_ftsa.schedule ~seed inst ~eps in
+        let rng = Rng.create ~seed:(seed + 101) in
+        let bound = R.binomial_bound s_ftsa ~p_fail in
+        let ftsa = (R.monte_carlo rng s_ftsa R.Strict ~p_fail ~trials).R.mean in
+        let strict = (R.monte_carlo rng s_mc R.Strict ~p_fail ~trials).R.mean in
+        let reroute =
+          (R.monte_carlo rng s_mc R.Reroute ~p_fail ~trials).R.mean
+        in
+        [ bound; ftsa; strict; reroute ])
+  in
+  let n = float_of_int spec.Workload.graphs_per_point in
+  List.iter2
+    (fun eps row ->
+      Table.add_row table
+        (string_of_int eps
+        :: List.map (fun s -> Printf.sprintf "%.4f" (s /. n)) row))
+    epsilons sums;
   table
 
 let procs_sweep ?(spec = Workload.quick) ?(master_seed = 2008) ?crash_samples
     ~eps ~procs () =
-  let table =
-    Table.create
-      ~columns:
-        [
-          "procs"; "FaultFree-FTSA"; "FTSA M*"; "FTSA M";
-          (Printf.sprintf "FTSA %dcrash" eps); "overhead %";
-        ]
-  in
-  List.iter
-    (fun m ->
-      if m <= eps then invalid_arg "Figures.procs_sweep: procs <= eps";
-      let spec = Workload.with_procs spec m in
-      let rs =
-        Runner.run_point spec ~master_seed ~granularity:1.0 ~eps
-          ~crash_counts:[ eps ] ?crash_samples ()
-      in
-      let crash_key = Printf.sprintf "ftsa_crash%d" eps in
-      Table.add_row table
-        [
-          string_of_int m;
-          fmt3 (Runner.mean_of rs "ff_ftsa");
-          fmt3 (Runner.mean_of rs "ftsa_lb");
-          fmt3 (Runner.mean_of rs "ftsa_ub");
-          fmt3 (Runner.mean_of rs crash_key);
-          fmt_pct (mean_overhead rs crash_key);
-        ])
-    procs;
-  table
+  let crashed = Runner.Crash (Runner.Ftsa, eps) in
+  results_table "procs"
+    (List.map mean_column
+       Runner.
+         [
+           ("FaultFree-FTSA", Fault_free_ftsa); ("FTSA M*", Lower Ftsa);
+           ("FTSA M", Upper Ftsa); (Printf.sprintf "FTSA %dcrash" eps, crashed);
+         ]
+    @ [ ("overhead %", fun rs -> fmt_pct (mean_overhead rs crashed)) ])
+    (List.map
+       (fun m ->
+         if m <= eps then invalid_arg "Figures.procs_sweep: procs <= eps";
+         ( string_of_int m,
+           Runner.run_point (Workload.with_procs spec m) ~master_seed
+             ~granularity:1.0 ~eps ~crash_counts:[ eps ] ?crash_samples () ))
+       procs)
 
 let rftsa_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
     ?(trials = 800) ?(flaky_factor = 20.) ~eps () =
@@ -313,13 +247,10 @@ let rftsa_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
     Table.create
       ~columns:[ "alpha"; "M* (norm)"; "M (norm)"; "mission reliability" ]
   in
-  let granularity = 1.0 in
-  List.iter
-    (fun alpha ->
-      let lb = ref 0. and ub = ref 0. and rel = ref 0. and norm = ref 0. in
-      for index = 0 to spec.Workload.graphs_per_point - 1 do
-        let inst = Workload.instance spec ~master_seed ~granularity ~index in
-        let seed = master_seed + (31 * index) in
+  let alphas = [ 0.; 0.1; 0.2; 0.3; 0.5 ] in
+  let sums =
+    cell_sums spec ~master_seed ~granularity:1.0 alphas (fun g alpha ->
+        let inst = g.Workload.instance and seed = g.Workload.seed in
         let m = Instance.n_procs inst in
         (* calibrate the base rate against FTSA's horizon so the sweep
            sits in the informative part of the reliability curve *)
@@ -332,23 +263,28 @@ let rftsa_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
               if p mod 2 = 0 then flaky_factor *. base else base)
         in
         let s = R_ftsa.schedule ~seed ~alpha ~rates inst ~eps in
-        lb := !lb +. Schedule.latency_lower_bound s;
-        ub := !ub +. Schedule.latency_upper_bound s;
-        norm := !norm +. Runner.mean_edge_comm inst;
         let rng = Rng.create ~seed:(seed + 7) in
-        rel :=
-          !rel
-          +. (fst (R.mission rng s ~rates ~rate:0. ~trials ())).R.mean
-      done;
-      let n = float_of_int spec.Workload.graphs_per_point in
-      Table.add_row table
         [
-          Printf.sprintf "%.2f" alpha;
-          fmt3 (!lb /. !norm);
-          fmt3 (!ub /. !norm);
-          Printf.sprintf "%.4f" (!rel /. n);
+          Schedule.latency_lower_bound s;
+          Schedule.latency_upper_bound s;
+          (fst (R.mission rng s ~rates ~rate:0. ~trials ())).R.mean;
+          g.Workload.normalizer;
         ])
-    [ 0.; 0.1; 0.2; 0.3; 0.5 ];
+  in
+  let n = float_of_int spec.Workload.graphs_per_point in
+  List.iter2
+    (fun alpha row ->
+      match row with
+      | [ lb; ub; rel; norm ] ->
+          Table.add_row table
+            [
+              Printf.sprintf "%.2f" alpha;
+              fmt3 (lb /. norm);
+              fmt3 (ub /. norm);
+              Printf.sprintf "%.4f" (rel /. n);
+            ]
+      | _ -> assert false)
+    alphas sums;
   table
 
 let redundancy_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
@@ -364,49 +300,84 @@ let redundancy_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
           "M* (norm)"; "M (norm)";
         ]
   in
-  let granularity = 1.0 in
-  List.iter
-    (fun senders ->
-      let defeats = ref 0 and trials = ref 0 in
-      let msgs = ref 0 and lb = ref 0. and ub = ref 0. and norm = ref 0. in
-      for index = 0 to spec.Workload.graphs_per_point - 1 do
-        let inst = Workload.instance spec ~master_seed ~granularity ~index in
-        let seed = master_seed + (31 * index) in
+  let sender_counts = List.init (eps + 1) (fun i -> i + 1) in
+  let sums =
+    cell_sums spec ~master_seed ~granularity:1.0 sender_counts
+      (fun g senders ->
+        let inst = g.Workload.instance and seed = g.Workload.seed in
         let s =
-          Mc_ftsa.schedule ~seed ~strategy:(Mc_ftsa.Redundant senders) inst ~eps
+          Mc_ftsa.schedule ~seed ~strategy:(Mc_ftsa.Redundant senders) inst
+            ~eps
         in
-        msgs := !msgs + Schedule.inter_processor_messages s;
-        lb := !lb +. Schedule.latency_lower_bound s;
-        ub := !ub +. Schedule.latency_upper_bound s;
-        norm := !norm +. Runner.mean_edge_comm inst;
         let rng = Rng.create ~seed:(seed + 17) in
+        let defeats = ref 0 in
         for _ = 1 to scenarios_per_graph do
-          incr trials;
-          let sc =
-            Scenario.random rng ~m:(Instance.n_procs inst) ~count:eps
-          in
+          let sc = Scenario.random rng ~m:(Instance.n_procs inst) ~count:eps in
           if
             (Crash_exec.run ~policy:Crash_exec.Strict s sc).Crash_exec.latency
             = None
           then incr defeats
-        done
-      done;
-      let n = float_of_int spec.Workload.graphs_per_point in
-      Table.add_row table
+        done;
         [
-          string_of_int senders;
-          Printf.sprintf "%.3f" (float_of_int !defeats /. float_of_int !trials);
-          Printf.sprintf "%.0f" (float_of_int !msgs /. n);
-          fmt3 (!lb /. n /. (!norm /. n));
-          fmt3 (!ub /. n /. (!norm /. n));
+          float_of_int !defeats;
+          float_of_int (Schedule.inter_processor_messages s);
+          Schedule.latency_lower_bound s;
+          Schedule.latency_upper_bound s;
+          g.Workload.normalizer;
         ])
-    (List.init (eps + 1) (fun i -> i + 1));
+  in
+  let n = float_of_int spec.Workload.graphs_per_point in
+  let trials =
+    float_of_int (spec.Workload.graphs_per_point * scenarios_per_graph)
+  in
+  List.iter2
+    (fun senders row ->
+      match row with
+      | [ defeats; msgs; lb; ub; norm ] ->
+          Table.add_row table
+            [
+              string_of_int senders;
+              Printf.sprintf "%.3f" (defeats /. trials);
+              Printf.sprintf "%.0f" (msgs /. n);
+              fmt3 (lb /. n /. (norm /. n));
+              fmt3 (ub /. n /. (norm /. n));
+            ]
+      | _ -> assert false)
+    sender_counts sums;
   table
 
 type recovery_panels = {
   campaign : Table.t;
   exact_eps : Table.t;
 }
+
+let defeat (r : Esim.result) = if r.latency = None then 1. else 0.
+
+let completed_share (d : Ftsched_schedule.Metrics.degraded) =
+  float_of_int d.completed_tasks /. float_of_int d.total_tasks
+
+(* The scenarios of one campaign row, [scenario p] called once per prepared
+   graph [p] in index order, then on k = 0 .. [per_graph - 1]; each
+   scenario returns its observations and its recovered run.  Gives the
+   column sums of the observations, the scenario count, and the mean
+   normalized latency of the recovered runs that completed ("-" when none
+   did). *)
+let tally prepared ~per_graph scenario =
+  let runs =
+    List.concat_map (fun p -> List.init per_graph (scenario p)) prepared
+  in
+  let completed =
+    List.filter_map
+      (fun (_, ((g : Workload.graph), (r : Esim.result))) ->
+        Option.map (fun l -> l /. g.normalizer) r.latency)
+      runs
+  in
+  ( column_sums (List.map fst runs),
+    float_of_int (List.length runs),
+    match completed with
+    | [] -> "-"
+    | _ -> fmt3 (sum Fun.id completed /. float_of_int (List.length completed))
+  )
 
 (* A5: the online-recovery campaign.  Timed failure scenarios drawn from
    per-processor exponential laws, swept over failure intensity (expected
@@ -416,24 +387,18 @@ type recovery_panels = {
 let recovery_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
     ?(scenarios_per_graph = 5) ?(eps = 2)
     ?(intensities = [ 0.01; 0.05; 0.15; 0.3 ])
-    ?(delta_factors = [ 0.; 0.02; 0.1 ]) ?jobs () =
-  let module Esim = Ftsched_sim.Event_sim in
+    ?(delta_factors = [ 0.; 0.02; 0.1 ]) () =
   let module Scenario = Ftsched_sim.Scenario in
   let module Recovery = Ftsched_recovery.Recovery in
   let module Schedule = Ftsched_schedule.Schedule in
-  let module Metrics = Ftsched_schedule.Metrics in
-  let granularity = 1.0 in
-  let graphs = spec.Workload.graphs_per_point in
-  (* Shared per-graph state: instance, schedules, horizon, normalizer. *)
+  (* Shared per-graph state: the graph, its schedules and horizon. *)
   let prepared =
-    Par.parallel_init ?jobs graphs (fun index ->
-        let inst = Workload.instance spec ~master_seed ~granularity ~index in
-        let seed = master_seed + (31 * index) in
+    Workload.graphs spec ~master_seed ~granularity:1.0 (fun g ->
+        let inst = g.Workload.instance and seed = g.Workload.seed in
         let s_ftsa = Ftsa.schedule ~seed inst ~eps in
         let s_mc = Mc_ftsa.schedule ~seed inst ~eps in
         let s_unrep = Ftsa.schedule ~seed inst ~eps:0 in
-        let horizon = Schedule.latency_upper_bound s_ftsa in
-        (inst, seed, s_ftsa, s_mc, s_unrep, horizon, Runner.mean_edge_comm inst))
+        (g, s_ftsa, s_mc, s_unrep, Schedule.latency_upper_bound s_ftsa))
   in
   let campaign =
     Table.create
@@ -448,54 +413,39 @@ let recovery_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
      re-creates its per-graph RNG from the graph's seed — so they fan out
      over the pool; [prepared] is shared read-only. *)
   let campaign_row (intensity, delta_factor) =
-    let trials = ref 0 in
-    let ftsa_defeats = ref 0
-    and mc_defeats = ref 0
-    and mcr_defeats = ref 0
-    and unr_defeats = ref 0 in
-    let mcr_lat = ref 0. and mcr_done = ref 0 in
-    let unr_tasks = ref 0. in
-    List.iter
-      (fun (inst, seed, s_ftsa, s_mc, s_unrep, horizon, norm) ->
-        let m = Instance.n_procs inst in
-        let rates = Array.make m (intensity /. horizon) in
-        let delta = delta_factor *. horizon in
-        let rng = Rng.create ~seed:(seed + 13) in
-        for _ = 1 to scenarios_per_graph do
-          incr trials;
-          let fail_times = Scenario.exponential rng ~rates in
-          let defeated r = r.Esim.latency = None in
-          if defeated (Esim.run s_ftsa ~fail_times) then
-            incr ftsa_defeats;
-          if defeated (Esim.run s_mc ~fail_times) then incr mc_defeats;
-          let o_mc = Recovery.run ~delta s_mc ~fail_times in
-          (match o_mc.Recovery.result.Esim.latency with
-          | Some l ->
-              incr mcr_done;
-              mcr_lat := !mcr_lat +. (l /. norm)
-          | None -> incr mcr_defeats);
-          let o_un = Recovery.run ~delta s_unrep ~fail_times in
-          if o_un.Recovery.result.Esim.latency = None then
-            incr unr_defeats;
-          let d = o_un.Recovery.degraded in
-          unr_tasks :=
-            !unr_tasks
-            +. float_of_int d.Metrics.completed_tasks
-               /. float_of_int d.Metrics.total_tasks
-        done)
-      prepared;
-    let rate n = float_of_int !n /. float_of_int !trials in
-    [
-      Printf.sprintf "%.2f" intensity;
-      Printf.sprintf "%.2f" delta_factor;
-      fmt3 (rate ftsa_defeats);
-      fmt3 (rate mc_defeats);
-      fmt3 (rate mcr_defeats);
-      fmt3 (rate unr_defeats);
-      (if !mcr_done = 0 then "-"
-       else fmt3 (!mcr_lat /. float_of_int !mcr_done));
-      fmt_pct (100. *. !unr_tasks /. float_of_int !trials);
-    ]
+    match
+      tally prepared ~per_graph:scenarios_per_graph
+        (fun ((g : Workload.graph), s_ftsa, s_mc, s_unrep, horizon) ->
+          let rates =
+            Array.make (Instance.n_procs g.instance) (intensity /. horizon)
+          in
+          let delta = delta_factor *. horizon in
+          let rng = Rng.create ~seed:(g.seed + 13) in
+          fun _ ->
+            let fail_times = Scenario.exponential rng ~rates in
+            let mc = Recovery.run ~delta s_mc ~fail_times in
+            let unrep = Recovery.run ~delta s_unrep ~fail_times in
+            ( [
+                defeat (Esim.run s_ftsa ~fail_times);
+                defeat (Esim.run s_mc ~fail_times);
+                defeat mc.Recovery.result;
+                defeat unrep.Recovery.result;
+                completed_share unrep.Recovery.degraded;
+              ],
+              (g, mc.Recovery.result) ))
+    with
+    | [ ftsa; mc; mcr; unrep; tasks ], trials, mcr_lat ->
+        [
+          Printf.sprintf "%.2f" intensity;
+          Printf.sprintf "%.2f" delta_factor;
+          fmt3 (ftsa /. trials);
+          fmt3 (mc /. trials);
+          fmt3 (mcr /. trials);
+          fmt3 (unrep /. trials);
+          mcr_lat;
+          fmt_pct (100. *. tasks /. trials);
+        ]
+    | _ -> assert false
   in
   let combos =
     List.concat_map
@@ -503,8 +453,7 @@ let recovery_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
         List.map (fun delta_factor -> (intensity, delta_factor)) delta_factors)
       intensities
   in
-  List.iter (Table.add_row campaign)
-    (Par.parallel_map ?jobs campaign_row combos);
+  List.iter (Table.add_row campaign) (Par.parallel_map campaign_row combos);
   (* Exactly-ε panel: random timed scenarios with exactly [eps] failing
      processors — the regime where Theorem 4.1 protects FTSA but the
      strict MC-FTSA cascade collapses (Finding 1).  Recovery must bring
@@ -518,40 +467,34 @@ let recovery_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
         ]
   in
   let exact_eps_row delta_factor =
-    let trials = ref 0 in
-    let mc_defeats = ref 0 and mcr_defeats = ref 0 in
-    let mcr_lat = ref 0. and mcr_done = ref 0 in
-    let injections = ref 0 in
-    List.iter
-      (fun (inst, seed, _s_ftsa, s_mc, _s_unrep, horizon, norm) ->
-        let m = Instance.n_procs inst in
-        let delta = delta_factor *. horizon in
-        let rng = Rng.create ~seed:(seed + 29) in
-        for _ = 1 to scenarios_per_graph do
-          incr trials;
-          let timed = Scenario.random_timed rng ~m ~count:eps ~horizon in
-          if (Esim.run_timed s_mc timed).Esim.latency = None then
-            incr mc_defeats;
-          let o = Recovery.run_timed ~delta s_mc timed in
-          injections := !injections + o.Recovery.injections;
-          match o.Recovery.result.Esim.latency with
-          | Some l ->
-              incr mcr_done;
-              mcr_lat := !mcr_lat +. (l /. norm)
-          | None -> incr mcr_defeats
-        done)
-      prepared;
-    [
-      Printf.sprintf "%.2f" delta_factor;
-      fmt3 (float_of_int !mc_defeats /. float_of_int !trials);
-      fmt3 (float_of_int !mcr_defeats /. float_of_int !trials);
-      (if !mcr_done = 0 then "-"
-       else fmt3 (!mcr_lat /. float_of_int !mcr_done));
-      Printf.sprintf "%.1f" (float_of_int !injections /. float_of_int !trials);
-    ]
+    match
+      tally prepared ~per_graph:scenarios_per_graph
+        (fun ((g : Workload.graph), _, s_mc, _, horizon) ->
+          let m = Instance.n_procs g.instance in
+          let delta = delta_factor *. horizon in
+          let rng = Rng.create ~seed:(g.seed + 29) in
+          fun _ ->
+            let timed = Scenario.random_timed rng ~m ~count:eps ~horizon in
+            let o = Recovery.run_timed ~delta s_mc timed in
+            ( [
+                defeat (Esim.run_timed s_mc timed);
+                defeat o.Recovery.result;
+                float_of_int o.Recovery.injections;
+              ],
+              (g, o.Recovery.result) ))
+    with
+    | [ mc; mcr; injections ], trials, mcr_lat ->
+        [
+          Printf.sprintf "%.2f" delta_factor;
+          fmt3 (mc /. trials);
+          fmt3 (mcr /. trials);
+          mcr_lat;
+          Printf.sprintf "%.1f" (injections /. trials);
+        ]
+    | _ -> assert false
   in
   List.iter (Table.add_row exact_eps)
-    (Par.parallel_map ?jobs exact_eps_row delta_factors);
+    (Par.parallel_map exact_eps_row delta_factors);
   { campaign; exact_eps }
 
 (* A6: link failures and retransmission.  No processor ever dies here —
@@ -563,28 +506,14 @@ let recovery_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
    starvation on top. *)
 let link_loss_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
     ?(scenarios_per_graph = 5) ?(eps = 2)
-    ?(losses = [ 0.02; 0.05; 0.1; 0.2; 0.4 ]) ?(retries = 3) ?jobs () =
-  let module Esim = Ftsched_sim.Event_sim in
+    ?(losses = [ 0.02; 0.05; 0.1; 0.2; 0.4 ]) ?(retries = 3) () =
   let module Scenario = Ftsched_sim.Scenario in
   let module Recovery = Ftsched_recovery.Recovery in
   let module Metrics = Ftsched_schedule.Metrics in
-  let granularity = 1.0 in
-  let graphs = spec.Workload.graphs_per_point in
   let prepared =
-    Par.parallel_init ?jobs graphs (fun index ->
-        let inst = Workload.instance spec ~master_seed ~granularity ~index in
-        let seed = master_seed + (31 * index) in
-        let s_ftsa = Ftsa.schedule ~seed inst ~eps in
-        let s_mc = Mc_ftsa.schedule ~seed inst ~eps in
-        (inst, seed, s_ftsa, s_mc, Runner.mean_edge_comm inst))
-  in
-  let first_finish_of (r : Esim.result) t =
-    Array.fold_left
-      (fun best o ->
-        match o with
-        | Esim.Completed { finish; _ } -> Float.min best finish
-        | Esim.Lost -> best)
-      infinity r.Esim.outcomes.(t)
+    Workload.graphs spec ~master_seed ~granularity:1.0 (fun g ->
+        let inst = g.Workload.instance and seed = g.Workload.seed in
+        (g, Ftsa.schedule ~seed inst ~eps, Mc_ftsa.schedule ~seed inst ~eps))
   in
   let table =
     Table.create
@@ -599,67 +528,49 @@ let link_loss_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
      fault stream is seeded from (graph seed, sample index), so rows are
      independent and the table is bit-identical at any worker count. *)
   let loss_row loss =
-    let trials = ref 0 in
-    let ftsa_nort = ref 0
-    and mc_nort = ref 0
-    and ftsa_rt = ref 0
-    and mc_rt = ref 0
-    and mcr_defeats = ref 0 in
-    let mc_tasks = ref 0. in
-    let retrans = ref 0 in
-    let mcr_lat = ref 0. and mcr_done = ref 0 in
-    List.iter
-      (fun (inst, seed, s_ftsa, s_mc, norm) ->
-        let m = Instance.n_procs inst in
-        let fail_times = Array.make m infinity in
-        let g = Instance.dag inst in
-        for k = 1 to scenarios_per_graph do
-          incr trials;
-          (* The same fault seed across variants pairs the comparison;
-             the draws still diverge with the message count. *)
-          let fseed = seed + (101 * k) in
-          let no_rt = Scenario.lossy ~loss ~retries:0 ~seed:fseed () in
-          let rt = Scenario.lossy ~loss ~retries ~seed:fseed () in
-          let defeated (r : Esim.result) = r.Esim.latency = None in
-          if defeated (Esim.run ~faults:no_rt s_ftsa ~fail_times) then
-            incr ftsa_nort;
-          let r_mc = Esim.run ~faults:no_rt s_mc ~fail_times in
-          if defeated r_mc then incr mc_nort;
-          let d =
-            Metrics.degraded_of_run g ~first_finish:(first_finish_of r_mc)
-          in
-          mc_tasks :=
-            !mc_tasks
-            +. float_of_int d.Metrics.completed_tasks
-               /. float_of_int d.Metrics.total_tasks;
-          if defeated (Esim.run ~faults:rt s_ftsa ~fail_times) then
-            incr ftsa_rt;
-          let r_mc_rt = Esim.run ~faults:rt s_mc ~fail_times in
-          if defeated r_mc_rt then incr mc_rt;
-          retrans := !retrans + r_mc_rt.Esim.retransmissions;
-          let o = Recovery.run ~faults:rt s_mc ~fail_times in
-          match o.Recovery.result.Esim.latency with
-          | Some l ->
-              incr mcr_done;
-              mcr_lat := !mcr_lat +. (l /. norm)
-          | None -> incr mcr_defeats
-        done)
-      prepared;
-    let rate n = float_of_int !n /. float_of_int !trials in
-    [
-      Printf.sprintf "%.2f" loss;
-      fmt3 (rate ftsa_nort);
-      fmt3 (rate mc_nort);
-      fmt_pct (100. *. !mc_tasks /. float_of_int !trials);
-      fmt3 (rate ftsa_rt);
-      fmt3 (rate mc_rt);
-      Printf.sprintf "%.1f" (float_of_int !retrans /. float_of_int !trials);
-      fmt3 (rate mcr_defeats);
-      (if !mcr_done = 0 then "-"
-       else fmt3 (!mcr_lat /. float_of_int !mcr_done));
-    ]
+    match
+      tally prepared ~per_graph:scenarios_per_graph
+        (fun ((g : Workload.graph), s_ftsa, s_mc) ->
+          let fail_times = Array.make (Instance.n_procs g.instance) infinity in
+          let dag = Instance.dag g.instance in
+          fun k ->
+            (* The same fault seed across variants pairs the comparison;
+               the draws still diverge with the message count. *)
+            let fseed = g.seed + (101 * (k + 1)) in
+            let no_rt = Scenario.lossy ~loss ~retries:0 ~seed:fseed () in
+            let rt = Scenario.lossy ~loss ~retries ~seed:fseed () in
+            let r_mc = Esim.run ~faults:no_rt s_mc ~fail_times in
+            let r_mc_rt = Esim.run ~faults:rt s_mc ~fail_times in
+            let o = Recovery.run ~faults:rt s_mc ~fail_times in
+            ( [
+                defeat (Esim.run ~faults:no_rt s_ftsa ~fail_times);
+                defeat r_mc;
+                completed_share
+                  (Metrics.degraded_of_run dag
+                     ~first_finish:(Esim.first_finish r_mc));
+                defeat (Esim.run ~faults:rt s_ftsa ~fail_times);
+                defeat r_mc_rt;
+                float_of_int r_mc_rt.Esim.retransmissions;
+                defeat o.Recovery.result;
+              ],
+              (g, o.Recovery.result) ))
+    with
+    | [ ftsa_nort; mc_nort; mc_tasks; ftsa_rt; mc_rt; retrans; mcr ], trials,
+      mcr_lat ->
+        [
+          Printf.sprintf "%.2f" loss;
+          fmt3 (ftsa_nort /. trials);
+          fmt3 (mc_nort /. trials);
+          fmt_pct (100. *. mc_tasks /. trials);
+          fmt3 (ftsa_rt /. trials);
+          fmt3 (mc_rt /. trials);
+          Printf.sprintf "%.1f" (retrans /. trials);
+          fmt3 (mcr /. trials);
+          mcr_lat;
+        ]
+    | _ -> assert false
   in
-  List.iter (Table.add_row table) (Par.parallel_map ?jobs loss_row losses);
+  List.iter (Table.add_row table) (Par.parallel_map loss_row losses);
   table
 
 (* Adversarial timed worst case (Ftsched_sim.Adversary) on instance 0 at
@@ -694,11 +605,6 @@ let adversary_table ?(spec = Workload.quick) ?(master_seed = 2008) ~eps () =
     ];
   table
 
-let time_once f =
-  let t0 = Sys.time () in
-  ignore (Sys.opaque_identity (f ()));
-  Sys.time () -. t0
-
 let table1 ?(sizes = [ 100; 500; 1000 ]) ?(m = 50) ?(eps = 5) ?(seed = 1)
     () =
   let table =
@@ -706,15 +612,11 @@ let table1 ?(sizes = [ 100; 500; 1000 ]) ?(m = 50) ?(eps = 5) ?(seed = 1)
   in
   List.iter
     (fun n_tasks ->
-      let rng = Rng.create ~seed:(seed + n_tasks) in
-      let dag =
-        Gen.layered rng ~n_tasks ~volume:(Gen.Uniform_volume (50., 150.)) ()
-      in
-      let platform = Platform.random rng ~m ~delay_lo:0.5 ~delay_hi:1.0 () in
-      let inst = Instance.random_exec rng ~dag ~platform () in
-      let t_ftsa = time_once (fun () -> Ftsa.schedule ~seed inst ~eps) in
-      let t_mc = time_once (fun () -> Mc_ftsa.schedule ~seed inst ~eps) in
-      let t_ftbar = time_once (fun () -> Ftbar.schedule ~seed inst ~npf:eps) in
+      let inst = Workload.sized ~seed:(seed + n_tasks) ~n_tasks ~m in
+      let time = Runner.cpu_per_run in
+      let t_ftsa = time (fun () -> Ftsa.schedule ~seed inst ~eps) in
+      let t_mc = time (fun () -> Mc_ftsa.schedule ~seed inst ~eps) in
+      let t_ftbar = time (fun () -> Ftbar.schedule ~seed inst ~npf:eps) in
       Table.add_row table
         [
           string_of_int n_tasks;
@@ -729,8 +631,7 @@ let table1 ?(sizes = [ 100; 500; 1000 ]) ?(m = 50) ?(eps = 5) ?(seed = 1)
 (* A7: streaming & chaos                                               *)
 
 let stream_ablation ?(master_seed = 2008) ?(seeds_per_point = 10)
-    ?(rates = [ 0.3; 0.6; 1.0 ]) ?(crash_rates = [ 0.; 0.05; 0.15 ]) ?jobs ()
-    =
+    ?(rates = [ 0.3; 0.6; 1.0 ]) ?(crash_rates = [ 0.; 0.05; 0.15 ]) () =
   let module Stream = Ftsched_stream.Stream in
   let point ~rate ~crash_rate ~shadow =
     let config =
@@ -743,7 +644,7 @@ let stream_ablation ?(master_seed = 2008) ?(seeds_per_point = 10)
       }
     in
     let reports =
-      Par.parallel_init ?jobs seeds_per_point (fun i ->
+      Par.parallel_init seeds_per_point (fun i ->
           Stream.run_trace ~config ~seed:(master_seed + i) ())
     in
     let clean =
@@ -794,8 +695,7 @@ let stream_ablation ?(master_seed = 2008) ?(seeds_per_point = 10)
     rates;
   table
 
-let tournament_matrix ?(master_seed = 2008) ?(pairs = 12) ?(iters = 120)
-    ?jobs () =
+let tournament_matrix ?(master_seed = 2008) ?(pairs = 12) ?(iters = 120) () =
   let module T = Ftsched_tournament.Tournament in
-  let r = T.campaign ?jobs ~pairs ~iters ~seed:master_seed () in
+  let r = T.campaign ~pairs ~iters ~seed:master_seed () in
   T.matrix_table r

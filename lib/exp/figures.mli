@@ -5,7 +5,10 @@
     normalized as described in EXPERIMENTS.md (latency divided by the
     instance's mean per-edge average communication cost).  The three
     panels of a figure share one simulation sweep, exactly as in the
-    paper. *)
+    paper.  Every driver over the §6 workload draws its graphs from
+    {!Workload.graphs}, so it fans out over
+    {!Ftsched_par.Par.default_jobs} domains and its tables are
+    bit-identical for any worker count. *)
 
 type panels = {
   bounds : Ftsched_util.Table.t;
@@ -25,7 +28,6 @@ val figure :
   ?spec:Workload.spec ->
   ?master_seed:int ->
   ?crash_samples:int ->
-  ?jobs:int ->
   eps:int ->
   crash_counts:int list ->
   unit ->
@@ -35,21 +37,19 @@ val figure :
     Figure 2 [~eps:2 ~crash_counts:[0;1;2]],
     Figure 3 [~eps:5 ~crash_counts:[0;2;5]].
     [spec] defaults to {!Workload.quick}; pass {!Workload.paper} for the
-    full 60-graph sweep.  [jobs] (default
-    {!Ftsched_par.Par.default_jobs}) fans the granularity points out
-    over that many domains — the panels are bit-identical for any worker
-    count. *)
+    full 60-graph sweep.  The panels read one {!Runner.sweep}. *)
 
 val figure4 :
   ?spec:Workload.spec ->
   ?master_seed:int ->
   ?crash_samples:int ->
-  ?jobs:int ->
   unit ->
   Ftsched_util.Table.t * Ftsched_util.Table.t
 (** Figure 4: FTSA on a 5-processor platform with ε = 2 — (latency,
     overhead) tables for 0, 1 and 2 crashes, where the latency spread
-    with the number of failures becomes visible. *)
+    with the number of failures becomes visible.  These are {!figure}'s
+    crash and overhead panels at [~eps:2 ~crash_counts:[0; 1; 2]] on
+    that platform, restricted to the FTSA columns. *)
 
 val table1 :
   ?sizes:int list ->
@@ -58,7 +58,8 @@ val table1 :
   ?seed:int ->
   unit ->
   Ftsched_util.Table.t
-(** Table 1: running time (seconds) of FTSA, MC-FTSA and FTBAR on graphs
+(** Table 1: running time (CPU seconds per run, {!Runner.cpu_per_run})
+    of FTSA, MC-FTSA and FTBAR on graphs
     of [sizes] tasks (default [[100; 500; 1000]]; the paper's full list is
     [[100; 500; 1000; 2000; 3000; 5000]]), [m] = 50 processors, ε = 5. *)
 
@@ -143,7 +144,6 @@ val recovery_ablation :
   ?eps:int ->
   ?intensities:float list ->
   ?delta_factors:float list ->
-  ?jobs:int ->
   unit ->
   recovery_panels
 (** Beyond the paper (A5): the online failure detection and recovery
@@ -162,7 +162,6 @@ val link_loss_ablation :
   ?eps:int ->
   ?losses:float list ->
   ?retries:int ->
-  ?jobs:int ->
   unit ->
   Ftsched_util.Table.t
 (** Beyond the paper (A6): link failures and retransmission.  No
@@ -208,7 +207,6 @@ val stream_ablation :
   ?seeds_per_point:int ->
   ?rates:float list ->
   ?crash_rates:float list ->
-  ?jobs:int ->
   unit ->
   Ftsched_util.Table.t
 (** Beyond the paper (A7): online streaming under chaos.  A grid of
@@ -226,7 +224,6 @@ val tournament_matrix :
   ?master_seed:int ->
   ?pairs:int ->
   ?iters:int ->
-  ?jobs:int ->
   unit ->
   Ftsched_util.Table.t
 (** Beyond the paper (A8): pairwise-dominance matrix from the
@@ -236,4 +233,4 @@ val tournament_matrix :
     instances — large off-diagonal values are the instances the random
     campaigns average away.  The first [pairs] ordered policy pairs are
     searched for [iters] proposals each, in parallel; bit-identical for
-    any [jobs]. *)
+    any worker count. *)

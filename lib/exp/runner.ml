@@ -1,5 +1,4 @@
 module Rng = Ftsched_util.Rng
-module Dag = Ftsched_dag.Dag
 module Instance = Ftsched_model.Instance
 module Schedule = Ftsched_schedule.Schedule
 module Ftsa = Ftsched_core.Ftsa
@@ -9,34 +8,40 @@ module Scenario = Ftsched_sim.Scenario
 module Crash_exec = Ftsched_sim.Crash_exec
 module Par = Ftsched_par.Par
 
-type metrics = (string * float) list
+type algo = Ftsa | Mc_ftsa | Ftbar
+type per_algo = { ftsa : float; mc_ftsa : float; ftbar : float }
 
 type graph_result = {
-  granularity : float;
   normalizer : float;
   mc_strict_defeated : float;
-  metrics : metrics;
-  metric_tbl : (string, float) Hashtbl.t;
+  lower_bounds : per_algo;
+  upper_bounds : per_algo;
+  fault_free_ftsa : float;
+  fault_free_ftbar : float;
+  crash_latencies : (int * per_algo) list;
 }
 
-let index_metrics metrics =
-  let tbl = Hashtbl.create (2 * List.length metrics) in
-  List.iter (fun (k, v) -> Hashtbl.replace tbl k v) metrics;
-  tbl
+type metric =
+  | Lower of algo
+  | Upper of algo
+  | Fault_free_ftsa
+  | Fault_free_ftbar
+  | Crash of algo * int
 
-let metric r key = Hashtbl.find_opt r.metric_tbl key
+let of_algo a l =
+  match a with Ftsa -> l.ftsa | Mc_ftsa -> l.mc_ftsa | Ftbar -> l.ftbar
 
-let mean_edge_comm inst =
-  let g = Instance.dag inst in
-  let e = Dag.n_edges g in
-  if e = 0 then 1.
-  else begin
-    let total = ref 0. in
-    for i = 0 to e - 1 do
-      total := !total +. Instance.edge_avg_comm inst i
-    done;
-    !total /. float_of_int e
-  end
+let value r = function
+  | Lower a -> of_algo a r.lower_bounds
+  | Upper a -> of_algo a r.upper_bounds
+  | Fault_free_ftsa -> r.fault_free_ftsa
+  | Fault_free_ftbar -> r.fault_free_ftbar
+  | Crash (a, count) -> (
+      match List.assoc_opt count r.crash_latencies with
+      | Some l -> of_algo a l
+      | None ->
+          invalid_arg
+            (Printf.sprintf "Runner.value: %d crashes were not replayed" count))
 
 (* Crash-scenario RNG, derived per (count, sample) rather than shared
    across the crash-count sweep: seed + 0x5eed salts the base stream as
@@ -46,28 +51,21 @@ let mean_edge_comm inst =
 let crash_scenario_rng ~seed ~count ~sample =
   Rng.create ~seed:(seed + 0x5eed + (7919 * count) + (101 * sample))
 
-let run_graph inst ~eps ~crash_counts ?(crash_samples = 3) ?(seed = 0) () =
+let run_graph (g : Workload.graph) ~eps ~crash_counts ?(crash_samples = 3) ()
+    =
+  let inst = g.instance and seed = g.seed in
   let m = Instance.n_procs inst in
   let s_ftsa = Ftsa.schedule ~seed inst ~eps in
   let s_mc = Mc_ftsa.schedule ~seed inst ~eps in
   let s_ftbar = Ftbar.schedule ~seed inst ~npf:eps in
   let s_ff_ftsa = Ftsa.schedule ~seed inst ~eps:0 in
   let s_ff_ftbar = Ftbar.schedule ~seed inst ~npf:0 in
-  let bounds =
-    [
-      ("ftsa_lb", Schedule.latency_lower_bound s_ftsa);
-      ("ftsa_ub", Schedule.latency_upper_bound s_ftsa);
-      ("mc_lb", Schedule.latency_lower_bound s_mc);
-      ("mc_ub", Schedule.latency_upper_bound s_mc);
-      ("ftbar_lb", Schedule.latency_lower_bound s_ftbar);
-      ("ftbar_ub", Schedule.latency_upper_bound s_ftbar);
-      ("ff_ftsa", Schedule.latency_lower_bound s_ff_ftsa);
-      ("ff_ftbar", Schedule.latency_lower_bound s_ff_ftbar);
-    ]
+  let per_algo bound =
+    { ftsa = bound s_ftsa; mc_ftsa = bound s_mc; ftbar = bound s_ftbar }
   in
   let strict_defeats = ref 0 and strict_total = ref 0 in
-  let crash_metrics =
-    List.concat_map
+  let crash_latencies =
+    List.map
       (fun count ->
         let scenarios =
           List.init crash_samples (fun sample ->
@@ -80,10 +78,10 @@ let run_graph inst ~eps ~crash_counts ?(crash_samples = 3) ?(seed = 0) () =
           in
           total /. float_of_int crash_samples
         in
-        let ftsa_c =
+        let ftsa =
           mean (fun sc -> Crash_exec.latency_exn ~policy:Reroute s_ftsa sc)
         in
-        let mc_c =
+        let mc_ftsa =
           mean (fun sc ->
               if count = eps then begin
                 incr strict_total;
@@ -93,48 +91,52 @@ let run_graph inst ~eps ~crash_counts ?(crash_samples = 3) ?(seed = 0) () =
               end;
               Crash_exec.latency_exn ~policy:Reroute s_mc sc)
         in
-        let ftbar_c =
+        let ftbar =
           mean (fun sc -> Crash_exec.latency_exn ~policy:Reroute s_ftbar sc)
         in
-        [
-          (Printf.sprintf "ftsa_crash%d" count, ftsa_c);
-          (Printf.sprintf "mc_crash%d" count, mc_c);
-          (Printf.sprintf "ftbar_crash%d" count, ftbar_c);
-        ])
+        (count, { ftsa; mc_ftsa; ftbar }))
       crash_counts
   in
-  let metrics = bounds @ crash_metrics in
   {
-    granularity = Ftsched_model.Granularity.granularity inst;
-    normalizer = mean_edge_comm inst;
+    normalizer = g.normalizer;
     mc_strict_defeated =
       (if !strict_total = 0 then 0.
        else float_of_int !strict_defeats /. float_of_int !strict_total);
-    metrics;
-    metric_tbl = index_metrics metrics;
+    lower_bounds = per_algo Schedule.latency_lower_bound;
+    upper_bounds = per_algo Schedule.latency_upper_bound;
+    fault_free_ftsa = Schedule.latency_lower_bound s_ff_ftsa;
+    fault_free_ftbar = Schedule.latency_lower_bound s_ff_ftbar;
+    crash_latencies;
   }
 
-let run_point spec ~master_seed ~granularity ~eps ~crash_counts
-    ?crash_samples ?jobs () =
-  Par.parallel_init ?jobs spec.Workload.graphs_per_point (fun index ->
-      let inst = Workload.instance spec ~master_seed ~granularity ~index in
-      run_graph inst ~eps ~crash_counts ?crash_samples
-        ~seed:(master_seed + (31 * index))
-        ())
+let run_point spec ~master_seed ~granularity ~eps ~crash_counts ?crash_samples
+    () =
+  Workload.graphs spec ~master_seed ~granularity (fun g ->
+      run_graph g ~eps ~crash_counts ?crash_samples ())
 
-let get_metric r key =
-  match Hashtbl.find_opt r.metric_tbl key with
-  | Some v -> v
-  | None -> invalid_arg ("Runner: unknown metric " ^ key)
+let sweep spec ~master_seed ~eps ~crash_counts ?crash_samples () =
+  Par.parallel_map
+    (fun granularity ->
+      ( granularity,
+        run_point spec ~master_seed ~granularity ~eps ~crash_counts
+          ?crash_samples () ))
+    Workload.granularities
 
-let mean_of results key =
-  let total =
-    List.fold_left
-      (fun acc r -> acc +. (get_metric r key /. r.normalizer))
-      0. results
-  in
-  total /. float_of_int (List.length results)
-
-let mean_defeat_rate results =
-  List.fold_left (fun acc r -> acc +. r.mc_strict_defeated) 0. results
+let mean f results =
+  List.fold_left (fun acc r -> acc +. f r) 0. results
   /. float_of_int (List.length results)
+
+let mean_of results metric =
+  mean (fun r -> value r metric /. r.normalizer) results
+
+let cpu_per_run f =
+  (* quiesce the GC so the sample doesn't pay major-heap slices for
+     garbage earlier work left behind *)
+  Gc.full_major ();
+  let t0 = Sys.time () in
+  let rec go runs =
+    ignore (Sys.opaque_identity (f ()));
+    let dt = Sys.time () -. t0 in
+    if dt >= 0.01 then dt /. float_of_int runs else go (runs + 1)
+  in
+  go 1

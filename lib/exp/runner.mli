@@ -7,48 +7,49 @@
     scenarios with the {!Ftsched_sim.Crash_exec} simulator (reroute
     policy, see that module on why).
 
-    Results are labelled raw latencies; {!Figures} normalizes and
-    averages them. *)
+    Results are raw latencies; {!Figures} normalizes and averages them. *)
 
-type metrics = (string * float) list
-(** Labels used:
-    ["ftsa_lb"], ["ftsa_ub"], ["mc_lb"], ["mc_ub"], ["ftbar_lb"],
-    ["ftbar_ub"], ["ff_ftsa"], ["ff_ftbar"] — bounds (eqs. 2/4) and
-    fault-free latencies;
-    ["ftsa_crash<k>"], ["mc_crash<k>"], ["ftbar_crash<k>"] — mean achieved
-    latency over the crash scenarios with [k] failed processors. *)
+type algo = Ftsa | Mc_ftsa | Ftbar
+type per_algo = { ftsa : float; mc_ftsa : float; ftbar : float }
 
 type graph_result = {
-  granularity : float;
-  normalizer : float;
-      (** mean average communication cost per edge, [W̄] — the
-          latency-normalization constant used in the reports *)
+  normalizer : float;  (** the normalizer of the {!Workload.graph} *)
   mc_strict_defeated : float;
       (** fraction of sampled ε-crash scenarios that defeat MC-FTSA under
           the strict (paper-literal) execution policy — the end-to-end
           gap documented in DESIGN.md *)
-  metrics : metrics;
-  metric_tbl : (string, float) Hashtbl.t;
-      (** [metrics] pre-indexed by label, built once per graph so the
-          O(points × keys × graphs) figure reductions look metrics up in
-          O(1) instead of walking the assoc list per cell *)
+  lower_bounds : per_algo;  (** [M*] (eqs. 2/4) *)
+  upper_bounds : per_algo;  (** [M] *)
+  fault_free_ftsa : float;  (** FTSA latency at ε = 0 *)
+  fault_free_ftbar : float;  (** FTBAR latency at npf = 0 *)
+  crash_latencies : (int * per_algo) list;
+      (** per crash count, in [crash_counts] order: mean achieved latency
+          over the crash scenarios with that many failed processors *)
 }
 
-val metric : graph_result -> string -> float option
-(** O(1) lookup in the pre-indexed metric table. *)
+(** One number a figure reads off a {!graph_result}. *)
+type metric =
+  | Lower of algo
+  | Upper of algo
+  | Fault_free_ftsa
+  | Fault_free_ftbar
+  | Crash of algo * int  (** achieved latency under that many crashes *)
+
+val value : graph_result -> metric -> float
+(** Raw (unnormalized) value.  Raises [Invalid_argument] for a
+    [Crash (_, k)] whose count [k] the graph was not replayed with. *)
 
 val run_graph :
-  Ftsched_model.Instance.t ->
+  Workload.graph ->
   eps:int ->
   crash_counts:int list ->
   ?crash_samples:int ->
-  ?seed:int ->
   unit ->
   graph_result
-(** [run_graph inst ~eps ~crash_counts ()] measures one instance.
-    [crash_counts] lists the failure multiplicities to replay for the
-    crash panels (e.g. [[0; 1]] for Figure 1(b)); [crash_samples]
-    scenarios are drawn per multiplicity (default 3). *)
+(** [run_graph g ~eps ~crash_counts ()] measures one graph, scheduling
+    with [g.seed].  [crash_counts] lists the failure multiplicities to
+    replay for the crash panels (e.g. [[0; 1]] for Figure 1(b));
+    [crash_samples] scenarios are drawn per multiplicity (default 3). *)
 
 val run_point :
   Workload.spec ->
@@ -57,20 +58,29 @@ val run_point :
   eps:int ->
   crash_counts:int list ->
   ?crash_samples:int ->
-  ?jobs:int ->
   unit ->
   graph_result list
-(** All graphs of one figure point, fanned out over
-    [jobs] domains (default {!Ftsched_par.Par.default_jobs}) — each
-    graph's instance and every RNG it draws from derive from
-    [master_seed + 31*index], so the result list is bit-identical for
-    any worker count. *)
+(** {!run_graph} over the graphs of one figure point ({!Workload.graphs}). *)
 
-val mean_of : graph_result list -> string -> float
-(** Mean of one normalized metric over the point's graphs ([latency /
+val sweep :
+  Workload.spec ->
+  master_seed:int ->
+  eps:int ->
+  crash_counts:int list ->
+  ?crash_samples:int ->
+  unit ->
+  (float * graph_result list) list
+(** {!run_point} at every granularity of {!Workload.granularities}, in
+    order, the points fanned out over the domain pool.  Every figure and
+    the claims verifier read this one sweep. *)
+
+val mean : (graph_result -> float) -> graph_result list -> float
+(** Mean of a per-graph number over the point's graphs, summed in order. *)
+
+val mean_of : graph_result list -> metric -> float
+(** Mean of one normalized metric over the point's graphs ([value /
     normalizer], per graph). *)
 
-val mean_defeat_rate : graph_result list -> float
-
-val mean_edge_comm : Ftsched_model.Instance.t -> float
-(** The latency normalizer: mean over DAG edges of [W̄(e)]. *)
+val cpu_per_run : (unit -> 'a) -> float
+(** CPU seconds per call of the thunk: after a full major collection, the
+    thunk runs back to back until the runs have taken at least 10 ms. *)

@@ -3,6 +3,8 @@ module Gen = Ftsched_dag.Generators
 module Platform = Ftsched_platform.Platform
 module Instance = Ftsched_model.Instance
 module Granularity = Ftsched_model.Granularity
+module Dag = Ftsched_dag.Dag
+module Par = Ftsched_par.Par
 
 type spec = {
   n_procs : int;
@@ -55,3 +57,32 @@ let instance spec ~master_seed ~granularity ~index =
   in
   let inst = Instance.random_exec rng ~dag ~platform () in
   Granularity.scale_to inst ~target:granularity
+
+let sized ~seed ~n_tasks ~m =
+  let rng = Rng.create ~seed in
+  let dag = Gen.layered rng ~n_tasks () in
+  let platform = Platform.random rng ~m ~delay_lo:0.5 ~delay_hi:1.0 () in
+  Instance.random_exec rng ~dag ~platform ()
+
+type graph = { instance : Instance.t; seed : int; normalizer : float }
+
+let mean_edge_comm inst =
+  let e = Dag.n_edges (Instance.dag inst) in
+  if e = 0 then 1.
+  else begin
+    let total = ref 0. in
+    for i = 0 to e - 1 do
+      total := !total +. Instance.edge_avg_comm inst i
+    done;
+    !total /. float_of_int e
+  end
+
+let graphs spec ~master_seed ~granularity f =
+  Par.parallel_init spec.graphs_per_point (fun index ->
+      let instance = instance spec ~master_seed ~granularity ~index in
+      f
+        {
+          instance;
+          seed = master_seed + (31 * index);
+          normalizer = mean_edge_comm instance;
+        })

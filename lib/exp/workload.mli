@@ -40,3 +40,27 @@ val instance :
     granularity.  The generator stream is derived from
     [(master_seed, granularity, index)] only, so any point of any figure
     can be regenerated in isolation. *)
+
+val sized : seed:int -> n_tasks:int -> m:int -> Ftsched_model.Instance.t
+(** A Table 1 instance: a layered DAG of [n_tasks] tasks with the paper's
+    volume and delay ranges on [m] processors, at its generated
+    granularity. *)
+
+type graph = {
+  instance : Ftsched_model.Instance.t;
+  seed : int;  (** the seed the graph's schedulers and scenarios derive from *)
+  normalizer : float;
+      (** mean over DAG edges of [W̄(e)], the latency-normalization
+          constant of the reports *)
+}
+(** One graph of a figure point, as every driver sees it. *)
+
+val graphs :
+  spec -> master_seed:int -> granularity:float -> (graph -> 'a) -> 'a list
+(** [graphs spec ~master_seed ~granularity f] is [f] over the
+    [spec.graphs_per_point] graphs of one point, in index order: graph
+    [index] is {!instance}[ ~index], its seed the master seed plus 31
+    times the index.  The graphs fan out over
+    {!Ftsched_par.Par.default_jobs} domains; [f] must derive any
+    randomness from the graph's seed, so the list is bit-identical for
+    any worker count. *)

@@ -303,17 +303,10 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds ?workspace s ~fail_times
     progress := !total_kills > k0 || !total_injections > i0
   done;
   let result = Engine.result eng in
-  let first_finish t =
-    Array.fold_left
-      (fun best o ->
-        match o with
-        | Event_sim.Completed { finish; _ } -> Float.min best finish
-        | Event_sim.Lost -> best)
-      infinity result.Event_sim.outcomes.(t)
-  in
   {
     result;
-    degraded = Metrics.degraded_of_run g ~first_finish;
+    degraded =
+      Metrics.degraded_of_run g ~first_finish:(Event_sim.first_finish result);
     injections = !total_injections;
     kills = !total_kills;
     detected_failures = Detector.n_failures det;

@@ -75,12 +75,6 @@ let replay ?network ?(faults = Scenario.reliable) s w =
   Event_sim.run ?network ~faults:(faults_with_drops faults w.dropped_links) s
     ~fail_times
 
-let choose m k =
-  let rec go acc n r =
-    if r = 0 then acc else go (acc * n / (k - r + 1)) (n - 1) (r - 1)
-  in
-  if k < 0 || k > m then 0 else go 1 m k
-
 (* Candidate death instants per processor: 0 (the untimed adversary) plus
    the midpoint of every replica interval the reference run completes on
    that processor — killing a processor mid-replica maximally wastes the
@@ -144,7 +138,7 @@ let search ?network ?(faults = Scenario.reliable) ?(links = 0) ?(restarts = 6)
      exhaustive sweep covers exactly the scenario set Worst_case.analyze
      enumerates, so the final answer is certified no better than the
      untimed worst. *)
-  let exhaustive = choose m count <= exhaustive_limit in
+  let exhaustive = Scenario.n_of_size ~m ~count <= exhaustive_limit in
   let subsets =
     if exhaustive then
       List.map

@@ -60,6 +60,14 @@ type result = {
   lost_messages : int;
 }
 
+let first_finish r task =
+  Array.fold_left
+    (fun best o ->
+      match o with
+      | Completed { finish; _ } -> Float.min best finish
+      | Lost -> best)
+    infinity r.outcomes.(task)
+
 type replica_state =
   | Waiting
   | Running of { start : float; finish : float }

@@ -71,6 +71,11 @@ type result = {
           before it could re-send *)
 }
 
+val first_finish : result -> Ftsched_dag.Dag.task -> float
+(** Earliest finish of any completed replica of the task, [infinity] if
+    none completed — the [~first_finish] of
+    {!Ftsched_schedule.Metrics.degraded_of_run}. *)
+
 type replica_state =
   | Waiting
   | Running of { start : float; finish : float }

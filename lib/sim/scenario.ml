@@ -31,6 +31,12 @@ let all_of_size ~m ~count =
   in
   List.map (fun l -> { failed = Array.of_list l }) (choose 0 count)
 
+let n_of_size ~m ~count =
+  let rec go acc n r =
+    if r = 0 then acc else go (acc * n / (count - r + 1)) (n - 1) (r - 1)
+  in
+  if count < 0 || count > m then 0 else go 1 m count
+
 type timed = { proc : int; at : float }
 
 let random_timed rng ~m ~count ~horizon =

@@ -21,6 +21,10 @@ val all_of_size : m:int -> count:int -> t list
 (** Every subset of exactly [count] processors — exhaustive testing on
     small platforms. *)
 
+val n_of_size : m:int -> count:int -> int
+(** The binomial C([m], [count]): how many scenarios {!all_of_size}
+    lists; 0 when [count] is outside [\[0, m\]]. *)
+
 type timed = { proc : int; at : float }
 
 val random_timed :

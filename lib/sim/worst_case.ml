@@ -16,12 +16,6 @@ type report = {
   stats : stats option;
 }
 
-let choose m k =
-  let rec go acc n r =
-    if r = 0 then acc else go (acc * n / (k - r + 1)) (n - 1) (r - 1)
-  in
-  if k < 0 || k > m then 0 else go 1 m k
-
 let analyze ?policy ?(sample_limit = 200_000) ?(samples = 20_000) ?(seed = 0)
     ?jobs s ~count =
   let m = Instance.n_procs (Schedule.instance s) in
@@ -29,7 +23,7 @@ let analyze ?policy ?(sample_limit = 200_000) ?(samples = 20_000) ?(seed = 0)
   if sample_limit < 1 then invalid_arg "Worst_case.analyze: sample_limit";
   if samples < 1 then invalid_arg "Worst_case.analyze: samples";
   let scenario_list, sampled =
-    if choose m count <= sample_limit then
+    if Scenario.n_of_size ~m ~count <= sample_limit then
       (Scenario.all_of_size ~m ~count, false)
     else begin
       (* Too many subsets to enumerate: fall back to seeded uniform

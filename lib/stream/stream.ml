@@ -221,14 +221,6 @@ let gen_instance rng ~platform ~tasks:(tlo, thi) =
 (* ------------------------------------------------------------------ *)
 (* Execution of one admitted job under the chaos trace                 *)
 
-let first_finish_of_result (result : Event_sim.result) task =
-  Array.fold_left
-    (fun acc o ->
-      match o with
-      | Event_sim.Completed { finish; _ } -> Float.min acc finish
-      | Event_sim.Lost -> acc)
-    infinity result.Event_sim.outcomes.(task)
-
 let used_procs m schedule =
   let used = ref [] in
   for p = m - 1 downto 0 do
@@ -444,7 +436,7 @@ let run_trace ?(config = default_config) ~seed () =
             let r = Event_sim.run ~faults ~release s ~fail_times in
             let d =
               Metrics.degraded_of_run (Instance.dag inst)
-                ~first_finish:(first_finish_of_result r)
+                ~first_finish:(Event_sim.first_finish r)
             in
             (No_shadow, r.Event_sim.latency, d)
           end

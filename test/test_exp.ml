@@ -9,7 +9,7 @@ module Table = Ftsched_util.Table
 module Granularity = Ftsched_model.Granularity
 open Helpers
 
-let tiny_spec = Workload.with_graphs_per_point Workload.quick 2
+let tiny_spec = Exp_drivers.tiny_spec
 
 let test_paper_spec_constants () =
   check_int "20 processors" 20 Workload.paper.Workload.n_procs;
@@ -43,37 +43,47 @@ let test_workload_index_varies () =
     (Instance.n_tasks a <> Instance.n_tasks b
     || Instance.exec a 0 0 <> Instance.exec b 0 0)
 
+(* The first graph of a 6-processor point. *)
+let first_graph ~master_seed =
+  List.hd
+    (Workload.graphs
+       (Workload.with_procs tiny_spec 6)
+       ~master_seed ~granularity:1.0 Fun.id)
+
 let test_run_graph_metrics () =
-  let inst = random_instance ~seed:31 ~m:6 () in
-  let r = Runner.run_graph inst ~eps:1 ~crash_counts:[ 0; 1 ] ~crash_samples:2 () in
-  let keys = List.map fst r.Runner.metrics in
-  List.iter
-    (fun k ->
-      check_bool (k ^ " present") true (List.mem k keys))
-    [
-      "ftsa_lb"; "ftsa_ub"; "mc_lb"; "mc_ub"; "ftbar_lb"; "ftbar_ub";
-      "ff_ftsa"; "ff_ftbar"; "ftsa_crash0"; "ftsa_crash1"; "mc_crash1";
-      "ftbar_crash1";
-    ];
+  let r =
+    Runner.run_graph (first_graph ~master_seed:31) ~eps:1
+      ~crash_counts:[ 0; 1 ] ~crash_samples:2 ()
+  in
+  check_bool "crash counts in order" true
+    (List.map fst r.Runner.crash_latencies = [ 0; 1 ]);
   check_bool "normalizer positive" true (r.Runner.normalizer > 0.);
   check_bool "defeat rate in [0,1]" true
     (r.Runner.mc_strict_defeated >= 0. && r.Runner.mc_strict_defeated <= 1.);
   (* bound sanity on the raw metrics *)
-  let get k = List.assoc k r.Runner.metrics in
-  check_bool "lb <= ub" true (get "ftsa_lb" <= get "ftsa_ub" +. 1e-6);
+  let get = Runner.value r in
+  List.iter
+    (fun a ->
+      check_bool "lb <= ub" true
+        (get (Runner.Lower a) <= get (Runner.Upper a) +. 1e-6))
+    Runner.[ Ftsa; Mc_ftsa; Ftbar ];
   check_bool "crash0 = lb" true
-    (Float.abs (get "ftsa_crash0" -. get "ftsa_lb") < 1e-6)
+    (Float.abs
+       (get (Runner.Crash (Runner.Ftsa, 0)) -. get (Runner.Lower Runner.Ftsa))
+    < 1e-6)
 
 let test_mean_of () =
-  let inst = random_instance ~seed:32 ~m:6 () in
-  let r = Runner.run_graph inst ~eps:1 ~crash_counts:[ 0 ] ~crash_samples:1 () in
-  let mean = Runner.mean_of [ r ] "ftsa_lb" in
+  let r =
+    Runner.run_graph (first_graph ~master_seed:32) ~eps:1 ~crash_counts:[ 0 ]
+      ~crash_samples:1 ()
+  in
+  let mean = Runner.mean_of [ r ] (Runner.Lower Runner.Ftsa) in
   check_float "single-graph mean"
-    (List.assoc "ftsa_lb" r.Runner.metrics /. r.Runner.normalizer)
+    (r.Runner.lower_bounds.Runner.ftsa /. r.Runner.normalizer)
     mean;
-  check_bool "unknown metric rejected" true
+  check_bool "crash count not replayed rejected" true
     (try
-       ignore (Runner.mean_of [ r ] "nope");
+       ignore (Runner.mean_of [ r ] (Runner.Crash (Runner.Ftsa, 1)));
        false
      with Invalid_argument _ -> true)
 
@@ -109,9 +119,31 @@ let test_paper_sizes () =
     [ 100; 500; 1000; 2000; 3000; 5000 ]
     Figures.paper_sizes
 
-let micro_spec =
-  (* tiniest spec that still exercises the sweep paths quickly *)
-  Workload.with_procs (Workload.with_graphs_per_point Workload.quick 1) 8
+let micro_spec = Exp_drivers.micro_spec
+
+(* CSV digests of every deterministic driver at the sweeps above: a
+   change to how the drivers fan out or reduce must keep every table byte
+   for byte. *)
+let test_pinned_driver_digests () =
+  let pinned =
+    [
+      ("fig1", "dcdadfa7134536a9aa1b62bbdbf44c31");
+      ("fig4", "3df135ca135ebd3f3799b1911d97bcc8");
+      ("contention", "bc0bbc1b6dbc0503a22e28fa33c8213f");
+      ("reliability", "df996cb40d0b58d6929a3043361770b4");
+      ("rftsa", "8f6fbb689a91194edc1eed7e01e9e2ff");
+      ("redundancy", "1e605c4b9d666e14d5494cb36d1cbe91");
+      ("procs", "cbda58bf1689a5792a665237a0f2e972");
+      ("recovery", "3cd8393f9184dc0d35fb768101bfbef5");
+      ("linkloss", "3659c268e35b62d90d3c0682050f80a5");
+    ]
+  in
+  List.iter
+    (fun (name, run) ->
+      Alcotest.(check string)
+        (name ^ " digest") (List.assoc name pinned)
+        (Exp_drivers.digest (run ())))
+    Exp_drivers.all
 
 let test_contention_ablation_shape () =
   let t = Figures.contention_ablation ~spec:micro_spec ~eps:1 ~ports:[ 1 ] () in
@@ -237,6 +269,8 @@ let () =
             test_reliability_ablation_shape;
           Alcotest.test_case "rftsa shape" `Slow test_rftsa_ablation_shape;
           Alcotest.test_case "procs sweep" `Slow test_procs_sweep_shape_and_trend;
+          Alcotest.test_case "pinned driver digests" `Slow
+            test_pinned_driver_digests;
         ] );
       ( "claims",
         [ Alcotest.test_case "paper claims verify" `Slow test_claims ] );

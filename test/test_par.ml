@@ -4,9 +4,6 @@
    leave the figure and adversary drivers bit-identical when fanned out. *)
 
 module Par = Ftsched_par.Par
-module Workload = Ftsched_exp.Workload
-module Figures = Ftsched_exp.Figures
-module Table = Ftsched_util.Table
 module Adversary = Ftsched_sim.Adversary
 module Ftsa = Ftsched_core.Ftsa
 open Helpers
@@ -151,23 +148,15 @@ let test_chunk_plan_guided_shape () =
 
 (* ---------------- drivers bit-identical under fan-out ---------------- *)
 
-let tiny_spec = Workload.with_graphs_per_point Workload.quick 2
-
-let figure_digest ~jobs =
-  let p =
-    Figures.figure ~spec:tiny_spec ~master_seed:5 ~crash_samples:1 ~eps:1
-      ~crash_counts:[ 0; 1 ] ~jobs ()
-  in
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\n"
-          (List.map Table.to_csv
-             [ p.Figures.bounds; p.Figures.crash; p.Figures.overhead;
-               p.Figures.mc_defeats ])))
-
-let test_figure_jobs_bit_identical () =
-  check_bool "figure panels: jobs=4 = jobs=1" true
-    (figure_digest ~jobs:4 = figure_digest ~jobs:1)
+let test_drivers_jobs_bit_identical () =
+  let before = Par.default_jobs () in
+  let one = Exp_drivers.digests ~jobs:1 in
+  let four = Exp_drivers.digests ~jobs:4 in
+  check_int "default worker count restored" before (Par.default_jobs ());
+  List.iter2
+    (fun (name, d1) (_, d4) ->
+      Alcotest.(check string) (name ^ ": jobs=4 = jobs=1") d1 d4)
+    one four
 
 let adversary_report ~jobs =
   let inst = random_instance ~seed:31 ~n_tasks:20 ~m:4 () in
@@ -204,7 +193,7 @@ let () =
       ( "regression",
         [
           Alcotest.test_case "figure digest" `Slow
-            test_figure_jobs_bit_identical;
+            test_drivers_jobs_bit_identical;
           Alcotest.test_case "adversary digest" `Slow
             test_adversary_jobs_bit_identical;
         ] );

@@ -39,6 +39,7 @@ module Schedulers = Ftsched_core.Schedulers
 module Bicriteria = Ftsched_core.Bicriteria
 module Scenario = Ftsched_sim.Scenario
 module Crash_exec = Ftsched_sim.Crash_exec
+module Worst_case = Ftsched_sim.Worst_case
 module Event_sim = Ftsched_sim.Event_sim
 module Recovery = Ftsched_recovery.Recovery
 module Workload = Ftsched_exp.Workload
@@ -128,6 +129,18 @@ let redundancy_arg =
         ~doc:
           "With mc-ftsa: keep $(docv) senders per input instead of one \
            (the redundant extension; K = eps+1 restores full fan-in).")
+
+let policy_arg =
+  Arg.(
+    value
+    & vflag Crash_exec.Reroute
+        [
+          ( Crash_exec.Strict,
+            info [ "strict" ]
+              ~doc:
+                "Strict execution policy (no rerouting); MC-FTSA schedules \
+                 may then be defeated, see DESIGN.md." );
+        ])
 
 let make_dag kind rng n =
   match kind with
@@ -354,14 +367,6 @@ let simulate_cmd =
             "Use the event-driven simulator with random failure instants \
              instead of crash-at-start.")
   in
-  let strict =
-    Arg.(
-      value & flag
-      & info [ "strict" ]
-          ~doc:
-            "Strict execution policy (no rerouting); MC-FTSA schedules may \
-             then be defeated, see DESIGN.md.")
-  in
   let ports =
     Arg.(
       value & opt (some pos_int_conv) None
@@ -433,7 +438,7 @@ let simulate_cmd =
       & info [ "links" ] ~docv:"K"
           ~doc:"Link blackouts the --adversary may spend (default 0).")
   in
-  let run kind n m eps granularity seed algo fail crashes timed strict ports
+  let run kind n m eps granularity seed algo fail crashes timed policy ports
       worst recover delta rounds loss retries adversary links jobs =
     apply_jobs jobs;
     (match (crashes, List.find_opt (fun p -> p >= m) fail) with
@@ -448,8 +453,6 @@ let simulate_cmd =
       else Scenario.lossy ~loss ~retries ~seed:(seed + 3) ()
     in
     if worst then begin
-      let module Worst_case = Ftsched_sim.Worst_case in
-      let policy = if strict then Crash_exec.Strict else Crash_exec.Reroute in
       let r = Worst_case.analyze ~policy s ~count:eps in
       let sampled = if r.Worst_case.sampled then " (sampled)" else "" in
       match r.Worst_case.stats with
@@ -533,7 +536,6 @@ let simulate_cmd =
     end
     else begin
       Format.printf "scenario: %a@." Scenario.pp scenario;
-      let policy = if strict then Crash_exec.Strict else Crash_exec.Reroute in
       let r = Crash_exec.run ~policy s scenario in
       match r.Crash_exec.latency with
       | Some l ->
@@ -546,8 +548,8 @@ let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc:"Replay a schedule under failures")
     Term.(
       const run $ kind_arg $ tasks_arg $ procs_arg $ eps_arg $ gran_arg
-      $ seed_arg $ algo_arg $ fail $ crashes $ timed $ strict $ ports $ worst
-      $ recover $ delta $ rounds $ loss $ retries $ adversary $ links
+      $ seed_arg $ algo_arg $ fail $ crashes $ timed $ policy_arg $ ports
+      $ worst $ recover $ delta $ rounds $ loss $ retries $ adversary $ links
       $ jobs_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -575,7 +577,7 @@ let inspect_cmd =
         Format.printf "validation: %d error(s)@." (List.length errs);
         List.iter (Format.printf "  %a@." Validate.pp_error) errs);
     Format.printf "survives all %d-failure subsets: %b@." (Schedule.eps s)
-      (Validate.survives_all_subsets s);
+      (Worst_case.first_defeat s ~count:(Schedule.eps s) = None);
     if gantt then print_string (Gantt.render s)
   in
   Cmd.v (Cmd.info "inspect" ~doc:"Validate and summarize a saved schedule")
@@ -605,16 +607,10 @@ let reliability_cmd =
       value & opt pos_int_conv 5000
       & info [ "trials" ] ~docv:"N" ~doc:"Monte-Carlo trials.")
   in
-  let strict =
-    Arg.(
-      value & flag
-      & info [ "strict" ] ~doc:"Strict execution policy (no rerouting).")
-  in
-  let run kind n m eps granularity seed algo p_fail rate trials strict =
+  let run kind n m eps granularity seed algo p_fail rate trials policy =
     let inst = make_instance ~kind ~seed ~n ~m ~granularity in
     let s = plan algo ~seed inst ~eps in
     Format.printf "%a@." Schedule.pp_summary s;
-    let policy = if strict then R.Strict else R.Reroute in
     match rate with
     | Some rate ->
         let rng = Rng.create ~seed:(seed + 2) in
@@ -641,7 +637,7 @@ let reliability_cmd =
        ~doc:"Probability that the schedule survives random failures")
     Term.(
       const run $ kind_arg $ tasks_arg $ procs_arg $ eps_arg $ gran_arg
-      $ seed_arg $ algo_arg $ p_fail $ rate $ trials $ strict)
+      $ seed_arg $ algo_arg $ p_fail $ rate $ trials $ policy_arg)
 
 (* ------------------------------------------------------------------ *)
 (* bicriteria                                                          *)

@@ -26,6 +26,7 @@ module Ftsa_domains = Ftsched_core.Ftsa_domains
 module Scenario = Ftsched_sim.Scenario
 module Event_sim = Ftsched_sim.Event_sim
 module Crash_exec = Ftsched_sim.Crash_exec
+module Worst_case = Ftsched_sim.Worst_case
 
 let racks = 3
 let per_rack = 4
@@ -68,16 +69,14 @@ let () =
 
   (* 1. Independent failures: both tolerate any 2 machine crashes. *)
   Format.printf "any 2 machine failures:  plain FTSA %b, domain-aware %b@."
-    (Validate.survives_all_subsets plain)
-    (Validate.survives_all_subsets aware);
+    (Worst_case.first_defeat plain ~count:eps = None)
+    (Worst_case.first_defeat aware ~count:eps = None);
 
   (* 2. Correlated failures: kill whole racks. *)
   let rack_scenario d =
     Scenario.of_list (Ftsa_domains.procs_of_domain ~domains d)
   in
-  let survives_rack s d =
-    (Crash_exec.run s (rack_scenario d)).Crash_exec.latency <> None
-  in
+  let survives_rack s d = Crash_exec.survives s (rack_scenario d) in
   let tbl = Table.create ~columns:[ "failed rack"; "plain FTSA"; "domain-aware" ] in
   for d = 0 to racks - 1 do
     Table.add_row tbl

@@ -18,6 +18,7 @@ module Instance = Ftsched_model.Instance
 module Granularity = Ftsched_model.Granularity
 module Schedule = Ftsched_schedule.Schedule
 module Table = Ftsched_util.Table
+module Crash_exec = Ftsched_sim.Crash_exec
 module Rng = Ftsched_util.Rng
 module Ftsa = Ftsched_core.Ftsa
 module Mc_ftsa = Ftsched_core.Mc_ftsa
@@ -54,8 +55,8 @@ let () =
           string_of_int eps;
           Printf.sprintf "%.0f" (Schedule.latency_upper_bound s);
           string_of_int (Schedule.inter_processor_messages s);
-          Printf.sprintf "%.4f" (R.exact s R.Strict ~p_fail:0.05);
-          Printf.sprintf "%.4f" (R.exact s R.Strict ~p_fail:0.15);
+          Printf.sprintf "%.4f" (R.exact s Crash_exec.Strict ~p_fail:0.05);
+          Printf.sprintf "%.4f" (R.exact s Crash_exec.Strict ~p_fail:0.15);
           Printf.sprintf "%.4f" mission.R.mean;
         ])
     [ 0; 1; 2; 3; 4 ];
@@ -74,8 +75,8 @@ let () =
       [
         name;
         string_of_int (Schedule.inter_processor_messages s);
-        Printf.sprintf "%.4f" (R.exact s R.Strict ~p_fail);
-        Printf.sprintf "%.4f" (R.exact s R.Reroute ~p_fail);
+        Printf.sprintf "%.4f" (R.exact s Crash_exec.Strict ~p_fail);
+        Printf.sprintf "%.4f" (R.exact s Crash_exec.Reroute ~p_fail);
       ]
   in
   row "FTSA" (Ftsa.schedule inst ~eps);

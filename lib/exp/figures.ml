@@ -7,6 +7,7 @@ module Ca_ftsa = Ftsched_core.Ca_ftsa
 module Ftbar = Ftsched_baseline.Ftbar
 module Par = Ftsched_par.Par
 module Esim = Ftsched_sim.Event_sim
+module Crash_exec = Ftsched_sim.Crash_exec
 
 type panels = {
   bounds : Table.t;
@@ -203,11 +204,12 @@ let reliability_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
         let s_mc = Mc_ftsa.schedule ~seed inst ~eps in
         let rng = Rng.create ~seed:(seed + 101) in
         let bound = R.binomial_bound s_ftsa ~p_fail in
-        let ftsa = (R.monte_carlo rng s_ftsa R.Strict ~p_fail ~trials).R.mean in
-        let strict = (R.monte_carlo rng s_mc R.Strict ~p_fail ~trials).R.mean in
-        let reroute =
-          (R.monte_carlo rng s_mc R.Reroute ~p_fail ~trials).R.mean
+        let estimate s policy =
+          (R.monte_carlo rng s policy ~p_fail ~trials).R.mean
         in
+        let ftsa = estimate s_ftsa Crash_exec.Strict in
+        let strict = estimate s_mc Crash_exec.Strict in
+        let reroute = estimate s_mc Crash_exec.Reroute in
         [ bound; ftsa; strict; reroute ])
   in
   let n = float_of_int spec.Workload.graphs_per_point in
@@ -291,7 +293,6 @@ let redundancy_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
     ?(scenarios_per_graph = 4) ~eps () =
   let module Schedule = Ftsched_schedule.Schedule in
   let module Scenario = Ftsched_sim.Scenario in
-  let module Crash_exec = Ftsched_sim.Crash_exec in
   let table =
     Table.create
       ~columns:
@@ -313,10 +314,8 @@ let redundancy_ablation ?(spec = Workload.quick) ?(master_seed = 2008)
         let defeats = ref 0 in
         for _ = 1 to scenarios_per_graph do
           let sc = Scenario.random rng ~m:(Instance.n_procs inst) ~count:eps in
-          if
-            (Crash_exec.run ~policy:Crash_exec.Strict s sc).Crash_exec.latency
-            = None
-          then incr defeats
+          if not (Crash_exec.survives ~policy:Crash_exec.Strict s sc) then
+            incr defeats
         done;
         [
           float_of_int !defeats;

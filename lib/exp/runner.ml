@@ -85,9 +85,8 @@ let run_graph (g : Workload.graph) ~eps ~crash_counts ?(crash_samples = 3) ()
           mean (fun sc ->
               if count = eps then begin
                 incr strict_total;
-                match (Crash_exec.run ~policy:Strict s_mc sc).latency with
-                | None -> incr strict_defeats
-                | Some _ -> ()
+                if not (Crash_exec.survives ~policy:Strict s_mc sc) then
+                  incr strict_defeats
               end;
               Crash_exec.latency_exn ~policy:Reroute s_mc sc)
         in

@@ -15,15 +15,15 @@
     [?schedulers]), and cross-checks four oracle families:
 
     - {b structural}: [Validate.check] plus [M* <= M];
-    - {b survivability}: [survives_all_subsets] for all-to-all plans
-      (Theorem 4.1); exhaustive reroute-replay completion for selected
-      plans (the strict-policy gap of Prop. 4.3 is documented and
-      expected, so the strict policy is {e not} a survivability
-      oracle);
+    - {b survivability}: {!Ftsched_sim.Worst_case.first_defeat} finds
+      no defeating ε-subset — strict for all-to-all plans (Theorem
+      4.1), reroute for selected plans (the strict-policy gap of Prop.
+      4.3 is documented and expected, so the strict policy is {e not} a
+      survivability oracle there); a finding names the subset;
     - {b executor agreement}: [Crash_exec] (strict) and
-      [Event_sim.run_crash] must agree on the fault-free scenario and
-      every single-crash scenario, and the fault-free replay must not
-      exceed [M*];
+      [Event_sim.run_crash] must report the same latency, bit for bit,
+      on the fault-free scenario and every single-crash scenario, and
+      the fault-free replay must not exceed [M*];
     - {b round-trip}: [schedule_of_string ∘ schedule_to_string] is the
       identity (compared on the re-serialized bytes);
     - {b selection} (selected plans only): the schedule's pairs are

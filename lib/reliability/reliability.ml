@@ -1,34 +1,9 @@
 module Schedule = Ftsched_schedule.Schedule
-module Validate = Ftsched_schedule.Validate
 module Instance = Ftsched_model.Instance
 module Crash_exec = Ftsched_sim.Crash_exec
 module Event_sim = Ftsched_sim.Event_sim
 module Scenario = Ftsched_sim.Scenario
 module Rng = Ftsched_util.Rng
-
-type policy = Strict | Reroute
-
-let survives s policy ~failed =
-  match policy with
-  | Strict -> Validate.survives s ~failed
-  | Reroute ->
-      (* Under rerouting any live replica is productive (its inputs fall
-         back to whichever predecessor replica survived), so survival
-         reduces to: every task keeps a replica on a live processor. *)
-      let m = Instance.n_procs (Schedule.instance s) in
-      let dead = Array.make m false in
-      Array.iter (fun p -> dead.(p) <- true) failed;
-      let v = Instance.n_tasks (Schedule.instance s) in
-      let ok = ref true in
-      for task = 0 to v - 1 do
-        if
-          not
-            (Array.exists
-               (fun (r : Schedule.replica) -> not dead.(r.proc))
-               (Schedule.replicas s task))
-        then ok := false
-      done;
-      !ok
 
 let log_choose m k =
   let rec lf acc n = if n <= 1 then acc else lf (acc +. log (float_of_int n)) (n - 1) in
@@ -53,25 +28,24 @@ let binomial_bound s ~p_fail =
     Float.min 1. !total
   end
 
+let survives s policy failed =
+  Crash_exec.survives ~policy s { Scenario.failed = Array.of_list failed }
+
 let exact s policy ~p_fail =
   let m = Instance.n_procs (Schedule.instance s) in
   if m > 16 then invalid_arg "Reliability.exact: platform too large (m > 16)";
   if p_fail < 0. || p_fail > 1. then invalid_arg "Reliability.exact";
   let total = ref 0. in
   for mask = 0 to (1 lsl m) - 1 do
-    let failed = ref [] in
-    let k = ref 0 in
-    for p = 0 to m - 1 do
-      if mask land (1 lsl p) <> 0 then begin
-        failed := p :: !failed;
-        incr k
-      end
-    done;
-    if survives s policy ~failed:(Array.of_list !failed) then
+    let failed =
+      List.filter (fun p -> mask land (1 lsl p) <> 0) (List.init m Fun.id)
+    in
+    let k = List.length failed in
+    if survives s policy failed then
       total :=
         !total
-        +. (p_fail ** float_of_int !k)
-           *. ((1. -. p_fail) ** float_of_int (m - !k))
+        +. (p_fail ** float_of_int k)
+           *. ((1. -. p_fail) ** float_of_int (m - k))
   done;
   !total
 
@@ -92,11 +66,10 @@ let monte_carlo rng s policy ~p_fail ~trials =
   let m = Instance.n_procs (Schedule.instance s) in
   let successes = ref 0 in
   for _ = 1 to trials do
-    let failed = ref [] in
-    for p = 0 to m - 1 do
-      if Rng.bernoulli rng p_fail then failed := p :: !failed
-    done;
-    if survives s policy ~failed:(Array.of_list !failed) then incr successes
+    (* one draw per processor, in processor order *)
+    let dead = Array.init m (fun _ -> Rng.bernoulli rng p_fail) in
+    if survives s policy (List.filter (Array.get dead) (List.init m Fun.id))
+    then incr successes
   done;
   bernoulli_estimate !successes trials
 

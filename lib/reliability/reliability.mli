@@ -16,15 +16,6 @@
     (exponential in [m], for small platforms), and Monte Carlo sampling
     (any size, with a standard-error estimate). *)
 
-type policy = Strict | Reroute
-(** Mirrors {!Ftsched_sim.Crash_exec.policy}: [Strict] uses only the
-    communication plan's senders (the paper-literal semantics under which
-    MC-FTSA's end-to-end guarantee fails — see DESIGN.md), [Reroute]
-    falls back to any productive sender. *)
-
-val survives : Ftsched_schedule.Schedule.t -> policy -> failed:int array -> bool
-(** Structural survival of one failure set (no timing). *)
-
 val binomial_bound : Ftsched_schedule.Schedule.t -> p_fail:float -> float
 (** [Σ over k ≤ ε of C(m,k)·p^k·(1−p)^(m−k)] — the reliability implied by
     tolerating every subset of at most [ε] failures.  A valid lower bound
@@ -32,9 +23,17 @@ val binomial_bound : Ftsched_schedule.Schedule.t -> p_fail:float -> float
     plans, or any plan under [Reroute]); it ignores the luck of surviving
     larger subsets, hence "bound". *)
 
-val exact : Ftsched_schedule.Schedule.t -> policy -> p_fail:float -> float
-(** Exact reliability by enumerating all [2^m] failure subsets.  Raises
-    [Invalid_argument] when [m > 16]. *)
+val exact :
+  Ftsched_schedule.Schedule.t ->
+  Ftsched_sim.Crash_exec.policy ->
+  p_fail:float ->
+  float
+(** Exact reliability by enumerating all [2^m] failure subsets, each
+    judged by {!Ftsched_sim.Crash_exec.survives} under the given policy:
+    [Strict] uses only the communication plan's senders (the
+    paper-literal semantics under which MC-FTSA's end-to-end guarantee
+    fails — see DESIGN.md), [Reroute] falls back to any productive
+    sender.  Raises [Invalid_argument] when [m > 16]. *)
 
 type estimate = {
   mean : float;
@@ -45,7 +44,7 @@ type estimate = {
 val monte_carlo :
   Ftsched_util.Rng.t ->
   Ftsched_schedule.Schedule.t ->
-  policy ->
+  Ftsched_sim.Crash_exec.policy ->
   p_fail:float ->
   trials:int ->
   estimate

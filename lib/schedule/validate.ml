@@ -224,60 +224,3 @@ let check s =
   with
   | [] -> Ok ()
   | errs -> Error errs
-
-let survives s ~failed =
-  let inst = Schedule.instance s in
-  let g = Instance.dag inst in
-  let eps = Schedule.eps s in
-  let plan = Schedule.comm s in
-  let m = Instance.n_procs inst in
-  let dead = Array.make m false in
-  Array.iter (fun p -> dead.(p) <- true) failed;
-  (* productive.(task).(k): replica k of task runs and produces output,
-     given the failure set.  Computable in one topological pass. *)
-  let v = Dag.n_tasks g in
-  let productive = Array.make_matrix v (eps + 1) false in
-  let ok = ref true in
-  Array.iter
-    (fun task ->
-      let any = ref false in
-      for k = 0 to eps do
-        let r = Schedule.replica s task k in
-        if not dead.(r.proc) then begin
-          let fed =
-            List.for_all
-              (fun e ->
-                let src, _ = Dag.edge_endpoints g e in
-                List.exists
-                  (fun sk -> productive.(src).(sk))
-                  (Comm_plan.senders_to plan ~eps e ~dst_replica:k))
-              (Dag.in_edges g task)
-          in
-          if fed then begin
-            productive.(task).(k) <- true;
-            any := true
-          end
-        end
-      done;
-      if not !any then ok := false)
-    (Dag.topological_order g);
-  !ok
-
-let survives_all_subsets s =
-  let m = Instance.n_procs (Schedule.instance s) in
-  let eps = Schedule.eps s in
-  let subset = Array.make eps 0 in
-  let rec enum idx lo =
-    if idx = eps then survives s ~failed:subset
-    else begin
-      let rec loop p =
-        if p > m - (eps - idx) then true
-        else begin
-          subset.(idx) <- p;
-          enum (idx + 1) (p + 1) && loop (p + 1)
-        end
-      in
-      loop lo
-    end
-  in
-  if eps = 0 then survives s ~failed:[||] else enum 0 0

@@ -1,12 +1,14 @@
 (** Semantic validation of fault-tolerant schedules.
 
-    These checks encode the paper's propositions as executable predicates:
-    Prop. 4.1 (replicas on distinct processors), the feasibility of every
-    start time under the communication plan, processor exclusivity, the
-    one-to-one + forced-internal-edge structure of MC selections, and the
-    survivability statement of Theorem 4.1 / Prop. 4.3 via exhaustive
-    failure-subset enumeration.  The test suite runs them on every
-    schedule the algorithms produce. *)
+    These checks encode the paper's propositions about a plan as
+    executable predicates: Prop. 4.1 (replicas on distinct processors),
+    the feasibility of every start time under the communication plan,
+    processor exclusivity, and the one-to-one + forced-internal-edge
+    structure of MC selections.  The test suite runs them on every
+    schedule the algorithms produce.  Survival under failures (Theorem
+    4.1 / Prop. 4.3) is a question about executions, answered by
+    [Ftsched_sim.Crash_exec.survives] and, over every ε-subset, by
+    [Ftsched_sim.Worst_case.first_defeat]. *)
 
 type error = {
   check : string;  (** name of the failed check *)
@@ -46,16 +48,5 @@ val robust_selection : Schedule.t -> error list
 
 val check : Schedule.t -> (unit, error list) result
 (** All of the above. *)
-
-val survives : Schedule.t -> failed:int array -> bool
-(** [survives s ~failed] is [true] iff, with the given processors
-    fail-stopped from the start, every task still has a {e productive}
-    replica: one on a live processor whose every predecessor edge has at
-    least one productive sender under the plan. *)
-
-val survives_all_subsets : Schedule.t -> bool
-(** Exhaustively checks {!survives} on every subset of exactly [ε]
-    processors (smaller subsets are implied by monotonicity).  Intended
-    for tests on small platforms — the subset count is [C(m, ε)]. *)
 
 val pp_error : Format.formatter -> error -> unit

@@ -16,82 +16,96 @@ type t = {
   outcomes : replica_outcome array array;
 }
 
+(* Replica [k] of [task] as one flat index. *)
+let rid ~eps task k = (task * (eps + 1)) + k
+
 (* Productivity (purely structural, no timing): a replica produces output
-   iff its processor is alive and every input edge can be fed — by a plan
-   sender (strict) or, under rerouting, by any productive replica of the
-   predecessor.  One topological pass suffices. *)
-let productivity s ~policy ~dead =
+   iff its processor is alive and every input edge can be fed.  Strict:
+   by a productive plan sender.  Reroute: by any productive replica of
+   the predecessor, so the plan is never consulted and a replica is
+   productive iff it is alive and every predecessor task delivers — true
+   without looking while every task so far delivers.  One topological
+   pass over the flat [productive] table suffices; it returns whether
+   every task delivers, and with [~stop_at_loss] it stops at the first
+   task that does not (leaving the table partial). *)
+let productivity s ~policy ~dead ~stop_at_loss =
   let inst = Schedule.instance s in
   let g = Instance.dag inst in
   let eps = Schedule.eps s in
   let plan = Schedule.comm s in
   let v = Dag.n_tasks g in
-  let productive = Array.make_matrix v (eps + 1) false in
-  let any_productive src =
-    Array.exists (fun b -> b) productive.(src)
-  in
-  Array.iter
-    (fun task ->
-      for k = 0 to eps do
-        let r = Schedule.replica s task k in
-        if not dead.(r.proc) then
-          productive.(task).(k) <-
-            List.for_all
-              (fun e ->
-                let src, _ = Dag.edge_endpoints g e in
-                let via_plan =
+  let productive = Array.make (v * (eps + 1)) false in
+  let delivers = Array.make v false in
+  let order = Dag.topological_order g in
+  let all_deliver = ref true and i = ref 0 in
+  while !i < v && (!all_deliver || not stop_at_loss) do
+    let task = order.(!i) in
+    let preds_deliver =
+      policy = Reroute
+      && (!all_deliver
+         || List.for_all
+              (fun e -> delivers.(fst (Dag.edge_endpoints g e)))
+              (Dag.in_edges g task))
+    in
+    for k = 0 to eps do
+      let r = Schedule.replica s task k in
+      if not dead.(r.proc) then begin
+        let fed =
+          match policy with
+          | Reroute -> preds_deliver
+          | Strict ->
+              List.for_all
+                (fun e ->
+                  let src, _ = Dag.edge_endpoints g e in
                   List.exists
-                    (fun sk -> productive.(src).(sk))
-                    (Comm_plan.senders_to plan ~eps e ~dst_replica:k)
-                in
-                via_plan || (policy = Reroute && any_productive src))
-              (Dag.in_edges g task)
-      done)
-    (Dag.topological_order g);
-  productive
+                    (fun sk -> productive.(rid ~eps src sk))
+                    (Comm_plan.senders_to plan ~eps e ~dst_replica:k))
+                (Dag.in_edges g task)
+        in
+        if fed then begin
+          productive.(rid ~eps task k) <- true;
+          delivers.(task) <- true
+        end
+      end
+    done;
+    if not delivers.(task) then all_deliver := false;
+    incr i
+  done;
+  (productive, !all_deliver)
 
-(* Effective senders feeding replica [k] of the edge's destination: the
-   productive plan senders, or (reroute, none alive) every productive
-   replica of the source. *)
-let effective_senders s ~policy ~productive e ~dst_replica =
-  let inst = Schedule.instance s in
-  let g = Instance.dag inst in
-  let eps = Schedule.eps s in
-  let plan = Schedule.comm s in
-  let src, _ = Dag.edge_endpoints g e in
-  let planned =
-    List.filter
-      (fun sk -> productive.(src).(sk))
-      (Comm_plan.senders_to plan ~eps e ~dst_replica)
-  in
-  if planned <> [] then planned
-  else if policy = Reroute then
-    List.filter
-      (fun sk -> productive.(src).(sk))
-      (List.init (eps + 1) (fun i -> i))
-  else []
+let dead_procs ~fn s scenario =
+  let m = Instance.n_procs (Schedule.instance s) in
+  let dead = Array.make m false in
+  Array.iter
+    (fun p ->
+      if p < 0 || p >= m then
+        invalid_arg
+          (Printf.sprintf "Crash_exec.%s: processor %d not in [0, %d)" fn p m);
+      dead.(p) <- true)
+    scenario.Scenario.failed;
+  dead
+
+let survives ?(policy = Strict) s scenario =
+  let dead = dead_procs ~fn:"survives" s scenario in
+  snd (productivity s ~policy ~dead ~stop_at_loss:true)
 
 let run ?(policy = Strict) s scenario =
   let inst = Schedule.instance s in
   let g = Instance.dag inst in
   let pl = Instance.platform inst in
   let eps = Schedule.eps s in
+  let plan = Schedule.comm s in
   let v = Dag.n_tasks g and m = Instance.n_procs inst in
-  let dead = Array.make m false in
-  Array.iter
-    (fun p ->
-      if p < 0 || p >= m then
-        invalid_arg
-          (Printf.sprintf "Crash_exec.run: processor %d not in [0, %d)" p m);
-      dead.(p) <- true)
-    scenario.Scenario.failed;
-  let productive = productivity s ~policy ~dead in
+  let dead = dead_procs ~fn:"run" s scenario in
+  let productive, all_tasks_ok =
+    productivity s ~policy ~dead ~stop_at_loss:false
+  in
   (* Replica-level dependency graph: data edges (effective sender →
      receiver) plus per-processor chains between consecutive productive
      replicas in planned order.  Both are consistent with the scheduler's
      commit order, hence acyclic; a Kahn sweep then re-times every
      productive replica. *)
-  let rid task k = (task * (eps + 1)) + k in
+  let rid = rid ~eps in
   let n = v * (eps + 1) in
   let dep_succs = Array.make n [] in
   let indeg = Array.make n 0 in
@@ -99,14 +113,23 @@ let run ?(policy = Strict) s scenario =
     dep_succs.(a) <- b :: dep_succs.(a);
     indeg.(b) <- indeg.(b) + 1
   in
+  (* Effective senders feeding replica [k] of the edge's destination: the
+     productive plan senders, or (reroute, none alive) every productive
+     replica of the source. *)
+  let effective_senders src e ~dst_replica =
+    let productive_of = List.filter (fun sk -> productive.(rid src sk)) in
+    match productive_of (Comm_plan.senders_to plan ~eps e ~dst_replica) with
+    | [] when policy = Reroute -> productive_of (List.init (eps + 1) Fun.id)
+    | planned -> planned
+  in
   let senders = Hashtbl.create (4 * n) in
   for task = 0 to v - 1 do
     for k = 0 to eps do
-      if productive.(task).(k) then
+      if productive.(rid task k) then
         List.iter
           (fun e ->
             let src, _ = Dag.edge_endpoints g e in
-            let eff = effective_senders s ~policy ~productive e ~dst_replica:k in
+            let eff = effective_senders src e ~dst_replica:k in
             Hashtbl.replace senders (e, k) eff;
             List.iter (fun sk -> add_dep (rid src sk) (rid task k)) eff)
           (Dag.in_edges g task)
@@ -116,7 +139,7 @@ let run ?(policy = Strict) s scenario =
     if not dead.(p) then begin
       let chain =
         List.filter
-          (fun (r : Schedule.replica) -> productive.(r.task).(r.index))
+          (fun (r : Schedule.replica) -> productive.(rid r.task r.index))
           (Schedule.proc_timeline s p)
       in
       let rec link = function
@@ -135,7 +158,7 @@ let run ?(policy = Strict) s scenario =
   let q = Queue.create () in
   for task = 0 to v - 1 do
     for k = 0 to eps do
-      if productive.(task).(k) && indeg.(rid task k) = 0 then
+      if productive.(rid task k) && indeg.(rid task k) = 0 then
         Queue.add (task, k) q
     done
   done;
@@ -176,14 +199,13 @@ let run ?(policy = Strict) s scenario =
         Array.init (eps + 1) (fun k ->
             let r = Schedule.replica s task k in
             if dead.(r.proc) then Dead
-            else if not productive.(task).(k) then Starved
+            else if not productive.(rid task k) then Starved
             else
               Completed
                 { start = start_of.(rid task k); finish = finish_of.(rid task k) }))
   in
   (* Achieved latency: every task must complete somewhere; the user-visible
      instant is the first completion of each exit task. *)
-  let all_tasks_ok = Array.for_all (Array.exists (fun b -> b)) productive in
   let latency =
     if not all_tasks_ok then None
     else
@@ -220,18 +242,12 @@ let latency_result ?policy s scenario =
   match t.latency with
   | Some l -> Ok l
   | None ->
-      let lost = ref (-1) in
-      Array.iteri
-        (fun task outs ->
-          if
-            !lost < 0
-            && not
-                 (Array.exists
-                    (function Completed _ -> true | Starved | Dead -> false)
-                    outs)
-          then lost := task)
-        t.outcomes;
-      Error { task = !lost; scenario }
+      let completed = function Completed _ -> true | Starved | Dead -> false in
+      let rec lost task =
+        if Array.exists completed t.outcomes.(task) then lost (task + 1)
+        else task
+      in
+      Error { task = lost 0; scenario }
 
 let latency_exn ?policy s scenario =
   match latency_result ?policy s scenario with

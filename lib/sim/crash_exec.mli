@@ -46,6 +46,17 @@ type t = {
   outcomes : replica_outcome array array;  (** per task, per replica *)
 }
 
+val survives :
+  ?policy:policy -> Ftsched_schedule.Schedule.t -> Scenario.t -> bool
+(** The structural verdict, without timing: [true] iff every task keeps a
+    {e productive} replica — one on a live processor whose every input is
+    fed by a productive replica of the predecessor (a plan sender under
+    [Strict], any replica under [Reroute], which makes [Reroute] survival
+    "every task keeps a replica on a live processor").  This is the pass
+    {!run} re-times, so [survives ?policy s sc] is
+    [(run ?policy s sc).latency <> None].  Default policy and
+    [Invalid_argument] as for {!run}. *)
+
 val run : ?policy:policy -> Ftsched_schedule.Schedule.t -> Scenario.t -> t
 (** Default policy is [Strict].  Raises [Invalid_argument] naming the
     processor if the scenario fails one outside [\[0, m)]. *)

@@ -78,7 +78,8 @@ let analyze ?policy ?(sample_limit = 200_000) ?(samples = 20_000) ?(seed = 0)
   in
   { scenarios = !scenarios; defeated = !defeated; sampled; stats }
 
-let bound_tightness ?policy s =
-  match (analyze ?policy s ~count:(Schedule.eps s)).stats with
-  | None -> None
-  | Some st -> Some (st.worst /. Schedule.latency_upper_bound s)
+let first_defeat ?policy s ~count =
+  let m = Instance.n_procs (Schedule.instance s) in
+  List.find_opt
+    (fun sc -> not (Crash_exec.survives ?policy s sc))
+    (Scenario.all_of_size ~m ~count)

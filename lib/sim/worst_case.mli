@@ -1,11 +1,13 @@
 (** Worst-case analysis of a schedule under untimed failures.
 
     [M] (eq. 4) upper-bounds the latency under any ε failures, but how
-    tight is it?  This module replays the schedule against subsets of
+    tight is it?  {!analyze} replays the schedule against subsets of
     exactly [count] failed processors — every subset when [C(m, count)]
     is small enough, a seeded uniform sample beyond that — and reports
     the extremes: an oracle the heuristic's bound can be measured
     against, and a debugging tool that names the adversarial scenario.
+    {!first_defeat} is the exhaustive survival check of Theorem 4.1 /
+    Prop. 4.3: it names the first subset that defeats the schedule.
     For {e timed} adversaries (failures striking mid-run, links
     dropping) see {!Adversary}. *)
 
@@ -45,8 +47,16 @@ val analyze :
     the report is bit-identical for any worker count.  Raises
     [Invalid_argument] on a [count] outside [[0, m]]. *)
 
-val bound_tightness :
-  ?policy:Crash_exec.policy -> Ftsched_schedule.Schedule.t -> float option
-(** [worst achieved latency under exactly ε failures / M] — in [(0, 1]]
-    for schedules whose guarantee holds; the closer to 1, the tighter
-    equation (4).  [None] when every ε-subset is defeated. *)
+val first_defeat :
+  ?policy:Crash_exec.policy ->
+  Ftsched_schedule.Schedule.t ->
+  count:int ->
+  Scenario.t option
+(** The exhaustive survival check: the first subset of exactly [count]
+    processors, in {!Scenario.all_of_size} order, under which
+    {!Crash_exec.survives} fails, or [None] when every such subset is
+    survived (smaller subsets are then survived too: killing more
+    processors never revives a replica).  Stops at the first defeat;
+    the subset count is [C(m, count)], so this is meant for small
+    platforms.  Default policy [Strict]; raises [Invalid_argument] on a
+    [count] outside [[0, m]]. *)

@@ -6,6 +6,7 @@ module Validate = Ftsched_schedule.Validate
 module Serialize = Ftsched_schedule.Serialize
 module Scenario = Ftsched_sim.Scenario
 module Crash_exec = Ftsched_sim.Crash_exec
+module Worst_case = Ftsched_sim.Worst_case
 module Fuzz = Ftsched_fuzz.Fuzz
 module Schedulers = Ftsched_core.Schedulers
 module Par = Ftsched_par.Par
@@ -45,29 +46,24 @@ let eval_policy (sched : Schedulers.t) ~metric ~sched_seed
               if Float.is_finite ub && ub > 0. then Some (Makespan ub)
               else None
           | Crash_worst -> (
-              let m = Instance.n_procs g.Mutate.instance in
-              let scenarios =
-                Scenario.none
-                ::
-                (if g.Mutate.eps > 0 then
-                   Scenario.all_of_size ~m ~count:g.Mutate.eps
-                 else [])
-              in
-              let rec worst acc = function
-                | [] -> Some (Makespan acc)
-                | sc :: tl -> (
-                    match Crash_exec.latency_result s sc with
-                    | Ok l when Float.is_finite l && l >= 0. ->
-                        worst (Float.max acc l) tl
-                    | Ok _ -> None
-                    | Error _ ->
-                        (* an exactly-eps crash set defeated the strict
-                           execution: A Defeated is the strongest
-                           possible separation, +infinity dominance *)
-                        Some Defeated
-                    | exception _ -> None)
-              in
-              worst 0. scenarios)))
+              (* the fault-free replay, then every exactly-eps crash set
+                 under the strict policy; one defeat is the strongest
+                 possible separation, +infinity dominance *)
+              match
+                ( Crash_exec.latency_result s Scenario.none,
+                  Worst_case.analyze ~policy:Crash_exec.Strict s
+                    ~count:g.Mutate.eps )
+              with
+              | exception _ -> None
+              | Error _, _ -> Some Defeated
+              | Ok _, { Worst_case.defeated; _ } when defeated > 0 ->
+                  Some Defeated
+              | Ok _, { Worst_case.stats = None; _ } -> None
+              | Ok fault_free, { Worst_case.stats = Some st; _ } ->
+                  let worst = Float.max fault_free st.Worst_case.worst in
+                  if Float.is_finite worst && worst >= 0. then
+                    Some (Makespan worst)
+                  else None)))
 
 (* NaN-safe dominance ratio M_A / M_B.  [b] Defeated rejects the
    candidate outright (a defeated yardstick measures nothing); [a]

@@ -51,6 +51,43 @@ let tiny_instance () =
   let exec = [| [| 2.; 4. |]; [| 3.; 3. |]; [| 5.; 1. |] |] in
   Instance.create ~dag ~platform ~exec
 
+let replica ~task ~index ~proc ~s ~f ~ps ~pf =
+  {
+    Schedule.task;
+    index;
+    proc;
+    start = s;
+    finish = f;
+    pess_start = ps;
+    pess_finish = pf;
+  }
+
+(* The tiny chain mapped with eps = 1 exactly as FTSA would:
+
+     t0: P0 [0,2]               P1 [0,4]
+     t1: P0 [2,5]  (pess [9,12])  P1 [4,7]  (pess [7,10])
+     t2: P1 [7,8]  (pess [22,23]) P0 [5,10] (pess [20,25])
+
+   giving M* = 8 and M = 25. *)
+let hand_replicas () =
+  [|
+    [| replica ~task:0 ~index:0 ~proc:0 ~s:0. ~f:2. ~ps:0. ~pf:2.;
+       replica ~task:0 ~index:1 ~proc:1 ~s:0. ~f:4. ~ps:0. ~pf:4. |];
+    [| replica ~task:1 ~index:0 ~proc:0 ~s:2. ~f:5. ~ps:9. ~pf:12.;
+       replica ~task:1 ~index:1 ~proc:1 ~s:4. ~f:7. ~ps:7. ~pf:10. |];
+    [| replica ~task:2 ~index:0 ~proc:1 ~s:7. ~f:8. ~ps:22. ~pf:23.;
+       replica ~task:2 ~index:1 ~proc:0 ~s:5. ~f:10. ~ps:20. ~pf:25. |];
+  |]
+
+let hand_schedule () =
+  Schedule.create ~instance:(tiny_instance ()) ~eps:1
+    ~replicas:(hand_replicas ()) ~comm:Ftsched_schedule.Comm_plan.All_to_all
+
+(* Theorem 4.1 checked exhaustively: no subset of exactly ε processors
+   defeats [s] under the strict policy. *)
+let survives_eps_subsets s =
+  Ftsched_sim.Worst_case.first_defeat s ~count:(Schedule.eps s) = None
+
 let assert_valid name s =
   match Validate.check s with
   | Ok () -> ()

@@ -21,7 +21,7 @@ let prop_ftbar_survives =
     (fun (npf, seed) ->
       let inst = random_instance ~seed ~n_tasks:25 ~m:5 () in
       let s = Ftbar.schedule ~seed inst ~npf in
-      Validate.survives_all_subsets s)
+      survives_eps_subsets s)
 
 let test_ftbar_npf0 () =
   let inst = random_instance ~seed:1 () in

@@ -175,7 +175,7 @@ let prop_ftsa_survives_exhaustive =
     (fun (eps, seed) ->
       let inst = random_instance ~seed ~n_tasks:25 ~m:5 () in
       let s = Ftsa.schedule ~seed inst ~eps in
-      Ftsched_schedule.Validate.survives_all_subsets s)
+      survives_eps_subsets s)
 
 let prop_ftsa_bounds_ordered =
   QCheck.Test.make ~name:"FTSA: M* <= M" ~count:50
@@ -372,7 +372,7 @@ let prop_ca_survives =
     (fun (eps, seed) ->
       let inst = random_instance ~seed ~n_tasks:25 ~m:5 () in
       let s = Ca_ftsa.schedule ~seed inst ~eps in
-      Ftsched_schedule.Validate.survives_all_subsets s)
+      survives_eps_subsets s)
 
 let test_ca_unlimited_ports_is_ftsa () =
   let inst = random_instance ~seed:30 ~m:6 () in
@@ -416,6 +416,8 @@ let test_ca_rejects_bad_ports () =
 (* Domain-aware FTSA extension                                         *)
 
 module Ftsa_domains = Ftsched_core.Ftsa_domains
+module Crash_exec = Ftsched_sim.Crash_exec
+module Scenario = Ftsched_sim.Scenario
 
 (* three racks of two processors *)
 let racks = [| 0; 0; 1; 1; 2; 2 |]
@@ -448,8 +450,7 @@ let prop_domains_survive_domain_failures =
           let failed =
             List.concat_map (fun d -> Ftsa_domains.procs_of_domain ~domains:racks d) ds
           in
-          Ftsched_schedule.Validate.survives s
-            ~failed:(Array.of_list failed))
+          Crash_exec.survives s (Scenario.of_list failed))
         subsets)
 
 let test_domains_identity_is_ftsa () =
@@ -474,11 +475,8 @@ let test_plain_ftsa_breaks_under_domain_failures () =
     List.iter
       (fun d ->
         let failed = Ftsa_domains.procs_of_domain ~domains:racks d in
-        if
-          not
-            (Ftsched_schedule.Validate.survives s
-               ~failed:(Array.of_list failed))
-        then broken := true)
+        if not (Crash_exec.survives s (Scenario.of_list failed)) then
+          broken := true)
       [ 0; 1; 2 ]
   done;
   check_bool "plain FTSA is domain-fragile" true !broken
@@ -517,7 +515,7 @@ let prop_rftsa_survives =
     (fun (eps, seed) ->
       let inst = random_instance ~seed ~n_tasks:25 ~m:5 () in
       let s = R_ftsa.schedule ~seed ~rates:(uniform_rates 5 0.001) inst ~eps in
-      Ftsched_schedule.Validate.survives_all_subsets s)
+      survives_eps_subsets s)
 
 let test_rftsa_alpha_zero_matches_ftsa_set () =
   let inst = random_instance ~seed:50 ~m:6 () in
@@ -615,8 +613,6 @@ let test_redundant_one_equals_greedy () =
 let test_redundant_improves_robustness () =
   (* more senders per input => no more strict-policy defeats, measured
      exhaustively on a small platform *)
-  let module Scenario = Ftsched_sim.Scenario in
-  let module Crash_exec = Ftsched_sim.Crash_exec in
   let defeats senders =
     let count = ref 0 in
     for seed = 0 to 4 do
@@ -626,10 +622,8 @@ let test_redundant_improves_robustness () =
       in
       List.iter
         (fun sc ->
-          if
-            (Crash_exec.run ~policy:Crash_exec.Strict s sc).Crash_exec.latency
-            = None
-          then incr count)
+          if not (Crash_exec.survives ~policy:Crash_exec.Strict s sc) then
+            incr count)
         (Scenario.all_of_size ~m:5 ~count:2)
     done;
     !count

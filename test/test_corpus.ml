@@ -2,7 +2,10 @@
    [ftsched-witness v2] envelope that every build must replay clean.
 
    The tournament files are the PISA-style adversarial incumbents of
-   [ftsched tournament --pairs 6 --iters 200 --seed 7 --dir test/corpus].
+   [ftsched tournament --pairs 6 --iters 200 --seed 7 --dir test/corpus],
+   plus one [--metric crash-worst] incumbent (of [--pairs 3 --iters 50
+   --seed 7]) that pins the worst strict crash replay over every
+   ε-subset.
    Besides passing every oracle of both policies, each must reproduce
    its stored makespan ratio bit for bit, so a change to any schedule on
    these annealed worst cases fails here.  The stream and parser
@@ -54,7 +57,7 @@ let test_tournament_ratios_reproduce () =
         | _ -> None)
       (Fuzz.replay_corpus dir)
   in
-  check_int "six tournament witnesses" 6 (List.length replayed)
+  check_int "seven tournament witnesses" 7 (List.length replayed)
 
 let () =
   Alcotest.run "corpus"

@@ -69,10 +69,10 @@ let test_grid_survivability () =
       List.iter
         (fun eps ->
           let s = Ftsa.schedule inst ~eps in
-          if not (Ftsched_schedule.Validate.survives_all_subsets s) then
+          if not (survives_eps_subsets s) then
             Alcotest.failf "%s eps=%d: FTSA defeated" name eps;
           let f = Ftbar.schedule inst ~npf:eps in
-          if not (Ftsched_schedule.Validate.survives_all_subsets f) then
+          if not (survives_eps_subsets f) then
             Alcotest.failf "%s eps=%d: FTBAR defeated" name eps)
         [ 1; 2 ])
     (classic_instances ())
@@ -92,8 +92,8 @@ let test_grid_crash_bounds () =
             Alcotest.failf "%s: crash latency %g above bound %g" name a ub;
           match (Event_sim.run_crash s sc).Event_sim.latency with
           | Some b ->
-              if Float.abs (a -. b) > 1e-6 then
-                Alcotest.failf "%s: executors disagree (%g vs %g)" name a b
+              if a <> b then
+                Alcotest.failf "%s: executors disagree (%h vs %h)" name a b
           | None -> Alcotest.failf "%s: event sim defeated" name)
         (Scenario.all_of_size ~m ~count:eps))
     (classic_instances ())

@@ -1,6 +1,8 @@
 (* Tests for Ftsched_reliability. *)
 
 module R = Ftsched_reliability.Reliability
+module Crash_exec = Ftsched_sim.Crash_exec
+module Scenario = Ftsched_sim.Scenario
 module Ftsa = Ftsched_core.Ftsa
 module Mc_ftsa = Ftsched_core.Mc_ftsa
 module Schedule = Ftsched_schedule.Schedule
@@ -30,27 +32,27 @@ let test_binomial_monotone_in_eps () =
 let test_exact_at_least_bound () =
   (* the exact reliability also counts lucky survivals beyond eps *)
   let s = small_schedule ~eps:1 () in
-  let exact = R.exact s R.Strict ~p_fail:0.15 in
+  let exact = R.exact s Crash_exec.Strict ~p_fail:0.15 in
   let bound = R.binomial_bound s ~p_fail:0.15 in
   check_bool "exact >= bound for all-to-all" true (exact >= bound -. 1e-9)
 
 let test_exact_extremes () =
   let s = small_schedule () in
-  check_float "p=0 certain" 1. (R.exact s R.Strict ~p_fail:0.);
-  check_float "p=1 hopeless" 0. (R.exact s R.Strict ~p_fail:1.)
+  check_float "p=0 certain" 1. (R.exact s Crash_exec.Strict ~p_fail:0.);
+  check_float "p=1 hopeless" 0. (R.exact s Crash_exec.Strict ~p_fail:1.)
 
 let test_exact_rejects_big_platform () =
   let inst = random_instance ~n_tasks:30 ~m:17 ~seed:5 () in
   let s = Ftsa.schedule inst ~eps:1 in
   Alcotest.check_raises "m > 16"
     (Invalid_argument "Reliability.exact: platform too large (m > 16)")
-    (fun () -> ignore (R.exact s R.Strict ~p_fail:0.1))
+    (fun () -> ignore (R.exact s Crash_exec.Strict ~p_fail:0.1))
 
 let test_monte_carlo_converges_to_exact () =
   let s = small_schedule ~eps:1 () in
-  let exact = R.exact s R.Strict ~p_fail:0.2 in
+  let exact = R.exact s Crash_exec.Strict ~p_fail:0.2 in
   let rng = Rng.create ~seed:9 in
-  let est = R.monte_carlo rng s R.Strict ~p_fail:0.2 ~trials:20_000 in
+  let est = R.monte_carlo rng s Crash_exec.Strict ~p_fail:0.2 ~trials:20_000 in
   check_bool "within 4 sigma" true
     (Float.abs (est.R.mean -. exact) <= Float.max (4. *. est.R.stderr) 0.02)
 
@@ -58,13 +60,14 @@ let test_strict_vs_reroute_policies () =
   (* for an all-to-all plan the two policies coincide exactly *)
   let s = small_schedule ~eps:2 () in
   check_float "all-to-all equal"
-    (R.exact s R.Strict ~p_fail:0.25)
-    (R.exact s R.Reroute ~p_fail:0.25);
+    (R.exact s Crash_exec.Strict ~p_fail:0.25)
+    (R.exact s Crash_exec.Reroute ~p_fail:0.25);
   (* for MC-FTSA, rerouting can only help *)
   let inst = random_instance ~n_tasks:30 ~m:6 ~seed:6 () in
   let mc = Mc_ftsa.schedule inst ~eps:2 in
   check_bool "reroute >= strict" true
-    (R.exact mc R.Reroute ~p_fail:0.2 >= R.exact mc R.Strict ~p_fail:0.2 -. 1e-9)
+    (R.exact mc Crash_exec.Reroute ~p_fail:0.2
+    >= R.exact mc Crash_exec.Strict ~p_fail:0.2 -. 1e-9)
 
 let test_mc_strict_reliability_collapse () =
   (* the headline finding: strict MC-FTSA reliability is essentially the
@@ -73,12 +76,12 @@ let test_mc_strict_reliability_collapse () =
   let mc = Mc_ftsa.schedule inst ~eps:2 in
   let p_fail = 0.2 in
   let none_fail = (1. -. p_fail) ** 6. in
-  let strict = R.exact mc R.Strict ~p_fail in
+  let strict = R.exact mc Crash_exec.Strict ~p_fail in
   check_bool "close to the no-failure mass" true
     (strict < none_fail +. 0.15);
   let ftsa = Ftsa.schedule inst ~eps:2 in
   check_bool "far below FTSA" true
-    (strict < R.exact ftsa R.Strict ~p_fail -. 0.2)
+    (strict < R.exact ftsa Crash_exec.Strict ~p_fail -. 0.2)
 
 let test_survives_reroute_semantics () =
   let inst = random_instance ~n_tasks:25 ~m:5 ~seed:8 () in
@@ -87,7 +90,8 @@ let test_survives_reroute_semantics () =
      processor can never defeat an eps=1 schedule *)
   for p = 0 to 4 do
     check_bool "single failure survivable" true
-      (R.survives mc R.Reroute ~failed:[| p |])
+      (Crash_exec.survives ~policy:Crash_exec.Reroute mc
+         (Scenario.of_list [ p ]))
   done
 
 let test_mission_no_failures () =
@@ -120,7 +124,7 @@ let test_mission_monotone_in_rate () =
 let test_estimate_stderr () =
   let s = small_schedule () in
   let rng = Rng.create ~seed:13 in
-  let est = R.monte_carlo rng s R.Strict ~p_fail:0.3 ~trials:1000 in
+  let est = R.monte_carlo rng s Crash_exec.Strict ~p_fail:0.3 ~trials:1000 in
   check_int "trials recorded" 1000 est.R.trials;
   check_bool "stderr sane" true (est.R.stderr >= 0. && est.R.stderr < 0.05)
 

@@ -1,46 +1,15 @@
 (* Tests for Ftsched_schedule: comm plans, schedule accessors/bounds,
    validators, Gantt rendering.
 
-   The hand-built schedule used below maps the tiny 3-task chain
-   (volumes 10, 20; mutual delay 0.5; exec [[2;4],[3;3],[5;1]]) with
-   eps = 1 exactly as FTSA would:
-
-     t0: P0 [0,2]               P1 [0,4]
-     t1: P0 [2,5]  (pess [9,12])  P1 [4,7]  (pess [7,10])
-     t2: P1 [7,8]  (pess [22,23]) P0 [5,10] (pess [20,25])
-
-   giving M* = 8 and M = 25. *)
+   Most checks use [Helpers.hand_schedule]: the tiny 3-task chain
+   (volumes 10, 20; mutual delay 0.5; exec [[2;4],[3;3],[5;1]]) mapped
+   with eps = 1 exactly as FTSA would, M* = 8 and M = 25. *)
 
 module Schedule = Ftsched_schedule.Schedule
 module Comm_plan = Ftsched_schedule.Comm_plan
 module Validate = Ftsched_schedule.Validate
 module Gantt = Ftsched_schedule.Gantt
 open Helpers
-
-let r ~task ~index ~proc ~s ~f ~ps ~pf =
-  {
-    Schedule.task;
-    index;
-    proc;
-    start = s;
-    finish = f;
-    pess_start = ps;
-    pess_finish = pf;
-  }
-
-let hand_replicas () =
-  [|
-    [| r ~task:0 ~index:0 ~proc:0 ~s:0. ~f:2. ~ps:0. ~pf:2.;
-       r ~task:0 ~index:1 ~proc:1 ~s:0. ~f:4. ~ps:0. ~pf:4. |];
-    [| r ~task:1 ~index:0 ~proc:0 ~s:2. ~f:5. ~ps:9. ~pf:12.;
-       r ~task:1 ~index:1 ~proc:1 ~s:4. ~f:7. ~ps:7. ~pf:10. |];
-    [| r ~task:2 ~index:0 ~proc:1 ~s:7. ~f:8. ~ps:22. ~pf:23.;
-       r ~task:2 ~index:1 ~proc:0 ~s:5. ~f:10. ~ps:20. ~pf:25. |];
-  |]
-
-let hand_schedule () =
-  Schedule.create ~instance:(tiny_instance ()) ~eps:1
-    ~replicas:(hand_replicas ()) ~comm:Comm_plan.All_to_all
 
 (* ------------------------------------------------------------------ *)
 (* Comm_plan                                                           *)
@@ -190,10 +159,10 @@ let test_message_count_spread () =
   let inst = Instance.create ~dag ~platform ~exec in
   let reps =
     [|
-      [| r ~task:0 ~index:0 ~proc:0 ~s:0. ~f:1. ~ps:0. ~pf:1.;
-         r ~task:0 ~index:1 ~proc:1 ~s:0. ~f:1. ~ps:0. ~pf:1. |];
-      [| r ~task:1 ~index:0 ~proc:2 ~s:11. ~f:12. ~ps:11. ~pf:12.;
-         r ~task:1 ~index:1 ~proc:3 ~s:11. ~f:12. ~ps:11. ~pf:12. |];
+      [| replica ~task:0 ~index:0 ~proc:0 ~s:0. ~f:1. ~ps:0. ~pf:1.;
+         replica ~task:0 ~index:1 ~proc:1 ~s:0. ~f:1. ~ps:0. ~pf:1. |];
+      [| replica ~task:1 ~index:0 ~proc:2 ~s:11. ~f:12. ~ps:11. ~pf:12.;
+         replica ~task:1 ~index:1 ~proc:3 ~s:11. ~f:12. ~ps:11. ~pf:12. |];
     |]
   in
   let s_all =
@@ -300,14 +269,6 @@ let test_validate_forced_internal () =
   let errs = Validate.robust_selection s in
   check_bool "caught" true
     (List.exists (fun e -> e.Validate.check = "forced-internal") errs)
-
-let test_survives_hand () =
-  let s = hand_schedule () in
-  check_bool "no failure" true (Validate.survives s ~failed:[||]);
-  check_bool "P0 fails" true (Validate.survives s ~failed:[| 0 |]);
-  check_bool "P1 fails" true (Validate.survives s ~failed:[| 1 |]);
-  check_bool "both fail" false (Validate.survives s ~failed:[| 0; 1 |]);
-  check_bool "exhaustive eps=1" true (Validate.survives_all_subsets s)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -533,15 +494,15 @@ let test_serialize_rejects_garbage () =
    timeline it used to silently miss overlaps. *)
 
 let test_validate_unsorted_timeline () =
-  let early = r ~task:1 ~index:0 ~proc:0 ~s:2. ~f:3. ~ps:2. ~pf:3. in
-  let late = r ~task:0 ~index:0 ~proc:0 ~s:5. ~f:6. ~ps:5. ~pf:6. in
+  let early = replica ~task:1 ~index:0 ~proc:0 ~s:2. ~f:3. ~ps:2. ~pf:3. in
+  let late = replica ~task:0 ~index:0 ~proc:0 ~s:5. ~f:6. ~ps:5. ~pf:6. in
   let errs = Validate.timeline_errors ~proc:0 [ late; early ] in
   check_bool "reports unsorted-timeline" true
     (List.exists (fun e -> e.Validate.check = "unsorted-timeline") errs);
   check_int "sorted order clean" 0
     (List.length (Validate.timeline_errors ~proc:0 [ early; late ]));
   (* an overlap is still an overlap when the list is sorted *)
-  let clash = r ~task:2 ~index:0 ~proc:0 ~s:2.5 ~f:4. ~ps:2.5 ~pf:4. in
+  let clash = replica ~task:2 ~index:0 ~proc:0 ~s:2.5 ~f:4. ~ps:2.5 ~pf:4. in
   check_bool "overlap still reported" true
     (List.exists
        (fun e -> e.Validate.check = "no-overlap")
@@ -611,7 +572,6 @@ let () =
             test_validate_selection_not_bijective;
           Alcotest.test_case "forced internal rule" `Quick
             test_validate_forced_internal;
-          Alcotest.test_case "survives" `Quick test_survives_hand;
           Alcotest.test_case "unsorted timeline" `Quick
             test_validate_unsorted_timeline;
         ] );

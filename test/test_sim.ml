@@ -5,11 +5,14 @@
 module Scenario = Ftsched_sim.Scenario
 module Crash_exec = Ftsched_sim.Crash_exec
 module Event_sim = Ftsched_sim.Event_sim
+module Worst_case = Ftsched_sim.Worst_case
 module Ftsa = Ftsched_core.Ftsa
 module Mc_ftsa = Ftsched_core.Mc_ftsa
 module Ftbar = Ftsched_baseline.Ftbar
 module Schedule = Ftsched_schedule.Schedule
 module Validate = Ftsched_schedule.Validate
+module Schedulers = Ftsched_core.Schedulers
+module Fuzz = Ftsched_fuzz.Fuzz
 module Rng = Ftsched_util.Rng
 open Helpers
 
@@ -158,6 +161,50 @@ let test_crash_serializes_on_survivor () =
   let s = Ftsa.schedule inst ~eps:1 in
   check_float "latency on P1" 8. (Crash_exec.latency_exn s (Scenario.of_list [ 0 ]))
 
+let test_survives_hand () =
+  let s = hand_schedule () in
+  let survives failed = Crash_exec.survives s (Scenario.of_list failed) in
+  check_bool "no failure" true (survives []);
+  check_bool "P0 fails" true (survives [ 0 ]);
+  check_bool "P1 fails" true (survives [ 1 ]);
+  check_bool "both fail" false (survives [ 0; 1 ]);
+  check_bool "exhaustive eps=1" true (survives_eps_subsets s)
+
+(* The structural verdict is the timed replay's verdict, for every
+   scheduler and both policies, on every subset of at most ε+1 dead
+   processors; under rerouting it reduces to "every task keeps a replica
+   on a live processor". *)
+let prop_survives_is_replay_verdict =
+  QCheck.Test.make ~name:"survives = replay delivers, both policies"
+    ~count:60 (QCheck.int_range 0 100_000) (fun seed ->
+      let case = Fuzz.gen_case ~seed in
+      let inst = case.Fuzz.instance in
+      List.for_all
+        (fun (sched : Schedulers.t) ->
+          let s =
+            sched.run ~seed:case.Fuzz.sched_seed inst ~eps:case.Fuzz.eps
+          in
+          let keeps_live_replica dead task =
+            Array.exists
+              (fun (r : Schedule.replica) -> not (Array.mem r.proc dead))
+              (Schedule.replicas s task)
+          in
+          List.for_all
+            (fun dead ->
+              let sc = { Scenario.failed = dead } in
+              let live =
+                List.for_all (keeps_live_replica dead)
+                  (List.init (Instance.n_tasks inst) Fun.id)
+              in
+              List.for_all
+                (fun policy ->
+                  let verdict = Crash_exec.survives ~policy s sc in
+                  verdict = ((Crash_exec.run ~policy s sc).latency <> None)
+                  && (policy = Crash_exec.Strict || verdict = live))
+                [ Crash_exec.Strict; Crash_exec.Reroute ])
+            (subsets_up_to ~m:(Instance.n_procs inst) ~k:(Schedule.eps s + 1)))
+        Schedulers.all)
+
 (* The documented gap: the paper's MC-FTSA selection survives per edge
    (Prop. 4.3) yet fails end-to-end under the strict policy. *)
 let test_mc_strict_gap_counterexample () =
@@ -165,15 +212,15 @@ let test_mc_strict_gap_counterexample () =
   let s = Mc_ftsa.schedule ~seed:42 inst ~eps:2 in
   (* the per-edge structure of Prop 4.3 holds … *)
   check_int "no structural errors" 0 (List.length (Validate.robust_selection s));
-  (* … yet some 2-failure scenario starves a whole task *)
-  check_bool "end-to-end survival fails" false (Validate.survives_all_subsets s);
-  let defeated =
-    List.exists
-      (fun sc ->
-        (Crash_exec.run ~policy:Crash_exec.Strict s sc).Crash_exec.latency = None)
-      (Scenario.all_of_size ~m:8 ~count:2)
-  in
-  check_bool "strict execution defeated" true defeated
+  (* … yet some 2-failure scenario starves a whole task, and the subset
+     the sweep names defeats a timed strict replay *)
+  match Worst_case.first_defeat ~policy:Crash_exec.Strict s ~count:2 with
+  | None -> Alcotest.fail "end-to-end survival should fail"
+  | Some sc ->
+      check_int "two processors" 2 (Array.length sc.Scenario.failed);
+      check_bool "strict execution defeated" true
+        ((Crash_exec.run ~policy:Crash_exec.Strict s sc).Crash_exec.latency
+        = None)
 
 (* ------------------------------------------------------------------ *)
 (* Event-driven simulator                                              *)
@@ -194,7 +241,7 @@ let prop_event_sim_agrees_with_crash_exec =
               let b = (Event_sim.run_crash s sc).Event_sim.latency in
               match (a, b) with
               | None, None -> true
-              | Some x, Some y -> Float.abs (x -. y) < 1e-6
+              | Some x, Some y -> x = y
               | _ -> false)
             (Scenario.all_of_size ~m:5 ~count:eps))
         [ Ftsa.schedule ~seed inst ~eps; Mc_ftsa.schedule ~seed inst ~eps ])
@@ -246,8 +293,6 @@ let test_event_sim_timed_vs_crash_at_zero () =
 (* ------------------------------------------------------------------ *)
 (* Worst-case analysis                                                 *)
 
-module Worst_case = Ftsched_sim.Worst_case
-
 let stats_exn (r : Worst_case.report) =
   match r.Worst_case.stats with
   | Some st -> st
@@ -274,13 +319,6 @@ let test_worst_case_report () =
        (Crash_exec.latency_exn s st.Worst_case.worst_scenario
        -. st.Worst_case.worst)
     < 1e-9)
-
-let test_worst_case_tightness () =
-  let inst = random_instance ~seed:41 ~n_tasks:25 ~m:5 () in
-  let s = Ftsa.schedule inst ~eps:1 in
-  match Worst_case.bound_tightness s with
-  | Some t -> check_bool "in (0,1]" true (t > 0. && t <= 1. +. 1e-9)
-  | None -> Alcotest.fail "FTSA under eps failures cannot be all-defeated"
 
 let test_worst_case_counts_defeats () =
   let inst = random_instance ~seed:42 ~n_tasks:30 ~m:5 () in
@@ -846,6 +884,8 @@ let () =
           Alcotest.test_case "outcomes" `Quick test_outcome_classification;
           Alcotest.test_case "serializes on survivor" `Quick
             test_crash_serializes_on_survivor;
+          Alcotest.test_case "survives hand" `Quick test_survives_hand;
+          quick prop_survives_is_replay_verdict;
           Alcotest.test_case "MC strict gap (paper finding)" `Quick
             test_mc_strict_gap_counterexample;
         ] );
@@ -866,7 +906,6 @@ let () =
       ( "worst-case",
         [
           Alcotest.test_case "report" `Quick test_worst_case_report;
-          Alcotest.test_case "tightness" `Quick test_worst_case_tightness;
           Alcotest.test_case "counts defeats" `Quick test_worst_case_counts_defeats;
           Alcotest.test_case "all defeated typed" `Quick
             test_worst_case_all_defeated_typed;

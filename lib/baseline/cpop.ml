@@ -13,15 +13,21 @@ let critical_path inst priority =
     Float.abs (priority.(t) -. cp_value) <= tolerance *. Float.max 1. cp_value
   in
   let start =
-    match List.filter on_cp (Dag.entries g) with
-    | t :: _ -> t
-    | [] -> List.hd (Dag.entries g)
+    match Array.find_opt on_cp (Dag.entries g) with
+    | Some t -> t
+    | None -> (Dag.entries g).(0)
+  in
+  let off = Dag.Csr.succ_offsets g and succ = Dag.Csr.succ_tasks g in
+  let rec first_on_cp k hi =
+    if k >= hi then None
+    else if on_cp succ.(k) then Some succ.(k)
+    else first_on_cp (k + 1) hi
   in
   let rec follow t acc =
     let acc = t :: acc in
-    match List.filter (fun (t', _) -> on_cp t') (Dag.succs g t) with
-    | (t', _) :: _ -> follow t' acc
-    | [] -> List.rev acc
+    match first_on_cp off.(t) off.(t + 1) with
+    | Some t' -> follow t' acc
+    | None -> List.rev acc
   in
   follow start []
 

@@ -12,8 +12,7 @@ let oct inst =
     let t = topo.(i) in
     for p = 0 to m - 1 do
       let worst = ref 0. in
-      List.iter
-        (fun (s, vol) ->
+      Dag.iter_succs g t (fun _ s vol ->
           let best = ref infinity in
           for q = 0 to m - 1 do
             let comm =
@@ -22,8 +21,7 @@ let oct inst =
             let cand = table.(s).(q) +. Instance.exec inst s q +. comm in
             if cand < !best then best := cand
           done;
-          if !best > !worst then worst := !best)
-        (Dag.succs g t);
+          if !best > !worst then worst := !best);
       table.(t).(p) <- !worst
     done
   done;

@@ -27,8 +27,7 @@ let schedule ?seed ?(ports = 1) ?trace inst ~eps =
      hoists just like equation (1). *)
   let prepare (st : Driver.state) t =
     Array.fill st.Driver.in_opt 0 m 0.;
-    List.iter
-      (fun (t', vol) ->
+    Dag.iter_preds g t (fun _ t' vol ->
         let rs = Driver.replicas_of st t' in
         let ao = st.Driver.tmp_opt in
         Array.fill ao 0 m infinity;
@@ -48,7 +47,6 @@ let schedule ?seed ?(ports = 1) ?trace inst ~eps =
         for p = 0 to m - 1 do
           if ao.(p) > st.Driver.in_opt.(p) then st.Driver.in_opt.(p) <- ao.(p)
         done)
-      (Dag.preds g t)
   in
   (* Evaluation is optimistic-only: commit re-times both bounds after
      booking the actual transfers. *)
@@ -66,8 +64,7 @@ let schedule ?seed ?(ports = 1) ?trace inst ~eps =
     let k = eps + 1 in
     let input_opt = Array.make k 0. in
     let input_pess = Array.make k 0. in
-    List.iter
-      (fun (t', vol) ->
+    Dag.iter_preds g t (fun _ t' vol ->
         let rs = Driver.replicas_of st t' in
         let arr_opt = Array.make k infinity in
         Array.iter
@@ -92,8 +89,7 @@ let schedule ?seed ?(ports = 1) ?trace inst ~eps =
           rs;
         for i = 0 to k - 1 do
           if arr_opt.(i) > input_opt.(i) then input_opt.(i) <- arr_opt.(i)
-        done)
-      (Dag.preds g t);
+        done);
     Array.mapi
       (fun i p ->
         let e = Instance.exec inst t p in

@@ -29,10 +29,7 @@ let commit_min_comm strategy ~eps (st : Driver.state) t chosen =
      bound pessimistic ones. *)
   let input_opt = Array.make k 0. in
   let input_pess = Array.make k 0. in
-  List.iter
-    (fun e ->
-      let src, _ = Dag.edge_endpoints g e in
-      let vol = Dag.edge_volume g e in
+  Dag.iter_preds g t (fun e src vol ->
       let lefts = Driver.replicas_of st src in
       let edges = ref [] in
       for l = 0 to k - 1 do
@@ -96,8 +93,7 @@ let commit_min_comm strategy ~eps (st : Driver.state) t chosen =
         if arr_opt.(r) < infinity && arr_opt.(r) > input_opt.(r) then
           input_opt.(r) <- arr_opt.(r);
         if arr_pess.(r) > input_pess.(r) then input_pess.(r) <- arr_pess.(r)
-      done)
-    (Dag.in_edges g t);
+      done);
   Array.mapi
     (fun r ev ->
       let p = ev.Driver.e_proc in

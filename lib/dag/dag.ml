@@ -1,22 +1,20 @@
 type task = int
 type edge = int
 
+(* The adjacency is stored once, as compressed-sparse rows built at
+   [Builder.build] time: row [t] of the incoming adjacency is
+   [pred_csr.(pred_off.(t) .. pred_off.(t+1)-1)], and [pred_task]/
+   [pred_vol] are aligned with [pred_csr] (the source task and volume of
+   each incoming edge, pre-flattened).  Same layout outgoing.  Every row
+   lists its edges by increasing edge id, which is insertion order. *)
 type t = {
   labels : string array;
   edge_src : int array;
   edge_dst : int array;
   edge_vol : float array;
-  out_edges : edge list array;  (* per task, in insertion order *)
-  in_edges : edge list array;
   topo : task array;
-  (* CSR mirrors of the adjacency, built once at [Builder.build] time so
-     the scheduling hot path can iterate predecessors/successors without
-     allocating: row [t] of the incoming adjacency is
-     [pred_csr.(pred_off.(t) .. pred_off.(t+1)-1)], and [pred_task]/
-     [pred_vol] are aligned with [pred_csr] (the source task and volume
-     of each incoming edge, pre-flattened).  Same layout outgoing. *)
   pred_off : int array;  (* n+1 offsets *)
-  pred_csr : int array;  (* edge ids, in in_edges order *)
+  pred_csr : int array;  (* edge ids *)
   pred_task : int array;  (* edge_src.(pred_csr.(k)), pre-looked-up *)
   pred_vol : float array;  (* edge_vol.(pred_csr.(k)) *)
   succ_off : int array;
@@ -31,23 +29,25 @@ let n_edges t = Array.length t.edge_src
 
 let label t i = t.labels.(i)
 
-let out_edges t i = t.out_edges.(i)
-let in_edges t i = t.in_edges.(i)
-
 let edge_endpoints t e = (t.edge_src.(e), t.edge_dst.(e))
 let edge_volume t e = t.edge_vol.(e)
-
-let succs t i =
-  List.map (fun e -> (t.edge_dst.(e), t.edge_vol.(e))) t.out_edges.(i)
-
-let preds t i =
-  List.map (fun e -> (t.edge_src.(e), t.edge_vol.(e))) t.in_edges.(i)
 
 let out_degree t i = t.succ_off.(i + 1) - t.succ_off.(i)
 let in_degree t i = t.pred_off.(i + 1) - t.pred_off.(i)
 
-let entries t = Array.to_list t.entry_tasks
-let exits t = Array.to_list t.exit_tasks
+let iter_preds t i f =
+  for k = t.pred_off.(i) to t.pred_off.(i + 1) - 1 do
+    f t.pred_csr.(k) t.pred_task.(k) t.pred_vol.(k)
+  done
+
+let iter_succs t i f =
+  for k = t.succ_off.(i) to t.succ_off.(i + 1) - 1 do
+    let e = t.succ_csr.(k) in
+    f e t.succ_task.(k) t.edge_vol.(e)
+  done
+
+let entries t = t.entry_tasks
+let exits t = t.exit_tasks
 
 module Csr = struct
   let pred_offsets t = t.pred_off
@@ -57,12 +57,7 @@ module Csr = struct
   let succ_offsets t = t.succ_off
   let succ_edges t = t.succ_csr
   let succ_tasks t = t.succ_task
-  let entries t = t.entry_tasks
-  let exits t = t.exit_tasks
 end
-
-let find_edge t ~src ~dst =
-  List.find_opt (fun e -> t.edge_dst.(e) = dst) t.out_edges.(src)
 
 let iter_edges t f =
   for e = 0 to n_edges t - 1 do
@@ -76,36 +71,68 @@ let fold_edges t ~init ~f =
 
 let total_volume t = Array.fold_left ( +. ) 0. t.edge_vol
 
-let topological_order t = Array.copy t.topo
+let topological_order t = t.topo
 
 let pp ppf t =
   Format.fprintf ppf "dag{v=%d; e=%d; entries=%d; exits=%d}" (n_tasks t)
     (n_edges t)
-    (List.length (entries t))
-    (List.length (exits t))
+    (Array.length t.entry_tasks)
+    (Array.length t.exit_tasks)
 
-(* Kahn's algorithm with a FIFO queue: deterministic order, and detects
-   cycles (fewer than n tasks emitted). *)
-let kahn_topo ~n ~out_edges ~edge_dst ~in_degree =
-  let indeg = Array.copy in_degree in
-  let q = Queue.create () in
+(* One row family: [key.(e)] owns edge [e], [other.(e)] is its far end.
+   A counting pass in edge-id order keeps every row in insertion order. *)
+let rows ~n key other =
+  let off = Array.make (n + 1) 0 in
+  Array.iter (fun i -> off.(i + 1) <- off.(i + 1) + 1) key;
   for i = 0 to n - 1 do
-    if indeg.(i) = 0 then Queue.add i q
+    off.(i + 1) <- off.(i + 1) + off.(i)
   done;
+  let cursor = Array.sub off 0 n in
+  let edges = Array.make (Array.length key) 0 in
+  let tasks = Array.make (Array.length key) 0 in
+  Array.iteri
+    (fun e i ->
+      let k = cursor.(i) in
+      cursor.(i) <- k + 1;
+      edges.(k) <- e;
+      tasks.(k) <- other.(e))
+    key;
+  (off, edges, tasks)
+
+(* Kahn's algorithm with a FIFO queue (the order array itself, filled
+   behind the read cursor): deterministic order, and detects cycles
+   (fewer than n tasks emitted). *)
+let kahn_topo ~n ~pred_off ~succ_off ~succ_task =
+  let indeg = Array.init n (fun i -> pred_off.(i + 1) - pred_off.(i)) in
   let order = Array.make n (-1) in
   let filled = ref 0 in
-  while not (Queue.is_empty q) do
-    let u = Queue.pop q in
-    order.(!filled) <- u;
-    incr filled;
-    List.iter
-      (fun e ->
-        let v = edge_dst.(e) in
-        indeg.(v) <- indeg.(v) - 1;
-        if indeg.(v) = 0 then Queue.add v q)
-      out_edges.(u)
+  for i = 0 to n - 1 do
+    if indeg.(i) = 0 then begin
+      order.(!filled) <- i;
+      incr filled
+    end
+  done;
+  let head = ref 0 in
+  while !head < !filled do
+    let u = order.(!head) in
+    incr head;
+    for k = succ_off.(u) to succ_off.(u + 1) - 1 do
+      let v = succ_task.(k) in
+      indeg.(v) <- indeg.(v) - 1;
+      if indeg.(v) = 0 then begin
+        order.(!filled) <- v;
+        incr filled
+      end
+    done
   done;
   if !filled < n then None else Some order
+
+let degree_zero ~n off =
+  let acc = ref [] in
+  for i = n - 1 downto 0 do
+    if off.(i + 1) = off.(i) then acc := i :: !acc
+  done;
+  Array.of_list !acc
 
 module Builder = struct
   type built = t
@@ -113,7 +140,10 @@ module Builder = struct
   type t = {
     mutable labels_rev : string list;
     mutable count : int;
-    mutable edges_rev : (int * int * float) list;
+    (* growable edge arrays, valid up to [edge_count] *)
+    mutable edge_src : int array;
+    mutable edge_dst : int array;
+    mutable edge_vol : float array;
     mutable edge_count : int;
     edge_set : (int * int, unit) Hashtbl.t;
   }
@@ -122,7 +152,9 @@ module Builder = struct
     {
       labels_rev = [];
       count = 0;
-      edges_rev = [];
+      edge_src = [||];
+      edge_dst = [||];
+      edge_vol = [||];
       edge_count = 0;
       edge_set = Hashtbl.create (4 * expected_tasks);
     }
@@ -134,6 +166,17 @@ module Builder = struct
     b.count <- id + 1;
     id
 
+  let grow b =
+    let cap = max 16 (2 * b.edge_count) in
+    let extend a fill =
+      let a' = Array.make cap fill in
+      Array.blit a 0 a' 0 b.edge_count;
+      a'
+    in
+    b.edge_src <- extend b.edge_src 0;
+    b.edge_dst <- extend b.edge_dst 0;
+    b.edge_vol <- extend b.edge_vol 0.
+
   let add_edge b ~src ~dst ~volume =
     if src < 0 || src >= b.count then invalid_arg "Dag.Builder.add_edge: src";
     if dst < 0 || dst >= b.count then invalid_arg "Dag.Builder.add_edge: dst";
@@ -143,80 +186,30 @@ module Builder = struct
     if Hashtbl.mem b.edge_set (src, dst) then
       invalid_arg "Dag.Builder.add_edge: duplicate edge";
     Hashtbl.add b.edge_set (src, dst) ();
-    b.edges_rev <- (src, dst, volume) :: b.edges_rev;
-    b.edge_count <- b.edge_count + 1
+    if b.edge_count = Array.length b.edge_src then grow b;
+    let e = b.edge_count in
+    b.edge_src.(e) <- src;
+    b.edge_dst.(e) <- dst;
+    b.edge_vol.(e) <- volume;
+    b.edge_count <- e + 1
 
   let build b : built =
-    let n = b.count in
-    let labels = Array.of_list (List.rev b.labels_rev) in
-    let m = b.edge_count in
-    let edge_src = Array.make m 0 in
-    let edge_dst = Array.make m 0 in
-    let edge_vol = Array.make m 0. in
-    let out_edges = Array.make n [] in
-    let in_edges = Array.make n [] in
-    let in_degree = Array.make n 0 in
-    (* edges_rev is reversed insertion order; walking it backwards restores
-       insertion order while consing keeps adjacency lists ordered too. *)
-    List.iteri
-      (fun i (src, dst, vol) ->
-        let e = m - 1 - i in
-        edge_src.(e) <- src;
-        edge_dst.(e) <- dst;
-        edge_vol.(e) <- vol)
-      b.edges_rev;
-    for e = m - 1 downto 0 do
-      out_edges.(edge_src.(e)) <- e :: out_edges.(edge_src.(e));
-      in_edges.(edge_dst.(e)) <- e :: in_edges.(edge_dst.(e));
-      in_degree.(edge_dst.(e)) <- in_degree.(edge_dst.(e)) + 1
-    done;
-    match kahn_topo ~n ~out_edges ~edge_dst ~in_degree with
+    let n = b.count and m = b.edge_count in
+    let edge_src = Array.sub b.edge_src 0 m in
+    let edge_dst = Array.sub b.edge_dst 0 m in
+    let edge_vol = Array.sub b.edge_vol 0 m in
+    let pred_off, pred_csr, pred_task = rows ~n edge_dst edge_src in
+    let succ_off, succ_csr, succ_task = rows ~n edge_src edge_dst in
+    match kahn_topo ~n ~pred_off ~succ_off ~succ_task with
     | None -> invalid_arg "Dag.Builder.build: graph has a cycle"
     | Some topo ->
-        (* Flatten the adjacency lists into CSR rows, preserving the
-           per-task insertion order the list API exposes. *)
-        let flatten rows lookup =
-          let off = Array.make (n + 1) 0 in
-          for i = 0 to n - 1 do
-            off.(i + 1) <- off.(i) + List.length rows.(i)
-          done;
-          let csr = Array.make m 0 in
-          let tasks = Array.make m 0 in
-          let k = ref 0 in
-          Array.iter
-            (fun row ->
-              List.iter
-                (fun e ->
-                  csr.(!k) <- e;
-                  tasks.(!k) <- lookup.(e);
-                  incr k)
-                row)
-            rows;
-          (off, csr, tasks)
-        in
-        let pred_off, pred_csr, pred_task = flatten in_edges edge_src in
-        let succ_off, succ_csr, succ_task = flatten out_edges edge_dst in
-        let pred_vol = Array.map (fun e -> edge_vol.(e)) pred_csr in
-        let degree_zero off =
-          let count = ref 0 in
-          for i = 0 to n - 1 do
-            if off.(i + 1) = off.(i) then incr count
-          done;
-          let arr = Array.make !count 0 in
-          let j = ref 0 in
-          for i = 0 to n - 1 do
-            if off.(i + 1) = off.(i) then begin
-              arr.(!j) <- i;
-              incr j
-            end
-          done;
-          arr
-        in
         {
-          labels; edge_src; edge_dst; edge_vol; out_edges; in_edges; topo;
-          pred_off; pred_csr; pred_task; pred_vol;
+          labels = Array.of_list (List.rev b.labels_rev);
+          edge_src; edge_dst; edge_vol; topo;
+          pred_off; pred_csr; pred_task;
+          pred_vol = Array.map (fun e -> edge_vol.(e)) pred_csr;
           succ_off; succ_csr; succ_task;
-          entry_tasks = degree_zero pred_off;
-          exit_tasks = degree_zero succ_off;
+          entry_tasks = degree_zero ~n pred_off;
+          exit_tasks = degree_zero ~n succ_off;
         }
 end

@@ -28,9 +28,11 @@ module Builder : sig
       0).  The optional [label] is kept for rendering only. *)
 
   val add_edge : t -> src:task -> dst:task -> volume:float -> unit
-  (** Declares the precedence [src → dst] with data volume [volume ≥ 0].
-      Raises [Invalid_argument] on unknown endpoints, negative volume,
-      self-loops, or duplicate edges. *)
+  (** Declares the precedence [src → dst] with data volume [volume ≥ 0];
+      its edge id is the number of edges added before it.  Raises
+      [Invalid_argument] on unknown endpoints, negative volume, self-loops,
+      or duplicate edges — eagerly, so a caller can attribute the bad edge
+      to its source (the STG parser names the line). *)
 
   val build : t -> dag
   (** Freezes the builder.  Raises [Invalid_argument] if the edge relation
@@ -45,30 +47,30 @@ val n_edges : t -> int
 val label : t -> task -> string
 (** The task's label; defaults to ["t<i>"]. *)
 
-val succs : t -> task -> (task * float) list
-(** Immediate successors [Γ⁺(t)] with edge volumes. *)
-
-val preds : t -> task -> (task * float) list
-(** Immediate predecessors [Γ⁻(t)] with edge volumes. *)
-
 val out_degree : t -> task -> int
 val in_degree : t -> task -> int
 
-val entries : t -> task list
-(** Tasks without predecessors. *)
+val iter_preds : t -> task -> (edge -> task -> float -> unit) -> unit
+(** [iter_preds g t f] calls [f e src volume] for every incoming edge
+    [e = (src, t)] of [t], in row order.  For cold callers; hot loops read
+    {!Csr} directly. *)
 
-val exits : t -> task list
-(** Tasks without successors. *)
+val iter_succs : t -> task -> (edge -> task -> float -> unit) -> unit
+(** [iter_succs g t f] calls [f e dst volume] for every outgoing edge
+    [e = (t, dst)] of [t], in row order. *)
+
+val entries : t -> task array
+(** Tasks without predecessors, increasing.  Read-only (see {!Csr}). *)
+
+val exits : t -> task array
+(** Tasks without successors, increasing.  Read-only. *)
 
 val edge_endpoints : t -> edge -> task * task
 val edge_volume : t -> edge -> float
 
-val find_edge : t -> src:task -> dst:task -> edge option
-
-val out_edges : t -> task -> edge list
-val in_edges : t -> task -> edge list
-
 val iter_edges : t -> (edge -> src:task -> dst:task -> volume:float -> unit) -> unit
+(** Every edge, by increasing edge id. *)
+
 val fold_edges : t -> init:'a -> f:('a -> edge -> src:task -> dst:task -> volume:float -> 'a) -> 'a
 
 val total_volume : t -> float
@@ -76,21 +78,25 @@ val total_volume : t -> float
 
 val topological_order : t -> task array
 (** A fixed topological order computed at build time (Kahn's algorithm with
-    a FIFO tie-break, hence deterministic). *)
+    a FIFO tie-break, hence deterministic).  The array is the graph's own:
+    read-only. *)
 
-(** {1 Flat adjacency (CSR)}
+(** {1 Adjacency rows (CSR)}
 
-    The scheduling hot path iterates predecessor/successor rows for every
-    task of every instance; the list accessors above allocate a fresh
-    list per call.  [Csr] exposes the same adjacency as flat
-    compressed-sparse-row arrays built once at {!Builder.build} time:
-    row [t] of the incoming adjacency is the index range
-    [pred_offsets.(t) .. pred_offsets.(t+1) - 1] into the aligned
-    [pred_edges] (edge id), [pred_tasks] (source task) and
-    [pred_volumes] (edge volume) arrays, in the same per-task insertion
-    order as {!in_edges}/{!preds}; symmetrically outgoing.  The arrays
-    are physically shared with the graph — {b treat them as read-only}
-    (mutating them corrupts the DAG). *)
+    The graph's only adjacency: compressed-sparse-row arrays built once at
+    {!Builder.build} time.  Row [t] of the incoming adjacency is the index
+    range [pred_offsets.(t) .. pred_offsets.(t+1) - 1] into the aligned
+    [pred_edges] (edge id), [pred_tasks] (source task) and [pred_volumes]
+    (edge volume) arrays; symmetrically outgoing.
+
+    {b Row order.}  Every row lists its edges by increasing edge id, which
+    is the order {!Builder.add_edge} was called in.  {!iter_preds} and
+    {!iter_succs} walk the same rows in the same order, so every reduction
+    over a task's neighbours visits them in one fixed order.
+
+    {b Read-only.}  The row arrays, {!entries}, {!exits} and
+    {!topological_order} are physically shared with the graph; mutating
+    them corrupts it. *)
 module Csr : sig
   val pred_offsets : t -> int array
   (** [n_tasks + 1] row offsets into the incoming-edge arrays. *)
@@ -110,13 +116,6 @@ module Csr : sig
 
   val succ_tasks : t -> int array
   (** Destination task of each outgoing edge. *)
-
-  val entries : t -> task array
-  (** Tasks without predecessors, increasing; same contents as
-      {!Dag.entries}. *)
-
-  val exits : t -> task array
-  (** Tasks without successors, increasing. *)
 end
 
 val pp : Format.formatter -> t -> unit

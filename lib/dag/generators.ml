@@ -74,6 +74,22 @@ let layered rng ~n_tasks ?(fatness = 0.5) ?(density = 0.35)
   let levels = Array.of_list (List.rev !levels) in
   let n_levels = Array.length levels in
   let vol () = draw_volume rng volume in
+  (* Successor presence and weak components (a union-find with path
+     halving) over the edges added so far. *)
+  let has_succ = Array.make n_tasks false in
+  let comp = Array.init n_tasks Fun.id in
+  let rec find i =
+    if comp.(i) = i then i
+    else begin
+      comp.(i) <- comp.(comp.(i));
+      find comp.(i)
+    end
+  in
+  let add src dst =
+    Dag.Builder.add_edge b ~src ~dst ~volume:(vol ());
+    has_succ.(src) <- true;
+    comp.(find src) <- find dst
+  in
   (* Edges look back up to [window] levels; the probability halves per
      extra level of distance so most edges are between adjacent levels. *)
   let window = 3 in
@@ -86,81 +102,49 @@ let layered rng ~n_tasks ?(fatness = 0.5) ?(density = 0.35)
           Array.iter
             (fun src ->
               if Rng.bernoulli rng p then begin
-                Dag.Builder.add_edge b ~src ~dst ~volume:(vol ());
+                add src dst;
                 got_pred := true
               end)
             levels.(l - back)
         done;
-        if not !got_pred then begin
-          let src = Rng.pick rng levels.(l - 1) in
-          Dag.Builder.add_edge b ~src ~dst ~volume:(vol ())
-        end)
+        if not !got_pred then add (Rng.pick rng levels.(l - 1)) dst)
       levels.(l)
   done;
-  (* Guarantee each non-final-level task a successor so exits stay few. *)
-  let rebuild dag extra =
-    let b' = Dag.Builder.create ~expected_tasks:n_tasks () in
-    for i = 0 to n_tasks - 1 do
-      ignore (Dag.Builder.add_task ~label:(Dag.label dag i) b')
-    done;
-    Dag.iter_edges dag (fun _e ~src ~dst ~volume ->
-        Dag.Builder.add_edge b' ~src ~dst ~volume);
-    List.iter (fun (src, dst) -> Dag.Builder.add_edge b' ~src ~dst ~volume:(vol ())) extra;
-    Dag.Builder.build b'
-  in
-  let dag_so_far = Dag.Builder.build b in
-  let succ_repairs = ref [] in
+  (* Guarantee each non-final-level task a successor so exits stay few.
+     All repair targets are drawn before any repair volume, and the
+     repairs are added last-drawn first. *)
+  let repairs = ref [] in
   for l = 0 to n_levels - 2 do
     Array.iter
       (fun src ->
-        if Dag.out_degree dag_so_far src = 0 then
-          succ_repairs := (src, Rng.pick rng levels.(l + 1)) :: !succ_repairs)
+        if not has_succ.(src) then
+          repairs := (src, Rng.pick rng levels.(l + 1)) :: !repairs)
       levels.(l)
   done;
-  let dag2 = rebuild dag_so_far !succ_repairs in
+  List.iter (fun (src, dst) -> add src dst) !repairs;
   (* Adjacent levels can still partition the graph into parallel strands;
      anchor every secondary weak component to the main one.  Each
      component contains a level-0 task (predecessor guarantee) and hence
      a level-1 task (successor guarantee), so a link from a level-0 task
      of the main component into a level-1 task of the stray component
-     always exists and is always new. *)
-  if n_levels < 2 then dag2
-  else begin
-    let comp = Array.make n_tasks (-1) in
-    let rec flood c t =
-      if comp.(t) = -1 then begin
-        comp.(t) <- c;
-        List.iter (fun (u, _) -> flood c u) (Dag.preds dag2 t);
-        List.iter (fun (u, _) -> flood c u) (Dag.succs dag2 t)
-      end
-    in
-    let n_comp = ref 0 in
-    for t = 0 to n_tasks - 1 do
-      if comp.(t) = -1 then begin
-        flood !n_comp t;
-        incr n_comp
-      end
-    done;
-    if !n_comp = 1 then dag2
-    else begin
-      let main = comp.(levels.(0).(0)) in
-      let links = ref [] in
-      let seen = Hashtbl.create 8 in
-      (* Scan levels upward: the first task of a stray component at level
-         >= 1 becomes its anchor point. *)
-      for l = 1 to n_levels - 1 do
-        Array.iter
-          (fun t ->
-            let c = comp.(t) in
-            if c <> main && not (Hashtbl.mem seen c) then begin
-              Hashtbl.add seen c ();
-              links := (levels.(0).(0), t) :: !links
-            end)
-          levels.(l)
-      done;
-      rebuild dag2 !links
-    end
-  end
+     always exists and is always new.  Scan levels upward: the first task
+     of a stray component at level >= 1 becomes its anchor point. *)
+  let anchor = levels.(0).(0) in
+  let main = find anchor in
+  let seen = Array.make n_tasks false in
+  let links = ref [] in
+  for l = 1 to n_levels - 1 do
+    Array.iter
+      (fun t ->
+        let c = find t in
+        if c <> main && not seen.(c) then begin
+          seen.(c) <- true;
+          links := t :: !links
+        end)
+      levels.(l)
+  done;
+  List.iter (add anchor) !links;
+  Dag.Builder.build b
 
 let erdos_renyi rng ~n_tasks ~edge_prob ?(volume = default_volume) () =
   check_pos ~who:"Generators.erdos_renyi" ~what:"n_tasks" n_tasks;

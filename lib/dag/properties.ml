@@ -4,9 +4,8 @@ let depth g =
   let topo = Dag.topological_order g in
   Array.iter
     (fun u ->
-      List.iter
-        (fun (v, _vol) -> if d.(u) + 1 > d.(v) then d.(v) <- d.(u) + 1)
-        (Dag.succs g u))
+      Dag.iter_succs g u (fun _ v _ ->
+          if d.(u) + 1 > d.(v) then d.(v) <- d.(u) + 1))
     topo;
   d
 
@@ -35,11 +34,9 @@ let width_upper_bound g =
   Array.iter
     (fun u ->
       decr free;
-      List.iter
-        (fun (v, _) ->
+      Dag.iter_succs g u (fun _ v _ ->
           remaining.(v) <- remaining.(v) - 1;
-          if remaining.(v) = 0 then incr free)
-        (Dag.succs g u);
+          if remaining.(v) = 0 then incr free);
       if !free > !peak then peak := !free)
     topo;
   !peak
@@ -54,15 +51,12 @@ let longest_path_table g ~node_weight ~edge_weight =
   Array.iter
     (fun u ->
       if best.(u) = neg_infinity then best.(u) <- node_weight u;
-      List.iter
-        (fun e ->
-          let _, v = Dag.edge_endpoints g e in
+      Dag.iter_succs g u (fun e v _ ->
           let cand = best.(u) +. edge_weight e +. node_weight v in
           if cand > best.(v) then begin
             best.(v) <- cand;
             from.(v) <- u
-          end)
-        (Dag.out_edges g u))
+          end))
     topo;
   (best, from)
 
@@ -96,15 +90,15 @@ let is_connected_undirected g =
     let visited = ref 1 in
     while not (Stack.is_empty stack) do
       let u = Stack.pop stack in
-      let visit (v, _) =
+      let visit _ v _ =
         if not seen.(v) then begin
           seen.(v) <- true;
           incr visited;
           Stack.push v stack
         end
       in
-      List.iter visit (Dag.succs g u);
-      List.iter visit (Dag.preds g u)
+      Dag.iter_succs g u visit;
+      Dag.iter_preds g u visit
     done;
     !visited = n
   end
@@ -124,18 +118,16 @@ let transitive_edge_count g =
   let topo = Dag.topological_order g in
   for i = Array.length topo - 1 downto 0 do
     let u = topo.(i) in
-    List.iter
-      (fun (v, _) ->
+    Dag.iter_succs g u (fun _ v _ ->
         set reach.(u) v;
         union reach.(u) reach.(v))
-      (Dag.succs g u)
   done;
+  let off = Dag.Csr.succ_offsets g and succ = Dag.Csr.succ_tasks g in
   Dag.fold_edges g ~init:0 ~f:(fun acc _e ~src ~dst ~volume:_ ->
       (* (src,dst) is transitive iff dst is reachable from some other
          successor of src. *)
-      let redundant =
-        List.exists
-          (fun (w, _) -> w <> dst && get reach.(w) dst)
-          (Dag.succs g src)
+      let rec redundant k =
+        k < off.(src + 1)
+        && ((succ.(k) <> dst && get reach.(succ.(k)) dst) || redundant (k + 1))
       in
-      if redundant then acc + 1 else acc)
+      if redundant off.(src) then acc + 1 else acc)

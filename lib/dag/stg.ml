@@ -64,11 +64,11 @@ let to_string dag ~costs =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (Printf.sprintf "%d\n" n);
   for t = 0 to n - 1 do
-    let preds = List.map fst (Dag.preds dag t) in
     Buffer.add_string buf
-      (Printf.sprintf "%d %g %d%s\n" t costs.(t) (List.length preds)
-         (String.concat ""
-            (List.map (fun p -> Printf.sprintf " %d" p) preds)))
+      (Printf.sprintf "%d %g %d" t costs.(t) (Dag.in_degree dag t));
+    Dag.iter_preds dag t (fun _ p _ ->
+        Buffer.add_string buf (Printf.sprintf " %d" p));
+    Buffer.add_char buf '\n'
   done;
   Buffer.contents buf
 

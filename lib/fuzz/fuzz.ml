@@ -401,7 +401,8 @@ let shrink ?(max_evals = 2000) sched case oracle =
     in
     let task_cands =
       if Dag.n_tasks g > 1 then
-        List.sort_uniq compare (Dag.entries g @ Dag.exits g)
+        Array.to_list (Array.append (Dag.entries g) (Dag.exits g))
+        |> List.sort_uniq compare
         |> List.map (fun t -> { c with instance = drop_task c.instance t })
       else []
     in

@@ -361,7 +361,10 @@ let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
       | Some tr ->
           let edges =
             if policy.selected_comm then
-              List.map (fun e -> (e, st.selected.(e))) (Dag.in_edges g t)
+              let row = Dag.Csr.pred_edges g in
+              List.init (Dag.in_degree g t) (fun i ->
+                  let e = row.(st.pred_off.(t) + i) in
+                  (e, st.selected.(e)))
             else []
           in
           Trace.record tr
@@ -391,7 +394,7 @@ let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
     end
     else false
   in
-  let entry_tasks = Dag.Csr.entries g in
+  let entry_tasks = Dag.entries g in
   (* Incremental ready counts: a task enters the free set exactly when
      its pending-predecessor counter hits zero. *)
   let remaining = w.w_remaining in
@@ -464,8 +467,7 @@ let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
         if next.(t) >= 0 then prev.(next.(t)) <- prev.(t);
         decr count
       in
-      (* backwards, so the first entry task ends up at the head — the
-         order [Dag.entries] used to seed the list with *)
+      (* backwards, so the first entry task ends up at the head *)
       for i = Array.length entry_tasks - 1 downto 0 do
         push_front entry_tasks.(i)
       done;

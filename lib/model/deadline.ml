@@ -41,17 +41,16 @@ let compute inst ~eps ~latency =
   let topo = Dag.topological_order g in
   for i = n - 1 downto 0 do
     let ti = topo.(i) in
-    match Dag.succs g ti with
-    | [] -> dl.(ti) <- latency
-    | succs ->
-        dl.(ti) <-
-          List.fold_left
-            (fun acc (tj, vol) ->
-              let slack =
-                dl.(tj) -. fastest_avg_exec inst ~eps tj -. (vol *. d_fast)
-              in
-              Float.min acc slack)
-            infinity succs
+    if Dag.out_degree g ti = 0 then dl.(ti) <- latency
+    else begin
+      let acc = ref infinity in
+      Dag.iter_succs g ti (fun _ tj vol ->
+          let slack =
+            dl.(tj) -. fastest_avg_exec inst ~eps tj -. (vol *. d_fast)
+          in
+          acc := Float.min !acc slack);
+      dl.(ti) <- !acc
+    end
   done;
   dl
 

@@ -9,15 +9,15 @@ let bottom_levels inst =
   for i = n - 1 downto 0 do
     let t = topo.(i) in
     let e_avg = Instance.avg_exec inst t in
-    match Dag.succs g t with
-    | [] -> bl.(t) <- e_avg
-    | succs ->
-        bl.(t) <-
-          List.fold_left
-            (fun acc (t', vol) ->
-              Float.max acc
-                (e_avg +. Instance.avg_comm_time inst ~volume:vol +. bl.(t')))
-            neg_infinity succs
+    if Dag.out_degree g t = 0 then bl.(t) <- e_avg
+    else begin
+      let acc = ref neg_infinity in
+      Dag.iter_succs g t (fun _ t' vol ->
+          acc :=
+            Float.max !acc
+              (e_avg +. Instance.avg_comm_time inst ~volume:vol +. bl.(t')));
+      bl.(t) <- !acc
+    end
   done;
   bl
 
@@ -28,14 +28,12 @@ let downward_ranks inst =
   let topo = Dag.topological_order g in
   Array.iter
     (fun t ->
-      List.iter
-        (fun (t', vol) ->
+      Dag.iter_succs g t (fun _ t' vol ->
           let cand =
             rd.(t) +. Instance.avg_exec inst t
             +. Instance.avg_comm_time inst ~volume:vol
           in
-          if cand > rd.(t') then rd.(t') <- cand)
-        (Dag.succs g t))
+          if cand > rd.(t') then rd.(t') <- cand))
     topo;
   rd
 

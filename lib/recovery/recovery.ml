@@ -17,17 +17,15 @@ type outcome = {
 }
 
 (* Warm-start cache for repeated runs over the same schedule: the
-   engine's fail-time-independent template (CSR tables, pristine queues)
-   and the DAG-derived tables the sweeps walk.  Keyed by physical
-   equality on the schedule/DAG — the shadow-plan loop of the streaming
-   runtime calls [run] once per candidate crash with the same plan, and
-   pays the table derivation once instead of [m] times. *)
+   engine's fail-time-independent template (CSR tables, pristine queues).
+   Keyed by physical equality on the schedule — the shadow-plan loop of
+   the streaming runtime calls [run] once per candidate crash with the
+   same plan, and pays the table derivation once instead of [m] times. *)
 type workspace = {
   mutable w_tmpl : (Schedule.t * float array option * Engine.template) option;
-  mutable w_dag : (Dag.t * int array array * int array) option;
 }
 
-let workspace () = { w_tmpl = None; w_dag = None }
+let workspace () = { w_tmpl = None }
 
 let run ?network ?faults ?release ?(delta = 0.) ?rounds ?workspace s ~fail_times
     =
@@ -60,21 +58,10 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds ?workspace s ~fail_times
         in
         Engine.of_template ?network ?faults tmpl ~fail_times
   in
-  let in_edges, topo =
-    let build () =
-      ( Array.init v (fun t -> Array.of_list (Dag.in_edges g t)),
-        Dag.topological_order g )
-    in
-    match workspace with
-    | None -> build ()
-    | Some w -> (
-        match w.w_dag with
-        | Some (cg, ie, tp) when cg == g -> (ie, tp)
-        | _ ->
-            let ie, tp = build () in
-            w.w_dag <- Some (g, ie, tp);
-            (ie, tp))
-  in
+  (* in-edge [pos] of [task] is row entry [pred_off.(task) + pos] *)
+  let pred_off = Dag.Csr.pred_offsets g in
+  let pred_edges = Dag.Csr.pred_edges g and pred_tasks = Dag.Csr.pred_tasks g in
+  let pred_vols = Dag.Csr.pred_volumes g in
   let detected = Array.make m false in
   (* Per-replica potential input sources, as (src_task, src_rep) lists per
      in-edge position: the communication plan for static replicas, our
@@ -84,11 +71,11 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds ?workspace s ~fail_times
   in
   let sources_of task rep pos =
     if rep <= eps then
-      let e = in_edges.(task).(pos) in
-      let src, _ = Dag.edge_endpoints g e in
+      let k = pred_off.(task) + pos in
+      let src = pred_tasks.(k) in
       List.map
         (fun sr -> (src, sr))
-        (Comm_plan.senders_to plan ~eps e ~dst_replica:rep)
+        (Comm_plan.senders_to plan ~eps pred_edges.(k) ~dst_replica:rep)
     else (Hashtbl.find injected_sources (task, rep)).(pos)
   in
   (* Estimated completion of a not-yet-finished replica, for the eq. (1)
@@ -137,16 +124,16 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds ?workspace s ~fail_times
           | Running _ -> if not detected.(proc) then vs := rep :: !vs
           | Lost_replica -> ()
           | Waiting ->
+              let rec inputs_covered pos =
+                pos >= Dag.in_degree g task
+                || (Engine.input_satisfied eng ~task ~rep ~pos
+                    || List.exists
+                         (fun (st, sr) -> List.mem sr viable.(st))
+                         (sources_of task rep pos))
+                   && inputs_covered (pos + 1)
+              in
               let ok =
-                (not force)
-                && (not detected.(proc))
-                && Array.for_all
-                     (fun pos ->
-                       Engine.input_satisfied eng ~task ~rep ~pos
-                       || List.exists
-                            (fun (st, sr) -> List.mem sr viable.(st))
-                            (sources_of task rep pos))
-                     (Array.init (Array.length in_edges.(task)) Fun.id)
+                (not force) && (not detected.(proc)) && inputs_covered 0
               in
               if ok then vs := rep :: !vs else kills := rep :: !kills
         done;
@@ -170,9 +157,9 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds ?workspace s ~fail_times
              replica classified viable moments ago (a queue on a
              dead-but-undetected processor unblocking into a loss). *)
           let pos_sources =
-            Array.map
-              (fun e ->
-                let src, _ = Dag.edge_endpoints g e in
+            Array.init (Dag.in_degree g task) (fun pos ->
+                let k = pred_off.(task) + pos in
+                let src = pred_tasks.(k) in
                 let srcs =
                   List.filter
                     (fun sr ->
@@ -180,8 +167,7 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds ?workspace s ~fail_times
                       <> Event_sim.Lost_replica)
                     viable.(src)
                 in
-                (src, srcs, Dag.edge_volume g e))
-              in_edges.(task)
+                (src, srcs, pred_vols.(k)))
           in
           if Array.for_all (fun (_, l, _) -> l <> []) pos_sources then begin
             (* eq. (1) restricted to remaining work: minimize the
@@ -263,7 +249,7 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds ?workspace s ~fail_times
           end
         end;
         viable.(task) <- !vs)
-      topo
+      (Dag.topological_order g)
   in
 
   List.iter

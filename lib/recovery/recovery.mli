@@ -57,9 +57,8 @@ type outcome = {
 
 type workspace
 (** Warm-start cache for repeated runs over the same schedule: the
-    engine's fail-time-independent template and the DAG tables the
-    recovery sweeps walk, re-derived only when the schedule (or release)
-    changes.  The streaming runtime's shadow-plan loop calls {!run} once
+    engine's fail-time-independent template, re-derived only when the
+    schedule (or release) changes.  The streaming runtime's shadow-plan loop calls {!run} once
     per candidate crash of the same plan and pays the derivation once.
     Results are bit-for-bit identical with and without a workspace.  One
     workspace serves one caller at a time. *)

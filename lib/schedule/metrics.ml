@@ -105,7 +105,7 @@ let degraded_of_run g ~first_finish =
   for t = 0 to v - 1 do
     if first_finish t < infinity then incr completed_tasks
   done;
-  let sinks = Dag.exits g in
+  let sinks = Array.to_list (Dag.exits g) in
   let completed_sinks =
     List.filter (fun t -> first_finish t < infinity) sinks
   in

@@ -91,7 +91,7 @@ let proc_timelines t =
   Array.map (List.sort timeline_order) buckets
 
 let fold_exits t ~init ~f =
-  List.fold_left (fun acc e -> f acc t.replicas.(e)) init
+  Array.fold_left (fun acc e -> f acc t.replicas.(e)) init
     (Dag.exits (Instance.dag t.instance))
 
 let latency_lower_bound t =

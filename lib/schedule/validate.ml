@@ -83,10 +83,7 @@ let data_feasible s =
             errf "duration" "task %d replica %d on P%d: duration %g ≠ E=%g"
               task r.index r.proc (r.finish -. r.start) cost
             :: !errs;
-        List.iter
-          (fun e ->
-            let src, _ = Dag.edge_endpoints g e in
-            let volume = Dag.edge_volume g e in
+        Dag.iter_preds g task (fun e src volume ->
             let senders =
               Comm_plan.senders_to plan ~eps e ~dst_replica:r.index
             in
@@ -125,8 +122,7 @@ let data_feasible s =
                     "task %d replica %d pess-starts %g before latest input %g"
                     task r.index r.pess_start latest
                   :: !errs
-            end)
-          (Dag.in_edges g task))
+            end))
       (Schedule.replicas s task)
   done;
   !errs

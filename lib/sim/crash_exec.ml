@@ -19,6 +19,13 @@ type t = {
 (* Replica [k] of [task] as one flat index. *)
 let rid ~eps task k = (task * (eps + 1)) + k
 
+(* [f j] holds for every entry [j] of [task]'s predecessor row, tested in
+   row order up to the first failure. *)
+let for_all_preds g task f =
+  let off = Dag.Csr.pred_offsets g in
+  let rec go j = j >= off.(task + 1) || (f j && go (j + 1)) in
+  go off.(task)
+
 (* Productivity (purely structural, no timing): a replica produces output
    iff its processor is alive and every input edge can be fed.  Strict:
    by a productive plan sender.  Reroute: by any productive replica of
@@ -37,15 +44,14 @@ let productivity s ~policy ~dead ~stop_at_loss =
   let productive = Array.make (v * (eps + 1)) false in
   let delivers = Array.make v false in
   let order = Dag.topological_order g in
+  let pred_edges = Dag.Csr.pred_edges g and pred_tasks = Dag.Csr.pred_tasks g in
   let all_deliver = ref true and i = ref 0 in
   while !i < v && (!all_deliver || not stop_at_loss) do
     let task = order.(!i) in
     let preds_deliver =
       policy = Reroute
       && (!all_deliver
-         || List.for_all
-              (fun e -> delivers.(fst (Dag.edge_endpoints g e)))
-              (Dag.in_edges g task))
+         || for_all_preds g task (fun j -> delivers.(pred_tasks.(j))))
     in
     for k = 0 to eps do
       let r = Schedule.replica s task k in
@@ -54,13 +60,11 @@ let productivity s ~policy ~dead ~stop_at_loss =
           match policy with
           | Reroute -> preds_deliver
           | Strict ->
-              List.for_all
-                (fun e ->
-                  let src, _ = Dag.edge_endpoints g e in
+              for_all_preds g task (fun j ->
                   List.exists
-                    (fun sk -> productive.(rid ~eps src sk))
-                    (Comm_plan.senders_to plan ~eps e ~dst_replica:k))
-                (Dag.in_edges g task)
+                    (fun sk -> productive.(rid ~eps pred_tasks.(j) sk))
+                    (Comm_plan.senders_to plan ~eps pred_edges.(j)
+                       ~dst_replica:k))
         in
         if fed then begin
           productive.(rid ~eps task k) <- true;
@@ -107,6 +111,8 @@ let run ?(policy = Strict) s scenario =
      productive replica. *)
   let rid = rid ~eps in
   let n = v * (eps + 1) in
+  let pred_off = Dag.Csr.pred_offsets g and pred_edges = Dag.Csr.pred_edges g in
+  let pred_tasks = Dag.Csr.pred_tasks g and pred_vols = Dag.Csr.pred_volumes g in
   let dep_succs = Array.make n [] in
   let indeg = Array.make n 0 in
   let add_dep a b =
@@ -126,13 +132,12 @@ let run ?(policy = Strict) s scenario =
   for task = 0 to v - 1 do
     for k = 0 to eps do
       if productive.(rid task k) then
-        List.iter
-          (fun e ->
-            let src, _ = Dag.edge_endpoints g e in
-            let eff = effective_senders src e ~dst_replica:k in
-            Hashtbl.replace senders (e, k) eff;
-            List.iter (fun sk -> add_dep (rid src sk) (rid task k)) eff)
-          (Dag.in_edges g task)
+        for j = pred_off.(task) to pred_off.(task + 1) - 1 do
+          let e = pred_edges.(j) and src = pred_tasks.(j) in
+          let eff = effective_senders src e ~dst_replica:k in
+          Hashtbl.replace senders (e, k) eff;
+          List.iter (fun sk -> add_dep (rid src sk) (rid task k)) eff
+        done
     done
   done;
   for p = 0 to m - 1 do
@@ -166,24 +171,21 @@ let run ?(policy = Strict) s scenario =
     let task, k = Queue.pop q in
     let id = rid task k in
     let r = Schedule.replica s task k in
-    let arrival =
-      List.fold_left
-        (fun acc e ->
-          let src, _ = Dag.edge_endpoints g e in
-          let vol = Dag.edge_volume g e in
-          let first =
-            List.fold_left
-              (fun best sk ->
-                let sr = Schedule.replica s src sk in
-                let w = vol *. Platform.delay pl sr.proc r.proc in
-                Float.min best (finish_of.(rid src sk) +. w))
-              infinity
-              (Hashtbl.find senders (e, k))
-          in
-          Float.max acc first)
-        0. (Dag.in_edges g task)
-    in
-    let start = Float.max arrival proc_free.(r.proc) in
+    let arrival = ref 0. in
+    for j = pred_off.(task) to pred_off.(task + 1) - 1 do
+      let src = pred_tasks.(j) and vol = pred_vols.(j) in
+      let first =
+        List.fold_left
+          (fun best sk ->
+            let sr = Schedule.replica s src sk in
+            let w = vol *. Platform.delay pl sr.proc r.proc in
+            Float.min best (finish_of.(rid src sk) +. w))
+          infinity
+          (Hashtbl.find senders (pred_edges.(j), k))
+      in
+      arrival := Float.max !arrival first
+    done;
+    let start = Float.max !arrival proc_free.(r.proc) in
     let finish = start +. Instance.exec inst task r.proc in
     start_of.(id) <- start;
     finish_of.(id) <- finish;
@@ -210,7 +212,7 @@ let run ?(policy = Strict) s scenario =
     if not all_tasks_ok then None
     else
       Some
-        (List.fold_left
+        (Array.fold_left
            (fun acc e ->
              let first =
                Array.fold_left

@@ -119,10 +119,6 @@ module Engine = struct
     t_m : int;
     t_k : int;  (* eps + 1 *)
     t_nstatic : int;  (* v * (eps + 1) *)
-    (* in-edge CSR: one slot per (task, in-edge position) *)
-    in_off : int array;  (* length v+1 *)
-    in_src : int array;  (* per position: source task *)
-    in_vol : float array;  (* per position: edge volume *)
     (* static input-slot CSR: [slot_off.(rid) + pos] addresses the
        [sat]/[pend] entry of input [pos] of static replica [rid] *)
     slot_off : int array;  (* length n_static + 1 *)
@@ -350,25 +346,17 @@ module Engine = struct
     let kk = eps + 1 in
     let n_static = v * kk in
     let ne = Dag.n_edges g in
-    (* in-edge CSR, in [Dag.in_edges] order (the engine's position
-       contract), plus the inverse edge -> position map *)
-    let in_off = Array.make (v + 1) 0 in
-    for t = 0 to v - 1 do
-      in_off.(t + 1) <- in_off.(t) + List.length (Dag.in_edges g t)
-    done;
-    let in_src = Array.make ne 0 in
-    let in_vol = Array.make ne 0. in
+    let pred_off = Dag.Csr.pred_offsets g and pred_edges = Dag.Csr.pred_edges g in
+    let succ_off = Dag.Csr.succ_offsets g and succ_edges = Dag.Csr.succ_edges g in
+    let succ_tasks = Dag.Csr.succ_tasks g in
+    (* An input is addressed by its position in the task's predecessor
+       row (the engine's position contract); [pos_of_edge] is the
+       inverse edge -> position map. *)
     let pos_of_edge = Array.make ne 0 in
-    let dst_of_edge = Array.make ne 0 in
     for t = 0 to v - 1 do
-      List.iteri
-        (fun pos e ->
-          let src, _ = Dag.edge_endpoints g e in
-          in_src.(in_off.(t) + pos) <- src;
-          in_vol.(in_off.(t) + pos) <- Dag.edge_volume g e;
-          pos_of_edge.(e) <- pos;
-          dst_of_edge.(e) <- t)
-        (Dag.in_edges g t)
+      for k = pred_off.(t) to pred_off.(t + 1) - 1 do
+        pos_of_edge.(pred_edges.(k)) <- k - pred_off.(t)
+      done
     done;
     (* All_to_all materializes the same (eps+1)^2 pair list on every
        [pairs_for] call; the three passes below visit every edge, so
@@ -382,7 +370,7 @@ module Engine = struct
     in
     let slot_off = Array.make (n_static + 1) 0 in
     for t = 0 to v - 1 do
-      let nt = in_off.(t + 1) - in_off.(t) in
+      let nt = Dag.in_degree g t in
       for k = 0 to kk - 1 do
         let rid = (t * kk) + k in
         slot_off.(rid + 1) <- slot_off.(rid) + nt
@@ -394,26 +382,27 @@ module Engine = struct
     in
     (* pristine pending-sender counts: one per retained plan pair *)
     let pend0 = Array.make (ne * kk) 0 in
-    for e = 0 to ne - 1 do
-      let dst = dst_of_edge.(e) and pos = pos_of_edge.(e) in
-      List.iter
-        (fun (pair : Comm_plan.pair) ->
-          let slot = slot_off.((dst * kk) + pair.dst_replica) + pos in
-          pend0.(slot) <- pend0.(slot) + 1)
-        (pairs_for_edge e)
+    for t = 0 to v - 1 do
+      for k = pred_off.(t) to pred_off.(t + 1) - 1 do
+        let pos = k - pred_off.(t) in
+        List.iter
+          (fun (pair : Comm_plan.pair) ->
+            let slot = slot_off.((t * kk) + pair.dst_replica) + pos in
+            pend0.(slot) <- pend0.(slot) + 1)
+          (pairs_for_edge pred_edges.(k))
+      done
     done;
     (* plan emission CSR: two passes (count, fill), iterating tasks, then
        out-edges, then plan pairs — exactly the legacy emission order *)
     let em_cnt = Array.make n_static 0 in
     for t = 0 to v - 1 do
-      List.iter
-        (fun e ->
-          List.iter
-            (fun (pair : Comm_plan.pair) ->
-              let rid = (t * kk) + pair.src_replica in
-              em_cnt.(rid) <- em_cnt.(rid) + 1)
-            (pairs_for_edge e))
-        (Dag.out_edges g t)
+      for k = succ_off.(t) to succ_off.(t + 1) - 1 do
+        List.iter
+          (fun (pair : Comm_plan.pair) ->
+            let rid = (t * kk) + pair.src_replica in
+            em_cnt.(rid) <- em_cnt.(rid) + 1)
+          (pairs_for_edge succ_edges.(k))
+      done
     done;
     let em_off = Array.make (n_static + 1) 0 in
     for rid = 0 to n_static - 1 do
@@ -428,24 +417,23 @@ module Engine = struct
     let em_vol = Array.make n_em 0. in
     let cursor = Array.copy em_off in
     for t = 0 to v - 1 do
-      List.iter
-        (fun e ->
-          let dst = dst_of_edge.(e) and pos = pos_of_edge.(e) in
-          let vol = Dag.edge_volume g e in
-          List.iter
-            (fun (pair : Comm_plan.pair) ->
-              let rid = (t * kk) + pair.src_replica in
-              let i = cursor.(rid) in
-              cursor.(rid) <- i + 1;
-              let drid = (dst * kk) + pair.dst_replica in
-              em_dst.(i) <- dst;
-              em_dk.(i) <- pair.dst_replica;
-              em_pos.(i) <- pos;
-              em_slot.(i) <- slot_off.(drid) + pos;
-              em_dproc.(i) <- proc0.(drid);
-              em_vol.(i) <- vol)
-            (pairs_for_edge e))
-        (Dag.out_edges g t)
+      for k = succ_off.(t) to succ_off.(t + 1) - 1 do
+        let e = succ_edges.(k) and dst = succ_tasks.(k) in
+        let pos = pos_of_edge.(e) and vol = Dag.edge_volume g e in
+        List.iter
+          (fun (pair : Comm_plan.pair) ->
+            let rid = (t * kk) + pair.src_replica in
+            let i = cursor.(rid) in
+            cursor.(rid) <- i + 1;
+            let drid = (dst * kk) + pair.dst_replica in
+            em_dst.(i) <- dst;
+            em_dk.(i) <- pair.dst_replica;
+            em_pos.(i) <- pos;
+            em_slot.(i) <- slot_off.(drid) + pos;
+            em_dproc.(i) <- proc0.(drid);
+            em_vol.(i) <- vol)
+          (pairs_for_edge e)
+      done
     done;
     let q0 =
       Array.map
@@ -467,7 +455,6 @@ module Engine = struct
       t_m = m;
       t_k = kk;
       t_nstatic = n_static;
-      in_off; in_src; in_vol;
       slot_off; pend0; proc0;
       em_off; em_dst; em_dk; em_pos; em_slot; em_dproc; em_vol;
       q0;
@@ -835,8 +822,8 @@ module Engine = struct
       invalid_arg "Event_sim.Engine.inject: task";
     if proc < 0 || proc >= tm.t_m then
       invalid_arg "Event_sim.Engine.inject: proc";
-    let base = tm.in_off.(task) in
-    let net = tm.in_off.(task + 1) - base in
+    let base = (Dag.Csr.pred_offsets tm.t_g).(task) in
+    let net = Dag.in_degree tm.t_g task in
     if Array.length inputs <> net then
       invalid_arg "Event_sim.Engine.inject: one source list per in-edge";
     let k = tm.t_k + Array.length eng.extra.(task) in
@@ -852,8 +839,8 @@ module Engine = struct
       (fun pos sources ->
         if sources = [] then
           invalid_arg "Event_sim.Engine.inject: input with no source";
-        let esrc = tm.in_src.(base + pos) in
-        let vol = tm.in_vol.(base + pos) in
+        let esrc = (Dag.Csr.pred_tasks tm.t_g).(base + pos) in
+        let vol = (Dag.Csr.pred_volumes tm.t_g).(base + pos) in
         List.iter
           (fun src ->
             i_pend.(pos) <- i_pend.(pos) + 1;
@@ -956,7 +943,7 @@ module Engine = struct
       if not all_tasks_ok then None
       else
         Some
-          (List.fold_left
+          (Array.fold_left
              (fun acc e ->
                let first =
                  Array.fold_left

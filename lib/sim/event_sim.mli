@@ -173,8 +173,9 @@ module Engine : sig
   val replica_proc : t -> task:int -> rep:int -> int
 
   val input_satisfied : t -> task:int -> rep:int -> pos:int -> bool
-  (** Has a copy of in-edge [pos] (position in [Dag.in_edges] order)
-      already arrived at this replica? *)
+  (** Has a copy of in-edge [pos] (its position in the task's
+      {!Ftsched_dag.Dag.Csr} predecessor row) already arrived at this
+      replica? *)
 
   val free_at : t -> int -> float
   (** Instant from which the processor can start its next replica. *)
@@ -187,7 +188,7 @@ module Engine : sig
   val inject : t -> task:int -> proc:int -> inputs:source list array -> int
   (** Add a replica of [task] at the tail of [proc]'s queue.  [inputs]
       has one non-empty source list per in-edge of the task (in
-      [Dag.in_edges] order).  Returns the new replica index.  The engine
+      predecessor-row order).  Returns the new replica index.  The engine
       does not check [proc] against [fail_times]: re-mapping onto a
       dead-but-undetected processor is a legitimate (and costly) move. *)
 

@@ -51,6 +51,7 @@ module Engine = struct
     v : int;
     m : int;
     in_edges : Dag.edge array array;
+    adj : Adjacency.t;
     edge_pos_of : (int * int, int) Hashtbl.t;
     mutable reps : rstate array array;
     queues : (int * int) list ref array;
@@ -93,7 +94,7 @@ module Engine = struct
                     then lose eng dst pair.dst_replica
                   end)
                 (Comm_plan.pairs_for eng.plan ~eps:eng.eps e))
-            (Dag.out_edges eng.g task);
+            eng.adj.Adjacency.out_edges.(task);
         List.iter
           (fun sub ->
             let dst_st = eng.reps.(sub.sub_dst).(sub.sub_rep) in
@@ -167,7 +168,8 @@ module Engine = struct
         if o.link_src >= m || o.link_dst >= m then
           invalid_arg "Event_sim.run: outage names an unknown processor")
       faults.Scenario.outages;
-    let in_edges = Array.init v (fun t -> Array.of_list (Dag.in_edges g t)) in
+    let adj = Adjacency.of_dag g in
+    let in_edges = Array.map Array.of_list adj.Adjacency.in_edges in
     let edge_pos_of = Hashtbl.create 64 in
     Array.iteri
       (fun t edges ->
@@ -216,7 +218,7 @@ module Engine = struct
         retransmissions = 0;
         lost_messages = 0;
         fail_times; g; pl; inst; eps; plan; v; m;
-        in_edges; edge_pos_of; reps; queues;
+        in_edges; adj; edge_pos_of; reps; queues;
         free_at =
           (match release with
           | Some r -> Array.copy r
@@ -344,7 +346,7 @@ module Engine = struct
                           ~pos:(Hashtbl.find eng.edge_pos_of (dst, e))
                           ~dproc:eng.reps.(dst).(pair.dst_replica).proc ~vol)
                     (Comm_plan.pairs_for eng.plan ~eps:eng.eps e))
-                (Dag.out_edges eng.g task);
+                eng.adj.Adjacency.out_edges.(task);
             List.iter
               (fun sub ->
                 emit eng ~src_proc:st.proc ~finish ~dst:sub.sub_dst
@@ -402,7 +404,7 @@ module Engine = struct
                    infinity outcomes.(e)
                in
                Float.max acc first)
-             0. (Dag.exits eng.g))
+             0. eng.adj.Adjacency.exits)
     in
     {
       Event_sim.latency;

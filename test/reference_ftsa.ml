@@ -17,6 +17,7 @@ module Platform = Ftsched_platform.Platform
 module Instance = Ftsched_model.Instance
 module Levels = Ftsched_model.Levels
 module Rng = Ftsched_util.Rng
+module Adjacency = Ftsched_oracle.Adjacency
 
 type replica = {
   proc : int;
@@ -33,6 +34,7 @@ let schedule ~seed inst ~eps =
   let g = Instance.dag inst in
   let pl = Instance.platform inst in
   let v = Dag.n_tasks g and m = Instance.n_procs inst in
+  let adj = Adjacency.of_dag g in
   let bl = Levels.bottom_levels inst in
   let placed : replica array option array = Array.make v None in
   let free = ref [] in
@@ -50,11 +52,11 @@ let schedule ~seed inst ~eps =
               infinity rs
           in
           Float.max acc earliest)
-        0. (Dag.preds g t)
+        0. (Adjacency.preds adj t)
     in
     free := (tl +. bl.(t), Rng.float_in rng 0. 1., t) :: !free
   in
-  List.iter push (Dag.entries g);
+  List.iter push adj.Adjacency.entries;
   let remaining = Array.init v (fun t -> Dag.in_degree g t) in
   let ready_opt = Array.make m 0. and ready_pess = Array.make m 0. in
   for _ = 1 to v do
@@ -87,7 +89,7 @@ let schedule ~seed inst ~eps =
               in
               if e_opt > !in_opt then in_opt := e_opt;
               if e_pess > !in_pess then in_pess := e_pess)
-            (Dag.preds g t);
+            (Adjacency.preds adj t);
           let e = Instance.exec inst t p in
           ( p,
             e +. Float.max !in_opt ready_opt.(p),
@@ -125,6 +127,6 @@ let schedule ~seed inst ~eps =
       (fun (t', _) ->
         remaining.(t') <- remaining.(t') - 1;
         if remaining.(t') = 0 then push t')
-      (Dag.succs g t)
+      (Adjacency.succs adj t)
   done;
   { replicas = Array.map Option.get placed }

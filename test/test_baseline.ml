@@ -167,7 +167,7 @@ let test_peft_oct_exits_zero () =
   let inst = random_instance ~seed:9 ~m:5 () in
   let table = Peft.oct inst in
   let g = Instance.dag inst in
-  List.iter
+  Array.iter
     (fun e ->
       Array.iter (fun v -> check_float "exit OCT" 0. v) table.(e))
     (Ftsched_dag.Dag.exits g)

@@ -7,6 +7,7 @@ module Generators = Ftsched_dag.Generators
 module Classic = Ftsched_dag.Classic
 module Dot = Ftsched_dag.Dot
 module Rng = Ftsched_util.Rng
+module Adjacency = Ftsched_oracle.Adjacency
 open Helpers
 
 (* ------------------------------------------------------------------ *)
@@ -27,8 +28,8 @@ let test_builder_basic () =
   check_int "edges" 2 (Dag.n_edges g);
   Alcotest.(check string) "label" "a" (Dag.label g 0);
   Alcotest.(check string) "default label" "t1" (Dag.label g 1);
-  Alcotest.(check (list int)) "entries" [ 0 ] (Dag.entries g);
-  Alcotest.(check (list int)) "exits" [ 2 ] (Dag.exits g);
+  Alcotest.(check (array int)) "entries" [| 0 |] (Dag.entries g);
+  Alcotest.(check (array int)) "exits" [| 2 |] (Dag.exits g);
   check_float "volume" 2. (Dag.edge_volume g 1);
   check_int "in degree" 1 (Dag.in_degree g 1);
   check_int "out degree" 1 (Dag.out_degree g 1)
@@ -74,10 +75,15 @@ let test_builder_rejects_unknown_task () =
     (Invalid_argument "Dag.Builder.add_edge: dst") (fun () ->
       Dag.Builder.add_edge b ~src:t0 ~dst:42 ~volume:1.)
 
-let test_find_edge () =
+let collect = Adjacency.collect
+
+let test_iter_chain () =
   let g = chain3 () in
-  check_bool "found" true (Dag.find_edge g ~src:0 ~dst:1 <> None);
-  check_bool "absent" true (Dag.find_edge g ~src:0 ~dst:2 = None)
+  let triple = Alcotest.(list (triple int int (float 0.))) in
+  Alcotest.check triple "succs of 0" [ (0, 1, 1.) ] (collect Dag.iter_succs g 0);
+  Alcotest.check triple "preds of 2" [ (1, 1, 2.) ] (collect Dag.iter_preds g 2);
+  Alcotest.check triple "no preds of 0" [] (collect Dag.iter_preds g 0);
+  Alcotest.check triple "no succs of 2" [] (collect Dag.iter_succs g 2)
 
 let test_total_volume () =
   check_float "total" 3. (Dag.total_volume (chain3 ()))
@@ -105,20 +111,14 @@ let prop_succs_preds_dual =
   QCheck.Test.make ~name:"succs/preds are dual" ~count:100 seed_arb
     (fun seed ->
       let g = random_dag seed in
-      let ok = ref true in
+      let ok = ref true and count_preds = ref 0 in
       for u = 0 to Dag.n_tasks g - 1 do
-        List.iter
-          (fun (v, vol) ->
-            if not (List.exists (fun (u', vol') -> u' = u && vol' = vol)
-                      (Dag.preds g v))
-            then ok := false)
-          (Dag.succs g u)
+        Dag.iter_succs g u (fun e v vol ->
+            if not (List.mem (e, u, vol) (collect Dag.iter_preds g v)) then
+              ok := false);
+        Dag.iter_preds g u (fun _ _ _ -> incr count_preds)
       done;
-      let count_preds =
-        List.init (Dag.n_tasks g) (fun v -> List.length (Dag.preds g v))
-        |> List.fold_left ( + ) 0
-      in
-      !ok && count_preds = Dag.n_edges g)
+      !ok && !count_preds = Dag.n_edges g)
 
 let prop_edge_endpoints_consistent =
   QCheck.Test.make ~name:"edge ids consistent with adjacency" ~count:100
@@ -127,16 +127,10 @@ let prop_edge_endpoints_consistent =
       let g = random_dag seed in
       let ok = ref true in
       for u = 0 to Dag.n_tasks g - 1 do
-        List.iter
-          (fun e ->
-            let s, _ = Dag.edge_endpoints g e in
-            if s <> u then ok := false)
-          (Dag.out_edges g u);
-        List.iter
-          (fun e ->
-            let _, d = Dag.edge_endpoints g e in
-            if d <> u then ok := false)
-          (Dag.in_edges g u)
+        Dag.iter_succs g u (fun e _ _ ->
+            if fst (Dag.edge_endpoints g e) <> u then ok := false);
+        Dag.iter_preds g u (fun e _ _ ->
+            if snd (Dag.edge_endpoints g e) <> u then ok := false)
       done;
       !ok)
 
@@ -185,13 +179,18 @@ let prop_critical_path_achieves_length =
       let nw _ = 3. and ew e = Dag.edge_volume g e in
       let len = Properties.longest_path g ~node_weight:nw ~edge_weight:ew in
       let cp = Properties.critical_path_tasks g ~node_weight:nw ~edge_weight:ew in
+      let adj = Adjacency.of_dag g in
       (* sum the path *)
       let rec path_len = function
         | [] -> 0.
         | [ t ] -> nw t
         | a :: (b :: _ as rest) ->
             let e =
-              match Dag.find_edge g ~src:a ~dst:b with
+              match
+                List.find_opt
+                  (fun e -> snd (Dag.edge_endpoints g e) = b)
+                  adj.Adjacency.out_edges.(a)
+              with
               | Some e -> e
               | None -> invalid_arg "not a path"
             in
@@ -233,7 +232,7 @@ let prop_layered_size_and_connect =
       let g = Generators.layered rng ~n_tasks:n () in
       Dag.n_tasks g = n
       && Properties.is_connected_undirected g
-      && List.for_all (fun t -> Dag.in_degree g t = 0) (Dag.entries g))
+      && Array.for_all (fun t -> Dag.in_degree g t = 0) (Dag.entries g))
 
 let prop_layered_no_isolated_task =
   QCheck.Test.make ~name:"layered: no isolated tasks" ~count:100
@@ -257,8 +256,8 @@ let test_fork_join_shape () =
   let stages = 3 and width = 5 in
   let g = Generators.fork_join rng ~stages ~width () in
   check_int "task count" (stages * (width + 2)) (Dag.n_tasks g);
-  check_int "entries" 1 (List.length (Dag.entries g));
-  check_int "exits" 1 (List.length (Dag.exits g))
+  check_int "entries" 1 (Array.length (Dag.entries g));
+  check_int "exits" 1 (Array.length (Dag.exits g))
 
 let prop_out_tree =
   QCheck.Test.make ~name:"random_out_tree: single root, in-degree <= 1"
@@ -269,7 +268,7 @@ let prop_out_tree =
       let g = Generators.random_out_tree rng ~n_tasks:n ~max_children:3 () in
       Dag.n_tasks g = n
       && Dag.n_edges g = n - 1
-      && List.length (Dag.entries g) = 1
+      && Array.length (Dag.entries g) = 1
       && List.for_all
            (fun t -> Dag.in_degree g t <= 1)
            (List.init n (fun i -> i))
@@ -287,7 +286,7 @@ let prop_pegasus_shape =
       Dag.n_tasks g = n
       && Properties.is_connected_undirected g
       && Dag.n_edges g <= 3 * n
-      && List.for_all (fun t -> Dag.in_degree g t = 0) (Dag.entries g))
+      && Array.for_all (fun t -> Dag.in_degree g t = 0) (Dag.entries g))
 
 let test_chain_gen () =
   let rng = Rng.create ~seed:3 in
@@ -379,9 +378,49 @@ let test_generators_reject_bad_volumes () =
   Dag.iter_edges g (fun _ ~src:_ ~dst:_ ~volume ->
       check_float "degenerate range" 7. volume)
 
+(* Pins: each generator's graph, as its edge list (src, dst, volume in
+   edge-id order) plus its topological order, so any change to a
+   generator's draws or edge order shows.  The density-0.05 seeds take
+   [layered]'s component-anchoring path (one and two anchor links). *)
+let edge_list_digest g =
+  let b = Buffer.create 4096 in
+  Dag.iter_edges g (fun _ ~src ~dst ~volume ->
+      Printf.bprintf b "%d %d %h\n" src dst volume);
+  Array.iter (fun t -> Printf.bprintf b "%d " t) (Dag.topological_order g);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_generator_pins () =
+  let layered ?density seed n =
+    Generators.layered (Rng.create ~seed) ~n_tasks:n ?density ()
+  in
+  List.iter
+    (fun (what, g, expected) ->
+      Alcotest.(check string) what expected (edge_list_digest (Lazy.force g)))
+    [
+      ("layered 1/20", lazy (layered 1 20), "e4427bb90e579944ae7d4c794f455d85");
+      ("layered 7/20", lazy (layered 7 20), "90c79d59117caff874f3ec721ac798e3");
+      ("layered 42/20", lazy (layered 42 20), "3c49b70de71326cf53904e77a7fef029");
+      ("layered 1/150", lazy (layered 1 150), "a55d37ff7bc7e191e7233bb1de08b153");
+      ("layered 7/150", lazy (layered 7 150), "7eb6824b387ccccf68fc4e9ab14b8342");
+      ("layered 42/150", lazy (layered 42 150), "4dfa609da6f040853873a5135982d597");
+      ("layered 1/5000", lazy (layered 1 5000), "957585d42b615c22c24a4d7a8f5cb7f7");
+      ("layered 7/5000", lazy (layered 7 5000), "56721f2a8f79846d4d043215c71dd1bf");
+      ("layered 42/5000", lazy (layered 42 5000), "9b3d6ce51943470ba8d6db51357558f9");
+      ( "layered 8/20 d=0.05",
+        lazy (layered ~density:0.05 8 20),
+        "8fcf719bc19653195a7252205dd5ff7a" );
+      ( "layered 54/20 d=0.05",
+        lazy (layered ~density:0.05 54 20),
+        "f03d25157bcd61d22bc1d1a66cb6252d" );
+      ( "pegasus 1/15000",
+        lazy (Generators.pegasus (Rng.create ~seed:1) ~n_tasks:15000 ()),
+        "17146f8de022e0f7a82f8ecbb51a323b" );
+    ]
+
 (* ------------------------------------------------------------------ *)
-(* CSR adjacency: the flat arrays the kernel hot path iterates must
-   agree with the list API on every family the fuzzer draws from.      *)
+(* CSR adjacency: the rows the kernel hot path iterates, and the
+   iterators over them, must agree with a list reference built from
+   [Dag.iter_edges] alone on every family the fuzzer draws from.       *)
 
 (* the five fuzz families (lib/fuzz gen_case), at property-test sizes *)
 let family_dag seed =
@@ -396,47 +435,19 @@ let family_dag seed =
   | 3 -> Generators.random_out_tree rng ~n_tasks:n ~max_children:3 ()
   | _ -> Generators.chain rng ~n_tasks:n ()
 
-let prop_csr_matches_lists =
-  QCheck.Test.make
-    ~name:"Csr predecessor/successor rows equal in_edges/out_edges" ~count:200
-    seed_arb
-    (fun seed ->
-      let g = family_dag seed in
-      let module Csr = Dag.Csr in
-      let p_off = Csr.pred_offsets g and s_off = Csr.succ_offsets g in
-      let p_edges = Csr.pred_edges g and s_edges = Csr.succ_edges g in
-      let p_tasks = Csr.pred_tasks g and s_tasks = Csr.succ_tasks g in
-      let p_vols = Csr.pred_volumes g in
-      let ok = ref (Array.length p_off = Dag.n_tasks g + 1) in
-      for t = 0 to Dag.n_tasks g - 1 do
-        (* row [t] of the predecessor CSR is in_edges/preds in order *)
-        let row = List.init (p_off.(t + 1) - p_off.(t)) (fun i -> p_off.(t) + i) in
-        if List.map (fun k -> p_edges.(k)) row <> Dag.in_edges g t then
-          ok := false;
-        if
-          List.map (fun k -> (p_tasks.(k), p_vols.(k))) row <> Dag.preds g t
-        then ok := false;
-        (* successor CSR likewise *)
-        let srow = List.init (s_off.(t + 1) - s_off.(t)) (fun i -> s_off.(t) + i) in
-        if List.map (fun k -> s_edges.(k)) srow <> Dag.out_edges g t then
-          ok := false;
-        if
-          List.map (fun k -> s_tasks.(k)) srow
-          <> List.map fst (Dag.succs g t)
-        then ok := false;
-        (* O(1) degrees agree with the offsets *)
-        if Dag.in_degree g t <> p_off.(t + 1) - p_off.(t) then ok := false;
-        if Dag.out_degree g t <> s_off.(t + 1) - s_off.(t) then ok := false
-      done;
-      !ok)
+let holds = function
+  | Ok () -> true
+  | Error what -> QCheck.Test.fail_report what
 
-let prop_csr_entries_exits =
-  QCheck.Test.make ~name:"Csr entries/exits equal Dag.entries/exits"
+let prop_csr_matches_reference =
+  QCheck.Test.make
+    ~name:"Csr predecessor/successor rows equal the reference adjacency"
     ~count:200 seed_arb
-    (fun seed ->
-      let g = family_dag seed in
-      Array.to_list (Dag.Csr.entries g) = Dag.entries g
-      && Array.to_list (Dag.Csr.exits g) = Dag.exits g)
+    (fun seed -> holds (Adjacency.check_rows (Adjacency.of_dag (family_dag seed))))
+
+let prop_entries_exits =
+  QCheck.Test.make ~name:"entries/exits are degree-zero" ~count:200 seed_arb
+    (fun seed -> holds (Adjacency.check_ends (Adjacency.of_dag (family_dag seed))))
 
 (* ------------------------------------------------------------------ *)
 (* Classic graphs                                                      *)
@@ -450,14 +461,14 @@ let test_gauss_structure () =
     |> List.fold_left ( + ) 0
   in
   check_int "task count" expected (Dag.n_tasks g);
-  check_int "single entry" 1 (List.length (Dag.entries g))
+  check_int "single entry" 1 (Array.length (Dag.entries g))
 
 let test_fft_structure () =
   let g = Classic.fft ~points:8 () in
   check_int "tasks (log2(8)+1)*8" 32 (Dag.n_tasks g);
   check_int "edges 2*stages*points" 48 (Dag.n_edges g);
-  check_int "entries" 8 (List.length (Dag.entries g));
-  check_int "exits" 8 (List.length (Dag.exits g));
+  check_int "entries" 8 (Array.length (Dag.entries g));
+  check_int "exits" 8 (Array.length (Dag.exits g));
   check_int "height" 4 (Properties.height g)
 
 let rejects what f =
@@ -500,8 +511,8 @@ let test_wavefront_structure () =
 let test_diamond_structure () =
   let g = Classic.diamond ~layers:4 () in
   check_int "tasks 1+2+3+4+3+2+1" 16 (Dag.n_tasks g);
-  check_int "entry" 1 (List.length (Dag.entries g));
-  check_int "exit" 1 (List.length (Dag.exits g))
+  check_int "entry" 1 (Array.length (Dag.entries g));
+  check_int "exit" 1 (Array.length (Dag.exits g))
 
 let test_cholesky_structure () =
   let count t =
@@ -515,7 +526,7 @@ let test_cholesky_structure () =
       (* the critical path POTRF->TRSM->SYRK per step gives height 3t-2 *)
       check_int (Printf.sprintf "tiles=%d height" t) ((3 * t) - 2)
         (Properties.height g);
-      check_int "single entry (potrf 0)" 1 (List.length (Dag.entries g)))
+      check_int "single entry (potrf 0)" 1 (Array.length (Dag.entries g)))
     [ 2; 3; 4; 5 ]
 
 (* ------------------------------------------------------------------ *)
@@ -531,7 +542,7 @@ let test_stg_parse () =
   check_int "edges" 4 (Dag.n_edges g);
   Alcotest.(check (array (float 1e-9))) "costs" [| 3.; 5.; 7.; 2. |] costs;
   Alcotest.(check (list int)) "preds of 3" [ 1; 2 ]
-    (List.sort compare (List.map fst (Dag.preds g 3)))
+    (List.map (fun (_, p, _) -> p) (collect Dag.iter_preds g 3))
 
 let test_stg_roundtrip () =
   let g, costs = Stg.parse sample_stg in
@@ -551,8 +562,8 @@ let prop_stg_roundtrip_random =
       Dag.n_tasks g' = 30 && Dag.n_edges g' = Dag.n_edges g && costs = costs'
       && List.for_all
            (fun t ->
-             List.sort compare (List.map fst (Dag.preds g t))
-             = List.sort compare (List.map fst (Dag.preds g' t)))
+             let preds g = List.map (fun (_, p, _) -> p) (collect Dag.iter_preds g t) in
+             List.sort compare (preds g) = List.sort compare (preds g'))
            (List.init 30 (fun i -> i)))
 
 let test_stg_errors () =
@@ -569,6 +580,12 @@ let test_stg_errors () =
   check_bool "pred count mismatch" true (fails "2\n0 1 0\n1 1 2 0\n");
   check_bool "pred out of range" true (fails "2\n0 1 0\n1 1 1 7\n");
   check_bool "cycle via self" true (fails "1\n0 1 1 0\n")
+
+(* the builder's eager duplicate check lets the parser name the line *)
+let test_stg_duplicate_edge_line () =
+  Alcotest.check_raises "duplicate edge"
+    (Failure "STG line 4: Dag.Builder.add_edge: duplicate edge") (fun () ->
+      ignore (Stg.parse "# header comment\n2\n0 1 0\n1 1 2 0 0\n"))
 
 let test_stg_edge_volume () =
   let g, _ = Stg.parse ~edge_volume:42. sample_stg in
@@ -603,7 +620,8 @@ let () =
           Alcotest.test_case "rejects duplicate" `Quick test_builder_rejects_duplicate;
           Alcotest.test_case "rejects bad volume" `Quick test_builder_rejects_bad_volume;
           Alcotest.test_case "rejects unknown task" `Quick test_builder_rejects_unknown_task;
-          Alcotest.test_case "find_edge" `Quick test_find_edge;
+          Alcotest.test_case "iter_succs/iter_preds on a chain" `Quick
+            test_iter_chain;
           Alcotest.test_case "total_volume" `Quick test_total_volume;
           quick prop_topo_order_valid;
           quick prop_succs_preds_dual;
@@ -634,9 +652,10 @@ let () =
             test_generators_reject_bad_counts;
           Alcotest.test_case "reject bad volumes" `Quick
             test_generators_reject_bad_volumes;
+          Alcotest.test_case "pinned edge lists" `Quick test_generator_pins;
         ] );
       ( "csr",
-        [ quick prop_csr_matches_lists; quick prop_csr_entries_exits ] );
+        [ quick prop_csr_matches_reference; quick prop_entries_exits ] );
       ( "classic",
         [
           Alcotest.test_case "gauss" `Quick test_gauss_structure;
@@ -654,6 +673,8 @@ let () =
           Alcotest.test_case "parse" `Quick test_stg_parse;
           Alcotest.test_case "roundtrip" `Quick test_stg_roundtrip;
           Alcotest.test_case "errors" `Quick test_stg_errors;
+          Alcotest.test_case "duplicate edge names its line" `Quick
+            test_stg_duplicate_edge_line;
           Alcotest.test_case "edge volume" `Quick test_stg_edge_volume;
           quick prop_stg_roundtrip_random;
         ] );

@@ -14,6 +14,7 @@ module Crash_exec = Ftsched_sim.Crash_exec
 module Worst_case = Ftsched_sim.Worst_case
 module Event_sim = Ftsched_sim.Event_sim
 module Event_sim_ref = Ftsched_oracle.Event_sim_ref
+module Crash_exec_ref = Ftsched_oracle.Crash_exec_ref
 module Par = Ftsched_par.Par
 module Stream = Ftsched_stream.Stream
 
@@ -204,7 +205,23 @@ let check (sched : Schedulers.t) case =
               if r <> Event_sim_ref.run_crash s sc then
                 add Executor_agreement
                   "scenario %a: flat engine differs from reference engine"
-                  Scenario.pp sc)
+                  Scenario.pp sc;
+              (* and the flat-array crash replay its frozen list-based
+                 reference, under both policies — the only independent
+                 check the reroute repair has *)
+              List.iter
+                (fun (policy, name) ->
+                  if
+                    Crash_exec.run ~policy s sc
+                    <> Crash_exec_ref.run ~policy s sc
+                  then
+                    add Executor_agreement
+                      "scenario %a: %s crash replay differs from reference"
+                      Scenario.pp sc name)
+                [
+                  (Crash_exec.Strict, "strict");
+                  (Crash_exec.Reroute, "reroute");
+                ])
             scenarios;
           (* dynamic re-timing only ever starts replicas earlier, so the
              fault-free replay cannot exceed the planned lower bound *)

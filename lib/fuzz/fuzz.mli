@@ -23,7 +23,10 @@
     - {b executor agreement}: [Crash_exec] (strict) and
       [Event_sim.run_crash] must report the same latency, bit for bit,
       on the fault-free scenario and every single-crash scenario, and
-      the fault-free replay must not exceed [M*];
+      the fault-free replay must not exceed [M*]; on the same scenarios
+      each engine must return exactly what its frozen reference under
+      [test/oracle] returns — [Event_sim_ref], and [Crash_exec_ref]
+      under both the strict and the reroute policy;
     - {b round-trip}: [schedule_of_string ∘ schedule_to_string] is the
       identity (compared on the re-serialized bytes);
     - {b selection} (selected plans only): the schedule's pairs are

@@ -28,13 +28,15 @@ let for_all_preds g task f =
 
 (* Productivity (purely structural, no timing): a replica produces output
    iff its processor is alive and every input edge can be fed.  Strict:
-   by a productive plan sender.  Reroute: by any productive replica of
-   the predecessor, so the plan is never consulted and a replica is
-   productive iff it is alive and every predecessor task delivers — true
-   without looking while every task so far delivers.  One topological
-   pass over the flat [productive] table suffices; it returns whether
-   every task delivers, and with [~stop_at_loss] it stops at the first
-   task that does not (leaving the table partial). *)
+   by a productive plan sender — under [All_to_all] every replica of the
+   predecessor is one, so that is "the predecessor delivers"; under
+   [Selected] the edge's pair list is walked in place.  Reroute: by any
+   productive replica of the predecessor, so the plan is never consulted
+   and a replica is productive iff it is alive and every predecessor task
+   delivers — true without looking while every task so far delivers.
+   One topological pass over the flat [productive] table suffices; it
+   returns whether every task delivers, and with [~stop_at_loss] it stops
+   at the first task that does not (leaving the table partial). *)
 let productivity s ~policy ~dead ~stop_at_loss =
   let inst = Schedule.instance s in
   let g = Instance.dag inst in
@@ -49,22 +51,26 @@ let productivity s ~policy ~dead ~stop_at_loss =
   while !i < v && (!all_deliver || not stop_at_loss) do
     let task = order.(!i) in
     let preds_deliver =
-      policy = Reroute
-      && (!all_deliver
-         || for_all_preds g task (fun j -> delivers.(pred_tasks.(j))))
+      match (policy, plan) with
+      | Reroute, _ | Strict, Comm_plan.All_to_all ->
+          !all_deliver
+          || for_all_preds g task (fun j -> delivers.(pred_tasks.(j)))
+      | Strict, Comm_plan.Selected _ -> false
     in
     for k = 0 to eps do
       let r = Schedule.replica s task k in
       if not dead.(r.proc) then begin
         let fed =
-          match policy with
-          | Reroute -> preds_deliver
-          | Strict ->
+          match (policy, plan) with
+          | Reroute, _ | Strict, Comm_plan.All_to_all -> preds_deliver
+          | Strict, Comm_plan.Selected sel ->
               for_all_preds g task (fun j ->
+                  let src = pred_tasks.(j) in
                   List.exists
-                    (fun sk -> productive.(rid ~eps pred_tasks.(j) sk))
-                    (Comm_plan.senders_to plan ~eps pred_edges.(j)
-                       ~dst_replica:k))
+                    (fun (p : Comm_plan.pair) ->
+                      p.dst_replica = k
+                      && productive.(rid ~eps src p.src_replica))
+                    sel.(pred_edges.(j)))
         in
         if fed then begin
           productive.(rid ~eps task k) <- true;
@@ -93,6 +99,64 @@ let survives ?(policy = Strict) s scenario =
   let dead = dead_procs ~fn:"survives" s scenario in
   snd (productivity s ~policy ~dead ~stop_at_loss:true)
 
+(* Per-processor chains, in [Schedule.proc_timeline]'s order: replicas of
+   one task sit on distinct processors, so (planned start, task) is a
+   total order on a bucket; the descending replica index breaks the tie
+   a malformed schedule with two replicas of one task on one processor
+   would leave, the way [proc_timeline]'s stable sort of its reversed
+   accumulation does. *)
+let timeline_order (a : Schedule.replica) (b : Schedule.replica) =
+  match Float.compare a.start b.start with
+  | 0 -> (
+      match Int.compare a.task b.task with
+      | 0 -> Int.compare b.index a.index
+      | c -> c)
+  | c -> c
+
+(* Sender rows.  Entry [j] of a task's predecessor row owns the [kk]
+   slots [j * kk … j * kk + kk - 1], one per receiver replica; [src0] and
+   [dst0] are the rids of replica 0 of the edge's source and destination.
+   A plan pair counts when both its sender and its receiver are
+   productive (a pair naming a receiver outside [0, kk) feeds nobody).
+   [count_plan_senders] adds one to [cnt.(slot + 1)] per counted pair of
+   the edge; [push_plan_senders] writes the counted pairs' senders at the
+   per-receiver cursors [at], in plan order.  Either is one walk of the
+   pair list.  [push_productive] writes every productive replica of the
+   source from [at] on, in index order — the all-to-all plan, and the
+   reroute fallback. *)
+let counted productive ~kk ~src0 ~dst0 (p : Comm_plan.pair) =
+  p.dst_replica >= 0 && p.dst_replica < kk
+  && productive.(src0 + p.src_replica)
+  && productive.(dst0 + p.dst_replica)
+
+let rec count_plan_senders productive ~kk ~src0 ~dst0 cnt slot0 = function
+  | [] -> ()
+  | (p : Comm_plan.pair) :: rest ->
+      if counted productive ~kk ~src0 ~dst0 p then begin
+        let c = slot0 + p.dst_replica + 1 in
+        cnt.(c) <- cnt.(c) + 1
+      end;
+      count_plan_senders productive ~kk ~src0 ~dst0 cnt slot0 rest
+
+let rec push_plan_senders productive ~kk ~src0 ~dst0 snd at = function
+  | [] -> ()
+  | (p : Comm_plan.pair) :: rest ->
+      if counted productive ~kk ~src0 ~dst0 p then begin
+        let k = p.dst_replica in
+        snd.(at.(k)) <- src0 + p.src_replica;
+        at.(k) <- at.(k) + 1
+      end;
+      push_plan_senders productive ~kk ~src0 ~dst0 snd at rest
+
+let push_productive productive ~kk ~src0 snd at =
+  let at = ref at in
+  for sk = 0 to kk - 1 do
+    if productive.(src0 + sk) then begin
+      snd.(!at) <- src0 + sk;
+      incr at
+    end
+  done
+
 let run ?(policy = Strict) s scenario =
   let inst = Schedule.instance s in
   let g = Instance.dag inst in
@@ -108,103 +172,194 @@ let run ?(policy = Strict) s scenario =
      receiver) plus per-processor chains between consecutive productive
      replicas in planned order.  Both are consistent with the scheduler's
      commit order, hence acyclic; a Kahn sweep then re-times every
-     productive replica. *)
-  let rid = rid ~eps in
-  let n = v * (eps + 1) in
+     productive replica.  Every replica time depends only on its
+     dependencies' times, so the sweep's visiting order does not change
+     a bit of the result. *)
+  let kk = eps + 1 in
+  let n = v * kk in
   let pred_off = Dag.Csr.pred_offsets g and pred_edges = Dag.Csr.pred_edges g in
   let pred_tasks = Dag.Csr.pred_tasks g and pred_vols = Dag.Csr.pred_volumes g in
-  let dep_succs = Array.make n [] in
-  let indeg = Array.make n 0 in
-  let add_dep a b =
-    dep_succs.(a) <- b :: dep_succs.(a);
-    indeg.(b) <- indeg.(b) + 1
-  in
-  (* Effective senders feeding replica [k] of the edge's destination: the
-     productive plan senders, or (reroute, none alive) every productive
-     replica of the source. *)
-  let effective_senders src e ~dst_replica =
-    let productive_of = List.filter (fun sk -> productive.(rid src sk)) in
-    match productive_of (Comm_plan.senders_to plan ~eps e ~dst_replica) with
-    | [] when policy = Reroute -> productive_of (List.init (eps + 1) Fun.id)
-    | planned -> planned
-  in
-  let senders = Hashtbl.create (4 * n) in
+  let proc = Array.make n 0 in
+  let n_prod = Array.make v 0 in
   for task = 0 to v - 1 do
     for k = 0 to eps do
-      if productive.(rid task k) then
-        for j = pred_off.(task) to pred_off.(task + 1) - 1 do
-          let e = pred_edges.(j) and src = pred_tasks.(j) in
-          let eff = effective_senders src e ~dst_replica:k in
-          Hashtbl.replace senders (e, k) eff;
-          List.iter (fun sk -> add_dep (rid src sk) (rid task k)) eff
-        done
+      let id = (task * kk) + k in
+      proc.(id) <- (Schedule.replica s task k).proc;
+      if productive.(id) then n_prod.(task) <- n_prod.(task) + 1
     done
   done;
-  for p = 0 to m - 1 do
-    if not dead.(p) then begin
-      let chain =
-        List.filter
-          (fun (r : Schedule.replica) -> productive.(rid r.task r.index))
-          (Schedule.proc_timeline s p)
-      in
-      let rec link = function
-        | a :: (b :: _ as rest) ->
-            add_dep (rid a.Schedule.task a.index) (rid b.Schedule.task b.index);
-            link rest
-        | _ -> ()
-      in
-      link chain
+  (* Effective senders feeding replica [k] of a task through entry [j] of
+     its predecessor row — the productive plan senders in plan order, or
+     (reroute, none productive) every productive replica of the
+     predecessor — as sender rids in the flat row [snd_off.(j * kk + k)]
+     … [snd_off.(j * kk + k + 1) - 1].  A counting pass sizes the rows:
+     only productive receivers get entries, so a replay where most
+     replicas starve stays small.  Its counts land in
+     [snd_off.(slot + 1)] and become offsets slot by slot, in increasing
+     order; they are also each receiver's data in-degree. *)
+  let indeg = Array.make n 0 in
+  let n_slots = pred_off.(v) * kk in
+  let snd_off = Array.make (n_slots + 1) 0 in
+  for task = 0 to v - 1 do
+    let dst0 = task * kk in
+    for j = pred_off.(task) to pred_off.(task + 1) - 1 do
+      let src = pred_tasks.(j) in
+      (match plan with
+      | Comm_plan.All_to_all -> ()
+      | Comm_plan.Selected sel ->
+          count_plan_senders productive ~kk ~src0:(src * kk) ~dst0 snd_off
+            (j * kk) sel.(pred_edges.(j)));
+      for k = 0 to eps do
+        let slot = (j * kk) + k and id = dst0 + k in
+        let c =
+          if not productive.(id) then 0
+          else
+            match plan with
+            | Comm_plan.All_to_all -> n_prod.(src)
+            | Comm_plan.Selected _ -> (
+                match snd_off.(slot + 1) with
+                | 0 when policy = Reroute -> n_prod.(src)
+                | c -> c)
+        in
+        snd_off.(slot + 1) <- snd_off.(slot) + c;
+        indeg.(id) <- indeg.(id) + c
+      done
+    done
+  done;
+  let n_snd = snd_off.(n_slots) in
+  let snd = Array.make n_snd 0 in
+  let at = Array.make kk 0 in
+  for task = 0 to v - 1 do
+    let dst0 = task * kk in
+    for j = pred_off.(task) to pred_off.(task + 1) - 1 do
+      let src0 = pred_tasks.(j) * kk in
+      Array.blit snd_off (j * kk) at 0 kk;
+      (match plan with
+      | Comm_plan.All_to_all -> ()
+      | Comm_plan.Selected sel ->
+          push_plan_senders productive ~kk ~src0 ~dst0 snd at
+            sel.(pred_edges.(j)));
+      for k = 0 to eps do
+        let slot = (j * kk) + k in
+        if at.(k) = snd_off.(slot) && snd_off.(slot + 1) > snd_off.(slot) then
+          push_productive productive ~kk ~src0 snd at.(k)
+      done
+    done
+  done;
+  (* The data successors of each sender, as a CSR over rids. *)
+  let succ_off = Array.make (n + 1) 0 in
+  for i = 0 to n_snd - 1 do
+    succ_off.(snd.(i) + 1) <- succ_off.(snd.(i) + 1) + 1
+  done;
+  for id = 0 to n - 1 do
+    succ_off.(id + 1) <- succ_off.(id + 1) + succ_off.(id)
+  done;
+  let succ = Array.make n_snd 0 in
+  let fill = Array.sub succ_off 0 n in
+  for task = 0 to v - 1 do
+    for j = pred_off.(task) to pred_off.(task + 1) - 1 do
+      for k = 0 to eps do
+        let slot = (j * kk) + k in
+        for i = snd_off.(slot) to snd_off.(slot + 1) - 1 do
+          let sender = snd.(i) in
+          succ.(fill.(sender)) <- (task * kk) + k;
+          fill.(sender) <- fill.(sender) + 1
+        done
+      done
+    done
+  done;
+  (* Processor chains: one bucket pass over the productive replicas (a
+     productive replica's processor is alive), one sort per processor;
+     [chain_next.(id)] is the next productive replica on [id]'s
+     processor, or -1. *)
+  let count = Array.make m 0 in
+  for id = 0 to n - 1 do
+    if productive.(id) then count.(proc.(id)) <- count.(proc.(id)) + 1
+  done;
+  let buckets =
+    Array.map
+      (fun c -> if c = 0 then [||] else Array.make c (Schedule.replica s 0 0))
+      count
+  in
+  Array.fill count 0 m 0;
+  for id = 0 to n - 1 do
+    if productive.(id) then begin
+      let p = proc.(id) in
+      buckets.(p).(count.(p)) <- Schedule.replica s (id / kk) (id mod kk);
+      count.(p) <- count.(p) + 1
     end
   done;
-  (* Timing sweep. *)
+  let chain_next = Array.make n (-1) in
+  Array.iter
+    (fun bucket ->
+      Array.stable_sort timeline_order bucket;
+      for i = 1 to Array.length bucket - 1 do
+        let a = bucket.(i - 1) and b = bucket.(i) in
+        let id_b = (b.task * kk) + b.index in
+        chain_next.((a.task * kk) + a.index) <- id_b;
+        indeg.(id_b) <- indeg.(id_b) + 1
+      done)
+    buckets;
+  (* Timing sweep: Kahn's algorithm with an int-array FIFO (each replica
+     enters it at most once). *)
+  let delay = Array.init m (Platform.delay_row pl) in
   let start_of = Array.make n 0. in
   let finish_of = Array.make n infinity in
   let proc_free = Array.make m 0. in
-  let q = Queue.create () in
-  for task = 0 to v - 1 do
-    for k = 0 to eps do
-      if productive.(rid task k) && indeg.(rid task k) = 0 then
-        Queue.add (task, k) q
-    done
+  let fifo = Array.make n 0 in
+  let tail = ref 0 in
+  for id = 0 to n - 1 do
+    if productive.(id) && indeg.(id) = 0 then begin
+      fifo.(!tail) <- id;
+      incr tail
+    end
   done;
-  while not (Queue.is_empty q) do
-    let task, k = Queue.pop q in
-    let id = rid task k in
-    let r = Schedule.replica s task k in
+  let head = ref 0 in
+  while !head < !tail do
+    let id = fifo.(!head) in
+    incr head;
+    let task = id / kk and k = id mod kk in
+    let p = proc.(id) in
     let arrival = ref 0. in
     for j = pred_off.(task) to pred_off.(task + 1) - 1 do
-      let src = pred_tasks.(j) and vol = pred_vols.(j) in
-      let first =
-        List.fold_left
-          (fun best sk ->
-            let sr = Schedule.replica s src sk in
-            let w = vol *. Platform.delay pl sr.proc r.proc in
-            Float.min best (finish_of.(rid src sk) +. w))
-          infinity
-          (Hashtbl.find senders (pred_edges.(j), k))
-      in
-      arrival := Float.max !arrival first
+      let vol = pred_vols.(j) and slot = (j * kk) + k in
+      let first = ref infinity in
+      for i = snd_off.(slot) to snd_off.(slot + 1) - 1 do
+        let sender = snd.(i) in
+        let w = vol *. delay.(proc.(sender)).(p) in
+        first := Float.min !first (finish_of.(sender) +. w)
+      done;
+      arrival := Float.max !arrival !first
     done;
-    let start = Float.max !arrival proc_free.(r.proc) in
-    let finish = start +. Instance.exec inst task r.proc in
+    let start = Float.max !arrival proc_free.(p) in
+    let finish = start +. Instance.exec inst task p in
     start_of.(id) <- start;
     finish_of.(id) <- finish;
-    proc_free.(r.proc) <- finish;
-    List.iter
-      (fun b ->
-        indeg.(b) <- indeg.(b) - 1;
-        if indeg.(b) = 0 then Queue.add (b / (eps + 1), b mod (eps + 1)) q)
-      dep_succs.(id)
+    proc_free.(p) <- finish;
+    for i = succ_off.(id) to succ_off.(id + 1) - 1 do
+      let b = succ.(i) in
+      indeg.(b) <- indeg.(b) - 1;
+      if indeg.(b) = 0 then begin
+        fifo.(!tail) <- b;
+        incr tail
+      end
+    done;
+    let b = chain_next.(id) in
+    if b >= 0 then begin
+      indeg.(b) <- indeg.(b) - 1;
+      if indeg.(b) = 0 then begin
+        fifo.(!tail) <- b;
+        incr tail
+      end
+    end
   done;
   let outcomes =
     Array.init v (fun task ->
-        Array.init (eps + 1) (fun k ->
-            let r = Schedule.replica s task k in
-            if dead.(r.proc) then Dead
-            else if not productive.(rid task k) then Starved
-            else
-              Completed
-                { start = start_of.(rid task k); finish = finish_of.(rid task k) }))
+        Array.init kk (fun k ->
+            let id = (task * kk) + k in
+            if dead.(proc.(id)) then Dead
+            else if not productive.(id) then Starved
+            else Completed { start = start_of.(id); finish = finish_of.(id) }))
   in
   (* Achieved latency: every task must complete somewhere; the user-visible
      instant is the first completion of each exit task. *)

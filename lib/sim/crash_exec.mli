@@ -30,17 +30,42 @@
     harness uses it so that the MC-FTSA crash curves exist, as in the
     paper; EXPERIMENTS.md discusses the substitution.
 
+    {2 The replay pass}
+
+    One call runs the structural productivity pass {!survives} runs,
+    then re-times the productive replicas in flat arrays indexed by
+    [rid = task * (ε+1) + k]: effective-sender rows with one slot per
+    (predecessor-row entry, receiver replica), sized by a counting pass
+    over productive receivers only and filled in plan order; a successor
+    CSR over the same entries; per-processor chains from one bucket pass
+    over the productive replicas and a (planned start, task) sort per
+    processor; and Kahn's sweep over an int-array FIFO.  It performs the
+    float operations of the list-and-Hashtbl reference pass
+    [Crash_exec_ref] (under [test/oracle]) in the same order, and the
+    two agree bit for bit ([test_sim], the fuzzer's executor-agreement
+    oracle and the scale oracle check it).  On §6 instances (100 to 150
+    tasks, m = 20, ε = 1 / 2 / 5, FTSA and MC-FTSA, exactly-ε subsets,
+    [Reroute]) a call costs 0.53–0.61 ms against 1.85–2.05 ms for the
+    reference, measured alternately in one process on a shared 2-vCPU
+    virtual machine.  Only [dead] depends on the scenario, but the work a
+    per-schedule template could hoist out of a call (the
+    replica-to-processor table and every processor's planned order)
+    measured 0.05 of 0.55 ms on the same inputs, under 10% of a call,
+    and each scenario would still filter the chains; so there is no
+    template, and [run] is the one entry point.
+
     {2 Why this is not a view over [Event_sim]}
 
     Crashes at time 0 are a special case of {!Event_sim}'s fail times, so
-    this module was measured as a view over it: 960 runs (120 §6
-    instances, FTSA and MC-FTSA, 4 exactly-[ε] subsets each), with the
-    plan rewritten to each receiver's effective senders under [Reroute].
-    Latencies matched bit for bit under both policies, but each call was
-    slower: 2.54–2.65 ms against 1.96–2.16 ms under [Reroute], and
-    1.72–1.80 ms against 1.12–1.28 ms under [Strict].  That would push
-    the crash-replay time of the paper-size benchmark workloads past
-    their 25% regression bounds, so the dedicated timing pass stays. *)
+    this module was measured as a view over it, against the list-based
+    pass now kept as [Crash_exec_ref]: 960 runs (120 §6 instances, FTSA
+    and MC-FTSA, 4 exactly-[ε] subsets each), with the plan rewritten to
+    each receiver's effective senders under [Reroute].  Latencies matched
+    bit for bit under both policies, but each call was slower than that
+    pass: 2.54–2.65 ms against 1.96–2.16 ms under [Reroute], and
+    1.72–1.80 ms against 1.12–1.28 ms under [Strict].  The flat pass
+    above is about three times faster still, so the dedicated timing
+    pass stays. *)
 
 type policy =
   | Strict  (** plan senders only; starvation cascades *)

@@ -7,6 +7,9 @@
    - the flat [Event_sim] against the reference engine, fault-free and
      with one crash of the busiest processor at a quarter of M*;
    - the [Serialize] round trip of both plans;
+   - the flat [Crash_exec.run] against the list-based reference on 4
+     sampled exactly-eps crash subsets of each plan, under both the
+     strict and the reroute policy (on two domains);
    - 16 sampled exactly-eps crash subsets, each survived by FTSA under
      [Crash_exec.survives ~policy:Strict] (Prop. 4.3).
 
@@ -26,12 +29,15 @@ module Scenario = Ftsched_sim.Scenario
 module Crash_exec = Ftsched_sim.Crash_exec
 module Adjacency = Ftsched_oracle.Adjacency
 module Event_sim_ref = Ftsched_oracle.Event_sim_ref
+module Crash_exec_ref = Ftsched_oracle.Crash_exec_ref
 module Rng = Ftsched_util.Rng
+module Par = Ftsched_par.Par
 
 let m = 50
 let eps = 2
 let seed = 2008
 let subsets = 16
+let replay_subsets = 4
 let failures = ref 0
 
 let check what f =
@@ -91,6 +97,31 @@ let survives_subsets s =
   in
   go 0
 
+(* The flat crash replay against the list-based reference on a few
+   sampled exactly-eps subsets, under both policies: the whole result,
+   every replica's times included.  The reference costs about a second
+   a call on the layered graph, so the replays run on two domains. *)
+let replays_agree s =
+  let rng = Rng.create ~seed:(seed + 1) in
+  let cases =
+    List.concat_map
+      (fun sc -> [ (sc, Crash_exec.Strict); (sc, Crash_exec.Reroute) ])
+      (List.init replay_subsets (fun _ -> Scenario.random rng ~m ~count:eps))
+  in
+  let agree =
+    Par.parallel_map ~jobs:2
+      (fun (sc, policy) ->
+        Crash_exec.run ~policy s sc = Crash_exec_ref.run ~policy s sc)
+      cases
+  in
+  match List.find_opt (fun (_, ok) -> not ok) (List.combine cases agree) with
+  | None -> Ok ()
+  | Some ((sc, policy), _) ->
+      Error
+        (Format.asprintf "%s replay differs under %a"
+           (if policy = Crash_exec.Strict then "strict" else "reroute")
+           Scenario.pp sc)
+
 let graph name generate =
   let t0 = Unix.gettimeofday () in
   let rng = Rng.create ~seed in
@@ -109,7 +140,11 @@ let graph name generate =
     (fun (algo, s) ->
       check (algo ^ ": Validate.check") (fun () -> validated s);
       check (algo ^ ": flat Event_sim = reference") (fun () -> engines_agree s);
-      check (algo ^ ": serialize round trip") (fun () -> round_trips s))
+      check (algo ^ ": serialize round trip") (fun () -> round_trips s);
+      check
+        (Printf.sprintf "%s: flat Crash_exec = reference, %d subsets" algo
+           replay_subsets)
+        (fun () -> replays_agree s))
     [ ("ftsa", ftsa); ("mc-ftsa", mc) ];
   check
     (Printf.sprintf "ftsa: survives %d exactly-%d subsets (strict)" subsets eps)

@@ -811,6 +811,85 @@ let test_flat_engine_equals_reference_v800 () =
   same "run_timed" (Event_sim.run_timed s timed)
     (Event_sim_ref.run_timed s timed)
 
+(* ------------------------------------------------------------------ *)
+(* Flat-array crash replay vs the frozen list-based reference          *)
+
+module Crash_exec_ref = Ftsched_oracle.Crash_exec_ref
+module Workload = Ftsched_exp.Workload
+
+(* Whole-result equality: every replica's outcome and times, and the
+   latency compared on its bits. *)
+let same_replay (a : Crash_exec.t) (b : Crash_exec.t) =
+  a = b
+  && Option.map Int64.bits_of_float a.latency
+     = Option.map Int64.bits_of_float b.latency
+
+(* The flat pass and the reference agree — [run] and [survives] — under
+   both policies on every given scenario. *)
+let replay_agrees s scenarios =
+  List.for_all
+    (fun sc ->
+      List.for_all
+        (fun policy ->
+          same_replay (Crash_exec.run ~policy s sc)
+            (Crash_exec_ref.run ~policy s sc)
+          && Crash_exec.survives ~policy s sc
+             = Crash_exec_ref.survives ~policy s sc)
+        [ Crash_exec.Strict; Crash_exec.Reroute ])
+    scenarios
+
+(* The plans the differential replays: all-to-all (FTSA, FTBAR),
+   selected with one and with two senders per input (MC-FTSA greedy and
+   redundant), and the insertion-based HEFT, whose processor chains are
+   not in commit order. *)
+let replay_plans ~seed inst ~eps =
+  List.map
+    (fun name ->
+      match Schedulers.find name with
+      | Some sched -> sched.Schedulers.run ~seed inst ~eps
+      | None -> Alcotest.failf "no scheduler %s" name)
+    [ "ftsa"; "mc-ftsa"; "mc-redundant"; "ftbar"; "heft" ]
+
+(* Every subset of exactly ε and of ε + 1 processors, and no crash. *)
+let prop_crash_exec_equals_reference =
+  QCheck.Test.make
+    ~name:"flat crash replay = list reference, bit for bit" ~count:60
+    QCheck.(pair (int_range 0 4) (int_range 0 10_000))
+    (fun (family, seed) ->
+      let m = 5 in
+      let inst = family_instance ~family ~seed ~m in
+      List.for_all
+        (fun s ->
+          let eps = Schedule.eps s in
+          replay_agrees s
+            ((Scenario.none :: Scenario.all_of_size ~m ~count:eps)
+            @ Scenario.all_of_size ~m ~count:(eps + 1)))
+        (replay_plans ~seed inst ~eps:(seed mod 3)))
+
+(* The same at §6 size: v in [100, 150], m = 20, ε = 1 / 2 / 5, the
+   fault-free scenario and sampled exactly-ε and ε + 1 subsets. *)
+let test_crash_exec_equals_reference_sec6 () =
+  List.iteri
+    (fun index eps ->
+      let granularity = 0.2 *. float_of_int (1 + (3 * index)) in
+      let inst =
+        Workload.instance Workload.paper ~master_seed:2008 ~granularity ~index
+      in
+      let m = Instance.n_procs inst in
+      let rng = Rng.create ~seed:(2008 + index) in
+      let scenarios =
+        Scenario.none
+        :: List.init 6 (fun i ->
+               Scenario.random rng ~m ~count:(eps + (i mod 2)))
+      in
+      List.iter
+        (fun s ->
+          check_bool
+            (Printf.sprintf "graph %d, eps %d" index eps)
+            true (replay_agrees s scenarios))
+        (replay_plans ~seed:index inst ~eps))
+    [ 1; 2; 5; 2 ]
+
 (* Pinned regression for the queue-cursor rewrite: replicas injected on
    one processor execute in injection (FIFO) order, back to back — the
    list engine appended with [@ [x]], the flat engine moves a tail
@@ -866,6 +945,9 @@ let () =
             test_flat_engine_equals_reference_v800;
           Alcotest.test_case "injection FIFO order" `Quick
             test_injection_fifo_order;
+          quick prop_crash_exec_equals_reference;
+          Alcotest.test_case "crash replay = reference at §6 size" `Quick
+            test_crash_exec_equals_reference_sec6;
         ] );
       ( "scenario",
         [

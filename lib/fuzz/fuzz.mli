@@ -107,6 +107,13 @@ val check_stream : seed:int -> violation list
     never-lost oracle.  Exceptions become {!Stream_lost} violations,
     never escape.  Pure function of the seed. *)
 
+val mutate_doc : Ftsched_util.Rng.t -> string -> string
+(** One parser-safety mutant of a document, drawn from the generator:
+    a truncation, up to eight bit flips, huge values spliced into every
+    numeric word of one line, or one deleted line.  {!check_parser}
+    draws its battery from this; the codec differential tests draw from
+    it too. *)
+
 val check_parser : seed:int -> violation list
 (** Serialize the seed's random instance (and its FTSA schedule), run a
     deterministic battery of adversarial mutants — truncations, bit

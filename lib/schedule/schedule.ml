@@ -34,6 +34,12 @@ let create ~instance ~eps ~replicas ~comm =
             invalid_arg "Schedule.create: replica mislabelled";
           if r.proc < 0 || r.proc >= m then
             invalid_arg "Schedule.create: bad processor";
+          if
+            not
+              (Float.is_finite r.start && Float.is_finite r.finish
+              && Float.is_finite r.pess_start
+              && Float.is_finite r.pess_finish)
+          then invalid_arg "Schedule.create: replica time not finite";
           if r.finish < r.start || r.pess_finish < r.pess_start then
             invalid_arg "Schedule.create: negative duration")
         row)

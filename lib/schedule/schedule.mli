@@ -34,7 +34,9 @@ val create :
   t
 (** [create ~instance ~eps ~replicas ~comm] wraps scheduler output.
     [replicas.(task)] must hold exactly [ε+1] entries in replica-index
-    order.  Structural errors raise [Invalid_argument]; semantic checks
+    order.  Structural errors raise [Invalid_argument], among them a
+    replica time that is NaN or infinite
+    (["Schedule.create: replica time not finite"]); semantic checks
     (precedence feasibility, Prop. 4.1, …) live in {!Validate}. *)
 
 val instance : t -> Ftsched_model.Instance.t

@@ -7,7 +7,14 @@
 
     Typical uses: archiving the schedule behind a published figure,
     shipping failing cases into the test suite, and feeding external
-    tooling. *)
+    tooling.
+
+    Writing and parsing are linear passes over the document: each
+    writer call fills its own byte sink (writers may run on several
+    domains at once), and the parser reads the input with one cursor,
+    decoding plain decimal ints and canonical ["%h"] words in place.
+    Any other word goes through [int_of_string] / [float_of_string], so
+    decimal floats, [_] separators and uppercase hex are accepted. *)
 
 val instance_to_string : Ftsched_model.Instance.t -> string
 (** Raises [Invalid_argument] on a task label the line-oriented format
@@ -16,9 +23,10 @@ val instance_to_string : Ftsched_model.Instance.t -> string
     rejected at the serialization site. *)
 
 val instance_of_string : string -> Ftsched_model.Instance.t
-(** Raises [Failure] with a line-numbered message on malformed input,
-    and [Invalid_argument] when a declared size is adversarial: negative
-    or zero-processor counts, counts beyond {!max_tasks} / {!max_procs}
+(** Raises [Failure] with a message naming the offending line (1-based,
+    the line that was read) on malformed input, and [Invalid_argument]
+    when a declared size is adversarial: negative or zero-processor
+    counts, counts beyond {!max_tasks} / {!max_procs}
     / {!max_edges}, labels longer than {!max_label_length}, or counts
     that exceed what the remaining input could possibly hold — all
     checked {e before} any count-sized allocation, so hostile bytes
@@ -48,3 +56,12 @@ val schedule_of_string : string -> Schedule.t
 
 val save_schedule : Schedule.t -> path:string -> unit
 val load_schedule : path:string -> Schedule.t
+
+(** {2 Internals exposed for tests} *)
+
+module Private : sig
+  val hex_float : float -> string
+  (** The writer's float formatting, run into a fresh sink: exactly the
+      bytes of [Printf.sprintf "%h"] for every float, [nan] and
+      [infinity] included. *)
+end

@@ -213,6 +213,10 @@ let execute ~cfg request : string * exec_outcome =
                          (Printf.sprintf "eps %d out of range (m=%d)" eps m))
                   else (
                     match sched.Ftsched_core.Schedulers.run ~seed inst ~eps with
+                    (* e.g. finite costs whose sums overflow, which
+                       [Schedule.create] rejects: the input's fault *)
+                    | exception Invalid_argument msg ->
+                        err (Protocol.Malformed msg)
                     | exception e ->
                         err (Protocol.Internal (Printexc.to_string e))
                     | s ->

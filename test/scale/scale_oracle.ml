@@ -7,6 +7,9 @@
    - the flat [Event_sim] against the reference engine, fault-free and
      with one crash of the busiest processor at a quarter of M*;
    - the [Serialize] round trip of both plans;
+   - the codec against the frozen [Printf]-and-[split] one on both
+     plans: the two writers emit the same bytes, and each parser reads
+     the other's output back to the same bytes;
    - the flat [Crash_exec.run] against the list-based reference on 4
      sampled exactly-eps crash subsets of each plan, under both the
      strict and the reroute policy (on two domains);
@@ -30,6 +33,7 @@ module Crash_exec = Ftsched_sim.Crash_exec
 module Adjacency = Ftsched_oracle.Adjacency
 module Event_sim_ref = Ftsched_oracle.Event_sim_ref
 module Crash_exec_ref = Ftsched_oracle.Crash_exec_ref
+module Serialize_ref = Ftsched_oracle.Serialize_ref
 module Rng = Ftsched_util.Rng
 module Par = Ftsched_par.Par
 
@@ -68,6 +72,20 @@ let round_trips s =
   of_bool "serialize -> parse -> serialize differs"
     (String.equal doc
        (Serialize.schedule_to_string (Serialize.schedule_of_string doc)))
+
+let codecs_agree s =
+  let doc = Serialize.schedule_to_string s in
+  let doc_ref = Serialize_ref.schedule_to_string s in
+  if not (String.equal doc doc_ref) then Error "the writers differ"
+  else if
+    not
+      (String.equal doc
+         (Serialize.schedule_to_string (Serialize_ref.schedule_of_string doc)))
+  then Error "the oracle's parser reads the writer's output back differently"
+  else
+    of_bool "the parser reads the oracle's output back differently"
+      (String.equal doc_ref
+         (Serialize_ref.schedule_to_string (Serialize.schedule_of_string doc_ref)))
 
 let engines_agree s =
   let no_fail = Array.make m infinity in
@@ -141,6 +159,7 @@ let graph name generate =
       check (algo ^ ": Validate.check") (fun () -> validated s);
       check (algo ^ ": flat Event_sim = reference") (fun () -> engines_agree s);
       check (algo ^ ": serialize round trip") (fun () -> round_trips s);
+      check (algo ^ ": codec = reference codec") (fun () -> codecs_agree s);
       check
         (Printf.sprintf "%s: flat Crash_exec = reference, %d subsets" algo
            replay_subsets)

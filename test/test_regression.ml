@@ -11,6 +11,7 @@
    test/test_schedule.ml. *)
 
 module Schedule = Ftsched_schedule.Schedule
+module Serialize = Ftsched_schedule.Serialize
 module Ftsa = Ftsched_core.Ftsa
 module Mc_ftsa = Ftsched_core.Mc_ftsa
 module Ftbar = Ftsched_baseline.Ftbar
@@ -159,6 +160,19 @@ let test_schedule_digests () =
   check_digest "cpop" "97ed5700d5b26324ba4c0fe8285bb900"
     (schedule_digest (Cpop.schedule inst))
 
+(* The [ftsched v1] bytes themselves: the digests above hash replica
+   fields through [%.17g], so they say nothing about the codec's output.
+   These pin [Serialize.schedule_to_string] of the golden FTSA and
+   MC-FTSA (greedy) plans, captured before the codec was rewritten as a
+   direct byte writer. *)
+let test_codec_digests () =
+  let inst = pinned_instance () in
+  let codec s = Digest.to_hex (Digest.string (Serialize.schedule_to_string s)) in
+  check_digest "ftsa eps=2 ftsched v1" "ce807bceca216447481c9df4a3f14d13"
+    (codec (Ftsa.schedule ~seed:2008 inst ~eps:2));
+  check_digest "mc-ftsa greedy eps=2 ftsched v1" "a9dcbd91d10d2d4bcb0d060c41c813e1"
+    (codec (Mc_ftsa.schedule ~seed:2008 inst ~eps:2))
+
 (* The kernel driver versus the naive oracle, with EXACT float equality
    (test_core checks 1e-9 on random instances; here the pinned instance
    gets the stronger bit-for-bit claim). *)
@@ -199,6 +213,7 @@ let () =
           Alcotest.test_case "zero loss bit-for-bit" `Quick
             test_zero_loss_bit_for_bit;
           Alcotest.test_case "schedule digests" `Quick test_schedule_digests;
+          Alcotest.test_case "codec digests" `Quick test_codec_digests;
           Alcotest.test_case "ftsa equals reference exactly" `Quick
             test_ftsa_equals_reference_exactly;
         ] );

@@ -489,6 +489,216 @@ let test_serialize_rejects_garbage () =
        false
      with Failure _ | Invalid_argument _ -> true)
 
+(* ---- regression: parse errors name the line that was read ----------
+   The cursor used to report the line after the bad one. *)
+
+let parse_failure doc =
+  match Serialize.schedule_of_string doc with
+  | exception Failure msg -> msg
+  | exception e -> Printexc.to_string e
+  | _ -> "parsed"
+
+let replace_line n f doc =
+  String.split_on_char '\n' doc
+  |> List.mapi (fun i l -> if i = n - 1 then f l else l)
+  |> String.concat "\n"
+
+let test_serialize_error_lines () =
+  Alcotest.(check string)
+    "bad magic on line 1" "line 1: bad magic (expected \"ftsched v1\")"
+    (parse_failure "ftsched v2\n");
+  (* magic, header, 3 labels, 2 edges, 2 delay rows: the first exec row
+     of the hand schedule is line 10 *)
+  let doc = Serialize.schedule_to_string (hand_schedule ()) in
+  check_bool "line 10 is the first exec row" true
+    (starts_with "exec " (List.nth (String.split_on_char '\n' doc) 9));
+  let bad_exec =
+    replace_line 10
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | tag :: _ :: rest -> String.concat " " (tag :: "0x1.zp+1" :: rest)
+        | _ -> l)
+      doc
+  in
+  Alcotest.(check string)
+    "bad exec float on line 10" "line 10: bad float \"0x1.zp+1\""
+    (parse_failure bad_exec);
+  (* blank lines count: the same row two lines further down *)
+  Alcotest.(check string)
+    "blank lines are counted" "line 12: bad float \"0x1.zp+1\""
+    (parse_failure (replace_line 2 (fun l -> "\n" ^ l ^ "\n") bad_exec))
+
+(* ---- regression: replica times must be finite -----------------------
+   NaN compares false against everything, so [finish < start] let a NaN
+   time through [Schedule.create]. *)
+
+let test_nonfinite_replica_times () =
+  let not_finite = Invalid_argument "Schedule.create: replica time not finite" in
+  List.iter
+    (fun (what, x) ->
+      let reps = hand_replicas () in
+      reps.(1).(0) <- { (reps.(1).(0)) with pess_start = x };
+      Alcotest.check_raises what not_finite (fun () ->
+          ignore
+            (Schedule.create ~instance:(tiny_instance ()) ~eps:1 ~replicas:reps
+               ~comm:Comm_plan.All_to_all)))
+    [ ("nan", Float.nan); ("infinity", Float.infinity);
+      ("-infinity", Float.neg_infinity) ];
+  (* the codec builds through [Schedule.create], so a document carrying
+     such times is rejected too *)
+  let doc = Serialize.schedule_to_string (hand_schedule ()) in
+  List.iter
+    (fun word ->
+      let bad =
+        map_first_line (starts_with "replica ")
+          (fun l ->
+            match String.split_on_char ' ' l with
+            | tag :: task :: index :: proc :: st :: _ ->
+                String.concat " " [ tag; task; index; proc; st; word; word; word ]
+            | _ -> l)
+          doc
+      in
+      Alcotest.check_raises word not_finite (fun () ->
+          ignore (Serialize.schedule_of_string bad)))
+    [ "nan"; "infinity"; "-nan" ]
+
+(* ---- the codec against the frozen [Printf]-and-[split] oracle ------- *)
+
+module Serialize_ref = Ftsched_oracle.Serialize_ref
+
+let float_cases =
+  [ 0.; -0.; Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity;
+    4.9e-324; -4.9e-324; Float.max_float; -.Float.max_float;
+    Float.min_float (* exponent -1022 *); Float.ldexp 1. 1023;
+    Float.ldexp 0x1.fffffffffffffp0 1023; Float.pred Float.min_float;
+    Int64.float_of_bits 0x7ff0_0000_0000_0001L;
+    Int64.float_of_bits 0xfff8_0000_0000_0000L;
+    1.; 0.5; 3.; 0.1; 1e300; -1e-300; 123456.789 ]
+
+let test_hex_float_cases () =
+  List.iter
+    (fun x ->
+      Alcotest.(check string)
+        (Printf.sprintf "%%h of %Lx" (Int64.bits_of_float x))
+        (Printf.sprintf "%h" x)
+        (Serialize.Private.hex_float x))
+    float_cases
+
+let prop_hex_float_bits =
+  QCheck.Test.make ~name:"the float writer equals %h on random bit patterns"
+    ~count:5000 QCheck.int64 (fun bits ->
+      let x = Int64.float_of_bits bits in
+      Serialize.Private.hex_float x = Printf.sprintf "%h" x)
+
+let plans_of inst ~seed ~eps =
+  [ Ftsa.schedule ~seed inst ~eps; Mc_ftsa.schedule ~seed inst ~eps ]
+
+let prop_writers_agree =
+  QCheck.Test.make ~name:"the writer emits the oracle's bytes" ~count:40
+    QCheck.(triple (int_range 4 30) (int_range 2 6) (int_range 0 10_000))
+    (fun (n_tasks, m, seed) ->
+      let inst = random_instance ~seed ~n_tasks ~m () in
+      let eps = seed mod m in
+      Serialize.instance_to_string inst = Serialize_ref.instance_to_string inst
+      && List.for_all
+           (fun s ->
+             Serialize.schedule_to_string s = Serialize_ref.schedule_to_string s)
+           (plans_of inst ~seed ~eps))
+
+(* The same outcome: the same re-serialized bytes, or the same exception
+   constructor and message. *)
+let outcome parse write doc =
+  match write (parse doc) with
+  | bytes -> Ok bytes
+  | exception e -> Error (Printexc.to_string e)
+
+let same_outcome ~instance doc =
+  if instance then
+    outcome Serialize.instance_of_string Serialize.instance_to_string doc
+    = outcome Serialize_ref.instance_of_string
+        Serialize_ref.instance_to_string doc
+  else
+    outcome Serialize.schedule_of_string Serialize.schedule_to_string doc
+    = outcome Serialize_ref.schedule_of_string
+        Serialize_ref.schedule_to_string doc
+
+let prop_parsers_agree =
+  QCheck.Test.make
+    ~name:"the parser and the oracle agree on pristine and mutated documents"
+    ~count:40
+    QCheck.(pair (int_range 4 12) (int_range 0 10_000))
+    (fun (n_tasks, seed) ->
+      let inst = random_instance ~seed ~n_tasks ~m:3 () in
+      let docs =
+        (true, Serialize.instance_to_string inst)
+        :: List.map
+             (fun s -> (false, Serialize.schedule_to_string s))
+             (plans_of inst ~seed ~eps:(seed mod 3))
+      in
+      let rng = Rng.create ~seed in
+      List.for_all
+        (fun (instance, doc) ->
+          same_outcome ~instance doc
+          && List.for_all
+               (fun _ ->
+                 same_outcome ~instance (Ftsched_fuzz.Fuzz.mutate_doc rng doc))
+               (List.init 30 Fun.id))
+        docs)
+
+(* Hand-made lines: several bad words on one line, and every word form
+   the fast paths hand back to [int_of_string] / [float_of_string]. *)
+let test_parsers_agree_by_hand () =
+  let doc =
+    Serialize.schedule_to_string
+      (Mc_ftsa.schedule ~seed:0 (tiny_instance ()) ~eps:1)
+  in
+  let lines = Array.of_list (String.split_on_char '\n' doc) in
+  let edits =
+    [ ( "edge ",
+        [ "edge x y z"; "edge 0 y 0x1p+0"; "edge 0 1 1e1";
+          "edge 0x0 0o1 0X1.4P+3"; "edge +0 1_0 1_000.5"; "edge 0 1 0x1.p+3";
+          "edge 0 1 0x1.00000000000001p+3"; "edge 0 1 0x2p+0";
+          "edge 0 1 0x1p+99999"; "edge 0 1 0x0.8p-1021"; "edge 0 1 0x1p3";
+          "edge 0 1 -0x0p+0"; "edge 0 1 nan"; "edge 0 1 infinity";
+          "edge 0 1 0x1p+"; "edge 0 99999999999999999999 0x1p+0";
+          "edge - 1 0x1p+0"; "\t edge 0 1 0x1p+0\r"; "edge\t0 1 0x1p+0";
+          "edge  0   1 0x1p+0 "; "edge 0 1 0x1p+0 extra" ] );
+      ( "exec ",
+        [ "exec 0x1p+1 a b"; "exec a b"; "exec 0x1p+1";
+          "exec 0x1p+1 0x1p+0\012"; "\012exec 0x1p+1 0x1p+0"; "exec 1.5 2" ] );
+      ( "replica ",
+        [ "replica x y 0 a b c d"; "replica 0 0 x a b c d";
+          "replica 0 0 0 a b c d"; "replica 0 0 0 a b 0x0p+0 0x1p+1";
+          "replica 9 0 0 0x0p+0 0x1p+1 0x0p+0 0x1p+1";
+          "replica 0 0 7 0x0p+0 0x1p+1 0x0p+0 0x1p+1" ] );
+      ( "pairs ",
+        [ "pairs 0 x:y 1:1"; "pairs 0 0:0 x:y"; "pairs x 0:0";
+          "pairs 0 0:0 1:9"; "pairs 0 0:0:1 1:1"; "pairs 0 1: :1"; "pairs 0";
+          "pairs 7 0:0 1:1"; "pairz 0 0:0" ] ) ]
+  in
+  List.iter
+    (fun (prefix, replacements) ->
+      let i =
+        let rec go i = if starts_with prefix lines.(i) then i else go (i + 1) in
+        go 0
+      in
+      List.iter
+        (fun line ->
+          let l = Array.copy lines in
+          l.(i) <- line;
+          check_bool (Printf.sprintf "%S agrees" line) true
+            (same_outcome ~instance:false (String.concat "\n" (Array.to_list l))))
+        replacements)
+    edits;
+  List.iter
+    (fun doc ->
+      check_bool (Printf.sprintf "%S agrees" doc) true
+        (same_outcome ~instance:true doc))
+    [ ""; "\n\n"; "ftsched v2\n"; "ftsched v1"; "ftsched v1\ninstance 1 1";
+      "ftsched v1\ninstance 1 1 0";
+      "ftsched v1\ninstance 1 1 0\nlabel a\ndelay 0x0p+0\nexec 0x1p+0";
+      "  ftsched   v1 \r\n\n instance 1 1 0\nlabel  a  b \ndelay 0\nexec 1\n" ]
+
 (* ---- regression: unsorted timelines are an explicit error ----------
    The overlap scan only compares adjacent entries; on an unsorted
    timeline it used to silently miss overlaps. *)
@@ -596,6 +806,17 @@ let () =
             test_serialize_rejects_out_of_range;
           quick prop_serialize_roundtrip_random;
           quick prop_label_roundtrip_or_reject;
+          Alcotest.test_case "error lines" `Quick test_serialize_error_lines;
+          Alcotest.test_case "non-finite replica times" `Quick
+            test_nonfinite_replica_times;
+        ] );
+      ( "codec",
+        [
+          Alcotest.test_case "float writer edge cases" `Quick test_hex_float_cases;
+          quick prop_hex_float_bits;
+          quick prop_writers_agree;
+          quick prop_parsers_agree;
+          Alcotest.test_case "hand-made lines" `Quick test_parsers_agree_by_hand;
         ] );
       ( "gantt",
         [

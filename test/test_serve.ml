@@ -345,6 +345,71 @@ let test_schedule_every_registry_name () =
       | `Junk -> Alcotest.failf "%s: junk response" name)
     names responses
 
+(* A plan whose replica times are NaN or infinite is not a plan: the
+   daemon answers [simulate] on it with a typed [malformed] error rather
+   than replaying it. *)
+let test_simulate_nonfinite_times () =
+  let inst = random_instance ~n_tasks:10 ~m:4 ~seed:3 () in
+  let doc =
+    Serialize.schedule_to_string (Ftsched_core.Ftsa.schedule ~seed:3 inst ~eps:1)
+  in
+  let with_times word =
+    let seen = ref false in
+    String.split_on_char '\n' doc
+    |> List.map (fun l ->
+           match String.split_on_char ' ' l with
+           | "replica" :: task :: index :: proc :: _ when not !seen ->
+               seen := true;
+               String.concat " " [ "replica"; task; index; proc; word; word; word; word ]
+           | _ -> l)
+    |> String.concat "\n"
+  in
+  let words = [ "nan"; "infinity"; "-infinity" ] in
+  let responses =
+    with_server ~jobs:1 (fun a ->
+        send_and_collect a
+          (List.map
+             (fun w -> Printf.sprintf "simulate 1 3 infinity\n%s" (with_times w))
+             words))
+  in
+  List.iter2
+    (fun word r ->
+      match Protocol.classify_response r with
+      | `Error ("malformed", detail) ->
+          Alcotest.(check string) (word ^ " detail")
+            "Schedule.create: replica time not finite" detail
+      | `Error (code, detail) -> Alcotest.failf "%s: %s: %s" word code detail
+      | `Ok _ -> Alcotest.failf "%s: a non-finite plan was replayed" word
+      | `Junk -> Alcotest.failf "%s: junk response" word)
+    words responses
+
+(* Finite exec costs whose sums overflow give a plan with infinite
+   times: that is the request's fault, so [schedule] answers [malformed],
+   not [internal]. *)
+let test_schedule_overflowing_costs () =
+  let b = Dag.Builder.create () in
+  let t0 = Dag.Builder.add_task b in
+  let t1 = Dag.Builder.add_task b in
+  Dag.Builder.add_edge b ~src:t0 ~dst:t1 ~volume:1.;
+  let inst =
+    Instance.create ~dag:(Dag.Builder.build b)
+      ~platform:(Platform.homogeneous ~m:2 ~unit_delay:0.5)
+      ~exec:(Array.make_matrix 2 2 1.5e308)
+  in
+  let doc = Serialize.instance_to_string inst in
+  let responses =
+    with_server ~jobs:1 (fun a ->
+        send_and_collect a
+          [ Printf.sprintf "schedule ftsa 1 0 infinity\n%s" doc ])
+  in
+  match List.map Protocol.classify_response responses with
+  | [ `Error ("malformed", detail) ] ->
+      Alcotest.(check string) "detail"
+        "Schedule.create: replica time not finite" detail
+  | [ `Error (code, detail) ] -> Alcotest.failf "%s: %s" code detail
+  | [ `Ok _ ] -> Alcotest.fail "an overflowing plan was served"
+  | _ -> Alcotest.fail "expected one response"
+
 let () =
   Alcotest.run "serve"
     [
@@ -372,5 +437,9 @@ let () =
             test_jobs_identical_responses;
           Alcotest.test_case "schedules every registry name" `Quick
             test_schedule_every_registry_name;
+          Alcotest.test_case "simulate rejects non-finite times" `Quick
+            test_simulate_nonfinite_times;
+          Alcotest.test_case "schedule rejects overflowing costs" `Quick
+            test_schedule_overflowing_costs;
         ] );
     ]

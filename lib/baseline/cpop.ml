@@ -55,9 +55,9 @@ let schedule ?trace inst =
   List.iter (fun t -> on_cp.(t) <- true) cp;
   (* Critical-path tasks are pinned onto [cp_proc]; the rest take their
      earliest-finish processor with insertion. *)
-  let choose _st t evals =
-    if on_cp.(t) then [| evals.(cp_proc) |]
-    else Driver.best_by_finish evals ~k:1
+  let choose (st : Driver.state) t =
+    if on_cp.(t) then st.Driver.chosen.(0) <- cp_proc
+    else Driver.best_by_finish st ~k:1
   in
   Driver.schedule ~instance:inst ?trace
     ~policy:

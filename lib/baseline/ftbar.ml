@@ -1,6 +1,5 @@
 module Instance = Ftsched_model.Instance
 module Levels = Ftsched_model.Levels
-module Proc_state = Ftsched_kernel.Proc_state
 module Rng = Ftsched_util.Rng
 module Driver = Ftsched_kernel.Driver
 
@@ -16,34 +15,39 @@ let schedule ?seed ?trace inst ~npf =
   (* The urgency rule selects placements before the driver commits; hand
      the chosen rows over through [pending]. *)
   let pending = ref [||] in
+  (* this call's scratch: one task's pressures, its Npf+1 best processors *)
+  let sigma = Array.make m 0. and picked = Array.make (npf + 1) 0 in
   (* Evaluate the pressure of every free task on every processor; keep
      each task's Npf+1 best placements.  The most urgent task is the one
      whose best placements still carry the largest pressure. *)
   let urgency (st : Driver.state) ~free =
     let best_of t =
       Driver.prepare_inputs st t;
-      let cand =
-        Array.init m (fun p ->
-            let e = Instance.exec inst t p in
-            let s_opt =
-              Float.max st.Driver.in_opt.(p)
-                (Proc_state.ready_opt st.Driver.timeline p)
-            in
-            let s_pess =
-              Float.max st.Driver.in_pess.(p)
-                (Proc_state.ready_pess st.Driver.timeline p)
-            in
-            let sigma = s_opt +. s_level.(t) -. !schedule_length in
-            (sigma, p, (s_opt, s_opt +. e, s_pess, s_pess +. e)))
-      in
-      Array.sort
-        (fun (sa, pa, _) (sb, pb, _) ->
-          match compare sa sb with 0 -> compare pa pb | c -> c)
-        cand;
-      let chosen = Array.sub cand 0 (npf + 1) in
+      Driver.count_evals st m;
+      let start_opt p = Float.max st.Driver.in_opt.(p) st.Driver.ready_opt.(p) in
+      for p = 0 to m - 1 do
+        sigma.(p) <- start_opt p +. s_level.(t) -. !schedule_length
+      done;
+      Driver.best_by_key sigma ~n:m ~k:(npf + 1) picked;
       let urgency =
-        Array.fold_left (fun acc (s, _, _) -> Float.max acc s) neg_infinity
-          chosen
+        Array.fold_left (fun acc p -> Float.max acc sigma.(p)) neg_infinity picked
+      in
+      let chosen =
+        Array.map
+          (fun p ->
+            let e = Instance.exec inst t p in
+            let s_opt = start_opt p in
+            let s_pess =
+              Float.max st.Driver.in_pess.(p) st.Driver.ready_pess.(p)
+            in
+            {
+              Driver.proc = p;
+              start_opt = s_opt;
+              finish_opt = s_opt +. e;
+              start_pess = s_pess;
+              finish_pess = s_pess +. e;
+            })
+          picked
       in
       (urgency, chosen)
     in
@@ -65,24 +69,14 @@ let schedule ?seed ?trace inst ~npf =
         evaluated;
       Rng.pick st.Driver.rng (Array.of_list !best)
     in
-    pending :=
-      Array.map
-        (fun (_, p, (s_opt, f_opt, s_pess, f_pess)) ->
-          {
-            Driver.proc = p;
-            start_opt = s_opt;
-            finish_opt = f_opt;
-            start_pess = s_pess;
-            finish_pess = f_pess;
-          })
-        chosen;
-    let evals =
-      Array.map
-        (fun (_, p, (_, f_opt, _, f_pess)) ->
-          { Driver.e_proc = p; e_finish_opt = f_opt; e_finish_pess = f_pess })
-        chosen
-    in
-    (t, u, evals)
+    pending := chosen;
+    Array.iteri
+      (fun i (c : Driver.committed) ->
+        st.Driver.chosen.(i) <- c.Driver.proc;
+        st.Driver.fin_opt.(c.Driver.proc) <- c.Driver.finish_opt;
+        st.Driver.fin_pess.(c.Driver.proc) <- c.Driver.finish_pess)
+      chosen;
+    (t, u)
   in
   Driver.schedule ?seed ~instance:inst ?trace
     ~policy:
@@ -92,8 +86,8 @@ let schedule ?seed ?trace inst ~npf =
         discipline = Driver.Urgency urgency;
         prepare = Driver.prepare_inputs;
         evaluate = Driver.eval_inputs;
-        choose = (fun _ _ evals -> evals);
-        commit = (fun _ _ _ -> !pending);
+        choose = (fun _ _ -> ());
+        commit = (fun _ _ -> !pending);
         after_commit =
           (fun _ _ committed ->
             Array.iter

@@ -11,7 +11,7 @@ let policy =
         (fun st -> Dag.topological_order (Instance.dag st.Driver.inst));
     prepare = Driver.prepare_inputs;
     evaluate = Driver.eval_insertion;
-    choose = (fun _ _ evals -> Driver.best_by_finish evals ~k:1);
+    choose = (fun st _ -> Driver.best_by_finish st ~k:1);
     commit = Driver.commit_insertion;
     after_commit = Driver.no_after_commit;
     insertion = true;

@@ -35,17 +35,14 @@ let schedule ?trace inst =
   in
   (* Place on the processor minimizing EFT + OCT — earliest finish plus
      predicted tail. *)
-  let choose _st t evals =
-    let cand = Array.copy evals in
-    Array.sort
-      (fun (a : Driver.eval) (b : Driver.eval) ->
-        let sa = a.Driver.e_finish_opt +. table.(t).(a.Driver.e_proc)
-        and sb = b.Driver.e_finish_opt +. table.(t).(b.Driver.e_proc) in
-        match compare sa sb with
-        | 0 -> compare a.Driver.e_proc b.Driver.e_proc
-        | c -> c)
-      cand;
-    [| cand.(0) |]
+  let choose (st : Driver.state) t =
+    let fin = st.Driver.fin_opt and oct = table.(t) in
+    let best = ref 0 in
+    for p = 1 to m - 1 do
+      if Float.compare (fin.(p) +. oct.(p)) (fin.(!best) +. oct.(!best)) < 0
+      then best := p
+    done;
+    st.Driver.chosen.(0) <- !best
   in
   Driver.schedule ~instance:inst ?trace
     ~policy:

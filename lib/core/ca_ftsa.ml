@@ -1,7 +1,6 @@
 module Dag = Ftsched_dag.Dag
 module Platform = Ftsched_platform.Platform
 module Instance = Ftsched_model.Instance
-module Proc_state = Ftsched_kernel.Proc_state
 module Driver = Ftsched_kernel.Driver
 
 let schedule ?seed ?(ports = 1) ?trace inst ~eps =
@@ -50,18 +49,21 @@ let schedule ?seed ?(ports = 1) ?trace inst ~eps =
   in
   (* Evaluation is optimistic-only: commit re-times both bounds after
      booking the actual transfers. *)
-  let evaluate (st : Driver.state) t p =
-    let f =
-      Instance.exec inst t p
-      +. Float.max st.Driver.in_opt.(p) (Proc_state.ready_opt st.Driver.timeline p)
-    in
-    { Driver.e_proc = p; e_finish_opt = f; e_finish_pess = f }
+  let evaluate (st : Driver.state) t =
+    for p = 0 to m - 1 do
+      let f =
+        Instance.exec inst t p
+        +. Float.max st.Driver.in_opt.(p) st.Driver.ready_opt.(p)
+      in
+      st.Driver.fin_opt.(p) <- f;
+      st.Driver.fin_pess.(p) <- f
+    done
   in
   (* Book every replica-to-replica message on the senders' ports, then
      derive each replica's start from its first booked copy per input. *)
-  let commit (st : Driver.state) t chosen_evals =
-    let chosen = Array.map (fun ev -> ev.Driver.e_proc) chosen_evals in
+  let commit (st : Driver.state) t =
     let k = eps + 1 in
+    let chosen = Array.sub st.Driver.chosen 0 k in
     let input_opt = Array.make k 0. in
     let input_pess = Array.make k 0. in
     Dag.iter_preds g t (fun _ t' vol ->
@@ -94,11 +96,11 @@ let schedule ?seed ?(ports = 1) ?trace inst ~eps =
       (fun i p ->
         let e = Instance.exec inst t p in
         let start =
-          Float.max input_opt.(i) (Proc_state.ready_opt st.Driver.timeline p)
+          Float.max input_opt.(i) st.Driver.ready_opt.(p)
         in
         let start_pess =
           Float.max start
-            (Float.max input_pess.(i) (Proc_state.ready_pess st.Driver.timeline p))
+            (Float.max input_pess.(i) st.Driver.ready_pess.(p))
         in
         {
           Driver.proc = p;

@@ -31,21 +31,20 @@ let schedule ?seed ?trace ~domains inst ~eps =
     invalid_arg "Ftsa_domains.schedule: need 0 <= eps < number of domains";
   (* Greedy by equation-(1) finish time, one processor per failure
      domain. *)
-  let choose _st _t evals =
-    let cand = Driver.best_by_finish evals ~k:(Array.length evals) in
-    let chosen = ref [] and used = Hashtbl.create 8 and picked = ref 0 in
+  let choose (st : Driver.state) _t =
+    let cand = Array.make m 0 in
+    Driver.best_by_key st.Driver.fin_opt ~n:m ~k:m cand;
+    let used = Hashtbl.create 8 and picked = ref 0 in
     Array.iter
-      (fun ev ->
-        let d = domains.(ev.Driver.e_proc) in
+      (fun p ->
+        let d = domains.(p) in
         if !picked <= eps && not (Hashtbl.mem used d) then begin
           Hashtbl.add used d ();
-          chosen := ev :: !chosen;
+          st.Driver.chosen.(!picked) <- p;
           incr picked
         end)
       cand;
-    let chosen = Array.of_list (List.rev !chosen) in
-    assert (Array.length chosen = eps + 1);
-    chosen
+    assert (!picked = eps + 1)
   in
   Ftsa_policy.run ?seed ?trace ~instance:inst
     {

@@ -9,24 +9,25 @@ let schedule ?seed ?(alpha = 0.15) ?trace ~rates inst ~eps =
   (* FTSA's selection, relaxed: among processors finishing within the
      [1 + alpha] slack of the ε+1-th best equation-(1) time, prefer the
      smallest in-window failure probability (rate·E), then finish. *)
-  let choose _st t evals =
-    let cand = Driver.best_by_finish evals ~k:(Array.length evals) in
-    let f_cut = cand.(eps).Driver.e_finish_opt in
-    let limit = f_cut *. (1. +. alpha) in
+  let choose (st : Driver.state) t =
+    let finish p = st.Driver.fin_opt.(p) in
+    let cand = Array.make m 0 in
+    Driver.best_by_key st.Driver.fin_opt ~n:m ~k:m cand;
+    let limit = finish cand.(eps) *. (1. +. alpha) in
     let admissible =
       Array.to_list cand
-      |> List.filter (fun ev -> ev.Driver.e_finish_opt <= limit +. 1e-12)
+      |> List.filter (fun p -> finish p <= limit +. 1e-12)
       |> List.sort (fun a b ->
-             let ra = rates.(a.Driver.e_proc) *. Instance.exec inst t a.Driver.e_proc
-             and rb = rates.(b.Driver.e_proc) *. Instance.exec inst t b.Driver.e_proc in
+             let ra = rates.(a) *. Instance.exec inst t a
+             and rb = rates.(b) *. Instance.exec inst t b in
              match compare ra rb with
              | 0 -> (
-                 match compare a.Driver.e_finish_opt b.Driver.e_finish_opt with
-                 | 0 -> compare a.Driver.e_proc b.Driver.e_proc
+                 match compare (finish a) (finish b) with
+                 | 0 -> compare a b
                  | c -> c)
              | c -> c)
     in
-    Array.of_list (List.filteri (fun i _ -> i <= eps) admissible)
+    List.iteri (fun i p -> if i <= eps then st.Driver.chosen.(i) <- p) admissible
   in
   Ftsa_policy.run ?seed ?trace ~instance:inst
     {

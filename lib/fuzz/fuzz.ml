@@ -7,7 +7,8 @@ module Schedule = Ftsched_schedule.Schedule
 module Validate = Ftsched_schedule.Validate
 module Serialize = Ftsched_schedule.Serialize
 module Comm_plan = Ftsched_schedule.Comm_plan
-module Edge_select = Ftsched_core.Edge_select
+module Edge_select = Ftsched_kernel.Edge_select
+module Edge_select_ref = Ftsched_oracle.Edge_select_ref
 module Schedulers = Ftsched_core.Schedulers
 module Scenario = Ftsched_sim.Scenario
 module Crash_exec = Ftsched_sim.Crash_exec
@@ -114,7 +115,7 @@ let candidate_edges s ~src ~dst ~volume =
          | Some dr ->
              [
                {
-                 Edge_select.left = l;
+                 Edge_select_ref.left = l;
                  right = dr.index;
                  weight = sr.finish +. Instance.exec inst dst dr.proc;
                  forced = true;
@@ -124,7 +125,7 @@ let candidate_edges s ~src ~dst ~volume =
              List.init k (fun r ->
                  let dr = dsts.(r) in
                  {
-                   Edge_select.left = l;
+                   Edge_select_ref.left = l;
                    right = r;
                    weight =
                      sr.finish
@@ -242,7 +243,8 @@ let check (sched : Schedulers.t) case =
           let str' = Serialize.schedule_to_string s' in
           if str <> str' then
             add Round_trip "re-serialization differs from original");
-      (* (d) MC selection legality, differentially against Edge_select *)
+      (* (d) MC selection legality, and the flat selectors against the
+         frozen list-based ones *)
       guarded Selection (fun () ->
           match Schedule.comm s with
           | Comm_plan.All_to_all -> ()
@@ -257,26 +259,44 @@ let check (sched : Schedulers.t) case =
                      pairs)
                   ~eps:seps
               in
+              let flat = Edge_select.create () in
               Array.iteri
                 (fun e pairs ->
                   let src, dst = Dag.edge_endpoints g e in
                   let volume = Dag.edge_volume g e in
                   let cand = candidate_edges s ~src ~dst ~volume in
-                  let opt = Edge_select.bottleneck_value ~eps:seps cand in
-                  let gsel = Edge_select.greedy ~eps:seps cand in
-                  let bsel = Edge_select.bottleneck ~eps:seps cand in
+                  let opt = Edge_select_ref.bottleneck_value ~eps:seps cand in
+                  let gsel = Edge_select_ref.greedy ~eps:seps cand in
+                  let bsel = Edge_select_ref.bottleneck ~eps:seps cand in
+                  let rsel = Edge_select_ref.redundant ~eps:seps ~senders:2 cand in
+                  let flat_sel select =
+                    Edge_select_ref.load flat ~eps:seps cand;
+                    select flat;
+                    Edge_select_ref.selection flat
+                  in
+                  if flat_sel Edge_select.greedy <> gsel then
+                    add Selection "edge %d: flat greedy differs from reference" e;
+                  if flat_sel Edge_select.bottleneck <> bsel then
+                    add Selection
+                      "edge %d: flat bottleneck differs from reference" e;
+                  if flat_sel (Edge_select.redundant ~senders:2) <> rsel then
+                    add Selection
+                      "edge %d: flat redundant differs from reference" e;
+                  if Edge_select.bottleneck_value flat <> opt then
+                    add Selection
+                      "edge %d: flat bottleneck value differs from reference" e;
                   if not (one_to_one gsel) then
                     add Selection "edge %d: greedy selection not one-to-one" e;
                   if not (one_to_one bsel) then
                     add Selection
                       "edge %d: bottleneck selection not one-to-one" e;
-                  let bmax = Edge_select.max_weight cand bsel in
+                  let bmax = Edge_select_ref.max_weight cand bsel in
                   if not (close bmax opt) then
                     add Selection
                       "edge %d: bottleneck certificate mismatch (max %.9g vs \
                        value %.9g)"
                       e bmax opt;
-                  let gmax = Edge_select.max_weight cand gsel in
+                  let gmax = Edge_select_ref.max_weight cand gsel in
                   if gmax +. tol < opt then
                     add Selection
                       "edge %d: greedy max %.9g beats optimal bottleneck %.9g"
@@ -291,13 +311,13 @@ let check (sched : Schedulers.t) case =
                         "edge %d (%d→%d): schedule selection not one-to-one" e
                         src dst;
                     match
-                      Edge_select.max_weight cand
+                      Edge_select_ref.max_weight cand
                         (List.map
                            (fun { Comm_plan.src_replica; dst_replica } ->
                              (src_replica, dst_replica))
                            pairs)
                     with
-                    | exception Edge_select.Infeasible msg ->
+                    | exception Edge_select_ref.Infeasible msg ->
                         add Selection
                           "edge %d: schedule selection uses inadmissible \
                            pair: %s"

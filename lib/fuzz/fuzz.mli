@@ -30,10 +30,12 @@
     - {b round-trip}: [schedule_of_string ∘ schedule_to_string] is the
       identity (compared on the re-serialized bytes);
     - {b selection} (selected plans only): the schedule's pairs are
-      one-to-one and admissible, and [Edge_select]'s greedy/bottleneck
-      selectors on the reconstructed bipartite graph are one-to-one
-      with [max_weight(bottleneck) = bottleneck_value <=
-      max_weight(greedy)].
+      one-to-one and admissible; on the reconstructed bipartite graph
+      the flat [Edge_select] greedy, bottleneck and redundant (2
+      senders) selectors and the bottleneck value equal the frozen
+      list-based [Edge_select_ref]'s, whose greedy and bottleneck
+      selections are one-to-one with [max_weight(bottleneck) =
+      bottleneck_value <= max_weight(greedy)].
 
     A fifth family runs per trace seed rather than per scheduler:
     {b stream-lost}, the never-lost invariant of

@@ -13,26 +13,34 @@ type committed = {
   finish_pess : float;
 }
 
-type eval = { e_proc : int; e_finish_opt : float; e_finish_pess : float }
-
 type state = {
   inst : Instance.t;
   rng : Rng.t;
   n_tasks : int;
   n_procs : int;
+  replicas : int;
   timeline : Proc_state.t;
+  ready_opt : float array;
+  ready_pess : float array;
   placed : committed array option array;
-  selected : (int * int) list array;
+  selected : Comm_plan.pair list array;
   in_opt : float array;
   in_pess : float array;
   tmp_opt : float array;
   tmp_pess : float array;
+  fin_opt : float array;
+  fin_pess : float array;
+  chosen : int array;
+  replica_on : int array;
+  edges : Edge_select.t;
+  trace : Trace.t option;
   (* CSR adjacency of the instance's DAG (Dag.Csr), cached here so the
      per-task hot loops index flat arrays instead of walking freshly
      allocated predecessor/successor lists. *)
   pred_off : int array;
   pred_task : int array;
   pred_vol : float array;
+  pred_edge : int array;
   succ_off : int array;
   succ_task : int array;
 }
@@ -42,16 +50,16 @@ type tie_break = Rng_tie | Lifo_tie
 type discipline =
   | Priority of { key : state -> int -> float; tie : tie_break }
   | Fixed_order of (state -> int array)
-  | Urgency of (state -> free:int array -> int * float * eval array)
+  | Urgency of (state -> free:int array -> int * float)
 
 type policy = {
   name : string;
   replicas : int;
   discipline : discipline;
   prepare : state -> int -> unit;
-  evaluate : state -> int -> int -> eval;
-  choose : state -> int -> eval array -> eval array;
-  commit : state -> int -> eval array -> committed array;
+  evaluate : state -> int -> unit;
+  choose : state -> int -> unit;
+  commit : state -> int -> committed array;
   after_commit : state -> int -> committed array -> unit;
   insertion : bool;
   selected_comm : bool;
@@ -64,119 +72,144 @@ let replicas_of st t =
   | Some r -> r
   | None -> invalid_arg "Driver: predecessor not placed"
 
+let count_evals st n =
+  match st.trace with Some tr -> Trace.add_evals tr n | None -> ()
+
+let count_reductions st n =
+  match st.trace with Some tr -> Trace.add_reductions tr n | None -> ()
+
 (* Equations (1)/(3), input side, hoisted: one pass over the predecessors
    fills per-target-processor arrival bounds, instead of re-reducing every
    predecessor's replica row for every candidate processor.  The
    predecessor walk indexes the pre-flattened CSR arrays and hoists the
-   delay-matrix row per replica, so the inner reduction allocates
-   nothing. *)
+   delay-matrix row per replica, so the reduction allocates nothing. *)
 let prepare_inputs st t =
   let pl = Instance.platform st.inst in
   let m = st.n_procs in
-  Array.fill st.in_opt 0 m 0.;
-  Array.fill st.in_pess 0 m 0.;
-  for k = st.pred_off.(t) to st.pred_off.(t + 1) - 1 do
-    let t' = st.pred_task.(k) and vol = st.pred_vol.(k) in
-    let rs = replicas_of st t' in
-    let ao = st.tmp_opt and ap = st.tmp_pess in
+  let in_opt = st.in_opt and in_pess = st.in_pess in
+  let ao = st.tmp_opt and ap = st.tmp_pess in
+  Array.fill in_opt 0 m 0.;
+  Array.fill in_pess 0 m 0.;
+  let lo = st.pred_off.(t) and hi = st.pred_off.(t + 1) in
+  for k = lo to hi - 1 do
+    let vol = st.pred_vol.(k) in
+    let rs = replicas_of st st.pred_task.(k) in
     Array.fill ao 0 m infinity;
     Array.fill ap 0 m 0.;
-    Array.iter
-      (fun (c : committed) ->
-        let row = Platform.delay_row pl c.proc in
-        for p = 0 to m - 1 do
-          let w = vol *. row.(p) in
-          let o = c.finish_opt +. w and q = c.finish_pess +. w in
-          if o < ao.(p) then ao.(p) <- o;
-          if q > ap.(p) then ap.(p) <- q
-        done)
-      rs;
+    for i = 0 to Array.length rs - 1 do
+      let c = rs.(i) in
+      let row = Platform.delay_row pl c.proc in
+      let f_opt = c.finish_opt and f_pess = c.finish_pess in
+      for p = 0 to m - 1 do
+        let w = vol *. row.(p) in
+        let o = f_opt +. w and q = f_pess +. w in
+        if o < ao.(p) then ao.(p) <- o;
+        if q > ap.(p) then ap.(p) <- q
+      done
+    done;
     for p = 0 to m - 1 do
-      if ao.(p) > st.in_opt.(p) then st.in_opt.(p) <- ao.(p);
-      if ap.(p) > st.in_pess.(p) then st.in_pess.(p) <- ap.(p)
+      if ao.(p) > in_opt.(p) then in_opt.(p) <- ao.(p);
+      if ap.(p) > in_pess.(p) then in_pess.(p) <- ap.(p)
     done
+  done;
+  count_reductions st (hi - lo)
+
+let eval_inputs st t =
+  let exec = Instance.exec_row st.inst t in
+  for p = 0 to st.n_procs - 1 do
+    let e = exec.(p) in
+    st.fin_opt.(p) <- e +. Float.max st.in_opt.(p) st.ready_opt.(p);
+    st.fin_pess.(p) <- e +. Float.max st.in_pess.(p) st.ready_pess.(p)
   done
 
-let eval_inputs st t p =
-  let e = Instance.exec st.inst t p in
-  {
-    e_proc = p;
-    e_finish_opt = e +. Float.max st.in_opt.(p) (Proc_state.ready_opt st.timeline p);
-    e_finish_pess =
-      e +. Float.max st.in_pess.(p) (Proc_state.ready_pess st.timeline p);
-  }
-
 let top_level st t =
-  let pl = Instance.platform st.inst in
+  let max_from = Platform.max_delays_from (Instance.platform st.inst) in
+  let lo = st.pred_off.(t) and hi = st.pred_off.(t + 1) in
   let acc = ref 0. in
-  for k = st.pred_off.(t) to st.pred_off.(t + 1) - 1 do
+  for k = lo to hi - 1 do
     let vol = st.pred_vol.(k) in
     let rs = replicas_of st st.pred_task.(k) in
     let earliest = ref infinity in
-    Array.iter
-      (fun (c : committed) ->
-        let a = c.finish_opt +. (vol *. Platform.max_delay_from pl c.proc) in
-        if a < !earliest then earliest := a)
-      rs;
+    for i = 0 to Array.length rs - 1 do
+      let c = rs.(i) in
+      let a = c.finish_opt +. (vol *. max_from.(c.proc)) in
+      if a < !earliest then earliest := a
+    done;
     if !earliest > !acc then acc := !earliest
   done;
+  count_reductions st (hi - lo);
   !acc
 
-let best_by_finish evals ~k =
-  let cand = Array.copy evals in
-  Array.sort
-    (fun a b ->
-      match compare a.e_finish_opt b.e_finish_opt with
-      | 0 -> compare a.e_proc b.e_proc
-      | c -> c)
-    cand;
-  Array.sub cand 0 k
+(* One insertion pass over the keys: [out.(0 .. len-1)] holds the best
+   indices so far, increasing by (key, index).  A later index never
+   displaces an equal key, so ties go to the smaller index, as in a sort
+   by (key, index). *)
+let best_by_key key ~n ~k out =
+  if k < 1 || k > n then invalid_arg "Driver.best_by_key: need 1 <= k <= n";
+  let len = ref 0 in
+  for p = 0 to n - 1 do
+    let x = key.(p) in
+    if !len < k || Float.compare x key.(out.(k - 1)) < 0 then begin
+      let i = ref (if !len < k then !len else k - 1) in
+      while !i > 0 && Float.compare x key.(out.(!i - 1)) < 0 do
+        out.(!i) <- out.(!i - 1);
+        decr i
+      done;
+      out.(!i) <- p;
+      if !len < k then incr len
+    end
+  done
 
-let commit_straight st t chosen =
-  Array.map
-    (fun ev ->
-      let e = Instance.exec st.inst t ev.e_proc in
+let best_by_finish st ~k = best_by_key st.fin_opt ~n:st.n_procs ~k st.chosen
+
+let commit_straight st t =
+  let exec = Instance.exec_row st.inst t in
+  Array.init st.replicas (fun i ->
+      let p = st.chosen.(i) in
+      let e = exec.(p) in
       {
-        proc = ev.e_proc;
-        start_opt = ev.e_finish_opt -. e;
-        finish_opt = ev.e_finish_opt;
-        start_pess = ev.e_finish_pess -. e;
-        finish_pess = ev.e_finish_pess;
+        proc = p;
+        start_opt = st.fin_opt.(p) -. e;
+        finish_opt = st.fin_opt.(p);
+        start_pess = st.fin_pess.(p) -. e;
+        finish_pess = st.fin_pess.(p);
       })
-    chosen
 
 let no_after_commit _ _ _ = ()
 
 (* Insertion-based earliest finish: slide into the earliest timeline gap
    at or after the input-arrival bound of {!prepare_inputs}. *)
-let eval_insertion st t p =
-  let dur = Instance.exec st.inst t p in
-  let start =
-    Proc_state.earliest_gap st.timeline p ~ready:st.in_opt.(p) ~duration:dur
-  in
-  let f = start +. dur in
-  { e_proc = p; e_finish_opt = f; e_finish_pess = f }
+let eval_insertion st t =
+  let exec = Instance.exec_row st.inst t in
+  for p = 0 to st.n_procs - 1 do
+    let dur = exec.(p) in
+    let start =
+      Proc_state.earliest_gap st.timeline p ~ready:st.in_opt.(p) ~duration:dur
+    in
+    let f = start +. dur in
+    st.fin_opt.(p) <- f;
+    st.fin_pess.(p) <- f
+  done
 
 (* Re-derive the gap start for the chosen processors (the timeline is
    unchanged since evaluation) so the committed replica starts at the
    true slot start rather than at [finish - duration], which can differ
    in the last bits. *)
-let commit_insertion st t chosen =
-  Array.map
-    (fun ev ->
-      let dur = Instance.exec st.inst t ev.e_proc in
+let commit_insertion st t =
+  let exec = Instance.exec_row st.inst t in
+  Array.init st.replicas (fun i ->
+      let p = st.chosen.(i) in
       let start =
-        Proc_state.earliest_gap st.timeline ev.e_proc ~ready:st.in_opt.(ev.e_proc)
-          ~duration:dur
+        Proc_state.earliest_gap st.timeline p ~ready:st.in_opt.(p)
+          ~duration:exec.(p)
       in
       {
-        proc = ev.e_proc;
+        proc = p;
         start_opt = start;
-        finish_opt = ev.e_finish_opt;
+        finish_opt = st.fin_opt.(p);
         start_pess = start;
-        finish_pess = ev.e_finish_opt;
+        finish_pess = st.fin_opt.(p);
       })
-    chosen
 
 (* Priority list α: a binary max-heap keyed by (priority, tie, task id);
    the head H(α) is the maximum binding.  Task ids are unique, so the
@@ -189,11 +222,16 @@ type workspace = {
   mutable w_insertion : bool;
   mutable w_timeline : Proc_state.t;
   mutable w_placed : committed array option array;
-  mutable w_selected : (int * int) list array;
+  mutable w_selected : Comm_plan.pair list array;
   mutable w_in_opt : float array;
   mutable w_in_pess : float array;
   mutable w_tmp_opt : float array;
   mutable w_tmp_pess : float array;
+  mutable w_fin_opt : float array;
+  mutable w_fin_pess : float array;
+  mutable w_chosen : int array;
+  mutable w_replica_on : int array;
+  w_edges : Edge_select.t;
   mutable w_remaining : int array;
   w_alpha : Alpha.t;
   mutable w_next : int array;
@@ -211,6 +249,11 @@ let empty_workspace () =
     w_in_pess = [||];
     w_tmp_opt = [||];
     w_tmp_pess = [||];
+    w_fin_opt = [||];
+    w_fin_pess = [||];
+    w_chosen = [||];
+    w_replica_on = [||];
+    w_edges = Edge_select.create ();
     w_remaining = [||];
     w_alpha = Alpha.create ~capacity:64 ();
     w_next = [||];
@@ -236,8 +279,15 @@ let ready_workspace w ~v ~m ~ne ~insertion =
     w.w_in_opt <- Array.make m 0.;
     w.w_in_pess <- Array.make m 0.;
     w.w_tmp_opt <- Array.make m 0.;
-    w.w_tmp_pess <- Array.make m 0.
-  end;
+    w.w_tmp_pess <- Array.make m 0.;
+    w.w_fin_opt <- Array.make m 0.;
+    w.w_fin_pess <- Array.make m 0.;
+    w.w_chosen <- Array.make m 0;
+    w.w_replica_on <- Array.make m (-1)
+  end
+  else
+    (* a run that raised mid-commit may have left entries set *)
+    Array.fill w.w_replica_on 0 m (-1);
   if Array.length w.w_remaining < v then begin
     w.w_remaining <- Array.make v 0;
     w.w_next <- Array.make v (-1);
@@ -251,7 +301,8 @@ let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
   let g = Instance.dag instance in
   let v = Dag.n_tasks g in
   let m = Instance.n_procs instance in
-  if policy.replicas < 1 || policy.replicas > m then
+  let k = policy.replicas in
+  if k < 1 || k > m then
     invalid_arg "Driver.run: need 1 <= replicas <= number of processors";
   (match release with
   | Some r when Array.length r <> m -> invalid_arg "Driver.run: release size"
@@ -270,16 +321,26 @@ let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
       rng = Rng.create ~seed;
       n_tasks = v;
       n_procs = m;
+      replicas = k;
       timeline = w.w_timeline;
+      ready_opt = Proc_state.ready_opt w.w_timeline;
+      ready_pess = Proc_state.ready_pess w.w_timeline;
       placed = w.w_placed;
       selected = w.w_selected;
       in_opt = w.w_in_opt;
       in_pess = w.w_in_pess;
       tmp_opt = w.w_tmp_opt;
       tmp_pess = w.w_tmp_pess;
+      fin_opt = w.w_fin_opt;
+      fin_pess = w.w_fin_pess;
+      chosen = w.w_chosen;
+      replica_on = w.w_replica_on;
+      edges = w.w_edges;
+      trace;
       pred_off = Dag.Csr.pred_offsets g;
       pred_task = Dag.Csr.pred_tasks g;
       pred_vol = Dag.Csr.pred_volumes g;
+      pred_edge = Dag.Csr.pred_edges g;
       succ_off = Dag.Csr.succ_offsets g;
       succ_task = Dag.Csr.succ_tasks g;
     }
@@ -312,43 +373,76 @@ let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
   in
   let failure = ref None in
   let step_count = ref 0 in
-  (* Evaluate, select and commit one task.  Under [Urgency] the policy
-     already evaluated and selected; [pre_chosen] carries its choice.
-     Returns [false] when the bicriteria deadline test fails. *)
-  let do_task ?pre_chosen ~prio t =
-    let evals, chosen =
-      match pre_chosen with
-      | Some chosen -> (chosen, chosen)
-      | None ->
-          let t0 = tick () in
-          policy.prepare st t;
-          let evals = Array.init m (policy.evaluate st t) in
-          let t1 = lap `Evaluate t0 in
-          let chosen = policy.choose st t evals in
-          ignore (lap `Choose t1);
-          (evals, chosen)
+  (* The step record of a traced run, built from the buffers: every
+     processor's evaluation, in processor order, or under [Urgency] the
+     chosen placements, in replica order. *)
+  let record tr ~urgent ~prio t committed =
+    let eval p =
+      { Trace.proc = p; finish_opt = st.fin_opt.(p); finish_pess = st.fin_pess.(p) }
     in
-    (match trace with
-    | Some tr -> Trace.add_evals tr (Array.length evals)
-    | None -> ());
+    let edges =
+      if policy.selected_comm then
+        List.init (st.pred_off.(t + 1) - st.pred_off.(t)) (fun i ->
+            let e = st.pred_edge.(st.pred_off.(t) + i) in
+            ( e,
+              List.map
+                (fun { Comm_plan.src_replica; dst_replica } ->
+                  (src_replica, dst_replica))
+                st.selected.(e) ))
+      else []
+    in
+    Trace.record tr
+      {
+        Trace.step = !step_count;
+        task = t;
+        priority = prio;
+        evals =
+          (if urgent then Array.init k (fun i -> eval st.chosen.(i))
+           else Array.init m eval);
+        chosen =
+          Array.map
+            (fun (c : committed) ->
+              { Trace.proc = c.proc; start = c.start_opt; finish = c.finish_opt })
+            committed;
+        edges;
+      }
+  in
+  (* Evaluate, select and commit one task.  Under [Urgency] the policy
+     already evaluated and selected ([urgent]).  Returns [false] when the
+     bicriteria deadline test fails. *)
+  let do_task ~urgent ~prio t =
+    if not urgent then begin
+      let t0 = tick () in
+      policy.prepare st t;
+      policy.evaluate st t;
+      count_evals st m;
+      let t1 = lap `Evaluate t0 in
+      policy.choose st t;
+      ignore (lap `Choose t1)
+    end;
     let deadline_ok =
       match deadlines with
       | None -> true
       | Some dl ->
-          let worst =
-            Array.fold_left
-              (fun acc ev -> Float.max acc ev.e_finish_opt)
-              0. chosen
-          in
-          if worst > dl.(t) then begin
-            failure := Some { task = t; deadline = dl.(t); finish = worst };
+          let worst = ref 0. in
+          for i = 0 to k - 1 do
+            worst := Float.max !worst st.fin_opt.(st.chosen.(i))
+          done;
+          if !worst > dl.(t) then begin
+            failure := Some { task = t; deadline = dl.(t); finish = !worst };
             false
           end
           else true
     in
     if deadline_ok then begin
       let t2 = tick () in
-      let committed = policy.commit st t chosen in
+      for i = 0 to k - 1 do
+        st.replica_on.(st.chosen.(i)) <- i
+      done;
+      let committed = policy.commit st t in
+      for i = 0 to k - 1 do
+        st.replica_on.(st.chosen.(i)) <- -1
+      done;
       st.placed.(t) <- Some committed;
       Array.iter
         (fun c ->
@@ -358,36 +452,7 @@ let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
       policy.after_commit st t committed;
       ignore (lap `Commit t2);
       (match trace with
-      | Some tr ->
-          let edges =
-            if policy.selected_comm then
-              let row = Dag.Csr.pred_edges g in
-              List.init (Dag.in_degree g t) (fun i ->
-                  let e = row.(st.pred_off.(t) + i) in
-                  (e, st.selected.(e)))
-            else []
-          in
-          Trace.record tr
-            {
-              Trace.step = !step_count;
-              task = t;
-              priority = prio;
-              evals =
-                Array.map
-                  (fun ev ->
-                    {
-                      Trace.proc = ev.e_proc;
-                      finish_opt = ev.e_finish_opt;
-                      finish_pess = ev.e_finish_pess;
-                    })
-                  evals;
-              chosen =
-                Array.map
-                  (fun (c : committed) ->
-                    { Trace.proc = c.proc; start = c.start_opt; finish = c.finish_opt })
-                  committed;
-              edges;
-            }
+      | Some tr -> record tr ~urgent ~prio t committed
       | None -> ());
       incr step_count;
       true
@@ -440,11 +505,14 @@ let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
       while !running && not (Alpha.is_empty alpha) do
         let t = Alpha.max_task alpha and prio = Alpha.max_prio alpha in
         Alpha.drop_max alpha;
-        if do_task ~prio t then release_succs t push_free else running := false
+        if do_task ~urgent:false ~prio t then release_succs t push_free
+        else running := false
       done
   | Fixed_order order ->
       Array.iter
-        (fun t -> if !running && not (do_task ~prio:nan t) then running := false)
+        (fun t ->
+          if !running && not (do_task ~urgent:false ~prio:nan t) then
+            running := false)
         (order st)
   | Urgency urgency ->
       (* The free set as an intrusive doubly-linked list over int arrays,
@@ -484,9 +552,9 @@ let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
       while !running && !count > 0 do
         let free = snapshot () in
         let t0 = tick () in
-        let t, prio, chosen = urgency st ~free in
+        let t, prio = urgency st ~free in
         ignore (lap `Evaluate t0);
-        if do_task ~pre_chosen:chosen ~prio t then begin
+        if do_task ~urgent:true ~prio t then begin
           remove t;
           release_succs t push_front
         end
@@ -521,13 +589,9 @@ let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
       in
       let comm =
         if policy.selected_comm then
-          (* one row per edge, by index: a pooled [selected] array may be
-             longer than this instance's edge count *)
-          Comm_plan.Selected
-            (Array.init ne (fun e ->
-                 List.map
-                   (fun (l, r) -> { Comm_plan.src_replica = l; dst_replica = r })
-                   st.selected.(e)))
+          (* the plan's own copy: a pooled [selected] array outlives the
+             run and may be longer than this instance's edge count *)
+          Comm_plan.Selected (Array.sub st.selected 0 ne)
         else Comm_plan.All_to_all
       in
       Ok (Schedule.create ~instance ~eps:(policy.replicas - 1) ~replicas ~comm)

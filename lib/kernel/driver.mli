@@ -21,12 +21,21 @@
     schedule digests in the regression suite prove the rewrite is
     bit-for-bit identical to the list-based engine it replaced.
 
+    One kernel step — evaluate, choose, commit — works in buffers the
+    {!workspace} owns: [evaluate] writes every processor's finish
+    estimates into [fin_opt] / [fin_pess], [choose] writes the chosen
+    processors into [chosen] ({!best_by_finish} keeps the ε+1 best in
+    one partial insertion pass, no sort), and selected-communication
+    commit rules build each DAG edge's candidate graph in the
+    workspace's flat {!Edge_select.t}.  A step allocates only the rows
+    the schedule keeps: the committed replica row and, under MC-FTSA,
+    each edge's message list.
+
     Equation (1)/(3) evaluation is provided here ({!prepare_inputs} /
-    {!input_opt} / {!input_pess}) with the per-predecessor
-    earliest/latest-replica reduction hoisted out of the per-processor
-    loop: each predecessor's replica row is folded into per-target-
-    processor arrival bounds once per task, instead of once per candidate
-    processor. *)
+    {!eval_inputs}) with the per-predecessor earliest/latest-replica
+    reduction hoisted out of the per-processor loop: each predecessor's
+    replica row is folded into per-target-processor arrival bounds once
+    per task, instead of once per candidate processor. *)
 
 type committed = {
   proc : int;
@@ -38,37 +47,58 @@ type committed = {
 (** A committed replica: optimistic (eq. 1) and pessimistic (eq. 3)
     times. *)
 
-type eval = { e_proc : int; e_finish_opt : float; e_finish_pess : float }
-(** A candidate evaluation of the current task on one processor. *)
-
 type state = {
   inst : Ftsched_model.Instance.t;
   rng : Ftsched_util.Rng.t;
   n_tasks : int;
   n_procs : int;
+  replicas : int;  (** replicas per task of the running policy *)
   timeline : Proc_state.t;
+  ready_opt : float array;
+      (** the timeline's live ready times ({!Proc_state.ready_opt});
+          read-only *)
+  ready_pess : float array;  (** pessimistic counterpart; read-only *)
   placed : committed array option array;  (** per task, one row per replica *)
-  selected : (int * int) list array;
-      (** per DAG edge: selected (src_replica, dst_replica) pairs —
-          written by selected-communication commit rules *)
+  selected : Ftsched_schedule.Comm_plan.pair list array;
+      (** per DAG edge: the selected messages — written once per edge by
+          selected-communication commit rules, and the run's
+          [Comm_plan.Selected] plan as is *)
   in_opt : float array;
       (** scratch, filled by {!prepare_inputs}: optimistic input-arrival
           bound of the current task per target processor *)
   in_pess : float array;  (** pessimistic counterpart *)
   tmp_opt : float array;  (** per-predecessor scratch *)
   tmp_pess : float array;
+  fin_opt : float array;
+      (** the evaluation buffer: equation-(1) finish of the current task
+          per processor, filled by [policy.evaluate] *)
+  fin_pess : float array;  (** equation-(3) counterpart *)
+  chosen : int array;
+      (** the choice buffer: entries [0 … replicas−1] are the current
+          task's processors, in replica order, filled by [policy.choose] *)
+  replica_on : int array;
+      (** per processor: during [policy.commit], the replica index of the
+          current task placed there, [-1] elsewhere *)
+  edges : Edge_select.t;
+      (** the candidate set selected-communication commit rules build
+          each DAG edge's selection in *)
+  trace : Trace.t option;  (** the run's trace, if any *)
   pred_off : int array;
       (** CSR offsets of the DAG's predecessor adjacency
           ({!Ftsched_dag.Dag.Csr.pred_offsets}), cached for the hot
           loops; read-only *)
   pred_task : int array;  (** CSR predecessor task ids *)
   pred_vol : float array;  (** CSR predecessor edge volumes *)
+  pred_edge : int array;  (** CSR predecessor edge ids *)
   succ_off : int array;  (** CSR successor offsets *)
   succ_task : int array;  (** CSR successor task ids *)
 }
 (** The driver's mutable run state, exposed so policies can read the
-    partial schedule and write selected edges.  Policies must not touch
-    [placed] or the timeline directly — the driver commits. *)
+    partial schedule and fill the evaluation and choice buffers.  Every
+    array lives in the run's {!workspace}: a kernel step allocates
+    nothing per candidate processor or per DAG edge beyond the rows the
+    schedule keeps.  Policies must not touch [placed] or the timeline
+    directly — the driver commits. *)
 
 type tie_break =
   | Rng_tie
@@ -86,12 +116,14 @@ type discipline =
   | Fixed_order of (state -> int array)
       (** Schedule in a precomputed (topological) order — HEFT's static
           upward-rank order. *)
-  | Urgency of (state -> free:int array -> int * float * eval array)
+  | Urgency of (state -> free:int array -> int * float)
       (** Re-evaluate every free task each step and return the chosen
-          task, its urgency and its already-selected placements —
-          FTBAR's schedule-pressure rule.  [free] lists free tasks,
-          most recently freed first; the array is a fresh snapshot the
-          callback may keep. *)
+          task and its urgency, with its placements already selected:
+          [chosen] holds its processors and [fin_opt] / [fin_pess] their
+          finish estimates — FTBAR's schedule-pressure rule.  The
+          callback reports its own evaluations ({!count_evals}).  [free]
+          lists free tasks, most recently freed first; the array is a
+          fresh snapshot the callback may keep. *)
 
 type policy = {
   name : string;
@@ -100,15 +132,16 @@ type policy = {
   prepare : state -> int -> unit;
       (** per-task precomputation before candidate evaluation (e.g.
           {!prepare_inputs}); skipped under [Urgency] *)
-  evaluate : state -> int -> int -> eval;
-      (** [evaluate st t p]: finish estimate of [t] on processor [p] *)
-  choose : state -> int -> eval array -> eval array;
-      (** select the replica placements from the per-processor
-          evaluations (in processor order) *)
-  commit : state -> int -> eval array -> committed array;
-      (** turn the chosen placements into committed replicas; selected-
-          communication policies re-time replicas and fill
-          [state.selected] here *)
+  evaluate : state -> int -> unit;
+      (** [evaluate st t]: finish estimates of [t] on every processor,
+          in processor order, into [fin_opt] / [fin_pess] *)
+  choose : state -> int -> unit;
+      (** select the [replicas] processors from the evaluations, into
+          [chosen] *)
+  commit : state -> int -> committed array;
+      (** turn the chosen placements into committed replicas (the row the
+          schedule keeps); selected-communication policies re-time
+          replicas and fill [state.selected] here *)
   after_commit : state -> int -> committed array -> unit;
       (** policy bookkeeping after the driver records a commit *)
   insertion : bool;
@@ -185,29 +218,45 @@ val replicas_of : state -> int -> committed array
 (** Committed replicas of a placed task; raises [Invalid_argument] if the
     task is not placed yet. *)
 
+val count_evals : state -> int -> unit
+(** [count_evals st n] books [n] equation-(1) candidate evaluations to
+    the run's trace (nothing without one).  The driver books [m] per
+    task it evaluates; an [Urgency] policy books its own. *)
+
 val prepare_inputs : state -> int -> unit
 (** Fill [state.in_opt]/[state.in_pess] with the input-arrival bounds of
     the task on every target processor: per predecessor, the earliest
     (optimistic) and latest (pessimistic) replica arrival, maximized over
-    predecessors — the hoisted inner reduction of equations (1)/(3). *)
+    predecessors — the hoisted inner reduction of equations (1)/(3).
+    Books one reduction per predecessor to the run's trace
+    ({!Trace.reductions}). *)
 
-val eval_inputs : state -> int -> int -> eval
-(** [eval_inputs st t p] is equations (1) and (3) for [t] on [p], reading
-    the bounds prepared by {!prepare_inputs} and the processor ready
-    times. *)
+val eval_inputs : state -> int -> unit
+(** [eval_inputs st t] is equations (1) and (3) for [t] on every
+    processor, into [fin_opt] / [fin_pess], reading the bounds prepared
+    by {!prepare_inputs} and the processor ready times. *)
 
 val top_level : state -> int -> float
 (** Dynamic top level [tℓ(t)] of a freshly freed task (§4.1): worst-case
     availability of each input anywhere in the system, taking for each
-    predecessor its earliest-finishing replica. *)
+    predecessor its earliest-finishing replica.  Books one reduction per
+    predecessor, as {!prepare_inputs} does. *)
 
-val best_by_finish : eval array -> k:int -> eval array
-(** The [k] evaluations with the smallest [finish_opt], increasing
-    (ties by processor id) — the equation-(1) processor selection. *)
+val best_by_key : float array -> n:int -> k:int -> int array -> unit
+(** [best_by_key key ~n ~k out] writes into [out.(0 … k−1)] the [k]
+    indices of [key.(0 … n−1)] with the smallest keys, increasing by
+    (key, index) under [Float.compare] — a sort by (key, index) cut to
+    [k], in one insertion pass that allocates nothing.  Raises
+    [Invalid_argument] unless [1 ≤ k ≤ n]. *)
 
-val commit_straight : state -> int -> eval array -> committed array
-(** The identity commit rule: each replica starts [E(t,p)] before its
-    estimated finish, exactly as evaluated. *)
+val best_by_finish : state -> k:int -> unit
+(** The [k] processors with the smallest [fin_opt], increasing (ties by
+    processor id), into [chosen] — the equation-(1) processor
+    selection. *)
+
+val commit_straight : state -> int -> committed array
+(** The identity commit rule: each chosen replica starts [E(t,p)] before
+    its estimated finish, exactly as evaluated. *)
 
 val no_after_commit : state -> int -> committed array -> unit
 
@@ -216,12 +265,12 @@ val no_after_commit : state -> int -> committed array -> unit
     For policies with [insertion = true] (HEFT, PEFT, CPOP): the task may
     slide into an idle gap between already-committed slots. *)
 
-val eval_insertion : state -> int -> int -> eval
-(** [eval_insertion st t p]: finish time of [t] slid into the earliest
-    timeline gap of [p] at or after the {!prepare_inputs} arrival
-    bound. *)
+val eval_insertion : state -> int -> unit
+(** [eval_insertion st t]: finish time of [t] slid into the earliest
+    timeline gap of each processor at or after the {!prepare_inputs}
+    arrival bound, into [fin_opt] (and [fin_pess], equal). *)
 
-val commit_insertion : state -> int -> eval array -> committed array
+val commit_insertion : state -> int -> committed array
 (** Commit rule matching {!eval_insertion}: re-derives the gap start (the
     timeline is unchanged since evaluation) so the replica starts at the
     true slot start — [finish − duration] can differ in the last bits. *)

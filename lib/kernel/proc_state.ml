@@ -46,8 +46,8 @@ let reset t =
   t.scanned <- 0
 
 let n_procs t = Array.length t.lines
-let ready_opt t p = t.r_opt.(p)
-let ready_pess t p = t.r_pess.(p)
+let ready_opt t = t.r_opt
+let ready_pess t = t.r_pess
 
 (* First slot index whose finish exceeds [ready]: slots before it end at
    or before [ready] and can neither host a gap nor move the cursor. *)

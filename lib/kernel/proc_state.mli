@@ -34,11 +34,13 @@ val reset : t -> unit
 
 val n_procs : t -> int
 
-val ready_opt : t -> int -> float
-(** Optimistic ready time [r(Pj)] of a processor: the latest optimistic
-    finish committed on it so far, 0 when idle. *)
+val ready_opt : t -> float array
+(** Optimistic ready times [r(Pj)], indexed by processor: the latest
+    optimistic finish committed on each so far, 0 when idle.  The live
+    array, so hot loops read it without boxing a float per read;
+    read-only — only {!commit_slot} and {!reset} write it. *)
 
-val ready_pess : t -> int -> float
+val ready_pess : t -> float array
 (** Pessimistic counterpart (equation (3) semantics). *)
 
 val earliest_gap : t -> int -> ready:float -> duration:float -> float

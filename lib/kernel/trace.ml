@@ -17,6 +17,7 @@ type t = {
   mutable rev_steps : step list;
   mutable n_steps : int;
   mutable candidate_evals : int;
+  mutable reductions : int;
   mutable t_evaluate : float;
   mutable t_choose : float;
   mutable t_commit : float;
@@ -29,6 +30,7 @@ let create () =
     rev_steps = [];
     n_steps = 0;
     candidate_evals = 0;
+    reductions = 0;
     t_evaluate = 0.;
     t_choose = 0.;
     t_commit = 0.;
@@ -43,6 +45,7 @@ let start t ~algorithm =
   t.rev_steps <- [];
   t.n_steps <- 0;
   t.candidate_evals <- 0;
+  t.reductions <- 0;
   t.t_evaluate <- 0.;
   t.t_choose <- 0.;
   t.t_commit <- 0.;
@@ -53,6 +56,8 @@ let record t step =
   t.n_steps <- t.n_steps + 1
 
 let add_evals t n = t.candidate_evals <- t.candidate_evals + n
+let add_reductions t n = t.reductions <- t.reductions + n
+let reductions t = t.reductions
 
 let add_phase t phase dt =
   match phase with

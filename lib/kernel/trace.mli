@@ -41,7 +41,18 @@ val steps : t -> step list
 (** Recorded steps, in scheduling order. *)
 
 val stats : t -> Ftsched_schedule.Metrics.step_stats
-(** Aggregate counters of the traced run. *)
+(** Aggregate counters of the traced run.  [candidate_evals] counts the
+    equation-(1) evaluations the run performed: one per processor per
+    evaluated task, including the tasks an [Urgency] policy evaluates
+    without placing them (see {!Driver.count_evals}). *)
+
+val reductions : t -> int
+(** Predecessor replica rows the traced run reduced: one per predecessor
+    of each task whose equation-(1)/(3) input bounds
+    ({!Driver.prepare_inputs}) or dynamic top level ({!Driver.top_level})
+    were computed (a policy with a prepare rule of its own, CA-FTSA,
+    books only its top levels).  With {!stats}' [candidate_evals], the
+    work count behind the Table 1 scaling claim. *)
 
 val save_jsonl : t -> path:string -> unit
 (** One JSON object per step, in scheduling order, followed by a final
@@ -54,5 +65,6 @@ val save_jsonl : t -> path:string -> unit
 val start : t -> algorithm:string -> unit
 val record : t -> step -> unit
 val add_evals : t -> int -> unit
+val add_reductions : t -> int -> unit
 val add_phase : t -> [ `Evaluate | `Choose | `Commit ] -> float -> unit
 val finish : t -> gap:Proc_state.gap_stats -> unit

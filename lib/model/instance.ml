@@ -33,6 +33,7 @@ let n_tasks t = Dag.n_tasks t.dag
 let n_procs t = Platform.n_procs t.platform
 
 let exec t task p = t.exec.(task).(p)
+let exec_row t task = t.exec.(task)
 let avg_exec t task = t.avg_exec.(task)
 
 let min_exec t task = Array.fold_left Float.min infinity t.exec.(task)

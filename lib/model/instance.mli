@@ -24,6 +24,11 @@ val n_procs : t -> int
 val exec : t -> Ftsched_dag.Dag.task -> Ftsched_platform.Platform.proc -> float
 (** [exec t task p] is [E(task, Pp)]. *)
 
+val exec_row : t -> Ftsched_dag.Dag.task -> float array
+(** [exec_row t task] is the row [E(task, ·)], indexed by processor —
+    for hot loops, where {!exec} would box every read.  The instance's
+    own array: read-only. *)
+
 val avg_exec : t -> Ftsched_dag.Dag.task -> float
 (** [E̅(t) = (Σ_j E(t,Pj)) / m]. *)
 

@@ -48,6 +48,7 @@ let delay t k h = t.delay.(k).(h)
 let delay_row t k = t.delay.(k)
 let avg_delay t = t.avg_delay
 let max_delay_from t k = t.max_delay_from.(k)
+let max_delays_from t = t.max_delay_from
 
 let max_delay t = Array.fold_left Float.max 0. t.max_delay_from
 

@@ -35,6 +35,12 @@ val max_delay_from : t -> proc -> float
 (** [max_delay_from p] is [max_j d(p, Pj)] — the worst-case factor in the
     dynamic top level of §4.1. *)
 
+val max_delays_from : t -> float array
+(** {!max_delay_from} of every processor, indexed by processor and
+    physically shared with the platform — {b treat it as read-only}.
+    Exposed so the dynamic top level reads it without boxing a float per
+    replica. *)
+
 val max_delay : t -> float
 (** Largest off-diagonal entry. *)
 

@@ -134,3 +134,19 @@ let max_weight edges pairs =
       | Some w -> Float.max acc w
       | None -> infeasible "pair (%d, %d) has no backing edge" l r)
     neg_infinity pairs
+
+module Flat = Ftsched_kernel.Edge_select
+
+let load flat ~eps edges =
+  let k = eps + 1 in
+  Flat.reset flat ~k;
+  let w = Flat.weights flat in
+  List.iter
+    (fun e ->
+      w.((e.left * k) + e.right) <- e.weight;
+      Flat.add flat ~left:e.left ~right:e.right ~forced:e.forced)
+    edges
+
+let selection flat =
+  List.init (Flat.selected flat) (fun i ->
+      (Flat.selected_left flat i, Flat.selected_right flat i))

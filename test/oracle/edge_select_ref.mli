@@ -1,17 +1,23 @@
-(** Robust communication-edge selection for MC-FTSA (§4.2).
+(** The list-based reference edge selection.
+
+    A frozen copy of {!Ftsched_kernel.Edge_select} as it was before the
+    flat candidate sets: candidates as an [edge list], the greedy rule
+    through [List.filter] and [List.sort], the bottleneck rule over
+    [List.sort_uniq]'d weights, the redundant extension through a
+    [(left, right)] Hashtbl.  It exists purely as a differential
+    baseline — the flat selectors must return the same pairs in the same
+    order, the same [bottleneck_value] and [max_weight], and raise
+    [Infeasible] with the same message on the same candidate sets.
+    [test_core] and the fuzzer's selection oracle check the two against
+    each other.  Behavioural changes belong in
+    {!Ftsched_kernel.Edge_select}.
 
     For one DAG edge [(t', t)], the replicas of [t'] form the left side of
     a bipartite graph and the replicas of [t] the right side.  A left
     replica colocated with one of [t]'s processors has a single {e forced}
-    edge to that colocated right replica (this is what makes the selection
-    survive ε failures — see the proof of Prop. 4.3); every other left
-    replica has an edge to all right replicas.  Each edge is weighted with
-    the completion time [t] would reach through it alone.
-
-    A {e robust selection} is a set of [ε+1] edges saturating every left
-    and every right node exactly once.  The paper offers two selectors and
-    so do we: the greedy rule, and the optimal bottleneck rule (binary
-    search over the threshold [T] + maximum bipartite matching). *)
+    edge to that colocated right replica; every other left replica has an
+    edge to all right replicas.  Each edge is weighted with the completion
+    time [t] would reach through it alone. *)
 
 type edge = {
   left : int;  (** source replica index, 0 … ε *)
@@ -23,8 +29,7 @@ type edge = {
 }
 
 exception Infeasible of string
-(** Raised when no one-to-one selection exists (cannot happen for graphs
-    built by the MC-FTSA construction; the selector still defends). *)
+(** Raised when no one-to-one selection exists. *)
 
 val greedy : eps:int -> edge list -> (int * int) list
 (** The paper's greedy rule: retain every forced edge first, then scan
@@ -55,3 +60,13 @@ val redundant : eps:int -> senders:int -> edge list -> (int * int) list
     are the cheapest non-forced candidates, so colocated sources still
     feed only their own processor (the forced-internal rule is
     preserved).  Message count: at most [(ε+1)·senders] per DAG edge. *)
+
+(** {2 Bridging to the flat sets} *)
+
+val load : Ftsched_kernel.Edge_select.t -> eps:int -> edge list -> unit
+(** [load flat ~eps edges] resets [flat] to [k = eps+1] and adds [edges]
+    in list order, weights included — the flat set the selectors above
+    race against.  [edges] must not repeat a [(left, right)] pair. *)
+
+val selection : Ftsched_kernel.Edge_select.t -> (int * int) list
+(** The flat set's last selection, in its order. *)

@@ -4,6 +4,8 @@
    - the DAG's CSR rows, iterators, entries and exits against the list
      reference built from [Dag.iter_edges];
    - [Validate.check] on the FTSA and MC-FTSA plans;
+   - the schedule digests of both plans (MC-FTSA with the greedy
+     selector), pinned bit for bit;
    - the flat [Event_sim] against the reference engine, fault-free and
      with one crash of the busiest processor at a quarter of M*;
    - the [Serialize] round trip of both plans;
@@ -58,6 +60,44 @@ let check what f =
     verdict
 
 let of_bool why b = if b then Ok () else Error why
+
+(* MD5 over every replica's fields at 17 significant digits, the
+   regression suite's [schedule_digest]: equal iff the plans' replicas
+   are bit-for-bit equal. *)
+let schedule_digest s =
+  let buf = Buffer.create 4096 in
+  let inst = Schedule.instance s in
+  for t = 0 to Instance.n_tasks inst - 1 do
+    Array.iter
+      (fun (r : Schedule.replica) ->
+        Buffer.add_string buf
+          (Printf.sprintf "%d:%d:%d:%.17g:%.17g:%.17g:%.17g;" r.Schedule.task
+             r.Schedule.index r.Schedule.proc r.Schedule.start r.Schedule.finish
+             r.Schedule.pess_start r.Schedule.pess_finish))
+      (Schedule.replicas s t)
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Captured before the kernel step evaluated into workspace buffers and
+   selected MC-FTSA edges over flat candidate sets. *)
+let pinned_digests =
+  [
+    ("layered", "ftsa", "a289a099158dec3de5d9068404416ed1");
+    ("layered", "mc-ftsa", "5ee47c02f8057ba17114fc199334339e");
+    ("pegasus", "ftsa", "e51d154f835eb5842235a07f9731f055");
+    ("pegasus", "mc-ftsa", "ae8444695c956a8330578431225e1ba1");
+  ]
+
+let digest_pinned name algo s =
+  let want =
+    List.find_map
+      (fun (g, a, d) -> if g = name && a = algo then Some d else None)
+      pinned_digests
+  in
+  let got = schedule_digest s in
+  of_bool
+    (Printf.sprintf "digest %s, pinned %s" got (Option.get want))
+    (Some got = want)
 
 let validated s =
   match Validate.check s with
@@ -157,6 +197,8 @@ let graph name generate =
   List.iter
     (fun (algo, s) ->
       check (algo ^ ": Validate.check") (fun () -> validated s);
+      check (algo ^ ": schedule digest = pinned") (fun () ->
+          digest_pinned name algo s);
       check (algo ^ ": flat Event_sim = reference") (fun () -> engines_agree s);
       check (algo ^ ": serialize round trip") (fun () -> round_trips s);
       check (algo ^ ": codec = reference codec") (fun () -> codecs_agree s);

@@ -1,7 +1,8 @@
 (* Tests for Ftsched_core: edge selection, FTSA, MC-FTSA, bicriteria and
    the scheduler catalogue. *)
 
-module Edge_select = Ftsched_core.Edge_select
+module Edge_select = Ftsched_kernel.Edge_select
+module Edge_select_ref = Ftsched_oracle.Edge_select_ref
 module Ftsa = Ftsched_core.Ftsa
 module Mc_ftsa = Ftsched_core.Mc_ftsa
 module Bicriteria = Ftsched_core.Bicriteria
@@ -15,7 +16,30 @@ open Helpers
 (* ------------------------------------------------------------------ *)
 (* Edge_select                                                         *)
 
-let e l r w forced = { Edge_select.left = l; right = r; weight = w; forced }
+let e l r w forced = { Edge_select_ref.left = l; right = r; weight = w; forced }
+
+(* The flat selectors on a literal candidate list, added in list order;
+   each returns the selection's pairs, in selection order. *)
+let flat_set ~eps edges =
+  let t = Edge_select.create () in
+  Edge_select_ref.load t ~eps edges;
+  t
+
+let selecting select ~eps edges =
+  let t = flat_set ~eps edges in
+  select t;
+  Edge_select_ref.selection t
+
+let greedy = selecting Edge_select.greedy
+let bottleneck = selecting Edge_select.bottleneck
+let redundant ~senders = selecting (Edge_select.redundant ~senders)
+let bottleneck_value ~eps edges = Edge_select.bottleneck_value (flat_set ~eps edges)
+
+(* the largest weight of the greedy selection *)
+let greedy_max ~eps edges =
+  let t = flat_set ~eps edges in
+  Edge_select.greedy t;
+  Edge_select.max_weight t
 
 let complete_edges ~eps weights =
   (* weights.(l).(r) *)
@@ -33,14 +57,14 @@ let test_greedy_simple () =
   let edges =
     [ e 0 0 10. false; e 0 1 1. false; e 1 0 5. false; e 1 1 2. false ]
   in
-  let pairs = Edge_select.greedy ~eps:1 edges in
+  let pairs = greedy ~eps:1 edges in
   Alcotest.(check (list (pair int int))) "greedy choice" [ (0, 1); (1, 0) ]
     (List.sort compare pairs)
 
 let test_greedy_forced_first () =
   (* the forced edge 0->0 (huge weight) must win over the cheap 0->1 *)
   let edges = [ e 0 0 100. true; e 0 1 1. false; e 1 0 1. false; e 1 1 1. false ] in
-  let pairs = Edge_select.greedy ~eps:1 edges in
+  let pairs = greedy ~eps:1 edges in
   check_bool "forced retained" true (List.mem (0, 0) pairs);
   check_bool "bijection" true
     (Comm_plan.is_one_to_one
@@ -51,34 +75,37 @@ let test_greedy_conflicting_forced () =
   let edges = [ e 0 0 1. true; e 1 0 1. true ] in
   check_bool "raises Infeasible" true
     (try
-       ignore (Edge_select.greedy ~eps:1 edges);
+       ignore (greedy ~eps:1 edges);
        false
      with Edge_select.Infeasible _ -> true)
 
 (* regression: [max_weight] on a pair with no backing edge used to
    escape as [Not_found] from the linear scan; it is now an indexed
-   lookup raising a descriptive [Infeasible] *)
+   lookup raising a descriptive [Infeasible].  Arbitrary pairs are the
+   list-based reference's business — the fuzzer prices a schedule's own
+   pairs with it; the flat set prices only its own selection. *)
 let test_max_weight_missing_pair () =
   let edges = [ e 0 0 3. false; e 1 1 4. false ] in
   check_float "known pairs" 4.
-    (Edge_select.max_weight edges [ (0, 0); (1, 1) ]);
+    (Edge_select_ref.max_weight edges [ (0, 0); (1, 1) ]);
+  check_float "flat: the selection's largest weight" 4. (greedy_max ~eps:1 edges);
   check_bool "missing pair raises Infeasible" true
     (try
-       ignore (Edge_select.max_weight edges [ (0, 1) ]);
+       ignore (Edge_select_ref.max_weight edges [ (0, 1) ]);
        false
-     with Edge_select.Infeasible _ -> true);
+     with Edge_select_ref.Infeasible _ -> true);
   (* duplicate (left, right) entries: first occurrence wins, as in the
      old first-match scan *)
   let dup = [ e 0 0 7. false; e 0 0 2. false ] in
-  check_float "first duplicate wins" 7. (Edge_select.max_weight dup [ (0, 0) ])
+  check_float "first duplicate wins" 7. (Edge_select_ref.max_weight dup [ (0, 0) ])
 
 let test_bottleneck_optimal_simple () =
   (* bottleneck picks {0->1, 1->0} with max 5 over {0->0, 1->1} max 10 *)
   let edges =
     [ e 0 0 10. false; e 0 1 1. false; e 1 0 5. false; e 1 1 10. false ]
   in
-  check_float "value" 5. (Edge_select.bottleneck_value ~eps:1 edges);
-  let pairs = Edge_select.bottleneck ~eps:1 edges in
+  check_float "value" 5. (bottleneck_value ~eps:1 edges);
+  let pairs = bottleneck ~eps:1 edges in
   Alcotest.(check (list (pair int int))) "selection" [ (0, 1); (1, 0) ]
     (List.sort compare pairs)
 
@@ -88,8 +115,8 @@ let brute_bottleneck ~eps edges =
   let weight l r =
     List.fold_left
       (fun acc ed ->
-        if ed.Edge_select.left = l && ed.Edge_select.right = r then
-          Float.min acc ed.Edge_select.weight
+        if ed.Edge_select_ref.left = l && ed.Edge_select_ref.right = r then
+          Float.min acc ed.Edge_select_ref.weight
         else acc)
       infinity edges
   in
@@ -123,7 +150,7 @@ let prop_bottleneck_matches_brute_force =
         Array.init k (fun _ -> Array.init k (fun _ -> Rng.float_in rng 1. 100.))
       in
       let edges = complete_edges ~eps weights in
-      let v = Edge_select.bottleneck_value ~eps edges in
+      let v = bottleneck_value ~eps edges in
       let b = brute_bottleneck ~eps edges in
       Float.abs (v -. b) < 1e-9)
 
@@ -138,15 +165,74 @@ let prop_greedy_bijective_and_bounded =
         Array.init k (fun _ -> Array.init k (fun _ -> Rng.float_in rng 1. 100.))
       in
       let edges = complete_edges ~eps weights in
-      let g = Edge_select.greedy ~eps edges in
+      let g = greedy ~eps edges in
       let is_bij =
         Comm_plan.is_one_to_one
           (List.map (fun (l, r) -> { Comm_plan.src_replica = l; dst_replica = r }) g)
           ~eps
       in
-      let greedy_max = Edge_select.max_weight edges g in
-      let opt = Edge_select.bottleneck_value ~eps edges in
+      let greedy_max = greedy_max ~eps edges in
+      let opt = bottleneck_value ~eps edges in
       is_bij && opt <= greedy_max +. 1e-9)
+
+(* The flat selectors against the frozen list-based ones.  Random
+   candidate sets over k <= 6 replicas per side, in random order: some
+   left replicas get one forced candidate (sometimes onto a right
+   another forced candidate already holds, so greedy can fail), a few
+   none, the others a random subset of the rights holding their own
+   index; weights come from {1, ..., 4}, so the (left, right) and
+   insertion-order tie rules decide.  Each selector must give the same
+   pairs in the same order or the same [Infeasible] message, and the
+   same bottleneck value and greedy max weight. *)
+let random_candidates rng =
+  let k = 1 + Rng.int rng 6 in
+  let weight () = float_of_int (1 + Rng.int rng 4) in
+  let acc = ref [] in
+  for l = 0 to k - 1 do
+    let draw = Rng.int rng 12 in
+    if draw < 4 then acc := e l (Rng.int rng k) (weight ()) true :: !acc
+    else if draw > 4 then
+      for r = 0 to k - 1 do
+        if r = l || Rng.int rng 4 > 0 then acc := e l r (weight ()) false :: !acc
+      done
+  done;
+  let cands = Array.of_list !acc in
+  Rng.shuffle rng cands;
+  (k - 1, Array.to_list cands)
+
+let outcome f =
+  match f () with
+  | x -> Ok x
+  | exception Edge_select.Infeasible msg -> Error msg
+  | exception Edge_select_ref.Infeasible msg -> Error msg
+
+let prop_flat_selectors_match_reference =
+  QCheck.Test.make ~name:"flat selectors equal the list-based reference"
+    ~count:2000 (QCheck.int_range 0 1_000_000) (fun seed ->
+      let eps, cands = random_candidates (Rng.create ~seed) in
+      let same what flat reference =
+        outcome flat = outcome reference
+        || QCheck.Test.fail_reportf "%s differs (eps %d, %d candidates)" what eps
+             (List.length cands)
+      in
+      let senders = 1 + (seed mod (eps + 1)) in
+      same "greedy"
+        (fun () -> greedy ~eps cands)
+        (fun () -> Edge_select_ref.greedy ~eps cands)
+      && same "bottleneck"
+           (fun () -> bottleneck ~eps cands)
+           (fun () -> Edge_select_ref.bottleneck ~eps cands)
+      && same "redundant"
+           (fun () -> redundant ~eps ~senders cands)
+           (fun () -> Edge_select_ref.redundant ~eps ~senders cands)
+      && same "bottleneck value"
+           (fun () -> bottleneck_value ~eps cands)
+           (fun () -> Edge_select_ref.bottleneck_value ~eps cands)
+      && same "greedy max weight"
+           (fun () -> greedy_max ~eps cands)
+           (fun () ->
+             Edge_select_ref.max_weight cands
+               (Edge_select_ref.greedy ~eps cands)))
 
 (* ------------------------------------------------------------------ *)
 (* FTSA                                                                *)
@@ -637,7 +723,7 @@ let test_redundant_improves_robustness () =
 let test_edge_select_redundant_counts () =
   let weights = [| [| 1.; 2.; 3. |]; [| 4.; 5.; 6. |]; [| 7.; 8.; 9. |] |] in
   let edges = complete_edges ~eps:2 weights in
-  let pairs = Edge_select.redundant ~eps:2 ~senders:2 edges in
+  let pairs = redundant ~eps:2 ~senders:2 edges in
   (* every destination must be fed by exactly 2 distinct sources *)
   List.iter
     (fun d ->
@@ -647,7 +733,7 @@ let test_edge_select_redundant_counts () =
       check_int "distinct" 2 (List.length (List.sort_uniq compare srcs)))
     [ 0; 1; 2 ];
   (* clamping: senders beyond eps+1 behave like eps+1 *)
-  let all = Edge_select.redundant ~eps:2 ~senders:99 edges in
+  let all = redundant ~eps:2 ~senders:99 edges in
   check_int "full fan-in" 9 (List.length all)
 
 (* ------------------------------------------------------------------ *)
@@ -767,10 +853,15 @@ let test_deadline_mode_impossible () =
 
 let test_workspace_schedules_identical () =
   let ws = Ftsched_kernel.Driver.workspace () in
+  let mc inst ~eps = Ftsa_policy.policy ~instance:inst ~eps
+      ~mode:(Ftsa_policy.Min_comm Ftsa_policy.Greedy_edges) in
   let same name inst ~eps ~seed =
     let cold = Ftsa.schedule ~seed inst ~eps in
     let warm = Ftsa.schedule ~seed ~workspace:ws inst ~eps in
-    check_bool (name ^ " warm = cold") true (warm = cold)
+    check_bool (name ^ " warm = cold") true (warm = cold);
+    let cold = Ftsa_policy.run ~seed ~instance:inst (mc inst ~eps) in
+    let warm = Ftsa_policy.run ~seed ~workspace:ws ~instance:inst (mc inst ~eps) in
+    check_bool (name ^ " MC-FTSA warm = cold") true (warm = cold)
   in
   List.iter
     (fun (n_tasks, m, eps, seed) ->
@@ -783,6 +874,34 @@ let test_workspace_schedules_identical () =
   for seed = 0 to 4 do
     same (Printf.sprintf "v=800 replan %d" seed) inst ~eps:2 ~seed
   done
+
+(* Every scratch array is workspace-owned: FTSA (on the catalogue's
+   per-domain workspace) and MC-FTSA (greedy, bottleneck, Redundant 2)
+   run on distinct instances on two domains at once must give the
+   one-domain plans, bit for bit. *)
+let test_two_domains_bit_identical () =
+  let instances =
+    Array.init 6 (fun i -> random_instance ~n_tasks:150 ~m:8 ~seed:(300 + i) ())
+  in
+  let scheds =
+    Array.map
+      (fun name -> Option.get (Schedulers.find name))
+      [| "ftsa"; "mc-ftsa"; "mc-bottleneck"; "mc-redundant" |]
+  in
+  let n_s = Array.length scheds in
+  let plans jobs =
+    Ftsched_par.Par.parallel_init ~jobs (Array.length instances * n_s) (fun i ->
+        let s = scheds.(i mod n_s) and inst = instances.(i / n_s) in
+        Ftsched_schedule.Serialize.schedule_to_string
+          (s.Schedulers.run ~seed:i inst ~eps:2))
+  in
+  let one = plans 1 in
+  List.iter
+    (fun round ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "jobs = 2 = jobs = 1, round %d" round)
+        one (plans 2))
+    [ 1; 2; 3 ]
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler catalogue                                                 *)
@@ -833,6 +952,7 @@ let () =
             test_bottleneck_optimal_simple;
           quick prop_bottleneck_matches_brute_force;
           quick prop_greedy_bijective_and_bounded;
+          quick prop_flat_selectors_match_reference;
         ] );
       ( "schedulers",
         [ Alcotest.test_case "registry" `Quick test_schedulers_registry ] );
@@ -852,6 +972,8 @@ let () =
           quick prop_ftsa_matches_reference_oracle;
           Alcotest.test_case "workspace reuse bit-identical" `Quick
             test_workspace_schedules_identical;
+          Alcotest.test_case "two domains bit-identical" `Quick
+            test_two_domains_bit_identical;
         ] );
       ( "mc-ftsa",
         [

@@ -5,8 +5,10 @@
 module Proc_state = Ftsched_kernel.Proc_state
 module Trace = Ftsched_kernel.Trace
 module Metrics = Ftsched_schedule.Metrics
+module Driver = Ftsched_kernel.Driver
 module Ftsa = Ftsched_core.Ftsa
 module Mc_ftsa = Ftsched_core.Mc_ftsa
+module Workload = Ftsched_exp.Workload
 open Helpers
 
 (* ------------------------------------------------------------------ *)
@@ -116,9 +118,9 @@ let test_ready_times () =
   let ps = Proc_state.create ~m:2 ~insertion:false in
   Proc_state.commit_slot ps 0 ~start:1. ~finish:5. ~pess_finish:7.;
   Proc_state.commit_slot ps 0 ~start:0. ~finish:3. ~pess_finish:4.;
-  check_float "ready_opt keeps the max" 5. (Proc_state.ready_opt ps 0);
-  check_float "ready_pess keeps the max" 7. (Proc_state.ready_pess ps 0);
-  check_float "other processor untouched" 0. (Proc_state.ready_opt ps 1);
+  check_float "ready_opt keeps the max" 5. (Proc_state.ready_opt ps).(0);
+  check_float "ready_pess keeps the max" 7. (Proc_state.ready_pess ps).(0);
+  check_float "other processor untouched" 0. (Proc_state.ready_opt ps).(1);
   Alcotest.check_raises "no gap search without insertion"
     (Invalid_argument "Proc_state.earliest_gap: non-insertion state") (fun () ->
       ignore (Proc_state.earliest_gap ps 0 ~ready:0. ~duration:1.))
@@ -208,6 +210,82 @@ let test_trace_edges_and_jsonl () =
   (* one object per step plus the trailing summary object *)
   check_int "jsonl line count" (Instance.n_tasks inst + 1) !lines
 
+(* The processor selection: [Driver.best_by_key]'s one insertion pass
+   against the copy-and-sort it replaced, kept here as written before
+   (evaluation records sorted by (finish, processor) with polymorphic
+   [compare], then cut to k).  Finish times come from a five-value pool
+   with zeros of both signs, an infinity and a NaN, so ties are the
+   rule; k runs over 1, eps + 1 and m. *)
+type eval = { e_proc : int; e_finish_opt : float }
+
+let best_by_finish_copy_and_sort evals ~k =
+  let cand = Array.copy evals in
+  Array.sort
+    (fun a b ->
+      match compare a.e_finish_opt b.e_finish_opt with
+      | 0 -> compare a.e_proc b.e_proc
+      | c -> c)
+    cand;
+  Array.sub cand 0 k
+
+let prop_best_by_key_matches_sort =
+  let pool = [| 0.; -0.; 1.5; infinity; nan |] in
+  QCheck.Test.make ~name:"best_by_key equals copy-and-sort on tied finishes"
+    ~count:1000
+    QCheck.(pair (int_range 1 12) (int_range 0 1_000_000))
+    (fun (m, seed) ->
+      let rng = Ftsched_util.Rng.create ~seed in
+      let finish = Array.init m (fun _ -> pool.(Ftsched_util.Rng.int rng 5)) in
+      let eps = Ftsched_util.Rng.int rng m in
+      let evals = Array.mapi (fun p f -> { e_proc = p; e_finish_opt = f }) finish in
+      List.for_all
+        (fun k ->
+          let out = Array.make m (-1) in
+          Driver.best_by_key finish ~n:m ~k out;
+          Array.sub out 0 k
+          = Array.map (fun ev -> ev.e_proc) (best_by_finish_copy_and_sort evals ~k))
+        [ 1; eps + 1; m ])
+
+(* The decision trace of the golden instance (the regression suite's
+   pinned paper instance, seed 2008, eps 2): MD5 of the step lines of
+   the JSONL, which hold every evaluation in evaluation order, the
+   chosen replicas and the selected edges, captured before the kernel
+   step evaluated into workspace buffers.  The summary line carries
+   wall-clock phase times, so only its evaluation count is checked. *)
+let trace_step_lines run =
+  let trace = Trace.create () in
+  ignore (run trace);
+  let path = Filename.temp_file "ftsched_trace" ".jsonl" in
+  Trace.save_jsonl trace ~path;
+  let ic = open_in path in
+  let lines = ref [] in
+  (try
+     while true do
+       lines := input_line ic :: !lines
+     done
+   with End_of_file -> ());
+  close_in ic;
+  Sys.remove path;
+  (Digest.to_hex (Digest.string (String.concat "\n" (List.rev (List.tl !lines)))),
+   (Trace.stats trace).Metrics.candidate_evals)
+
+let test_golden_trace_digests () =
+  let inst =
+    Workload.instance Workload.paper ~master_seed:2008 ~granularity:1.0 ~index:0
+  in
+  let v = Instance.n_tasks inst and m = Instance.n_procs inst in
+  List.iter
+    (fun (name, digest, run) ->
+      let got, evals = trace_step_lines run in
+      Alcotest.(check string) (name ^ " trace steps") digest got;
+      check_int (name ^ " candidate evals") (v * m) evals)
+    [
+      ( "ftsa", "01421b1d7b56e94569c1b631da67d94a",
+        fun trace -> Ftsa.schedule ~seed:2008 ~trace inst ~eps:2 );
+      ( "mc-ftsa", "c19b31ae64e429826033b86c876166b1",
+        fun trace -> Mc_ftsa.schedule ~seed:2008 ~trace inst ~eps:2 );
+    ]
+
 let () =
   Alcotest.run "kernel"
     [
@@ -227,5 +305,8 @@ let () =
           Alcotest.test_case "trace step statistics" `Quick test_trace_stats;
           Alcotest.test_case "trace edges and jsonl" `Quick
             test_trace_edges_and_jsonl;
+          quick prop_best_by_key_matches_sort;
+          Alcotest.test_case "golden trace digests" `Quick
+            test_golden_trace_digests;
         ] );
     ]

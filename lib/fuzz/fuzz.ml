@@ -186,6 +186,7 @@ let check (sched : Schedulers.t) case =
           let scenarios =
             Scenario.none :: List.init m (fun p -> Scenario.of_list [ p ])
           in
+          let half_mstar = 0.5 *. Schedule.latency_lower_bound s in
           List.iter
             (fun sc ->
               let a =
@@ -206,6 +207,19 @@ let check (sched : Schedulers.t) case =
               if r <> Event_sim_ref.run_crash s sc then
                 add Executor_agreement
                   "scenario %a: flat engine differs from reference engine"
+                  Scenario.pp sc;
+              (* the same failures at half of M*, mid-run, where the
+                 message-free path answers as of an instant with
+                 messages in flight *)
+              let fail_times = Array.make m infinity in
+              Array.iter
+                (fun p -> fail_times.(p) <- half_mstar)
+                sc.Scenario.failed;
+              if Event_sim.run s ~fail_times <> Event_sim_ref.run s ~fail_times
+              then
+                add Executor_agreement
+                  "scenario %a at M*/2: flat engine differs from reference \
+                   engine"
                   Scenario.pp sc;
               (* and the flat-array crash replay its frozen list-based
                  reference, under both policies — the only independent

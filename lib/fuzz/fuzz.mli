@@ -26,7 +26,9 @@
       the fault-free replay must not exceed [M*]; on the same scenarios
       each engine must return exactly what its frozen reference under
       [test/oracle] returns — [Event_sim_ref], and [Crash_exec_ref]
-      under both the strict and the reroute policy;
+      under both the strict and the reroute policy — and
+      [Event_sim.run] must match [Event_sim_ref.run] with the same
+      processors failing at half of [M*] instead of at 0;
     - {b round-trip}: [schedule_of_string ∘ schedule_to_string] is the
       identity (compared on the re-serialized bytes);
     - {b selection} (selected plans only): the schedule's pairs are

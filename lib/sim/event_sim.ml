@@ -33,7 +33,30 @@
    {!Engine.template}: building one costs the full analysis, forking it
    with {!Engine.of_template} only copies the mutable state — this is
    the snapshot/restore primitive the stream runtime uses to derive the
-   m single-crash shadow plans of a job from one prepared engine. *)
+   m single-crash shadow plans of a job from one prepared engine.
+
+   Message-free replay.  Under the paper's network ([Contention_free],
+   reliable links) a plan message's arrival is fixed when its sender
+   completes: finish + vol * d, with no queue to wait in and no loss.
+   There the engine sends no arrival events to static replicas.  A
+   completing sender writes each message's arrival into its input slot
+   (the earliest copy wins) under the sequence number its event would
+   have taken, and counts it as processed.  Once every input of a
+   replica has an arrival, one ready event is queued under the key of
+   the latest one; a later sender that lowers that latest arrival queues
+   a new ready event and leaves the old one stale.  The heap then holds
+   completions and ready events only.
+
+   The engine still answers as of [now].  An arrival counts as delivered
+   once its (at, seq) key is at or below the largest key processed, or
+   at or below the horizon [advance_until] reached, so [input_satisfied]
+   and the start of a replica see exactly what the per-message engine
+   has delivered at that point.  One case needs events: a completion
+   popped below that high-water mark (a replica a loss unblocked starts
+   in the past) sends its plan messages as arrival events, delivered
+   first-copy-wins as before.  Port models, lossy links and outages,
+   re-sends and subscriptions to injected replicas keep the per-message
+   path. *)
 
 module Dag = Ftsched_dag.Dag
 module Platform = Ftsched_platform.Platform
@@ -151,7 +174,12 @@ module Engine = struct
     st_finish : float array;
     unsat : int array;  (* input positions not yet satisfied *)
     subs : sub list array;  (* runtime subscribers per static rid *)
-    (* input slots, indexed through [slot_off] *)
+    (* input slots, indexed through [slot_off]: the first delivered
+       arrival ([infinity] = none yet) and the count of senders not yet
+       lost.  In the message-free path [sat] holds the earliest arrival
+       written so far, delivered or not, and once it has one [pend]
+       holds that arrival's sequence number instead: a slot with an
+       arrival can no longer starve, so its count is never read. *)
     sat : float array;
     pend : int array;
     (* injected replicas: global overflow, plus per-task index rows *)
@@ -168,23 +196,81 @@ module Engine = struct
     heap : Eheap.t;
     mutable seq : int;
     mutable events : int;
+    mutable pops : int;
     dirty : int Queue.t;
     mutable now : float;
+    (* The message-free path (see the header comment): [fold] is set
+       under the contention-free network with reliable links.  [rdy]
+       holds, per static rid whose inputs all have an arrival, the slot
+       of its latest one (-1 for a replica without inputs); [hi_at,
+       hi_seq] is the largest (at, seq) key delivered so far; [vmax_at,
+       vmax_seq] the largest key of any folded arrival. *)
+    fold : bool;
+    rdy : int array;
+    mutable hi_at : float;
+    mutable hi_seq : int;
+    mutable vmax_at : float;
+    mutable vmax_seq : int;
   }
 
   (* Event encoding in the heap payload: [(a, b, c)] is
      [(task, k, edge_pos)] for an arrival and [(task, k, -1)] for a
      completion, packed into one word at 21 bits per field (the position
-     is stored shifted by one so -1 packs as 0).  [template] bounds the
-     task count below 2^21 — which also bounds in-edge positions — and
-     [inject] bounds the replica index. *)
+     is stored shifted by one so -1 packs as 0).  A ready event is packed
+     as the arrival of the input that completes its replica's inputs.
+     [template] bounds the task count below 2^21 — which also bounds
+     in-edge positions — and [inject] bounds the replica index. *)
   let payload_bits = 21
   let payload_mask = (1 lsl payload_bits) - 1
 
+  let encode ~a ~b ~c =
+    (((a lsl payload_bits) lor b) lsl payload_bits) lor (c + 1)
+
+  let task_of p = p lsr (2 * payload_bits)
+  let rep_of p = (p lsr payload_bits) land payload_mask
+  let pos_of p = (p land payload_mask) - 1
+  let decode p = (task_of p, rep_of p, pos_of p)
+
+  let check_tasks v =
+    if v > payload_mask then
+      invalid_arg "Event_sim.run: task count exceeds the event encoding"
+
+  let check_replica k =
+    if k > payload_mask then
+      invalid_arg "Event_sim.Engine.inject: replica index exceeds the event encoding"
+
   let push_event eng at ~a ~b ~c =
     eng.seq <- eng.seq + 1;
-    Eheap.push eng.heap ~at ~seq:eng.seq
-      ~payload:((((a lsl payload_bits) lor b) lsl payload_bits) lor (c + 1))
+    Eheap.push eng.heap ~at ~seq:eng.seq ~payload:(encode ~a ~b ~c)
+
+  (* Has the arrival keyed [(at, seq)] been delivered?  Keys at or below
+     the delivered high-water mark have been. *)
+  let delivered eng at seq =
+    at < eng.hi_at || (at = eng.hi_at && seq <= eng.hi_seq)
+
+  let slot_delivered eng slot =
+    eng.sat.(slot) < infinity && delivered eng eng.sat.(slot) eng.pend.(slot)
+
+  (* All inputs of static [rid] have an arrival: record the latest one
+     (by (at, seq) key) and, unless it is already delivered, schedule
+     the ready event under that arrival's own key, so it pops exactly
+     where the per-message engine would have delivered the last input.
+     An earlier ready event of the replica goes stale: its key no longer
+     matches the slot's. *)
+  let settle_ready eng rid =
+    let tm = eng.tm in
+    let base = tm.slot_off.(rid) and lim = tm.slot_off.(rid + 1) in
+    let best = ref base in
+    for i = base + 1 to lim - 1 do
+      let a = eng.sat.(i) and b = eng.sat.(!best) in
+      if a > b || (a = b && eng.pend.(i) > eng.pend.(!best)) then best := i
+    done;
+    let slot = !best in
+    eng.rdy.(rid) <- slot;
+    let at = eng.sat.(slot) and seq = eng.pend.(slot) in
+    if not (delivered eng at seq) then
+      Eheap.push eng.heap ~at ~seq
+        ~payload:(encode ~a:(rid / tm.t_k) ~b:(rid mod tm.t_k) ~c:(slot - base))
 
   let inj_of eng task k = eng.inj.(eng.extra.(task).(k - eng.tm.t_k))
 
@@ -203,11 +289,21 @@ module Engine = struct
       if tg = t_waiting || tg = t_running then begin
         eng.tag.(rid) <- t_lost;
         Queue.add tm.proc0.(rid) eng.dirty;
+        (* As of now, a lost replica has only the arrivals already
+           delivered; forget the folded ones still in flight. *)
+        if eng.fold then
+          for slot = tm.slot_off.(rid) to tm.slot_off.(rid + 1) - 1 do
+            if not (slot_delivered eng slot) then eng.sat.(slot) <- infinity
+          done;
         for i = tm.em_off.(rid) to tm.em_off.(rid + 1) - 1 do
           let slot = tm.em_slot.(i) in
-          eng.pend.(slot) <- eng.pend.(slot) - 1;
-          if eng.pend.(slot) = 0 && eng.sat.(slot) = infinity then
-            lose eng tm.em_dst.(i) tm.em_dk.(i)
+          (* in the message-free path a slot with an arrival holds a
+             sequence number in [pend], not a count *)
+          if (not eng.fold) || eng.sat.(slot) = infinity then begin
+            eng.pend.(slot) <- eng.pend.(slot) - 1;
+            if eng.pend.(slot) = 0 && eng.sat.(slot) = infinity then
+              lose eng tm.em_dst.(i) tm.em_dk.(i)
+          end
         done;
         List.iter (fun sub -> drop_sender eng sub) eng.subs.(rid)
       end
@@ -249,14 +345,25 @@ module Engine = struct
           if tg = t_done || tg = t_lost then
             eng.q_head.(p) <- eng.q_head.(p) + 1
           else if tg = t_running then continue_p := false
-          else if eng.unsat.(rid) = 0 then begin
-            let base = tm.slot_off.(rid) and lim = tm.slot_off.(rid + 1) in
-            let inputs_ready = ref 0. in
-            for i = base to lim - 1 do
-              if eng.sat.(i) > !inputs_ready then inputs_ready := eng.sat.(i)
-            done;
+          else if
+            eng.unsat.(rid) = 0
+            && ((not eng.fold) || eng.rdy.(rid) < 0
+               || slot_delivered eng eng.rdy.(rid))
+          then begin
+            let inputs_ready =
+              if eng.fold then
+                if eng.rdy.(rid) < 0 then 0. else eng.sat.(eng.rdy.(rid))
+              else begin
+                let base = tm.slot_off.(rid) and lim = tm.slot_off.(rid + 1) in
+                let latest = ref 0. in
+                for i = base to lim - 1 do
+                  if eng.sat.(i) > !latest then latest := eng.sat.(i)
+                done;
+                !latest
+              end
+            in
             let task = rid / tm.t_k in
-            let start = Float.max !inputs_ready eng.free_at.(p) in
+            let start = Float.max inputs_ready eng.free_at.(p) in
             let finish = start +. Instance.exec tm.t_inst task p in
             if start >= eng.fail_times.(p) || finish > eng.fail_times.(p)
             then begin
@@ -341,8 +448,7 @@ module Engine = struct
     let plan = Schedule.comm s in
     let v = Dag.n_tasks g and m = Instance.n_procs inst in
     validate_release ~m release;
-    if v > payload_mask then
-      invalid_arg "Event_sim.run: task count exceeds the event encoding";
+    check_tasks v;
     let kk = eps + 1 in
     let n_static = v * kk in
     let ne = Dag.n_edges g in
@@ -517,8 +623,15 @@ module Engine = struct
         heap = Eheap.create ~capacity:(max 64 tm.t_nstatic) ();
         seq = 0;
         events = 0;
+        pops = 0;
         dirty = Queue.create ();
         now = 0.;
+        fold = network = Contention_free && Scenario.is_reliable faults;
+        rdy = Array.make tm.t_nstatic (-1);
+        hi_at = neg_infinity;
+        hi_seq = 0;
+        vmax_at = neg_infinity;
+        vmax_seq = 0;
       }
     in
     (* Processors whose planned head is an entry replica can start at t=0;
@@ -638,19 +751,57 @@ module Engine = struct
         drop ()
     end
 
+  (* The message-free path's emission: plan message [i] arrives at
+     [finish + w], fixed now.  It takes the sequence number its arrival
+     event would have taken and counts as processed; its slot keeps the
+     earliest arrival (first copy wins), and the receiver gets one ready
+     event once every input has an arrival. *)
+  let fold_arrival eng ~src_proc ~finish i =
+    let tm = eng.tm in
+    let w = tm.em_vol.(i) *. Platform.delay tm.t_pl src_proc tm.em_dproc.(i) in
+    let at = finish +. w in
+    eng.seq <- eng.seq + 1;
+    eng.events <- eng.events + 1;
+    if at >= eng.vmax_at then begin
+      eng.vmax_at <- at;
+      eng.vmax_seq <- eng.seq
+    end;
+    let drid = (tm.em_dst.(i) * tm.t_k) + tm.em_dk.(i) in
+    if eng.tag.(drid) = t_waiting then begin
+      let slot = tm.em_slot.(i) in
+      if eng.sat.(slot) = infinity then begin
+        eng.sat.(slot) <- at;
+        eng.pend.(slot) <- eng.seq;
+        eng.unsat.(drid) <- eng.unsat.(drid) - 1;
+        if eng.unsat.(drid) = 0 then settle_ready eng drid
+      end
+      else if at < eng.sat.(slot) then begin
+        eng.sat.(slot) <- at;
+        eng.pend.(slot) <- eng.seq;
+        if eng.unsat.(drid) = 0 && eng.rdy.(drid) = slot then
+          settle_ready eng drid
+      end
+    end
+
   (* Emit one message per retained plan pair originating at a completed
      static replica, plus one per runtime subscription.  Under a port
      model a non-local message must wait for a free outgoing port, and
      dies with the sender if the transfer has not finished by the
      sender's failure instant; a dropped message costs the receiver one
-     potential sender. *)
-  let emit_completions eng ~src_proc ~finish ~rid ~subs =
+     potential sender.  In the message-free path the plan messages of a
+     completion popped in order are folded; those of a retroactive one
+     are arrival events, counted here like the folded ones. *)
+  let emit_completions eng ~src_proc ~finish ~rid ~subs ~retro =
     let tm = eng.tm in
     (match rid with
     | Some rid ->
         for i = tm.em_off.(rid) to tm.em_off.(rid + 1) - 1 do
-          emit eng ~src_proc ~finish ~dst:tm.em_dst.(i) ~dk:tm.em_dk.(i)
-            ~pos:tm.em_pos.(i) ~dproc:tm.em_dproc.(i) ~vol:tm.em_vol.(i)
+          if eng.fold && not retro then fold_arrival eng ~src_proc ~finish i
+          else begin
+            if eng.fold then eng.events <- eng.events + 1;
+            emit eng ~src_proc ~finish ~dst:tm.em_dst.(i) ~dk:tm.em_dk.(i)
+              ~pos:tm.em_pos.(i) ~dproc:tm.em_dproc.(i) ~vol:tm.em_vol.(i)
+          end
         done
     | None -> ());
     List.iter
@@ -664,11 +815,36 @@ module Engine = struct
           ~pos:sub.sub_pos ~dproc ~vol:sub.sub_vol)
       subs
 
-  let process eng ~at ~a:task ~b:k ~c =
+  (* A pop of an arrival-kind event for a static replica in the
+     message-free path: its ready event (the key recorded in the slot),
+     a stale ready event, or an arrival sent as an event (see
+     [process]).  None counts: folded arrivals were counted when sent. *)
+  let static_arrival eng ~at ~seq rid slot =
+    if eng.tag.(rid) = t_waiting then begin
+      let ready_event = eng.sat.(slot) = at && eng.pend.(slot) = seq in
+      if (not ready_event) && not (slot_delivered eng slot) then begin
+        (* first copy delivered, as the per-message engine does *)
+        if eng.sat.(slot) = infinity then
+          eng.unsat.(rid) <- eng.unsat.(rid) - 1;
+        let was_latest = eng.rdy.(rid) = slot in
+        eng.sat.(slot) <- at;
+        eng.pend.(slot) <- seq;
+        if eng.unsat.(rid) = 0 && (was_latest || eng.rdy.(rid) < 0) then
+          settle_ready eng rid
+      end;
+      try_advance eng eng.tm.proc0.(rid)
+    end
+
+  let process eng ~at ~seq ~retro ~a:task ~b:k ~c =
     let tm = eng.tm in
-    eng.events <- eng.events + 1;
     eng.now <- at;
-    if c >= 0 then begin
+    if c >= 0 && k < tm.t_k && eng.fold then begin
+      static_arrival eng ~at ~seq ((task * tm.t_k) + k)
+        (tm.slot_off.((task * tm.t_k) + k) + c);
+      drain_dirty eng
+    end
+    else if c >= 0 then begin
+      eng.events <- eng.events + 1;
       (* arrival of a copy of input [c] at replica [k] of [task] *)
       (if k < tm.t_k then begin
          let rid = (task * tm.t_k) + k in
@@ -695,6 +871,7 @@ module Engine = struct
     end
     else if k < tm.t_k then begin
       (* completion of a static replica *)
+      eng.events <- eng.events + 1;
       let rid = (task * tm.t_k) + k in
       (* A completion event for a replica that was lost in the meantime
          cannot happen: losses only strike waiting replicas or processors
@@ -705,29 +882,56 @@ module Engine = struct
       let p = tm.proc0.(rid) in
       eng.free_at.(p) <- finish;
       emit_completions eng ~src_proc:p ~finish ~rid:(Some rid)
-        ~subs:eng.subs.(rid);
+        ~subs:eng.subs.(rid) ~retro;
       try_advance eng p;
       drain_dirty eng
     end
     else begin
+      eng.events <- eng.events + 1;
       let r = inj_of eng task k in
       assert (r.i_tag = t_running);
       let finish = r.i_finish in
       r.i_tag <- t_done;
       eng.free_at.(r.i_proc) <- finish;
-      emit_completions eng ~src_proc:r.i_proc ~finish ~rid:None ~subs:r.i_subs;
+      emit_completions eng ~src_proc:r.i_proc ~finish ~rid:None ~subs:r.i_subs
+        ~retro;
       try_advance eng r.i_proc;
       drain_dirty eng
     end
 
+  (* A pop below the high-water mark is retroactive: a replica unblocked
+     by a loss may start, and so complete, before instants already
+     processed.  Which folded arrivals the per-message engine would have
+     delivered by then is not a matter of keys any more, so such a
+     completion sends its plan messages as events. *)
   let pop_and_process eng =
-    let at = Eheap.min_at eng.heap in
+    let at = Eheap.min_at eng.heap and seq = Eheap.min_seq eng.heap in
     let p = Eheap.min_payload eng.heap in
     Eheap.drop_min eng.heap;
-    process eng ~at
-      ~a:(p lsr (2 * payload_bits))
-      ~b:((p lsr payload_bits) land payload_mask)
-      ~c:((p land payload_mask) - 1)
+    eng.pops <- eng.pops + 1;
+    let retro = delivered eng at seq in
+    if not retro then begin
+      eng.hi_at <- at;
+      eng.hi_seq <- seq
+    end;
+    process eng ~at ~seq ~retro ~a:(task_of p) ~b:(rep_of p) ~c:(pos_of p)
+
+  (* Every folded arrival up to the horizon counts as delivered; after a
+     full drain the per-message engine's last event would be the latest
+     folded arrival, if that comes after every popped event. *)
+  let settle_horizon eng horizon =
+    if horizon < infinity then begin
+      if not (delivered eng horizon max_int) then begin
+        eng.hi_at <- horizon;
+        eng.hi_seq <- max_int
+      end;
+      if horizon > eng.now then eng.now <- horizon
+    end
+    else if not (delivered eng eng.vmax_at eng.vmax_seq) then begin
+      eng.now <- eng.vmax_at;
+      eng.hi_at <- eng.vmax_at;
+      eng.hi_seq <- eng.vmax_seq
+    end
 
   let advance_until eng horizon =
     let continue_sim = ref true in
@@ -736,15 +940,12 @@ module Engine = struct
         continue_sim := false
       else pop_and_process eng
     done;
-    if horizon > eng.now && horizon < infinity then eng.now <- horizon
+    settle_horizon eng horizon
 
-  let drain eng =
-    while not (Eheap.is_empty eng.heap) do
-      pop_and_process eng
-    done
-
+  let drain eng = advance_until eng infinity
   let now eng = eng.now
   let events_processed eng = eng.events
+  let heap_pops eng = eng.pops
   let n_replicas eng task = eng.tm.t_k + Array.length eng.extra.(task)
 
   let replica_state eng ~task ~rep =
@@ -776,7 +977,8 @@ module Engine = struct
 
   let input_satisfied eng ~task ~rep ~pos =
     if rep < eng.tm.t_k then
-      eng.sat.(eng.tm.slot_off.((task * eng.tm.t_k) + rep) + pos) < infinity
+      let slot = eng.tm.slot_off.((task * eng.tm.t_k) + rep) + pos in
+      if eng.fold then slot_delivered eng slot else eng.sat.(slot) < infinity
     else (inj_of eng task rep).i_sat.(pos) < infinity
 
   let kill_replica eng ~task ~rep =
@@ -827,8 +1029,7 @@ module Engine = struct
     if Array.length inputs <> net then
       invalid_arg "Event_sim.Engine.inject: one source list per in-edge";
     let k = tm.t_k + Array.length eng.extra.(task) in
-    if k > payload_mask then
-      invalid_arg "Event_sim.Engine.inject: replica index exceeds the event encoding";
+    check_replica k;
     let i_sat = Array.make net infinity in
     let i_pend = Array.make net 0 in
     (* Validate and register sources before publishing the replica: a
@@ -963,6 +1164,14 @@ module Engine = struct
       retransmissions = eng.retransmissions;
       lost_messages = eng.lost_messages;
     }
+end
+
+module Private = struct
+  let payload_bits = Engine.payload_bits
+  let encode ~task ~rep ~pos = Engine.encode ~a:task ~b:rep ~c:pos
+  let decode = Engine.decode
+  let check_tasks = Engine.check_tasks
+  let check_replica = Engine.check_replica
 end
 
 let run ?network ?faults ?release s ~fail_times =

@@ -34,7 +34,18 @@
     starvation cascade.  Intra-processor copies ([w = 0]) never fail.
     With [Scenario.reliable] (the default) the engine takes the exact
     unfaulted code path and draws no randomness, so results are
-    bit-for-bit identical to runs without the [~faults] argument. *)
+    bit-for-bit identical to runs without the [~faults] argument.
+
+    {b Message-free replay.}  Under [Contention_free] with reliable
+    links a message's arrival is fixed when its sender completes, so the
+    engine sends no arrival events between static replicas: it writes
+    each input's earliest arrival at the sender's completion and queues
+    one "inputs ready" event per replica.  Results and every replica,
+    input and processor state the {!Engine} reports at any [now] are
+    those of the per-message engine, bit for bit (mid-run,
+    [events_processed] counts a folded arrival when its sender
+    completes).  Port models, lossy links, outages and the inputs of
+    injected replicas keep one event per message. *)
 
 type network_model =
   | Contention_free
@@ -164,7 +175,15 @@ module Engine : sig
   (** Process all remaining events. *)
 
   val now : t -> float
+
   val events_processed : t -> int
+  (** Deliveries plus completions, the per-message count: a folded
+      arrival counts when its sender completes. *)
+
+  val heap_pops : t -> int
+  (** Events popped from the engine's queue: completions, ready events
+      and the arrivals still sent as events.  Never more than
+      [events_processed]; far fewer under message-free replay. *)
 
   val n_replicas : t -> int -> int
   (** Static [eps + 1] plus any injected replicas of the task. *)
@@ -174,8 +193,8 @@ module Engine : sig
 
   val input_satisfied : t -> task:int -> rep:int -> pos:int -> bool
   (** Has a copy of in-edge [pos] (its position in the task's
-      {!Ftsched_dag.Dag.Csr} predecessor row) already arrived at this
-      replica? *)
+      {!Ftsched_dag.Dag.Csr} predecessor row) arrived at this replica by
+      [now]?  For a lost replica, by the instant it was lost. *)
 
   val free_at : t -> int -> float
   (** Instant from which the processor can start its next replica. *)
@@ -194,6 +213,26 @@ module Engine : sig
 
   val result : t -> result
   (** Call after [drain]; replicas not [Done] are reported [Lost]. *)
+end
+
+(** The heap payload codec, exposed for its tests.  An event packs
+    [(task, replica, position)] into one word at [payload_bits] bits a
+    field; [pos = -1] is a completion, [pos >= 0] an arrival of that
+    input (a ready event is packed as the arrival of the input that
+    completes its replica's inputs).  A task of [2^payload_bits - 1]
+    makes the word negative; decoding still returns the fields. *)
+module Private : sig
+  val payload_bits : int
+  val encode : task:int -> rep:int -> pos:int -> int
+  val decode : int -> int * int * int
+
+  val check_tasks : int -> unit
+  (** Raises [Invalid_argument] when that many tasks do not fit the
+      encoding (at [2^payload_bits]); {!Engine.template} calls it. *)
+
+  val check_replica : int -> unit
+  (** Raises [Invalid_argument] when that replica index does not fit
+      (at [2^payload_bits]); {!Engine.inject} calls it. *)
 end
 
 val run :

@@ -8,6 +8,11 @@
      selector), pinned bit for bit;
    - the flat [Event_sim] against the reference engine, fault-free and
      with one crash of the busiest processor at a quarter of M*;
+   - the whole [Recovery] outcome from the benchmarks' three timed
+     crashes with delta = 0.02 M*, pinned bit for bit, cold and with a
+     warm workspace;
+   - the heap pops of the fault-free FTSA replay, printed with the
+     events it processes, at most a tenth of those on the layered graph;
    - the [Serialize] round trip of both plans;
    - the codec against the frozen [Printf]-and-[split] one on both
      plans: the two writers emit the same bytes, and each parser reads
@@ -32,6 +37,8 @@ module Mc_ftsa = Ftsched_core.Mc_ftsa
 module Event_sim = Ftsched_sim.Event_sim
 module Scenario = Ftsched_sim.Scenario
 module Crash_exec = Ftsched_sim.Crash_exec
+module Recovery = Ftsched_recovery.Recovery
+module Metrics = Ftsched_schedule.Metrics
 module Adjacency = Ftsched_oracle.Adjacency
 module Event_sim_ref = Ftsched_oracle.Event_sim_ref
 module Crash_exec_ref = Ftsched_oracle.Crash_exec_ref
@@ -144,6 +151,103 @@ let engines_agree s =
       (Event_sim.run s ~fail_times:crash
       = Event_sim_ref.run s ~fail_times:crash)
 
+(* MD5 over the whole [Recovery.outcome] (the regression suite's
+   [recovery_digest]): every replica's outcome with its times as [%h],
+   the engine's counts, the degraded-run metrics, and the injection,
+   kill and detection counts. *)
+let recovery_digest (o : Recovery.outcome) =
+  let buf = Buffer.create 65536 in
+  let add fmt = Printf.bprintf buf fmt in
+  let opt = function Some x -> Printf.sprintf "%h" x | None -> "none" in
+  let r = o.Recovery.result in
+  add "latency %s;" (opt r.Event_sim.latency);
+  Array.iteri
+    (fun task reps ->
+      add "%d:" task;
+      Array.iter
+        (function
+          | Event_sim.Completed { start; finish } -> add "%h,%h;" start finish
+          | Event_sim.Lost -> add "lost;")
+        reps)
+    r.Event_sim.outcomes;
+  add "events %d retrans %d lost %d;" r.Event_sim.events_processed
+    r.Event_sim.retransmissions r.Event_sim.lost_messages;
+  let d = o.Recovery.degraded in
+  add "degraded %d/%d sinks %s/%d partial %s complete %b;"
+    d.Metrics.completed_tasks d.Metrics.total_tasks
+    (String.concat "," (List.map string_of_int d.Metrics.completed_sinks))
+    d.Metrics.total_sinks (opt d.Metrics.partial_latency) d.Metrics.complete;
+  add "injections %d kills %d detected %d" o.Recovery.injections
+    o.Recovery.kills o.Recovery.detected_failures;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* The scale benchmarks' recovery run: the plan's three busiest
+   processors crash at about a quarter, a half and three quarters of M*
+   (the benchmark's seeded 2% jitter, after the draw its single-crash
+   replay takes), detected 0.02 M* later. *)
+let benchmark_crashes s =
+  let mstar = Schedule.latency_lower_bound s in
+  let jitter = Rng.create ~seed in
+  let near f = f *. mstar *. Rng.float_in jitter 0.98 1.02 in
+  ignore (near 0.25);
+  let busiest =
+    List.init m (fun p -> (Schedule.busy_time s p, p))
+    |> List.sort (fun a b -> compare b a)
+    |> List.map snd
+  in
+  List.mapi
+    (fun k proc -> { Scenario.proc; at = near (float_of_int (k + 1) *. 0.25) })
+    (List.filteri (fun k _ -> k < 3) busiest)
+
+(* Captured on the per-message engine, before arrivals were folded into
+   ready times. *)
+let pinned_recovery =
+  [
+    ("layered", "ftsa", "017d66cd897b22b2070850eef5bfb775");
+    ("layered", "mc-ftsa", "81ad9e2ca622f1767cb9daa004054a29");
+    ("pegasus", "ftsa", "8170e6f6d01565dd24eb1a7940f044e3");
+    ("pegasus", "mc-ftsa", "149422edaa0727409fd7b8a0702259ff");
+  ]
+
+(* Cold (no workspace) and warm (a workspace already holding the plan's
+   template) recovery runs must both hit the pin. *)
+let recovery_pinned name algo s =
+  let want =
+    List.find_map
+      (fun (g, a, d) -> if g = name && a = algo then Some d else None)
+      pinned_recovery
+    |> Option.get
+  in
+  let crashes = benchmark_crashes s in
+  let delta = 0.02 *. Schedule.latency_lower_bound s in
+  let cold = recovery_digest (Recovery.run_timed ~delta s crashes) in
+  let workspace = Recovery.workspace () in
+  ignore (Recovery.run_timed ~delta ~workspace s crashes);
+  let warm = recovery_digest (Recovery.run_timed ~delta ~workspace s crashes) in
+  if cold <> want then Error (Printf.sprintf "cold digest %s, pinned %s" cold want)
+  else of_bool (Printf.sprintf "warm digest %s, pinned %s" warm want) (warm = want)
+
+(* Heap pops of the fault-free FTSA replay.  The per-message engine
+   popped one event per delivery and completion, 2,056,866 on the
+   layered graph; message-free replay must pop at most a tenth of that
+   there, and never more than it processes. *)
+let max_heap_pops = [ ("layered", 205_686) ]
+
+let heap_pops_bounded name s =
+  let eng = Event_sim.Engine.create s ~fail_times:(Array.make m infinity) in
+  Event_sim.Engine.drain eng;
+  let pops = Event_sim.Engine.heap_pops eng in
+  let events = Event_sim.Engine.events_processed eng in
+  Printf.printf "  fault-free FTSA replay: %d events, %d heap pops\n%!" events
+    pops;
+  match List.assoc_opt name max_heap_pops with
+  | Some bound when pops > bound ->
+      Error (Printf.sprintf "%d heap pops, bound %d" pops bound)
+  | _ ->
+      of_bool
+        (Printf.sprintf "%d heap pops for %d events" pops events)
+        (pops <= events)
+
 let survives_subsets s =
   let rng = Rng.create ~seed in
   let rec go i =
@@ -200,6 +304,8 @@ let graph name generate =
       check (algo ^ ": schedule digest = pinned") (fun () ->
           digest_pinned name algo s);
       check (algo ^ ": flat Event_sim = reference") (fun () -> engines_agree s);
+      check (algo ^ ": Recovery = pinned, cold and warm") (fun () ->
+          recovery_pinned name algo s);
       check (algo ^ ": serialize round trip") (fun () -> round_trips s);
       check (algo ^ ": codec = reference codec") (fun () -> codecs_agree s);
       check
@@ -207,6 +313,8 @@ let graph name generate =
            replay_subsets)
         (fun () -> replays_agree s))
     [ ("ftsa", ftsa); ("mc-ftsa", mc) ];
+  check "ftsa: fault-free heap pops bounded" (fun () ->
+      heap_pops_bounded name ftsa);
   check
     (Printf.sprintf "ftsa: survives %d exactly-%d subsets (strict)" subsets eps)
     (fun () -> survives_subsets ftsa);

@@ -248,6 +248,34 @@ let prop_recovery_never_loses_with_survivor =
       o.Recovery.degraded.Metrics.complete
       && o.Recovery.result.Event_sim.latency <> None)
 
+(* The engine's message-free path (reliable, contention-free) against
+   its per-message path on the same physics — zero loss plus an outage
+   window that never opens — under the whole recovery loop: every
+   sweep, kill and injection must see the same engine state, so the
+   outcomes agree bit for bit. *)
+let prop_recovery_message_free_equals_per_message =
+  let per_message =
+    Scenario.lossy
+      ~outages:[ Scenario.outage ~src:0 ~dst:1 ~from_t:0. ~until_t:0. ] ()
+  in
+  QCheck.Test.make ~name:"recovery: message-free engine = per-message engine"
+    ~count:60
+    QCheck.(triple (int_range 0 10000) (int_range 1 4) (int_range 0 2))
+    (fun (seed, count, delta_scale) ->
+      let m = 5 in
+      let inst = random_instance ~seed ~n_tasks:20 ~m () in
+      let eps = 1 + (seed mod 2) in
+      let s =
+        if seed mod 3 = 0 then Ftsa.schedule ~seed inst ~eps
+        else Mc_ftsa.schedule ~seed inst ~eps
+      in
+      let horizon = Schedule.latency_upper_bound s in
+      let rng = Ftsched_util.Rng.create ~seed:(seed + 78) in
+      let timed = Scenario.random_timed rng ~m ~count ~horizon in
+      let delta = float_of_int delta_scale *. horizon /. 10. in
+      Recovery.run_timed ~delta s timed
+      = Recovery.run_timed ~faults:per_message ~delta s timed)
+
 (* Regression (issue 6, satellite): a detection latency exceeding every
    replica's slack — here 10x the whole static horizon, so every sweep
    fires long after the plan has run dry — must still terminate in a
@@ -397,6 +425,7 @@ let () =
           Alcotest.test_case "deterministic replay" `Quick
             test_recovery_deterministic;
           quick prop_recovery_never_loses_with_survivor;
+          quick prop_recovery_message_free_equals_per_message;
           Alcotest.test_case "workspace reuse bit-identical" `Quick
             test_recovery_workspace_identical;
         ] );

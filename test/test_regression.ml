@@ -173,6 +173,107 @@ let test_codec_digests () =
   check_digest "mc-ftsa greedy eps=2 ftsched v1" "a9dcbd91d10d2d4bcb0d060c41c813e1"
     (codec (Mc_ftsa.schedule ~seed:2008 inst ~eps:2))
 
+(* ------------------------------------------------------------------ *)
+(* Online recovery outcomes, bit for bit.
+
+   MD5 over the whole [Recovery.outcome]: every replica's outcome with
+   its start and finish as [%h], the latency, the engine's event and
+   message counts, the degraded-run metrics, and the injection, kill and
+   detection counts.  The reference engine has no re-entrant interface,
+   so nothing else races [Recovery]'s interleaving of sweeps and engine
+   steps; these pins, captured on the per-message engine, hold every
+   later engine to the same outcomes. *)
+
+module Recovery = Ftsched_recovery.Recovery
+module Event_sim = Ftsched_sim.Event_sim
+module Metrics = Ftsched_schedule.Metrics
+
+let recovery_digest (o : Recovery.outcome) =
+  let buf = Buffer.create 4096 in
+  let add fmt = Printf.bprintf buf fmt in
+  let opt = function Some x -> Printf.sprintf "%h" x | None -> "none" in
+  let r = o.Recovery.result in
+  add "latency %s;" (opt r.Event_sim.latency);
+  Array.iteri
+    (fun task reps ->
+      add "%d:" task;
+      Array.iter
+        (function
+          | Event_sim.Completed { start; finish } -> add "%h,%h;" start finish
+          | Event_sim.Lost -> add "lost;")
+        reps)
+    r.Event_sim.outcomes;
+  add "events %d retrans %d lost %d;" r.Event_sim.events_processed
+    r.Event_sim.retransmissions r.Event_sim.lost_messages;
+  let d = o.Recovery.degraded in
+  add "degraded %d/%d sinks %s/%d partial %s complete %b;"
+    d.Metrics.completed_tasks d.Metrics.total_tasks
+    (String.concat "," (List.map string_of_int d.Metrics.completed_sinks))
+    d.Metrics.total_sinks (opt d.Metrics.partial_latency) d.Metrics.complete;
+  add "injections %d kills %d detected %d" o.Recovery.injections
+    o.Recovery.kills o.Recovery.detected_failures;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Timed-crash sets for a plan, in units of its M*: the busiest
+   processor at a quarter; the three busiest at a quarter, a half and
+   three quarters (the scale benchmarks' recovery); two at once; eight
+   staggered, beyond any replication; one dead from the start with a
+   second mid-run. *)
+let crash_sets s =
+  let m = Instance.n_procs (Schedule.instance s) in
+  let mstar = Schedule.latency_lower_bound s in
+  let busiest =
+    Array.of_list
+      (List.map snd
+         (List.sort
+            (fun a b -> compare b a)
+            (List.init m (fun p -> (Schedule.busy_time s p, p)))))
+  in
+  let at k f = { Ftsched_sim.Scenario.proc = busiest.(k); at = f *. mstar } in
+  [
+    [ at 0 0.25 ];
+    [ at 0 0.25; at 1 0.5; at 2 0.75 ];
+    [ at 0 0.4; at 1 0.4 ];
+    List.init 8 (fun k -> at k (0.1 *. float_of_int (k + 1)));
+    [ at 3 0.; at 4 0.5 ];
+  ]
+
+let test_recovery_digests () =
+  let inst = pinned_instance () in
+  List.iter
+    (fun (name, s, pins) ->
+      let mstar = Schedule.latency_lower_bound s in
+      List.iter2
+        (fun frac want ->
+          let delta = frac *. mstar in
+          let digests =
+            List.map
+              (fun crashes ->
+                recovery_digest (Recovery.run_timed ~delta s crashes))
+              (crash_sets s)
+          in
+          check_digest
+            (Printf.sprintf "%s recovery, delta = %g M*" name frac)
+            want
+            (Digest.to_hex (Digest.string (String.concat " " digests))))
+        [ 0.; 0.02; 0.2 ] pins)
+    [
+      ( "ftsa",
+        Ftsa.schedule ~seed:2008 inst ~eps:2,
+        [
+          "5f0c18e180f08531a528df24cc4118cd";
+          "c9ad9eb3857234887ae16b44f8934fc2";
+          "69101de68109226bec6beabad8ca25e6";
+        ] );
+      ( "mc-ftsa",
+        Mc_ftsa.schedule ~seed:2008 inst ~eps:2,
+        [
+          "f21fc0b428546208a14445d773e9dbd4";
+          "9564645a4c305ecb3791e734cf46bdc5";
+          "10fb0f338cda34681e83f7aeb20388ba";
+        ] );
+    ]
+
 (* The kernel driver versus the naive oracle, with EXACT float equality
    (test_core checks 1e-9 on random instances; here the pinned instance
    gets the stronger bit-for-bit claim). *)
@@ -214,6 +315,7 @@ let () =
             test_zero_loss_bit_for_bit;
           Alcotest.test_case "schedule digests" `Quick test_schedule_digests;
           Alcotest.test_case "codec digests" `Quick test_codec_digests;
+          Alcotest.test_case "recovery digests" `Quick test_recovery_digests;
           Alcotest.test_case "ftsa equals reference exactly" `Quick
             test_ftsa_equals_reference_exactly;
         ] );

@@ -726,10 +726,30 @@ let family_instance ~family ~seed ~m =
   let platform = Platform.random rng ~m ~delay_lo:0.5 ~delay_hi:1.0 () in
   Instance.random_exec rng ~dag ~platform ()
 
+(* One engine run, drained, with the heap-pop invariant checked: the
+   queue never pops more events than the run processes (message-free
+   replay pops far fewer). *)
+let flat ?network ?faults ?release s ~fail_times =
+  let eng = Event_sim.Engine.create ?network ?faults ?release s ~fail_times in
+  Event_sim.Engine.drain eng;
+  let r = Event_sim.Engine.result eng in
+  if Event_sim.Engine.heap_pops eng > r.Event_sim.events_processed then
+    Alcotest.failf "%d heap pops for %d processed events"
+      (Event_sim.Engine.heap_pops eng) r.Event_sim.events_processed;
+  r
+
+let plan name ~seed inst ~eps =
+  match Schedulers.find name with
+  | Some sched -> sched.Schedulers.run ~seed inst ~eps
+  | None -> Alcotest.failf "no scheduler %s" name
+
 (* The flat-array engine must agree with the frozen reference engine
    bit for bit — identical latency, per-replica outcomes, event count
    and message accounting — across timed crashes, message loss, outages,
-   port models and residual release timelines. *)
+   port models and residual release timelines, on all-to-all (FTSA) and
+   selected (MC-FTSA greedy and redundant) plans.  The reliable
+   contention-free runs, with and without release times, take the
+   message-free path. *)
 let prop_flat_engine_equals_reference =
   QCheck.Test.make ~name:"flat engine = pairing-heap reference, bit for bit"
     ~count:100
@@ -738,7 +758,6 @@ let prop_flat_engine_equals_reference =
       let m = 5 in
       let inst = family_instance ~family ~seed ~m in
       let eps = seed mod 3 in
-      let s = Ftsa.schedule ~seed inst ~eps in
       let rng = Rng.create ~seed:(seed + 17) in
       let fail_times =
         Array.init m (fun _ ->
@@ -754,62 +773,245 @@ let prop_flat_engine_equals_reference =
       in
       let timed = Scenario.random_timed rng ~m ~count:2 ~horizon:15. in
       let crash = Scenario.of_list [ seed mod m ] in
-      Event_sim.run s ~fail_times = Event_sim_ref.run s ~fail_times
-      && Event_sim.run ~faults ~release s ~fail_times
-         = Event_sim_ref.run ~faults ~release s ~fail_times
-      && Event_sim.run ~network:(Event_sim.Sender_ports 1) s ~fail_times
-         = Event_sim_ref.run ~network:(Event_sim.Sender_ports 1) s ~fail_times
-      && Event_sim.run ~network:(Event_sim.Duplex_ports 2) ~faults s ~fail_times
-         = Event_sim_ref.run ~network:(Event_sim.Duplex_ports 2) ~faults s
-             ~fail_times
-      && Event_sim.run_timed ~faults s timed
-         = Event_sim_ref.run_timed ~faults s timed
-      && Event_sim.run_crash s crash = Event_sim_ref.run_crash s crash)
+      List.for_all
+        (fun name ->
+          let s = plan name ~seed inst ~eps in
+          flat s ~fail_times = Event_sim_ref.run s ~fail_times
+          && flat ~release s ~fail_times
+             = Event_sim_ref.run ~release s ~fail_times
+          && flat ~faults ~release s ~fail_times
+             = Event_sim_ref.run ~faults ~release s ~fail_times
+          && flat ~network:(Event_sim.Sender_ports 1) s ~fail_times
+             = Event_sim_ref.run ~network:(Event_sim.Sender_ports 1) s
+                 ~fail_times
+          && flat ~network:(Event_sim.Duplex_ports 2) ~faults s ~fail_times
+             = Event_sim_ref.run ~network:(Event_sim.Duplex_ports 2) ~faults s
+                 ~fail_times
+          && Event_sim.run_timed ~faults s timed
+             = Event_sim_ref.run_timed ~faults s timed
+          && Event_sim.run_timed ~faults:Scenario.reliable s timed
+             = Event_sim_ref.run_timed ~faults:Scenario.reliable s timed
+          && Event_sim.run_crash s crash = Event_sim_ref.run_crash s crash)
+        [ "ftsa"; "mc-ftsa"; "mc-redundant" ])
 
 (* The same differential at benchmark size: the v=800, m=50, eps=2
-   layered FTSA schedule under the scenarios a streaming replay hits
-   hardest — fault-free, one timed crash, loss plus an outage on top of
-   it, one-port contention — and through [run_timed]. *)
+   layered FTSA and MC-FTSA schedules under the scenarios a streaming
+   replay hits hardest — fault-free, one timed crash, loss plus an
+   outage on top of it, one-port contention — and through [run_timed].
+   The fault-free FTSA replay pops at most a tenth of the events it
+   processes. *)
 let test_flat_engine_equals_reference_v800 () =
   let inst = layered_v800 () in
   let m = Instance.n_procs inst in
-  let s = Ftsa.schedule ~seed:2008 inst ~eps:2 in
   let no_fail = Array.make m infinity in
-  let horizon =
-    match (Event_sim.run s ~fail_times:no_fail).Event_sim.latency with
-    | Some l -> l
-    | None -> Alcotest.fail "fault-free run defeated"
-  in
-  let crash = Array.copy no_fail in
-  crash.(7) <- 0.25 *. horizon;
-  let faults =
-    Scenario.lossy ~loss:0.05
-      ~outages:
-        [
-          Scenario.outage ~src:0 ~dst:1 ~from_t:(0.1 *. horizon)
-            ~until_t:(0.4 *. horizon);
-        ]
-      ~retries:3 ~seed:42 ()
-  in
   let same name flat reference =
     check_bool (name ^ ": flat = reference") true (flat = reference)
   in
-  same "fault-free"
-    (Event_sim.run s ~fail_times:no_fail)
-    (Event_sim_ref.run s ~fail_times:no_fail);
-  same "single crash"
-    (Event_sim.run s ~fail_times:crash)
-    (Event_sim_ref.run s ~fail_times:crash);
-  same "loss+outage"
-    (Event_sim.run ~faults s ~fail_times:crash)
-    (Event_sim_ref.run ~faults s ~fail_times:crash);
-  same "one-port"
-    (Event_sim.run ~network:(Event_sim.Sender_ports 1) s ~fail_times:no_fail)
-    (Event_sim_ref.run ~network:(Event_sim.Sender_ports 1) s
-       ~fail_times:no_fail);
-  let timed = [ { Scenario.proc = 7; at = 0.25 *. horizon } ] in
-  same "run_timed" (Event_sim.run_timed s timed)
-    (Event_sim_ref.run_timed s timed)
+  List.iter
+    (fun (algo, s) ->
+      let horizon =
+        match (flat s ~fail_times:no_fail).Event_sim.latency with
+        | Some l -> l
+        | None -> Alcotest.fail "fault-free run defeated"
+      in
+      let crash = Array.copy no_fail in
+      crash.(7) <- 0.25 *. horizon;
+      let faults =
+        Scenario.lossy ~loss:0.05
+          ~outages:
+            [
+              Scenario.outage ~src:0 ~dst:1 ~from_t:(0.1 *. horizon)
+                ~until_t:(0.4 *. horizon);
+            ]
+          ~retries:3 ~seed:42 ()
+      in
+      let name what = algo ^ " " ^ what in
+      same (name "fault-free")
+        (flat s ~fail_times:no_fail)
+        (Event_sim_ref.run s ~fail_times:no_fail);
+      same (name "single crash")
+        (flat s ~fail_times:crash)
+        (Event_sim_ref.run s ~fail_times:crash);
+      same (name "loss+outage")
+        (flat ~faults s ~fail_times:crash)
+        (Event_sim_ref.run ~faults s ~fail_times:crash);
+      same (name "one-port")
+        (flat ~network:(Event_sim.Sender_ports 1) s ~fail_times:no_fail)
+        (Event_sim_ref.run ~network:(Event_sim.Sender_ports 1) s
+           ~fail_times:no_fail);
+      let timed = [ { Scenario.proc = 7; at = 0.25 *. horizon } ] in
+      same (name "run_timed") (Event_sim.run_timed s timed)
+        (Event_sim_ref.run_timed s timed))
+    [
+      ("ftsa", Ftsa.schedule ~seed:2008 inst ~eps:2);
+      ("mc-ftsa", Mc_ftsa.schedule ~seed:2008 inst ~eps:2);
+    ];
+  let eng =
+    Event_sim.Engine.create (Ftsa.schedule ~seed:2008 inst ~eps:2)
+      ~fail_times:no_fail
+  in
+  Event_sim.Engine.drain eng;
+  let events = Event_sim.Engine.events_processed eng in
+  let pops = Event_sim.Engine.heap_pops eng in
+  check_bool
+    (Printf.sprintf "fault-free FTSA: %d heap pops <= %d events / 10" pops
+       events)
+    true
+    (10 * pops <= events)
+
+(* A zero-loss fault model with an outage window that never opens:
+   identical physics, but not [Scenario.reliable], so the engine keeps
+   one event per message.  It is the engine's own per-message path, and
+   the oracle for what the message-free path reports mid-run. *)
+let per_message =
+  Scenario.lossy
+    ~outages:[ Scenario.outage ~src:0 ~dst:1 ~from_t:0. ~until_t:0. ] ()
+
+(* Everything the engine reports at its current instant. *)
+let engine_view eng inst =
+  let module E = Event_sim.Engine in
+  let g = Instance.dag inst in
+  ( E.now eng,
+    Array.init (Instance.n_procs inst) (E.free_at eng),
+    Array.init (Instance.n_tasks inst) (fun task ->
+        Array.init (E.n_replicas eng task) (fun rep ->
+            ( E.replica_state eng ~task ~rep,
+              List.init (Dag.in_degree g task) (fun pos ->
+                  E.input_satisfied eng ~task ~rep ~pos) ))) )
+
+(* The message-free path reports exactly the per-message engine's state
+   at every horizon: replica states and times, which inputs have
+   arrived, processor availability, [now] — through timed crashes,
+   release times, a kill mid-run and a full drain, where [now] is the
+   last delivery. *)
+let prop_message_free_equals_per_message =
+  QCheck.Test.make ~name:"message-free engine state = per-message, any now"
+    ~count:60
+    QCheck.(pair (int_range 0 4) (int_range 0 10_000))
+    (fun (family, seed) ->
+      let m = 5 in
+      let inst = family_instance ~family ~seed ~m in
+      let rng = Rng.create ~seed:(seed + 5) in
+      let fail_times =
+        Array.init m (fun _ ->
+            if Rng.float_in rng 0. 1. < 0.4 then Rng.float_in rng 0. 20.
+            else infinity)
+      in
+      let release =
+        if seed mod 2 = 0 then None
+        else Some (Array.init m (fun _ -> Rng.float_in rng 0. 3.))
+      in
+      List.for_all
+        (fun name ->
+          let s = plan name ~seed inst ~eps:(seed mod 3) in
+          let module E = Event_sim.Engine in
+          let fast = E.create ?release s ~fail_times in
+          let slow = E.create ~faults:per_message ?release s ~fail_times in
+          let same () = engine_view fast inst = engine_view slow inst in
+          let mstar = Schedule.latency_lower_bound s in
+          let kill_first_waiting () =
+            let found = ref false in
+            for task = Instance.n_tasks inst - 1 downto 0 do
+              if not !found then
+                for rep = 0 to E.n_replicas fast task - 1 do
+                  if
+                    (not !found)
+                    && E.replica_state fast ~task ~rep = Event_sim.Waiting
+                  then begin
+                    found := true;
+                    E.kill_replica fast ~task ~rep;
+                    E.kill_replica slow ~task ~rep
+                  end
+                done
+            done
+          in
+          List.for_all
+            (fun f ->
+              E.advance_until fast (f *. mstar);
+              E.advance_until slow (f *. mstar);
+              if f = 0.5 then kill_first_waiting ();
+              same ())
+            [ 0.1; 0.25; 0.5; 0.75; 1. ]
+          && begin
+               E.drain fast;
+               E.drain slow;
+               same () && E.result fast = E.result slow
+             end)
+        [ "ftsa"; "mc-ftsa"; "mc-redundant" ])
+
+(* Pinned differential for completions popped below the high-water mark:
+   a replica a loss unblocks starts in the past, and its messages may
+   undercut arrivals the per-message engine has already delivered.
+   Folding them like any other completion's diverges from the reference
+   on these seeds (12 of 90,000 runs of this sweep, all of them below);
+   sending them as events agrees. *)
+let test_retroactive_completions () =
+  List.iter
+    (fun (seed, name) ->
+      let m = 3 + (seed mod 4) in
+      let inst = family_instance ~family:(seed mod 5) ~seed ~m in
+      let s = plan name ~seed inst ~eps:(seed mod min 3 m) in
+      let rng = Rng.create ~seed:(seed + 17) in
+      Array.iteri
+        (fun trial p_fail ->
+          let fail_times =
+            Array.init m (fun _ ->
+                if Rng.float_in rng 0. 1. < p_fail then Rng.float_in rng 0. 25.
+                else infinity)
+          in
+          let release =
+            if trial mod 2 = 0 then None
+            else Some (Array.init m (fun _ -> Rng.float_in rng 0. 4.))
+          in
+          check_bool
+            (Printf.sprintf "seed %d %s trial %d" seed name trial)
+            true
+            (flat ?release s ~fail_times
+            = Event_sim_ref.run ?release s ~fail_times))
+        [| 0.2; 0.4; 0.6; 0.8; 0.3; 0.5 |])
+    [
+      (863, "mc-ftsa");
+      (1223, "mc-ftsa");
+      (1243, "ftbar");
+      (1331, "mc-redundant");
+      (1538, "mc-ftsa");
+      (1993, "ftsa");
+      (1993, "mc-redundant");
+    ]
+
+(* The heap payload packs (task, replica, position) at 21 bits a field.
+   Every event kind round-trips at the field maxima — a task of 2^21 - 1
+   makes the word negative — and the task-count and replica-index guards
+   reject 2^21.  A ready event is packed as the arrival of its
+   replica's last input. *)
+let test_payload_packing () =
+  let module P = Event_sim.Private in
+  let top = (1 lsl P.payload_bits) - 1 in
+  check_int "21-bit fields" 21 P.payload_bits;
+  let round_trip what ~task ~rep ~pos =
+    let word = P.encode ~task ~rep ~pos in
+    check_bool (what ^ " round-trips") true (P.decode word = (task, rep, pos));
+    word
+  in
+  List.iter
+    (fun (kind, pos) ->
+      ignore (round_trip (kind ^ ", zero fields") ~task:0 ~rep:0 ~pos);
+      ignore (round_trip (kind ^ ", replica max") ~task:0 ~rep:top ~pos);
+      let word = round_trip (kind ^ ", all maxima") ~task:top ~rep:top ~pos in
+      check_bool (kind ^ ": top task packs negative") true (word < 0);
+      ignore (round_trip (kind ^ ", task max") ~task:top ~rep:0 ~pos))
+    [ ("completion", -1); ("arrival", top - 1); ("ready", top - 1); ("ready", 0) ];
+  let raises what f =
+    check_bool what true
+      (try
+         f ();
+         false
+       with Invalid_argument _ -> true)
+  in
+  P.check_tasks top;
+  P.check_replica top;
+  raises "2^21 tasks rejected" (fun () -> P.check_tasks (top + 1));
+  raises "replica index 2^21 rejected" (fun () -> P.check_replica (top + 1))
 
 (* ------------------------------------------------------------------ *)
 (* Flat-array crash replay vs the frozen list-based reference          *)
@@ -844,10 +1046,7 @@ let replay_agrees s scenarios =
    not in commit order. *)
 let replay_plans ~seed inst ~eps =
   List.map
-    (fun name ->
-      match Schedulers.find name with
-      | Some sched -> sched.Schedulers.run ~seed inst ~eps
-      | None -> Alcotest.failf "no scheduler %s" name)
+    (fun name -> plan name ~seed inst ~eps)
     [ "ftsa"; "mc-ftsa"; "mc-redundant"; "ftbar"; "heft" ]
 
 (* Every subset of exactly ε and of ε + 1 processors, and no crash. *)
@@ -943,6 +1142,11 @@ let () =
           quick prop_flat_engine_equals_reference;
           Alcotest.test_case "v=800 layered = reference" `Quick
             test_flat_engine_equals_reference_v800;
+          Alcotest.test_case "retroactive completions = reference" `Quick
+            test_retroactive_completions;
+          quick prop_message_free_equals_per_message;
+          Alcotest.test_case "payload packing bound" `Quick
+            test_payload_packing;
           Alcotest.test_case "injection FIFO order" `Quick
             test_injection_fifo_order;
           quick prop_crash_exec_equals_reference;

@@ -57,14 +57,17 @@
     {2 Why this is not a view over [Event_sim]}
 
     Crashes at time 0 are a special case of {!Event_sim}'s fail times, so
-    this module was measured as a view over it, against the list-based
-    pass now kept as [Crash_exec_ref]: 960 runs (120 §6 instances, FTSA
-    and MC-FTSA, 4 exactly-[ε] subsets each), with the plan rewritten to
-    each receiver's effective senders under [Reroute].  Latencies matched
-    bit for bit under both policies, but each call was slower than that
-    pass: 2.54–2.65 ms against 1.96–2.16 ms under [Reroute], and
-    1.72–1.80 ms against 1.12–1.28 ms under [Strict].  The flat pass
-    above is about three times faster still, so the dedicated timing
+    this module was measured as a view over it: {!survives}, then the
+    plan rewritten to each receiver's effective senders under [Reroute],
+    then {!Event_sim.run_crash}.  The last measurement ran after
+    [Event_sim] stopped sending message events under the contention-free,
+    reliable network, on 960 runs (120 §6 instances at seed 2008, FTSA
+    and MC-FTSA, 4 exactly-[ε] subsets each, 7 rounds, thread CPU clock,
+    2 vCPUs).  Latencies matched bit for bit, but the view cost
+    1.34–1.58 ms a call against 0.50–0.59 ms for the flat pass above
+    (2.6–2.7×), and 1.52–1.81 ms against 0.55–0.66 ms on the FTSA plans
+    alone, which need no rewrite.  At 8 calls per instance that would
+    about double [paper-campaign]'s replay time, so the dedicated timing
     pass stays. *)
 
 type policy =

@@ -1,20 +1,21 @@
 (* The flat-array event engine.  Same semantics as the pairing-heap
    engine it replaced (kept frozen as the test oracle [Event_sim_ref]
-   under test/oracle), rebuilt in the
-   kernel driver's idiom:
+   under test/oracle), rebuilt in the kernel driver's idiom:
 
-   - static replicas live in a flat grid indexed by
-     [rid = task * (eps+1) + k]; their state is four parallel unboxed
-     arrays (tag/start/finish/unsatisfied-input count) instead of a
-     record per replica;
+   - every replica is a row of one table, indexed by a rid: the static
+     grid's rows [rid = task * (eps+1) + k] first, then the replicas
+     recovery injects at runtime, appended in injection order.  A row's
+     state is a set of parallel arrays (tag/start/finish/unsatisfied-input
+     count/subscribers/host processor) instead of a record per replica;
    - per-replica input slots ([satisfied_at], [pending_senders]) are two
-     flat arrays addressed through a CSR offset table, replacing the
-     [(task, edge) -> position] Hashtbl;
+     flat arrays addressed through a per-row offset table, replacing the
+     [(task, edge) -> position] Hashtbl; an injected row appends its
+     slots after the static ones;
    - the communication plan is unrolled once into a per-rid CSR emission
-     table (destination task/replica/slot/processor/volume, in the exact
-     legacy order: out-edges, then plan pairs), so completions and loss
-     cascades index arrays instead of re-allocating the
-     [(eps+1)^2]-pair cross product per edge;
+     table (destination rid/slot/volume, in the exact legacy order:
+     out-edges, then plan pairs), so completions and loss cascades index
+     arrays instead of re-allocating the [(eps+1)^2]-pair cross product
+     per edge;
    - the event queue is {!Ftsched_ds.Event_heap}, an array binary
      min-heap on [(at, seq)].  Sequence numbers are unique, so the pop
      order is implementation-independent and every pinned digest stays
@@ -23,10 +24,11 @@
      re-injection appends at the tail in O(1) amortized where the list
      engine paid a full-copy [@ [x]] append.
 
-   Replicas injected at runtime (recovery) are rare; they live in an
-   overflow table of records addressed by [rid >= v * (eps+1)] and keep
-   the exact legacy ordering of subscriptions, re-sends and queue
-   placement.
+   Two things tell the kinds of row apart: the [(task, rep) -> rid] map,
+   and the static-row test, since only static rows have plan emissions
+   and folded inputs.  Injected rows receive their inputs through
+   runtime subscriptions and re-sends, and keep the exact legacy
+   ordering of subscriptions, re-sends and queue placement.
 
    The fail-time-independent part of engine construction (the CSR
    tables, pristine pending counts and planned queues) is exposed as an
@@ -83,13 +85,15 @@ type result = {
   lost_messages : int;
 }
 
-let first_finish r task =
+let earliest_finish reps =
   Array.fold_left
     (fun best o ->
       match o with
       | Completed { finish; _ } -> Float.min best finish
       | Lost -> best)
-    infinity r.outcomes.(task)
+    infinity reps
+
+let first_finish r task = earliest_finish r.outcomes.(task)
 
 type replica_state =
   | Waiting
@@ -103,25 +107,12 @@ and t_running = 1
 and t_done = 2
 and t_lost = 3
 
-(* A runtime subscription: replica [sub_rep] of [sub_dst] waits on input
-   position [sub_pos] for the completion of the subscribed-to source
-   replica.  Subscriptions are how injected (recovery) replicas receive
-   their inputs; plan messages cover only the static grid. *)
-type sub = { sub_dst : int; sub_rep : int; sub_pos : int; sub_vol : float }
-
-(* An injected replica: the overflow region beyond the static grid. *)
-type inj = {
-  i_task : int;
-  i_k : int;  (* replica index within its task (> eps) *)
-  i_proc : int;
-  mutable i_tag : int;
-  mutable i_start : float;
-  mutable i_finish : float;
-  i_sat : float array;  (* per in-edge position; infinity = not yet *)
-  i_pend : int array;  (* per in-edge position *)
-  mutable i_unsat : int;
-  mutable i_subs : sub list;
-}
+(* A runtime subscription: row [sub_rid] waits on its input slot
+   [sub_slot] for the completion of the subscribed-to source replica,
+   which then sends it [sub_vol] units.  Subscriptions are how injected
+   (recovery) replicas receive their inputs; plan messages cover only
+   the static grid. *)
+type sub = { sub_rid : int; sub_slot : int; sub_vol : float }
 
 module Engine = struct
   type source =
@@ -147,14 +138,12 @@ module Engine = struct
     slot_off : int array;  (* length n_static + 1 *)
     pend0 : int array;  (* pristine pending-sender counts per slot *)
     proc0 : int array;  (* host processor per static rid *)
+    key0 : int array;  (* payload key per static rid, see [key_of] *)
     (* plan emission CSR per static rid, in the legacy order (out-edges,
        then retained plan pairs of that source replica) *)
     em_off : int array;  (* length n_static + 1 *)
-    em_dst : int array;  (* destination task *)
-    em_dk : int array;  (* destination (static) replica *)
-    em_pos : int array;  (* destination in-edge position *)
+    em_rid : int array;  (* destination (static) rid *)
     em_slot : int array;  (* destination input slot *)
-    em_dproc : int array;  (* destination host processor *)
     em_vol : float array;
     q0 : int array array;  (* pristine planned queue (rids) per proc *)
   }
@@ -168,24 +157,28 @@ module Engine = struct
     mutable retransmissions : int;
     mutable lost_messages : int;
     fail_times : float array;
-    (* static grid state, indexed by rid *)
-    tag : int array;
-    st_start : float array;
-    st_finish : float array;
-    unsat : int array;  (* input positions not yet satisfied *)
-    subs : sub list array;  (* runtime subscribers per static rid *)
+    (* The replica table, one row per rid: the static grid's rows first,
+       then the injected replicas in injection order.  Rows grow by an
+       eighth when [inject] runs out of room. *)
+    mutable n_rows : int;
+    mutable tag : int array;
+    mutable st_start : float array;
+    mutable st_finish : float array;
+    mutable unsat : int array;  (* input positions not yet satisfied *)
+    mutable subs : sub list array;  (* runtime subscribers *)
+    mutable proc : int array;  (* host processor *)
+    mutable key : int array;  (* (task, rep) packed as a payload key *)
+    mutable slot_off : int array;  (* length >= n_rows + 1 *)
     (* input slots, indexed through [slot_off]: the first delivered
        arrival ([infinity] = none yet) and the count of senders not yet
-       lost.  In the message-free path [sat] holds the earliest arrival
-       written so far, delivered or not, and once it has one [pend]
-       holds that arrival's sequence number instead: a slot with an
-       arrival can no longer starve, so its count is never read. *)
-    sat : float array;
-    pend : int array;
-    (* injected replicas: global overflow, plus per-task index rows *)
-    mutable inj : inj array;
-    mutable n_inj : int;
-    extra : int array array;  (* per task: overflow indices, in order *)
+       lost.  In the message-free path a static slot's [sat] holds the
+       earliest arrival written so far, delivered or not, and once it has
+       one [pend] holds that arrival's sequence number instead: a slot
+       with an arrival can no longer starve, so its count is never read.
+       Injected rows append their slots past the static ones. *)
+    mutable sat : float array;
+    mutable pend : int array;
+    extra : int array array;  (* per task: injected rids, in order *)
     (* per-processor planned queues as cursors over flat arrays *)
     q_buf : int array array;
     q_head : int array;
@@ -218,14 +211,14 @@ module Engine = struct
      completion, packed into one word at 21 bits per field (the position
      is stored shifted by one so -1 packs as 0).  A ready event is packed
      as the arrival of the input that completes its replica's inputs.
-     [template] bounds the task count below 2^21 — which also bounds
-     in-edge positions — and [inject] bounds the replica index. *)
+     A row's key is its [(task, k)] prefix.  [template] bounds the task
+     count below 2^21 — which also bounds in-edge positions — and
+     [inject] bounds the replica index. *)
   let payload_bits = 21
   let payload_mask = (1 lsl payload_bits) - 1
-
-  let encode ~a ~b ~c =
-    (((a lsl payload_bits) lor b) lsl payload_bits) lor (c + 1)
-
+  let key_of ~task ~rep = (task lsl payload_bits) lor rep
+  let payload key pos = (key lsl payload_bits) lor (pos + 1)
+  let encode ~a ~b ~c = payload (key_of ~task:a ~rep:b) c
   let task_of p = p lsr (2 * payload_bits)
   let rep_of p = (p lsr payload_bits) land payload_mask
   let pos_of p = (p land payload_mask) - 1
@@ -239,9 +232,22 @@ module Engine = struct
     if k > payload_mask then
       invalid_arg "Event_sim.Engine.inject: replica index exceeds the event encoding"
 
-  let push_event eng at ~a ~b ~c =
+  (* Event [pos] (-1 = completion) of row [rid] at [at]. *)
+  let push_event eng at rid pos =
     eng.seq <- eng.seq + 1;
-    Eheap.push eng.heap ~at ~seq:eng.seq ~payload:(encode ~a ~b ~c)
+    Eheap.push eng.heap ~at ~seq:eng.seq ~payload:(payload eng.key.(rid) pos)
+
+  (* The two places that tell the kinds of replica apart.  Replica [rep]
+     of [task] is a static row below [t_nstatic] or an injected one; and
+     only static rows have plan emissions and, under [fold], folded
+     inputs. *)
+  let rid_of eng task rep =
+    let tm = eng.tm in
+    if rep < tm.t_k then (task * tm.t_k) + rep
+    else eng.extra.(task).(rep - tm.t_k)
+
+  let static_row tm rid = rid < tm.t_nstatic
+  let folded eng rid = eng.fold && static_row eng.tm rid
 
   (* Has the arrival keyed [(at, seq)] been delivered?  Keys at or below
      the delivered high-water mark have been. *)
@@ -258,8 +264,7 @@ module Engine = struct
      An earlier ready event of the replica goes stale: its key no longer
      matches the slot's. *)
   let settle_ready eng rid =
-    let tm = eng.tm in
-    let base = tm.slot_off.(rid) and lim = tm.slot_off.(rid + 1) in
+    let base = eng.slot_off.(rid) and lim = eng.slot_off.(rid + 1) in
     let best = ref base in
     for i = base + 1 to lim - 1 do
       let a = eng.sat.(i) and b = eng.sat.(!best) in
@@ -270,67 +275,40 @@ module Engine = struct
     let at = eng.sat.(slot) and seq = eng.pend.(slot) in
     if not (delivered eng at seq) then
       Eheap.push eng.heap ~at ~seq
-        ~payload:(encode ~a:(rid / tm.t_k) ~b:(rid mod tm.t_k) ~c:(slot - base))
+        ~payload:(payload eng.key.(rid) (slot - base))
 
-  let inj_of eng task k = eng.inj.(eng.extra.(task).(k - eng.tm.t_k))
-
-  let tag_of eng task k =
-    if k < eng.tm.t_k then eng.tag.((task * eng.tm.t_k) + k)
-    else (inj_of eng task k).i_tag
-
-  (* Losing a replica cascades: every plan receiver (and runtime
-     subscriber) loses one potential sender; an input with no arrival and
-     no pending sender is dead, and kills its (still waiting) receiver. *)
-  let rec lose eng task k =
+  (* Losing a replica cascades: every plan receiver and runtime
+     subscriber loses one potential sender. *)
+  let rec lose eng rid =
     let tm = eng.tm in
-    if k < tm.t_k then begin
-      let rid = (task * tm.t_k) + k in
-      let tg = eng.tag.(rid) in
-      if tg = t_waiting || tg = t_running then begin
-        eng.tag.(rid) <- t_lost;
-        Queue.add tm.proc0.(rid) eng.dirty;
+    let tg = eng.tag.(rid) in
+    if tg = t_waiting || tg = t_running then begin
+      eng.tag.(rid) <- t_lost;
+      Queue.add eng.proc.(rid) eng.dirty;
+      if static_row tm rid then begin
         (* As of now, a lost replica has only the arrivals already
            delivered; forget the folded ones still in flight. *)
         if eng.fold then
-          for slot = tm.slot_off.(rid) to tm.slot_off.(rid + 1) - 1 do
+          for slot = eng.slot_off.(rid) to eng.slot_off.(rid + 1) - 1 do
             if not (slot_delivered eng slot) then eng.sat.(slot) <- infinity
           done;
         for i = tm.em_off.(rid) to tm.em_off.(rid + 1) - 1 do
-          let slot = tm.em_slot.(i) in
-          (* in the message-free path a slot with an arrival holds a
-             sequence number in [pend], not a count *)
-          if (not eng.fold) || eng.sat.(slot) = infinity then begin
-            eng.pend.(slot) <- eng.pend.(slot) - 1;
-            if eng.pend.(slot) = 0 && eng.sat.(slot) = infinity then
-              lose eng tm.em_dst.(i) tm.em_dk.(i)
-          end
-        done;
-        List.iter (fun sub -> drop_sender eng sub) eng.subs.(rid)
-      end
-    end
-    else begin
-      let r = inj_of eng task k in
-      if r.i_tag = t_waiting || r.i_tag = t_running then begin
-        r.i_tag <- t_lost;
-        Queue.add r.i_proc eng.dirty;
-        List.iter (fun sub -> drop_sender eng sub) r.i_subs
-      end
+          drop_sender eng tm.em_rid.(i) tm.em_slot.(i)
+        done
+      end;
+      List.iter
+        (fun sub -> drop_sender eng sub.sub_rid sub.sub_slot)
+        eng.subs.(rid)
     end
 
-  (* One potential sender of a subscription input is gone. *)
-  and drop_sender eng sub =
-    let tm = eng.tm in
-    if sub.sub_rep < tm.t_k then begin
-      let slot = tm.slot_off.((sub.sub_dst * tm.t_k) + sub.sub_rep) + sub.sub_pos in
+  (* One potential sender of input [slot] of row [rid] is gone: an input
+     with no arrival and no sender left is dead, and kills its (still
+     waiting) receiver.  Once a slot has an arrival its count is never
+     read again (in the message-free path it holds a sequence number). *)
+  and drop_sender eng rid slot =
+    if eng.sat.(slot) = infinity then begin
       eng.pend.(slot) <- eng.pend.(slot) - 1;
-      if eng.pend.(slot) = 0 && eng.sat.(slot) = infinity then
-        lose eng sub.sub_dst sub.sub_rep
-    end
-    else begin
-      let r = inj_of eng sub.sub_dst sub.sub_rep in
-      r.i_pend.(sub.sub_pos) <- r.i_pend.(sub.sub_pos) - 1;
-      if r.i_pend.(sub.sub_pos) = 0 && r.i_sat.(sub.sub_pos) = infinity then
-        lose eng sub.sub_dst sub.sub_rep
+      if eng.pend.(slot) = 0 then lose eng rid
     end
 
   let try_advance eng p =
@@ -340,80 +318,47 @@ module Engine = struct
       if eng.q_head.(p) >= eng.q_tail.(p) then continue_p := false
       else begin
         let rid = eng.q_buf.(p).(eng.q_head.(p)) in
-        if rid < tm.t_nstatic then begin
-          let tg = eng.tag.(rid) in
-          if tg = t_done || tg = t_lost then
-            eng.q_head.(p) <- eng.q_head.(p) + 1
-          else if tg = t_running then continue_p := false
-          else if
-            eng.unsat.(rid) = 0
-            && ((not eng.fold) || eng.rdy.(rid) < 0
-               || slot_delivered eng eng.rdy.(rid))
+        let tg = eng.tag.(rid) in
+        if tg = t_done || tg = t_lost then eng.q_head.(p) <- eng.q_head.(p) + 1
+        else if tg = t_running then continue_p := false
+        else if
+          eng.unsat.(rid) = 0
+          && ((not (folded eng rid)) || eng.rdy.(rid) < 0
+             || slot_delivered eng eng.rdy.(rid))
+        then begin
+          let inputs_ready =
+            if folded eng rid then
+              if eng.rdy.(rid) < 0 then 0. else eng.sat.(eng.rdy.(rid))
+            else begin
+              let latest = ref 0. in
+              for i = eng.slot_off.(rid) to eng.slot_off.(rid + 1) - 1 do
+                if eng.sat.(i) > !latest then latest := eng.sat.(i)
+              done;
+              !latest
+            end
+          in
+          let task = eng.key.(rid) lsr payload_bits in
+          let start = Float.max inputs_ready eng.free_at.(p) in
+          let finish = start +. Instance.exec tm.t_inst task p in
+          if start >= eng.fail_times.(p) || finish > eng.fail_times.(p)
           then begin
-            let inputs_ready =
-              if eng.fold then
-                if eng.rdy.(rid) < 0 then 0. else eng.sat.(eng.rdy.(rid))
-              else begin
-                let base = tm.slot_off.(rid) and lim = tm.slot_off.(rid + 1) in
-                let latest = ref 0. in
-                for i = base to lim - 1 do
-                  if eng.sat.(i) > !latest then latest := eng.sat.(i)
-                done;
-                !latest
-              end
-            in
-            let task = rid / tm.t_k in
-            let start = Float.max inputs_ready eng.free_at.(p) in
-            let finish = start +. Instance.exec tm.t_inst task p in
-            if start >= eng.fail_times.(p) || finish > eng.fail_times.(p)
-            then begin
-              lose eng task (rid mod tm.t_k);
-              (* A replica cut down mid-run still occupied the processor
-                 until the crash instant; without this the next queued
-                 replica could start inside the busy window. *)
-              if start < eng.fail_times.(p) then
-                eng.free_at.(p) <- eng.fail_times.(p);
-              eng.q_head.(p) <- eng.q_head.(p) + 1
-            end
-            else begin
-              eng.tag.(rid) <- t_running;
-              eng.st_start.(rid) <- start;
-              eng.st_finish.(rid) <- finish;
-              push_event eng finish ~a:task ~b:(rid mod tm.t_k) ~c:(-1);
-              continue_p := false
-            end
-          end
-          else continue_p := false
-        end
-        else begin
-          let r = eng.inj.(rid - tm.t_nstatic) in
-          if r.i_tag = t_done || r.i_tag = t_lost then
+            lose eng rid;
+            (* A replica cut down mid-run still occupied the processor
+               until the crash instant; without this the next queued
+               replica could start inside the busy window. *)
+            if start < eng.fail_times.(p) then
+              eng.free_at.(p) <- eng.fail_times.(p);
             eng.q_head.(p) <- eng.q_head.(p) + 1
-          else if r.i_tag = t_running then continue_p := false
-          else if r.i_unsat = 0 then begin
-            let inputs_ready = ref 0. in
-            Array.iter
-              (fun a -> if a > !inputs_ready then inputs_ready := a)
-              r.i_sat;
-            let start = Float.max !inputs_ready eng.free_at.(p) in
-            let finish = start +. Instance.exec tm.t_inst r.i_task p in
-            if start >= eng.fail_times.(p) || finish > eng.fail_times.(p)
-            then begin
-              lose eng r.i_task r.i_k;
-              if start < eng.fail_times.(p) then
-                eng.free_at.(p) <- eng.fail_times.(p);
-              eng.q_head.(p) <- eng.q_head.(p) + 1
-            end
-            else begin
-              r.i_tag <- t_running;
-              r.i_start <- start;
-              r.i_finish <- finish;
-              push_event eng finish ~a:r.i_task ~b:r.i_k ~c:(-1);
-              continue_p := false
-            end
           end
-          else continue_p := false
+          else begin
+            eng.tag.(rid) <- t_running;
+            eng.st_start.(rid) <- start;
+            eng.st_finish.(rid) <- finish;
+            push_event eng finish rid (-1);
+            continue_p := false
+          end
         end
+        else continue_p := false
       end
     done
 
@@ -515,11 +460,8 @@ module Engine = struct
       em_off.(rid + 1) <- em_off.(rid) + em_cnt.(rid)
     done;
     let n_em = em_off.(n_static) in
-    let em_dst = Array.make n_em 0 in
-    let em_dk = Array.make n_em 0 in
-    let em_pos = Array.make n_em 0 in
+    let em_rid = Array.make n_em 0 in
     let em_slot = Array.make n_em 0 in
-    let em_dproc = Array.make n_em 0 in
     let em_vol = Array.make n_em 0. in
     let cursor = Array.copy em_off in
     for t = 0 to v - 1 do
@@ -532,11 +474,8 @@ module Engine = struct
             let i = cursor.(rid) in
             cursor.(rid) <- i + 1;
             let drid = (dst * kk) + pair.dst_replica in
-            em_dst.(i) <- dst;
-            em_dk.(i) <- pair.dst_replica;
-            em_pos.(i) <- pos;
+            em_rid.(i) <- drid;
             em_slot.(i) <- slot_off.(drid) + pos;
-            em_dproc.(i) <- proc0.(drid);
             em_vol.(i) <- vol)
           (pairs_for_edge e)
       done
@@ -562,7 +501,10 @@ module Engine = struct
       t_k = kk;
       t_nstatic = n_static;
       slot_off; pend0; proc0;
-      em_off; em_dst; em_dk; em_pos; em_slot; em_dproc; em_vol;
+      key0 =
+        Array.init n_static (fun rid ->
+            key_of ~task:(rid / kk) ~rep:(rid mod kk));
+      em_off; em_rid; em_slot; em_vol;
       q0;
     }
 
@@ -600,15 +542,17 @@ module Engine = struct
         retransmissions = 0;
         lost_messages = 0;
         fail_times;
+        n_rows = tm.t_nstatic;
         tag = Array.make tm.t_nstatic t_waiting;
         st_start = Array.make tm.t_nstatic 0.;
         st_finish = Array.make tm.t_nstatic 0.;
         unsat;
         subs = Array.make tm.t_nstatic [];
+        proc = Array.copy tm.proc0;
+        key = Array.copy tm.key0;
+        slot_off = Array.copy tm.slot_off;
         sat = Array.make (Array.length tm.pend0) infinity;
         pend = Array.copy tm.pend0;
-        inj = [||];
-        n_inj = 0;
         extra = Array.make tm.t_v [||];
         q_buf = Array.map Array.copy tm.q0;
         q_head = Array.make m 0;
@@ -651,105 +595,93 @@ module Engine = struct
     (match faults with Some f -> validate_faults ~m f | None -> ());
     of_template ?network ?faults (template ?release s) ~fail_times
 
-  (* One message sender is permanently gone for input [pos] of replica
-     [dk] of [dst]; starve the (still waiting) receiver if it was the
-     last. *)
-  let drop_input eng ~dst ~dk ~pos =
-    let tm = eng.tm in
-    if dk < tm.t_k then begin
-      let slot = tm.slot_off.((dst * tm.t_k) + dk) + pos in
-      eng.pend.(slot) <- eng.pend.(slot) - 1;
-      if eng.pend.(slot) = 0 && eng.sat.(slot) = infinity then begin
-        if eng.tag.((dst * tm.t_k) + dk) = t_waiting then lose eng dst dk
-      end
-    end
-    else begin
-      let r = inj_of eng dst dk in
-      r.i_pend.(pos) <- r.i_pend.(pos) - 1;
-      if r.i_pend.(pos) = 0 && r.i_sat.(pos) = infinity then begin
-        if r.i_tag = t_waiting then lose eng dst dk
-      end
-    end
+  (* One message to deliver, to input [slot] of row [rid]. *)
+  let arrival_event eng at rid slot =
+    push_event eng at rid (slot - eng.slot_off.(rid))
 
-  (* One message to deliver: input position [pos] of replica [dk] of task
-     [dst] hosted on [dproc], carrying [vol] units. *)
-  let emit eng ~src_proc ~finish ~dst ~dk ~pos ~dproc ~vol =
-    let w = vol *. Platform.delay eng.tm.t_pl src_proc dproc in
-    let arrival_event at = push_event eng at ~a:dst ~b:dk ~c:pos in
-    let drop () = drop_input eng ~dst ~dk ~pos in
-    (* The lossy channel.  Attempt [i] departs at [depart] and would
-       arrive [w] later; a per-attempt Bernoulli draw or an outage window
-       on the (src_proc, dproc) link claims it.  The sender notices at an
-       ack timeout of [rtt_factor *. w] after departure — doubled on each
-       attempt, exponential backoff — and retries, never past its own
-       death, up to [retries] times.  A message that exhausts its retries
-       is declared permanently lost and feeds the same starvation
-       accounting as a sender death.  Retries bypass the port booking:
-       the plan priced one transfer per message, and charging ports for
-       adversarial re-sends would let a fault perturb fault-free traffic
-       ordering (same simplification as the recovery layer's re-sends). *)
-    let rec attempt i depart =
-      let arrival = depart +. w in
-      let f = eng.faults in
-      if
-        Rng.bernoulli eng.frng f.Scenario.loss
-        || Scenario.in_outage f ~src:src_proc ~dst:dproc ~at:arrival
-      then
-        if i >= f.Scenario.retries then begin
+  (* Index of the earliest-free port. *)
+  let min_idx port_free =
+    let best = ref 0 in
+    for i = 1 to Array.length port_free - 1 do
+      if port_free.(i) < port_free.(!best) then best := i
+    done;
+    !best
+
+  (* The lossy channel.  Attempt [i] departs at [depart] and would arrive
+     [w] later; a per-attempt Bernoulli draw or an outage window on the
+     (src_proc, destination) link claims it.  The sender notices at an
+     ack timeout of [rtt_factor *. w] after departure — doubled on each
+     attempt, exponential backoff — and retries, never past its own
+     death, up to [retries] times.  A message that exhausts its retries
+     is declared permanently lost and feeds the same starvation
+     accounting as a sender death.  Retries bypass the port booking: the
+     plan priced one transfer per message, and charging ports for
+     adversarial re-sends would let a fault perturb fault-free traffic
+     ordering (same simplification as the recovery layer's re-sends). *)
+  let rec attempt eng ~src_proc ~w i depart rid slot =
+    let arrival = depart +. w in
+    let f = eng.faults in
+    if
+      Rng.bernoulli eng.frng f.Scenario.loss
+      || Scenario.in_outage f ~src:src_proc ~dst:eng.proc.(rid) ~at:arrival
+    then
+      if i >= f.Scenario.retries then begin
+        eng.lost_messages <- eng.lost_messages + 1;
+        drop_sender eng rid slot
+      end
+      else begin
+        let redepart = depart +. (f.Scenario.rtt_factor *. w *. ldexp 1. i) in
+        if redepart > eng.fail_times.(src_proc) then begin
+          (* the sender dies before it can re-send *)
           eng.lost_messages <- eng.lost_messages + 1;
-          drop ()
+          drop_sender eng rid slot
         end
         else begin
-          let timeout = f.Scenario.rtt_factor *. w *. ldexp 1. i in
-          let redepart = depart +. timeout in
-          if redepart > eng.fail_times.(src_proc) then begin
-            (* the sender dies before it can re-send *)
-            eng.lost_messages <- eng.lost_messages + 1;
-            drop ()
-          end
-          else begin
-            eng.retransmissions <- eng.retransmissions + 1;
-            attempt (i + 1) redepart
-          end
+          eng.retransmissions <- eng.retransmissions + 1;
+          attempt eng ~src_proc ~w (i + 1) redepart rid slot
         end
-      else arrival_event arrival
-    in
-    let deliver depart =
-      if eng.fault_free then arrival_event (depart +. w) else attempt 0 depart
-    in
-    if w = 0. then arrival_event (finish +. w)
-    else if eng.network = Contention_free then deliver finish
-    else begin
-      let min_idx port_free =
-        let best = ref 0 in
-        Array.iteri
-          (fun i t -> if t < port_free.(!best) then best := i)
-          port_free;
-        !best
-      in
-      let send_free = eng.ports.(src_proc) in
-      let si = min_idx send_free in
-      let depart =
-        match eng.network with
-        | Duplex_ports _ ->
-            let recv_free = eng.recv_ports.(dproc) in
-            let ri = min_idx recv_free in
-            Float.max finish (Float.max send_free.(si) recv_free.(ri))
-        | Contention_free | Sender_ports _ -> Float.max finish send_free.(si)
-      in
-      if depart +. w <= eng.fail_times.(src_proc) then begin
-        send_free.(si) <- depart +. w;
-        (match eng.network with
-        | Duplex_ports _ ->
-            let recv_free = eng.recv_ports.(dproc) in
-            recv_free.(min_idx recv_free) <- depart +. w
-        | Contention_free | Sender_ports _ -> ());
-        deliver depart
       end
-      else
-        (* transfer cut off by the sender's death *)
-        drop ()
-    end
+    else arrival_event eng arrival rid slot
+
+  let deliver eng ~src_proc ~w depart rid slot =
+    if eng.fault_free then arrival_event eng (depart +. w) rid slot
+    else attempt eng ~src_proc ~w 0 depart rid slot
+
+  (* One message of [vol] units from [src_proc], done at [finish], to
+     input [slot] of row [rid].  Under a port model a non-local message
+     must wait for a free outgoing port, and dies with the sender if the
+     transfer has not finished by the sender's failure instant. *)
+  let emit eng ~src_proc ~finish rid slot vol =
+    let dproc = eng.proc.(rid) in
+    let w = vol *. Platform.delay eng.tm.t_pl src_proc dproc in
+    if w = 0. then arrival_event eng (finish +. w) rid slot
+    else
+      match eng.network with
+      | Contention_free -> deliver eng ~src_proc ~w finish rid slot
+      | Sender_ports _ | Duplex_ports _ ->
+          let send_free = eng.ports.(src_proc) in
+          let si = min_idx send_free in
+          let duplex =
+            match eng.network with Duplex_ports _ -> true | _ -> false
+          in
+          let depart =
+            if duplex then
+              let recv_free = eng.recv_ports.(dproc) in
+              Float.max finish
+                (Float.max send_free.(si) recv_free.(min_idx recv_free))
+            else Float.max finish send_free.(si)
+          in
+          if depart +. w <= eng.fail_times.(src_proc) then begin
+            send_free.(si) <- depart +. w;
+            if duplex then begin
+              let recv_free = eng.recv_ports.(dproc) in
+              recv_free.(min_idx recv_free) <- depart +. w
+            end;
+            deliver eng ~src_proc ~w depart rid slot
+          end
+          else
+            (* transfer cut off by the sender's death *)
+            drop_sender eng rid slot
 
   (* The message-free path's emission: plan message [i] arrives at
      [finish + w], fixed now.  It takes the sequence number its arrival
@@ -758,7 +690,8 @@ module Engine = struct
      event once every input has an arrival. *)
   let fold_arrival eng ~src_proc ~finish i =
     let tm = eng.tm in
-    let w = tm.em_vol.(i) *. Platform.delay tm.t_pl src_proc tm.em_dproc.(i) in
+    let drid = tm.em_rid.(i) in
+    let w = tm.em_vol.(i) *. Platform.delay tm.t_pl src_proc eng.proc.(drid) in
     let at = finish +. w in
     eng.seq <- eng.seq + 1;
     eng.events <- eng.events + 1;
@@ -766,7 +699,6 @@ module Engine = struct
       eng.vmax_at <- at;
       eng.vmax_seq <- eng.seq
     end;
-    let drid = (tm.em_dst.(i) * tm.t_k) + tm.em_dk.(i) in
     if eng.tag.(drid) = t_waiting then begin
       let slot = tm.em_slot.(i) in
       if eng.sat.(slot) = infinity then begin
@@ -784,36 +716,25 @@ module Engine = struct
     end
 
   (* Emit one message per retained plan pair originating at a completed
-     static replica, plus one per runtime subscription.  Under a port
-     model a non-local message must wait for a free outgoing port, and
-     dies with the sender if the transfer has not finished by the
-     sender's failure instant; a dropped message costs the receiver one
-     potential sender.  In the message-free path the plan messages of a
-     completion popped in order are folded; those of a retroactive one
-     are arrival events, counted here like the folded ones. *)
-  let emit_completions eng ~src_proc ~finish ~rid ~subs ~retro =
+     static row, plus one per runtime subscription; a dropped message
+     costs the receiver one potential sender.  In the message-free path
+     the plan messages of a completion popped in order are folded; those
+     of a retroactive one are arrival events, counted here like the
+     folded ones. *)
+  let emit_completions eng ~src_proc ~finish ~retro rid =
     let tm = eng.tm in
-    (match rid with
-    | Some rid ->
-        for i = tm.em_off.(rid) to tm.em_off.(rid + 1) - 1 do
-          if eng.fold && not retro then fold_arrival eng ~src_proc ~finish i
-          else begin
-            if eng.fold then eng.events <- eng.events + 1;
-            emit eng ~src_proc ~finish ~dst:tm.em_dst.(i) ~dk:tm.em_dk.(i)
-              ~pos:tm.em_pos.(i) ~dproc:tm.em_dproc.(i) ~vol:tm.em_vol.(i)
-          end
-        done
-    | None -> ());
+    if static_row tm rid then
+      for i = tm.em_off.(rid) to tm.em_off.(rid + 1) - 1 do
+        if eng.fold && not retro then fold_arrival eng ~src_proc ~finish i
+        else begin
+          if eng.fold then eng.events <- eng.events + 1;
+          emit eng ~src_proc ~finish tm.em_rid.(i) tm.em_slot.(i) tm.em_vol.(i)
+        end
+      done;
     List.iter
       (fun sub ->
-        let dproc =
-          if sub.sub_rep < tm.t_k then
-            tm.proc0.((sub.sub_dst * tm.t_k) + sub.sub_rep)
-          else (inj_of eng sub.sub_dst sub.sub_rep).i_proc
-        in
-        emit eng ~src_proc ~finish ~dst:sub.sub_dst ~dk:sub.sub_rep
-          ~pos:sub.sub_pos ~dproc ~vol:sub.sub_vol)
-      subs
+        emit eng ~src_proc ~finish sub.sub_rid sub.sub_slot sub.sub_vol)
+      eng.subs.(rid)
 
   (* A pop of an arrival-kind event for a static replica in the
      message-free path: its ready event (the key recorded in the slot),
@@ -832,72 +753,40 @@ module Engine = struct
         if eng.unsat.(rid) = 0 && (was_latest || eng.rdy.(rid) < 0) then
           settle_ready eng rid
       end;
-      try_advance eng eng.tm.proc0.(rid)
+      try_advance eng eng.proc.(rid)
     end
 
   let process eng ~at ~seq ~retro ~a:task ~b:k ~c =
-    let tm = eng.tm in
     eng.now <- at;
-    if c >= 0 && k < tm.t_k && eng.fold then begin
-      static_arrival eng ~at ~seq ((task * tm.t_k) + k)
-        (tm.slot_off.((task * tm.t_k) + k) + c);
-      drain_dirty eng
-    end
+    let rid = rid_of eng task k in
+    if c >= 0 && folded eng rid then
+      static_arrival eng ~at ~seq rid (eng.slot_off.(rid) + c)
     else if c >= 0 then begin
+      (* arrival of a copy of input [c] *)
       eng.events <- eng.events + 1;
-      (* arrival of a copy of input [c] at replica [k] of [task] *)
-      (if k < tm.t_k then begin
-         let rid = (task * tm.t_k) + k in
-         if eng.tag.(rid) = t_waiting then begin
-           let slot = tm.slot_off.(rid) + c in
-           if eng.sat.(slot) = infinity then begin
-             eng.sat.(slot) <- at;
-             eng.unsat.(rid) <- eng.unsat.(rid) - 1
-           end;
-           try_advance eng tm.proc0.(rid)
-         end
-       end
-       else begin
-         let r = inj_of eng task k in
-         if r.i_tag = t_waiting then begin
-           if r.i_sat.(c) = infinity then begin
-             r.i_sat.(c) <- at;
-             r.i_unsat <- r.i_unsat - 1
-           end;
-           try_advance eng r.i_proc
-         end
-       end);
-      drain_dirty eng
+      if eng.tag.(rid) = t_waiting then begin
+        let slot = eng.slot_off.(rid) + c in
+        if eng.sat.(slot) = infinity then begin
+          eng.sat.(slot) <- at;
+          eng.unsat.(rid) <- eng.unsat.(rid) - 1
+        end;
+        try_advance eng eng.proc.(rid)
+      end
     end
-    else if k < tm.t_k then begin
-      (* completion of a static replica *)
+    else begin
       eng.events <- eng.events + 1;
-      let rid = (task * tm.t_k) + k in
       (* A completion event for a replica that was lost in the meantime
          cannot happen: losses only strike waiting replicas or processors
          already checked at start. *)
       assert (eng.tag.(rid) = t_running);
       let finish = eng.st_finish.(rid) in
       eng.tag.(rid) <- t_done;
-      let p = tm.proc0.(rid) in
+      let p = eng.proc.(rid) in
       eng.free_at.(p) <- finish;
-      emit_completions eng ~src_proc:p ~finish ~rid:(Some rid)
-        ~subs:eng.subs.(rid) ~retro;
-      try_advance eng p;
-      drain_dirty eng
-    end
-    else begin
-      eng.events <- eng.events + 1;
-      let r = inj_of eng task k in
-      assert (r.i_tag = t_running);
-      let finish = r.i_finish in
-      r.i_tag <- t_done;
-      eng.free_at.(r.i_proc) <- finish;
-      emit_completions eng ~src_proc:r.i_proc ~finish ~rid:None ~subs:r.i_subs
-        ~retro;
-      try_advance eng r.i_proc;
-      drain_dirty eng
-    end
+      emit_completions eng ~src_proc:p ~finish ~retro rid;
+      try_advance eng p
+    end;
+    drain_dirty eng
 
   (* A pop below the high-water mark is retroactive: a replica unblocked
      by a loss may start, and so complete, before instants already
@@ -949,47 +838,34 @@ module Engine = struct
   let n_replicas eng task = eng.tm.t_k + Array.length eng.extra.(task)
 
   let replica_state eng ~task ~rep =
-    if rep < eng.tm.t_k then begin
-      let rid = (task * eng.tm.t_k) + rep in
-      let tg = eng.tag.(rid) in
-      if tg = t_waiting then Waiting
-      else if tg = t_running then
-        Running { start = eng.st_start.(rid); finish = eng.st_finish.(rid) }
-      else if tg = t_done then
-        Done { start = eng.st_start.(rid); finish = eng.st_finish.(rid) }
-      else Lost_replica
-    end
-    else begin
-      let r = inj_of eng task rep in
-      if r.i_tag = t_waiting then Waiting
-      else if r.i_tag = t_running then
-        Running { start = r.i_start; finish = r.i_finish }
-      else if r.i_tag = t_done then
-        Done { start = r.i_start; finish = r.i_finish }
-      else Lost_replica
-    end
+    let rid = rid_of eng task rep in
+    let tg = eng.tag.(rid) in
+    if tg = t_waiting then Waiting
+    else if tg = t_running then
+      Running { start = eng.st_start.(rid); finish = eng.st_finish.(rid) }
+    else if tg = t_done then
+      Done { start = eng.st_start.(rid); finish = eng.st_finish.(rid) }
+    else Lost_replica
 
-  let replica_proc eng ~task ~rep =
-    if rep < eng.tm.t_k then eng.tm.proc0.((task * eng.tm.t_k) + rep)
-    else (inj_of eng task rep).i_proc
-
+  let replica_proc eng ~task ~rep = eng.proc.(rid_of eng task rep)
   let free_at eng p = eng.free_at.(p)
 
   let input_satisfied eng ~task ~rep ~pos =
-    if rep < eng.tm.t_k then
-      let slot = eng.tm.slot_off.((task * eng.tm.t_k) + rep) + pos in
-      if eng.fold then slot_delivered eng slot else eng.sat.(slot) < infinity
-    else (inj_of eng task rep).i_sat.(pos) < infinity
+    let rid = rid_of eng task rep in
+    let slot = eng.slot_off.(rid) + pos in
+    if folded eng rid then slot_delivered eng slot
+    else eng.sat.(slot) < infinity
 
   let kill_replica eng ~task ~rep =
-    match tag_of eng task rep with
+    let rid = rid_of eng task rep in
+    match eng.tag.(rid) with
     | tg when tg = t_waiting ->
         (* The kill is a decision taken at virtual time [now]; whatever
            was queued behind the killed replica only becomes runnable
            now, not retroactively. *)
-        let p = replica_proc eng ~task ~rep in
+        let p = eng.proc.(rid) in
         if eng.free_at.(p) < eng.now then eng.free_at.(p) <- eng.now;
-        lose eng task rep;
+        lose eng rid;
         drain_dirty eng
     | tg when tg = t_running ->
         invalid_arg "Event_sim.Engine.kill_replica: running replica"
@@ -1006,17 +882,34 @@ module Engine = struct
     eng.q_buf.(p).(tail) <- rid;
     eng.q_tail.(p) <- tail + 1
 
-  let add_inj eng r =
-    if eng.n_inj = Array.length eng.inj then begin
-      let na = Array.make (max 4 (2 * eng.n_inj)) r in
-      Array.blit eng.inj 0 na 0 eng.n_inj;
-      eng.inj <- na
-    end;
-    eng.inj.(eng.n_inj) <- r;
-    eng.n_inj <- eng.n_inj + 1;
-    eng.n_inj - 1
+  let grown a len fill =
+    let b = Array.make len fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
 
-  type source_sub = { ss_task : int; ss_rep : int; ss_sub : sub }
+  (* Room for one more row with [n] input slots.  Both the rows and the
+     slots grow by an eighth, so a recovery that injects a few hundred
+     replicas copies the large static slot arrays once or twice instead
+     of doubling them. *)
+  let reserve eng n =
+    let rows = Array.length eng.tag in
+    if eng.n_rows = rows then begin
+      let len = rows + max 16 (rows / 8) in
+      eng.tag <- grown eng.tag len t_waiting;
+      eng.st_start <- grown eng.st_start len 0.;
+      eng.st_finish <- grown eng.st_finish len 0.;
+      eng.unsat <- grown eng.unsat len 0;
+      eng.subs <- grown eng.subs len [];
+      eng.proc <- grown eng.proc len 0;
+      eng.key <- grown eng.key len 0;
+      eng.slot_off <- grown eng.slot_off (len + 1) 0
+    end;
+    let used = eng.slot_off.(eng.n_rows) and slots = Array.length eng.sat in
+    if used + n > slots then begin
+      let len = max (used + n) (slots + max 64 (slots / 8)) in
+      eng.sat <- grown eng.sat len infinity;
+      eng.pend <- grown eng.pend len 0
+    end
 
   let inject eng ~task ~proc ~inputs =
     let tm = eng.tm in
@@ -1024,15 +917,16 @@ module Engine = struct
       invalid_arg "Event_sim.Engine.inject: task";
     if proc < 0 || proc >= tm.t_m then
       invalid_arg "Event_sim.Engine.inject: proc";
-    let base = (Dag.Csr.pred_offsets tm.t_g).(task) in
+    let pbase = (Dag.Csr.pred_offsets tm.t_g).(task) in
     let net = Dag.in_degree tm.t_g task in
     if Array.length inputs <> net then
       invalid_arg "Event_sim.Engine.inject: one source list per in-edge";
     let k = tm.t_k + Array.length eng.extra.(task) in
     check_replica k;
-    let i_sat = Array.make net infinity in
-    let i_pend = Array.make net 0 in
-    (* Validate and register sources before publishing the replica: a
+    reserve eng net;
+    let rid = eng.n_rows in
+    let base = eng.slot_off.(rid) in
+    (* Validate and collect sources before publishing the row: a
        malformed call must not leave a half-subscribed ghost behind. *)
     let subs_to_add = ref [] in
     let resends = ref [] in
@@ -1040,12 +934,10 @@ module Engine = struct
       (fun pos sources ->
         if sources = [] then
           invalid_arg "Event_sim.Engine.inject: input with no source";
-        let esrc = (Dag.Csr.pred_tasks tm.t_g).(base + pos) in
-        let vol = (Dag.Csr.pred_volumes tm.t_g).(base + pos) in
+        let esrc = (Dag.Csr.pred_tasks tm.t_g).(pbase + pos) in
+        let vol = (Dag.Csr.pred_volumes tm.t_g).(pbase + pos) in
         List.iter
-          (fun src ->
-            i_pend.(pos) <- i_pend.(pos) + 1;
-            match src with
+          (function
             | Resend { arrival } ->
                 if arrival < eng.now then
                   invalid_arg "Event_sim.Engine.inject: arrival in the past";
@@ -1055,55 +947,35 @@ module Engine = struct
                   invalid_arg "Event_sim.Engine.inject: source task mismatch";
                 if src_rep < 0 || src_rep >= n_replicas eng src_task then
                   invalid_arg "Event_sim.Engine.inject: source replica";
-                (let tg = tag_of eng src_task src_rep in
-                 if tg = t_done then
-                   invalid_arg
-                     "Event_sim.Engine.inject: source already completed \
-                      (use Resend)"
-                 else if tg = t_lost then
-                   invalid_arg "Event_sim.Engine.inject: lost source");
-                subs_to_add :=
-                  {
-                    ss_task = src_task;
-                    ss_rep = src_rep;
-                    ss_sub =
-                      { sub_dst = task; sub_rep = k; sub_pos = pos;
-                        sub_vol = vol };
-                  }
-                  :: !subs_to_add)
+                let srid = rid_of eng src_task src_rep in
+                if eng.tag.(srid) = t_done then
+                  invalid_arg
+                    "Event_sim.Engine.inject: source already completed \
+                     (use Resend)"
+                else if eng.tag.(srid) = t_lost then
+                  invalid_arg "Event_sim.Engine.inject: lost source";
+                let sub =
+                  { sub_rid = rid; sub_slot = base + pos; sub_vol = vol }
+                in
+                subs_to_add := (srid, sub) :: !subs_to_add)
           sources)
       inputs;
-    let r =
-      {
-        i_task = task;
-        i_k = k;
-        i_proc = proc;
-        i_tag = t_waiting;
-        i_start = 0.;
-        i_finish = 0.;
-        i_sat;
-        i_pend;
-        i_unsat = net;
-        i_subs = [];
-      }
-    in
-    let idx = add_inj eng r in
-    eng.extra.(task) <- Array.append eng.extra.(task) [| idx |];
+    (* Publish the row.  Rows and slots past the used ones are fresh from
+       [reserve]: waiting, no subscribers, no arrival. *)
+    Array.iteri
+      (fun pos sources -> eng.pend.(base + pos) <- List.length sources)
+      inputs;
+    eng.unsat.(rid) <- net;
+    eng.proc.(rid) <- proc;
+    eng.key.(rid) <- key_of ~task ~rep:k;
+    eng.slot_off.(rid + 1) <- base + net;
+    eng.n_rows <- rid + 1;
+    eng.extra.(task) <- Array.append eng.extra.(task) [| rid |];
     List.iter
-      (fun { ss_task; ss_rep; ss_sub } ->
-        if ss_rep < tm.t_k then begin
-          let srid = (ss_task * tm.t_k) + ss_rep in
-          eng.subs.(srid) <- ss_sub :: eng.subs.(srid)
-        end
-        else begin
-          let sr = inj_of eng ss_task ss_rep in
-          sr.i_subs <- ss_sub :: sr.i_subs
-        end)
+      (fun (srid, sub) -> eng.subs.(srid) <- sub :: eng.subs.(srid))
       !subs_to_add;
-    List.iter
-      (fun (arrival, pos) -> push_event eng arrival ~a:task ~b:k ~c:pos)
-      !resends;
-    enqueue eng proc (tm.t_nstatic + idx);
+    List.iter (fun (arrival, pos) -> push_event eng arrival rid pos) !resends;
+    enqueue eng proc rid;
     (* An injection decided at virtual time [now] cannot start earlier
        than [now], even on an idle processor.  Bumping the availability is
        safe: every event up to [now] is processed, so nothing else queued
@@ -1121,19 +993,11 @@ module Engine = struct
     let outcomes =
       Array.init tm.t_v (fun t ->
           Array.init (n_replicas eng t) (fun k ->
-              if k < tm.t_k then begin
-                let rid = (t * tm.t_k) + k in
-                if eng.tag.(rid) = t_done then
-                  Completed
-                    { start = eng.st_start.(rid); finish = eng.st_finish.(rid) }
-                else Lost
-              end
-              else begin
-                let r = inj_of eng t k in
-                if r.i_tag = t_done then
-                  Completed { start = r.i_start; finish = r.i_finish }
-                else Lost
-              end))
+              let rid = rid_of eng t k in
+              if eng.tag.(rid) = t_done then
+                Completed
+                  { start = eng.st_start.(rid); finish = eng.st_finish.(rid) }
+              else Lost))
     in
     let all_tasks_ok =
       Array.for_all
@@ -1145,16 +1009,7 @@ module Engine = struct
       else
         Some
           (Array.fold_left
-             (fun acc e ->
-               let first =
-                 Array.fold_left
-                   (fun best o ->
-                     match o with
-                     | Completed { finish; _ } -> Float.min best finish
-                     | Lost -> best)
-                   infinity outcomes.(e)
-               in
-               Float.max acc first)
+             (fun acc e -> Float.max acc (earliest_finish outcomes.(e)))
              0. (Dag.exits tm.t_g))
     in
     {

@@ -15,7 +15,14 @@
       by the communication plan (messages in flight survive the sender's
       subsequent death — fail-silent processors, reliable links);
     - a replica whose inputs can never arrive, or whose processor dies
-      first, is lost; losses cascade along the plan.
+      first, is lost; losses cascade along the plan;
+    - the replica queued behind a lost one starts at the later of its
+      inputs' arrival and its processor's free instant, even when that
+      instant lies before the event that revealed the loss (say, the lost
+      replica's last input arriving after its processor's crash).  The
+      start rule is clairvoyant about losses, not FIFO-causal: in real
+      time the processor would still be waiting on the lost replica, yet
+      here the replica behind it can start, and complete, in the past.
 
     With [fail_times.(p) = 0] for a set of processors this reproduces the
     {!Crash_exec} semantics exactly — the test suite checks that the two

@@ -214,21 +214,23 @@ let recovery_digest (o : Recovery.outcome) =
     o.Recovery.kills o.Recovery.detected_failures;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
+(* Processors of a plan, busiest first. *)
+let busiest s =
+  let m = Instance.n_procs (Schedule.instance s) in
+  Array.of_list
+    (List.map snd
+       (List.sort
+          (fun a b -> compare b a)
+          (List.init m (fun p -> (Schedule.busy_time s p, p)))))
+
 (* Timed-crash sets for a plan, in units of its M*: the busiest
    processor at a quarter; the three busiest at a quarter, a half and
    three quarters (the scale benchmarks' recovery); two at once; eight
    staggered, beyond any replication; one dead from the start with a
    second mid-run. *)
 let crash_sets s =
-  let m = Instance.n_procs (Schedule.instance s) in
   let mstar = Schedule.latency_lower_bound s in
-  let busiest =
-    Array.of_list
-      (List.map snd
-         (List.sort
-            (fun a b -> compare b a)
-            (List.init m (fun p -> (Schedule.busy_time s p, p)))))
-  in
+  let busiest = busiest s in
   let at k f = { Ftsched_sim.Scenario.proc = busiest.(k); at = f *. mstar } in
   [
     [ at 0 0.25 ];
@@ -238,40 +240,96 @@ let crash_sets s =
     [ at 3 0.; at 4 0.5 ];
   ]
 
+let recovery_outcomes ?network ?faults ~delta s =
+  List.map (Recovery.run_timed ?network ?faults ~delta s) (crash_sets s)
+
+(* One digest over the outcomes of every crash set. *)
+let outcomes_digest outcomes =
+  Digest.to_hex
+    (Digest.string (String.concat " " (List.map recovery_digest outcomes)))
+
+let recovery_plans inst =
+  [
+    ("ftsa", Ftsa.schedule ~seed:2008 inst ~eps:2);
+    ("mc-ftsa", Mc_ftsa.schedule ~seed:2008 inst ~eps:2);
+  ]
+
 let test_recovery_digests () =
   let inst = pinned_instance () in
-  List.iter
-    (fun (name, s, pins) ->
+  List.iter2
+    (fun (name, s) pins ->
       let mstar = Schedule.latency_lower_bound s in
       List.iter2
         (fun frac want ->
-          let delta = frac *. mstar in
-          let digests =
-            List.map
-              (fun crashes ->
-                recovery_digest (Recovery.run_timed ~delta s crashes))
-              (crash_sets s)
-          in
           check_digest
             (Printf.sprintf "%s recovery, delta = %g M*" name frac)
             want
-            (Digest.to_hex (Digest.string (String.concat " " digests))))
+            (outcomes_digest (recovery_outcomes ~delta:(frac *. mstar) s)))
         [ 0.; 0.02; 0.2 ] pins)
+    (recovery_plans inst)
     [
-      ( "ftsa",
-        Ftsa.schedule ~seed:2008 inst ~eps:2,
+      [
+        "5f0c18e180f08531a528df24cc4118cd";
+        "c9ad9eb3857234887ae16b44f8934fc2";
+        "69101de68109226bec6beabad8ca25e6";
+      ];
+      [
+        "f21fc0b428546208a14445d773e9dbd4";
+        "9564645a4c305ecb3791e734cf46bdc5";
+        "10fb0f338cda34681e83f7aeb20388ba";
+      ];
+    ]
+
+(* The same crash sets at δ = 0.02 M* on the per-message paths, which
+   carry an injected replica's inputs: one sender port per processor,
+   and lossy links (5% loss, two retries) with an outage window on the
+   link between the two busiest processors. *)
+let test_recovery_digests_per_message () =
+  let inst = pinned_instance () in
+  List.iter2
+    (fun (name, s) pins ->
+      let mstar = Schedule.latency_lower_bound s in
+      let busiest = busiest s in
+      let lossy =
+        Ftsched_sim.Scenario.lossy ~loss:0.05 ~retries:2 ~seed:7
+          ~outages:
+            [
+              Ftsched_sim.Scenario.outage ~src:busiest.(0) ~dst:busiest.(1)
+                ~from_t:(0.2 *. mstar) ~until_t:(0.6 *. mstar);
+            ]
+          ()
+      in
+      List.iter2
+        (fun (label, network, faults) want ->
+          let outcomes =
+            recovery_outcomes ?network ?faults ~delta:(0.02 *. mstar) s
+          in
+          let some f = List.exists f outcomes in
+          check_bool
+            (Printf.sprintf "%s over %s injects" name label)
+            true
+            (some (fun o -> o.Recovery.injections > 0));
+          if faults <> None then
+            check_bool
+              (Printf.sprintf "%s over %s re-sends" name label)
+              true
+              (some (fun o -> o.Recovery.result.Event_sim.retransmissions > 0));
+          check_digest
+            (Printf.sprintf "%s recovery over %s, delta = 0.02 M*" name label)
+            want (outcomes_digest outcomes))
         [
-          "5f0c18e180f08531a528df24cc4118cd";
-          "c9ad9eb3857234887ae16b44f8934fc2";
-          "69101de68109226bec6beabad8ca25e6";
-        ] );
-      ( "mc-ftsa",
-        Mc_ftsa.schedule ~seed:2008 inst ~eps:2,
-        [
-          "f21fc0b428546208a14445d773e9dbd4";
-          "9564645a4c305ecb3791e734cf46bdc5";
-          "10fb0f338cda34681e83f7aeb20388ba";
-        ] );
+          ("one sender port", Some (Event_sim.Sender_ports 1), None);
+          ("lossy links", None, Some lossy);
+        ]
+        pins)
+    (recovery_plans inst)
+    [
+      [
+        "a3e294f94056ef29da0453501cf6a9e8"; "76c6b08b0c30722508177c97c4b8492a";
+      ];
+      [
+        "5d3ae225d1786a6701ee68fe6cd32224"; "c60b1bd5b6b869cda6a1866149e2d91d";
+      ];
     ]
 
 (* The kernel driver versus the naive oracle, with EXACT float equality
@@ -316,6 +374,8 @@ let () =
           Alcotest.test_case "schedule digests" `Quick test_schedule_digests;
           Alcotest.test_case "codec digests" `Quick test_codec_digests;
           Alcotest.test_case "recovery digests" `Quick test_recovery_digests;
+          Alcotest.test_case "recovery digests, per-message paths" `Quick
+            test_recovery_digests_per_message;
           Alcotest.test_case "ftsa equals reference exactly" `Quick
             test_ftsa_equals_reference_exactly;
         ] );

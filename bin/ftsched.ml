@@ -301,7 +301,7 @@ let schedule_cmd =
       | Some k when algo.Schedulers.name = "mc-ftsa" ->
           let strategy = Mc_ftsa.Redundant k in
           let run ?trace ~seed = Mc_ftsa.schedule ~seed ~strategy ?trace in
-          { algo with run }
+          { Schedulers.name = Printf.sprintf "mc-ftsa --redundancy %d" k; run }
       | _ -> algo
     in
     let s = plan ?trace algo ~seed inst ~eps in
@@ -322,7 +322,8 @@ let schedule_cmd =
     | _ -> ());
     (match (trace, trace_file) with
     | Some tr, Some path ->
-        Ftsched_kernel.Trace.save_jsonl tr ~path;
+        Ftsched_kernel.Trace.save_jsonl tr ~algorithm:algo.Schedulers.name
+          ~path;
         Format.printf "wrote %s@." path
     | _ -> ());
     if gantt then print_string (Gantt.render s);

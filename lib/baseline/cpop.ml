@@ -63,7 +63,6 @@ let schedule ?trace inst =
     ~policy:
       {
         Insertion_list.policy with
-        name = "cpop";
         discipline =
           Driver.Priority { key = (fun _ t -> priority.(t)); tie = Driver.Lifo_tie };
         choose;

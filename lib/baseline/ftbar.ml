@@ -81,8 +81,7 @@ let schedule ?seed ?trace inst ~npf =
   Driver.schedule ?seed ~instance:inst ?trace
     ~policy:
       {
-        Driver.name = "ftbar";
-        replicas = npf + 1;
+        Driver.replicas = npf + 1;
         discipline = Driver.Urgency urgency;
         prepare = Driver.prepare_inputs;
         evaluate = Driver.eval_inputs;

@@ -7,7 +7,6 @@ let schedule ?trace inst =
     ~policy:
       {
         Insertion_list.policy with
-        name = "heft";
         discipline = Driver.Fixed_order (fun _ -> order);
       }
     ()

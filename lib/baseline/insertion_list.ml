@@ -4,8 +4,7 @@ module Driver = Ftsched_kernel.Driver
 
 let policy =
   {
-    Driver.name = "insertion-list";
-    replicas = 1;
+    Driver.replicas = 1;
     discipline =
       Driver.Fixed_order
         (fun st -> Dag.topological_order (Instance.dag st.Driver.inst));

@@ -5,7 +5,7 @@
     ({!Ftsched_kernel.Driver.eval_insertion}) and committed at that gap.
     The three heuristics differ only in the task order ([discipline]) and
     in the processor choice ([choose]); each derives its policy from
-    {!policy} by record update of [name], [discipline] and [choose]. *)
+    {!policy} by record update of [discipline] and [choose]. *)
 
 val policy : Ftsched_kernel.Driver.policy
 (** The base: topological task order, earliest-finish processor. *)

@@ -48,7 +48,6 @@ let schedule ?trace inst =
     ~policy:
       {
         Insertion_list.policy with
-        name = "peft";
         discipline =
           Driver.Priority { key = (fun _ t -> rank.(t)); tie = Driver.Lifo_tie };
         choose;

@@ -11,19 +11,15 @@ type infeasible = Driver.deadline_failure = {
   finish : float;
 }
 
-let run_once ?(seed = 0) ~mc inst ~eps =
-  if mc then Mc_ftsa.schedule ~seed inst ~eps else Ftsa.schedule ~seed inst ~eps
-
 let measure bound s =
   match bound with
   | Lower_bound -> Schedule.latency_lower_bound s
   | Upper_bound -> Schedule.latency_upper_bound s
 
-let max_supported_failures ?(seed = 0) ?(bound = Upper_bound) ?(mc = false)
-    inst ~latency =
+let max_supported_failures ?(seed = 0) ?(bound = Upper_bound) inst ~latency =
   let m = Instance.n_procs inst in
   let fits eps =
-    let s = run_once ~seed ~mc inst ~eps in
+    let s = Ftsa.schedule ~seed inst ~eps in
     if measure bound s <= latency then Some s else None
   in
   (* Binary search for the largest feasible ε, seeded by the ε = 0 probe so
@@ -43,19 +39,16 @@ let max_supported_failures ?(seed = 0) ?(bound = Upper_bound) ?(mc = false)
       done;
       Some !best
 
-let latency_profile ?(seed = 0) ?(mc = false) inst ~max_eps =
+let latency_profile ?(seed = 0) inst ~max_eps =
   let m = Instance.n_procs inst in
   let top = min max_eps (m - 1) in
   List.init (top + 1) (fun eps ->
-      let s = run_once ~seed ~mc inst ~eps in
+      let s = Ftsa.schedule ~seed inst ~eps in
       (eps, Schedule.latency_lower_bound s, Schedule.latency_upper_bound s))
 
-let with_deadlines ?seed ?(mc = false) inst ~eps ~latency =
+let with_deadlines ?seed inst ~eps ~latency =
   let deadlines = Deadline.compute inst ~eps ~latency in
-  let mode =
-    if mc then Ftsa_policy.Min_comm Ftsa_policy.Greedy_edges
-    else Ftsa_policy.All_to_all_comm
-  in
   Driver.run ?seed ~instance:inst
-    ~policy:(Ftsa_policy.policy ~instance:inst ~eps ~mode)
+    ~policy:
+      (Ftsa_policy.policy ~instance:inst ~eps ~mode:Ftsa_policy.All_to_all_comm)
     ~deadlines ()

@@ -17,26 +17,24 @@ type bound =
 val max_supported_failures :
   ?seed:int ->
   ?bound:bound ->
-  ?mc:bool ->
   Ftsched_model.Instance.t ->
   latency:float ->
   (int * Ftsched_schedule.Schedule.t) option
 (** [max_supported_failures inst ~latency] is the largest [ε] (with its
     schedule) whose chosen latency bound does not exceed [latency], found
-    by binary search over [0 … m-1] ([bound] defaults to [Upper_bound];
-    [mc] selects MC-FTSA instead of FTSA).  [None] if even [ε = 0] misses
+    by binary search over [0 … m-1] ([bound] defaults to [Upper_bound]),
+    each probe one FTSA run.  [None] if even [ε = 0] misses
     the target.  As in the paper, the search assumes the bound grows with
     [ε] — true in practice though not guaranteed for a heuristic. *)
 
 val latency_profile :
   ?seed:int ->
-  ?mc:bool ->
   Ftsched_model.Instance.t ->
   max_eps:int ->
   (int * float * float) list
 (** [(ε, M*, M)] for every ε from 0 to [max_eps] — the raw material of
-    the latency/fault-tolerance trade-off curve (each point is one
-    FTSA/MC-FTSA run).  [max_eps] is clamped to [m-1]. *)
+    the latency/fault-tolerance trade-off curve (each point is one FTSA
+    run).  [max_eps] is clamped to [m-1]. *)
 
 type infeasible = {
   task : Ftsched_dag.Dag.task;
@@ -46,7 +44,6 @@ type infeasible = {
 
 val with_deadlines :
   ?seed:int ->
-  ?mc:bool ->
   Ftsched_model.Instance.t ->
   eps:int ->
   latency:float ->

@@ -115,7 +115,6 @@ let schedule ?seed ?(ports = 1) ?trace inst ~eps =
     {
       (Ftsa_policy.policy ~instance:inst ~eps ~mode:Ftsa_policy.All_to_all_comm)
       with
-      name = "ca-ftsa";
       prepare;
       evaluate;
       commit;

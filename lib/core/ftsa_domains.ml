@@ -50,6 +50,5 @@ let schedule ?seed ?trace ~domains inst ~eps =
     {
       (Ftsa_policy.policy ~instance:inst ~eps ~mode:Ftsa_policy.All_to_all_comm)
       with
-      name = "ftsa-domains";
       choose;
     }

@@ -110,14 +110,13 @@ let commit_min_comm strategy (st : Driver.state) t =
    [ε+1] earliest-finishing processors, and the mode's commit rule. *)
 let policy ~instance ~eps ~mode =
   let bl = Levels.bottom_levels instance in
-  let name, commit, selected_comm =
+  let commit, selected_comm =
     match mode with
-    | All_to_all_comm -> ("ftsa", Driver.commit_straight, false)
-    | Min_comm strategy -> ("mc-ftsa", commit_min_comm strategy, true)
+    | All_to_all_comm -> (Driver.commit_straight, false)
+    | Min_comm strategy -> (commit_min_comm strategy, true)
   in
   {
-    Driver.name;
-    replicas = eps + 1;
+    Driver.replicas = eps + 1;
     discipline =
       Driver.Priority
         { key = (fun st t -> Driver.top_level st t +. bl.(t)); tie = Driver.Rng_tie };

@@ -28,11 +28,10 @@ val policy :
   eps:int ->
   mode:mode ->
   Ftsched_kernel.Driver.policy
-(** The FTSA ([All_to_all_comm], named ["ftsa"]) or MC-FTSA ([Min_comm],
-    named ["mc-ftsa"]) policy for [ε = eps].  The FTSA variants derive
-    theirs from it by record update: R-FTSA and domain-aware FTSA
-    override [name] and [choose], contention-aware FTSA overrides
-    [name], [prepare], [evaluate] and [commit]. *)
+(** The FTSA ([All_to_all_comm]) or MC-FTSA ([Min_comm]) policy for
+    [ε = eps].  The FTSA variants derive theirs from it by record update:
+    R-FTSA and domain-aware FTSA override [choose], contention-aware FTSA
+    overrides [prepare], [evaluate] and [commit]. *)
 
 val run :
   ?seed:int ->

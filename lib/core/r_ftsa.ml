@@ -33,6 +33,5 @@ let schedule ?seed ?(alpha = 0.15) ?trace ~rates inst ~eps =
     {
       (Ftsa_policy.policy ~instance:inst ~eps ~mode:Ftsa_policy.All_to_all_comm)
       with
-      name = "r-ftsa";
       choose;
     }

@@ -53,7 +53,6 @@ type discipline =
   | Urgency of (state -> free:int array -> int * float)
 
 type policy = {
-  name : string;
   replicas : int;
   discipline : discipline;
   prepare : state -> int -> unit;
@@ -356,9 +355,7 @@ let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
             Proc_state.commit_slot st.timeline p ~start:0. ~finish:rel
               ~pess_finish:rel)
         r);
-  (match trace with
-  | Some tr -> Trace.start tr ~algorithm:policy.name
-  | None -> ());
+  Option.iter Trace.start trace;
   (* Phase timers: [lap phase since] books the time elapsed since [since]
      to [phase] and returns the current instant; both cost nothing on an
      untraced run. *)

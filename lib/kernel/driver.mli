@@ -126,7 +126,6 @@ type discipline =
           fresh snapshot the callback may keep. *)
 
 type policy = {
-  name : string;
   replicas : int;  (** replicas per task, [ε+1] *)
   discipline : discipline;
   prepare : state -> int -> unit;

@@ -13,7 +13,6 @@ type step = {
 }
 
 type t = {
-  mutable algo : string;
   mutable rev_steps : step list;
   mutable n_steps : int;
   mutable candidate_evals : int;
@@ -26,7 +25,6 @@ type t = {
 
 let create () =
   {
-    algo = "";
     rev_steps = [];
     n_steps = 0;
     candidate_evals = 0;
@@ -37,11 +35,9 @@ let create () =
     gap = { Proc_state.searches = 0; scanned = 0 };
   }
 
-let algorithm t = t.algo
 let steps t = List.rev t.rev_steps
 
-let start t ~algorithm =
-  t.algo <- algorithm;
+let start t =
   t.rev_steps <- [];
   t.n_steps <- 0;
   t.candidate_evals <- 0;
@@ -93,7 +89,7 @@ let buf_float b f =
     Buffer.add_string b (Printf.sprintf "%.1f" f)
   else Buffer.add_string b (Printf.sprintf "%.17g" f)
 
-let save_jsonl t ~path =
+let save_jsonl t ~algorithm ~path =
   let oc = open_out path in
   let b = Buffer.create 4096 in
   List.iter
@@ -148,7 +144,7 @@ let save_jsonl t ~path =
     "{\"summary\":{\"algorithm\":%S,\"steps\":%d,\"candidate_evals\":%d,\
      \"gap_searches\":%d,\"mean_gap_depth\":%.6f,\"evaluate_time\":%.6f,\
      \"choose_time\":%.6f,\"commit_time\":%.6f}}\n"
-    t.algo s.Metrics.steps s.Metrics.candidate_evals s.Metrics.gap_searches
+    algorithm s.Metrics.steps s.Metrics.candidate_evals s.Metrics.gap_searches
     s.Metrics.mean_gap_depth s.Metrics.evaluate_time s.Metrics.choose_time
     s.Metrics.commit_time;
   close_out oc

@@ -34,9 +34,6 @@ type t
 
 val create : unit -> t
 
-val algorithm : t -> string
-(** Name of the policy that produced the trace ("" until a run starts). *)
-
 val steps : t -> step list
 (** Recorded steps, in scheduling order. *)
 
@@ -54,15 +51,16 @@ val reductions : t -> int
     books only its top levels).  With {!stats}' [candidate_evals], the
     work count behind the Table 1 scaling claim. *)
 
-val save_jsonl : t -> path:string -> unit
+val save_jsonl : t -> algorithm:string -> path:string -> unit
 (** One JSON object per step, in scheduling order, followed by a final
-    summary object with the aggregate counters. *)
+    summary object with the aggregate counters under the label
+    [algorithm] (the CLI writes the scheduler catalogue's name). *)
 
 (** {2 Driver-side interface}
 
     Called by {!Driver}; user code only reads traces. *)
 
-val start : t -> algorithm:string -> unit
+val start : t -> unit
 val record : t -> step -> unit
 val add_evals : t -> int -> unit
 val add_reductions : t -> int -> unit

@@ -10,7 +10,7 @@ let render ?(width = 92) s =
        (Schedule.eps s));
   for p = 0 to m - 1 do
     let line = Bytes.make width '.' in
-    List.iter
+    Array.iter
       (fun (r : Schedule.replica) ->
         let c0 =
           int_of_float (r.start /. horizon *. float_of_int (width - 1))
@@ -27,7 +27,7 @@ let render ?(width = 92) s =
         String.iteri
           (fun i ch -> if c0 + i <= c1 then Bytes.set line (c0 + i) ch)
           label)
-      (Schedule.proc_timeline s p);
+      (Schedule.timeline s p);
     Buffer.add_string buf (Printf.sprintf "P%-3d |%s|\n" p (Bytes.to_string line))
   done;
   Buffer.contents buf
@@ -68,7 +68,7 @@ let render_svg ?(width = 960) ?(row_height = 26) s =
          (y + row_height)
          (margin_left + lane_w)
          (y + row_height));
-    List.iter
+    Array.iter
       (fun (r : Schedule.replica) ->
         let x0 = x_of r.start and x1 = x_of r.finish in
         let xp = x_of r.pess_finish in
@@ -93,7 +93,7 @@ let render_svg ?(width = 960) ?(row_height = 26) s =
         Buffer.add_string buf
           (Printf.sprintf "<text x=\"%d\" y=\"%d\">%d</text>\n" (x0 + 2)
              (yy + hh - 3) r.task))
-      (Schedule.proc_timeline s p)
+      (Schedule.timeline s p)
   done;
   (* time axis with five ticks *)
   let axis_y = margin_top + (m * row_height) + 12 in
@@ -116,10 +116,10 @@ let render_listing s =
   let m = Instance.n_procs inst in
   let buf = Buffer.create 4096 in
   for p = 0 to m - 1 do
-    let timeline = Schedule.proc_timeline s p in
-    if timeline <> [] then begin
+    let timeline = Schedule.timeline s p in
+    if Array.length timeline > 0 then begin
       Buffer.add_string buf (Printf.sprintf "P%d:\n" p);
-      List.iter
+      Array.iter
         (fun (r : Schedule.replica) ->
           Buffer.add_string buf
             (Printf.sprintf "  task %d (copy %d): [%.4g, %.4g)  worst [%.4g, %.4g)\n"

@@ -27,7 +27,7 @@ let speedup s =
 
 let busy_times s =
   let m = Instance.n_procs (Schedule.instance s) in
-  Array.init m (fun p -> Schedule.busy_time s p)
+  Array.init m (Schedule.busy_time s)
 
 let avg_utilization s =
   let busy = busy_times s in

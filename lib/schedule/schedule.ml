@@ -17,7 +17,50 @@ type t = {
   eps : int;
   replicas : replica array array;
   comm : Comm_plan.t;
+  order : replica array;
+  order_off : int array;
+      (* processor [p]'s replicas, in planned order, are
+         [order.(order_off.(p))] … [order.(order_off.(p + 1) - 1)] *)
 }
+
+(* The planned order on a processor: optimistic start, then task, then
+   replica index descending.  Replicas of one task sit on distinct
+   processors, so the index only decides between two replicas of one task
+   on one processor, which a malformed plan can hold. *)
+let planned_order a b =
+  match Float.compare a.start b.start with
+  | 0 -> (
+      match Int.compare a.task b.task with
+      | 0 -> Int.compare b.index a.index
+      | c -> c)
+  | c -> c
+
+(* Every replica in planned order, processor after processor: a
+   counting pass gives each processor its range of [order], a second
+   fills the ranges in task order, and each range is sorted. *)
+let order_of ~m replicas =
+  let off = Array.make (m + 1) 0 in
+  Array.iter
+    (Array.iter (fun r -> off.(r.proc + 1) <- off.(r.proc + 1) + 1))
+    replicas;
+  for p = 0 to m - 1 do
+    off.(p + 1) <- off.(p + 1) + off.(p)
+  done;
+  let order =
+    if off.(m) = 0 then [||] else Array.make off.(m) replicas.(0).(0)
+  in
+  let at = Array.sub off 0 m in
+  Array.iter
+    (Array.iter (fun r ->
+         order.(at.(r.proc)) <- r;
+         at.(r.proc) <- at.(r.proc) + 1))
+    replicas;
+  for p = 0 to m - 1 do
+    let range = Array.sub order off.(p) (off.(p + 1) - off.(p)) in
+    Array.stable_sort planned_order range;
+    Array.blit range 0 order off.(p) (Array.length range)
+  done;
+  (order, off)
 
 let create ~instance ~eps ~replicas ~comm =
   let v = Instance.n_tasks instance and m = Instance.n_procs instance in
@@ -49,7 +92,8 @@ let create ~instance ~eps ~replicas ~comm =
   | Comm_plan.Selected sel ->
       if Array.length sel <> Dag.n_edges (Instance.dag instance) then
         invalid_arg "Schedule.create: comm plan edge count");
-  { instance; eps; replicas; comm }
+  let order, order_off = order_of ~m replicas in
+  { instance; eps; replicas; comm; order; order_off }
 
 let instance t = t.instance
 let eps t = t.eps
@@ -73,28 +117,11 @@ let mapping_matrix t =
     t.replicas;
   x
 
-let timeline_order a b = compare (a.start, a.task) (b.start, b.task)
+let timeline t proc =
+  let lo = t.order_off.(proc) in
+  Array.sub t.order lo (t.order_off.(proc + 1) - lo)
 
-let proc_timeline t proc =
-  let acc = ref [] in
-  Array.iter
-    (fun row ->
-      Array.iter (fun r -> if r.proc = proc then acc := r :: !acc) row)
-    t.replicas;
-  List.sort timeline_order !acc
-
-(* One pass over the replica table instead of the m passes that calling
-   {!proc_timeline} per processor costs — replicas of one task sit on
-   distinct processors, so each bucket's (start, task) keys are unique
-   and the per-bucket sort order is the same as [proc_timeline]'s. *)
-let proc_timelines t =
-  let m = Instance.n_procs t.instance in
-  let buckets = Array.make m [] in
-  Array.iter
-    (fun row ->
-      Array.iter (fun r -> buckets.(r.proc) <- r :: buckets.(r.proc)) row)
-    t.replicas;
-  Array.map (List.sort timeline_order) buckets
+let proc_timeline t proc = Array.to_list (timeline t proc)
 
 let fold_exits t ~init ~f =
   Array.fold_left (fun acc e -> f acc t.replicas.(e)) init
@@ -147,8 +174,11 @@ let total_comm_volume t =
   fold_messages t ~init:0. ~f:(fun acc ~volume _ _ -> acc +. volume)
 
 let busy_time t proc =
-  List.fold_left (fun acc r -> acc +. (r.finish -. r.start)) 0.
-    (proc_timeline t proc)
+  let busy = ref 0. in
+  for i = t.order_off.(proc) to t.order_off.(proc + 1) - 1 do
+    busy := !busy +. (t.order.(i).finish -. t.order.(i).start)
+  done;
+  !busy
 
 let pp_summary ppf t =
   Format.fprintf ppf

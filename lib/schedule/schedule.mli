@@ -34,7 +34,8 @@ val create :
   t
 (** [create ~instance ~eps ~replicas ~comm] wraps scheduler output.
     [replicas.(task)] must hold exactly [ε+1] entries in replica-index
-    order.  Structural errors raise [Invalid_argument], among them a
+    order.  It orders each processor's replicas once ({!timeline}).
+    Structural errors raise [Invalid_argument], among them a
     replica time that is NaN or infinite
     (["Schedule.create: replica time not finite"]); semantic checks
     (precedence feasibility, Prop. 4.1, …) live in {!Validate}. *)
@@ -62,13 +63,16 @@ val mapping_matrix : t -> bool array array
 (** The [v × m] matrix [X] of §2: [X.(i).(k)] iff some replica of task [i]
     runs on processor [k]. *)
 
-val proc_timeline : t -> Ftsched_platform.Platform.proc -> replica list
-(** Replicas hosted on a processor, sorted by optimistic start time. *)
+val timeline : t -> Ftsched_platform.Platform.proc -> replica array
+(** The replicas hosted on a processor in their planned order: by
+    optimistic start, then task, then replica index descending (the index
+    only matters for a malformed plan that puts two replicas of one task
+    on one processor).  {!create} orders every processor once; every
+    simulator, validator and planner reads this order.  Each call returns
+    a fresh copy. *)
 
-val proc_timelines : t -> replica list array
-(** All [m] timelines in one pass over the replica table — entry [p]
-    equals [proc_timeline t p].  Use this when sweeping every processor
-    (validation, statistics): one traversal instead of [m]. *)
+val proc_timeline : t -> Ftsched_platform.Platform.proc -> replica list
+(** [timeline t proc] as a fresh list. *)
 
 val latency_lower_bound : t -> float
 (** [M*] (eq. 2): [max over exits of (min over replicas of finish)]. *)
@@ -86,6 +90,7 @@ val total_comm_volume : t -> float
 (** Sum of volumes over counted inter-processor messages. *)
 
 val busy_time : t -> Ftsched_platform.Platform.proc -> float
-(** Total optimistic execution time hosted on the processor. *)
+(** Total optimistic execution time hosted on the processor, summed over
+    its {!timeline} in planned order. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -56,11 +56,9 @@ let timeline_errors ~proc timeline =
 
 let no_processor_overlap s =
   let errs = ref [] in
-  (* one pass over the replica table for all m timelines; per-timeline
-     order identical to [Schedule.proc_timeline] *)
-  Array.iteri
-    (fun p timeline -> errs := timeline_errors ~proc:p timeline @ !errs)
-    (Schedule.proc_timelines s);
+  for p = 0 to Instance.n_procs (Schedule.instance s) - 1 do
+    errs := timeline_errors ~proc:p (Schedule.proc_timeline s p) @ !errs
+  done;
   !errs
 
 let data_feasible s =

@@ -29,8 +29,10 @@ val no_processor_overlap : Schedule.t -> error list
 val timeline_errors : proc:int -> Schedule.replica list -> error list
 (** The scan behind {!no_processor_overlap}, on one explicit timeline:
     adjacent-pair overlap errors plus [unsorted-timeline] monotonicity
-    errors.  Exposed so the unsorted branch is directly testable
-    ({!Schedule.proc_timeline} always returns a sorted list). *)
+    errors.  Exposed so the unsorted branch is directly testable: a
+    schedule's own {!Schedule.timeline} is sorted by start when
+    {!Schedule.create} builds it, so {!no_processor_overlap} never hits
+    that branch. *)
 
 val data_feasible : Schedule.t -> error list
 (** Every replica starts no earlier than the arrival of its inputs:

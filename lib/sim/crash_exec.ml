@@ -99,20 +99,6 @@ let survives ?(policy = Strict) s scenario =
   let dead = dead_procs ~fn:"survives" s scenario in
   snd (productivity s ~policy ~dead ~stop_at_loss:true)
 
-(* Per-processor chains, in [Schedule.proc_timeline]'s order: replicas of
-   one task sit on distinct processors, so (planned start, task) is a
-   total order on a bucket; the descending replica index breaks the tie
-   a malformed schedule with two replicas of one task on one processor
-   would leave, the way [proc_timeline]'s stable sort of its reversed
-   accumulation does. *)
-let timeline_order (a : Schedule.replica) (b : Schedule.replica) =
-  match Float.compare a.start b.start with
-  | 0 -> (
-      match Int.compare a.task b.task with
-      | 0 -> Int.compare b.index a.index
-      | c -> c)
-  | c -> c
-
 (* Sender rows.  Entry [j] of a task's predecessor row owns the [kk]
    slots [j * kk … j * kk + kk - 1], one per receiver replica; [src0] and
    [dst0] are the rids of replica 0 of the edge's source and destination.
@@ -268,38 +254,25 @@ let run ?(policy = Strict) s scenario =
       done
     done
   done;
-  (* Processor chains: one bucket pass over the productive replicas (a
-     productive replica's processor is alive), one sort per processor;
-     [chain_next.(id)] is the next productive replica on [id]'s
-     processor, or -1. *)
-  let count = Array.make m 0 in
-  for id = 0 to n - 1 do
-    if productive.(id) then count.(proc.(id)) <- count.(proc.(id)) + 1
-  done;
-  let buckets =
-    Array.map
-      (fun c -> if c = 0 then [||] else Array.make c (Schedule.replica s 0 0))
-      count
-  in
-  Array.fill count 0 m 0;
-  for id = 0 to n - 1 do
-    if productive.(id) then begin
-      let p = proc.(id) in
-      buckets.(p).(count.(p)) <- Schedule.replica s (id / kk) (id mod kk);
-      count.(p) <- count.(p) + 1
-    end
-  done;
+  (* Processor chains: each processor's planned order with the
+     non-productive replicas skipped; [chain_next.(id)] is the next
+     productive replica on [id]'s processor, or -1. *)
   let chain_next = Array.make n (-1) in
-  Array.iter
-    (fun bucket ->
-      Array.stable_sort timeline_order bucket;
-      for i = 1 to Array.length bucket - 1 do
-        let a = bucket.(i - 1) and b = bucket.(i) in
-        let id_b = (b.task * kk) + b.index in
-        chain_next.((a.task * kk) + a.index) <- id_b;
-        indeg.(id_b) <- indeg.(id_b) + 1
-      done)
-    buckets;
+  for p = 0 to m - 1 do
+    let timeline = Schedule.timeline s p in
+    let prev = ref (-1) in
+    for i = 0 to Array.length timeline - 1 do
+      let (r : Schedule.replica) = timeline.(i) in
+      let id = (r.task * kk) + r.index in
+      if productive.(id) then begin
+        if !prev >= 0 then begin
+          chain_next.(!prev) <- id;
+          indeg.(id) <- indeg.(id) + 1
+        end;
+        prev := id
+      end
+    done
+  done;
   (* Timing sweep: Kahn's algorithm with an int-array FIFO (each replica
      enters it at most once). *)
   let delay = Array.init m (Platform.delay_row pl) in

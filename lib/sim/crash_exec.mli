@@ -37,9 +37,10 @@
     [rid = task * (ε+1) + k]: effective-sender rows with one slot per
     (predecessor-row entry, receiver replica), sized by a counting pass
     over productive receivers only and filled in plan order; a successor
-    CSR over the same entries; per-processor chains from one bucket pass
-    over the productive replicas and a (planned start, task) sort per
-    processor; and Kahn's sweep over an int-array FIFO.  It performs the
+    CSR over the same entries; per-processor chains that walk each
+    processor's planned order ({!Ftsched_schedule.Schedule.timeline},
+    sorted once when the schedule was built) and skip the non-productive
+    replicas; and Kahn's sweep over an int-array FIFO.  It performs the
     float operations of the list-and-Hashtbl reference pass
     [Crash_exec_ref] (under [test/oracle]) in the same order, and the
     two agree bit for bit ([test_sim], the fuzzer's executor-agreement
@@ -47,12 +48,12 @@
     tasks, m = 20, ε = 1 / 2 / 5, FTSA and MC-FTSA, exactly-ε subsets,
     [Reroute]) a call costs 0.53–0.61 ms against 1.85–2.05 ms for the
     reference, measured alternately in one process on a shared 2-vCPU
-    virtual machine.  Only [dead] depends on the scenario, but the work a
-    per-schedule template could hoist out of a call (the
-    replica-to-processor table and every processor's planned order)
-    measured 0.05 of 0.55 ms on the same inputs, under 10% of a call,
-    and each scenario would still filter the chains; so there is no
-    template, and [run] is the one entry point.
+    virtual machine.  Only [dead] depends on the scenario.  The planned
+    order is the schedule's own, read and never re-sorted by a call;
+    what a per-schedule template could still hoist (the
+    replica-to-processor table) is a single pass, and each scenario would
+    still filter the chains, so there is no template, and [run] is the
+    one entry point.
 
     {2 Why this is not a view over [Event_sim]}
 

@@ -481,13 +481,10 @@ module Engine = struct
       done
     done;
     let q0 =
-      Array.map
-        (fun timeline ->
-          Array.of_list
-            (List.map
-               (fun (r : Schedule.replica) -> (r.Schedule.task * kk) + r.index)
-               timeline))
-        (Schedule.proc_timelines s)
+      Array.init m (fun p ->
+          Array.map
+            (fun (r : Schedule.replica) -> (r.task * kk) + r.index)
+            (Schedule.timeline s p))
     in
     {
       t_s = s;
@@ -623,7 +620,11 @@ module Engine = struct
     let f = eng.faults in
     if
       Rng.bernoulli eng.frng f.Scenario.loss
-      || Scenario.in_outage f ~src:src_proc ~dst:eng.proc.(rid) ~at:arrival
+      || (match f.Scenario.outages with
+         | [] -> false
+         | _ ->
+             Scenario.in_outage f ~src:src_proc ~dst:eng.proc.(rid)
+               ~at:arrival)
     then
       if i >= f.Scenario.retries then begin
         eng.lost_messages <- eng.lost_messages + 1;

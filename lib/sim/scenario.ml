@@ -102,11 +102,14 @@ let lossy ?(loss = 0.) ?(outages = []) ?(retries = 3) ?(rtt_factor = 2.)
 
 let is_reliable f = f.loss = 0. && f.outages = []
 
-let in_outage f ~src ~dst ~at =
-  List.exists
-    (fun o ->
-      o.link_src = src && o.link_dst = dst && o.from_t <= at && at < o.until_t)
-    f.outages
+(* A plain scan: no closure per call on the lossy channel's path. *)
+let rec outage_at ~src ~dst ~at = function
+  | [] -> false
+  | o :: rest ->
+      (o.link_src = src && o.link_dst = dst && o.from_t <= at && at < o.until_t)
+      || outage_at ~src ~dst ~at rest
+
+let in_outage f ~src ~dst ~at = outage_at ~src ~dst ~at f.outages
 
 let pp_comm_faults ppf f =
   Format.fprintf ppf "loss=%g retries=%d rtt=%g" f.loss f.retries f.rtt_factor;

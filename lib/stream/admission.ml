@@ -54,15 +54,10 @@ let occupy c ~proc ~until =
    pessimistic finish of a replica hosted there (equation (3) prices the
    tail under up to [eps] in-plan crashes). *)
 let plan_tails m s =
-  let tails = Array.make m 0. in
-  Array.iteri
-    (fun p timeline ->
-      List.iter
-        (fun (r : Schedule.replica) ->
-          tails.(p) <- Float.max tails.(p) r.Schedule.pess_finish)
-        timeline)
-    (Schedule.proc_timelines s);
-  tails
+  Array.init m (fun p ->
+      Array.fold_left
+        (fun tail (r : Schedule.replica) -> Float.max tail r.pess_finish)
+        0. (Schedule.timeline s p))
 
 let try_admit ?workspace c ~now ~deadline ~eps ~seed inst =
   if Instance.n_procs inst <> c.m then

@@ -224,15 +224,15 @@ let gen_instance rng ~platform ~tasks:(tlo, thi) =
 let used_procs m schedule =
   let used = ref [] in
   for p = m - 1 downto 0 do
-    if Schedule.proc_timeline schedule p <> [] then used := p :: !used
+    if Array.length (Schedule.timeline schedule p) > 0 then used := p :: !used
   done;
   !used
 
 let first_planned_start schedule p =
-  List.fold_left
-    (fun acc (r : Schedule.replica) -> Float.min acc r.Schedule.start)
+  Array.fold_left
+    (fun acc (r : Schedule.replica) -> Float.min acc r.start)
     infinity
-    (Schedule.proc_timeline schedule p)
+    (Schedule.timeline schedule p)
 
 (* Classify an execution into a typed fate.  [degraded] describes the
    completed subset when the run did not complete every task. *)

@@ -4,6 +4,9 @@
    - the DAG's CSR rows, iterators, entries and exits against the list
      reference built from [Dag.iter_edges];
    - [Validate.check] on the FTSA and MC-FTSA plans;
+   - each processor's planned order ([Schedule.timeline]) against a
+     polymorphic sort of the replica table by (start, task, index
+     descending);
    - the schedule digests of both plans (MC-FTSA with the greedy
      selector), pinned bit for bit;
    - the flat [Event_sim] against the reference engine, fault-free and
@@ -113,6 +116,32 @@ let validated s =
       Error
         (Format.asprintf "%d errors, first: %a" (List.length errs)
            Validate.pp_error (List.hd errs))
+
+(* Every processor's stored order against one built here: the replica
+   table walked task by task, bucketed by processor, each bucket sorted
+   by (start, task, -index) with polymorphic [compare]. *)
+let planned_order s =
+  let buckets = Array.make m [] in
+  for t = 0 to Instance.n_tasks (Schedule.instance s) - 1 do
+    Array.iter
+      (fun (r : Schedule.replica) ->
+        buckets.(r.proc) <- (r.start, r.task, - r.index) :: buckets.(r.proc))
+      (Schedule.replicas s t)
+  done;
+  let rec first_mismatch p =
+    if p = m then Ok ()
+    else
+      let want = List.map (fun (_, t, k) -> (t, - k)) (List.sort compare buckets.(p))
+      and got =
+        Array.to_list
+          (Array.map
+             (fun (r : Schedule.replica) -> (r.task, r.index))
+             (Schedule.timeline s p))
+      in
+      if want = got then first_mismatch (p + 1)
+      else Error (Printf.sprintf "P%d's order differs" p)
+  in
+  first_mismatch 0
 
 let round_trips s =
   let doc = Serialize.schedule_to_string s in
@@ -301,6 +330,8 @@ let graph name generate =
   List.iter
     (fun (algo, s) ->
       check (algo ^ ": Validate.check") (fun () -> validated s);
+      check (algo ^ ": planned order = reference sort") (fun () ->
+          planned_order s);
       check (algo ^ ": schedule digest = pinned") (fun () ->
           digest_pinned name algo s);
       check (algo ^ ": flat Event_sim = reference") (fun () -> engines_agree s);

@@ -196,19 +196,22 @@ let test_trace_edges_and_jsonl () =
   check_bool "mc-ftsa records selected edges" true
     (List.exists (fun (st : Trace.step) -> st.Trace.edges <> []) (Trace.steps trace));
   let path = Filename.temp_file "ftsched_trace" ".jsonl" in
-  Trace.save_jsonl trace ~path;
+  Trace.save_jsonl trace ~algorithm:"mc-ftsa" ~path;
   let ic = open_in path in
-  let lines = ref 0 in
+  let lines = ref [] in
   (try
      while true do
-       ignore (input_line ic);
-       incr lines
+       lines := input_line ic :: !lines
      done
    with End_of_file -> ());
   close_in ic;
   Sys.remove path;
-  (* one object per step plus the trailing summary object *)
-  check_int "jsonl line count" (Instance.n_tasks inst + 1) !lines
+  (* one object per step plus the trailing summary object, which carries
+     the label it was saved under *)
+  check_int "jsonl line count" (Instance.n_tasks inst + 1) (List.length !lines);
+  let prefix = {|{"summary":{"algorithm":"mc-ftsa",|} in
+  check_bool "summary label" true
+    (String.starts_with ~prefix (List.hd !lines))
 
 (* The processor selection: [Driver.best_by_key]'s one insertion pass
    against the copy-and-sort it replaced, kept here as written before
@@ -256,7 +259,7 @@ let trace_step_lines run =
   let trace = Trace.create () in
   ignore (run trace);
   let path = Filename.temp_file "ftsched_trace" ".jsonl" in
-  Trace.save_jsonl trace ~path;
+  Trace.save_jsonl trace ~algorithm:"" ~path;
   let ic = open_in path in
   let lines = ref [] in
   (try

@@ -9,6 +9,11 @@ module Schedule = Ftsched_schedule.Schedule
 module Comm_plan = Ftsched_schedule.Comm_plan
 module Validate = Ftsched_schedule.Validate
 module Gantt = Ftsched_schedule.Gantt
+module Scenario = Ftsched_sim.Scenario
+module Crash_exec = Ftsched_sim.Crash_exec
+module Event_sim = Ftsched_sim.Event_sim
+module Crash_exec_ref = Ftsched_oracle.Crash_exec_ref
+module Event_sim_ref = Ftsched_oracle.Event_sim_ref
 open Helpers
 
 (* ------------------------------------------------------------------ *)
@@ -128,6 +133,63 @@ let test_proc_timeline_sorted () =
   let tl = Schedule.proc_timeline s 0 in
   let starts = List.map (fun rep -> rep.Schedule.start) tl in
   Alcotest.(check (list (float 1e-9))) "sorted" [ 0.; 2.; 5. ] starts
+
+(* The planned order's tie rules, on a hand-built plan over a fork-join
+   t0, t1 -> t2 -> t3 (eps = 1, three processors): t0 and t1 both start
+   at 0 on P0, and both replicas of t2 sit on P1 with the same start, a
+   malformed plan [Schedule.create] accepts.  The order is (start, task,
+   replica index descending); every replay reads it, so the flat crash
+   replay and event engine must still agree with their references on it. *)
+let tie_schedule () =
+  let b = Dag.Builder.create () in
+  let t = Array.init 4 (fun _ -> Dag.Builder.add_task b) in
+  Dag.Builder.add_edge b ~src:t.(0) ~dst:t.(2) ~volume:2.;
+  Dag.Builder.add_edge b ~src:t.(1) ~dst:t.(2) ~volume:4.;
+  Dag.Builder.add_edge b ~src:t.(2) ~dst:t.(3) ~volume:2.;
+  let dag = Dag.Builder.build b in
+  let platform = Platform.homogeneous ~m:3 ~unit_delay:0.5 in
+  let exec =
+    [| [| 2.; 3.; 2. |]; [| 1.; 2.; 4. |]; [| 3.; 2.; 2. |]; [| 1.; 1.; 1. |] |]
+  in
+  let r task index proc s f = replica ~task ~index ~proc ~s ~f ~ps:s ~pf:f in
+  Schedule.create ~instance:(Instance.create ~dag ~platform ~exec) ~eps:1
+    ~comm:Comm_plan.All_to_all
+    ~replicas:
+      [|
+        [| r 0 0 0 0. 2.; r 0 1 1 0. 3. |];
+        [| r 1 0 0 0. 1.; r 1 1 2 0. 4. |];
+        [| r 2 0 1 5. 7.; r 2 1 1 5. 7. |];
+        [| r 3 0 0 8. 9.; r 3 1 2 8. 9. |];
+      |]
+
+let test_timeline_ties () =
+  let s = tie_schedule () in
+  let order p =
+    List.map (fun (r : Schedule.replica) -> (r.task, r.index))
+      (Schedule.proc_timeline s p)
+  in
+  let pairs = Alcotest.(list (pair int int)) in
+  Alcotest.check pairs "P0: equal starts by task" [ (0, 0); (1, 0); (3, 0) ]
+    (order 0);
+  Alcotest.check pairs "P1: one task's replicas by index descending"
+    [ (0, 1); (2, 1); (2, 0) ] (order 1);
+  Alcotest.check pairs "P2" [ (1, 1); (3, 1) ] (order 2);
+  List.iter
+    (fun failed ->
+      let sc = Scenario.of_list (Array.to_list failed) in
+      List.iter
+        (fun policy ->
+          check_bool "Crash_exec = reference" true
+            (Crash_exec.run ~policy s sc = Crash_exec_ref.run ~policy s sc))
+        [ Crash_exec.Strict; Crash_exec.Reroute ];
+      List.iter
+        (fun at ->
+          let fail_times = Array.make 3 infinity in
+          Array.iter (fun p -> fail_times.(p) <- at) failed;
+          check_bool "Event_sim = reference" true
+            (Event_sim.run s ~fail_times = Event_sim_ref.run s ~fail_times))
+        [ 0.; 1.5; 6. ])
+    (subsets_up_to ~m:3 ~k:2)
 
 let test_bounds () =
   let s = hand_schedule () in
@@ -764,6 +826,7 @@ let () =
           Alcotest.test_case "accessors" `Quick test_accessors;
           Alcotest.test_case "mapping matrix" `Quick test_mapping_matrix;
           Alcotest.test_case "timeline sorted" `Quick test_proc_timeline_sorted;
+          Alcotest.test_case "timeline ties" `Quick test_timeline_ties;
           Alcotest.test_case "bounds M*/M" `Quick test_bounds;
           Alcotest.test_case "busy time" `Quick test_busy_time;
           Alcotest.test_case "messages: intra shortcut" `Quick

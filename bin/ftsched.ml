@@ -127,8 +127,9 @@ let redundancy_arg =
     value & opt (some pos_int_conv) None
     & info [ "redundancy" ] ~docv:"K"
         ~doc:
-          "With mc-ftsa: keep $(docv) senders per input instead of one \
-           (the redundant extension; K = eps+1 restores full fan-in).")
+          "Only with mc-ftsa: keep $(docv) senders per input instead of one \
+           (the redundant extension; K = eps+1 restores full fan-in); any \
+           other --algo is a usage error.")
 
 let policy_arg =
   Arg.(
@@ -279,6 +280,17 @@ let schedule_cmd =
   in
   let run kind n m eps granularity seed algo redundancy gantt listing svg save
       from_stg trace_file stats =
+    let algo =
+      match redundancy with
+      | None -> algo
+      | Some k when algo.Schedulers.name = "mc-ftsa" ->
+          let strategy = Mc_ftsa.Redundant k in
+          let run ?trace ~seed = Mc_ftsa.schedule ~seed ~strategy ?trace in
+          { Schedulers.name = Printf.sprintf "mc-ftsa --redundancy %d" k; run }
+      | Some k ->
+          input_error "--redundancy %d: only with --algo mc-ftsa (not %s)" k
+            algo.name
+    in
     let inst =
       match from_stg with
       | Some path ->
@@ -295,14 +307,6 @@ let schedule_cmd =
     let trace =
       if stats || trace_file <> None then Some (Ftsched_kernel.Trace.create ())
       else None
-    in
-    let algo =
-      match redundancy with
-      | Some k when algo.Schedulers.name = "mc-ftsa" ->
-          let strategy = Mc_ftsa.Redundant k in
-          let run ?trace ~seed = Mc_ftsa.schedule ~seed ~strategy ?trace in
-          { Schedulers.name = Printf.sprintf "mc-ftsa --redundancy %d" k; run }
-      | _ -> algo
     in
     let s = plan ?trace algo ~seed inst ~eps in
     Format.printf "%a@." Schedule.pp_summary s;

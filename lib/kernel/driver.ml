@@ -210,11 +210,13 @@ let commit_insertion st t =
         finish_pess = st.fin_opt.(p);
       })
 
-(* Priority list α: a binary max-heap keyed by (priority, tie, task id);
-   the head H(α) is the maximum binding.  Task ids are unique, so the
-   key order is total, the pop sequence is unique, and schedules are
-   bit-identical — the pinned schedule digests check it. *)
-module Alpha = Ftsched_ds.Bin_heap
+(* Priority list α: the one min-heap {!Ftsched_ds.Heap}, holding
+   (priority, tie rank, task id) as (-. priority, - rank, lnot task), so
+   its least entry is the head H(α), the lexicographic maximum.  Task
+   ids are unique, so the order is total, the pop sequence is unique,
+   and schedules are bit-identical — the pinned schedule digests check
+   it. *)
+module Alpha = Ftsched_ds.Heap
 
 type workspace = {
   mutable w_m : int;
@@ -480,16 +482,18 @@ let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
       let seq = ref 0 in
       let push_free t =
         let prio = key st t in
-        let tie =
+        let rank =
           match tie with
-          | Rng_tie -> Rng.float_in st.rng 0. 1.
+          | Rng_tie ->
+              (* the bit pattern of a [0,1) draw orders as the draw *)
+              Int64.to_int (Int64.bits_of_float (Rng.float_in st.rng 0. 1.))
           | Lifo_tie ->
               (* most recently freed wins exact priority ties, matching a
                  newest-first ready-list scan *)
               incr seq;
-              float_of_int !seq
+              !seq
         in
-        Alpha.push alpha ~prio ~tie ~task:t
+        Alpha.push alpha ~key:(-.prio) ~seq:(-rank) ~payload:(lnot t)
       in
       (match tie with
       | Rng_tie -> Array.iter push_free entry_tasks
@@ -500,8 +504,13 @@ let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
             push_free entry_tasks.(i)
           done);
       while !running && not (Alpha.is_empty alpha) do
-        let t = Alpha.max_task alpha and prio = Alpha.max_prio alpha in
-        Alpha.drop_max alpha;
+        let t = lnot (Alpha.min_payload alpha) in
+        (* only the trace reads the priority; negating it would box a
+           float per task *)
+        let prio =
+          match trace with None -> nan | Some _ -> -.Alpha.min_key alpha
+        in
+        Alpha.drop_min alpha;
         if do_task ~urgent:false ~prio t then release_succs t push_free
         else running := false
       done

@@ -109,12 +109,6 @@ let commit_slot t p ~start ~finish ~pess_finish =
   if pess_finish > t.r_pess.(p) then t.r_pess.(p) <- pess_finish;
   if t.insertion then insert t.lines.(p) ~start ~finish
 
-let iter_slots t p f =
-  let line = t.lines.(p) in
-  for i = 0 to line.len - 1 do
-    f ~start:line.starts.(i) ~finish:line.finishes.(i)
-  done
-
 let slots t p =
   let line = t.lines.(p) in
   Array.init line.len (fun i -> (line.starts.(i), line.finishes.(i)))

@@ -56,17 +56,10 @@ val commit_slot : t -> int -> start:float -> finish:float -> pess_finish:float -
     insertion states, inserts the [start, finish) busy slot into the
     timeline. *)
 
-val iter_slots : t -> int -> (start:float -> finish:float -> unit) -> unit
-(** [iter_slots t p f] applies [f] to every committed slot of [p] in
-    increasing start order, allocating nothing — the hot-path
-    counterpart of {!slots} for consumers that only walk the timeline
-    (validation sweeps, trace emission).  Empty on non-insertion
-    states. *)
-
 val slots : t -> int -> (float * float) array
 (** The committed [(start, finish)] slots of a processor in increasing
-    start order; empty on non-insertion states.  Convenience wrapper
-    over {!iter_slots} for the property tests. *)
+    start order; empty on non-insertion states.  For the property
+    tests. *)
 
 type gap_stats = {
   searches : int;  (** calls to {!earliest_gap} *)

@@ -121,8 +121,6 @@ let timeline t proc =
   let lo = t.order_off.(proc) in
   Array.sub t.order lo (t.order_off.(proc + 1) - lo)
 
-let proc_timeline t proc = Array.to_list (timeline t proc)
-
 let fold_exits t ~init ~f =
   Array.fold_left (fun acc e -> f acc t.replicas.(e)) init
     (Dag.exits (Instance.dag t.instance))

@@ -71,9 +71,6 @@ val timeline : t -> Ftsched_platform.Platform.proc -> replica array
     simulator, validator and planner reads this order.  Each call returns
     a fresh copy. *)
 
-val proc_timeline : t -> Ftsched_platform.Platform.proc -> replica list
-(** [timeline t proc] as a fresh list. *)
-
 val latency_lower_bound : t -> float
 (** [M*] (eq. 2): [max over exits of (min over replicas of finish)]. *)
 

@@ -27,37 +27,20 @@ let distinct_replica_procs s =
   done;
   !errs
 
-(* The pairwise scan below only sees overlaps between *adjacent*
-   replicas, so it silently assumes the timeline is start-sorted.  An
-   unsorted timeline is reported as its own error instead of letting
-   overlaps slip past the scan. *)
-let timeline_errors ~proc timeline =
-  let errs = ref [] in
-  let rec scan = function
-    | a :: (b :: _ as rest) ->
-        if b.Schedule.start +. tolerance < a.Schedule.start then
-          errs :=
-            errf "unsorted-timeline"
-              "P%d: task %d at %g listed after task %d at %g — timeline \
-               not start-sorted, overlap detection unreliable"
-              proc b.Schedule.task b.start a.task a.start
-            :: !errs
-        else if b.Schedule.start < a.Schedule.finish -. tolerance then
-          errs :=
-            errf "no-overlap"
-              "P%d: task %d [%g,%g) overlaps task %d [%g,%g)" proc a.task
-              a.start a.finish b.task b.start b.finish
-            :: !errs;
-        scan rest
-    | _ -> ()
-  in
-  scan timeline;
-  !errs
-
+(* [Schedule.create] sorts each processor's replicas by start, so
+   comparing adjacent replicas finds every overlap. *)
 let no_processor_overlap s =
   let errs = ref [] in
   for p = 0 to Instance.n_procs (Schedule.instance s) - 1 do
-    errs := timeline_errors ~proc:p (Schedule.proc_timeline s p) @ !errs
+    let tl = Schedule.timeline s p in
+    for i = 1 to Array.length tl - 1 do
+      let a = tl.(i - 1) and b = tl.(i) in
+      if b.start < a.finish -. tolerance then
+        errs :=
+          errf "no-overlap" "P%d: task %d [%g,%g) overlaps task %d [%g,%g)" p
+            a.task a.start a.finish b.task b.start b.finish
+          :: !errs
+    done
   done;
   !errs
 

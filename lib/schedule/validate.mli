@@ -21,18 +21,8 @@ val distinct_replica_procs : Schedule.t -> error list
 
 val no_processor_overlap : Schedule.t -> error list
 (** On every processor, optimistic execution intervals are disjoint.
-    The scan only compares adjacent replicas and therefore requires a
-    start-sorted timeline; a violation of that precondition is reported
-    as an [unsorted-timeline] error instead of silently missing
-    overlaps. *)
-
-val timeline_errors : proc:int -> Schedule.replica list -> error list
-(** The scan behind {!no_processor_overlap}, on one explicit timeline:
-    adjacent-pair overlap errors plus [unsorted-timeline] monotonicity
-    errors.  Exposed so the unsorted branch is directly testable: a
-    schedule's own {!Schedule.timeline} is sorted by start when
-    {!Schedule.create} builds it, so {!no_processor_overlap} never hits
-    that branch. *)
+    The scan compares adjacent replicas of {!Schedule.timeline}, which
+    {!Schedule.create} sorts by start. *)
 
 val data_feasible : Schedule.t -> error list
 (** Every replica starts no earlier than the arrival of its inputs:

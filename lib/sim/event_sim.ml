@@ -16,9 +16,10 @@
      out-edges, then plan pairs), so completions and loss cascades index
      arrays instead of re-allocating the [(eps+1)^2]-pair cross product
      per edge;
-   - the event queue is {!Ftsched_ds.Event_heap}, an array binary
-     min-heap on [(at, seq)].  Sequence numbers are unique, so the pop
-     order is implementation-independent and every pinned digest stays
+   - the event queue is {!Ftsched_ds.Heap}, the library's one array
+     binary min-heap (the kernel's priority list is the other user), on
+     [(at, seq, packed event)].  The order is total, so the pop order is
+     implementation-independent and every pinned digest stays
      bit-for-bit;
    - per-processor planned queues are index cursors over flat arrays;
      re-injection appends at the tail in O(1) amortized where the list
@@ -66,7 +67,7 @@ module Instance = Ftsched_model.Instance
 module Schedule = Ftsched_schedule.Schedule
 module Comm_plan = Ftsched_schedule.Comm_plan
 module Rng = Ftsched_util.Rng
-module Eheap = Ftsched_ds.Event_heap
+module Heap = Ftsched_ds.Heap
 
 type network_model =
   | Contention_free
@@ -186,7 +187,7 @@ module Engine = struct
     free_at : float array;
     ports : float array array;
     recv_ports : float array array;
-    heap : Eheap.t;
+    heap : Heap.t;
     mutable seq : int;
     mutable events : int;
     mutable pops : int;
@@ -235,7 +236,7 @@ module Engine = struct
   (* Event [pos] (-1 = completion) of row [rid] at [at]. *)
   let push_event eng at rid pos =
     eng.seq <- eng.seq + 1;
-    Eheap.push eng.heap ~at ~seq:eng.seq ~payload:(payload eng.key.(rid) pos)
+    Heap.push eng.heap ~key:at ~seq:eng.seq ~payload:(payload eng.key.(rid) pos)
 
   (* The two places that tell the kinds of replica apart.  Replica [rep]
      of [task] is a static row below [t_nstatic] or an injected one; and
@@ -274,7 +275,7 @@ module Engine = struct
     eng.rdy.(rid) <- slot;
     let at = eng.sat.(slot) and seq = eng.pend.(slot) in
     if not (delivered eng at seq) then
-      Eheap.push eng.heap ~at ~seq
+      Heap.push eng.heap ~key:at ~seq
         ~payload:(payload eng.key.(rid) (slot - base))
 
   (* Losing a replica cascades: every plan receiver and runtime
@@ -561,7 +562,7 @@ module Engine = struct
           | Some r -> Array.copy r
           | None -> Array.make m 0.);
         ports; recv_ports;
-        heap = Eheap.create ~capacity:(max 64 tm.t_nstatic) ();
+        heap = Heap.create ~capacity:(max 64 tm.t_nstatic) ();
         seq = 0;
         events = 0;
         pops = 0;
@@ -795,9 +796,9 @@ module Engine = struct
      delivered by then is not a matter of keys any more, so such a
      completion sends its plan messages as events. *)
   let pop_and_process eng =
-    let at = Eheap.min_at eng.heap and seq = Eheap.min_seq eng.heap in
-    let p = Eheap.min_payload eng.heap in
-    Eheap.drop_min eng.heap;
+    let at = Heap.min_key eng.heap and seq = Heap.min_seq eng.heap in
+    let p = Heap.min_payload eng.heap in
+    Heap.drop_min eng.heap;
     eng.pops <- eng.pops + 1;
     let retro = delivered eng at seq in
     if not retro then begin
@@ -826,7 +827,7 @@ module Engine = struct
   let advance_until eng horizon =
     let continue_sim = ref true in
     while !continue_sim do
-      if Eheap.is_empty eng.heap || Eheap.min_at eng.heap > horizon then
+      if Heap.is_empty eng.heap || Heap.min_key eng.heap > horizon then
         continue_sim := false
       else pop_and_process eng
     done;

@@ -154,7 +154,7 @@ let run ?(policy = Strict) s scenario =
       let chain =
         List.filter
           (fun (r : Schedule.replica) -> productive.(rid r.task r.index))
-          (Schedule.proc_timeline s p)
+          (Array.to_list (Schedule.timeline s p))
       in
       let rec link = function
         | a :: (b :: _ as rest) ->

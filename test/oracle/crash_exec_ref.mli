@@ -2,7 +2,7 @@
 
     A frozen copy of the pre-flat-array {!Crash_exec} implementation:
     effective senders in a polymorphic [(edge, replica)] Hashtbl,
-    per-processor chains from [Schedule.proc_timeline], list-valued
+    per-processor chains from [Schedule.timeline] as lists, list-valued
     dependency arrays and a tuple [Queue] for Kahn's sweep.  It exists
     purely as a differential baseline — {!Crash_exec.run} must return a
     structurally equal [t] (latencies and replica times bit for bit) on

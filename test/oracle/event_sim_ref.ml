@@ -194,7 +194,7 @@ module Engine = struct
     let queues =
       Array.init m (fun p ->
           ref (List.map (fun (r : Schedule.replica) -> (r.task, r.index))
-                 (Schedule.proc_timeline s p)))
+                 (Array.to_list (Schedule.timeline s p))))
     in
     let make_ports k =
       if k <= 0 then invalid_arg "Event_sim.run: ports must be positive";

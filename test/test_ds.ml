@@ -1,4 +1,4 @@
-(* Tests for Ftsched_ds (event and priority heaps, Hopcroft–Karp) and
+(* Tests for Ftsched_ds (the heap, Hopcroft–Karp) and
    for the pairing heap behind the test-only reference simulator. *)
 
 module Heap = Ftsched_oracle.Pairing_heap
@@ -44,208 +44,145 @@ let test_heap_duplicates () =
     (Int_heap.to_sorted_list h)
 
 (* ------------------------------------------------------------------ *)
-(* Event min-heap                                                      *)
+(* The one heap                                                        *)
 
-module Eh = Ftsched_ds.Event_heap
-
-(* Model: pushing (at, seq) keys with seq = push index pops them in
-   increasing lexicographic (at, seq) order, payload attached.  A small
-   timestamp alphabet forces plenty of equal-[at] collisions, which is
-   exactly where the seq ordering carries the determinism argument. *)
-let events_arb =
-  QCheck.make
-    ~print:(fun l ->
-      String.concat ";" (List.map (fun at -> Printf.sprintf "%.1f" at) l))
-    QCheck.Gen.(
-      list_size (int_range 0 200)
-        (map (fun i -> float_of_int i /. 2.) (int_bound 10)))
-
-let drain_events h =
-  let acc = ref [] in
-  while not (Eh.is_empty h) do
-    acc := (Eh.min_at h, Eh.min_seq h, Eh.min_payload h) :: !acc;
-    Eh.drop_min h
-  done;
-  List.rev !acc
-
-let prop_event_heap_drains_sorted =
-  QCheck.Test.make ~name:"Event_heap pops increasing (at, seq) with payload"
-    ~count:300 events_arb
-    (fun ats ->
-      let h = Eh.create ~capacity:1 () in
-      let keys = List.mapi (fun seq at -> (at, seq, (seq * 3) + 1)) ats in
-      List.iter (fun (at, seq, payload) -> Eh.push h ~at ~seq ~payload) keys;
-      let expect =
-        List.sort
-          (fun (at1, s1, _) (at2, s2, _) ->
-            match Float.compare at1 at2 with 0 -> compare s1 s2 | c -> c)
-          keys
-      in
-      drain_events h = expect)
-
-let prop_event_heap_interleaved =
-  QCheck.Test.make
-    ~name:"Event_heap interleaved push/pop matches sorted-list model"
-    ~count:300
-    QCheck.(list (int_bound 8))
-    (fun ops ->
-      let h = Eh.create ~capacity:1 () in
-      let model = ref [] (* sorted increasing (at, seq) *) in
-      let seq = ref 0 in
-      let ok = ref true in
-      List.iter
-        (fun at ->
-          if at = 0 && !model <> [] then begin
-            (match !model with
-            | (mat, mseq) :: rest ->
-                if Eh.min_at h <> mat || Eh.min_seq h <> mseq then ok := false;
-                Eh.drop_min h;
-                model := rest
-            | [] -> assert false)
-          end
-          else begin
-            incr seq;
-            let at = float_of_int at in
-            Eh.push h ~at ~seq:!seq ~payload:0;
-            model :=
-              List.sort
-                (fun (a1, s1) (a2, s2) ->
-                  match Float.compare a1 a2 with 0 -> compare s1 s2 | c -> c)
-                ((at, !seq) :: !model)
-          end)
-        ops;
-      !ok)
-
-let test_event_heap_empty_raises () =
-  let h = Eh.create () in
-  check_bool "is_empty" true (Eh.is_empty h);
-  check_int "length" 0 (Eh.length h);
-  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
-  check_bool "min_at raises" true (raises (fun () -> Eh.min_at h));
-  check_bool "min_seq raises" true (raises (fun () -> Eh.min_seq h));
-  check_bool "min_payload raises" true (raises (fun () -> Eh.min_payload h));
-  check_bool "drop_min raises" true (raises (fun () -> Eh.drop_min h))
-
-let test_event_heap_clear_reuses () =
-  let h = Eh.create ~capacity:2 () in
-  for seq = 0 to 99 do
-    Eh.push h ~at:(float_of_int (seq mod 7)) ~seq ~payload:seq
-  done;
-  check_int "grown" 100 (Eh.length h);
-  Eh.clear h;
-  check_bool "cleared" true (Eh.is_empty h);
-  Eh.push h ~at:3. ~seq:42 ~payload:7;
-  check_int "usable after clear" 42 (Eh.min_seq h);
-  check_int "payload" 7 (Eh.min_payload h)
-
-(* ------------------------------------------------------------------ *)
-(* Binary max-heap                                                     *)
-
-module Bh = Ftsched_ds.Bin_heap
-
-(* Model: a heap holding distinct (prio, tie, task) keys pops them in
-   decreasing lexicographic order.  Distinct tasks guarantee distinct
-   keys even when prio/tie collide — exactly the driver's situation. *)
-let keys_arb =
-  QCheck.make
-    ~print:(fun keys ->
-      String.concat ";"
-        (List.map
-           (fun (p, t, task) -> Printf.sprintf "(%g,%g,#%d)" p t task)
-           keys))
-    QCheck.Gen.(
-      list_size (int_range 0 150)
-        (pair (int_bound 5) (int_bound 5))
-      >|= List.mapi (fun task (p, t) ->
-              (float_of_int p, float_of_int t, task)))
+module H = Ftsched_ds.Heap
 
 let drain h =
   let acc = ref [] in
-  while not (Bh.is_empty h) do
-    acc := (Bh.max_prio h, Bh.max_task h) :: !acc;
-    Bh.drop_max h
+  while not (H.is_empty h) do
+    acc := (H.min_key h, H.min_seq h, H.min_payload h) :: !acc;
+    H.drop_min h
   done;
   List.rev !acc
 
-let prop_bin_heap_drains_sorted =
-  QCheck.Test.make ~name:"Bin_heap pops decreasing (prio, tie, task)"
-    ~count:300 keys_arb
-    (fun keys ->
-      let h = Bh.create ~capacity:1 () in
-      List.iter (fun (p, t, task) -> Bh.push h ~prio:p ~tie:t ~task) keys;
-      let expect =
-        List.sort (fun a b -> compare b a) keys
-        |> List.map (fun (p, _, task) -> (p, task))
-      in
-      drain h = expect)
+(* Model: the heap pops exactly [List.sort compare] of what was pushed.
+   Keys, seqs and payloads come from small ranges, so equal keys, equal
+   (key, seq) pairs and whole duplicates all occur and each field gets to
+   decide. *)
+let triple_gen =
+  QCheck.Gen.(
+    triple
+      (map (fun i -> float_of_int i /. 2.) (int_bound 4))
+      (int_bound 3) (int_bound 3))
 
-let prop_bin_heap_interleaved =
-  QCheck.Test.make
-    ~name:"Bin_heap interleaved push/pop matches sorted-list model"
+let print_triple (k, s, p) = Printf.sprintf "(%g,%d,%d)" k s p
+
+let prop_heap_drains_sorted =
+  QCheck.Test.make ~name:"Heap pops increasing (key, seq, payload)"
     ~count:300
-    QCheck.(list (pair (int_bound 8) (int_bound 8)))
+    (QCheck.make
+       ~print:(fun l -> String.concat ";" (List.map print_triple l))
+       QCheck.Gen.(list_size (int_range 0 200) triple_gen))
+    (fun triples ->
+      let h = H.create ~capacity:1 () in
+      List.iter (fun (key, seq, payload) -> H.push h ~key ~seq ~payload) triples;
+      H.length h = List.length triples && drain h = List.sort compare triples)
+
+let prop_heap_interleaved =
+  QCheck.Test.make ~name:"Heap interleaved push/pop matches sorted-list model"
+    ~count:300
+    (QCheck.make
+       ~print:(fun l ->
+         String.concat ";"
+           (List.map (function None -> "pop" | Some t -> print_triple t) l))
+       QCheck.Gen.(
+         list_size (int_range 0 200) (opt ~ratio:0.7 triple_gen)))
     (fun ops ->
-      (* model: the same keys in a list kept sorted decreasing; pop every
-         third op so pushes and pops interleave like the driver loop *)
-      let h = Bh.create () in
-      let model = ref [] in
+      let h = H.create ~capacity:1 () in
+      let model = ref [] (* sorted increasing *) in
       let ok = ref true in
-      List.iteri
-        (fun i (p, t) ->
-          let key = (float_of_int p, float_of_int t, i) in
-          let p, t, task = key in
-          Bh.push h ~prio:p ~tie:t ~task;
-          model := List.sort (fun a b -> compare b a) (key :: !model);
-          if i mod 3 = 2 then begin
-            (match !model with
-            | (mp, _, mtask) :: rest ->
-                if Bh.max_task h <> mtask || Bh.max_prio h <> mp then
-                  ok := false;
-                Bh.drop_max h;
-                model := rest
-            | [] -> ok := false);
-            if Bh.length h <> List.length !model then ok := false
-          end)
+      List.iter
+        (function
+          | Some ((key, seq, payload) as t) ->
+              H.push h ~key ~seq ~payload;
+              model := List.sort compare (t :: !model)
+          | None -> (
+              match !model with
+              | (key, seq, payload) :: rest ->
+                  if
+                    H.min_key h <> key || H.min_seq h <> seq
+                    || H.min_payload h <> payload
+                  then ok := false;
+                  H.drop_min h;
+                  model := rest
+              | [] -> if not (H.is_empty h) then ok := false))
         ops;
-      !ok)
+      !ok && drain h = !model)
 
-let test_bin_heap_empty_raises () =
-  let h = Bh.create () in
-  check_bool "is_empty" true (Bh.is_empty h);
-  check_int "length" 0 (Bh.length h);
-  let raises f =
-    try
-      f ();
-      false
-    with Invalid_argument _ -> true
-  in
-  check_bool "max_task raises" true (raises (fun () -> ignore (Bh.max_task h)));
-  check_bool "max_prio raises" true (raises (fun () -> ignore (Bh.max_prio h)));
-  check_bool "drop_max raises" true (raises (fun () -> Bh.drop_max h))
+(* The kernel driver's priority list α holds (prio, tie, task) as
+   (-. prio, - rank, lnot task), where rank is the LIFO counter or the
+   bit pattern of a [0,1) draw.  Its pops must come out in decreasing
+   lexicographic (prio, tie, task) order — the order of the max-heap it
+   replaced, which the pinned schedule digests rest on.  Priorities and
+   ties come from small sets, so both collide; tasks are distinct. *)
+let encode ~prio ~tie ~task =
+  (-.prio, -Int64.to_int (Int64.bits_of_float tie), lnot task)
 
-let test_bin_heap_clear_reuses () =
-  let h = Bh.create ~capacity:2 () in
-  for task = 0 to 99 do
-    Bh.push h ~prio:(float_of_int (task mod 7)) ~tie:0. ~task
+let prop_alpha_encoding =
+  QCheck.Test.make
+    ~name:"alpha encoding pops decreasing (prio, tie, task)" ~count:300
+    (QCheck.make
+       ~print:(fun keys ->
+         String.concat ";"
+           (List.map
+              (fun (p, t, task) -> Printf.sprintf "(%g,%g,#%d)" p t task)
+              keys))
+       QCheck.Gen.(
+         list_size (int_range 0 150)
+           (pair (int_range (-2) 3) (int_bound 4))
+         >|= List.mapi (fun task (p, t) ->
+                 (* ties in [0,1), 0. included *)
+                 (float_of_int p /. 2., float_of_int t /. 5., task))))
+    (fun keys ->
+      let h = H.create ~capacity:1 () in
+      List.iter
+        (fun (prio, tie, task) ->
+          let key, seq, payload = encode ~prio ~tie ~task in
+          H.push h ~key ~seq ~payload)
+        keys;
+      let popped =
+        List.map (fun (k, _, p) -> (-.k, lnot p)) (drain h)
+      in
+      popped
+      = List.map
+          (fun (p, _, task) -> (p, task))
+          (List.sort (fun a b -> compare b a) keys))
+
+let test_heap_empty_raises () =
+  let h = H.create () in
+  check_bool "is_empty" true (H.is_empty h);
+  check_int "length" 0 (H.length h);
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  check_bool "min_key raises" true (raises (fun () -> H.min_key h));
+  check_bool "min_seq raises" true (raises (fun () -> H.min_seq h));
+  check_bool "min_payload raises" true (raises (fun () -> H.min_payload h));
+  check_bool "drop_min raises" true (raises (fun () -> H.drop_min h))
+
+let test_heap_clear_reuses () =
+  let h = H.create ~capacity:1 () in
+  for seq = 0 to 99 do
+    H.push h ~key:(float_of_int (seq mod 7)) ~seq:(seq mod 3) ~payload:seq
   done;
-  check_int "length before clear" 100 (Bh.length h);
-  Bh.clear h;
-  check_bool "empty after clear" true (Bh.is_empty h);
-  Bh.push h ~prio:3. ~tie:1. ~task:42;
-  check_int "usable after clear" 42 (Bh.max_task h);
-  check_bool "max_prio" true (Bh.max_prio h = 3.)
+  check_int "grown from capacity 1" 100 (H.length h);
+  check_int "least payload" 0 (H.min_payload h);
+  H.clear h;
+  check_bool "cleared" true (H.is_empty h);
+  H.push h ~key:3. ~seq:42 ~payload:7;
+  check_int "usable after clear" 42 (H.min_seq h);
+  check_int "payload" 7 (H.min_payload h)
 
-let test_bin_heap_tie_breaks () =
+let test_alpha_tie_breaks () =
   (* equal prio: larger tie wins; equal (prio, tie): larger task wins *)
-  let h = Bh.create () in
-  Bh.push h ~prio:1. ~tie:0.5 ~task:3;
-  Bh.push h ~prio:1. ~tie:0.9 ~task:1;
-  Bh.push h ~prio:1. ~tie:0.9 ~task:2;
-  check_int "tie then task" 2 (Bh.max_task h);
-  Bh.drop_max h;
-  check_int "next" 1 (Bh.max_task h);
-  Bh.drop_max h;
-  check_int "last" 3 (Bh.max_task h)
+  let h = H.create () in
+  List.iter
+    (fun (prio, tie, task) ->
+      let key, seq, payload = encode ~prio ~tie ~task in
+      H.push h ~key ~seq ~payload)
+    [ (1., 0.5, 3); (1., 0.9, 1); (1., 0.9, 2); (0., 0., 4) ];
+  Alcotest.(check (list int))
+    "tie, then task" [ 2; 1; 3; 4 ]
+    (List.map (fun (_, _, p) -> lnot p) (drain h))
 
 (* ------------------------------------------------------------------ *)
 (* Hopcroft–Karp                                                       *)
@@ -355,21 +292,14 @@ let () =
           Alcotest.test_case "find_min" `Quick test_heap_find_min;
           Alcotest.test_case "duplicates" `Quick test_heap_duplicates;
         ] );
-      ( "event-heap",
+      ( "heap",
         [
-          quick prop_event_heap_drains_sorted;
-          quick prop_event_heap_interleaved;
-          Alcotest.test_case "empty raises" `Quick test_event_heap_empty_raises;
-          Alcotest.test_case "clear and grow" `Quick
-            test_event_heap_clear_reuses;
-        ] );
-      ( "bin-heap",
-        [
-          quick prop_bin_heap_drains_sorted;
-          quick prop_bin_heap_interleaved;
-          Alcotest.test_case "empty raises" `Quick test_bin_heap_empty_raises;
-          Alcotest.test_case "clear and grow" `Quick test_bin_heap_clear_reuses;
-          Alcotest.test_case "tie-breaking" `Quick test_bin_heap_tie_breaks;
+          quick prop_heap_drains_sorted;
+          quick prop_heap_interleaved;
+          quick prop_alpha_encoding;
+          Alcotest.test_case "empty raises" `Quick test_heap_empty_raises;
+          Alcotest.test_case "clear and grow" `Quick test_heap_clear_reuses;
+          Alcotest.test_case "alpha tie-breaking" `Quick test_alpha_tie_breaks;
         ] );
       ( "hopcroft-karp",
         [

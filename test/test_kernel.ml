@@ -79,41 +79,6 @@ let prop_slots_sorted_disjoint =
         slots;
       !ok)
 
-let prop_iter_slots_matches_slots =
-  QCheck.Test.make
-    ~name:"iter_slots visits exactly the slots array, in order" ~count:300
-    workload_arb (fun ops ->
-      let ps = Proc_state.create ~m:2 ~insertion:true in
-      List.iteri
-        (fun i op ->
-          let p = i mod 2 in
-          let ready, duration = decode op in
-          let start = Proc_state.earliest_gap ps p ~ready ~duration in
-          Proc_state.commit_slot ps p ~start ~finish:(start +. duration)
-            ~pess_finish:(start +. duration))
-        ops;
-      let agree p =
-        let seen = ref [] in
-        Proc_state.iter_slots ps p (fun ~start ~finish ->
-            seen := (start, finish) :: !seen);
-        List.rev !seen = Array.to_list (Proc_state.slots ps p)
-      in
-      agree 0 && agree 1)
-
-let test_iter_slots_empty () =
-  (* no committed slots, and non-insertion states (which track only the
-     ready horizon) must both iterate zero times *)
-  let count ps p =
-    let n = ref 0 in
-    Proc_state.iter_slots ps p (fun ~start:_ ~finish:_ -> incr n);
-    !n
-  in
-  check_int "fresh insertion state" 0
-    (count (Proc_state.create ~m:1 ~insertion:true) 0);
-  let ps = Proc_state.create ~m:1 ~insertion:false in
-  Proc_state.commit_slot ps 0 ~start:0. ~finish:2. ~pess_finish:2.;
-  check_int "non-insertion state records no slots" 0 (count ps 0)
-
 let test_ready_times () =
   let ps = Proc_state.create ~m:2 ~insertion:false in
   Proc_state.commit_slot ps 0 ~start:1. ~finish:5. ~pess_finish:7.;
@@ -297,8 +262,6 @@ let () =
           quick prop_gap_no_overlap;
           quick prop_gap_after_ready;
           quick prop_slots_sorted_disjoint;
-          quick prop_iter_slots_matches_slots;
-          Alcotest.test_case "iter_slots empty" `Quick test_iter_slots_empty;
           Alcotest.test_case "ready times" `Quick test_ready_times;
         ] );
       ( "driver",

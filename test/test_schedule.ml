@@ -130,7 +130,7 @@ let test_mapping_matrix () =
 
 let test_proc_timeline_sorted () =
   let s = hand_schedule () in
-  let tl = Schedule.proc_timeline s 0 in
+  let tl = Array.to_list (Schedule.timeline s 0) in
   let starts = List.map (fun rep -> rep.Schedule.start) tl in
   Alcotest.(check (list (float 1e-9))) "sorted" [ 0.; 2.; 5. ] starts
 
@@ -166,7 +166,7 @@ let test_timeline_ties () =
   let s = tie_schedule () in
   let order p =
     List.map (fun (r : Schedule.replica) -> (r.task, r.index))
-      (Schedule.proc_timeline s p)
+      (Array.to_list (Schedule.timeline s p))
   in
   let pairs = Alcotest.(list (pair int int)) in
   Alcotest.check pairs "P0: equal starts by task" [ (0, 0); (1, 0); (3, 0) ]
@@ -269,7 +269,21 @@ let test_validate_overlap () =
   in
   let errs = Validate.no_processor_overlap s in
   check_bool "caught" true
-    (List.exists (fun e -> e.Validate.check = "no-overlap") errs)
+    (List.exists (fun e -> e.Validate.check = "no-overlap") errs);
+  (* the scan reads the planned order, not the replica table's: t2's P0
+     replica, listed after t1's, now starts between t0's and t1's and
+     overlaps both neighbours *)
+  let reps = hand_replicas () in
+  reps.(2).(1) <- { (reps.(2).(1)) with start = 1.; finish = 6. };
+  let s =
+    Schedule.create ~instance:(tiny_instance ()) ~eps:1 ~replicas:reps
+      ~comm:Comm_plan.All_to_all
+  in
+  check_int "overlap still reported, both neighbours" 2
+    (List.length
+       (List.filter
+          (fun e -> e.Validate.check = "no-overlap")
+          (Validate.no_processor_overlap s)))
 
 let test_validate_early_start () =
   let reps = hand_replicas () in
@@ -761,25 +775,6 @@ let test_parsers_agree_by_hand () =
       "ftsched v1\ninstance 1 1 0\nlabel a\ndelay 0x0p+0\nexec 0x1p+0";
       "  ftsched   v1 \r\n\n instance 1 1 0\nlabel  a  b \ndelay 0\nexec 1\n" ]
 
-(* ---- regression: unsorted timelines are an explicit error ----------
-   The overlap scan only compares adjacent entries; on an unsorted
-   timeline it used to silently miss overlaps. *)
-
-let test_validate_unsorted_timeline () =
-  let early = replica ~task:1 ~index:0 ~proc:0 ~s:2. ~f:3. ~ps:2. ~pf:3. in
-  let late = replica ~task:0 ~index:0 ~proc:0 ~s:5. ~f:6. ~ps:5. ~pf:6. in
-  let errs = Validate.timeline_errors ~proc:0 [ late; early ] in
-  check_bool "reports unsorted-timeline" true
-    (List.exists (fun e -> e.Validate.check = "unsorted-timeline") errs);
-  check_int "sorted order clean" 0
-    (List.length (Validate.timeline_errors ~proc:0 [ early; late ]));
-  (* an overlap is still an overlap when the list is sorted *)
-  let clash = replica ~task:2 ~index:0 ~proc:0 ~s:2.5 ~f:4. ~ps:2.5 ~pf:4. in
-  check_bool "overlap still reported" true
-    (List.exists
-       (fun e -> e.Validate.check = "no-overlap")
-       (Validate.timeline_errors ~proc:0 [ early; clash; late ]))
-
 (* ------------------------------------------------------------------ *)
 (* Gantt                                                               *)
 
@@ -845,8 +840,6 @@ let () =
             test_validate_selection_not_bijective;
           Alcotest.test_case "forced internal rule" `Quick
             test_validate_forced_internal;
-          Alcotest.test_case "unsorted timeline" `Quick
-            test_validate_unsorted_timeline;
         ] );
       ( "metrics",
         [

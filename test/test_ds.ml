@@ -46,6 +46,12 @@ let test_heap_duplicates () =
 (* ------------------------------------------------------------------ *)
 (* The one heap                                                        *)
 
+(* Ftsched_ds.Heap serves two roles, and its tests come in three groups:
+   "heap" checks the triple order itself, "event-heap" the heap as the
+   event simulator's queue and "bin-heap" the heap as the kernel driver's
+   priority list α.  The last two groups keep the names of the two heaps
+   the one Heap replaced (Event_heap, Bin_heap), so their test ids stay. *)
+
 module H = Ftsched_ds.Heap
 
 let drain h =
@@ -80,7 +86,8 @@ let prop_heap_drains_sorted =
       H.length h = List.length triples && drain h = List.sort compare triples)
 
 let prop_heap_interleaved =
-  QCheck.Test.make ~name:"Heap interleaved push/pop matches sorted-list model"
+  QCheck.Test.make
+    ~name:"Event_heap interleaved push/pop matches sorted-list model"
     ~count:300
     (QCheck.make
        ~print:(fun l ->
@@ -172,13 +179,71 @@ let test_heap_clear_reuses () =
   check_int "usable after clear" 42 (H.min_seq h);
   check_int "payload" 7 (H.min_payload h)
 
+let push_alpha h (prio, tie, task) =
+  let key, seq, payload = encode ~prio ~tie ~task in
+  H.push h ~key ~seq ~payload
+
+(* α's head, decoded back to (prio, task). *)
+let alpha_max h = (-.H.min_key h, lnot (H.min_payload h))
+
+let prop_alpha_interleaved =
+  QCheck.Test.make
+    ~name:"Bin_heap interleaved push/pop matches sorted-list model"
+    ~count:300
+    QCheck.(list (pair (int_bound 8) (int_bound 8)))
+    (fun ops ->
+      (* model: the same keys in a list kept sorted decreasing; pop every
+         third op so pushes and pops interleave like the driver loop *)
+      let h = H.create ~capacity:1 () in
+      let model = ref [] in
+      let ok = ref true in
+      List.iteri
+        (fun i (p, t) ->
+          let key = (float_of_int p, float_of_int t /. 10., i) in
+          push_alpha h key;
+          model := List.sort (fun a b -> compare b a) (key :: !model);
+          if i mod 3 = 2 then begin
+            (match !model with
+            | (mp, _, mtask) :: rest ->
+                if alpha_max h <> (mp, mtask) then ok := false;
+                H.drop_min h;
+                model := rest
+            | [] -> ok := false);
+            if H.length h <> List.length !model then ok := false
+          end)
+        ops;
+      !ok)
+
+let test_alpha_empty_raises () =
+  (* α drained by the driver loop is empty again: its head cannot be read *)
+  let h = H.create () in
+  push_alpha h (1., 0.5, 3);
+  push_alpha h (2., 0., 1);
+  H.drop_min h;
+  H.drop_min h;
+  check_bool "is_empty" true (H.is_empty h);
+  check_int "length" 0 (H.length h);
+  let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+  check_bool "head task raises" true (raises (fun () -> alpha_max h));
+  check_bool "drop_min raises" true (raises (fun () -> H.drop_min h))
+
+let test_alpha_clear_reuses () =
+  let h = H.create ~capacity:1 () in
+  for task = 0 to 99 do
+    push_alpha h (float_of_int (task mod 7), 0., task)
+  done;
+  check_int "length before clear" 100 (H.length h);
+  check_bool "head: highest prio, then largest task" true
+    (alpha_max h = (6., 97));
+  H.clear h;
+  check_bool "empty after clear" true (H.is_empty h);
+  push_alpha h (3., 0.25, 42);
+  check_bool "usable after clear" true (alpha_max h = (3., 42))
+
 let test_alpha_tie_breaks () =
   (* equal prio: larger tie wins; equal (prio, tie): larger task wins *)
   let h = H.create () in
-  List.iter
-    (fun (prio, tie, task) ->
-      let key, seq, payload = encode ~prio ~tie ~task in
-      H.push h ~key ~seq ~payload)
+  List.iter (push_alpha h)
     [ (1., 0.5, 3); (1., 0.9, 1); (1., 0.9, 2); (0., 0., 4) ];
   Alcotest.(check (list int))
     "tie, then task" [ 2; 1; 3; 4 ]
@@ -295,11 +360,20 @@ let () =
       ( "heap",
         [
           quick prop_heap_drains_sorted;
-          quick prop_heap_interleaved;
           quick prop_alpha_encoding;
+          Alcotest.test_case "alpha tie-breaking" `Quick test_alpha_tie_breaks;
+        ] );
+      ( "event-heap",
+        [
+          quick prop_heap_interleaved;
           Alcotest.test_case "empty raises" `Quick test_heap_empty_raises;
           Alcotest.test_case "clear and grow" `Quick test_heap_clear_reuses;
-          Alcotest.test_case "alpha tie-breaking" `Quick test_alpha_tie_breaks;
+        ] );
+      ( "bin-heap",
+        [
+          quick prop_alpha_interleaved;
+          Alcotest.test_case "empty raises" `Quick test_alpha_empty_raises;
+          Alcotest.test_case "clear and grow" `Quick test_alpha_clear_reuses;
         ] );
       ( "hopcroft-karp",
         [

@@ -269,21 +269,33 @@ let test_validate_overlap () =
   in
   let errs = Validate.no_processor_overlap s in
   check_bool "caught" true
-    (List.exists (fun e -> e.Validate.check = "no-overlap") errs);
-  (* the scan reads the planned order, not the replica table's: t2's P0
-     replica, listed after t1's, now starts between t0's and t1's and
-     overlaps both neighbours *)
+    (List.exists (fun e -> e.Validate.check = "no-overlap") errs)
+
+(* ---- regression: a replica table out of start order ----------------
+   The overlap scan only compares neighbours, so it must walk each
+   processor's planned order, not the order of the replica table; read
+   in table order it used to miss overlaps. *)
+
+let test_validate_unsorted_timeline () =
+  let overlaps reps =
+    let s =
+      Schedule.create ~instance:(tiny_instance ()) ~eps:1 ~replicas:reps
+        ~comm:Comm_plan.All_to_all
+    in
+    List.length
+      (List.filter
+         (fun e -> e.Validate.check = "no-overlap")
+         (Validate.no_processor_overlap s))
+  in
+  (* t0's P0 replica, listed first, now runs last on P0: no overlap *)
+  let reps = hand_replicas () in
+  reps.(0).(0) <- { (reps.(0).(0)) with start = 12.; finish = 14. };
+  check_int "table out of start order, no overlap" 0 (overlaps reps);
+  (* t2's P0 replica, listed after t1's, now starts between t0's and
+     t1's and overlaps both neighbours *)
   let reps = hand_replicas () in
   reps.(2).(1) <- { (reps.(2).(1)) with start = 1.; finish = 6. };
-  let s =
-    Schedule.create ~instance:(tiny_instance ()) ~eps:1 ~replicas:reps
-      ~comm:Comm_plan.All_to_all
-  in
-  check_int "overlap still reported, both neighbours" 2
-    (List.length
-       (List.filter
-          (fun e -> e.Validate.check = "no-overlap")
-          (Validate.no_processor_overlap s)))
+  check_int "overlap still reported, both neighbours" 2 (overlaps reps)
 
 let test_validate_early_start () =
   let reps = hand_replicas () in
@@ -840,6 +852,8 @@ let () =
             test_validate_selection_not_bijective;
           Alcotest.test_case "forced internal rule" `Quick
             test_validate_forced_internal;
+          Alcotest.test_case "unsorted timeline" `Quick
+            test_validate_unsorted_timeline;
         ] );
       ( "metrics",
         [

@@ -16,6 +16,8 @@ module Worst_case = Ftsched_sim.Worst_case
 module Event_sim = Ftsched_sim.Event_sim
 module Event_sim_ref = Ftsched_oracle.Event_sim_ref
 module Crash_exec_ref = Ftsched_oracle.Crash_exec_ref
+module Recovery = Ftsched_recovery.Recovery
+module Recovery_ref = Ftsched_oracle.Recovery_ref
 module Par = Ftsched_par.Par
 module Stream = Ftsched_stream.Stream
 
@@ -238,6 +240,31 @@ let check (sched : Schedulers.t) case =
                   (Crash_exec.Reroute, "reroute");
                 ])
             scenarios;
+          (* the recovery controller against its frozen list-based
+             reference: each single crash at M*/2, then every processor
+             but the last crashing at staggered instants, beyond any
+             replication, so the sweeps kill, re-map and repair *)
+          let mstar = Schedule.latency_lower_bound s in
+          let delta = 0.1 *. mstar in
+          List.iter
+            (fun (what, timed) ->
+              if
+                Recovery.run_timed ~delta s timed
+                <> Recovery_ref.run_timed ~delta s timed
+              then
+                add Executor_agreement
+                  "%s: recovery differs from reference controller" what)
+            (List.init m (fun p ->
+                 ( Printf.sprintf "P%d crashing at M*/2" p,
+                   [ { Scenario.proc = p; at = half_mstar } ] ))
+            @ [
+                ( "all but the last processor crashing",
+                  List.init (m - 1) (fun p ->
+                      {
+                        Scenario.proc = p;
+                        at = mstar *. float_of_int (p + 1) /. float_of_int m;
+                      }) );
+              ]);
           (* dynamic re-timing only ever starts replicas earlier, so the
              fault-free replay cannot exceed the planned lower bound *)
           match

@@ -28,7 +28,10 @@
       [test/oracle] returns — [Event_sim_ref], and [Crash_exec_ref]
       under both the strict and the reroute policy — and
       [Event_sim.run] must match [Event_sim_ref.run] with the same
-      processors failing at half of [M*] instead of at 0;
+      processors failing at half of [M*] instead of at 0; and
+      [Recovery.run_timed] must return the whole outcome the frozen
+      [Recovery_ref] returns, for each single crash at half of [M*] and
+      for every processor but the last crashing at staggered instants;
     - {b round-trip}: [schedule_of_string ∘ schedule_to_string] is the
       identity (compared on the re-serialized bytes);
     - {b selection} (selected plans only): the schedule's pairs are

@@ -27,6 +27,31 @@ type workspace = {
 
 let workspace () = { w_tmpl = None }
 
+(* [a] copied into a fresh array of [len] entries, [fill] past its end *)
+let grown a len fill =
+  let b = Array.make len fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* A growable int vector: the injected rows' wiring. *)
+type ivec = { mutable a : int array; mutable n : int }
+
+let ivec () = { a = Array.make 64 0; n = 0 }
+
+let push iv x =
+  if iv.n = Array.length iv.a then iv.a <- grown iv.a (2 * iv.n) 0;
+  iv.a.(iv.n) <- x;
+  iv.n <- iv.n + 1
+
+(* Does a pair of a selected plan send to static replica [rep] from a
+   viable row of the source task, whose replica 0 is row [src]? *)
+let rec sends_to viable ~src ~rep = function
+  | [] -> false
+  | (pair : Comm_plan.pair) :: rest ->
+      (pair.dst_replica = rep
+      && Bytes.get viable (src + pair.src_replica) <> '\000')
+      || sends_to viable ~src ~rep rest
+
 let run ?network ?faults ?release ?(delta = 0.) ?rounds ?workspace s ~fail_times
     =
   let inst = Schedule.instance s in
@@ -62,201 +87,322 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds ?workspace s ~fail_times
   let pred_off = Dag.Csr.pred_offsets g in
   let pred_edges = Dag.Csr.pred_edges g and pred_tasks = Dag.Csr.pred_tasks g in
   let pred_vols = Dag.Csr.pred_volumes g in
+  let succ_off = Dag.Csr.succ_offsets g and succ_tasks = Dag.Csr.succ_tasks g in
+  let order = Dag.topological_order g in
+  let rank = Array.make v 0 in
+  Array.iteri (fun i t -> rank.(t) <- i) order;
+  let kk = eps + 1 in
+  let n_static = v * kk in
   let detected = Array.make m false in
-  (* Per-replica potential input sources, as (src_task, src_rep) lists per
-     in-edge position: the communication plan for static replicas, our
-     own wiring for injected ones. *)
-  let injected_sources : (int * int, (int * int) list array) Hashtbl.t =
-    Hashtbl.create 16
+  (* Viability, one byte per engine row: set when the row's task was
+     last visited and the row was completed on a believed-alive
+     processor, running, or waiting with every input either already
+     delivered or coverable by a viable predecessor row. *)
+  let viable = ref (Bytes.make (n_static + 64) '\000') in
+  let is_viable rid = Bytes.get !viable rid <> '\000' in
+  let set_viable rid b =
+    if rid >= Bytes.length !viable then begin
+      let grown = Bytes.make (2 * rid) '\000' in
+      Bytes.blit !viable 0 grown 0 (Bytes.length !viable);
+      viable := grown
+    end;
+    Bytes.set !viable rid (if b then '\001' else '\000')
   in
-  let sources_of task rep pos =
-    if rep <= eps then
-      let k = pred_off.(task) + pos in
-      let src = pred_tasks.(k) in
-      List.map
-        (fun sr -> (src, sr))
-        (Comm_plan.senders_to plan ~eps pred_edges.(k) ~dst_replica:rep)
-    else (Hashtbl.find injected_sources (task, rep)).(pos)
+  (* Injected row [j] (engine row [n_static + j]): its estimated
+     completion, for the eq. (1) placement rule only (a static row's is
+     the schedule's optimistic finish), and its wiring: the sources of
+     its input [pos] are the rows [wire_src.(i)] for [i] from
+     [wire_pos.(row_pos.(j) + pos)] up to the next entry. *)
+  let est = ref (Array.make 16 0.) in
+  let row_pos = ivec () and wire_pos = ivec () and wire_src = ivec () in
+  (* Does a viable row of the predecessor feed input [pos] of row [rid]
+     (replica [rep] of [task])?  Static rows follow the communication
+     plan, injected ones our own wiring. *)
+  let fed rid task rep pos =
+    let k = pred_off.(task) + pos in
+    if rep <= eps then begin
+      let src = pred_tasks.(k) * kk in
+      match plan with
+      | Comm_plan.All_to_all ->
+          let found = ref false and sr = ref 0 in
+          while (not !found) && !sr <= eps do
+            found := is_viable (src + !sr);
+            incr sr
+          done;
+          !found
+      | Comm_plan.Selected sel ->
+          sends_to !viable ~src ~rep sel.(pred_edges.(k))
+    end
+    else begin
+      let w = row_pos.a.(rid - n_static) + pos in
+      let found = ref false and i = ref wire_pos.a.(w) in
+      while (not !found) && !i < wire_pos.a.(w + 1) do
+        found := is_viable wire_src.a.(!i);
+        incr i
+      done;
+      !found
+    end
   in
-  (* Estimated completion of a not-yet-finished replica, for the eq. (1)
-     placement rule only: the static schedule's optimistic finish, or the
-     estimate computed when the replica was injected. *)
-  let est_finish_tbl : (int * int, float) Hashtbl.t = Hashtbl.create 16 in
-  let est_finish task rep =
-    match Engine.replica_state eng ~task ~rep with
-    | Done { finish; _ } | Running { finish; _ } -> finish
-    | Waiting | Lost_replica -> (
-        match Hashtbl.find_opt est_finish_tbl (task, rep) with
-        | Some f -> f
-        | None -> (Schedule.replica s task rep).Schedule.finish)
+  let covered rid task rep =
+    let ok = ref true and pos = ref 0 in
+    while !ok && !pos < Dag.in_degree g task do
+      ok := Engine.row_input_satisfied eng rid !pos || fed rid task rep !pos;
+      incr pos
+    done;
+    !ok
   in
+  (* Scratch for one re-mapping: the viable sources of input [pos] are
+     entries [src_lo.(pos)] to [src_lo.(pos + 1) - 1], each with its
+     row, replica index, processor's delay row and base time (the
+     estimated departure of its data). *)
+  let cap = ref 64 in
+  let src_rid = ref (Array.make !cap 0) and src_rep = ref (Array.make !cap 0) in
+  let src_base = ref (Array.make !cap 0.) in
+  let src_delay = ref (Array.make !cap [||]) in
+  let src_lo = ref (Array.make 64 0) in
+  let kill_reps = ref (Array.make 8 0) in
+  let ready = Array.make m 0. and arrival = Array.make m 0. in
   let injections_per_task = Array.make v 0 in
   let total_injections = ref 0 and total_kills = ref 0 in
 
-  (* One recovery sweep, at detection instant [now].  [force] is the
-     post-drain repair mode: the engine has quiesced with work missing
-     (e.g. an injected replica stuck behind a queue-order wait cycle), so
-     still-waiting replicas are written off wholesale and replacements are
-     wired to completed (or freshly injected) sources only — a serial
-     re-execution of whatever is missing, which cannot deadlock. *)
-  let sweep ?(force = false) now =
-    (* Viable replicas per task: completed on a believed-alive processor,
-       running, or waiting with every input either already delivered or
-       coverable by a viable predecessor replica.  Computed in
-       topological order so that predecessors — including replicas
-       injected earlier in this very sweep — are classified first. *)
-    let viable = Array.make v [] in
-    (* Believed availability per processor, to price multiple injections
-       landing on the same processor within one sweep.  Queued
-       not-yet-started static work is deliberately not priced — the rule
-       stays a cheap list-scheduling heuristic. *)
-    let tail = Array.init m (fun p -> Float.max now (Engine.free_at eng p)) in
-    Array.iter
-      (fun task ->
-        let n = Engine.n_replicas eng task in
-        let vs = ref [] and kills = ref [] and task_done = ref false in
-        for rep = n - 1 downto 0 do
-          let proc = Engine.replica_proc eng ~task ~rep in
-          match Engine.replica_state eng ~task ~rep with
-          | Done _ ->
-              task_done := true;
-              if not detected.(proc) then vs := rep :: !vs
-          | Running _ -> if not detected.(proc) then vs := rep :: !vs
-          | Lost_replica -> ()
-          | Waiting ->
-              let rec inputs_covered pos =
-                pos >= Dag.in_degree g task
-                || (Engine.input_satisfied eng ~task ~rep ~pos
-                    || List.exists
-                         (fun (st, sr) -> List.mem sr viable.(st))
-                         (sources_of task rep pos))
-                   && inputs_covered (pos + 1)
-              in
-              let ok =
-                (not force) && (not detected.(proc)) && inputs_covered 0
-              in
-              if ok then vs := rep :: !vs else kills := rep :: !kills
-        done;
-        List.iter
-          (fun rep ->
-            Engine.kill_replica eng ~task ~rep;
-            incr total_kills)
-          !kills;
-        (* Re-map when no viable replica remains.  A completed exit task
-           needs no replacement (its result is already achieved and
-           nobody consumes it); a completed inner task is conservatively
-           re-executed, since replicas injected downstream later in this
-           sweep would need its data re-sent from a live processor. *)
-        if
-          !vs = []
-          && not (!task_done && Dag.out_degree g task = 0)
-          && injections_per_task.(task) < rounds
-        then begin
-          (* Re-filter the predecessors' viable lists against the current
-             engine state: the kills above may have cascaded into a
-             replica classified viable moments ago (a queue on a
-             dead-but-undetected processor unblocking into a loss). *)
-          let pos_sources =
-            Array.init (Dag.in_degree g task) (fun pos ->
-                let k = pred_off.(task) + pos in
-                let src = pred_tasks.(k) in
-                let srcs =
-                  List.filter
-                    (fun sr ->
-                      Engine.replica_state eng ~task:src ~rep:sr
-                      <> Event_sim.Lost_replica)
-                    viable.(src)
-                in
-                (src, srcs, pred_vols.(k)))
-          in
-          if Array.for_all (fun (_, l, _) -> l <> []) pos_sources then begin
-            (* eq. (1) restricted to remaining work: minimize the
-               estimated finish over believed-alive processors.  The
-               estimate uses detector knowledge only — a source on a
-               dead-but-undetected processor is priced as if alive. *)
-            let est_arrival src sr vol p =
-              let sp = Engine.replica_proc eng ~task:src ~rep:sr in
-              let w = vol *. Platform.delay pl sp p in
-              match Engine.replica_state eng ~task:src ~rep:sr with
-              | Done { finish; _ } -> Float.max now finish +. w
-              | Running { finish; _ } -> finish +. w
-              | Waiting | Lost_replica -> Float.max now (est_finish src sr) +. w
+  (* Visit [task] at detection instant [now]: classify its rows, kill
+     the waiting ones that can no longer be fed, and re-map the task
+     when no viable row remains.  [force] is the post-drain repair mode:
+     the engine has quiesced with work missing (e.g. an injected replica
+     stuck behind a queue-order wait cycle), so still-waiting replicas
+     are written off wholesale and replacements are wired to completed
+     (or freshly injected) sources only — a serial re-execution of
+     whatever is missing, which cannot deadlock.  [tail] is the believed
+     availability per processor, to price multiple injections landing
+     on the same processor within one sweep; queued not-yet-started
+     static work is deliberately not priced — the rule stays a cheap
+     list-scheduling heuristic.  Returns whether the task's viable set
+     changed. *)
+  let visit ~force now tail task =
+    let n = Engine.n_replicas eng task in
+    if n > Array.length !kill_reps then kill_reps := Array.make (2 * n) 0;
+    let n_kills = ref 0 and any_viable = ref false and task_done = ref false in
+    let changed = ref false in
+    for rep = 0 to n - 1 do
+      let rid = Engine.rid eng ~task ~rep in
+      let proc = Engine.row_proc eng rid in
+      let ok =
+        match Engine.row_state eng rid with
+        | Row_done ->
+            task_done := true;
+            not detected.(proc)
+        | Row_running -> not detected.(proc)
+        | Row_lost -> false
+        | Row_waiting ->
+            let ok =
+              (not force) && (not detected.(proc)) && covered rid task rep
             in
-            let best_p = ref (-1) and best_f = ref infinity in
-            for p = 0 to m - 1 do
-              if not detected.(p) then begin
-                let ready = ref 0. in
-                Array.iter
-                  (fun (src, srcs, vol) ->
-                    let a =
-                      List.fold_left
-                        (fun acc sr -> Float.min acc (est_arrival src sr vol p))
-                        infinity srcs
-                    in
-                    ready := Float.max !ready a)
-                  pos_sources;
-                let start = Float.max !ready tail.(p) in
-                let f = start +. Instance.exec inst task p in
-                if f < !best_f then begin
-                  best_f := f;
-                  best_p := p
-                end
-              end
-            done;
-            match !best_p with
-            | -1 -> () (* no believed-alive processor: nowhere to go *)
-            | p ->
-                (* Wire the replica to every viable source.  Completed
-                   sources re-send their data — physically cut off if the
-                   holder is in fact already dead (arrival [infinity]);
-                   pending sources deliver on completion through the
-                   engine's usual message path. *)
-                let inputs =
-                  Array.map
-                    (fun (src, srcs, vol) ->
-                      List.map
-                        (fun sr ->
-                          match Engine.replica_state eng ~task:src ~rep:sr with
-                          | Done { finish; _ } ->
-                              let sp =
-                                Engine.replica_proc eng ~task:src ~rep:sr
-                              in
-                              let w = vol *. Platform.delay pl sp p in
-                              let depart = Float.max now finish in
-                              let arrival =
-                                if depart +. w <= fail_times.(sp) then
-                                  depart +. w
-                                else infinity
-                              in
-                              Engine.Resend { arrival }
-                          | Running _ | Waiting ->
-                              Engine.On_completion
-                                { src_task = src; src_rep = sr }
-                          | Lost_replica -> assert false)
-                        srcs)
-                    pos_sources
-                in
-                let rep = Engine.inject eng ~task ~proc:p ~inputs in
-                Hashtbl.replace injected_sources (task, rep)
-                  (Array.map
-                     (fun (src, srcs, _) -> List.map (fun sr -> (src, sr)) srcs)
-                     pos_sources);
-                Hashtbl.replace est_finish_tbl (task, rep) !best_f;
-                injections_per_task.(task) <- injections_per_task.(task) + 1;
-                incr total_injections;
-                tail.(p) <- !best_f;
-                vs := [ rep ]
+            if not ok then begin
+              !kill_reps.(!n_kills) <- rep;
+              incr n_kills
+            end;
+            ok
+      in
+      if ok <> is_viable rid then begin
+        changed := true;
+        set_viable rid ok
+      end;
+      if ok then any_viable := true
+    done;
+    for i = 0 to !n_kills - 1 do
+      Engine.kill_replica eng ~task ~rep:!kill_reps.(i);
+      incr total_kills
+    done;
+    (* Re-map when no viable replica remains.  A completed exit task
+       needs no replacement (its result is already achieved and nobody
+       consumes it); a completed inner task is conservatively
+       re-executed, since replicas injected downstream later in this
+       sweep would need its data re-sent from a live processor. *)
+    if
+      (not !any_viable)
+      && not (!task_done && Dag.out_degree g task = 0)
+      && injections_per_task.(task) < rounds
+    then begin
+      (* The predecessors' viable rows, re-filtered against the current
+         engine state: the kills above may have cascaded into a row
+         classified viable moments ago (a queue on a dead-but-undetected
+         processor unblocking into a loss).  Each source is priced once:
+         its base is the instant its data can leave. *)
+      let d = Dag.in_degree g task in
+      if d + 1 > Array.length !src_lo then src_lo := Array.make (2 * (d + 1)) 0;
+      let ns = ref 0 and all_fed = ref true in
+      for pos = 0 to d - 1 do
+        !src_lo.(pos) <- !ns;
+        let src = pred_tasks.(pred_off.(task) + pos) in
+        for sr = 0 to Engine.n_replicas eng src - 1 do
+          let rid = Engine.rid eng ~task:src ~rep:sr in
+          let state = Engine.row_state eng rid in
+          if is_viable rid && state <> Row_lost then begin
+            let base =
+              match state with
+              | Row_done -> Float.max now (Engine.row_finish eng rid)
+              | Row_running -> Engine.row_finish eng rid
+              | Row_waiting | Row_lost ->
+                  Float.max now
+                    (if rid < n_static then
+                       (Schedule.replica s src sr).finish
+                     else !est.(rid - n_static))
+            in
+            if !ns = !cap then begin
+              cap := 2 * !cap;
+              src_rid := grown !src_rid !cap 0;
+              src_rep := grown !src_rep !cap 0;
+              src_base := grown !src_base !cap 0.;
+              src_delay := grown !src_delay !cap [||]
+            end;
+            !src_rid.(!ns) <- rid;
+            !src_rep.(!ns) <- sr;
+            !src_base.(!ns) <- base;
+            !src_delay.(!ns) <-
+              Platform.delay_row pl (Engine.row_proc eng rid);
+            incr ns
           end
-        end;
-        viable.(task) <- !vs)
-      (Dag.topological_order g)
+        done;
+        if !ns = !src_lo.(pos) then all_fed := false
+      done;
+      !src_lo.(d) <- !ns;
+      if !all_fed then begin
+        (* eq. (1) restricted to remaining work: minimize the estimated
+           finish over believed-alive processors.  The estimate uses
+           detector knowledge only — a source on a dead-but-undetected
+           processor is priced as if alive.  Each input's earliest
+           arrival is a running minimum over its sources, processor by
+           processor, and the inputs' latest one their running maximum
+           (in source and input order, so every float is that of the
+           per-processor formula). *)
+        let src_lo = !src_lo and src_base = !src_base in
+        let src_delay = !src_delay in
+        let vol_base = pred_off.(task) in
+        Array.fill ready 0 m 0.;
+        for pos = 0 to d - 1 do
+          let vol = pred_vols.(vol_base + pos) in
+          Array.fill arrival 0 m infinity;
+          for i = src_lo.(pos) to src_lo.(pos + 1) - 1 do
+            let base = src_base.(i) and delay = src_delay.(i) in
+            for p = 0 to m - 1 do
+              arrival.(p) <- Float.min arrival.(p) (base +. (vol *. delay.(p)))
+            done
+          done;
+          for p = 0 to m - 1 do
+            ready.(p) <- Float.max ready.(p) arrival.(p)
+          done
+        done;
+        let exec = Instance.exec_row inst task in
+        let best_p = ref (-1) and best_f = ref infinity in
+        for p = 0 to m - 1 do
+          if not detected.(p) then begin
+            let f = Float.max ready.(p) tail.(p) +. exec.(p) in
+            if f < !best_f then begin
+              best_f := f;
+              best_p := p
+            end
+          end
+        done;
+        match !best_p with
+        | -1 -> () (* no believed-alive processor: nowhere to go *)
+        | p ->
+            (* Wire the replica to every viable source.  Completed
+               sources re-send their data — physically cut off if the
+               holder is in fact already dead (arrival [infinity]);
+               pending sources deliver on completion through the
+               engine's usual message path. *)
+            let inputs =
+              Array.init d (fun pos ->
+                  let vol = pred_vols.(vol_base + pos) in
+                  let src = pred_tasks.(vol_base + pos) in
+                  let l = ref [] in
+                  for i = src_lo.(pos + 1) - 1 downto src_lo.(pos) do
+                    let rid = !src_rid.(i) in
+                    let source =
+                      match Engine.row_state eng rid with
+                      | Row_done ->
+                          let sp = Engine.row_proc eng rid in
+                          let depart = src_base.(i) in
+                          let w = vol *. src_delay.(i).(p) in
+                          let arrival =
+                            if depart +. w <= fail_times.(sp) then depart +. w
+                            else infinity
+                          in
+                          Engine.Resend { arrival }
+                      | Row_running | Row_waiting ->
+                          Engine.On_completion
+                            { src_task = src; src_rep = !src_rep.(i) }
+                      | Row_lost -> assert false
+                    in
+                    l := source :: !l
+                  done;
+                  !l)
+            in
+            let rep = Engine.inject eng ~task ~proc:p ~inputs in
+            let rid = Engine.rid eng ~task ~rep in
+            let j = rid - n_static in
+            if j = Array.length !est then est := grown !est (2 * j) 0.;
+            !est.(j) <- !best_f;
+            push row_pos wire_pos.n;
+            for pos = 0 to d - 1 do
+              push wire_pos wire_src.n;
+              for i = src_lo.(pos) to src_lo.(pos + 1) - 1 do
+                push wire_src !src_rid.(i)
+              done
+            done;
+            push wire_pos wire_src.n;
+            injections_per_task.(task) <- injections_per_task.(task) + 1;
+            incr total_injections;
+            tail.(p) <- !best_f;
+            set_viable rid true;
+            changed := true
+      end
+    end;
+    !changed
+  in
+
+  (* One recovery sweep, at detection instant [now], after [fresh]
+     processors were newly detected.  Tasks are visited in topological
+     rank, so predecessors — including replicas injected earlier in this
+     very sweep — are classified first.  The first sweep and every
+     [force] sweep visit every task.  A later sweep visits only the
+     cone a detection can change: the tasks with a viable row on a
+     fresh processor or a viable row the engine lost since it was
+     classified, and the successors of every visited task whose viable
+     set changed.  Any other task would keep its viable set, kill
+     nothing and inject nothing.  A row lost while the sweep runs marks
+     its task for this sweep when its rank is still ahead, for the next
+     one otherwise — the same sweep a full pass would see it in. *)
+  let dirty = Bytes.make v '\000' in
+  let mark rid =
+    if is_viable rid then Bytes.set dirty rank.(Engine.row_task eng rid) '\001'
+  in
+  let first = ref true in
+  let sweep ?(force = false) now fresh =
+    let full = force || !first in
+    first := false;
+    Engine.drain_lost eng mark;
+    List.iter (fun p -> Engine.iter_hosted eng p mark) fresh;
+    let tail = Array.init m (fun p -> Float.max now (Engine.free_at eng p)) in
+    for i = 0 to v - 1 do
+      if full || Bytes.get dirty i <> '\000' then begin
+        Bytes.set dirty i '\000';
+        let task = order.(i) in
+        let changed = visit ~force now tail task in
+        Engine.drain_lost eng mark;
+        if changed then
+          for k = succ_off.(task) to succ_off.(task + 1) - 1 do
+            Bytes.set dirty rank.(succ_tasks.(k)) '\001'
+          done
+      end
+    done
   in
 
   List.iter
     (fun (at, procs) ->
       Engine.advance_until eng at;
       List.iter (fun p -> detected.(p) <- true) procs;
-      sweep (Engine.now eng))
+      sweep (Engine.now eng) procs)
     (Detector.instants det);
   Engine.drain eng;
   (* Post-drain repair: as long as tasks are missing, a live processor
@@ -264,16 +410,15 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds ?workspace s ~fail_times
      injects something, both bounded), force re-execution of the missing
      work.  In the common case the loop body never runs. *)
   let complete () =
-    let ok = ref true in
-    for t = 0 to v - 1 do
-      let n = Engine.n_replicas eng t in
+    let ok = ref true and t = ref 0 in
+    while !ok && !t < v do
       let any_done = ref false in
-      for rep = 0 to n - 1 do
-        match Engine.replica_state eng ~task:t ~rep with
-        | Done _ -> any_done := true
-        | Waiting | Running _ | Lost_replica -> ()
+      for rep = 0 to Engine.n_replicas eng !t - 1 do
+        if Engine.row_state eng (Engine.rid eng ~task:!t ~rep) = Row_done then
+          any_done := true
       done;
-      if not !any_done then ok := false
+      ok := !any_done;
+      incr t
     done;
     !ok
   in
@@ -284,7 +429,7 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds ?workspace s ~fail_times
     && Array.exists (fun d -> not d) detected
   do
     let k0 = !total_kills and i0 = !total_injections in
-    sweep ~force:true (Engine.now eng);
+    sweep ~force:true (Engine.now eng) [];
     Engine.drain eng;
     progress := !total_kills > k0 || !total_injections > i0
   done;
@@ -304,6 +449,7 @@ let run_timed ?network ?faults ?release ?delta ?rounds ?workspace s timed =
   List.iter
     (fun { Scenario.proc; at } ->
       if proc < 0 || proc >= m then invalid_arg "Recovery.run_timed";
+      if Float.is_nan at then invalid_arg "Recovery.run_timed: NaN instant";
       fail_times.(proc) <- Float.min fail_times.(proc) at)
     timed;
   run ?network ?faults ?release ?delta ?rounds ?workspace s ~fail_times

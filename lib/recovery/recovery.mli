@@ -12,7 +12,7 @@
     between a death and its detection the system wastes messages to the
     dead processor and cannot react.  At each detection instant the
     recovery scheduler sweeps the graph in topological order and, per
-    task:
+    visited task:
 
     - kills not-yet-started replicas hosted on known-dead processors and
       replicas that are provably starved given current knowledge (no
@@ -26,7 +26,20 @@
       of each predecessor (completed predecessors re-send their data;
       pending ones deliver on completion).  A task completed on a dead
       processor is re-executed when its data may still be needed
-      downstream.
+      downstream.  Each viable source is priced once (the instant its
+      data can leave); the processor loop then only adds transfer
+      times.
+
+    The first sweep and every post-drain repair sweep visit every task.
+    A later sweep visits only the cone a detection can change: the tasks
+    with a viable replica on a newly detected processor or a viable
+    replica the engine lost since the task was last visited (crash
+    physics, starvation cascades, exhausted retries, kills), then, in
+    topological rank, the successors of every visited task whose viable
+    set changed — grew or shrank.  Any other task would keep its viable
+    set, kill nothing and inject nothing, so the outcome is that of a
+    full pass, bit for bit.  Viability is one byte per engine row, read
+    through the engine's non-allocating row accessors.
 
     Re-mapping is bounded: at most [rounds] re-mappings per task (default
     [n_procs], enough to survive any failure pattern that leaves one
@@ -90,7 +103,10 @@ val run :
     stay reliable, so recovery remains an effective answer to message
     loss.  [release] forwards residual processor occupancy to the engine
     (see {!Event_sim.Engine.create}); the recovery sweeps price
-    injections against it through [Engine.free_at]. *)
+    injections against it through [Engine.free_at].  Raises
+    [Invalid_argument] on a malformed [fail_times] (wrong length or a
+    NaN entry), a negative [rounds] or [delta], and whatever
+    {!Event_sim.Engine.create} rejects. *)
 
 val run_timed :
   ?network:Event_sim.network_model ->
@@ -102,4 +118,6 @@ val run_timed :
   Ftsched_schedule.Schedule.t ->
   Ftsched_sim.Scenario.timed list ->
   outcome
-(** Convenience wrapper building [fail_times] from a timed scenario. *)
+(** Convenience wrapper building [fail_times] from a timed scenario.
+    Raises [Invalid_argument] on a processor outside the platform or a
+    NaN instant. *)

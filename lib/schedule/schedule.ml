@@ -26,24 +26,22 @@ type t = {
 (* The planned order on a processor: optimistic start, then task, then
    replica index descending.  Replicas of one task sit on distinct
    processors, so the index only decides between two replicas of one task
-   on one processor, which a malformed plan can hold. *)
-let planned_order a b =
-  match Float.compare a.start b.start with
-  | 0 -> (
-      match Int.compare a.task b.task with
-      | 0 -> Int.compare b.index a.index
-      | c -> c)
-  | c -> c
+   on one processor, which a malformed plan can hold.  No two replicas
+   share all three keys, so the order is total.
 
-(* Every replica in planned order, processor after processor: a
+   Every replica in planned order, processor after processor: a
    counting pass gives each processor its range of [order], a second
-   fills the ranges in task order, and each range is sorted. *)
+   fills the ranges in task order, and each range is merge-sorted as a
+   permutation over its keys copied into flat arrays (the starts
+   unboxed). *)
 let order_of ~m replicas =
   let off = Array.make (m + 1) 0 in
   Array.iter
     (Array.iter (fun r -> off.(r.proc + 1) <- off.(r.proc + 1) + 1))
     replicas;
+  let widest = ref 0 in
   for p = 0 to m - 1 do
+    widest := max !widest off.(p + 1);
     off.(p + 1) <- off.(p + 1) + off.(p)
   done;
   let order =
@@ -55,10 +53,60 @@ let order_of ~m replicas =
          order.(at.(r.proc)) <- r;
          at.(r.proc) <- at.(r.proc) + 1))
     replicas;
+  let n = !widest in
+  let start = Array.make n 0. and task = Array.make n 0 in
+  let index = Array.make n 0 in
+  let perm = Array.make n 0 and tmp = Array.make n 0 in
+  let before i j =
+    start.(i) < start.(j)
+    || start.(i) = start.(j)
+       && (task.(i) < task.(j)
+          || (task.(i) = task.(j) && index.(i) > index.(j)))
+  in
+  (* sorts [perm.(lo .. hi - 1)] *)
+  let rec sort lo hi =
+    if hi - lo <= 8 then
+      for i = lo + 1 to hi - 1 do
+        let x = perm.(i) in
+        let j = ref (i - 1) in
+        while !j >= lo && before x perm.(!j) do
+          perm.(!j + 1) <- perm.(!j);
+          decr j
+        done;
+        perm.(!j + 1) <- x
+      done
+    else begin
+      let mid = (lo + hi) / 2 in
+      sort lo mid;
+      sort mid hi;
+      let i = ref lo and j = ref mid in
+      for k = lo to hi - 1 do
+        if !j >= hi || (!i < mid && not (before perm.(!j) perm.(!i))) then begin
+          tmp.(k) <- perm.(!i);
+          incr i
+        end
+        else begin
+          tmp.(k) <- perm.(!j);
+          incr j
+        end
+      done;
+      Array.blit tmp lo perm lo (hi - lo)
+    end
+  in
   for p = 0 to m - 1 do
-    let range = Array.sub order off.(p) (off.(p + 1) - off.(p)) in
-    Array.stable_sort planned_order range;
-    Array.blit range 0 order off.(p) (Array.length range)
+    let lo = off.(p) and len = off.(p + 1) - off.(p) in
+    for i = 0 to len - 1 do
+      let r = order.(lo + i) in
+      start.(i) <- r.start;
+      task.(i) <- r.task;
+      index.(i) <- r.index;
+      perm.(i) <- i
+    done;
+    sort 0 len;
+    let range = Array.sub order lo len in
+    for i = 0 to len - 1 do
+      order.(lo + i) <- range.(perm.(i))
+    done
   done;
   (order, off)
 

@@ -102,6 +102,8 @@ type replica_state =
   | Done of { start : float; finish : float }
   | Lost_replica
 
+type row_state = Row_waiting | Row_running | Row_done | Row_lost
+
 (* Replica tags in the flat grid. *)
 let t_waiting = 0
 and t_running = 1
@@ -205,6 +207,9 @@ module Engine = struct
     mutable hi_seq : int;
     mutable vmax_at : float;
     mutable vmax_seq : int;
+    (* rows lost since the last [drain_lost], in loss order *)
+    mutable lost_log : int array;
+    mutable n_lost_log : int;
   }
 
   (* Event encoding in the heap payload: [(a, b, c)] is
@@ -278,6 +283,16 @@ module Engine = struct
       Heap.push eng.heap ~key:at ~seq
         ~payload:(payload eng.key.(rid) (slot - base))
 
+  let log_loss eng rid =
+    let n = eng.n_lost_log in
+    if n = Array.length eng.lost_log then begin
+      let log = Array.make (max 16 (2 * n)) 0 in
+      Array.blit eng.lost_log 0 log 0 n;
+      eng.lost_log <- log
+    end;
+    eng.lost_log.(n) <- rid;
+    eng.n_lost_log <- n + 1
+
   (* Losing a replica cascades: every plan receiver and runtime
      subscriber loses one potential sender. *)
   let rec lose eng rid =
@@ -285,6 +300,7 @@ module Engine = struct
     let tg = eng.tag.(rid) in
     if tg = t_waiting || tg = t_running then begin
       eng.tag.(rid) <- t_lost;
+      log_loss eng rid;
       Queue.add eng.proc.(rid) eng.dirty;
       if static_row tm rid then begin
         (* As of now, a lost replica has only the arrivals already
@@ -367,6 +383,14 @@ module Engine = struct
     while not (Queue.is_empty eng.dirty) do
       try_advance eng (Queue.pop eng.dirty)
     done
+
+  (* A NaN crash instant compares false against every time, so the
+     engine would read it as "never fails". *)
+  let validate_fail_times ~m fail_times =
+    if Array.length fail_times <> m then
+      invalid_arg "Event_sim.run: fail_times";
+    if Array.exists Float.is_nan fail_times then
+      invalid_arg "Event_sim.run: NaN fail time"
 
   let validate_release ~m = function
     | Some r when Array.length r <> m ->
@@ -509,7 +533,7 @@ module Engine = struct
   let of_template ?(network = Contention_free) ?(faults = Scenario.reliable)
       tm ~fail_times =
     let m = tm.t_m in
-    if Array.length fail_times <> m then invalid_arg "Event_sim.run: fail_times";
+    validate_fail_times ~m fail_times;
     validate_faults ~m faults;
     (* Outgoing-port free instants per processor (empty = contention-free).
        Messages grab the earliest-free port FIFO in production order. *)
@@ -574,6 +598,8 @@ module Engine = struct
         hi_seq = 0;
         vmax_at = neg_infinity;
         vmax_seq = 0;
+        lost_log = [||];
+        n_lost_log = 0;
       }
     in
     (* Processors whose planned head is an entry replica can start at t=0;
@@ -588,7 +614,7 @@ module Engine = struct
     (* Validate in the legacy order (fail_times before release/faults) so
        error reporting is unchanged. *)
     let m = Instance.n_procs (Schedule.instance s) in
-    if Array.length fail_times <> m then invalid_arg "Event_sim.run: fail_times";
+    validate_fail_times ~m fail_times;
     validate_release ~m release;
     (match faults with Some f -> validate_faults ~m f | None -> ());
     of_template ?network ?faults (template ?release s) ~fail_times
@@ -851,12 +877,41 @@ module Engine = struct
 
   let replica_proc eng ~task ~rep = eng.proc.(rid_of eng task rep)
   let free_at eng p = eng.free_at.(p)
+  let rid eng ~task ~rep = rid_of eng task rep
 
-  let input_satisfied eng ~task ~rep ~pos =
-    let rid = rid_of eng task rep in
+  let row_state eng rid =
+    let tg = eng.tag.(rid) in
+    if tg = t_waiting then Row_waiting
+    else if tg = t_running then Row_running
+    else if tg = t_done then Row_done
+    else Row_lost
+
+  let row_finish eng rid = eng.st_finish.(rid)
+  let row_proc eng rid = eng.proc.(rid)
+  let row_task eng rid = eng.key.(rid) lsr payload_bits
+
+  let iter_hosted eng p f =
+    let buf = eng.q_buf.(p) in
+    for i = 0 to eng.q_tail.(p) - 1 do
+      f buf.(i)
+    done
+
+  let drain_lost eng f =
+    (* [f] may lose more rows; they join the log behind the ones read *)
+    let i = ref 0 in
+    while !i < eng.n_lost_log do
+      f eng.lost_log.(!i);
+      incr i
+    done;
+    eng.n_lost_log <- 0
+
+  let row_input_satisfied eng rid pos =
     let slot = eng.slot_off.(rid) + pos in
     if folded eng rid then slot_delivered eng slot
     else eng.sat.(slot) < infinity
+
+  let input_satisfied eng ~task ~rep ~pos =
+    row_input_satisfied eng (rid_of eng task rep) pos
 
   let kill_replica eng ~task ~rep =
     let rid = rid_of eng task rep in
@@ -1042,6 +1097,7 @@ let run_timed ?network ?faults ?release s timed =
   List.iter
     (fun { Scenario.proc; at } ->
       if proc < 0 || proc >= m then invalid_arg "Event_sim.run_timed";
+      if Float.is_nan at then invalid_arg "Event_sim.run_timed: NaN instant";
       fail_times.(proc) <- Float.min fail_times.(proc) at)
     timed;
   run ?network ?faults ?release s ~fail_times

@@ -100,6 +100,10 @@ type replica_state =
   | Done of { start : float; finish : float }
   | Lost_replica
 
+type row_state = Row_waiting | Row_running | Row_done | Row_lost
+(** A replica's state without its times: what {!Engine.row_state}
+    reads, with no record to allocate. *)
+
 (** Stateful simulation engine.
 
     [run] below is a thin wrapper: create, drain, read the result.  The
@@ -144,9 +148,9 @@ module Engine : sig
       counterpart of scheduling against residual timelines
       ({!Ftsched_kernel.Driver.run}'s [?release]).  Raises
       [Invalid_argument] on a malformed [fail_times]/[release] length, a
-      negative/NaN/infinite release entry, a loss probability outside
-      [[0, 1]], negative retries, or an outage naming a processor the
-      platform does not have. *)
+      NaN fail time, a negative/NaN/infinite release entry, a loss
+      probability outside [[0, 1]], negative retries, or an outage naming
+      a processor the platform does not have. *)
 
   type template
   (** The fail-time-independent part of an engine for one
@@ -206,6 +210,36 @@ module Engine : sig
   val free_at : t -> int -> float
   (** Instant from which the processor can start its next replica. *)
 
+  (** {2 Rows}
+
+      Every replica is one row of the engine's table, named by a row id:
+      replica [rep <= eps] of [task] is row [task * (eps + 1) + rep], and
+      injected replicas take the rows after [n_tasks * (eps + 1)] in
+      injection order.  The accessors below read a row without building
+      a {!replica_state}. *)
+
+  val rid : t -> task:int -> rep:int -> int
+  (** The row of that replica. *)
+
+  val row_state : t -> int -> row_state
+  val row_finish : t -> int -> float
+  (** Finish of a [Row_running] or [Row_done] row (meaningless otherwise). *)
+
+  val row_proc : t -> int -> int
+  val row_task : t -> int -> int
+
+  val row_input_satisfied : t -> int -> int -> bool
+  (** [row_input_satisfied eng rid pos] is {!input_satisfied} of that row. *)
+
+  val iter_hosted : t -> int -> (int -> unit) -> unit
+  (** [iter_hosted eng p f] calls [f] on every row ever queued on
+      processor [p]: its planned replicas, then those injected there. *)
+
+  val drain_lost : t -> (int -> unit) -> unit
+  (** Calls [f] on every row lost since the previous [drain_lost] (or
+      since the engine was made), in loss order, and forgets them: crash
+      physics, starvation cascades, exhausted retries and kills alike. *)
+
   val kill_replica : t -> task:int -> rep:int -> unit
   (** Lose a [Waiting] replica now, cascading as usual.  No-op on [Done]
       or already-lost replicas; invalid on a [Running] one (a running
@@ -249,7 +283,8 @@ val run :
   Ftsched_schedule.Schedule.t ->
   fail_times:float array ->
   result
-(** [fail_times] has one entry per processor.  [network] defaults to
+(** [fail_times] has one entry per processor ([infinity] = never fails;
+    NaN is rejected with [Invalid_argument]).  [network] defaults to
     [Contention_free]; [faults] to {!Scenario.reliable}; [release] to
     all-idle (see {!Engine.create}). *)
 
@@ -260,7 +295,9 @@ val run_timed :
   Ftsched_schedule.Schedule.t ->
   Scenario.timed list ->
   result
-(** Convenience wrapper building [fail_times] from a timed scenario. *)
+(** Convenience wrapper building [fail_times] from a timed scenario.
+    Raises [Invalid_argument] on a processor outside the platform or a
+    NaN instant. *)
 
 val run_crash :
   ?network:network_model ->

@@ -13,7 +13,8 @@
      with one crash of the busiest processor at a quarter of M*;
    - the whole [Recovery] outcome from the benchmarks' three timed
      crashes with delta = 0.02 M*, pinned bit for bit, cold and with a
-     warm workspace;
+     warm workspace, and equal to the frozen list-based controller's
+     ([Recovery_ref]), cold and warm;
    - the heap pops of the fault-free FTSA replay, printed with the
      events it processes, at most a tenth of those on the layered graph;
    - the [Serialize] round trip of both plans;
@@ -45,6 +46,7 @@ module Metrics = Ftsched_schedule.Metrics
 module Adjacency = Ftsched_oracle.Adjacency
 module Event_sim_ref = Ftsched_oracle.Event_sim_ref
 module Crash_exec_ref = Ftsched_oracle.Crash_exec_ref
+module Recovery_ref = Ftsched_oracle.Recovery_ref
 module Serialize_ref = Ftsched_oracle.Serialize_ref
 module Rng = Ftsched_util.Rng
 module Par = Ftsched_par.Par
@@ -256,6 +258,23 @@ let recovery_pinned name algo s =
   if cold <> want then Error (Printf.sprintf "cold digest %s, pinned %s" cold want)
   else of_bool (Printf.sprintf "warm digest %s, pinned %s" warm want) (warm = want)
 
+(* The whole outcome of the same recovery run against the frozen
+   list-based controller, cold, and warm on each side's own workspace. *)
+let recovery_races s =
+  let crashes = benchmark_crashes s in
+  let delta = 0.02 *. Schedule.latency_lower_bound s in
+  let cold = Recovery.run_timed ~delta s crashes in
+  if cold <> Recovery_ref.run_timed ~delta s crashes then
+    Error "cold outcome differs"
+  else
+    let workspace = Recovery.workspace () in
+    let ws_ref = Recovery_ref.workspace () in
+    ignore (Recovery.run_timed ~delta ~workspace s crashes);
+    ignore (Recovery_ref.run_timed ~delta ~workspace:ws_ref s crashes);
+    of_bool "warm outcome differs"
+      (Recovery.run_timed ~delta ~workspace s crashes
+      = Recovery_ref.run_timed ~delta ~workspace:ws_ref s crashes)
+
 (* Heap pops of the fault-free FTSA replay.  The per-message engine
    popped one event per delivery and completion, 2,056,866 on the
    layered graph; message-free replay must pop at most a tenth of that
@@ -337,6 +356,8 @@ let graph name generate =
       check (algo ^ ": flat Event_sim = reference") (fun () -> engines_agree s);
       check (algo ^ ": Recovery = pinned, cold and warm") (fun () ->
           recovery_pinned name algo s);
+      check (algo ^ ": Recovery = reference, cold and warm") (fun () ->
+          recovery_races s);
       check (algo ^ ": serialize round trip") (fun () -> round_trips s);
       check (algo ^ ": codec = reference codec") (fun () -> codecs_agree s);
       check

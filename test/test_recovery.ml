@@ -9,6 +9,7 @@ module Event_sim = Ftsched_sim.Event_sim
 module Metrics = Ftsched_schedule.Metrics
 module Detector = Ftsched_recovery.Detector
 module Recovery = Ftsched_recovery.Recovery
+module Recovery_ref = Ftsched_oracle.Recovery_ref
 
 (* ------------------------------------------------------------------ *)
 (* Detector *)
@@ -88,6 +89,28 @@ let test_duplex_mid_execution_failure () =
             | Event_sim.Lost -> ())
         row)
     r.Event_sim.outcomes
+
+(* A NaN crash instant compares false against every time, so it would
+   read as "never fails": every entry point rejects it. *)
+let test_nan_fail_time_rejected () =
+  let inst = random_instance ~seed:37 ~n_tasks:40 ~m:4 () in
+  let s = Ftsa.schedule ~seed:37 inst ~eps:1 in
+  let fail_times = [| nan; infinity; infinity; infinity |] in
+  let timed = [ { Scenario.proc = 0; at = nan } ] in
+  let rejects what f =
+    check_bool (what ^ " rejects a NaN crash instant") true
+      (try
+         ignore (f ());
+         false
+       with Invalid_argument _ -> true)
+  in
+  rejects "Engine.create" (fun () -> Event_sim.Engine.create s ~fail_times);
+  rejects "Engine.of_template" (fun () ->
+      Event_sim.Engine.of_template (Event_sim.Engine.template s) ~fail_times);
+  rejects "Event_sim.run" (fun () -> Event_sim.run s ~fail_times);
+  rejects "Event_sim.run_timed" (fun () -> Event_sim.run_timed s timed);
+  rejects "Recovery.run" (fun () -> Recovery.run s ~fail_times);
+  rejects "Recovery.run_timed" (fun () -> Recovery.run_timed s timed)
 
 (* ------------------------------------------------------------------ *)
 (* Recovery executor basics *)
@@ -223,30 +246,95 @@ let test_degradation_monotone_in_survivors () =
          c)
        max_int counts)
 
+(* A plan on 5 processors (FTSA or MC-FTSA, eps = 1), 1-4 timed
+   crashes up to 1.2 x its horizon, and a detection latency of 0, 0.1 or
+   0.2 horizons. *)
+let timed_case =
+  QCheck.(triple (int_range 0 10000) (int_range 1 4) (int_range 0 2))
+
+let timed_inputs (seed, count, delta_scale) =
+  let m = 5 in
+  let inst = random_instance ~seed ~n_tasks:20 ~m () in
+  let eps = 1 in
+  let s =
+    if seed mod 2 = 0 then Ftsa.schedule ~seed inst ~eps
+    else Mc_ftsa.schedule ~seed inst ~eps
+  in
+  let horizon = Schedule.latency_upper_bound s in
+  let rng = Ftsched_util.Rng.create ~seed:(seed + 77) in
+  let timed = Scenario.random_timed rng ~m ~count ~horizon:(horizon *. 1.2) in
+  (s, timed, float_of_int delta_scale *. horizon /. 10.)
+
 (* Property (issue): with recovery enabled and at least one surviving
    processor, no task is ever wholly lost — for FTSA and MC-FTSA plans,
    arbitrary timed scenarios and detection latencies. *)
 let prop_recovery_never_loses_with_survivor =
   QCheck.Test.make ~name:"recovery completes whenever a processor survives"
-    ~count:60
-    QCheck.(triple (int_range 0 10000) (int_range 1 4) (int_range 0 2))
-    (fun (seed, count, delta_scale) ->
-      let m = 5 in
-      let inst = random_instance ~seed ~n_tasks:20 ~m () in
-      let eps = 1 in
-      let s =
-        if seed mod 2 = 0 then Ftsa.schedule ~seed inst ~eps
-        else Mc_ftsa.schedule ~seed inst ~eps
-      in
-      let horizon = Schedule.latency_upper_bound s in
-      let rng = Ftsched_util.Rng.create ~seed:(seed + 77) in
-      let timed =
-        Scenario.random_timed rng ~m ~count ~horizon:(horizon *. 1.2)
-      in
-      let delta = float_of_int delta_scale *. horizon /. 10. in
+    ~count:60 timed_case (fun case ->
+      let s, timed, delta = timed_inputs case in
       let o = Recovery.run_timed ~delta s timed in
       o.Recovery.degraded.Metrics.complete
       && o.Recovery.result.Event_sim.latency <> None)
+
+(* The flat recovery controller against the frozen list-based one
+   ([Recovery_ref] under test/oracle): the whole outcome, every replica's
+   times, the engine's counts, kills and injections, on the inputs of
+   the never-lost property above. *)
+let prop_recovery_equals_reference =
+  QCheck.Test.make ~name:"reference race: never-lost inputs" ~count:60
+    timed_case (fun case ->
+      let s, timed, delta = timed_inputs case in
+      Recovery.run_timed ~delta s timed = Recovery_ref.run_timed ~delta s timed)
+
+(* The same race over the rest of the controller's inputs, one variant
+   per seed: lossy links, an outage window, residual occupancy
+   ([release]), a small re-mapping budget, one-port and duplex
+   networks, and warm workspaces (each side's reused once before). *)
+let prop_recovery_equals_reference_variants =
+  QCheck.Test.make ~name:"reference race: variant inputs"
+    ~count:120
+    QCheck.(triple (int_range 0 10000) (int_range 1 5) (int_range 0 2))
+    (fun (seed, count, delta_scale) ->
+      let m = 6 in
+      let inst = random_instance ~seed ~n_tasks:24 ~m () in
+      let eps = 1 + (seed mod 2) in
+      let s =
+        if seed mod 3 = 0 then Ftsa.schedule ~seed inst ~eps
+        else Mc_ftsa.schedule ~seed inst ~eps
+      in
+      let horizon = Schedule.latency_upper_bound s in
+      let rng = Ftsched_util.Rng.create ~seed:(seed + 79) in
+      let timed = Scenario.random_timed rng ~m ~count ~horizon in
+      let delta = float_of_int delta_scale *. horizon /. 10. in
+      let race ?network ?faults ?release ?rounds () =
+        Recovery.run_timed ?network ?faults ?release ?rounds ~delta s timed
+        = Recovery_ref.run_timed ?network ?faults ?release ?rounds ~delta s
+            timed
+      in
+      match (seed / 7) mod 7 with
+      | 0 -> race ~faults:(Scenario.lossy ~loss:0.2 ~retries:2 ~seed ()) ()
+      | 1 ->
+          let outage =
+            Scenario.outage ~src:0 ~dst:1 ~from_t:(0.1 *. horizon)
+              ~until_t:(0.6 *. horizon)
+          in
+          race ~faults:(Scenario.lossy ~outages:[ outage ] ~seed ()) ()
+      | 2 ->
+          let release =
+            Array.init m (fun _ ->
+                Ftsched_util.Rng.float_in rng 0. (horizon /. 4.))
+          in
+          race ~release ()
+      | 3 -> race ~rounds:(seed mod 3) ()
+      | 4 -> race ~network:(Event_sim.Sender_ports 1) ()
+      | 5 -> race ~network:(Event_sim.Duplex_ports 1) ()
+      | _ ->
+          let ws = Recovery.workspace () in
+          let ws_ref = Recovery_ref.workspace () in
+          ignore (Recovery.run_timed ~workspace:ws ~delta s timed);
+          ignore (Recovery_ref.run_timed ~workspace:ws_ref ~delta s timed);
+          Recovery.run_timed ~workspace:ws ~delta s timed
+          = Recovery_ref.run_timed ~workspace:ws_ref ~delta s timed)
 
 (* The engine's message-free path (reliable, contention-free) against
    its per-message path on the same physics — zero loss plus an outage
@@ -405,6 +493,8 @@ let () =
             test_death_exactly_at_finish;
           Alcotest.test_case "duplex mid-execution failure" `Quick
             test_duplex_mid_execution_failure;
+          Alcotest.test_case "NaN crash instant rejected" `Quick
+            test_nan_fail_time_rejected;
         ] );
       ( "recovery",
         [
@@ -426,6 +516,8 @@ let () =
             test_recovery_deterministic;
           quick prop_recovery_never_loses_with_survivor;
           quick prop_recovery_message_free_equals_per_message;
+          quick prop_recovery_equals_reference;
+          quick prop_recovery_equals_reference_variants;
           Alcotest.test_case "workspace reuse bit-identical" `Quick
             test_recovery_workspace_identical;
         ] );

@@ -180,9 +180,10 @@ let test_codec_digests () =
    its start and finish as [%h], the latency, the engine's event and
    message counts, the degraded-run metrics, and the injection, kill and
    detection counts.  The reference engine has no re-entrant interface,
-   so nothing else races [Recovery]'s interleaving of sweeps and engine
-   steps; these pins, captured on the per-message engine, hold every
-   later engine to the same outcomes. *)
+   so no second engine races [Recovery]'s interleaving of sweeps and
+   engine steps; these pins, captured on the per-message engine, hold
+   every later engine to the same outcomes.  (The frozen controller
+   [Recovery_ref] races the sweeps themselves, on the same engine.) *)
 
 module Recovery = Ftsched_recovery.Recovery
 module Event_sim = Ftsched_sim.Event_sim
@@ -332,6 +333,32 @@ let test_recovery_digests_per_message () =
       ];
     ]
 
+(* The post-drain repair on reliable links.  With a re-mapping budget
+   of one per task, the eight staggered crashes leave tasks missing
+   once the last detection sweep has run and the engine has drained,
+   while twelve processors survive: [Recovery.run] then runs its forced
+   repair sweep, a full pass over every task at the drained engine's
+   [now].  An incomplete outcome with a survivor proves the sweep ran
+   (completion is monotone, so the repair loop's guard held on entry). *)
+let test_forced_repair_reliable () =
+  let inst = pinned_instance () in
+  let m = Instance.n_procs inst in
+  List.iter2
+    (fun (name, s) want ->
+      let mstar = Schedule.latency_lower_bound s in
+      let timed = List.nth (crash_sets s) 3 in
+      let delta = 0.02 *. mstar in
+      let o = Recovery.run_timed ~rounds:1 ~delta s timed in
+      check_bool (name ^ " = reference controller") true
+        (o = Ftsched_oracle.Recovery_ref.run_timed ~rounds:1 ~delta s timed);
+      check_bool (name ^ " leaves work missing") false
+        o.Recovery.degraded.Metrics.complete;
+      check_bool (name ^ " has a survivor") true
+        (o.Recovery.detected_failures < m);
+      check_digest (name ^ " forced repair outcome") want (recovery_digest o))
+    (recovery_plans inst)
+    [ "35c974c2ec79698631e5b614d99c71a0"; "688d061ad27f6f5e12fa320839934742" ]
+
 (* The kernel driver versus the naive oracle, with EXACT float equality
    (test_core checks 1e-9 on random instances; here the pinned instance
    gets the stronger bit-for-bit claim). *)
@@ -376,6 +403,8 @@ let () =
           Alcotest.test_case "recovery digests" `Quick test_recovery_digests;
           Alcotest.test_case "recovery digests, per-message paths" `Quick
             test_recovery_digests_per_message;
+          Alcotest.test_case "forced repair on reliable links" `Quick
+            test_forced_repair_reliable;
           Alcotest.test_case "ftsa equals reference exactly" `Quick
             test_ftsa_equals_reference_exactly;
         ] );

@@ -271,6 +271,64 @@ let test_validate_overlap () =
   check_bool "caught" true
     (List.exists (fun e -> e.Validate.check = "no-overlap") errs)
 
+(* [Schedule.create]'s dedicated sort against [Array.stable_sort] by
+   (start, task, index descending), on random replica tables: tie-heavy
+   starts drawn from four values or spread ones, and processors drawn
+   with replacement, so two replicas of one task can share a processor
+   (a malformed plan [create] accepts). *)
+let prop_planned_order_equals_stable_sort =
+  let planned_order (a : Schedule.replica) (b : Schedule.replica) =
+    match Float.compare a.start b.start with
+    | 0 -> (
+        match Int.compare a.task b.task with
+        | 0 -> Int.compare b.index a.index
+        | c -> c)
+    | c -> c
+  in
+  QCheck.Test.make ~name:"planned order = stable sort" ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let v = 1 + Rng.int rng 60 and m = 1 + Rng.int rng 6 in
+      let eps = Rng.int rng (min 3 m) in
+      let ties = Rng.bool rng in
+      let b = Dag.Builder.create () in
+      for _ = 1 to v do
+        ignore (Dag.Builder.add_task b)
+      done;
+      let instance =
+        Instance.create ~dag:(Dag.Builder.build b)
+          ~platform:(Platform.homogeneous ~m ~unit_delay:1.)
+          ~exec:(Array.make_matrix v m 1.)
+      in
+      let replicas =
+        Array.init v (fun task ->
+            Array.init (eps + 1) (fun index ->
+                let s =
+                  if ties then float_of_int (Rng.int rng 4)
+                  else Rng.float_in rng 0. 100.
+                in
+                replica ~task ~index ~proc:(Rng.int rng m) ~s ~f:(s +. 1.)
+                  ~ps:s ~pf:(s +. 1.)))
+      in
+      let s =
+        Schedule.create ~instance ~eps ~replicas ~comm:Comm_plan.All_to_all
+      in
+      List.for_all
+        (fun p ->
+          let want =
+            Array.of_list
+              (List.filter
+                 (fun (r : Schedule.replica) -> r.proc = p)
+                 (List.concat_map Array.to_list (Array.to_list replicas)))
+          in
+          Array.stable_sort planned_order want;
+          Array.map (fun (r : Schedule.replica) -> (r.task, r.index)) want
+          = Array.map
+              (fun (r : Schedule.replica) -> (r.task, r.index))
+              (Schedule.timeline s p))
+        (List.init m Fun.id))
+
 (* ---- regression: a replica table out of start order ----------------
    The overlap scan only compares neighbours, so it must walk each
    processor's planned order, not the order of the replica table; read
@@ -834,6 +892,7 @@ let () =
           Alcotest.test_case "mapping matrix" `Quick test_mapping_matrix;
           Alcotest.test_case "timeline sorted" `Quick test_proc_timeline_sorted;
           Alcotest.test_case "timeline ties" `Quick test_timeline_ties;
+          quick prop_planned_order_equals_stable_sort;
           Alcotest.test_case "bounds M*/M" `Quick test_bounds;
           Alcotest.test_case "busy time" `Quick test_busy_time;
           Alcotest.test_case "messages: intra shortcut" `Quick

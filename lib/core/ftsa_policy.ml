@@ -107,7 +107,8 @@ let commit_min_comm strategy (st : Driver.state) t =
 
 (* The FTSA policy over the kernel driver: criticalness priority
    [tℓ + bℓ] with random tie-breaking, equation-(1) selection of the
-   [ε+1] earliest-finishing processors, and the mode's commit rule. *)
+   [ε+1] earliest-finishing processors, evaluated exactly only where a
+   lower bound leaves them in reach, and the mode's commit rule. *)
 let policy ~instance ~eps ~mode =
   let bl = Levels.bottom_levels instance in
   let commit, selected_comm =
@@ -120,8 +121,8 @@ let policy ~instance ~eps ~mode =
     discipline =
       Driver.Priority
         { key = (fun st t -> Driver.top_level st t +. bl.(t)); tie = Driver.Rng_tie };
-    prepare = Driver.prepare_inputs;
-    evaluate = Driver.eval_inputs;
+    prepare = (fun _ _ -> ());
+    evaluate = Driver.eval_pruned;
     choose = (fun st _ -> Driver.best_by_finish st ~k:(eps + 1));
     commit;
     after_commit = Driver.no_after_commit;

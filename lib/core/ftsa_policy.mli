@@ -2,8 +2,10 @@
 
     One pass of Algorithm 4.1, expressed as a {!Ftsched_kernel.Driver}
     policy: the heap-backed priority list [α] keyed by criticalness
-    [tℓ(t) + bℓ(t)], equation-(1) finish evaluation on every processor,
-    the [ε+1] best processors kept, replicas committed.  In
+    [tℓ(t) + bℓ(t)], equation-(1) finish evaluation on the processors
+    that can still be among the [ε+1] best ({!Ftsched_kernel.Driver.eval_pruned};
+    every processor in a traced run), the [ε+1] best processors kept,
+    replicas committed.  In
     minimum-communication mode the commit rule additionally runs the
     robust edge selection of §4.2 per incoming DAG edge and re-times the
     replicas against their single selected sender.
@@ -30,8 +32,12 @@ val policy :
   Ftsched_kernel.Driver.policy
 (** The FTSA ([All_to_all_comm]) or MC-FTSA ([Min_comm]) policy for
     [ε = eps].  The FTSA variants derive theirs from it by record update:
-    R-FTSA and domain-aware FTSA override [choose], contention-aware FTSA
-    overrides [prepare], [evaluate] and [commit]. *)
+    R-FTSA and domain-aware FTSA override [choose], which reads every
+    processor's finish, so they also set [prepare] / [evaluate] to the
+    full {!Ftsched_kernel.Driver.prepare_inputs} /
+    {!Ftsched_kernel.Driver.eval_inputs}; contention-aware FTSA overrides
+    [prepare], [evaluate] and [commit] and keeps [choose], the [ε+1]
+    earliest finishes ({!Ftsched_kernel.Driver.best_by_finish}). *)
 
 val run :
   ?seed:int ->

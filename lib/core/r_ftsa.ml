@@ -33,5 +33,8 @@ let schedule ?seed ?(alpha = 0.15) ?trace ~rates inst ~eps =
     {
       (Ftsa_policy.policy ~instance:inst ~eps ~mode:Ftsa_policy.All_to_all_comm)
       with
+      (* [choose] reads every processor's finish *)
+      prepare = Driver.prepare_inputs;
+      evaluate = Driver.eval_inputs;
       choose;
     }

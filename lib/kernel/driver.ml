@@ -34,6 +34,7 @@ type state = {
   replica_on : int array;
   edges : Edge_select.t;
   trace : Trace.t option;
+  delay : float array array;
   (* CSR adjacency of the instance's DAG (Dag.Csr), cached here so the
      per-task hot loops index flat arrays instead of walking freshly
      allocated predecessor/successor lists. *)
@@ -83,7 +84,6 @@ let count_reductions st n =
    predecessor walk indexes the pre-flattened CSR arrays and hoists the
    delay-matrix row per replica, so the reduction allocates nothing. *)
 let prepare_inputs st t =
-  let pl = Instance.platform st.inst in
   let m = st.n_procs in
   let in_opt = st.in_opt and in_pess = st.in_pess in
   let ao = st.tmp_opt and ap = st.tmp_pess in
@@ -97,7 +97,7 @@ let prepare_inputs st t =
     Array.fill ap 0 m 0.;
     for i = 0 to Array.length rs - 1 do
       let c = rs.(i) in
-      let row = Platform.delay_row pl c.proc in
+      let row = st.delay.(c.proc) in
       let f_opt = c.finish_opt and f_pess = c.finish_pess in
       for p = 0 to m - 1 do
         let w = vol *. row.(p) in
@@ -121,24 +121,6 @@ let eval_inputs st t =
     st.fin_pess.(p) <- e +. Float.max st.in_pess.(p) st.ready_pess.(p)
   done
 
-let top_level st t =
-  let max_from = Platform.max_delays_from (Instance.platform st.inst) in
-  let lo = st.pred_off.(t) and hi = st.pred_off.(t + 1) in
-  let acc = ref 0. in
-  for k = lo to hi - 1 do
-    let vol = st.pred_vol.(k) in
-    let rs = replicas_of st st.pred_task.(k) in
-    let earliest = ref infinity in
-    for i = 0 to Array.length rs - 1 do
-      let c = rs.(i) in
-      let a = c.finish_opt +. (vol *. max_from.(c.proc)) in
-      if a < !earliest then earliest := a
-    done;
-    if !earliest > !acc then acc := !earliest
-  done;
-  count_reductions st (hi - lo);
-  !acc
-
 (* One insertion pass over the keys: [out.(0 .. len-1)] holds the best
    indices so far, increasing by (key, index).  A later index never
    displaces an equal key, so ties go to the smaller index, as in a sort
@@ -158,6 +140,117 @@ let best_by_key key ~n ~k out =
       if !len < k then incr len
     end
   done
+
+(* One processor's equations (1)/(3), processor-major: for [p] it makes
+   the comparisons [prepare_inputs] makes, in the same order, so the
+   finishes are bit-identical to [eval_inputs]'. *)
+let eval_proc st t exec p =
+  let in_o = ref 0. and in_p = ref 0. in
+  for k = st.pred_off.(t) to st.pred_off.(t + 1) - 1 do
+    let vol = st.pred_vol.(k) in
+    let rs = replicas_of st st.pred_task.(k) in
+    let ao = ref infinity and ap = ref 0. in
+    for i = 0 to Array.length rs - 1 do
+      let c = rs.(i) in
+      let w = vol *. st.delay.(c.proc).(p) in
+      let o = c.finish_opt +. w and q = c.finish_pess +. w in
+      if o < !ao then ao := o;
+      if q > !ap then ap := q
+    done;
+    if !ao > !in_o then in_o := !ao;
+    if !ap > !in_p then in_p := !ap
+  done;
+  let e = exec.(p) in
+  st.fin_opt.(p) <- e +. Float.max !in_o st.ready_opt.(p);
+  st.fin_pess.(p) <- e +. Float.max !in_p st.ready_pess.(p)
+
+(* [keep_best best ~k ~n fin p] adds [fin.(p)] to the [n] smallest
+   finishes so far, increasing in [best.(0 .. n-1)], cut to [k]; returns
+   the new count.  It reads the finish by index so no float is boxed. *)
+let keep_best (best : float array) ~k ~n (fin : float array) p =
+  let f = fin.(p) in
+  if n < k || f < best.(k - 1) then begin
+    let i = ref (if n < k then n else k - 1) in
+    while !i > 0 && f < best.(!i - 1) do
+      best.(!i) <- best.(!i - 1);
+      decr i
+    done;
+    best.(!i) <- f;
+    if n < k then n + 1 else n
+  end
+  else n
+
+(* Equations (1)/(3) on the processors that can still make the
+   [replicas] best.  [bound p = exec p + max (ready_opt p) lb], with [lb]
+   the latest predecessor's earliest replica finish, never exceeds
+   [fin_opt p]: delays and volumes are finite and >= 0, and [+.], [min]
+   and [max] are monotone.  The [replicas] smallest bounds are evaluated
+   first; one scan then evaluates each other processor whose bound is
+   at most the running [replicas]-th best finish and leaves [infinity]
+   in [fin_opt] elsewhere.  A skipped processor's bound, hence its
+   finish, is strictly above that of [replicas] evaluated ones, so the
+   (finish, index) choice of {!best_by_finish} is the full one.  The
+   bounds live in [tmp_opt], the running best finishes, increasing, in
+   [tmp_pess]; [chosen] holds the first picks until [choose] overwrites
+   it. *)
+let eval_pruned st t =
+  match st.trace with
+  | Some _ ->
+      prepare_inputs st t;
+      eval_inputs st t
+  | None ->
+      let m = st.n_procs and k = st.replicas in
+      let exec = Instance.exec_row st.inst t in
+      let bound = st.tmp_opt and best = st.tmp_pess in
+      let lb = ref 0. in
+      for j = st.pred_off.(t) to st.pred_off.(t + 1) - 1 do
+        let rs = replicas_of st st.pred_task.(j) in
+        let earliest = ref infinity in
+        for i = 0 to Array.length rs - 1 do
+          let f = rs.(i).finish_opt in
+          if f < !earliest then earliest := f
+        done;
+        if !earliest > !lb then lb := !earliest
+      done;
+      for p = 0 to m - 1 do
+        bound.(p) <- exec.(p) +. Float.max st.ready_opt.(p) !lb
+      done;
+      let n = ref 0 in
+      best_by_key bound ~n:m ~k st.chosen;
+      for i = 0 to k - 1 do
+        let p = st.chosen.(i) in
+        eval_proc st t exec p;
+        n := keep_best best ~k ~n:!n st.fin_opt p;
+        (* marks [p] evaluated: no bound is [neg_infinity] *)
+        bound.(p) <- neg_infinity
+      done;
+      for p = 0 to m - 1 do
+        let b = bound.(p) in
+        if b = neg_infinity then ()
+        else if b <= best.(k - 1) then begin
+          eval_proc st t exec p;
+          n := keep_best best ~k ~n:!n st.fin_opt p
+        end
+        else st.fin_opt.(p) <- infinity
+      done
+
+let top_level st t =
+  let max_from = Platform.max_delays_from (Instance.platform st.inst) in
+  let lo = st.pred_off.(t) and hi = st.pred_off.(t + 1) in
+  let acc = ref 0. in
+  for k = lo to hi - 1 do
+    let vol = st.pred_vol.(k) in
+    let rs = replicas_of st st.pred_task.(k) in
+    let earliest = ref infinity in
+    for i = 0 to Array.length rs - 1 do
+      let c = rs.(i) in
+      let a = c.finish_opt +. (vol *. max_from.(c.proc)) in
+      if a < !earliest then earliest := a
+    done;
+    if !earliest > !acc then acc := !earliest
+  done;
+  count_reductions st (hi - lo);
+  !acc
 
 let best_by_finish st ~k = best_by_key st.fin_opt ~n:st.n_procs ~k st.chosen
 
@@ -338,6 +431,7 @@ let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
       replica_on = w.w_replica_on;
       edges = w.w_edges;
       trace;
+      delay = Array.init m (Platform.delay_row (Instance.platform instance));
       pred_off = Dag.Csr.pred_offsets g;
       pred_task = Dag.Csr.pred_tasks g;
       pred_vol = Dag.Csr.pred_volumes g;

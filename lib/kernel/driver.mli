@@ -22,8 +22,8 @@
     bit-for-bit identical to the list-based engine it replaced.
 
     One kernel step — evaluate, choose, commit — works in buffers the
-    {!workspace} owns: [evaluate] writes every processor's finish
-    estimates into [fin_opt] / [fin_pess], [choose] writes the chosen
+    {!workspace} owns: [evaluate] writes the candidate processors'
+    finish estimates into [fin_opt] / [fin_pess], [choose] writes the chosen
     processors into [chosen] ({!best_by_finish} keeps the ε+1 best in
     one partial insertion pass, no sort), and selected-communication
     commit rules build each DAG edge's candidate graph in the
@@ -31,11 +31,16 @@
     the schedule keeps: the committed replica row and, under MC-FTSA,
     each edge's message list.
 
-    Equation (1)/(3) evaluation is provided here ({!prepare_inputs} /
-    {!eval_inputs}) with the per-predecessor earliest/latest-replica
-    reduction hoisted out of the per-processor loop: each predecessor's
-    replica row is folded into per-target-processor arrival bounds once
-    per task, instead of once per candidate processor. *)
+    Equation (1)/(3) evaluation is provided here in two forms.  The full
+    one ({!prepare_inputs} / {!eval_inputs}) evaluates every processor,
+    with the per-predecessor earliest/latest-replica reduction hoisted
+    out of the per-processor loop: each predecessor's replica row is
+    folded into per-target-processor arrival bounds once per task,
+    instead of once per candidate processor.  The pruned one
+    ({!eval_pruned}, FTSA and MC-FTSA) evaluates exactly only the
+    processors whose cheap lower bound can still reach the ε+1 best and
+    makes the same choice bit for bit; a traced run takes the full
+    one. *)
 
 type committed = {
   proc : int;
@@ -83,6 +88,9 @@ type state = {
       (** the candidate set selected-communication commit rules build
           each DAG edge's selection in *)
   trace : Trace.t option;  (** the run's trace, if any *)
+  delay : float array array;
+      (** the platform's delay rows: [delay.(q)] is
+          {!Ftsched_platform.Platform.delay_row} [q]; read-only *)
   pred_off : int array;
       (** CSR offsets of the DAG's predecessor adjacency
           ({!Ftsched_dag.Dag.Csr.pred_offsets}), cached for the hot
@@ -132,8 +140,10 @@ type policy = {
       (** per-task precomputation before candidate evaluation (e.g.
           {!prepare_inputs}); skipped under [Urgency] *)
   evaluate : state -> int -> unit;
-      (** [evaluate st t]: finish estimates of [t] on every processor,
-          in processor order, into [fin_opt] / [fin_pess] *)
+      (** [evaluate st t]: finish estimates of [t] into [fin_opt] /
+          [fin_pess], per processor — on every processor ({!eval_inputs})
+          or, where [choose] needs only the best, on those that can
+          still be among them ({!eval_pruned}) *)
   choose : state -> int -> unit;
       (** select the [replicas] processors from the evaluations, into
           [chosen] *)
@@ -220,11 +230,13 @@ val replicas_of : state -> int -> committed array
 val count_evals : state -> int -> unit
 (** [count_evals st n] books [n] equation-(1) candidate evaluations to
     the run's trace (nothing without one).  The driver books [m] per
-    task it evaluates; an [Urgency] policy books its own. *)
+    task it evaluates, since a traced run evaluates every processor
+    (see {!eval_pruned}); an [Urgency] policy books its own. *)
 
 val prepare_inputs : state -> int -> unit
-(** Fill [state.in_opt]/[state.in_pess] with the input-arrival bounds of
-    the task on every target processor: per predecessor, the earliest
+(** The full evaluation's input side.  Fill [state.in_opt]/[state.in_pess]
+    with the input-arrival bounds of the task on every target processor:
+    per predecessor, the earliest
     (optimistic) and latest (pessimistic) replica arrival, maximized over
     predecessors — the hoisted inner reduction of equations (1)/(3).
     Books one reduction per predecessor to the run's trace
@@ -233,7 +245,22 @@ val prepare_inputs : state -> int -> unit
 val eval_inputs : state -> int -> unit
 (** [eval_inputs st t] is equations (1) and (3) for [t] on every
     processor, into [fin_opt] / [fin_pess], reading the bounds prepared
-    by {!prepare_inputs} and the processor ready times. *)
+    by {!prepare_inputs} and the processor ready times.  Policies that
+    read every entry (R-FTSA, domain-aware FTSA, FTBAR) use this full
+    form. *)
+
+val eval_pruned : state -> int -> unit
+(** [eval_pruned st t] is {!prepare_inputs} then {!eval_inputs} cut to
+    the processors that can still be among the [replicas] earliest
+    finishes: it writes the exact equation-(1)/(3) finishes of those
+    into [fin_opt] / [fin_pess] and [infinity] into [fin_opt] elsewhere,
+    so {!best_by_finish} makes the choice it makes on the full
+    evaluation, bit for bit.  A processor is skipped only when the lower
+    bound [E(t,p) + max(ready_opt p, max over predecessors of their
+    earliest replica finish)] is strictly above [replicas] exact
+    finishes.  Uses [tmp_opt], [tmp_pess] and [chosen] as scratch and
+    leaves [in_opt] / [in_pess] unset.  A traced run evaluates every
+    processor, exactly as {!prepare_inputs} and {!eval_inputs} do. *)
 
 val top_level : state -> int -> float
 (** Dynamic top level [tℓ(t)] of a freshly freed task (§4.1): worst-case

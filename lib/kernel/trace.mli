@@ -41,7 +41,11 @@ val stats : t -> Ftsched_schedule.Metrics.step_stats
 (** Aggregate counters of the traced run.  [candidate_evals] counts the
     equation-(1) evaluations the run performed: one per processor per
     evaluated task, including the tasks an [Urgency] policy evaluates
-    without placing them (see {!Driver.count_evals}). *)
+    without placing them (see {!Driver.count_evals}).  A traced run
+    evaluates every processor, so these counts are the full
+    evaluation's; an untraced FTSA or MC-FTSA run evaluates exactly only
+    the processors that can still make the [ε+1] best
+    ({!Driver.eval_pruned}). *)
 
 val reductions : t -> int
 (** Predecessor replica rows the traced run reduced: one per predecessor

@@ -1,4 +1,5 @@
 module Dag = Ftsched_dag.Dag
+module Platform = Ftsched_platform.Platform
 module Instance = Ftsched_model.Instance
 module F = Ftsched_util.Float_utils
 
@@ -44,67 +45,90 @@ let no_processor_overlap s =
   done;
   !errs
 
+(* One pass over the replica table, reading the DAG's predecessor CSR and
+   the plan's pair lists in place: under [All_to_all] every source
+   replica sends, in index order; under [Selected] the edge's pairs that
+   feed this replica, in list order — the order [Comm_plan.senders_to]
+   lists them in, so the folds, and the errors, are unchanged. *)
 let data_feasible s =
   let inst = Schedule.instance s in
   let g = Instance.dag inst in
-  let eps = Schedule.eps s in
-  let plan = Schedule.comm s in
+  let pl = Instance.platform inst in
+  let delay = Array.init (Platform.n_procs pl) (Platform.delay_row pl) in
+  let k = Schedule.n_replicas s in
+  let pred_off = Dag.Csr.pred_offsets g and pred_edge = Dag.Csr.pred_edges g in
+  let pred_task = Dag.Csr.pred_tasks g and pred_vol = Dag.Csr.pred_volumes g in
+  let all_to_all, sel =
+    match Schedule.comm s with
+    | Comm_plan.All_to_all -> (true, [||])
+    | Comm_plan.Selected sel -> (false, sel)
+  in
   let errs = ref [] in
   for task = 0 to Dag.n_tasks g - 1 do
-    Array.iter
-      (fun (r : Schedule.replica) ->
-        if r.start < -.tolerance || r.pess_start < -.tolerance then
+    let exec = Instance.exec_row inst task in
+    let rs = Schedule.replicas s task in
+    for ri = 0 to Array.length rs - 1 do
+      let r = rs.(ri) in
+      if r.start < -.tolerance || r.pess_start < -.tolerance then
+        errs :=
+          errf "negative-start" "task %d replica %d starts before time 0" task
+            r.index
+          :: !errs;
+      let cost = exec.(r.proc) in
+      if not (F.approx_equal ~eps:tolerance (r.finish -. r.start) cost) then
+        errs :=
+          errf "duration" "task %d replica %d on P%d: duration %g ≠ E=%g" task
+            r.index r.proc (r.finish -. r.start) cost
+          :: !errs;
+      for j = pred_off.(task) to pred_off.(task + 1) - 1 do
+        let e = pred_edge.(j) and vol = pred_vol.(j) in
+        let srcs = Schedule.replicas s pred_task.(j) in
+        let earliest = ref infinity and latest = ref 0. and senders = ref 0 in
+        if all_to_all then
+          for i = 0 to k - 1 do
+            let sr = srcs.(i) in
+            let w = vol *. delay.(sr.proc).(r.proc) in
+            earliest := Float.min !earliest (sr.finish +. w);
+            latest := Float.max !latest (sr.pess_finish +. w);
+            incr senders
+          done
+        else begin
+          let pairs = ref sel.(e) and more = ref true in
+          while !more do
+            match !pairs with
+            | [] -> more := false
+            | p :: rest ->
+                if p.Comm_plan.dst_replica = r.index then begin
+                  let sr = srcs.(p.Comm_plan.src_replica) in
+                  let w = vol *. delay.(sr.proc).(r.proc) in
+                  earliest := Float.min !earliest (sr.finish +. w);
+                  latest := Float.max !latest (sr.pess_finish +. w);
+                  incr senders
+                end;
+                pairs := rest
+          done
+        end;
+        if !senders = 0 then
           errs :=
-            errf "negative-start" "task %d replica %d starts before time 0"
-              task r.index
-            :: !errs;
-        let cost = Instance.exec inst task r.proc in
-        if not (F.approx_equal ~eps:tolerance (r.finish -. r.start) cost) then
-          errs :=
-            errf "duration" "task %d replica %d on P%d: duration %g ≠ E=%g"
-              task r.index r.proc (r.finish -. r.start) cost
-            :: !errs;
-        Dag.iter_preds g task (fun e src volume ->
-            let senders =
-              Comm_plan.senders_to plan ~eps e ~dst_replica:r.index
-            in
-            if senders = [] then
-              errs :=
-                errf "senders" "task %d replica %d: no sender for edge %d"
-                  task r.index e
-                :: !errs
-            else begin
-              let arrival finish sproc =
-                finish +. Instance.comm_time inst ~volume ~src:sproc ~dst:r.proc
-              in
-              let earliest =
-                List.fold_left
-                  (fun acc k ->
-                    let sr = Schedule.replica s src k in
-                    Float.min acc (arrival sr.finish sr.proc))
-                  infinity senders
-              in
-              let latest =
-                List.fold_left
-                  (fun acc k ->
-                    let sr = Schedule.replica s src k in
-                    Float.max acc (arrival sr.pess_finish sr.proc))
-                  0. senders
-              in
-              if r.start +. tolerance < earliest then
-                errs :=
-                  errf "arrival-opt"
-                    "task %d replica %d starts %g before earliest input %g"
-                    task r.index r.start earliest
-                  :: !errs;
-              if r.pess_start +. tolerance < latest then
-                errs :=
-                  errf "arrival-pess"
-                    "task %d replica %d pess-starts %g before latest input %g"
-                    task r.index r.pess_start latest
-                  :: !errs
-            end))
-      (Schedule.replicas s task)
+            errf "senders" "task %d replica %d: no sender for edge %d" task
+              r.index e
+            :: !errs
+        else begin
+          if r.start +. tolerance < !earliest then
+            errs :=
+              errf "arrival-opt"
+                "task %d replica %d starts %g before earliest input %g" task
+                r.index r.start !earliest
+              :: !errs;
+          if r.pess_start +. tolerance < !latest then
+            errs :=
+              errf "arrival-pess"
+                "task %d replica %d pess-starts %g before latest input %g"
+                task r.index r.pess_start !latest
+              :: !errs
+        end
+      done
+    done
   done;
   !errs
 

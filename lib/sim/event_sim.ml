@@ -143,11 +143,13 @@ module Engine = struct
     proc0 : int array;  (* host processor per static rid *)
     key0 : int array;  (* payload key per static rid, see [key_of] *)
     (* plan emission CSR per static rid, in the legacy order (out-edges,
-       then retained plan pairs of that source replica) *)
+       then retained plan pairs of that source replica); a message's
+       volume is its destination input's, read from the DAG's CSR *)
     em_off : int array;  (* length n_static + 1 *)
     em_rid : int array;  (* destination (static) rid *)
     em_slot : int array;  (* destination input slot *)
-    em_vol : float array;
+    pred_off : int array;  (* the DAG's predecessor CSR, for volumes *)
+    pred_vol : float array;
     q0 : int array array;  (* pristine planned queue (rids) per proc *)
   }
 
@@ -487,12 +489,11 @@ module Engine = struct
     let n_em = em_off.(n_static) in
     let em_rid = Array.make n_em 0 in
     let em_slot = Array.make n_em 0 in
-    let em_vol = Array.make n_em 0. in
     let cursor = Array.copy em_off in
     for t = 0 to v - 1 do
       for k = succ_off.(t) to succ_off.(t + 1) - 1 do
         let e = succ_edges.(k) and dst = succ_tasks.(k) in
-        let pos = pos_of_edge.(e) and vol = Dag.edge_volume g e in
+        let pos = pos_of_edge.(e) in
         List.iter
           (fun (pair : Comm_plan.pair) ->
             let rid = (t * kk) + pair.src_replica in
@@ -500,8 +501,7 @@ module Engine = struct
             cursor.(rid) <- i + 1;
             let drid = (dst * kk) + pair.dst_replica in
             em_rid.(i) <- drid;
-            em_slot.(i) <- slot_off.(drid) + pos;
-            em_vol.(i) <- vol)
+            em_slot.(i) <- slot_off.(drid) + pos)
           (pairs_for_edge e)
       done
     done;
@@ -526,9 +526,20 @@ module Engine = struct
       key0 =
         Array.init n_static (fun rid ->
             key_of ~task:(rid / kk) ~rep:(rid mod kk));
-      em_off; em_rid; em_slot; em_vol;
+      em_off; em_rid; em_slot;
+      pred_off; pred_vol = Dag.Csr.pred_volumes g;
       q0;
     }
+
+  let grown a len fill =
+    let b = Array.make len fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  (* Slot capacity for [n] slots: an eighth more, so the first injections
+     of a recovery append in place instead of copying every static
+     slot. *)
+  let with_headroom n = n + max 64 (n / 8)
 
   let of_template ?(network = Contention_free) ?(faults = Scenario.reliable)
       tm ~fail_times =
@@ -552,6 +563,7 @@ module Engine = struct
       | Contention_free | Sender_ports _ -> [||]
       | Duplex_ports k -> make_ports k
     in
+    let n_slots = Array.length tm.pend0 in
     let unsat =
       Array.init tm.t_nstatic (fun rid ->
           tm.slot_off.(rid + 1) - tm.slot_off.(rid))
@@ -573,8 +585,8 @@ module Engine = struct
         proc = Array.copy tm.proc0;
         key = Array.copy tm.key0;
         slot_off = Array.copy tm.slot_off;
-        sat = Array.make (Array.length tm.pend0) infinity;
-        pend = Array.copy tm.pend0;
+        sat = Array.make (with_headroom n_slots) infinity;
+        pend = grown tm.pend0 (with_headroom n_slots) 0;
         extra = Array.make tm.t_v [||];
         q_buf = Array.map Array.copy tm.q0;
         q_head = Array.make m 0;
@@ -716,10 +728,17 @@ module Engine = struct
      event would have taken and counts as processed; its slot keeps the
      earliest arrival (first copy wins), and the receiver gets one ready
      event once every input has an arrival. *)
+  (* Plan message [i]'s destination input as a predecessor-CSR position,
+     where its volume is: an index, so reading the volume boxes no
+     float. *)
+  let em_input tm i =
+    let drid = tm.em_rid.(i) in
+    tm.pred_off.(drid / tm.t_k) + tm.em_slot.(i) - tm.slot_off.(drid)
+
   let fold_arrival eng ~src_proc ~finish i =
     let tm = eng.tm in
     let drid = tm.em_rid.(i) in
-    let w = tm.em_vol.(i) *. Platform.delay tm.t_pl src_proc eng.proc.(drid) in
+    let w = tm.pred_vol.(em_input tm i) *. Platform.delay tm.t_pl src_proc eng.proc.(drid) in
     let at = finish +. w in
     eng.seq <- eng.seq + 1;
     eng.events <- eng.events + 1;
@@ -756,7 +775,7 @@ module Engine = struct
         if eng.fold && not retro then fold_arrival eng ~src_proc ~finish i
         else begin
           if eng.fold then eng.events <- eng.events + 1;
-          emit eng ~src_proc ~finish tm.em_rid.(i) tm.em_slot.(i) tm.em_vol.(i)
+          emit eng ~src_proc ~finish tm.em_rid.(i) tm.em_slot.(i) tm.pred_vol.(em_input tm i)
         end
       done;
     List.iter
@@ -939,11 +958,6 @@ module Engine = struct
     eng.q_buf.(p).(tail) <- rid;
     eng.q_tail.(p) <- tail + 1
 
-  let grown a len fill =
-    let b = Array.make len fill in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-
   (* Room for one more row with [n] input slots.  Both the rows and the
      slots grow by an eighth, so a recovery that injects a few hundred
      replicas copies the large static slot arrays once or twice instead
@@ -963,7 +977,7 @@ module Engine = struct
     end;
     let used = eng.slot_off.(eng.n_rows) and slots = Array.length eng.sat in
     if used + n > slots then begin
-      let len = max (used + n) (slots + max 64 (slots / 8)) in
+      let len = max (used + n) (with_headroom slots) in
       eng.sat <- grown eng.sat len infinity;
       eng.pend <- grown eng.pend len 0
     end

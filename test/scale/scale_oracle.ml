@@ -3,7 +3,9 @@
 
    - the DAG's CSR rows, iterators, entries and exits against the list
      reference built from [Dag.iter_edges];
-   - [Validate.check] on the FTSA and MC-FTSA plans;
+   - [Validate.check] on the FTSA and MC-FTSA plans, and its flat
+     data-feasibility pass against the frozen list-based one
+     ([Validate_ref]) on each plan and on a copy with shifted replicas;
    - each processor's planned order ([Schedule.timeline]) against a
      polymorphic sort of the replica table by (start, task, index
      descending);
@@ -48,6 +50,7 @@ module Event_sim_ref = Ftsched_oracle.Event_sim_ref
 module Crash_exec_ref = Ftsched_oracle.Crash_exec_ref
 module Recovery_ref = Ftsched_oracle.Recovery_ref
 module Serialize_ref = Ftsched_oracle.Serialize_ref
+module Validate_ref = Ftsched_oracle.Validate_ref
 module Rng = Ftsched_util.Rng
 module Par = Ftsched_par.Par
 
@@ -118,6 +121,31 @@ let validated s =
       Error
         (Format.asprintf "%d errors, first: %a" (List.length errs)
            Validate.pp_error (List.hd errs))
+
+(* The flat [Validate.data_feasible] against the frozen list-based one,
+   on the plan and on a copy with every replica of each 50th task moved
+   one time unit earlier: the same errors in the same order. *)
+let data_feasible_races s =
+  let inst = Schedule.instance s in
+  let shifted =
+    Schedule.create ~instance:inst ~eps:(Schedule.eps s)
+      ~replicas:
+        (Array.init (Instance.n_tasks inst) (fun t ->
+             Array.map
+               (fun (r : Schedule.replica) ->
+                 if t mod 50 = 0 then
+                   { r with start = r.start -. 1.; finish = r.finish -. 1. }
+                 else r)
+               (Schedule.replicas s t)))
+      ~comm:(Schedule.comm s)
+  in
+  let errs = Validate.data_feasible shifted in
+  if Validate.data_feasible s <> Validate_ref.data_feasible s then
+    Error "the plan's errors differ"
+  else if errs <> Validate_ref.data_feasible shifted then
+    Error "the shifted copy's errors differ"
+  else if errs = [] then Error "the shifted copy shows no error"
+  else Ok ()
 
 (* Every processor's stored order against one built here: the replica
    table walked task by task, bucketed by processor, each bucket sorted
@@ -349,6 +377,8 @@ let graph name generate =
   List.iter
     (fun (algo, s) ->
       check (algo ^ ": Validate.check") (fun () -> validated s);
+      check (algo ^ ": Validate.data_feasible = reference") (fun () ->
+          data_feasible_races s);
       check (algo ^ ": planned order = reference sort") (fun () ->
           planned_order s);
       check (algo ^ ": schedule digest = pinned") (fun () ->

@@ -254,6 +254,163 @@ let test_golden_trace_digests () =
         fun trace -> Mc_ftsa.schedule ~seed:2008 ~trace inst ~eps:2 );
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Pruned against full evaluation                                      *)
+
+module Ftsa_policy = Ftsched_core.Ftsa_policy
+module Serialize = Ftsched_schedule.Serialize
+
+(* A plan's identity: MD5 of its [ftsched v1] text, which writes every
+   replica time as a hex float and the communication plan in full. *)
+let plan_digest s = Digest.to_hex (Digest.string (Serialize.schedule_to_string s))
+
+(* A tie-heavy instance: a layered DAG with volumes 0 or 1 (all 0 when
+   [zero_volumes]), one integer cost per task on every processor and a
+   uniform unit delay, so equation (1) ties across processors, and the
+   lower bound meets the running threshold exactly, all the time. *)
+let tie_instance ~seed ~n_tasks ~m ~zero_volumes =
+  let rng = Rng.create ~seed in
+  let g = Ftsched_dag.Generators.layered rng ~n_tasks () in
+  let b = Dag.Builder.create () in
+  for _ = 1 to Dag.n_tasks g do
+    ignore (Dag.Builder.add_task b)
+  done;
+  Dag.iter_edges g (fun _ ~src ~dst ~volume:_ ->
+      let volume = if zero_volumes then 0. else float_of_int (Rng.int rng 2) in
+      Dag.Builder.add_edge b ~src ~dst ~volume);
+  let dag = Dag.Builder.build b in
+  let exec =
+    Array.init (Dag.n_tasks dag) (fun _ ->
+        Array.make m (float_of_int (1 + Rng.int rng 3)))
+  in
+  Instance.create ~dag ~platform:(Platform.homogeneous ~m ~unit_delay:1.) ~exec
+
+(* A traced run evaluates every processor; an untraced FTSA or MC-FTSA
+   run only those whose lower bound can still make the ε+1 best.  Every
+   policy built on [Ftsa_policy] must return the same plan both ways, on
+   random and on tie-heavy instances, on residual timelines and from a
+   warm workspace.  [pruned] counts the processors an untraced FTSA run
+   skipped ([infinity] left in [fin_opt]), so the race is not vacuous. *)
+let test_pruned_equals_full () =
+  let ws = Driver.workspace () and ws_mc = Driver.workspace () in
+  let pruned = ref 0 in
+  let instances =
+    List.concat_map
+      (fun seed ->
+        let m = 3 + (seed mod 6) in
+        let n_tasks = 10 + (7 * seed mod 40) in
+        [
+          ("random", seed, random_instance ~seed ~n_tasks ~m ());
+          ("ties", seed, tie_instance ~seed ~n_tasks ~m ~zero_volumes:false);
+          ("zero volumes", seed, tie_instance ~seed ~n_tasks ~m ~zero_volumes:true);
+        ])
+      (List.init 12 Fun.id)
+  in
+  List.iter
+    (fun (kind, seed, inst) ->
+      let m = Instance.n_procs inst in
+      let eps = seed mod m in
+      let what name = Printf.sprintf "%s seed %d eps %d: %s" kind seed eps name in
+      let race name run =
+        let full = run (Some (Trace.create ())) and fast = run None in
+        Alcotest.(check string) (what name) (plan_digest full) (plan_digest fast)
+      in
+      let rng = Rng.create ~seed in
+      let release = Array.init m (fun _ -> float_of_int (Rng.int rng 4)) in
+      let mc strategy = Ftsa_policy.policy ~instance:inst ~eps ~mode:(Ftsa_policy.Min_comm strategy) in
+      let ftsa = Ftsa_policy.policy ~instance:inst ~eps ~mode:Ftsa_policy.All_to_all_comm in
+      let counting =
+        {
+          ftsa with
+          Driver.choose =
+            (fun st t ->
+              for p = 0 to m - 1 do
+                if st.Driver.fin_opt.(p) = infinity then incr pruned
+              done;
+              ftsa.Driver.choose st t);
+        }
+      in
+      race "ftsa" (fun trace -> Ftsa.schedule ~seed ?trace inst ~eps);
+      race "ftsa, pruned count" (fun trace -> Ftsa_policy.run ~seed ?trace ~instance:inst counting);
+      race "ftsa with release" (fun trace -> Ftsa.schedule ~seed ~release ?trace inst ~eps);
+      race "ftsa, warm workspace" (fun trace ->
+          Ftsa.schedule ~seed ~release ~workspace:ws ?trace inst ~eps);
+      List.iter
+        (fun (name, strategy) ->
+          race name (fun trace -> Ftsa_policy.run ~seed ?trace ~instance:inst (mc strategy)))
+        [
+          ("mc-ftsa greedy", Ftsa_policy.Greedy_edges);
+          ("mc-ftsa bottleneck", Ftsa_policy.Bottleneck_edges);
+          ("mc-ftsa redundant 2", Ftsa_policy.Redundant_edges 2);
+        ];
+      race "mc-ftsa with release, warm workspace" (fun trace ->
+          Ftsa_policy.run ~seed ~release ~workspace:ws_mc ?trace ~instance:inst
+            (mc Ftsa_policy.Greedy_edges));
+      let rates = Array.init m (fun p -> 0.001 *. float_of_int (1 + (p mod 3))) in
+      race "r-ftsa" (fun trace -> Ftsched_core.R_ftsa.schedule ~seed ?trace ~rates inst ~eps);
+      if m >= 3 then
+        race "domain-aware ftsa" (fun trace ->
+            Ftsched_core.Ftsa_domains.schedule ~seed ?trace
+              ~domains:(Array.init m (fun p -> p mod 3))
+              inst ~eps:(min eps 2));
+      race "ca-ftsa" (fun trace -> Ftsched_core.Ca_ftsa.schedule ~seed ?trace inst ~eps);
+      (* the deadline test of §4.3, both ways, at budgets that pass and
+         budgets that fail part way *)
+      let mstar = Schedule.latency_lower_bound (Ftsa.schedule ~seed inst ~eps) in
+      List.iter
+        (fun factor ->
+          let latency = factor *. mstar in
+          let deadlines = Ftsched_model.Deadline.compute inst ~eps ~latency in
+          let run trace =
+            match Driver.run ~seed ~instance:inst ~policy:ftsa ~deadlines ?trace () with
+            | Ok s -> "ok " ^ plan_digest s
+            | Error { Driver.task; deadline; finish } ->
+                Printf.sprintf "missed %d %h %h" task deadline finish
+          in
+          let fast = run None in
+          Alcotest.(check string) (what (Printf.sprintf "deadlines x%g" factor))
+            (run (Some (Trace.create ()))) fast;
+          Alcotest.(check string) (what "Bicriteria.with_deadlines") fast
+            (match Ftsched_core.Bicriteria.with_deadlines ~seed inst ~eps ~latency with
+            | Ok s -> "ok " ^ plan_digest s
+            | Error { Ftsched_core.Bicriteria.task; deadline; finish } ->
+                Printf.sprintf "missed %d %h %h" task deadline finish))
+        [ 0.9; 1.0; 1.5; 3.0 ])
+    instances;
+  check_bool "untraced FTSA skipped processors" true (!pruned > 0)
+
+(* Minor words per task of a whole untraced FTSA and MC-FTSA run on a
+   fixed 1,000-task layered graph at m = 20, eps = 2: 219.9 and 406.4
+   when pinned.  The count is deterministic: equal over three runs in
+   one domain and in each of two worker domains.  The bounds leave 10
+   words per task of headroom, half of one per-task [Array.make m], so a
+   per-task allocation in the evaluation fails the guard.  A budget
+   change goes through CHANGES.md with its reason. *)
+let test_kernel_allocation_guard () =
+  let rng = Rng.create ~seed:2008 in
+  let dag = Ftsched_dag.Generators.layered rng ~n_tasks:1000 () in
+  let platform = Platform.random rng ~m:20 ~delay_lo:0.5 ~delay_hi:1.0 () in
+  let inst = Instance.random_exec rng ~dag ~platform () in
+  let per_task run () =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (run ()));
+    (Gc.minor_words () -. w0) /. 1000.
+  in
+  List.iter
+    (fun (name, bound, run) ->
+      let words = per_task run () in
+      let again = List.init 2 (fun _ -> per_task run ()) in
+      let parallel = Ftsched_par.Par.parallel_map ~jobs:2 (fun () -> per_task run ()) [ (); () ] in
+      List.iter
+        (fun w -> Alcotest.(check (float 0.)) (name ^ " words per task repeat") words w)
+        (again @ parallel);
+      if words > bound then
+        Alcotest.failf "%s: %.1f minor words per task, budget %.0f" name words bound)
+    [
+      ("ftsa", 230., fun () -> Ftsa.schedule ~seed:1 inst ~eps:2);
+      ("mc-ftsa", 417., fun () -> Mc_ftsa.schedule ~seed:1 inst ~eps:2);
+    ]
+
 let () =
   Alcotest.run "kernel"
     [
@@ -274,5 +431,9 @@ let () =
           quick prop_best_by_key_matches_sort;
           Alcotest.test_case "golden trace digests" `Quick
             test_golden_trace_digests;
+          Alcotest.test_case "pruned evaluation = full evaluation" `Quick
+            test_pruned_equals_full;
+          Alcotest.test_case "kernel allocation guard" `Quick
+            test_kernel_allocation_guard;
         ] );
     ]

@@ -416,6 +416,64 @@ let test_validate_forced_internal () =
   check_bool "caught" true
     (List.exists (fun e -> e.Validate.check = "forced-internal") errs)
 
+(* The flat [Validate.data_feasible] against the frozen list-based one
+   ([Validate_ref]): the same errors, in the same order, on FTSA and
+   MC-FTSA plans (one and two senders per replica) as scheduled, and on
+   copies with shifted or stretched replicas and dropped messages.  The
+   broken copies must raise every kind of error the check reports. *)
+let test_data_feasible_matches_ref () =
+  let module Validate_ref = Ftsched_oracle.Validate_ref in
+  let module Mc = Ftsched_core.Mc_ftsa in
+  let seen = Hashtbl.create 8 in
+  let race what s =
+    let got = Validate.data_feasible s in
+    List.iter (fun e -> Hashtbl.replace seen e.Validate.check ()) got;
+    if got <> Validate_ref.data_feasible s then
+      Alcotest.failf "%s: flat and list checks disagree" what
+  in
+  for seed = 0 to 59 do
+    let m = 2 + (seed mod 5) in
+    let inst = random_instance ~seed ~n_tasks:(3 + (seed mod 23)) ~m () in
+    let eps = seed mod m in
+    let rng = Rng.create ~seed in
+    let broken s =
+      let replicas =
+        Array.init (Instance.n_tasks inst) (fun t ->
+            Array.map
+              (fun (r : Schedule.replica) ->
+                match Rng.int rng 8 with
+                | 0 ->
+                    let d = Rng.float_in rng 0. 5. in
+                    { r with start = r.start -. d; finish = r.finish -. d }
+                | 1 -> { r with finish = r.finish +. 1. }
+                | 2 -> { r with pess_start = r.pess_start -. 2. }
+                | _ -> r)
+              (Schedule.replicas s t))
+      in
+      let comm =
+        match Schedule.comm s with
+        | Comm_plan.All_to_all -> Comm_plan.All_to_all
+        | Comm_plan.Selected sel ->
+            Comm_plan.Selected
+              (Array.map (List.filter (fun _ -> Rng.int rng 4 > 0)) sel)
+      in
+      Schedule.create ~instance:inst ~eps ~replicas ~comm
+    in
+    List.iter
+      (fun (name, s) ->
+        let what = Printf.sprintf "%s seed %d" name seed in
+        race what s;
+        race (what ^ " broken") (broken s))
+      [
+        ("ftsa", Ftsched_core.Ftsa.schedule ~seed inst ~eps);
+        ("mc-ftsa", Mc.schedule ~seed inst ~eps);
+        ("mc-ftsa redundant 2", Mc.schedule ~seed ~strategy:(Mc.Redundant 2) inst ~eps);
+      ]
+  done;
+  List.iter
+    (fun check -> check_bool (check ^ " exercised") true (Hashtbl.mem seen check))
+    [ "negative-start"; "duration"; "senders"; "arrival-opt"; "arrival-pess" ]
+
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 
@@ -913,6 +971,8 @@ let () =
             test_validate_forced_internal;
           Alcotest.test_case "unsorted timeline" `Quick
             test_validate_unsorted_timeline;
+          Alcotest.test_case "data feasibility equals the list oracle" `Quick
+            test_data_feasible_matches_ref;
         ] );
       ( "metrics",
         [

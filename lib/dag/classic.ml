@@ -67,7 +67,7 @@ let wavefront ?(volume = 100.) ~rows ~cols () =
   check ~who:"wavefront" ~volume
     (rows > 0 && cols > 0)
     (Printf.sprintf "rows %d and cols %d must be positive" rows cols);
-  let b = Dag.Builder.create ~expected_tasks:(rows * cols) () in
+  let b = Dag.Builder.create () in
   let ids = Array.make_matrix rows cols (-1) in
   for i = 0 to rows - 1 do
     for j = 0 to cols - 1 do

@@ -99,6 +99,21 @@ let rows ~n key other =
     key;
   (off, edges, tasks)
 
+(* The first edge, by edge id, that repeats an earlier edge's
+   (src, dst).  The succ rows group edges by source, so a repeat is a
+   destination seen twice in one row ([stamp.(dst) = src] marks the
+   destinations row [src] has reached). *)
+let first_duplicate ~n ~succ_off ~succ_csr ~succ_task =
+  let stamp = Array.make n (-1) and first = ref max_int in
+  for src = 0 to n - 1 do
+    for k = succ_off.(src) to succ_off.(src + 1) - 1 do
+      let dst = succ_task.(k) in
+      if stamp.(dst) <> src then stamp.(dst) <- src
+      else if succ_csr.(k) < !first then first := succ_csr.(k)
+    done
+  done;
+  if !first = max_int then None else Some !first
+
 (* Kahn's algorithm with a FIFO queue (the order array itself, filled
    behind the read cursor): deterministic order, and detects cycles
    (fewer than n tasks emitted). *)
@@ -145,10 +160,9 @@ module Builder = struct
     mutable edge_dst : int array;
     mutable edge_vol : float array;
     mutable edge_count : int;
-    edge_set : (int * int, unit) Hashtbl.t;
   }
 
-  let create ?(expected_tasks = 64) () =
+  let create () =
     {
       labels_rev = [];
       count = 0;
@@ -156,7 +170,6 @@ module Builder = struct
       edge_dst = [||];
       edge_vol = [||];
       edge_count = 0;
-      edge_set = Hashtbl.create (4 * expected_tasks);
     }
 
   let add_task ?label b =
@@ -183,9 +196,6 @@ module Builder = struct
     if src = dst then invalid_arg "Dag.Builder.add_edge: self loop";
     if volume < 0. || not (Float.is_finite volume) then
       invalid_arg "Dag.Builder.add_edge: volume";
-    if Hashtbl.mem b.edge_set (src, dst) then
-      invalid_arg "Dag.Builder.add_edge: duplicate edge";
-    Hashtbl.add b.edge_set (src, dst) ();
     if b.edge_count = Array.length b.edge_src then grow b;
     let e = b.edge_count in
     b.edge_src.(e) <- src;
@@ -200,6 +210,12 @@ module Builder = struct
     let edge_vol = Array.sub b.edge_vol 0 m in
     let pred_off, pred_csr, pred_task = rows ~n edge_dst edge_src in
     let succ_off, succ_csr, succ_task = rows ~n edge_src edge_dst in
+    (match first_duplicate ~n ~succ_off ~succ_csr ~succ_task with
+    | Some e ->
+        invalid_arg
+          (Printf.sprintf "Dag.Builder.build: duplicate edge %d (%d -> %d)" e
+             edge_src.(e) edge_dst.(e))
+    | None -> ());
     match kahn_topo ~n ~pred_off ~succ_off ~succ_task with
     | None -> invalid_arg "Dag.Builder.build: graph has a cycle"
     | Some topo ->

@@ -21,7 +21,7 @@ module Builder : sig
   type dag := t
   type t
 
-  val create : ?expected_tasks:int -> unit -> t
+  val create : unit -> t
 
   val add_task : ?label:string -> t -> task
   (** Adds a task and returns its id (ids are allocated consecutively from
@@ -30,13 +30,16 @@ module Builder : sig
   val add_edge : t -> src:task -> dst:task -> volume:float -> unit
   (** Declares the precedence [src → dst] with data volume [volume ≥ 0];
       its edge id is the number of edges added before it.  Raises
-      [Invalid_argument] on unknown endpoints, negative volume, self-loops,
-      or duplicate edges — eagerly, so a caller can attribute the bad edge
-      to its source (the STG parser names the line). *)
+      [Invalid_argument] on unknown endpoints, negative or non-finite
+      volume, and self-loops.  A duplicate [(src, dst)] is accepted here
+      and rejected by {!build}. *)
 
   val build : t -> dag
-  (** Freezes the builder.  Raises [Invalid_argument] if the edge relation
-      has a cycle. *)
+  (** Freezes the builder.  Raises [Invalid_argument] if an edge repeats
+      an earlier edge's [(src, dst)] — the message names the first such
+      edge id and its endpoints — and otherwise if the edge relation has
+      a cycle.  Duplicates are found on the successor rows in one
+      O(n + e) pass, without hashing. *)
 end
 
 (** {1 Accessors} *)

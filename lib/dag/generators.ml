@@ -47,7 +47,7 @@ let layered rng ~n_tasks ?(fatness = 0.5) ?(density = 0.35)
   if not (Float.is_finite density) || density < 0. || density > 1. then
     invalid_arg "Generators.layered: density must be a probability";
   check_volume_spec ~who:"Generators.layered" volume;
-  let b = Dag.Builder.create ~expected_tasks:n_tasks () in
+  let b = Dag.Builder.create () in
   (* Partition tasks into levels whose sizes fluctuate around
      [fatness * 2 * sqrt n]. *)
   let mean_width =
@@ -151,7 +151,7 @@ let erdos_renyi rng ~n_tasks ~edge_prob ?(volume = default_volume) () =
   if not (Float.is_finite edge_prob) || edge_prob < 0. || edge_prob > 1. then
     invalid_arg "Generators.erdos_renyi: edge_prob must be a probability";
   check_volume_spec ~who:"Generators.erdos_renyi" volume;
-  let b = Dag.Builder.create ~expected_tasks:n_tasks () in
+  let b = Dag.Builder.create () in
   let ids = Array.init n_tasks (fun _ -> Dag.Builder.add_task b) in
   let order = Array.copy ids in
   Rng.shuffle rng order;
@@ -197,7 +197,7 @@ let random_out_tree rng ~n_tasks ~max_children ?(volume = default_volume) () =
   check_pos ~who:"Generators.random_out_tree" ~what:"n_tasks" n_tasks;
   check_pos ~who:"Generators.random_out_tree" ~what:"max_children" max_children;
   check_volume_spec ~who:"Generators.random_out_tree" volume;
-  let b = Dag.Builder.create ~expected_tasks:n_tasks () in
+  let b = Dag.Builder.create () in
   let ids = Array.init n_tasks (fun _ -> Dag.Builder.add_task b) in
   let child_count = Array.make n_tasks 0 in
   for i = 1 to n_tasks - 1 do
@@ -230,7 +230,7 @@ let pegasus rng ~n_tasks ?(volume = default_volume) () =
   let vol () = draw_volume rng volume in
   if n_tasks < 8 then (
     (* Too small for the montage shape: degenerate to a chain. *)
-    let b = Dag.Builder.create ~expected_tasks:n_tasks () in
+    let b = Dag.Builder.create () in
     let ids = Array.init n_tasks (fun _ -> Dag.Builder.add_task b) in
     for i = 0 to n_tasks - 2 do
       Dag.Builder.add_edge b ~src:ids.(i) ~dst:ids.(i + 1) ~volume:(vol ())
@@ -241,7 +241,7 @@ let pegasus rng ~n_tasks ?(volume = default_volume) () =
        + imgtbl = 3w + 2 tasks; the remaining >= 2 become the output
        chain (mAdd, mShrink, mJPEG, ...). *)
     let w = max 2 ((n_tasks - 4) / 3) in
-    let b = Dag.Builder.create ~expected_tasks:n_tasks () in
+    let b = Dag.Builder.create () in
     let project =
       Array.init w (fun i ->
           Dag.Builder.add_task ~label:(Printf.sprintf "project%d" i) b)
@@ -287,7 +287,7 @@ let pegasus rng ~n_tasks ?(volume = default_volume) () =
 let chain rng ~n_tasks ?(volume = default_volume) () =
   check_pos ~who:"Generators.chain" ~what:"n_tasks" n_tasks;
   check_volume_spec ~who:"Generators.chain" volume;
-  let b = Dag.Builder.create ~expected_tasks:n_tasks () in
+  let b = Dag.Builder.create () in
   let ids = Array.init n_tasks (fun _ -> Dag.Builder.add_task b) in
   for i = 0 to n_tasks - 2 do
     Dag.Builder.add_edge b ~src:ids.(i) ~dst:ids.(i + 1)

@@ -26,10 +26,14 @@ let parse ?(edge_volume = 1.0) text =
       if n <= 0 then fail hline "task count must be positive";
       if List.length rest < n then
         failwith (Printf.sprintf "STG: expected %d task lines, got %d" n (List.length rest));
-      let b = Dag.Builder.create ~expected_tasks:n () in
+      let b = Dag.Builder.create () in
       let ids = Array.init n (fun i -> i) in
       Array.iter (fun i -> ignore (Dag.Builder.add_task ~label:(Printf.sprintf "stg%d" i) b)) ids;
       let costs = Array.make n 0. in
+      (* A task's predecessors all sit on its own line, so a per-line
+         stamp ([seen.(p) = id]) finds a repeated one and names the
+         line; [Dag.Builder.build] would only name the edge. *)
+      let seen = Array.make n (-1) in
       List.iteri
         (fun idx (line, l) ->
           if idx < n then begin
@@ -46,6 +50,8 @@ let parse ?(edge_volume = 1.0) text =
                   (fun p ->
                     let p = int_of line p in
                     if p < 0 || p >= n then fail line "predecessor out of range";
+                    if seen.(p) = id then fail line "duplicate predecessor %d" p;
+                    seen.(p) <- id;
                     try Dag.Builder.add_edge b ~src:p ~dst:id ~volume:edge_volume
                     with Invalid_argument m -> fail line "%s" m)
                   preds

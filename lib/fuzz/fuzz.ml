@@ -380,7 +380,7 @@ let check (sched : Schedulers.t) case =
 let drop_task inst t =
   let g = Instance.dag inst in
   let v = Dag.n_tasks g and m = Instance.n_procs inst in
-  let b = Dag.Builder.create ~expected_tasks:(v - 1) () in
+  let b = Dag.Builder.create () in
   for i = 0 to v - 1 do
     if i <> t then ignore (Dag.Builder.add_task ~label:(Dag.label g i) b)
   done;
@@ -418,7 +418,7 @@ let keep_edges inst keep =
   let v = Dag.n_tasks g and m = Instance.n_procs inst in
   let kept = Hashtbl.create (2 * List.length keep) in
   List.iter (fun e -> Hashtbl.replace kept e ()) keep;
-  let b = Dag.Builder.create ~expected_tasks:v () in
+  let b = Dag.Builder.create () in
   for i = 0 to v - 1 do
     ignore (Dag.Builder.add_task ~label:(Dag.label g i) b)
   done;

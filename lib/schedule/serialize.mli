@@ -30,7 +30,9 @@ val instance_of_string : string -> Ftsched_model.Instance.t
     / {!max_edges}, labels longer than {!max_label_length}, or counts
     that exceed what the remaining input could possibly hold — all
     checked {e before} any count-sized allocation, so hostile bytes
-    cannot force huge allocations. *)
+    cannot force huge allocations.  A bad edge (self-loop, repeated
+    [(src, dst)], cycle) raises the [Invalid_argument] of
+    {!Ftsched_dag.Dag.Builder}; a repeated edge is named by its id. *)
 
 (** {2 Parser hardening caps}
 

@@ -690,10 +690,12 @@ module Engine = struct
   (* One message of [vol] units from [src_proc], done at [finish], to
      input [slot] of row [rid].  Under a port model a non-local message
      must wait for a free outgoing port, and dies with the sender if the
-     transfer has not finished by the sender's failure instant. *)
+     transfer has not finished by the sender's failure instant.  The
+     delay is read from its row, not through [Platform.delay]: across
+     modules compiled with [-opaque] that call returns a boxed float. *)
   let emit eng ~src_proc ~finish rid slot vol =
     let dproc = eng.proc.(rid) in
-    let w = vol *. Platform.delay eng.tm.t_pl src_proc dproc in
+    let w = vol *. (Platform.delay_row eng.tm.t_pl src_proc).(dproc) in
     if w = 0. then arrival_event eng (finish +. w) rid slot
     else
       match eng.network with
@@ -738,7 +740,10 @@ module Engine = struct
   let fold_arrival eng ~src_proc ~finish i =
     let tm = eng.tm in
     let drid = tm.em_rid.(i) in
-    let w = tm.pred_vol.(em_input tm i) *. Platform.delay tm.t_pl src_proc eng.proc.(drid) in
+    let w =
+      tm.pred_vol.(em_input tm i)
+      *. (Platform.delay_row tm.t_pl src_proc).(eng.proc.(drid))
+    in
     let at = finish +. w in
     eng.seq <- eng.seq + 1;
     eng.events <- eng.events + 1;

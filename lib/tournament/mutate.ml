@@ -92,9 +92,7 @@ let decompose { instance; eps } =
    operators' own guards miss. *)
 let rebuild parts =
   match
-    let b =
-      Dag.Builder.create ~expected_tasks:(Array.length parts.labels) ()
-    in
+    let b = Dag.Builder.create () in
     Array.iter (fun label -> ignore (Dag.Builder.add_task ~label b)) parts.labels;
     List.iter
       (fun (src, dst, volume) -> Dag.Builder.add_edge b ~src ~dst ~volume)

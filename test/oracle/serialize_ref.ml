@@ -144,7 +144,7 @@ let parse_instance cur =
         reject cur
           "declared counts (v=%d m=%d e=%d) need %d lines but only %d remain"
           v m e needed (remaining_lines cur);
-      let b = Dag.Builder.create ~expected_tasks:v () in
+      let b = Dag.Builder.create () in
       for _ = 1 to v do
         let line = next cur in
         match words line with

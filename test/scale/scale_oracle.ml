@@ -3,6 +3,9 @@
 
    - the DAG's CSR rows, iterators, entries and exits against the list
      reference built from [Dag.iter_edges];
+   - the graph's edge list rebuilt through [Dag.Builder]: as is it
+     builds, and with one early edge added again at the end [build]
+     rejects it, naming the added edge;
    - [Validate.check] on the FTSA and MC-FTSA plans, and its flat
      data-feasibility pass against the frozen list-based one
      ([Validate_ref]) on each plan and on a copy with shifted replicas;
@@ -360,6 +363,29 @@ let replays_agree s =
            (if policy = Crash_exec.Strict then "strict" else "reroute")
            Scenario.pp sc)
 
+(* The graph's edges fed to a fresh builder, with [extra] appended. *)
+let rebuild dag extra =
+  let b = Dag.Builder.create () in
+  for _ = 1 to Dag.n_tasks dag do
+    ignore (Dag.Builder.add_task b)
+  done;
+  Dag.iter_edges dag (fun _ ~src ~dst ~volume -> Dag.Builder.add_edge b ~src ~dst ~volume);
+  List.iter (fun (src, dst) -> Dag.Builder.add_edge b ~src ~dst ~volume:1.) extra;
+  Dag.Builder.build b
+
+let duplicate_rejected dag =
+  let e = Dag.n_edges dag in
+  let src, dst = Dag.edge_endpoints dag (min 3 (e - 1)) in
+  let want = Printf.sprintf "Dag.Builder.build: duplicate edge %d (%d -> %d)" e src dst in
+  match rebuild dag [] with
+  | exception Invalid_argument why -> Error ("the edge list as is: " ^ why)
+  | g when Dag.n_edges g <> e -> Error "the edge list as is: edge count differs"
+  | _ -> (
+      match rebuild dag [ (src, dst) ] with
+      | exception Invalid_argument got when got = want -> Ok ()
+      | exception Invalid_argument got -> Error (Printf.sprintf "%S, want %S" got want)
+      | _ -> Error "built with a duplicate edge")
+
 let graph name generate =
   let t0 = Unix.gettimeofday () in
   let rng = Rng.create ~seed in
@@ -372,6 +398,8 @@ let graph name generate =
   check "CSR rows and iterators = reference" (fun () ->
       Adjacency.check_rows adj);
   check "entries/exits = reference" (fun () -> Adjacency.check_ends adj);
+  check "repeated early edge rejected at build" (fun () ->
+      duplicate_rejected dag);
   let ftsa = Ftsa.schedule ~seed inst ~eps in
   let mc = Mc_ftsa.schedule ~seed inst ~eps in
   List.iter

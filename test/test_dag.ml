@@ -51,14 +51,90 @@ let test_builder_rejects_self_loop () =
     (Invalid_argument "Dag.Builder.add_edge: self loop") (fun () ->
       Dag.Builder.add_edge b ~src:t0 ~dst:t0 ~volume:1.)
 
+(* [add_edge] accepts a repeated (src, dst); [build] rejects it and
+   names the repeating edge. *)
 let test_builder_rejects_duplicate () =
   let b = Dag.Builder.create () in
   let t0 = Dag.Builder.add_task b in
   let t1 = Dag.Builder.add_task b in
   Dag.Builder.add_edge b ~src:t0 ~dst:t1 ~volume:1.;
+  Dag.Builder.add_edge b ~src:t0 ~dst:t1 ~volume:2.;
   Alcotest.check_raises "duplicate"
-    (Invalid_argument "Dag.Builder.add_edge: duplicate edge") (fun () ->
-      Dag.Builder.add_edge b ~src:t0 ~dst:t1 ~volume:2.)
+    (Invalid_argument "Dag.Builder.build: duplicate edge 1 (0 -> 1)") (fun () ->
+      ignore (Dag.Builder.build b))
+
+(* A graph with both faults reports the duplicate, not the cycle. *)
+let test_builder_duplicate_before_cycle () =
+  let b = Dag.Builder.create () in
+  let t0 = Dag.Builder.add_task b in
+  let t1 = Dag.Builder.add_task b in
+  let t2 = Dag.Builder.add_task b in
+  Dag.Builder.add_edge b ~src:t0 ~dst:t1 ~volume:1.;
+  Dag.Builder.add_edge b ~src:t1 ~dst:t2 ~volume:1.;
+  Dag.Builder.add_edge b ~src:t2 ~dst:t0 ~volume:1.;
+  Dag.Builder.add_edge b ~src:t1 ~dst:t2 ~volume:3.;
+  Alcotest.check_raises "duplicate and cycle"
+    (Invalid_argument "Dag.Builder.build: duplicate edge 3 (1 -> 2)") (fun () ->
+      ignore (Dag.Builder.build b))
+
+(* Random forward edge lists with 0-3 repeats injected, one of them
+   possibly the first edge again at the very end: [build] raises exactly
+   when a hash-table scan in insertion order meets a repeated (src, dst),
+   and names the same first repeating edge. *)
+let prop_duplicates_match_hashtbl =
+  QCheck.Test.make ~name:"build finds the first duplicate a Hashtbl finds"
+    ~count:500 (QCheck.int_range 0 100_000)
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let n = 2 + Rng.int rng 30 in
+      let edges = ref [] in
+      for _ = 1 to Rng.int rng (3 * n) do
+        let a = Rng.int rng n and c = Rng.int rng n in
+        if a <> c && not (List.mem (min a c, max a c) !edges) then
+          edges := (min a c, max a c) :: !edges
+      done;
+      let edges = ref (List.rev !edges) in
+      for _ = 1 to Rng.int rng 4 do
+        match !edges with
+        | [] -> ()
+        | first :: _ when Rng.bool rng -> edges := !edges @ [ first ]
+        | l ->
+            let arr = Array.of_list l in
+            let copy = Rng.pick rng arr in
+            let at = Rng.int rng (Array.length arr + 1) in
+            edges :=
+              List.filteri (fun i _ -> i < at) l
+              @ (copy :: List.filteri (fun i _ -> i >= at) l)
+      done;
+      let expected =
+        let seen = Hashtbl.create 16 in
+        let rec scan i = function
+          | [] -> None
+          | ((src, dst) as p) :: rest ->
+              if Hashtbl.mem seen p then
+                Some (Printf.sprintf "Dag.Builder.build: duplicate edge %d (%d -> %d)" i src dst)
+              else begin
+                Hashtbl.add seen p ();
+                scan (i + 1) rest
+              end
+        in
+        scan 0 !edges
+      in
+      let b = Dag.Builder.create () in
+      for _ = 1 to n do
+        ignore (Dag.Builder.add_task b)
+      done;
+      List.iteri
+        (fun i (src, dst) -> Dag.Builder.add_edge b ~src ~dst ~volume:(float_of_int i))
+        !edges;
+      match (Dag.Builder.build b, expected) with
+      | g, None -> Dag.n_edges g = List.length !edges
+      | _, Some msg -> QCheck.Test.fail_reportf "built, expected %S" msg
+      | exception Invalid_argument got -> (
+          match expected with
+          | Some msg when msg = got -> true
+          | Some msg -> QCheck.Test.fail_reportf "raised %S, expected %S" got msg
+          | None -> QCheck.Test.fail_reportf "raised %S on distinct edges" got))
 
 let test_builder_rejects_bad_volume () =
   let b = Dag.Builder.create () in
@@ -581,10 +657,10 @@ let test_stg_errors () =
   check_bool "pred out of range" true (fails "2\n0 1 0\n1 1 1 7\n");
   check_bool "cycle via self" true (fails "1\n0 1 1 0\n")
 
-(* the builder's eager duplicate check lets the parser name the line *)
+(* the parser's per-line predecessor check names the line *)
 let test_stg_duplicate_edge_line () =
   Alcotest.check_raises "duplicate edge"
-    (Failure "STG line 4: Dag.Builder.add_edge: duplicate edge") (fun () ->
+    (Failure "STG line 4: duplicate predecessor 0") (fun () ->
       ignore (Stg.parse "# header comment\n2\n0 1 0\n1 1 2 0 0\n"))
 
 let test_stg_edge_volume () =
@@ -618,6 +694,9 @@ let () =
           Alcotest.test_case "rejects cycle" `Quick test_builder_rejects_cycle;
           Alcotest.test_case "rejects self loop" `Quick test_builder_rejects_self_loop;
           Alcotest.test_case "rejects duplicate" `Quick test_builder_rejects_duplicate;
+          Alcotest.test_case "duplicate reported before cycle" `Quick
+            test_builder_duplicate_before_cycle;
+          quick prop_duplicates_match_hashtbl;
           Alcotest.test_case "rejects bad volume" `Quick test_builder_rejects_bad_volume;
           Alcotest.test_case "rejects unknown task" `Quick test_builder_rejects_unknown_task;
           Alcotest.test_case "iter_succs/iter_preds on a chain" `Quick

@@ -732,6 +732,22 @@ let test_serialize_error_lines () =
     "blank lines are counted" "line 12: bad float \"0x1.zp+1\""
     (parse_failure (replace_line 2 (fun l -> "\n" ^ l ^ "\n") bad_exec))
 
+(* A repeated edge line is rejected by the DAG build, naming the edge,
+   by the codec and by the frozen reference parser alike. *)
+let test_serialize_rejects_duplicate_edge () =
+  (* magic, header, 3 labels: lines 6 and 7 are edges 0 (0 -> 1) and 1 *)
+  let doc = Serialize.schedule_to_string (hand_schedule ()) in
+  let lines = String.split_on_char '\n' doc in
+  let dup = replace_line 7 (fun _ -> List.nth lines 5) doc in
+  Alcotest.(check string) "duplicate edge"
+    "Invalid_argument(\"Dag.Builder.build: duplicate edge 1 (0 -> 1)\")"
+    (parse_failure dup);
+  Alcotest.(check string) "reference parser"
+    (parse_failure dup)
+    (match Ftsched_oracle.Serialize_ref.schedule_of_string dup with
+    | exception e -> Printexc.to_string e
+    | _ -> "parsed")
+
 (* ---- regression: replica times must be finite -----------------------
    NaN compares false against everything, so [finish < start] let a NaN
    time through [Schedule.create]. *)
@@ -932,6 +948,57 @@ let test_gantt_svg () =
   in
   check_int "one rect per replica" 6 rects
 
+(* Minor words per edge of the DAG build path on the fixed 1,000-task
+   layered instance at m = 20 (20,090 edges): [Serialize.instance_of_string]
+   15.28 and a [Dag.Builder] fed from arrays (add + build) 6.38 when
+   pinned.  The count is deterministic: equal over three runs in one
+   domain and in each of two worker domains.  The bounds leave 1.2 words
+   per edge of headroom, less than one boxed float (2 words) or pair
+   (3 words) per edge, so a per-edge allocation on the build path fails
+   the guard.  A budget change goes through CHANGES.md with its reason. *)
+let test_build_allocation_guard () =
+  let rng = Rng.create ~seed:2008 in
+  let dag = Generators.layered rng ~n_tasks:1000 () in
+  let platform = Platform.random rng ~m:20 ~delay_lo:0.5 ~delay_hi:1.0 () in
+  let inst = Instance.random_exec rng ~dag ~platform () in
+  let v = Dag.n_tasks dag and e = Dag.n_edges dag in
+  check_int "edges" 20_090 e;
+  let doc = Serialize.instance_to_string inst in
+  let src = Array.make e 0 and dst = Array.make e 0 and vol = Array.make e 0. in
+  Dag.iter_edges dag (fun i ~src:s ~dst:d ~volume ->
+      src.(i) <- s;
+      dst.(i) <- d;
+      vol.(i) <- volume);
+  let build () =
+    let b = Dag.Builder.create () in
+    for _ = 1 to v do
+      ignore (Dag.Builder.add_task b)
+    done;
+    for i = 0 to e - 1 do
+      Dag.Builder.add_edge b ~src:src.(i) ~dst:dst.(i) ~volume:vol.(i)
+    done;
+    Dag.Builder.build b
+  in
+  let per_edge run () =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (run ()));
+    (Gc.minor_words () -. w0) /. float_of_int e
+  in
+  let check (name, bound, run) =
+    let words = per_edge run () in
+    let again = List.init 2 (fun _ -> per_edge run ()) in
+    let parallel =
+      Ftsched_par.Par.parallel_map ~jobs:2 (fun () -> per_edge run ()) [ (); () ]
+    in
+    List.iter
+      (fun w -> Alcotest.(check (float 0.)) (name ^ " words per edge repeat") words w)
+      (again @ parallel);
+    if words > bound then
+      Alcotest.failf "%s: %.2f minor words per edge, budget %.1f" name words bound
+  in
+  check ("instance_of_string", 16.5, fun () -> ignore (Serialize.instance_of_string doc));
+  check ("builder", 7.6, fun () -> ignore (build ()))
+
 let () =
   Alcotest.run "schedule"
     [
@@ -996,6 +1063,10 @@ let () =
           quick prop_serialize_roundtrip_random;
           quick prop_label_roundtrip_or_reject;
           Alcotest.test_case "error lines" `Quick test_serialize_error_lines;
+          Alcotest.test_case "rejects a duplicate edge" `Quick
+            test_serialize_rejects_duplicate_edge;
+          Alcotest.test_case "build allocation guard" `Quick
+            test_build_allocation_guard;
           Alcotest.test_case "non-finite replica times" `Quick
             test_nonfinite_replica_times;
         ] );

@@ -3,13 +3,15 @@ module Instance = Ftsched_model.Instance
 module Levels = Ftsched_model.Levels
 module Driver = Ftsched_kernel.Driver
 module Edge_select = Ftsched_kernel.Edge_select
+module Comm_plan = Ftsched_schedule.Comm_plan
 
 type edge_strategy = Greedy_edges | Bottleneck_edges | Redundant_edges of int
 type mode = All_to_all_comm | Min_comm of edge_strategy
 
 (* Commit for MC-FTSA: per incoming DAG edge, build the bipartite replica
    graph of §4.2 in the workspace's candidate set, select a robust
-   one-to-one edge set, and re-time every replica of [t] against its
+   one-to-one edge set, write it, in selection order, as the edge's row
+   of the run's plan, and re-time every replica of [t] against its
    single retained sender per input.  Candidates are added in the order
    the selectors fall back on for ties: left replicas from last to first,
    each one's free candidates from the last right replica to the first,
@@ -73,17 +75,18 @@ let commit_min_comm strategy (st : Driver.state) t =
        a single sender per replica (pure MC) the two coincide. *)
     Array.fill arr_opt 0 k infinity;
     Array.fill arr_pess 0 k 0.;
-    let n_sel = Edge_select.selected cands in
-    for i = 0 to n_sel - 1 do
-      let c = lefts.(Edge_select.selected_left cands i)
+    Comm_plan.start_row st.Driver.selected e;
+    for i = 0 to Edge_select.selected cands - 1 do
+      let l = Edge_select.selected_left cands i
       and r = Edge_select.selected_right cands i in
+      Comm_plan.push st.Driver.selected ~src:l ~dst:r;
+      let c = lefts.(l) in
       let w = vol *. (Platform.delay_row pl c.Driver.proc).(chosen.(r)) in
       let a_opt = c.Driver.finish_opt +. w in
       let a_pess = c.Driver.finish_pess +. w in
       if a_opt < arr_opt.(r) then arr_opt.(r) <- a_opt;
       if a_pess > arr_pess.(r) then arr_pess.(r) <- a_pess
     done;
-    st.Driver.selected.(e) <- Edge_select.selected_pairs cands;
     for r = 0 to k - 1 do
       if arr_opt.(r) < infinity && arr_opt.(r) > input_opt.(r) then
         input_opt.(r) <- arr_opt.(r);

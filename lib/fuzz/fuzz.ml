@@ -175,9 +175,9 @@ let check (sched : Schedulers.t) case =
          and expected, so there the reroute repair must always deliver *)
       guarded Survivability (fun () ->
           let policy, name =
-            match Schedule.comm s with
-            | Comm_plan.All_to_all -> (Crash_exec.Strict, "strict")
-            | Comm_plan.Selected _ -> (Crash_exec.Reroute, "reroute")
+            if Comm_plan.is_all_to_all (Schedule.comm s) then
+              (Crash_exec.Strict, "strict")
+            else (Crash_exec.Reroute, "reroute")
           in
           match Worst_case.first_defeat ~policy s ~count:seps with
           | None -> ()
@@ -287,90 +287,90 @@ let check (sched : Schedulers.t) case =
       (* (d) MC selection legality, and the flat selectors against the
          frozen list-based ones *)
       guarded Selection (fun () ->
-          match Schedule.comm s with
-          | Comm_plan.All_to_all -> ()
-          | Comm_plan.Selected sel ->
-              let g = Instance.dag inst in
-              let k = seps + 1 in
-              let one_to_one pairs =
-                Comm_plan.is_one_to_one
-                  (List.map
-                     (fun (l, r) ->
-                       { Comm_plan.src_replica = l; dst_replica = r })
-                     pairs)
-                  ~eps:seps
+          let plan = Schedule.comm s in
+          if not (Comm_plan.is_all_to_all plan) then begin
+            let g = Instance.dag inst in
+            let k = seps + 1 in
+            let one_to_one pairs =
+              Comm_plan.is_one_to_one
+                (Comm_plan.of_lists
+                   [|
+                     List.map
+                       (fun (l, r) ->
+                         { Comm_plan.src_replica = l; dst_replica = r })
+                       pairs;
+                   |])
+                ~eps:seps 0
+            in
+            let flat = Edge_select.create () in
+            let ps = Array.make (Comm_plan.widest plan ~eps:seps) 0 in
+            let pd = Array.make (Array.length ps) 0 in
+            for e = 0 to Dag.n_edges g - 1 do
+              let src, dst = Dag.edge_endpoints g e in
+              let volume = Dag.edge_volume g e in
+              let cand = candidate_edges s ~src ~dst ~volume in
+              let opt = Edge_select_ref.bottleneck_value ~eps:seps cand in
+              let gsel = Edge_select_ref.greedy ~eps:seps cand in
+              let bsel = Edge_select_ref.bottleneck ~eps:seps cand in
+              let rsel = Edge_select_ref.redundant ~eps:seps ~senders:2 cand in
+              let flat_sel select =
+                Edge_select_ref.load flat ~eps:seps cand;
+                select flat;
+                Edge_select_ref.selection flat
               in
-              let flat = Edge_select.create () in
-              Array.iteri
-                (fun e pairs ->
-                  let src, dst = Dag.edge_endpoints g e in
-                  let volume = Dag.edge_volume g e in
-                  let cand = candidate_edges s ~src ~dst ~volume in
-                  let opt = Edge_select_ref.bottleneck_value ~eps:seps cand in
-                  let gsel = Edge_select_ref.greedy ~eps:seps cand in
-                  let bsel = Edge_select_ref.bottleneck ~eps:seps cand in
-                  let rsel = Edge_select_ref.redundant ~eps:seps ~senders:2 cand in
-                  let flat_sel select =
-                    Edge_select_ref.load flat ~eps:seps cand;
-                    select flat;
-                    Edge_select_ref.selection flat
-                  in
-                  if flat_sel Edge_select.greedy <> gsel then
-                    add Selection "edge %d: flat greedy differs from reference" e;
-                  if flat_sel Edge_select.bottleneck <> bsel then
+              if flat_sel Edge_select.greedy <> gsel then
+                add Selection "edge %d: flat greedy differs from reference" e;
+              if flat_sel Edge_select.bottleneck <> bsel then
+                add Selection
+                  "edge %d: flat bottleneck differs from reference" e;
+              if flat_sel (Edge_select.redundant ~senders:2) <> rsel then
+                add Selection
+                  "edge %d: flat redundant differs from reference" e;
+              if Edge_select.bottleneck_value flat <> opt then
+                add Selection
+                  "edge %d: flat bottleneck value differs from reference" e;
+              if not (one_to_one gsel) then
+                add Selection "edge %d: greedy selection not one-to-one" e;
+              if not (one_to_one bsel) then
+                add Selection
+                  "edge %d: bottleneck selection not one-to-one" e;
+              let bmax = Edge_select_ref.max_weight cand bsel in
+              if not (close bmax opt) then
+                add Selection
+                  "edge %d: bottleneck certificate mismatch (max %.9g vs \
+                   value %.9g)"
+                  e bmax opt;
+              let gmax = Edge_select_ref.max_weight cand gsel in
+              if gmax +. tol < opt then
+                add Selection
+                  "edge %d: greedy max %.9g beats optimal bottleneck %.9g"
+                  e gmax opt;
+              (* the schedule's own pairs: pure selections must be
+                 one-to-one and built from admissible edges, and no
+                 admissible one-to-one selection can beat the
+                 optimum *)
+              let n = Comm_plan.pairs plan ~eps:seps e ~srcs:ps ~dsts:pd in
+              let row = List.init n (fun i -> (ps.(i), pd.(i))) in
+              if List.length row = k then begin
+                if not (Comm_plan.is_one_to_one plan ~eps:seps e) then
+                  add Selection
+                    "edge %d (%d→%d): schedule selection not one-to-one" e
+                    src dst;
+                match Edge_select_ref.max_weight cand row with
+                | exception Edge_select_ref.Infeasible msg ->
                     add Selection
-                      "edge %d: flat bottleneck differs from reference" e;
-                  if flat_sel (Edge_select.redundant ~senders:2) <> rsel then
-                    add Selection
-                      "edge %d: flat redundant differs from reference" e;
-                  if Edge_select.bottleneck_value flat <> opt then
-                    add Selection
-                      "edge %d: flat bottleneck value differs from reference" e;
-                  if not (one_to_one gsel) then
-                    add Selection "edge %d: greedy selection not one-to-one" e;
-                  if not (one_to_one bsel) then
-                    add Selection
-                      "edge %d: bottleneck selection not one-to-one" e;
-                  let bmax = Edge_select_ref.max_weight cand bsel in
-                  if not (close bmax opt) then
-                    add Selection
-                      "edge %d: bottleneck certificate mismatch (max %.9g vs \
-                       value %.9g)"
-                      e bmax opt;
-                  let gmax = Edge_select_ref.max_weight cand gsel in
-                  if gmax +. tol < opt then
-                    add Selection
-                      "edge %d: greedy max %.9g beats optimal bottleneck %.9g"
-                      e gmax opt;
-                  (* the schedule's own pairs: pure selections must be
-                     one-to-one and built from admissible edges, and no
-                     admissible one-to-one selection can beat the
-                     optimum *)
-                  if List.length pairs = k then begin
-                    if not (Comm_plan.is_one_to_one pairs ~eps:seps) then
+                      "edge %d: schedule selection uses inadmissible \
+                       pair: %s"
+                      e msg
+                | w ->
+                    if w +. tol < opt then
                       add Selection
-                        "edge %d (%d→%d): schedule selection not one-to-one" e
-                        src dst;
-                    match
-                      Edge_select_ref.max_weight cand
-                        (List.map
-                           (fun { Comm_plan.src_replica; dst_replica } ->
-                             (src_replica, dst_replica))
-                           pairs)
-                    with
-                    | exception Edge_select_ref.Infeasible msg ->
-                        add Selection
-                          "edge %d: schedule selection uses inadmissible \
-                           pair: %s"
-                          e msg
-                    | w ->
-                        if w +. tol < opt then
-                          add Selection
-                            "edge %d: schedule selection max %.9g below \
-                             optimal bottleneck %.9g"
-                            e w opt
-                  end)
-                sel);
+                        "edge %d: schedule selection max %.9g below \
+                         optimal bottleneck %.9g"
+                        e w opt
+              end
+            done
+          end);
       List.rev !acc
 
 (* ------------------------------------------------------------------ *)

@@ -23,7 +23,7 @@ type state = {
   ready_opt : float array;
   ready_pess : float array;
   placed : committed array option array;
-  selected : Comm_plan.pair list array;
+  selected : Comm_plan.builder;
   in_opt : float array;
   in_pess : float array;
   tmp_opt : float array;
@@ -316,7 +316,7 @@ type workspace = {
   mutable w_insertion : bool;
   mutable w_timeline : Proc_state.t;
   mutable w_placed : committed array option array;
-  mutable w_selected : Comm_plan.pair list array;
+  w_selected : Comm_plan.builder;
   mutable w_in_opt : float array;
   mutable w_in_pess : float array;
   mutable w_tmp_opt : float array;
@@ -338,7 +338,7 @@ let empty_workspace () =
     w_insertion = false;
     w_timeline = Proc_state.create ~m:1 ~insertion:false;
     w_placed = [||];
-    w_selected = [||];
+    w_selected = Comm_plan.builder ();
     w_in_opt = [||];
     w_in_pess = [||];
     w_tmp_opt = [||];
@@ -358,7 +358,7 @@ let workspace = empty_workspace
 
 (* Bring a workspace to the exact state fresh allocation would produce
    for this call shape, growing (never shrinking) what mismatches. *)
-let ready_workspace w ~v ~m ~ne ~insertion =
+let ready_workspace w ~v ~m ~ne ~insertion ~selected =
   if w.w_m <> m || w.w_insertion <> insertion then begin
     w.w_timeline <- Proc_state.create ~m ~insertion;
     w.w_m <- m;
@@ -367,8 +367,7 @@ let ready_workspace w ~v ~m ~ne ~insertion =
   else Proc_state.reset w.w_timeline;
   if Array.length w.w_placed < v then w.w_placed <- Array.make v None
   else Array.fill w.w_placed 0 v None;
-  if Array.length w.w_selected < ne then w.w_selected <- Array.make ne []
-  else Array.fill w.w_selected 0 ne [];
+  if selected then Comm_plan.clear w.w_selected ~n_edges:ne;
   if Array.length w.w_in_opt < m then begin
     w.w_in_opt <- Array.make m 0.;
     w.w_in_pess <- Array.make m 0.;
@@ -408,7 +407,8 @@ let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
   | _ -> ());
   let ne = Dag.n_edges g in
   let w = match workspace with Some w -> w | None -> empty_workspace () in
-  ready_workspace w ~v ~m ~ne ~insertion:policy.insertion;
+  ready_workspace w ~v ~m ~ne ~insertion:policy.insertion
+    ~selected:policy.selected_comm;
   let st =
     {
       inst = instance;
@@ -477,11 +477,7 @@ let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
       if policy.selected_comm then
         List.init (st.pred_off.(t + 1) - st.pred_off.(t)) (fun i ->
             let e = st.pred_edge.(st.pred_off.(t) + i) in
-            ( e,
-              List.map
-                (fun { Comm_plan.src_replica; dst_replica } ->
-                  (src_replica, dst_replica))
-                st.selected.(e) ))
+            (e, Comm_plan.row_list st.selected e))
       else []
     in
     Trace.record tr
@@ -688,11 +684,8 @@ let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
                   row)
       in
       let comm =
-        if policy.selected_comm then
-          (* the plan's own copy: a pooled [selected] array outlives the
-             run and may be longer than this instance's edge count *)
-          Comm_plan.Selected (Array.sub st.selected 0 ne)
-        else Comm_plan.All_to_all
+        if policy.selected_comm then Comm_plan.build st.selected
+        else Comm_plan.all_to_all
       in
       Ok (Schedule.create ~instance ~eps:(policy.replicas - 1) ~replicas ~comm)
 

@@ -64,10 +64,10 @@ type state = {
           read-only *)
   ready_pess : float array;  (** pessimistic counterpart; read-only *)
   placed : committed array option array;  (** per task, one row per replica *)
-  selected : Ftsched_schedule.Comm_plan.pair list array;
-      (** per DAG edge: the selected messages — written once per edge by
-          selected-communication commit rules, and the run's
-          [Comm_plan.Selected] plan as is *)
+  selected : Ftsched_schedule.Comm_plan.builder;
+      (** the selected messages, one row per DAG edge — written once per
+          edge by selected-communication commit rules, and built into the
+          run's selected plan at the end *)
   in_opt : float array;
       (** scratch, filled by {!prepare_inputs}: optimistic input-arrival
           bound of the current task per target processor *)
@@ -156,8 +156,8 @@ type policy = {
   insertion : bool;
       (** maintain slot timelines for insertion-based gap search *)
   selected_comm : bool;
-      (** build a [Comm_plan.Selected] plan from [state.selected]
-          instead of [All_to_all] *)
+      (** build a selected plan from [state.selected] instead of the
+          all-to-all one *)
 }
 
 type deadline_failure = { task : int; deadline : float; finish : float }

@@ -1,5 +1,4 @@
 module Hk = Ftsched_ds.Hopcroft_karp
-module Comm_plan = Ftsched_schedule.Comm_plan
 
 exception Infeasible of string
 
@@ -19,8 +18,6 @@ type t = {
   mutable n_sel : int;  (* the selection, in selection order *)
   mutable sel_left : int array;
   mutable sel_right : int array;
-  mutable pair_k : int;  (* the k [pair_of] was built for *)
-  mutable pair_of : Comm_plan.pair array;  (* k × k, row-major by left *)
 }
 
 let create () =
@@ -38,8 +35,6 @@ let create () =
     n_sel = 0;
     sel_left = [||];
     sel_right = [||];
-    pair_k = 0;
-    pair_of = [||];
   }
 
 let reset t ~k =
@@ -72,21 +67,6 @@ let add t ~left ~right ~forced =
 
 let selected t = t.n_sel
 
-(* The message records are immutable, so one per (left, right) serves
-   every selection: an MC-FTSA plan holds one cons cell per message. *)
-let selected_pairs t =
-  let k = t.k in
-  if t.pair_k <> k then begin
-    t.pair_of <-
-      Array.init (k * k) (fun i ->
-          { Comm_plan.src_replica = i / k; dst_replica = i mod k });
-    t.pair_k <- k
-  end;
-  let acc = ref [] in
-  for i = t.n_sel - 1 downto 0 do
-    acc := t.pair_of.((t.sel_left.(i) * k) + t.sel_right.(i)) :: !acc
-  done;
-  !acc
 let selected_left t i = t.sel_left.(i)
 let selected_right t i = t.sel_right.(i)
 let[@inline] cand_weight t i = t.weight.((t.c_left.(i) * t.k) + t.c_right.(i))

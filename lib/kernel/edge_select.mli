@@ -87,12 +87,6 @@ val selected_right : t -> int -> int
 (** [selected_right t i]: destination replica of the [i]-th selected
     pair. *)
 
-val selected_pairs : t -> Ftsched_schedule.Comm_plan.pair list
-(** The last selection as a message list, in selection order — a DAG
-    edge's row of a [Comm_plan.Selected] plan.  The pair records are
-    shared between calls (they are immutable), so the list allocates
-    only its cons cells. *)
-
 val max_weight : t -> float
 (** Largest weight among the selected pairs ([neg_infinity] for an
     empty selection) — for comparing selectors. *)

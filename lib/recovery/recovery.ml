@@ -43,15 +43,6 @@ let push iv x =
   iv.a.(iv.n) <- x;
   iv.n <- iv.n + 1
 
-(* Does a pair of a selected plan send to static replica [rep] from a
-   viable row of the source task, whose replica 0 is row [src]? *)
-let rec sends_to viable ~src ~rep = function
-  | [] -> false
-  | (pair : Comm_plan.pair) :: rest ->
-      (pair.dst_replica = rep
-      && Bytes.get viable (src + pair.src_replica) <> '\000')
-      || sends_to viable ~src ~rep rest
-
 let run ?network ?faults ?release ?(delta = 0.) ?rounds ?workspace s ~fail_times
     =
   let inst = Schedule.instance s in
@@ -118,20 +109,17 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds ?workspace s ~fail_times
   (* Does a viable row of the predecessor feed input [pos] of row [rid]
      (replica [rep] of [task])?  Static rows follow the communication
      plan, injected ones our own wiring. *)
+  let from = Array.make (Comm_plan.widest plan ~eps) 0 in
   let fed rid task rep pos =
     let k = pred_off.(task) + pos in
     if rep <= eps then begin
       let src = pred_tasks.(k) * kk in
-      match plan with
-      | Comm_plan.All_to_all ->
-          let found = ref false and sr = ref 0 in
-          while (not !found) && !sr <= eps do
-            found := is_viable (src + !sr);
-            incr sr
-          done;
-          !found
-      | Comm_plan.Selected sel ->
-          sends_to !viable ~src ~rep sel.(pred_edges.(k))
+      let n = Comm_plan.senders plan ~eps pred_edges.(k) ~dst:rep from in
+      let i = ref 0 in
+      while !i < n && not (is_viable (src + from.(!i))) do
+        incr i
+      done;
+      !i < n
     end
     else begin
       let w = row_pos.a.(rid - n_static) + pos in
@@ -168,8 +156,8 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds ?workspace s ~fail_times
   (* Visit [task] at detection instant [now]: classify its rows, kill
      the waiting ones that can no longer be fed, and re-map the task
      when no viable row remains.  [force] is the post-drain repair mode:
-     the engine has quiesced with work missing (e.g. an injected replica
-     stuck behind a queue-order wait cycle), so still-waiting replicas
+     the engine has quiesced with work missing (a lossy link dropped a
+     message after the last detection sweep), so still-waiting replicas
      are written off wholesale and replacements are wired to completed
      (or freshly injected) sources only — a serial re-execution of
      whatever is missing, which cannot deadlock.  [tail] is the believed
@@ -405,10 +393,11 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds ?workspace s ~fail_times
       sweep (Engine.now eng) procs)
     (Detector.instants det);
   Engine.drain eng;
-  (* Post-drain repair: as long as tasks are missing, a live processor
-     remains and the sweeps still make progress (each round kills or
-     injects something, both bounded), force re-execution of the missing
-     work.  In the common case the loop body never runs. *)
+  (* Post-drain repair on lossy links: as long as tasks are missing, a
+     live processor remains and the sweeps still make progress (each
+     round kills or injects something, both bounded), force
+     re-execution of the missing work.  On reliable links a forced sweep
+     can change nothing (recovery.mli), so it is not run. *)
   let complete () =
     let ok = ref true and t = ref 0 in
     while !ok && !t < v do
@@ -422,7 +411,12 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds ?workspace s ~fail_times
     done;
     !ok
   in
-  let progress = ref true in
+  let progress =
+    ref
+      (match faults with
+      | Some f -> not (Scenario.is_reliable f)
+      | None -> false)
+  in
   while
     !progress
     && (not (complete ()))

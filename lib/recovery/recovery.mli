@@ -49,6 +49,27 @@
     completed and the latency of the completed subset
     ({!Ftsched_schedule.Metrics.degraded}).
 
+    Once every detection sweep has run the engine drains.  On lossy
+    links a message lost after the last sweep can still starve a task,
+    so while tasks are missing, a processor is believed alive and the
+    previous round killed or injected something, a {e forced} sweep
+    re-executes the missing work.  On reliable links that sweep could
+    change nothing, and it is not run:
+    - every crash precedes its detection, so after the last sweep no
+      processor fails, and every row that sweep left viable completes.
+      Its processor lives; a viable plan sender of a static row, and a
+      viable source of an injected row, deliver over reliable links; and
+      no wait cycle exists, because a static row waits only on static
+      rows (its plan senders and its planned queue, both consistent with
+      the plan's commit order), an injected row only on rows that
+      existed when it was injected (its sources and the rows ahead of it
+      at its processor's tail);
+    - so the drained engine holds no waiting row to kill, and a task
+      still missing had no viable row at the last sweep and could not be
+      re-mapped then — its budget was spent, or a predecessor had no
+      viable row, or no processor was believed alive — and draining
+      changes none of these.
+
     Decisions use only detector knowledge (a re-send scheduled from a
     dead-but-undetected processor is silently lost and paid for at the
     next sweep); physics — message cut-offs, port contention for planned

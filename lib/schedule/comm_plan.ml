@@ -1,43 +1,163 @@
-type pair = { src_replica : int; dst_replica : int }
+(* A pair is one int: the source replica above [shift] bits, the
+   destination below. *)
+let shift = 30
+let mask = (1 lsl shift) - 1
 
 type t =
   | All_to_all
-  | Selected of pair list array
+  | Selected of { off : int array; pairs : int array; widest : int }
+      (* edge [e]'s packed pairs are [pairs.(off.(e))] …
+         [pairs.(off.(e + 1) - 1)]; [widest] is the longest row *)
 
-let all_pairs ~eps =
-  let acc = ref [] in
-  for s = eps downto 0 do
-    for d = eps downto 0 do
-      acc := { src_replica = s; dst_replica = d } :: !acc
-    done
-  done;
-  !acc
+let all_to_all = All_to_all
+let is_all_to_all t = t == All_to_all
 
-let pairs_for t ~eps e =
-  match t with All_to_all -> all_pairs ~eps | Selected sel -> sel.(e)
-
-let senders_to t ~eps e ~dst_replica =
+let fits t ~n_edges =
   match t with
-  | All_to_all -> List.init (eps + 1) (fun i -> i)
-  | Selected sel ->
-      List.filter_map
-        (fun p -> if p.dst_replica = dst_replica then Some p.src_replica else None)
-        sel.(e)
+  | All_to_all -> true
+  | Selected { off; _ } -> Array.length off = n_edges + 1
 
-let is_one_to_one pairs ~eps =
-  let k = eps + 1 in
-  List.length pairs = k
-  && begin
-       let src_seen = Array.make k false and dst_seen = Array.make k false in
-       let ok = ref true in
-       List.iter
-         (fun { src_replica = s; dst_replica = d } ->
-           if s < 0 || s >= k || d < 0 || d >= k then ok := false
-           else begin
-             if src_seen.(s) || dst_seen.(d) then ok := false;
-             src_seen.(s) <- true;
-             dst_seen.(d) <- true
-           end)
-         pairs;
-       !ok
-     end
+let widest t ~eps =
+  match t with
+  | All_to_all -> (eps + 1) * (eps + 1)
+  | Selected { widest; _ } -> widest
+
+let pairs t ~eps e ~srcs ~dsts =
+  match t with
+  | All_to_all ->
+      for s = 0 to eps do
+        for d = 0 to eps do
+          srcs.((s * (eps + 1)) + d) <- s;
+          dsts.((s * (eps + 1)) + d) <- d
+        done
+      done;
+      (eps + 1) * (eps + 1)
+  | Selected { off; pairs; _ } ->
+      let o = off.(e) in
+      for i = o to off.(e + 1) - 1 do
+        srcs.(i - o) <- pairs.(i) lsr shift;
+        dsts.(i - o) <- pairs.(i) land mask
+      done;
+      off.(e + 1) - o
+
+let senders t ~eps e ~dst into =
+  match t with
+  | All_to_all ->
+      for s = 0 to eps do
+        into.(s) <- s
+      done;
+      eps + 1
+  | Selected { off; pairs; _ } ->
+      let n = ref 0 in
+      for i = off.(e) to off.(e + 1) - 1 do
+        if pairs.(i) land mask = dst then begin
+          into.(!n) <- pairs.(i) lsr shift;
+          incr n
+        end
+      done;
+      !n
+
+let is_one_to_one t ~eps e =
+  let k = eps + 1 and w = widest t ~eps in
+  let srcs = Array.make w 0 and dsts = Array.make w 0 in
+  let n = pairs t ~eps e ~srcs ~dsts in
+  let src_seen = Array.make k false and dst_seen = Array.make k false in
+  let ok = ref (n = k) in
+  for i = 0 to n - 1 do
+    let s = srcs.(i) and d = dsts.(i) in
+    if s >= k || d >= k || src_seen.(s) || dst_seen.(d) then ok := false
+    else begin
+      src_seen.(s) <- true;
+      dst_seen.(d) <- true
+    end
+  done;
+  !ok
+
+type builder = {
+  mutable edges : int;
+  mutable start : int array;  (* per edge: where its row begins in [buf] *)
+  mutable len : int array;  (* per edge: pairs in its row *)
+  mutable buf : int array;  (* every row, in the order written *)
+  mutable n : int;
+  mutable row : int;  (* the row [push] appends to *)
+  mutable rows : int;  (* rows started since [clear] *)
+}
+
+let builder () =
+  {
+    edges = 0;
+    start = [||];
+    len = [||];
+    buf = [||];
+    n = 0;
+    row = -1;
+    rows = 0;
+  }
+
+let clear b ~n_edges =
+  if Array.length b.len < n_edges then begin
+    b.start <- Array.make n_edges 0;
+    b.len <- Array.make n_edges 0
+  end
+  else Array.fill b.len 0 n_edges 0;
+  b.edges <- n_edges;
+  b.n <- 0;
+  b.row <- -1;
+  b.rows <- 0
+
+let start_row b e =
+  if e < 0 || e >= b.edges then invalid_arg "Comm_plan.start_row: edge";
+  b.start.(e) <- b.n;
+  b.len.(e) <- 0;
+  b.row <- e;
+  b.rows <- b.rows + 1
+
+let push b ~src ~dst =
+  if b.row < 0 then invalid_arg "Comm_plan.push: no row started";
+  if src < 0 || src > mask || dst < 0 || dst > mask then
+    invalid_arg "Comm_plan.push: replica index out of range";
+  if b.n = Array.length b.buf then begin
+    (* room for every edge's row at the rows' mean length so far *)
+    let mean = (b.n + b.rows - 1) / b.rows in
+    let a = Array.make (max 64 (max (2 * b.n) (mean * b.edges))) 0 in
+    Array.blit b.buf 0 a 0 b.n;
+    b.buf <- a
+  end;
+  b.buf.(b.n) <- (src lsl shift) lor dst;
+  b.n <- b.n + 1;
+  b.len.(b.row) <- b.len.(b.row) + 1
+
+let build b =
+  let off = Array.make (b.edges + 1) 0 and widest = ref 0 in
+  for e = 0 to b.edges - 1 do
+    off.(e + 1) <- off.(e) + b.len.(e);
+    widest := max !widest b.len.(e)
+  done;
+  let pairs = Array.make off.(b.edges) 0 in
+  for e = 0 to b.edges - 1 do
+    Array.blit b.buf b.start.(e) pairs off.(e) b.len.(e)
+  done;
+  Selected { off; pairs; widest = !widest }
+
+type pair = { src_replica : int; dst_replica : int }
+
+let of_lists rows =
+  let b = builder () in
+  clear b ~n_edges:(Array.length rows);
+  Array.iteri
+    (fun e row ->
+      start_row b e;
+      List.iter (fun p -> push b ~src:p.src_replica ~dst:p.dst_replica) row)
+    rows;
+  build b
+
+let to_list t ~eps e =
+  let w = widest t ~eps in
+  let srcs = Array.make w 0 and dsts = Array.make w 0 in
+  List.init (pairs t ~eps e ~srcs ~dsts) (fun i ->
+      { src_replica = srcs.(i); dst_replica = dsts.(i) })
+
+let row_list b e =
+  List.init b.len.(e) (fun i ->
+      let p = b.buf.(b.start.(e) + i) in
+      (p lsr shift, p land mask))

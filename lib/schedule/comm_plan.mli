@@ -4,29 +4,101 @@
     into inter-replica messages.  FTSA ships all-to-all — up to [(ε+1)²]
     messages per edge — while MC-FTSA selects exactly [ε+1] of them, one
     per source replica and one per destination replica (§4.2).  The plan
-    records that choice; the simulator and the validators interpret it. *)
+    records that choice; the simulator and the validators interpret it.
+
+    {b Storage.}  This module is the only one that knows the format.  A
+    selected plan is one flat table: edge [e] owns a range of a single
+    int buffer, one int per pair (source and destination replica packed
+    together), the ranges laid out in edge-id order.  Each row keeps its
+    pairs in the order the selector or the file produced them: a
+    redundant row can feed two destinations from one source, and the
+    codec and the simulator's emission order observe that order.  The
+    all-to-all plan stores nothing: its pairs follow from [ε] alone, so
+    the walks below answer it by arithmetic, whatever the DAG.
+
+    {b Walks.}  Readers walk a plan without closures and without
+    allocating: a walk copies one edge's pairs, or the senders of one
+    (edge, destination replica), into int arrays the caller owns and
+    reuses, and returns how many it wrote; the caller then loops over
+    them.  {!pairs} gives an edge's pairs in row order (all-to-all:
+    source-major, each source's destinations in index order);
+    {!senders} gives the sources feeding one destination replica, in row
+    order — under all-to-all the replicas [0 … ε] in index order, in
+    [ε+1] steps, without looking at the other pairs.  Arrays of
+    {!widest} entries hold any walk's output. *)
+
+type t
+(** A plan: all-to-all, or one selected row per DAG edge. *)
+
+val all_to_all : t
+(** Every replica of the predecessor sends to every replica of the
+    successor (modulo the intra-processor shortcut). *)
+
+val is_all_to_all : t -> bool
+
+val fits : t -> n_edges:int -> bool
+(** [true] iff the plan can serve a DAG with [n_edges] edges: always
+    for all-to-all, iff it has exactly one row per edge otherwise. *)
+
+(** {1 Walks} *)
+
+val widest : t -> eps:int -> int
+(** The longest row: [(ε+1)²] under all-to-all.  Walk buffers of this
+    length never overflow. *)
+
+val pairs : t -> eps:int -> int -> srcs:int array -> dsts:int array -> int
+(** [pairs t ~eps e ~srcs ~dsts] writes edge [e]'s pairs, in row order,
+    as [srcs.(i)] → [dsts.(i)] for [i] below the returned count. *)
+
+val senders : t -> eps:int -> int -> dst:int -> int array -> int
+(** [senders t ~eps e ~dst into] writes the source replicas of edge
+    [e]'s pairs feeding destination replica [dst], in row order, into
+    [into] from index 0, and returns their count. *)
+
+val is_one_to_one : t -> eps:int -> int -> bool
+(** [true] iff edge [e]'s row saturates each of the [ε+1] source
+    replicas and each of the [ε+1] destination replicas exactly once —
+    the structural half of Proposition 4.3. *)
+
+(** {1 Building selected plans} *)
+
+type builder
+(** Rows being written, in any edge order, into one growable buffer; a
+    builder serves one writer at a time and can be reused. *)
+
+val builder : unit -> builder
+
+val clear : builder -> n_edges:int -> unit
+(** Start a plan for [n_edges] edges, every row empty. *)
+
+val start_row : builder -> int -> unit
+(** Make edge [e]'s row the one {!push} writes, emptying it: writing a
+    row again replaces it.  Raises [Invalid_argument] outside
+    [0 … n_edges−1]. *)
+
+val push : builder -> src:int -> dst:int -> unit
+(** Append the pair [(src, dst)] to the current row.  Raises
+    [Invalid_argument] on a negative replica index, one of [2^30] or
+    more, or when no row was started. *)
+
+val build : builder -> t
+(** The selected plan of the rows written since {!clear}, each row in
+    the order pushed; the builder keeps its buffers. *)
+
+(** {1 Cold list views}
+
+    Allocating conveniences for tests, traces and the frozen oracles. *)
 
 type pair = { src_replica : int; dst_replica : int }
 (** Indices into the replica arrays (0 … ε) of the edge's source task and
     destination task respectively. *)
 
-type t =
-  | All_to_all
-      (** Every replica of the predecessor sends to every replica of the
-          successor (modulo the intra-processor shortcut). *)
-  | Selected of pair list array
-      (** [Selected pairs] has one entry per DAG edge id; entry [e] lists
-          the retained messages for edge [e]. *)
+val of_lists : pair list array -> t
+(** The selected plan with [rows.(e)] as edge [e]'s row; raises
+    [Invalid_argument] as {!push}. *)
 
-val pairs_for : t -> eps:int -> Ftsched_dag.Dag.edge -> pair list
-(** The explicit message list for an edge: the full cross product for
-    [All_to_all], the selection otherwise. *)
+val to_list : t -> eps:int -> int -> pair list
+(** Edge [e]'s pairs, in row order. *)
 
-val senders_to : t -> eps:int -> Ftsched_dag.Dag.edge -> dst_replica:int -> int list
-(** Source-replica indices that send to the given destination replica
-    under the plan. *)
-
-val is_one_to_one : pair list -> eps:int -> bool
-(** [true] iff the list saturates each of the [ε+1] source replicas and
-    each of the [ε+1] destination replicas exactly once — the structural
-    half of Proposition 4.3. *)
+val row_list : builder -> int -> (int * int) list
+(** The [(src, dst)] pairs written to edge [e]'s row so far. *)

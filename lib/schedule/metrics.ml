@@ -59,15 +59,16 @@ let inter_processor_links s =
   let eps = Schedule.eps s in
   let plan = Schedule.comm s in
   let vols = Hashtbl.create 64 in
+  let ps = Array.make (Comm_plan.widest plan ~eps) 0 in
+  let pd = Array.make (Array.length ps) 0 in
   Dag.iter_edges g (fun e ~src ~dst ~volume ->
-      List.iter
-        (fun (pair : Comm_plan.pair) ->
-          let sp = (Schedule.replica s src pair.src_replica).Schedule.proc in
-          let dp = (Schedule.replica s dst pair.dst_replica).Schedule.proc in
-          if sp <> dp then
-            let prev = Option.value ~default:0. (Hashtbl.find_opt vols (sp, dp)) in
-            Hashtbl.replace vols (sp, dp) (prev +. volume))
-        (Comm_plan.pairs_for plan ~eps e));
+      for i = 0 to Comm_plan.pairs plan ~eps e ~srcs:ps ~dsts:pd - 1 do
+        let sp = Schedule.proc_of s src ps.(i) in
+        let dp = Schedule.proc_of s dst pd.(i) in
+        if sp <> dp then
+          let prev = Hashtbl.find_opt vols (sp, dp) in
+          Hashtbl.replace vols (sp, dp) (Option.value ~default:0. prev +. volume)
+      done);
   Hashtbl.fold (fun link vol acc -> (link, vol) :: acc) vols []
   |> List.sort (fun (l1, v1) (l2, v2) ->
          match compare v2 v1 with 0 -> compare l1 l2 | c -> c)

@@ -135,11 +135,8 @@ let create ~instance ~eps ~replicas ~comm =
             invalid_arg "Schedule.create: negative duration")
         row)
     replicas;
-  (match comm with
-  | Comm_plan.All_to_all -> ()
-  | Comm_plan.Selected sel ->
-      if Array.length sel <> Dag.n_edges (Instance.dag instance) then
-        invalid_arg "Schedule.create: comm plan edge count");
+  if not (Comm_plan.fits comm ~n_edges:(Dag.n_edges (Instance.dag instance)))
+  then invalid_arg "Schedule.create: comm plan edge count";
   let order, order_off = order_of ~m replicas in
   { instance; eps; replicas; comm; order; order_off }
 
@@ -193,25 +190,26 @@ let latency_upper_bound t =
    either. *)
 let fold_messages t ~init ~f =
   let g = Instance.dag t.instance in
+  let w = Comm_plan.widest t.comm ~eps:t.eps in
+  let ps = Array.make w 0 and pd = Array.make w 0 in
   Dag.fold_edges g ~init ~f:(fun acc e ~src ~dst ~volume ->
       let srcs = t.replicas.(src) and dsts = t.replicas.(dst) in
-      match t.comm with
-      | Comm_plan.All_to_all ->
-          Array.fold_left
-            (fun acc dr ->
-              let colocated =
-                Array.exists (fun sr -> sr.proc = dr.proc) srcs
-              in
-              if colocated then acc
-              else
-                Array.fold_left (fun acc sr -> f acc ~volume sr dr) acc srcs)
-            acc dsts
-      | Comm_plan.Selected sel ->
-          List.fold_left
-            (fun acc { Comm_plan.src_replica; dst_replica } ->
-              let sr = srcs.(src_replica) and dr = dsts.(dst_replica) in
-              if sr.proc = dr.proc then acc else f acc ~volume sr dr)
-            acc sel.(e))
+      if Comm_plan.is_all_to_all t.comm then
+        Array.fold_left
+          (fun acc dr ->
+            let colocated = Array.exists (fun sr -> sr.proc = dr.proc) srcs in
+            if colocated then acc
+            else Array.fold_left (fun acc sr -> f acc ~volume sr dr) acc srcs)
+          acc dsts
+      else begin
+        let acc = ref acc in
+        let n = Comm_plan.pairs t.comm ~eps:t.eps e ~srcs:ps ~dsts:pd in
+        for i = 0 to n - 1 do
+          let sr = srcs.(ps.(i)) and dr = dsts.(pd.(i)) in
+          if sr.proc <> dr.proc then acc := f !acc ~volume sr dr
+        done;
+        !acc
+      end)
 
 let inter_processor_messages t =
   fold_messages t ~init:0 ~f:(fun acc ~volume:_ _ _ -> acc + 1)

@@ -79,7 +79,7 @@ val latency_upper_bound : t -> float
 
 val inter_processor_messages : t -> int
 (** Number of actual inter-processor messages implied by the plan,
-    counting the paper's intra-processor shortcut: under [All_to_all], a
+    counting the paper's intra-processor shortcut: under all-to-all, a
     destination replica colocated with some source replica receives its
     input locally and nobody else sends to it. *)
 

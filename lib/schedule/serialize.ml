@@ -495,10 +495,9 @@ let schedule_to_string sched =
   let copies = Schedule.n_replicas sched in
   let extra =
     (112 * copies * Instance.n_tasks inst)
-    + match Schedule.comm sched with
-      | Comm_plan.All_to_all -> 0
-      | Comm_plan.Selected _ ->
-          (12 + (5 * copies)) * Dag.n_edges (Instance.dag inst)
+    +
+    if Comm_plan.is_all_to_all (Schedule.comm sched) then 0
+    else (12 + (5 * copies)) * Dag.n_edges (Instance.dag inst)
   in
   let s = sink_for ~extra inst in
   add_string s "ftsched v1\n";
@@ -526,29 +525,30 @@ let schedule_to_string sched =
         add_char s '\n')
       (Schedule.replicas sched task)
   done;
-  (match Schedule.comm sched with
-  | Comm_plan.All_to_all -> add_string s "comm all\n"
-  | Comm_plan.Selected sel ->
-      add_string s "comm selected\n";
-      Array.iteri
-        (fun e pairs ->
-          add_string s "pairs ";
-          add_int s e;
-          add_char s ' ';
-          List.iteri
-            (fun i { Comm_plan.src_replica; dst_replica } ->
-              if i > 0 then add_char s ' ';
-              add_int s src_replica;
-              add_char s ':';
-              add_int s dst_replica)
-            pairs;
-          add_char s '\n')
-        sel);
+  let plan = Schedule.comm sched and eps = Schedule.eps sched in
+  if Comm_plan.is_all_to_all plan then add_string s "comm all\n"
+  else begin
+    add_string s "comm selected\n";
+    let ps = Array.make (Comm_plan.widest plan ~eps) 0 in
+    let pd = Array.make (Array.length ps) 0 in
+    for e = 0 to Dag.n_edges (Instance.dag inst) - 1 do
+      add_string s "pairs ";
+      add_int s e;
+      add_char s ' ';
+      for i = 0 to Comm_plan.pairs plan ~eps e ~srcs:ps ~dsts:pd - 1 do
+        if i > 0 then add_char s ' ';
+        add_int s ps.(i);
+        add_char s ':';
+        add_int s pd.(i)
+      done;
+      add_char s '\n'
+    done
+  end;
   contents s
 
-(* The [src:dst] pairs of the current [pairs] line, from word 2 on. *)
-let parse_pairs cur ~eps =
-  let pairs = ref [] in
+(* The [src:dst] pairs of the current [pairs] line, from word 2 on, as
+   the builder's current row. *)
+let parse_pairs cur ~eps rows =
   for k = 2 to cur.nw - 1 do
     let a = cur.ws.(k) and b = cur.we.(k) in
     let colon = ref (-1) and colons = ref 0 in
@@ -563,9 +563,8 @@ let parse_pairs cur ~eps =
     let dst_replica = int_in cur (!colon + 1) b in
     if src_replica < 0 || src_replica > eps || dst_replica < 0 || dst_replica > eps
     then fail cur "pair %S replica out of range (eps=%d)" (word cur k) eps;
-    pairs := { Comm_plan.src_replica; dst_replica } :: !pairs
-  done;
-  List.rev !pairs
+    Comm_plan.push rows ~src:src_replica ~dst:dst_replica
+  done
 
 let schedule_of_string s =
   let cur = cursor_of_string s in
@@ -614,19 +613,21 @@ let schedule_of_string s =
   next cur;
   let comm_is kind = cur.nw = 2 && word_is cur 0 "comm" && word_is cur 1 kind in
   let comm =
-    if comm_is "all" then Comm_plan.All_to_all
+    if comm_is "all" then Comm_plan.all_to_all
     else if comm_is "selected" then begin
         let e = Dag.n_edges (Instance.dag inst) in
-        let sel = Array.make e [] in
+        let rows = Comm_plan.builder () in
+        Comm_plan.clear rows ~n_edges:e;
         for _ = 1 to e do
           next cur;
           if cur.nw < 2 || not (word_is cur 0 "pairs") then
             fail cur "expected pairs line";
           let idx = int_at cur 1 in
           if idx < 0 || idx >= e then fail cur "pairs edge out of range";
-          sel.(idx) <- parse_pairs cur ~eps
+          Comm_plan.start_row rows idx;
+          parse_pairs cur ~eps rows
         done;
-        Comm_plan.Selected sel
+        Comm_plan.build rows
     end
     else fail cur "expected comm line"
   in

@@ -46,23 +46,19 @@ let no_processor_overlap s =
   !errs
 
 (* One pass over the replica table, reading the DAG's predecessor CSR and
-   the plan's pair lists in place: under [All_to_all] every source
-   replica sends, in index order; under [Selected] the edge's pairs that
-   feed this replica, in list order — the order [Comm_plan.senders_to]
-   lists them in, so the folds, and the errors, are unchanged. *)
+   the plan's senders of each (edge, replica): under
+   all-to-all every source replica, in index order; under a selection
+   the edge's pairs that feed this replica, in row order — so the folds,
+   and the errors, are those of the list-based check. *)
 let data_feasible s =
   let inst = Schedule.instance s in
   let g = Instance.dag inst in
   let pl = Instance.platform inst in
   let delay = Array.init (Platform.n_procs pl) (Platform.delay_row pl) in
-  let k = Schedule.n_replicas s in
+  let eps = Schedule.eps s and plan = Schedule.comm s in
+  let from = Array.make (Comm_plan.widest plan ~eps) 0 in
   let pred_off = Dag.Csr.pred_offsets g and pred_edge = Dag.Csr.pred_edges g in
   let pred_task = Dag.Csr.pred_tasks g and pred_vol = Dag.Csr.pred_volumes g in
-  let all_to_all, sel =
-    match Schedule.comm s with
-    | Comm_plan.All_to_all -> (true, [||])
-    | Comm_plan.Selected sel -> (false, sel)
-  in
   let errs = ref [] in
   for task = 0 to Dag.n_tasks g - 1 do
     let exec = Instance.exec_row inst task in
@@ -83,32 +79,15 @@ let data_feasible s =
       for j = pred_off.(task) to pred_off.(task + 1) - 1 do
         let e = pred_edge.(j) and vol = pred_vol.(j) in
         let srcs = Schedule.replicas s pred_task.(j) in
-        let earliest = ref infinity and latest = ref 0. and senders = ref 0 in
-        if all_to_all then
-          for i = 0 to k - 1 do
-            let sr = srcs.(i) in
-            let w = vol *. delay.(sr.proc).(r.proc) in
-            earliest := Float.min !earliest (sr.finish +. w);
-            latest := Float.max !latest (sr.pess_finish +. w);
-            incr senders
-          done
-        else begin
-          let pairs = ref sel.(e) and more = ref true in
-          while !more do
-            match !pairs with
-            | [] -> more := false
-            | p :: rest ->
-                if p.Comm_plan.dst_replica = r.index then begin
-                  let sr = srcs.(p.Comm_plan.src_replica) in
-                  let w = vol *. delay.(sr.proc).(r.proc) in
-                  earliest := Float.min !earliest (sr.finish +. w);
-                  latest := Float.max !latest (sr.pess_finish +. w);
-                  incr senders
-                end;
-                pairs := rest
-          done
-        end;
-        if !senders = 0 then
+        let earliest = ref infinity and latest = ref 0. in
+        let senders = Comm_plan.senders plan ~eps e ~dst:r.index from in
+        for i = 0 to senders - 1 do
+          let sr = srcs.(from.(i)) in
+          let w = vol *. delay.(sr.proc).(r.proc) in
+          earliest := Float.min !earliest (sr.finish +. w);
+          latest := Float.max !latest (sr.pess_finish +. w)
+        done;
+        if senders = 0 then
           errs :=
             errf "senders" "task %d replica %d: no sender for edge %d" task
               r.index e
@@ -132,91 +111,79 @@ let data_feasible s =
   done;
   !errs
 
+(* One pass over each selected row, with stamps holding the last edge
+   that saw each (source, destination) pair, source and destination
+   replica, and, per source replica, a pair to its colocated destination
+   replica ([col], the first on its processor) or to another one.  A row
+   is structurally sound iff it stays in range, repeats no pair, uses
+   every source and feeds every destination — for a pure row (at most
+   ε+1 pairs) exactly one-to-one. *)
 let robust_selection s =
-  match Schedule.comm s with
-  | Comm_plan.All_to_all -> []
-  | Comm_plan.Selected sel ->
-      let inst = Schedule.instance s in
-      let g = Instance.dag inst in
-      let eps = Schedule.eps s in
-      let errs = ref [] in
-      Array.iteri
-        (fun e pairs ->
-          let src, dst = Dag.edge_endpoints g e in
-          let k = eps + 1 in
-          (* A pure MC selection has exactly ε+1 pairs and must be
-             one-to-one; the redundant extension carries more pairs and
-             must still cover every destination and use every source. *)
-          let structurally_ok =
-            if List.length pairs <= k then Comm_plan.is_one_to_one pairs ~eps
-            else begin
-              let src_used = Array.make k false
-              and dst_fed = Array.make k false in
-              let distinct = Hashtbl.create (2 * k) in
-              let dup = ref false in
-              List.iter
-                (fun { Comm_plan.src_replica = s; dst_replica = d } ->
-                  if s < 0 || s >= k || d < 0 || d >= k then dup := true
-                  else begin
-                    if Hashtbl.mem distinct (s, d) then dup := true;
-                    Hashtbl.replace distinct (s, d) ();
-                    src_used.(s) <- true;
-                    dst_fed.(d) <- true
-                  end)
-                pairs;
-              (not !dup)
-              && Array.for_all Fun.id src_used
-              && Array.for_all Fun.id dst_fed
-            end
-          in
-          if not structurally_ok then
+  let plan = Schedule.comm s in
+  let g = Instance.dag (Schedule.instance s) and eps = Schedule.eps s in
+  let k = eps + 1 in
+  let pair_seen = Array.make (k * k) (-1) and col = Array.make k (-1) in
+  let src_seen = Array.make k (-1) and dst_seen = Array.make k (-1) in
+  let internal = Array.make k (-1) and other = Array.make k (-1) in
+  let ps = Array.make (Comm_plan.widest plan ~eps) 0 in
+  let pd = Array.make (Array.length ps) 0 in
+  let errs = ref [] in
+  if not (Comm_plan.is_all_to_all plan) then
+    for e = 0 to Dag.n_edges g - 1 do
+      let src, dst = Dag.edge_endpoints g e in
+      let srcs = Schedule.replicas s src and dsts = Schedule.replicas s dst in
+      for sr = 0 to k - 1 do
+        col.(sr) <- -1;
+        for dr = k - 1 downto 0 do
+          if dsts.(dr).proc = srcs.(sr).proc then col.(sr) <- dr
+        done
+      done;
+      let len = Comm_plan.pairs plan ~eps e ~srcs:ps ~dsts:pd in
+      let ok = ref true in
+      for i = 0 to len - 1 do
+        let sr = ps.(i) and dr = pd.(i) in
+        if sr >= k || dr >= k || pair_seen.((sr * k) + dr) = e then ok := false
+        else begin
+          pair_seen.((sr * k) + dr) <- e;
+          src_seen.(sr) <- e;
+          dst_seen.(dr) <- e
+        end;
+        if sr < k then (if dr = col.(sr) then internal else other).(sr) <- e
+      done;
+      for i = 0 to k - 1 do
+        if src_seen.(i) <> e || dst_seen.(i) <> e then ok := false
+      done;
+      if not !ok then
+        errs :=
+          errf "one-to-one" "edge %d (%d→%d): selection not one-to-one" e src
+            dst
+          :: !errs;
+      (* Forced internal edge.  For a pure selection, a source replica
+         whose processor hosts a destination replica must feed exactly
+         that replica; a redundant selection only has to include that
+         internal pair (extra fan-out from the same source is
+         harmless). *)
+      for sr = 0 to k - 1 do
+        if col.(sr) >= 0 && other.(sr) = e then begin
+          let sp = srcs.(sr).proc in
+          if internal.(sr) <> e then
             errs :=
-              errf "one-to-one" "edge %d (%d→%d): selection not one-to-one" e
-                src dst
+              errf "forced-internal"
+                "edge %d: source replica %d on P%d does not feed its \
+                 colocated replica %d"
+                e sr sp col.(sr)
               :: !errs;
-          (* Forced internal edge.  For a pure (ε+1-pair) selection, a
-             source replica whose processor hosts a destination replica
-             must feed exactly that replica; a redundant selection only
-             has to include that internal pair (extra fan-out from the
-             same source is harmless). *)
-          let pure = List.length pairs <= k in
-          for src_replica = 0 to k - 1 do
-            let sp = Schedule.proc_of s src src_replica in
-            match Schedule.replica_on s dst ~proc:sp with
-            | None -> ()
-            | Some colocated ->
-                let outgoing =
-                  List.filter
-                    (fun p -> p.Comm_plan.src_replica = src_replica)
-                    pairs
-                in
-                let has_internal =
-                  List.exists
-                    (fun p -> p.Comm_plan.dst_replica = colocated.index)
-                    outgoing
-                in
-                if outgoing <> [] && not has_internal then
-                  errs :=
-                    errf "forced-internal"
-                      "edge %d: source replica %d on P%d does not feed its \
-                       colocated replica %d"
-                      e src_replica sp colocated.index
-                    :: !errs;
-                if
-                  pure
-                  && List.exists
-                       (fun p -> p.Comm_plan.dst_replica <> colocated.index)
-                       outgoing
-                then
-                  errs :=
-                    errf "forced-internal"
-                      "edge %d: source replica %d on P%d must send only to \
-                       colocated replica %d"
-                      e src_replica sp colocated.index
-                    :: !errs
-          done)
-        sel;
-      !errs
+          if len <= k then
+            errs :=
+              errf "forced-internal"
+                "edge %d: source replica %d on P%d must send only to \
+                 colocated replica %d"
+                e sr sp col.(sr)
+              :: !errs
+        end
+      done
+    done;
+  !errs
 
 let check s =
   match

@@ -29,14 +29,20 @@ val data_feasible : Schedule.t -> error list
     optimistic start ≥ max over predecessors of the {e earliest} sender
     arrival (eq. 1), pessimistic start ≥ max over predecessors of the
     {e latest} sender arrival (eq. 3), both restricted to the plan's
-    senders.  Also checks that each replica has at least one sender per
-    predecessor edge and that durations equal [E(task, proc)]. *)
+    senders, read per (edge, replica) in row order.  Also checks that
+    each replica has at least one sender per predecessor edge and that
+    durations equal [E(task, proc)]. *)
 
 val robust_selection : Schedule.t -> error list
-(** For [Selected] plans: each edge's pair list is one-to-one on replica
-    indices, and respects the forced internal edge rule — a source replica
-    colocated with one of the destination's processors must send (only)
-    to that colocated destination replica.  Empty for [All_to_all]. *)
+(** For selected plans: each edge's row is one-to-one on replica
+    indices (a redundant row, with more than [ε+1] pairs, must instead
+    stay in range, repeat no pair, use every source and feed every
+    destination), and respects the forced internal edge rule — a source
+    replica colocated with one of the destination's processors must send
+    (only, in a one-to-one row) to that colocated destination replica.
+    One pass over each row with [(ε+1)²] ints of scratch; the frozen
+    list-based check ([Validate_ref] under [test/oracle]) returns the
+    same errors in the same order.  Empty for the all-to-all plan. *)
 
 val check : Schedule.t -> (unit, error list) result
 (** All of the above. *)

@@ -28,49 +28,50 @@ let for_all_preds g task f =
 
 (* Productivity (purely structural, no timing): a replica produces output
    iff its processor is alive and every input edge can be fed.  Strict:
-   by a productive plan sender — under [All_to_all] every replica of the
-   predecessor is one, so that is "the predecessor delivers"; under
-   [Selected] the edge's pair list is walked in place.  Reroute: by any
-   productive replica of the predecessor, so the plan is never consulted
-   and a replica is productive iff it is alive and every predecessor task
-   delivers — true without looking while every task so far delivers.
-   One topological pass over the flat [productive] table suffices; it
-   returns whether every task delivers, and with [~stop_at_loss] it stops
-   at the first task that does not (leaving the table partial). *)
+   by a productive plan sender — under all-to-all every replica of the
+   predecessor is one, so that is "the predecessor delivers"; otherwise
+   the plan's senders of the replica are walked in place.  Reroute: by
+   any productive replica of the predecessor, so the plan is never
+   consulted and a replica is productive iff it is alive and every
+   predecessor task delivers — true without looking while every task so
+   far delivers.  One topological pass over the flat [productive] table
+   suffices; it returns whether every task delivers, and with
+   [~stop_at_loss] it stops at the first task that does not (leaving the
+   table partial). *)
 let productivity s ~policy ~dead ~stop_at_loss =
   let inst = Schedule.instance s in
   let g = Instance.dag inst in
   let eps = Schedule.eps s in
   let plan = Schedule.comm s in
+  let by_plan = policy = Strict && not (Comm_plan.is_all_to_all plan) in
   let v = Dag.n_tasks g in
   let productive = Array.make (v * (eps + 1)) false in
   let delivers = Array.make v false in
   let order = Dag.topological_order g in
   let pred_edges = Dag.Csr.pred_edges g and pred_tasks = Dag.Csr.pred_tasks g in
+  (* does a productive plan sender feed replica [k] through entry [j]? *)
+  let from = Array.make (Comm_plan.widest plan ~eps) 0 in
+  let plan_fed k j =
+    let n = Comm_plan.senders plan ~eps pred_edges.(j) ~dst:k from in
+    let i = ref 0 in
+    while !i < n && not productive.(rid ~eps pred_tasks.(j) from.(!i)) do
+      incr i
+    done;
+    !i < n
+  in
   let all_deliver = ref true and i = ref 0 in
   while !i < v && (!all_deliver || not stop_at_loss) do
     let task = order.(!i) in
     let preds_deliver =
-      match (policy, plan) with
-      | Reroute, _ | Strict, Comm_plan.All_to_all ->
-          !all_deliver
-          || for_all_preds g task (fun j -> delivers.(pred_tasks.(j)))
-      | Strict, Comm_plan.Selected _ -> false
+      (not by_plan)
+      && (!all_deliver
+         || for_all_preds g task (fun j -> delivers.(pred_tasks.(j))))
     in
     for k = 0 to eps do
       let r = Schedule.replica s task k in
       if not dead.(r.proc) then begin
         let fed =
-          match (policy, plan) with
-          | Reroute, _ | Strict, Comm_plan.All_to_all -> preds_deliver
-          | Strict, Comm_plan.Selected sel ->
-              for_all_preds g task (fun j ->
-                  let src = pred_tasks.(j) in
-                  List.exists
-                    (fun (p : Comm_plan.pair) ->
-                      p.dst_replica = k
-                      && productive.(rid ~eps src p.src_replica))
-                    sel.(pred_edges.(j)))
+          if by_plan then for_all_preds g task (plan_fed k) else preds_deliver
         in
         if fed then begin
           productive.(rid ~eps task k) <- true;
@@ -99,50 +100,6 @@ let survives ?(policy = Strict) s scenario =
   let dead = dead_procs ~fn:"survives" s scenario in
   snd (productivity s ~policy ~dead ~stop_at_loss:true)
 
-(* Sender rows.  Entry [j] of a task's predecessor row owns the [kk]
-   slots [j * kk … j * kk + kk - 1], one per receiver replica; [src0] and
-   [dst0] are the rids of replica 0 of the edge's source and destination.
-   A plan pair counts when both its sender and its receiver are
-   productive (a pair naming a receiver outside [0, kk) feeds nobody).
-   [count_plan_senders] adds one to [cnt.(slot + 1)] per counted pair of
-   the edge; [push_plan_senders] writes the counted pairs' senders at the
-   per-receiver cursors [at], in plan order.  Either is one walk of the
-   pair list.  [push_productive] writes every productive replica of the
-   source from [at] on, in index order — the all-to-all plan, and the
-   reroute fallback. *)
-let counted productive ~kk ~src0 ~dst0 (p : Comm_plan.pair) =
-  p.dst_replica >= 0 && p.dst_replica < kk
-  && productive.(src0 + p.src_replica)
-  && productive.(dst0 + p.dst_replica)
-
-let rec count_plan_senders productive ~kk ~src0 ~dst0 cnt slot0 = function
-  | [] -> ()
-  | (p : Comm_plan.pair) :: rest ->
-      if counted productive ~kk ~src0 ~dst0 p then begin
-        let c = slot0 + p.dst_replica + 1 in
-        cnt.(c) <- cnt.(c) + 1
-      end;
-      count_plan_senders productive ~kk ~src0 ~dst0 cnt slot0 rest
-
-let rec push_plan_senders productive ~kk ~src0 ~dst0 snd at = function
-  | [] -> ()
-  | (p : Comm_plan.pair) :: rest ->
-      if counted productive ~kk ~src0 ~dst0 p then begin
-        let k = p.dst_replica in
-        snd.(at.(k)) <- src0 + p.src_replica;
-        at.(k) <- at.(k) + 1
-      end;
-      push_plan_senders productive ~kk ~src0 ~dst0 snd at rest
-
-let push_productive productive ~kk ~src0 snd at =
-  let at = ref at in
-  for sk = 0 to kk - 1 do
-    if productive.(src0 + sk) then begin
-      snd.(!at) <- src0 + sk;
-      incr at
-    end
-  done
-
 let run ?(policy = Strict) s scenario =
   let inst = Schedule.instance s in
   let g = Instance.dag inst in
@@ -166,72 +123,59 @@ let run ?(policy = Strict) s scenario =
   let pred_off = Dag.Csr.pred_offsets g and pred_edges = Dag.Csr.pred_edges g in
   let pred_tasks = Dag.Csr.pred_tasks g and pred_vols = Dag.Csr.pred_volumes g in
   let proc = Array.make n 0 in
-  let n_prod = Array.make v 0 in
   for task = 0 to v - 1 do
     for k = 0 to eps do
-      let id = (task * kk) + k in
-      proc.(id) <- (Schedule.replica s task k).proc;
-      if productive.(id) then n_prod.(task) <- n_prod.(task) + 1
+      proc.((task * kk) + k) <- (Schedule.replica s task k).proc
     done
   done;
   (* Effective senders feeding replica [k] of a task through entry [j] of
-     its predecessor row — the productive plan senders in plan order, or
-     (reroute, none productive) every productive replica of the
-     predecessor — as sender rids in the flat row [snd_off.(j * kk + k)]
-     … [snd_off.(j * kk + k + 1) - 1].  A counting pass sizes the rows:
-     only productive receivers get entries, so a replay where most
-     replicas starve stays small.  Its counts land in
-     [snd_off.(slot + 1)] and become offsets slot by slot, in increasing
-     order; they are also each receiver's data in-degree. *)
+     its predecessor row — the productive plan senders of [k], in plan
+     order, or (reroute, none productive) every productive replica of the
+     predecessor, in index order — as sender rids in the flat row
+     [snd.(snd_off.(j * kk + k))] … [snd.(snd_off.(j * kk + k + 1) - 1)].
+     The slots are filled in increasing order, appending to one growing
+     buffer; only productive receivers get entries, so a replay where
+     most replicas starve stays small.  A row's length is also its
+     receiver's data in-degree. *)
   let indeg = Array.make n 0 in
   let n_slots = pred_off.(v) * kk in
   let snd_off = Array.make (n_slots + 1) 0 in
+  (* Room for a slot's share of the plan's widest row in every slot; a
+     full buffer grows to room for [kk] senders in every slot left. *)
+  let from = Array.make (Comm_plan.widest plan ~eps) 0 in
+  let per_slot = max 1 (Array.length from / kk) in
+  let buf = ref (Array.make ((n_slots * per_slot) + 1) 0) in
+  let n_snd = ref 0 in
+  let add slot sender =
+    if !n_snd = Array.length !buf then begin
+      let room = max (2 * !n_snd) (!n_snd + ((n_slots - slot) * kk)) in
+      let b = Array.make room 0 in
+      Array.blit !buf 0 b 0 !n_snd;
+      buf := b
+    end;
+    !buf.(!n_snd) <- sender;
+    incr n_snd
+  in
   for task = 0 to v - 1 do
-    let dst0 = task * kk in
     for j = pred_off.(task) to pred_off.(task + 1) - 1 do
-      let src = pred_tasks.(j) in
-      (match plan with
-      | Comm_plan.All_to_all -> ()
-      | Comm_plan.Selected sel ->
-          count_plan_senders productive ~kk ~src0:(src * kk) ~dst0 snd_off
-            (j * kk) sel.(pred_edges.(j)));
+      let e = pred_edges.(j) and src0 = pred_tasks.(j) * kk in
       for k = 0 to eps do
-        let slot = (j * kk) + k and id = dst0 + k in
-        let c =
-          if not productive.(id) then 0
-          else
-            match plan with
-            | Comm_plan.All_to_all -> n_prod.(src)
-            | Comm_plan.Selected _ -> (
-                match snd_off.(slot + 1) with
-                | 0 when policy = Reroute -> n_prod.(src)
-                | c -> c)
-        in
-        snd_off.(slot + 1) <- snd_off.(slot) + c;
-        indeg.(id) <- indeg.(id) + c
+        let slot = (j * kk) + k and id = (task * kk) + k in
+        if productive.(id) then begin
+          for i = 0 to Comm_plan.senders plan ~eps e ~dst:k from - 1 do
+            if productive.(src0 + from.(i)) then add slot (src0 + from.(i))
+          done;
+          if !n_snd = snd_off.(slot) && policy = Reroute then
+            for sk = src0 to src0 + eps do
+              if productive.(sk) then add slot sk
+            done
+        end;
+        snd_off.(slot + 1) <- !n_snd;
+        indeg.(id) <- indeg.(id) + (!n_snd - snd_off.(slot))
       done
     done
   done;
-  let n_snd = snd_off.(n_slots) in
-  let snd = Array.make n_snd 0 in
-  let at = Array.make kk 0 in
-  for task = 0 to v - 1 do
-    let dst0 = task * kk in
-    for j = pred_off.(task) to pred_off.(task + 1) - 1 do
-      let src0 = pred_tasks.(j) * kk in
-      Array.blit snd_off (j * kk) at 0 kk;
-      (match plan with
-      | Comm_plan.All_to_all -> ()
-      | Comm_plan.Selected sel ->
-          push_plan_senders productive ~kk ~src0 ~dst0 snd at
-            sel.(pred_edges.(j)));
-      for k = 0 to eps do
-        let slot = (j * kk) + k in
-        if at.(k) = snd_off.(slot) && snd_off.(slot + 1) > snd_off.(slot) then
-          push_productive productive ~kk ~src0 snd at.(k)
-      done
-    done
-  done;
+  let snd = !buf and n_snd = !n_snd in
   (* The data successors of each sender, as a CSR over rids. *)
   let succ_off = Array.make (n + 1) 0 in
   for i = 0 to n_snd - 1 do

@@ -35,8 +35,10 @@
     One call runs the structural productivity pass {!survives} runs,
     then re-times the productive replicas in flat arrays indexed by
     [rid = task * (ε+1) + k]: effective-sender rows with one slot per
-    (predecessor-row entry, receiver replica), sized by a counting pass
-    over productive receivers only and filled in plan order; a successor
+    (predecessor-row entry, receiver replica), filled for productive
+    receivers only, in plan order, by one pass that reads each
+    productive receiver's plan senders with one [Comm_plan.senders]
+    walk; a successor
     CSR over the same entries; per-processor chains that walk each
     processor's planned order ({!Ftsched_schedule.Schedule.timeline},
     sorted once when the schedule was built) and skip the non-productive

@@ -436,16 +436,6 @@ module Engine = struct
         pos_of_edge.(pred_edges.(k)) <- k - pred_off.(t)
       done
     done;
-    (* All_to_all materializes the same (eps+1)^2 pair list on every
-       [pairs_for] call; the three passes below visit every edge, so
-       share one copy (same list, same order). *)
-    let pairs_for_edge =
-      match plan with
-      | Comm_plan.All_to_all ->
-          let shared = Comm_plan.pairs_for plan ~eps 0 in
-          fun _ -> shared
-      | Comm_plan.Selected _ -> fun e -> Comm_plan.pairs_for plan ~eps e
-    in
     let slot_off = Array.make (n_static + 1) 0 in
     for t = 0 to v - 1 do
       let nt = Dag.in_degree g t in
@@ -458,33 +448,29 @@ module Engine = struct
       Array.init n_static (fun rid ->
           (Schedule.replica s (rid / kk) (rid mod kk)).Schedule.proc)
     in
-    (* pristine pending-sender counts: one per retained plan pair *)
+    (* One walk of every edge's plan pairs counts the pristine pending
+       senders, one per retained pair, and each source replica's
+       emissions, at [em_off.(rid + 1)]. *)
     let pend0 = Array.make (ne * kk) 0 in
+    let em_off = Array.make (n_static + 1) 0 in
+    let pred_tasks = Dag.Csr.pred_tasks g in
+    let ps = Array.make (Comm_plan.widest plan ~eps) 0 in
+    let pd = Array.make (Array.length ps) 0 in
     for t = 0 to v - 1 do
       for k = pred_off.(t) to pred_off.(t + 1) - 1 do
-        let pos = k - pred_off.(t) in
-        List.iter
-          (fun (pair : Comm_plan.pair) ->
-            let slot = slot_off.((t * kk) + pair.dst_replica) + pos in
-            pend0.(slot) <- pend0.(slot) + 1)
-          (pairs_for_edge pred_edges.(k))
+        let pos = k - pred_off.(t) and src0 = pred_tasks.(k) * kk in
+        let n = Comm_plan.pairs plan ~eps pred_edges.(k) ~srcs:ps ~dsts:pd in
+        for i = 0 to n - 1 do
+          let slot = slot_off.((t * kk) + pd.(i)) + pos in
+          pend0.(slot) <- pend0.(slot) + 1;
+          em_off.(src0 + ps.(i) + 1) <- em_off.(src0 + ps.(i) + 1) + 1
+        done
       done
     done;
-    (* plan emission CSR: two passes (count, fill), iterating tasks, then
+    (* plan emission CSR: offsets, then a fill iterating tasks, then
        out-edges, then plan pairs — exactly the legacy emission order *)
-    let em_cnt = Array.make n_static 0 in
-    for t = 0 to v - 1 do
-      for k = succ_off.(t) to succ_off.(t + 1) - 1 do
-        List.iter
-          (fun (pair : Comm_plan.pair) ->
-            let rid = (t * kk) + pair.src_replica in
-            em_cnt.(rid) <- em_cnt.(rid) + 1)
-          (pairs_for_edge succ_edges.(k))
-      done
-    done;
-    let em_off = Array.make (n_static + 1) 0 in
     for rid = 0 to n_static - 1 do
-      em_off.(rid + 1) <- em_off.(rid) + em_cnt.(rid)
+      em_off.(rid + 1) <- em_off.(rid) + em_off.(rid + 1)
     done;
     let n_em = em_off.(n_static) in
     let em_rid = Array.make n_em 0 in
@@ -494,15 +480,14 @@ module Engine = struct
       for k = succ_off.(t) to succ_off.(t + 1) - 1 do
         let e = succ_edges.(k) and dst = succ_tasks.(k) in
         let pos = pos_of_edge.(e) in
-        List.iter
-          (fun (pair : Comm_plan.pair) ->
-            let rid = (t * kk) + pair.src_replica in
-            let i = cursor.(rid) in
-            cursor.(rid) <- i + 1;
-            let drid = (dst * kk) + pair.dst_replica in
-            em_rid.(i) <- drid;
-            em_slot.(i) <- slot_off.(drid) + pos)
-          (pairs_for_edge e)
+        for j = 0 to Comm_plan.pairs plan ~eps e ~srcs:ps ~dsts:pd - 1 do
+          let rid = (t * kk) + ps.(j) in
+          let i = cursor.(rid) in
+          cursor.(rid) <- i + 1;
+          let drid = (dst * kk) + pd.(j) in
+          em_rid.(i) <- drid;
+          em_slot.(i) <- slot_off.(drid) + pos
+        done
       done
     done;
     let q0 =

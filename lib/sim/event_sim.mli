@@ -155,7 +155,8 @@ module Engine : sig
   type template
   (** The fail-time-independent part of an engine for one
       [(schedule, release)] pair: input/emission tables unrolled from the
-      DAG and the communication plan, pristine pending-sender counts and
+      DAG and one walk of each edge's plan pairs, in row order (the
+      all-to-all plan's by arithmetic), pristine pending-sender counts and
       planned per-processor queues.  Immutable and shareable — building
       one costs the full analysis, forking engines from it only copies
       the mutable state. *)

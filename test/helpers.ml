@@ -81,7 +81,7 @@ let hand_replicas () =
 
 let hand_schedule () =
   Schedule.create ~instance:(tiny_instance ()) ~eps:1
-    ~replicas:(hand_replicas ()) ~comm:Ftsched_schedule.Comm_plan.All_to_all
+    ~replicas:(hand_replicas ()) ~comm:Ftsched_schedule.Comm_plan.all_to_all
 
 (* Theorem 4.1 checked exhaustively: no subset of exactly ε processors
    defeats [s] under the strict policy. *)
@@ -113,3 +113,12 @@ let subsets_up_to ~m ~k =
   in
   List.concat_map (fun size -> go 0 size) (List.init (k + 1) (fun i -> i))
   |> List.map Array.of_list
+
+(* [Comm_plan.is_one_to_one] of a one-edge plan holding [pairs], given as
+   (source, destination) replica pairs. *)
+let one_to_one_pairs pairs ~eps =
+  let module Comm_plan = Ftsched_schedule.Comm_plan in
+  let row =
+    List.map (fun (l, r) -> { Comm_plan.src_replica = l; dst_replica = r }) pairs
+  in
+  Comm_plan.is_one_to_one (Comm_plan.of_lists [| row |]) ~eps 0

@@ -72,7 +72,7 @@ let productivity s ~policy ~dead ~stop_at_loss =
               for_all_preds g task (fun j ->
                   List.exists
                     (fun sk -> productive.(rid ~eps pred_tasks.(j) sk))
-                    (Comm_plan.senders_to plan ~eps pred_edges.(j)
+                    (Plan_view.senders_to plan ~eps pred_edges.(j)
                        ~dst_replica:k))
         in
         if fed then begin
@@ -133,7 +133,7 @@ let run ?(policy = Strict) s scenario =
      replica of the source. *)
   let effective_senders src e ~dst_replica =
     let productive_of = List.filter (fun sk -> productive.(rid src sk)) in
-    match productive_of (Comm_plan.senders_to plan ~eps e ~dst_replica) with
+    match productive_of (Plan_view.senders_to plan ~eps e ~dst_replica) with
     | [] when policy = Reroute -> productive_of (List.init (eps + 1) Fun.id)
     | planned -> planned
   in

@@ -93,7 +93,7 @@ module Engine = struct
                       && dst_st.satisfied_at.(pos) = infinity
                     then lose eng dst pair.dst_replica
                   end)
-                (Comm_plan.pairs_for eng.plan ~eps:eng.eps e))
+                (Plan_view.pairs_for eng.plan ~eps:eng.eps e))
             eng.adj.Adjacency.out_edges.(task);
         List.iter
           (fun sub ->
@@ -182,7 +182,7 @@ module Engine = struct
               let pending =
                 Array.init ne (fun pos ->
                     let e = in_edges.(t).(pos) in
-                    List.length (Comm_plan.senders_to plan ~eps e ~dst_replica:k))
+                    List.length (Plan_view.senders_to plan ~eps e ~dst_replica:k))
               in
               {
                 proc = (Schedule.replica s t k).Schedule.proc;
@@ -345,7 +345,7 @@ module Engine = struct
                           ~dk:pair.dst_replica
                           ~pos:(Hashtbl.find eng.edge_pos_of (dst, e))
                           ~dproc:eng.reps.(dst).(pair.dst_replica).proc ~vol)
-                    (Comm_plan.pairs_for eng.plan ~eps:eng.eps e))
+                    (Plan_view.pairs_for eng.plan ~eps:eng.eps e))
                 eng.adj.Adjacency.out_edges.(task);
             List.iter
               (fun sub ->

@@ -90,7 +90,7 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds ?workspace s ~fail_times
       let src = pred_tasks.(k) in
       List.map
         (fun sr -> (src, sr))
-        (Comm_plan.senders_to plan ~eps pred_edges.(k) ~dst_replica:rep)
+        (Plan_view.senders_to plan ~eps pred_edges.(k) ~dst_replica:rep)
     else (Hashtbl.find injected_sources (task, rep)).(pos)
   in
   (* Estimated completion of a not-yet-finished replica, for the eq. (1)

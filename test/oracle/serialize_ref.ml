@@ -216,9 +216,16 @@ let schedule_to_string sched =
              (fl r.pess_finish)))
       (Schedule.replicas sched task)
   done;
-  (match Schedule.comm sched with
-  | Comm_plan.All_to_all -> Buffer.add_string buf "comm all\n"
-  | Comm_plan.Selected sel ->
+  (let plan = Schedule.comm sched in
+   match
+     if Comm_plan.is_all_to_all plan then None
+     else
+       Some
+         (Array.init (Dag.n_edges (Instance.dag inst)) (fun e ->
+              Comm_plan.to_list plan ~eps:(Schedule.eps sched) e))
+   with
+  | None -> Buffer.add_string buf "comm all\n"
+  | Some sel ->
       Buffer.add_string buf "comm selected\n";
       Array.iteri
         (fun e pairs ->
@@ -286,7 +293,7 @@ let schedule_of_string s =
   in
   let comm =
     match words (next cur) with
-    | [ "comm"; "all" ] -> Comm_plan.All_to_all
+    | [ "comm"; "all" ] -> Comm_plan.all_to_all
     | [ "comm"; "selected" ] ->
         let e = Dag.n_edges (Instance.dag inst) in
         let sel = Array.make e [] in
@@ -313,7 +320,7 @@ let schedule_of_string s =
                   body
           | _ -> fail cur "expected pairs line"
         done;
-        Comm_plan.Selected sel
+        Comm_plan.of_lists sel
     | _ -> fail cur "expected comm line"
   in
   Schedule.create ~instance:inst ~eps ~replicas ~comm

@@ -8,7 +8,9 @@
      rejects it, naming the added edge;
    - [Validate.check] on the FTSA and MC-FTSA plans, and its flat
      data-feasibility pass against the frozen list-based one
-     ([Validate_ref]) on each plan and on a copy with shifted replicas;
+     ([Validate_ref]) on each plan and on a copy with shifted replicas,
+     and its flat robust-selection pass against the frozen one on the
+     MC-FTSA plan and on a copy with repeated and swapped pairs;
    - each processor's planned order ([Schedule.timeline]) against a
      polymorphic sort of the replica table by (start, task, index
      descending);
@@ -40,6 +42,7 @@ module Platform = Ftsched_platform.Platform
 module Instance = Ftsched_model.Instance
 module Schedule = Ftsched_schedule.Schedule
 module Validate = Ftsched_schedule.Validate
+module Comm_plan = Ftsched_schedule.Comm_plan
 module Serialize = Ftsched_schedule.Serialize
 module Ftsa = Ftsched_core.Ftsa
 module Mc_ftsa = Ftsched_core.Mc_ftsa
@@ -148,6 +151,36 @@ let data_feasible_races s =
   else if errs <> Validate_ref.data_feasible shifted then
     Error "the shifted copy's errors differ"
   else if errs = [] then Error "the shifted copy shows no error"
+  else Ok ()
+
+(* The flat [Validate.robust_selection] against the frozen list-based
+   one, on the plan and on a copy whose every 50th row repeats its first
+   pair and whose rows 25 after those swap the destinations of their
+   first two pairs: the same errors in the same order. *)
+let robust_selection_races s =
+  let inst = Schedule.instance s in
+  let eps = Schedule.eps s and plan = Schedule.comm s in
+  let row e =
+    match Comm_plan.to_list plan ~eps e with
+    | a :: rest when e mod 50 = 0 -> a :: rest @ [ a ]
+    | a :: b :: rest when e mod 50 = 25 ->
+        { a with dst_replica = b.dst_replica }
+        :: { b with dst_replica = a.dst_replica } :: rest
+    | pairs -> pairs
+  in
+  let mutated =
+    Schedule.create ~instance:inst ~eps
+      ~replicas:(Array.init (Instance.n_tasks inst) (Schedule.replicas s))
+      ~comm:
+        (Comm_plan.of_lists
+           (Array.init (Dag.n_edges (Instance.dag inst)) row))
+  in
+  let errs = Validate.robust_selection mutated in
+  if Validate.robust_selection s <> Validate_ref.robust_selection s then
+    Error "the plan's errors differ"
+  else if errs <> Validate_ref.robust_selection mutated then
+    Error "the mutated copy's errors differ"
+  else if errs = [] then Error "the mutated copy shows no error"
   else Ok ()
 
 (* Every processor's stored order against one built here: the replica
@@ -407,6 +440,9 @@ let graph name generate =
       check (algo ^ ": Validate.check") (fun () -> validated s);
       check (algo ^ ": Validate.data_feasible = reference") (fun () ->
           data_feasible_races s);
+      if algo = "mc-ftsa" then
+        check (algo ^ ": Validate.robust_selection = reference") (fun () ->
+            robust_selection_races s);
       check (algo ^ ": planned order = reference sort") (fun () ->
           planned_order s);
       check (algo ^ ": schedule digest = pinned") (fun () ->

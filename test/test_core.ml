@@ -67,9 +67,7 @@ let test_greedy_forced_first () =
   let pairs = greedy ~eps:1 edges in
   check_bool "forced retained" true (List.mem (0, 0) pairs);
   check_bool "bijection" true
-    (Comm_plan.is_one_to_one
-       (List.map (fun (l, r) -> { Comm_plan.src_replica = l; dst_replica = r }) pairs)
-       ~eps:1)
+    (one_to_one_pairs pairs ~eps:1)
 
 let test_greedy_conflicting_forced () =
   let edges = [ e 0 0 1. true; e 1 0 1. true ] in
@@ -167,9 +165,7 @@ let prop_greedy_bijective_and_bounded =
       let edges = complete_edges ~eps weights in
       let g = greedy ~eps edges in
       let is_bij =
-        Comm_plan.is_one_to_one
-          (List.map (fun (l, r) -> { Comm_plan.src_replica = l; dst_replica = r }) g)
-          ~eps
+        one_to_one_pairs g ~eps
       in
       let greedy_max = greedy_max ~eps edges in
       let opt = bottleneck_value ~eps edges in
@@ -403,12 +399,11 @@ let prop_mc_single_sender_per_input =
     (fun (eps, seed) ->
       let inst = random_instance ~seed ~m:6 () in
       let s = Mc_ftsa.schedule ~seed inst ~eps in
-      match Schedule.comm s with
-      | Comm_plan.All_to_all -> false
-      | Comm_plan.Selected sel ->
-          Array.for_all
-            (fun pairs -> Comm_plan.is_one_to_one pairs ~eps)
-            sel)
+      let plan = Schedule.comm s in
+      (not (Comm_plan.is_all_to_all plan))
+      && List.for_all
+           (fun e -> Comm_plan.is_one_to_one plan ~eps e)
+           (List.init (Ftsched_dag.Dag.n_edges (Instance.dag inst)) Fun.id))
 
 (* The optimized engine versus the naive reference oracle: identical
    schedules, replica for replica. *)

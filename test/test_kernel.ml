@@ -380,12 +380,14 @@ let test_pruned_equals_full () =
   check_bool "untraced FTSA skipped processors" true (!pruned > 0)
 
 (* Minor words per task of a whole untraced FTSA and MC-FTSA run on a
-   fixed 1,000-task layered graph at m = 20, eps = 2: 219.9 and 406.4
-   when pinned.  The count is deterministic: equal over three runs in
-   one domain and in each of two worker domains.  The bounds leave 10
-   words per task of headroom, half of one per-task [Array.make m], so a
-   per-task allocation in the evaluation fails the guard.  A budget
-   change goes through CHANGES.md with its reason. *)
+   fixed 1,000-task layered graph at m = 20, eps = 2: 219.9 and 225.6
+   when pinned (MC-FTSA took 406.4 while it kept a pair list per edge,
+   so re-adding one fails the guard).  The count is deterministic:
+   equal over three runs in one domain and in each of two worker
+   domains.  The bounds leave 10 words per task of headroom, half of one
+   per-task [Array.make m], so a per-task allocation in the evaluation
+   fails the guard.  A budget change goes through CHANGES.md with its
+   reason. *)
 let test_kernel_allocation_guard () =
   let rng = Rng.create ~seed:2008 in
   let dag = Ftsched_dag.Generators.layered rng ~n_tasks:1000 () in
@@ -408,7 +410,7 @@ let test_kernel_allocation_guard () =
         Alcotest.failf "%s: %.1f minor words per task, budget %.0f" name words bound)
     [
       ("ftsa", 230., fun () -> Ftsa.schedule ~seed:1 inst ~eps:2);
-      ("mc-ftsa", 417., fun () -> Mc_ftsa.schedule ~seed:1 inst ~eps:2);
+      ("mc-ftsa", 236., fun () -> Mc_ftsa.schedule ~seed:1 inst ~eps:2);
     ]
 
 let () =

@@ -27,6 +27,10 @@ let golden = Alcotest.(check (float 1e-6))
 let pinned_instance () =
   Workload.instance Workload.paper ~master_seed:2008 ~granularity:1.0 ~index:0
 
+(* MC-FTSA with two senders per destination replica on that instance. *)
+let redundant_plan inst =
+  Mc_ftsa.schedule ~seed:2008 ~strategy:(Mc_ftsa.Redundant 2) inst ~eps:2
+
 let test_instance_shape () =
   let inst = pinned_instance () in
   check_int "tasks" 135 (Instance.n_tasks inst);
@@ -164,14 +168,23 @@ let test_schedule_digests () =
    fields through [%.17g], so they say nothing about the codec's output.
    These pin [Serialize.schedule_to_string] of the golden FTSA and
    MC-FTSA (greedy) plans, captured before the codec was rewritten as a
-   direct byte writer. *)
+   direct byte writer, and of the order-sensitive bottleneck and
+   redundant-2 plans, captured before the plan became one flat table:
+   the codec writes each row in stored order, and in a redundant row one
+   source feeds two destinations. *)
 let test_codec_digests () =
   let inst = pinned_instance () in
   let codec s = Digest.to_hex (Digest.string (Serialize.schedule_to_string s)) in
   check_digest "ftsa eps=2 ftsched v1" "ce807bceca216447481c9df4a3f14d13"
     (codec (Ftsa.schedule ~seed:2008 inst ~eps:2));
   check_digest "mc-ftsa greedy eps=2 ftsched v1" "a9dcbd91d10d2d4bcb0d060c41c813e1"
-    (codec (Mc_ftsa.schedule ~seed:2008 inst ~eps:2))
+    (codec (Mc_ftsa.schedule ~seed:2008 inst ~eps:2));
+  check_digest "mc-ftsa bottleneck eps=2 ftsched v1"
+    "4318f2f275494626318fa09750f0e8d4"
+    (codec (Mc_ftsa.schedule ~seed:2008 ~strategy:Mc_ftsa.Bottleneck inst ~eps:2));
+  check_digest "mc-ftsa redundant 2 eps=2 ftsched v1"
+    "8a3650c1a5cab07edf054ae473465a04"
+    (codec (redundant_plan inst))
 
 (* ------------------------------------------------------------------ *)
 (* Online recovery outcomes, bit for bit.
@@ -223,6 +236,43 @@ let busiest s =
        (List.sort
           (fun a b -> compare b a)
           (List.init m (fun p -> (Schedule.busy_time s p, p)))))
+
+(* The engine's part of {!recovery_digest}: one [Event_sim] run. *)
+let sim_digest (r : Event_sim.result) =
+  let buf = Buffer.create 4096 in
+  let add fmt = Printf.bprintf buf fmt in
+  let opt = function Some x -> Printf.sprintf "%h" x | None -> "none" in
+  add "latency %s;" (opt r.Event_sim.latency);
+  Array.iteri
+    (fun task reps ->
+      add "%d:" task;
+      Array.iter
+        (function
+          | Event_sim.Completed { start; finish } -> add "%h,%h;" start finish
+          | Event_sim.Lost -> add "lost;")
+        reps)
+    r.Event_sim.outcomes;
+  add "events %d retrans %d lost %d" r.Event_sim.events_processed
+    r.Event_sim.retransmissions r.Event_sim.lost_messages;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Replays of the redundant-2 plan, whose emission order is its stored
+   row order: fault-free, and with the busiest processor crashing at a
+   quarter of M*.  Captured before the plan became one flat table. *)
+let test_redundant_replay_digests () =
+  let inst = pinned_instance () in
+  let s = redundant_plan inst in
+  let m = Instance.n_procs inst in
+  check_digest "redundant 2 fault-free" "9aae39e50c2ff87a23422ef3d793793e"
+    (sim_digest (Event_sim.run s ~fail_times:(Array.make m infinity)));
+  let crash =
+    {
+      Ftsched_sim.Scenario.proc = (busiest s).(0);
+      at = 0.25 *. Schedule.latency_lower_bound s;
+    }
+  in
+  check_digest "redundant 2, one timed crash" "46d750341c19854cc350388ee93cbf8a"
+    (sim_digest (Event_sim.run_timed s [ crash ]))
 
 (* Timed-crash sets for a plan, in units of its M*: the busiest
    processor at a quarter; the three busiest at a quarter, a half and
@@ -336,10 +386,12 @@ let test_recovery_digests_per_message () =
 (* The post-drain repair on reliable links.  With a re-mapping budget
    of one per task, the eight staggered crashes leave tasks missing
    once the last detection sweep has run and the engine has drained,
-   while twelve processors survive: [Recovery.run] then runs its forced
+   while twelve processors survive.  [Recovery_ref] then runs its forced
    repair sweep, a full pass over every task at the drained engine's
-   [now].  An incomplete outcome with a survivor proves the sweep ran
-   (completion is monotone, so the repair loop's guard held on entry). *)
+   [now]; [Recovery.run] skips it on reliable links (see recovery.mli),
+   and the outcomes agree.  An incomplete outcome with a survivor proves
+   the reference's sweep ran (completion is monotone, so the repair
+   loop's guard held on entry). *)
 let test_forced_repair_reliable () =
   let inst = pinned_instance () in
   let m = Instance.n_procs inst in
@@ -358,6 +410,22 @@ let test_forced_repair_reliable () =
       check_digest (name ^ " forced repair outcome") want (recovery_digest o))
     (recovery_plans inst)
     [ "35c974c2ec79698631e5b614d99c71a0"; "688d061ad27f6f5e12fa320839934742" ]
+
+(* The post-drain repair on lossy links, where it does inject: with no
+   crash there is no detection sweep, so every injection of this run is
+   the repair re-executing tasks that lost messages starved. *)
+let test_forced_repair_lossy () =
+  let inst = pinned_instance () in
+  let s = Mc_ftsa.schedule ~seed:2008 inst ~eps:2 in
+  let fail_times = Array.make (Instance.n_procs inst) infinity in
+  let faults = Ftsched_sim.Scenario.lossy ~loss:0.05 ~retries:2 ~seed:7 () in
+  let o = Recovery.run ~faults s ~fail_times in
+  check_int "repair injections" 55 o.Recovery.injections;
+  check_bool "complete" true o.Recovery.degraded.Metrics.complete;
+  check_bool "= reference controller" true
+    (o = Ftsched_oracle.Recovery_ref.run ~faults s ~fail_times);
+  check_digest "lossy repair outcome" "867c1b3767f1ca73fad73980a5e9404c"
+    (recovery_digest o)
 
 (* The kernel driver versus the naive oracle, with EXACT float equality
    (test_core checks 1e-9 on random instances; here the pinned instance
@@ -403,6 +471,10 @@ let () =
           Alcotest.test_case "recovery digests" `Quick test_recovery_digests;
           Alcotest.test_case "recovery digests, per-message paths" `Quick
             test_recovery_digests_per_message;
+          Alcotest.test_case "redundant replay digests" `Quick
+            test_redundant_replay_digests;
+          Alcotest.test_case "forced repair on lossy links" `Quick
+            test_forced_repair_lossy;
           Alcotest.test_case "forced repair on reliable links" `Quick
             test_forced_repair_reliable;
           Alcotest.test_case "ftsa equals reference exactly" `Quick

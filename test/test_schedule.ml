@@ -19,57 +19,113 @@ open Helpers
 (* ------------------------------------------------------------------ *)
 (* Comm_plan                                                           *)
 
+(* The senders of [(e, dst)], by the per-destination walk. *)
+let senders plan ~eps e ~dst =
+  let into = Array.make (Comm_plan.widest plan ~eps) (-1) in
+  Array.to_list (Array.sub into 0 (Comm_plan.senders plan ~eps e ~dst into))
+
+let pairs_of plan ~eps e =
+  List.map
+    (fun p -> (p.Comm_plan.src_replica, p.Comm_plan.dst_replica))
+    (Comm_plan.to_list plan ~eps e)
+
 let test_all_to_all_pairs () =
-  let pairs = Comm_plan.pairs_for Comm_plan.All_to_all ~eps:2 0 in
+  let pairs = pairs_of Comm_plan.all_to_all ~eps:2 0 in
   check_int "9 pairs" 9 (List.length pairs);
-  check_bool "contains 1->2" true
-    (List.exists
-       (fun p -> p.Comm_plan.src_replica = 1 && p.Comm_plan.dst_replica = 2)
-       pairs)
+  check_bool "contains 1->2" true (List.mem (1, 2) pairs);
+  Alcotest.(check (list (pair int int)))
+    "source-major, destinations in index order"
+    (List.concat_map (fun s -> List.init 3 (fun d -> (s, d))) [ 0; 1; 2 ])
+    pairs;
+  Alcotest.(check (list (pair int int))) "eps 0" [ (0, 0) ]
+    (pairs_of Comm_plan.all_to_all ~eps:0 5)
 
 let test_senders_to () =
   let sel =
-    Comm_plan.Selected
+    Comm_plan.of_lists
       [| [ { Comm_plan.src_replica = 0; dst_replica = 1 };
            { Comm_plan.src_replica = 1; dst_replica = 0 } ] |]
   in
   Alcotest.(check (list int)) "selected sender" [ 1 ]
-    (Comm_plan.senders_to sel ~eps:1 0 ~dst_replica:0);
+    (senders sel ~eps:1 0 ~dst:0);
   Alcotest.(check (list int)) "all-to-all senders" [ 0; 1 ]
-    (Comm_plan.senders_to Comm_plan.All_to_all ~eps:1 0 ~dst_replica:0)
+    (senders Comm_plan.all_to_all ~eps:1 0 ~dst:0);
+  Alcotest.(check (list int)) "all-to-all senders, eps 3" [ 0; 1; 2; 3 ]
+    (senders Comm_plan.all_to_all ~eps:3 7 ~dst:2)
+
+(* Rows keep the order they were written in, empty rows stay empty, a
+   row written again is replaced, and the walks read exactly the rows. *)
+let test_builder_rows () =
+  let b = Comm_plan.builder () in
+  Comm_plan.clear b ~n_edges:3;
+  Comm_plan.start_row b 2;
+  Comm_plan.push b ~src:1 ~dst:0;
+  Comm_plan.push b ~src:0 ~dst:0;
+  Comm_plan.push b ~src:1 ~dst:1;
+  Comm_plan.start_row b 0;
+  Comm_plan.push b ~src:0 ~dst:1;
+  Comm_plan.start_row b 0;
+  Comm_plan.push b ~src:1 ~dst:1;
+  Alcotest.(check (list (pair int int))) "row 0 so far" [ (1, 1) ]
+    (Comm_plan.row_list b 0);
+  let plan = Comm_plan.build b in
+  check_bool "fits 3 edges" true (Comm_plan.fits plan ~n_edges:3);
+  check_int "widest row" 3 (Comm_plan.widest plan ~eps:1);
+  check_int "widest all-to-all row" 9 (Comm_plan.widest Comm_plan.all_to_all ~eps:2);
+  check_bool "not 4" false (Comm_plan.fits plan ~n_edges:4);
+  check_bool "all-to-all fits any" true
+    (Comm_plan.fits Comm_plan.all_to_all ~n_edges:4);
+  Alcotest.(check (list (pair int int))) "replaced row" [ (1, 1) ]
+    (pairs_of plan ~eps:1 0);
+  Alcotest.(check (list (pair int int))) "empty row" [] (pairs_of plan ~eps:1 1);
+  Alcotest.(check (list (pair int int))) "row order kept"
+    [ (1, 0); (0, 0); (1, 1) ] (pairs_of plan ~eps:1 2);
+  Alcotest.(check (list int)) "senders of 0, row order" [ 1; 0 ]
+    (senders plan ~eps:1 2 ~dst:0);
+  Alcotest.(check (list int)) "no sender" [] (senders plan ~eps:1 1 ~dst:0);
+  check_bool "equal to the list constructor" true
+    (plan
+    = Comm_plan.of_lists
+        (Array.map
+           (List.map (fun (s, d) -> { Comm_plan.src_replica = s; dst_replica = d }))
+           [| [ (1, 1) ]; []; [ (1, 0); (0, 0); (1, 1) ] |]));
+  Alcotest.check_raises "negative replica"
+    (Invalid_argument "Comm_plan.push: replica index out of range") (fun () ->
+      Comm_plan.push b ~src:(-1) ~dst:0);
+  Alcotest.check_raises "edge out of range"
+    (Invalid_argument "Comm_plan.start_row: edge") (fun () ->
+      Comm_plan.start_row b 3)
 
 let test_is_one_to_one () =
-  let p s d = { Comm_plan.src_replica = s; dst_replica = d } in
-  check_bool "valid bijection" true
-    (Comm_plan.is_one_to_one [ p 0 1; p 1 0 ] ~eps:1);
-  check_bool "repeated source" false
-    (Comm_plan.is_one_to_one [ p 0 0; p 0 1 ] ~eps:1);
-  check_bool "repeated target" false
-    (Comm_plan.is_one_to_one [ p 0 0; p 1 0 ] ~eps:1);
-  check_bool "wrong cardinality" false
-    (Comm_plan.is_one_to_one [ p 0 0 ] ~eps:1);
-  check_bool "out of range" false
-    (Comm_plan.is_one_to_one [ p 0 0; p 1 5 ] ~eps:1)
+  let one pairs ~eps = one_to_one_pairs pairs ~eps in
+  check_bool "valid bijection" true (one [ (0, 1); (1, 0) ] ~eps:1);
+  check_bool "repeated source" false (one [ (0, 0); (0, 1) ] ~eps:1);
+  check_bool "repeated target" false (one [ (0, 0); (1, 0) ] ~eps:1);
+  check_bool "wrong cardinality" false (one [ (0, 0) ] ~eps:1);
+  check_bool "out of range" false (one [ (0, 0); (1, 5) ] ~eps:1)
 
 let test_is_one_to_one_edge_cases () =
-  let p s d = { Comm_plan.src_replica = s; dst_replica = d } in
+  let one pairs ~eps = one_to_one_pairs pairs ~eps in
   (* a duplicated pair has the right length but repeats both endpoints *)
-  check_bool "duplicate pair" false
-    (Comm_plan.is_one_to_one [ p 0 1; p 0 1 ] ~eps:1);
-  check_bool "negative source" false
-    (Comm_plan.is_one_to_one [ p (-1) 0; p 1 1 ] ~eps:1);
-  check_bool "negative target" false
-    (Comm_plan.is_one_to_one [ p 0 (-1); p 1 1 ] ~eps:1);
-  check_bool "source out of range" false
-    (Comm_plan.is_one_to_one [ p 2 0; p 1 1 ] ~eps:1);
-  check_bool "empty list" false (Comm_plan.is_one_to_one [] ~eps:1);
+  check_bool "duplicate pair" false (one [ (0, 1); (0, 1) ] ~eps:1);
+  (* a replica index is never negative: the plan refuses to hold one *)
+  Alcotest.check_raises "negative source"
+    (Invalid_argument "Comm_plan.push: replica index out of range") (fun () ->
+      ignore (one [ (-1, 0); (1, 1) ] ~eps:1));
+  Alcotest.check_raises "negative target"
+    (Invalid_argument "Comm_plan.push: replica index out of range") (fun () ->
+      ignore (one [ (0, -1); (1, 1) ] ~eps:1));
+  check_bool "source out of range" false (one [ (2, 0); (1, 1) ] ~eps:1);
+  check_bool "empty list" false (one [] ~eps:1);
   (* eps = 0: the only bijection on one replica *)
-  check_bool "singleton identity" true
-    (Comm_plan.is_one_to_one [ p 0 0 ] ~eps:0);
-  check_bool "empty at eps 0" false (Comm_plan.is_one_to_one [] ~eps:0);
+  check_bool "singleton identity" true (one [ (0, 0) ] ~eps:0);
+  check_bool "empty at eps 0" false (one [] ~eps:0);
   (* a 3-cycle is a perfectly good bijection, no need for the identity *)
-  check_bool "3-cycle" true
-    (Comm_plan.is_one_to_one [ p 0 1; p 1 2; p 2 0 ] ~eps:2)
+  check_bool "3-cycle" true (one [ (0, 1); (1, 2); (2, 0) ] ~eps:2);
+  check_bool "all-to-all at eps 0" true
+    (Comm_plan.is_one_to_one Comm_plan.all_to_all ~eps:0 0);
+  check_bool "all-to-all at eps 1" false
+    (Comm_plan.is_one_to_one Comm_plan.all_to_all ~eps:1 0)
 
 (* ------------------------------------------------------------------ *)
 (* Schedule construction and accessors                                 *)
@@ -80,35 +136,35 @@ let test_create_validation () =
   Alcotest.check_raises "eps out of range"
     (Invalid_argument "Schedule.create: eps out of range") (fun () ->
       ignore (Schedule.create ~instance:inst ~eps:2 ~replicas:reps
-                ~comm:Comm_plan.All_to_all));
+                ~comm:Comm_plan.all_to_all));
   let bad = hand_replicas () in
   bad.(1) <- [| bad.(1).(0) |];
   Alcotest.check_raises "wrong replica count"
     (Invalid_argument "Schedule.create: wrong replica count") (fun () ->
       ignore (Schedule.create ~instance:inst ~eps:1 ~replicas:bad
-                ~comm:Comm_plan.All_to_all));
+                ~comm:Comm_plan.all_to_all));
   let mislabeled = hand_replicas () in
   mislabeled.(0).(0) <- { (mislabeled.(0).(0)) with task = 2 } ;
   Alcotest.check_raises "mislabelled"
     (Invalid_argument "Schedule.create: replica mislabelled") (fun () ->
       ignore (Schedule.create ~instance:inst ~eps:1 ~replicas:mislabeled
-                ~comm:Comm_plan.All_to_all));
+                ~comm:Comm_plan.all_to_all));
   let bad_proc = hand_replicas () in
   bad_proc.(0).(0) <- { (bad_proc.(0).(0)) with proc = 9 } ;
   Alcotest.check_raises "bad processor"
     (Invalid_argument "Schedule.create: bad processor") (fun () ->
       ignore (Schedule.create ~instance:inst ~eps:1 ~replicas:bad_proc
-                ~comm:Comm_plan.All_to_all));
+                ~comm:Comm_plan.all_to_all));
   let bad_dur = hand_replicas () in
   bad_dur.(0).(0) <- { (bad_dur.(0).(0)) with finish = -1. } ;
   Alcotest.check_raises "negative duration"
     (Invalid_argument "Schedule.create: negative duration") (fun () ->
       ignore (Schedule.create ~instance:inst ~eps:1 ~replicas:bad_dur
-                ~comm:Comm_plan.All_to_all));
+                ~comm:Comm_plan.all_to_all));
   Alcotest.check_raises "comm plan size"
     (Invalid_argument "Schedule.create: comm plan edge count") (fun () ->
       ignore (Schedule.create ~instance:inst ~eps:1 ~replicas:(hand_replicas ())
-                ~comm:(Comm_plan.Selected [||])))
+                ~comm:(Comm_plan.of_lists [||])))
 
 let test_accessors () =
   let s = hand_schedule () in
@@ -153,7 +209,7 @@ let tie_schedule () =
   in
   let r task index proc s f = replica ~task ~index ~proc ~s ~f ~ps:s ~pf:f in
   Schedule.create ~instance:(Instance.create ~dag ~platform ~exec) ~eps:1
-    ~comm:Comm_plan.All_to_all
+    ~comm:Comm_plan.all_to_all
     ~replicas:
       [|
         [| r 0 0 0 0. 2.; r 0 1 1 0. 3. |];
@@ -229,14 +285,14 @@ let test_message_count_spread () =
   in
   let s_all =
     Schedule.create ~instance:inst ~eps:1 ~replicas:reps
-      ~comm:Comm_plan.All_to_all
+      ~comm:Comm_plan.all_to_all
   in
   check_int "4 cross messages" 4 (Schedule.inter_processor_messages s_all);
   check_float "40 units" 40. (Schedule.total_comm_volume s_all);
   let s_sel =
     Schedule.create ~instance:inst ~eps:1 ~replicas:reps
       ~comm:
-        (Comm_plan.Selected
+        (Comm_plan.of_lists
            [| [ { Comm_plan.src_replica = 0; dst_replica = 0 };
                 { Comm_plan.src_replica = 1; dst_replica = 1 } ] |])
   in
@@ -253,7 +309,7 @@ let test_validate_duplicate_proc () =
   reps.(0).(1) <- { (reps.(0).(1)) with proc = 0; finish = 2.; start = 0. } ;
   let s =
     Schedule.create ~instance:(tiny_instance ()) ~eps:1 ~replicas:reps
-      ~comm:Comm_plan.All_to_all
+      ~comm:Comm_plan.all_to_all
   in
   let errs = Validate.distinct_replica_procs s in
   check_bool "caught" true
@@ -265,7 +321,7 @@ let test_validate_overlap () =
   reps.(1).(0) <- { (reps.(1).(0)) with start = 1.; finish = 4. } ;
   let s =
     Schedule.create ~instance:(tiny_instance ()) ~eps:1 ~replicas:reps
-      ~comm:Comm_plan.All_to_all
+      ~comm:Comm_plan.all_to_all
   in
   let errs = Validate.no_processor_overlap s in
   check_bool "caught" true
@@ -312,7 +368,7 @@ let prop_planned_order_equals_stable_sort =
                   ~ps:s ~pf:(s +. 1.)))
       in
       let s =
-        Schedule.create ~instance ~eps ~replicas ~comm:Comm_plan.All_to_all
+        Schedule.create ~instance ~eps ~replicas ~comm:Comm_plan.all_to_all
       in
       List.for_all
         (fun p ->
@@ -338,7 +394,7 @@ let test_validate_unsorted_timeline () =
   let overlaps reps =
     let s =
       Schedule.create ~instance:(tiny_instance ()) ~eps:1 ~replicas:reps
-        ~comm:Comm_plan.All_to_all
+        ~comm:Comm_plan.all_to_all
     in
     List.length
       (List.filter
@@ -361,7 +417,7 @@ let test_validate_early_start () =
   reps.(2).(0) <- { (reps.(2).(0)) with start = 0.; finish = 1. } ;
   let s =
     Schedule.create ~instance:(tiny_instance ()) ~eps:1 ~replicas:reps
-      ~comm:Comm_plan.All_to_all
+      ~comm:Comm_plan.all_to_all
   in
   let errs = Validate.data_feasible s in
   check_bool "caught" true
@@ -372,7 +428,7 @@ let test_validate_wrong_duration () =
   reps.(0).(0) <- { (reps.(0).(0)) with finish = 3. } ;
   let s =
     Schedule.create ~instance:(tiny_instance ()) ~eps:1 ~replicas:reps
-      ~comm:Comm_plan.All_to_all
+      ~comm:Comm_plan.all_to_all
   in
   let errs = Validate.data_feasible s in
   check_bool "caught" true
@@ -380,7 +436,7 @@ let test_validate_wrong_duration () =
 
 let test_validate_selection_not_bijective () =
   let sel =
-    Comm_plan.Selected
+    Comm_plan.of_lists
       [|
         [ { Comm_plan.src_replica = 0; dst_replica = 0 };
           { Comm_plan.src_replica = 1; dst_replica = 0 } ];
@@ -400,7 +456,7 @@ let test_validate_forced_internal () =
   (* edge t0->t1: t0 replica 0 on P0 is colocated with t1 replica 0 on P0,
      so sending to replica 1 instead violates the forced rule. *)
   let sel =
-    Comm_plan.Selected
+    Comm_plan.of_lists
       [|
         [ { Comm_plan.src_replica = 0; dst_replica = 1 };
           { Comm_plan.src_replica = 1; dst_replica = 0 } ];
@@ -451,11 +507,14 @@ let test_data_feasible_matches_ref () =
               (Schedule.replicas s t))
       in
       let comm =
-        match Schedule.comm s with
-        | Comm_plan.All_to_all -> Comm_plan.All_to_all
-        | Comm_plan.Selected sel ->
-            Comm_plan.Selected
-              (Array.map (List.filter (fun _ -> Rng.int rng 4 > 0)) sel)
+        let plan = Schedule.comm s in
+        if Comm_plan.is_all_to_all plan then plan
+        else
+          Comm_plan.of_lists
+            (Array.init (Dag.n_edges (Instance.dag inst)) (fun e ->
+                 List.filter
+                   (fun _ -> Rng.int rng 4 > 0)
+                   (Comm_plan.to_list plan ~eps e)))
       in
       Schedule.create ~instance:inst ~eps ~replicas ~comm
     in
@@ -473,6 +532,78 @@ let test_data_feasible_matches_ref () =
   List.iter
     (fun check -> check_bool (check ^ " exercised") true (Hashtbl.mem seen check))
     [ "negative-start"; "duration"; "senders"; "arrival-opt"; "arrival-pess" ]
+
+(* The flat [Validate.robust_selection] against the frozen list-based
+   one: the same errors, in the same order, on FTSA, MC-FTSA greedy,
+   bottleneck and redundant-2 plans as scheduled, and on copies whose
+   rows have two destinations swapped, a pair repeated, a replica out of
+   range, or the forced internal pair dropped.  The copies must raise
+   every error the check reports. *)
+let test_robust_selection_matches_ref () =
+  let module Validate_ref = Ftsched_oracle.Validate_ref in
+  let module Mc = Ftsched_core.Mc_ftsa in
+  let seen = Hashtbl.create 8 in
+  let race what s =
+    let got = Validate.robust_selection s in
+    List.iter
+      (fun e ->
+        let kind =
+          if e.Validate.check <> "forced-internal" then e.Validate.check
+          else if contains e.Validate.detail "must send only" then
+            "forced-internal (only)"
+          else "forced-internal (feed)"
+        in
+        Hashtbl.replace seen kind ())
+      got;
+    if got <> Validate_ref.robust_selection s then
+      Alcotest.failf "%s: flat and list checks disagree" what
+  in
+  for seed = 0 to 59 do
+    let m = 2 + (seed mod 5) in
+    let inst = random_instance ~seed ~n_tasks:(3 + (seed mod 23)) ~m () in
+    let g = Instance.dag inst in
+    let eps = seed mod m in
+    let k = eps + 1 in
+    let rng = Rng.create ~seed in
+    let mutated s =
+      let plan = Schedule.comm s in
+      let row e =
+        let src, dst = Dag.edge_endpoints g e in
+        let pairs = Comm_plan.to_list plan ~eps e in
+        let colocated (p : Comm_plan.pair) =
+          p.src_replica < k && p.dst_replica < k
+          && Schedule.proc_of s src p.src_replica
+             = Schedule.proc_of s dst p.dst_replica
+        in
+        match (Rng.int rng 6, pairs) with
+        | 0, a :: b :: rest ->
+            { a with dst_replica = b.dst_replica }
+            :: { b with dst_replica = a.dst_replica } :: rest
+        | 1, a :: rest -> a :: rest @ [ a ]
+        | 2, a :: rest -> { a with dst_replica = k } :: rest
+        | 3, _ -> List.filter (fun p -> not (colocated p)) pairs
+        | _ -> pairs
+      in
+      Schedule.create ~instance:inst ~eps
+        ~replicas:(Array.init (Instance.n_tasks inst) (Schedule.replicas s))
+        ~comm:(Comm_plan.of_lists (Array.init (Dag.n_edges g) row))
+    in
+    List.iter
+      (fun (name, s) ->
+        let what = Printf.sprintf "%s seed %d" name seed in
+        race what s;
+        if not (Comm_plan.is_all_to_all (Schedule.comm s)) then
+          race (what ^ " mutated") (mutated s))
+      [
+        ("ftsa", Ftsched_core.Ftsa.schedule ~seed inst ~eps);
+        ("mc-ftsa", Mc.schedule ~seed inst ~eps);
+        ("mc-ftsa bottleneck", Mc.schedule ~seed ~strategy:Mc.Bottleneck inst ~eps);
+        ("mc-ftsa redundant 2", Mc.schedule ~seed ~strategy:(Mc.Redundant 2) inst ~eps);
+      ]
+  done;
+  List.iter
+    (fun kind -> check_bool (kind ^ " exercised") true (Hashtbl.mem seen kind))
+    [ "one-to-one"; "forced-internal (feed)"; "forced-internal (only)" ]
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -761,7 +892,7 @@ let test_nonfinite_replica_times () =
       Alcotest.check_raises what not_finite (fun () ->
           ignore
             (Schedule.create ~instance:(tiny_instance ()) ~eps:1 ~replicas:reps
-               ~comm:Comm_plan.All_to_all)))
+               ~comm:Comm_plan.all_to_all)))
     [ ("nan", Float.nan); ("infinity", Float.infinity);
       ("-infinity", Float.neg_infinity) ];
   (* the codec builds through [Schedule.create], so a document carrying
@@ -1006,6 +1137,7 @@ let () =
         [
           Alcotest.test_case "all-to-all pairs" `Quick test_all_to_all_pairs;
           Alcotest.test_case "senders_to" `Quick test_senders_to;
+          Alcotest.test_case "builder rows" `Quick test_builder_rows;
           Alcotest.test_case "is_one_to_one" `Quick test_is_one_to_one;
           Alcotest.test_case "is_one_to_one edge cases" `Quick
             test_is_one_to_one_edge_cases;
@@ -1040,6 +1172,8 @@ let () =
             test_validate_unsorted_timeline;
           Alcotest.test_case "data feasibility equals the list oracle" `Quick
             test_data_feasible_matches_ref;
+          Alcotest.test_case "robust selection equals the list oracle" `Quick
+            test_robust_selection_matches_ref;
         ] );
       ( "metrics",
         [

@@ -89,24 +89,12 @@ type outcome = {
   detected_failures : int;
 }
 
-type workspace
-(** Warm-start cache for repeated runs over the same schedule: the
-    engine's fail-time-independent template, re-derived only when the
-    schedule (or release) changes.  The streaming runtime's shadow-plan loop calls {!run} once
-    per candidate crash of the same plan and pays the derivation once.
-    Results are bit-for-bit identical with and without a workspace.  One
-    workspace serves one caller at a time. *)
-
-val workspace : unit -> workspace
-(** A fresh, empty cache. *)
-
 val run :
   ?network:Event_sim.network_model ->
   ?faults:Ftsched_sim.Scenario.comm_faults ->
   ?release:float array ->
   ?delta:float ->
   ?rounds:int ->
-  ?workspace:workspace ->
   Ftsched_schedule.Schedule.t ->
   fail_times:float array ->
   outcome
@@ -135,7 +123,6 @@ val run_timed :
   ?release:float array ->
   ?delta:float ->
   ?rounds:int ->
-  ?workspace:workspace ->
   Ftsched_schedule.Schedule.t ->
   Ftsched_sim.Scenario.timed list ->
   outcome

@@ -57,6 +57,30 @@ let senders t ~eps e ~dst into =
       done;
       !n
 
+let receivers t ~eps edges ~lo ~hi ~src ~idx ~dsts ~at =
+  let n = ref at in
+  (match t with
+  | All_to_all ->
+      for j = lo to hi - 1 do
+        for d = 0 to eps do
+          idx.(!n) <- j;
+          dsts.(!n) <- d;
+          incr n
+        done
+      done
+  | Selected { off; pairs; _ } ->
+      for j = lo to hi - 1 do
+        let e = edges.(j) in
+        for i = off.(e) to off.(e + 1) - 1 do
+          if pairs.(i) lsr shift = src then begin
+            idx.(!n) <- j;
+            dsts.(!n) <- pairs.(i) land mask;
+            incr n
+          end
+        done
+      done);
+  !n
+
 let is_one_to_one t ~eps e =
   let k = eps + 1 and w = widest t ~eps in
   let srcs = Array.make w 0 and dsts = Array.make w 0 in
@@ -75,7 +99,8 @@ let is_one_to_one t ~eps e =
 
 type builder = {
   mutable edges : int;
-  mutable start : int array;  (* per edge: where its row begins in [buf] *)
+  mutable start : int array;
+      (* per edge: where its row begins in [buf], -1 until started *)
   mutable len : int array;  (* per edge: pairs in its row *)
   mutable buf : int array;  (* every row, in the order written *)
   mutable n : int;
@@ -96,10 +121,13 @@ let builder () =
 
 let clear b ~n_edges =
   if Array.length b.len < n_edges then begin
-    b.start <- Array.make n_edges 0;
+    b.start <- Array.make n_edges (-1);
     b.len <- Array.make n_edges 0
   end
-  else Array.fill b.len 0 n_edges 0;
+  else begin
+    Array.fill b.start 0 n_edges (-1);
+    Array.fill b.len 0 n_edges 0
+  end;
   b.edges <- n_edges;
   b.n <- 0;
   b.row <- -1;
@@ -107,8 +135,8 @@ let clear b ~n_edges =
 
 let start_row b e =
   if e < 0 || e >= b.edges then invalid_arg "Comm_plan.start_row: edge";
+  if b.start.(e) >= 0 then invalid_arg "Comm_plan.start_row: row written twice";
   b.start.(e) <- b.n;
-  b.len.(e) <- 0;
   b.row <- e;
   b.rows <- b.rows + 1
 
@@ -135,7 +163,7 @@ let build b =
   done;
   let pairs = Array.make off.(b.edges) 0 in
   for e = 0 to b.edges - 1 do
-    Array.blit b.buf b.start.(e) pairs off.(e) b.len.(e)
+    if b.len.(e) > 0 then Array.blit b.buf b.start.(e) pairs off.(e) b.len.(e)
   done;
   Selected { off; pairs; widest = !widest }
 

@@ -24,8 +24,10 @@
     source-major, each source's destinations in index order);
     {!senders} gives the sources feeding one destination replica, in row
     order — under all-to-all the replicas [0 … ε] in index order, in
-    [ε+1] steps, without looking at the other pairs.  Arrays of
-    {!widest} entries hold any walk's output. *)
+    [ε+1] steps, without looking at the other pairs; {!receivers}, its
+    mirror, gives the destinations one source replica feeds over a whole
+    successor row.  Arrays of {!widest} entries hold any one-edge walk's
+    output. *)
 
 type t
 (** A plan: all-to-all, or one selected row per DAG edge. *)
@@ -55,6 +57,27 @@ val senders : t -> eps:int -> int -> dst:int -> int array -> int
     [e]'s pairs feeding destination replica [dst], in row order, into
     [into] from index 0, and returns their count. *)
 
+val receivers :
+  t ->
+  eps:int ->
+  int array ->
+  lo:int ->
+  hi:int ->
+  src:int ->
+  idx:int array ->
+  dsts:int array ->
+  at:int ->
+  int
+(** The mirror of {!senders} over a run of edges, typically a task's
+    successor row.  [receivers t ~eps edges ~lo ~hi ~src ~idx ~dsts ~at]
+    visits the edges [edges.(lo) … edges.(hi − 1)] in that order and,
+    for each, the destination replicas its pairs with source replica
+    [src] feed, in row order (all-to-all: [0 … ε] by arithmetic).  The
+    [n]-th is written at index [at + n]: its edge's index [j] into
+    [edges] in [idx], its destination replica in [dsts].  Returns [at]
+    plus the count written; [idx] and [dsts] need room for
+    [(hi − lo) × widest] entries past [at]. *)
+
 val is_one_to_one : t -> eps:int -> int -> bool
 (** [true] iff edge [e]'s row saturates each of the [ε+1] source
     replicas and each of the [ε+1] destination replicas exactly once —
@@ -72,9 +95,9 @@ val clear : builder -> n_edges:int -> unit
 (** Start a plan for [n_edges] edges, every row empty. *)
 
 val start_row : builder -> int -> unit
-(** Make edge [e]'s row the one {!push} writes, emptying it: writing a
-    row again replaces it.  Raises [Invalid_argument] outside
-    [0 … n_edges−1]. *)
+(** Make edge [e]'s row the one {!push} writes.  Each row is written at
+    most once between {!clear}s.  Raises [Invalid_argument] outside
+    [0 … n_edges−1] and on a row already started. *)
 
 val push : builder -> src:int -> dst:int -> unit
 (** Append the pair [(src, dst)] to the current row.  Raises

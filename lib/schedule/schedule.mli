@@ -38,7 +38,13 @@ val create :
     Structural errors raise [Invalid_argument], among them a
     replica time that is NaN or infinite
     (["Schedule.create: replica time not finite"]); semantic checks
-    (precedence feasibility, Prop. 4.1, …) live in {!Validate}. *)
+    (precedence feasibility, Prop. 4.1, …) live in {!Validate}.  Of a
+    selected plan only the row count is checked here: a pair naming a
+    replica above [ε] is accepted, and {!Validate.check} reports it.
+    The replays ([Ftsched_sim.Event_sim], [Ftsched_sim.Crash_exec])
+    read the plan's indices arithmetically (a replica's row is
+    [task × (ε+1) + index]), so they require every index in [0 … ε]:
+    validate a plan from outside the schedulers before replaying it. *)
 
 val instance : t -> Ftsched_model.Instance.t
 val eps : t -> int

@@ -624,7 +624,8 @@ let schedule_of_string s =
             fail cur "expected pairs line";
           let idx = int_at cur 1 in
           if idx < 0 || idx >= e then fail cur "pairs edge out of range";
-          Comm_plan.start_row rows idx;
+          (try Comm_plan.start_row rows idx
+           with Invalid_argument _ -> fail cur "pairs edge %d repeated" idx);
           parse_pairs cur ~eps rows
         done;
         Comm_plan.build rows

@@ -49,7 +49,8 @@ let no_processor_overlap s =
    the plan's senders of each (edge, replica): under
    all-to-all every source replica, in index order; under a selection
    the edge's pairs that feed this replica, in row order — so the folds,
-   and the errors, are those of the list-based check. *)
+   and the errors, are those of the list-based check.  A sender index
+   above ε names no replica: it is reported, not read. *)
 let data_feasible s =
   let inst = Schedule.instance s in
   let g = Instance.dag inst in
@@ -79,15 +80,23 @@ let data_feasible s =
       for j = pred_off.(task) to pred_off.(task + 1) - 1 do
         let e = pred_edge.(j) and vol = pred_vol.(j) in
         let srcs = Schedule.replicas s pred_task.(j) in
-        let earliest = ref infinity and latest = ref 0. in
-        let senders = Comm_plan.senders plan ~eps e ~dst:r.index from in
-        for i = 0 to senders - 1 do
-          let sr = srcs.(from.(i)) in
-          let w = vol *. delay.(sr.proc).(r.proc) in
-          earliest := Float.min !earliest (sr.finish +. w);
-          latest := Float.max !latest (sr.pess_finish +. w)
+        let earliest = ref infinity and latest = ref 0. and senders = ref 0 in
+        for i = 0 to Comm_plan.senders plan ~eps e ~dst:r.index from - 1 do
+          if from.(i) > eps then
+            errs :=
+              errf "replica-range"
+                "edge %d: source replica %d of task %d does not exist (ε = %d)"
+                e from.(i) pred_task.(j) eps
+              :: !errs
+          else begin
+            let sr = srcs.(from.(i)) in
+            let w = vol *. delay.(sr.proc).(r.proc) in
+            earliest := Float.min !earliest (sr.finish +. w);
+            latest := Float.max !latest (sr.pess_finish +. w);
+            incr senders
+          end
         done;
-        if senders = 0 then
+        if !senders = 0 then
           errs :=
             errf "senders" "task %d replica %d: no sender for edge %d" task
               r.index e

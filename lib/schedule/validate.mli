@@ -31,7 +31,10 @@ val data_feasible : Schedule.t -> error list
     {e latest} sender arrival (eq. 3), both restricted to the plan's
     senders, read per (edge, replica) in row order.  Also checks that
     each replica has at least one sender per predecessor edge and that
-    durations equal [E(task, proc)]. *)
+    durations equal [E(task, proc)].  A plan pair whose source replica
+    index exceeds [ε] is a ["replica-range"] error (destination indices
+    out of range are {!robust_selection}'s [one-to-one] errors): the
+    check reports malformed plans, it never raises on them. *)
 
 val robust_selection : Schedule.t -> error list
 (** For selected plans: each edge's row is one-to-one on replica

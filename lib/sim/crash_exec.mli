@@ -57,6 +57,11 @@
     still filter the chains, so there is no template, and [run] is the
     one entry point.
 
+    The rows are addressed arithmetically from the plan's replica
+    indices, so a plan must keep them in [0 … ε]
+    ({!Ftsched_schedule.Validate.check} reports one that does not; the
+    replay would read a neighbouring task's replica).
+
     {2 Why this is not a view over [Event_sim]}
 
     Crashes at time 0 are a special case of {!Event_sim}'s fail times, so

@@ -11,11 +11,12 @@
      flat arrays addressed through a per-row offset table, replacing the
      [(task, edge) -> position] Hashtbl; an injected row appends its
      slots after the static ones;
-   - the communication plan is unrolled once into a per-rid CSR emission
-     table (destination rid/slot/volume, in the exact legacy order:
-     out-edges, then plan pairs), so completions and loss cascades index
-     arrays instead of re-allocating the [(eps+1)^2]-pair cross product
-     per edge;
+   - a static row's plan receivers are not stored: when the row
+     completes or is lost, one {!Comm_plan.receivers} walk over its
+     task's successor row lists them, in the exact legacy order
+     (out-edges, then the plan row's pairs of that source replica), into
+     a stack the engine owns, so a loss cascading from inside the loop
+     walks above it;
    - the event queue is {!Ftsched_ds.Heap}, the library's one array
      binary min-heap (the kernel's priority list is the other user), on
      [(at, seq, packed event)].  The order is total, so the pop order is
@@ -30,13 +31,6 @@
    and folded inputs.  Injected rows receive their inputs through
    runtime subscriptions and re-sends, and keep the exact legacy
    ordering of subscriptions, re-sends and queue placement.
-
-   The fail-time-independent part of engine construction (the CSR
-   tables, pristine pending counts and planned queues) is exposed as an
-   {!Engine.template}: building one costs the full analysis, forking it
-   with {!Engine.of_template} only copies the mutable state — this is
-   the snapshot/restore primitive the stream runtime uses to derive the
-   m single-crash shadow plans of a job from one prepared engine.
 
    Message-free replay.  Under the paper's network ([Contention_free],
    reliable links) a plan message's arrival is fixed when its sender
@@ -122,39 +116,33 @@ module Engine = struct
     | Resend of { arrival : float }
     | On_completion of { src_task : int; src_rep : int }
 
-  (* Everything about a (schedule, release) pair that does not depend on
-     the fail times or the fault draw: immutable, shareable between any
-     number of engine forks. *)
-  type template = {
-    t_s : Schedule.t;
-    t_release : float array option;
-    t_g : Dag.t;
-    t_pl : Platform.t;
-    t_inst : Instance.t;
-    t_eps : int;
-    t_v : int;
-    t_m : int;
-    t_k : int;  (* eps + 1 *)
-    t_nstatic : int;  (* v * (eps + 1) *)
-    (* static input-slot CSR: [slot_off.(rid) + pos] addresses the
-       [sat]/[pend] entry of input [pos] of static replica [rid] *)
-    slot_off : int array;  (* length n_static + 1 *)
-    pend0 : int array;  (* pristine pending-sender counts per slot *)
-    proc0 : int array;  (* host processor per static rid *)
-    key0 : int array;  (* payload key per static rid, see [key_of] *)
-    (* plan emission CSR per static rid, in the legacy order (out-edges,
-       then retained plan pairs of that source replica); a message's
-       volume is its destination input's, read from the DAG's CSR *)
-    em_off : int array;  (* length n_static + 1 *)
-    em_rid : int array;  (* destination (static) rid *)
-    em_slot : int array;  (* destination input slot *)
-    pred_off : int array;  (* the DAG's predecessor CSR, for volumes *)
-    pred_vol : float array;
-    q0 : int array array;  (* pristine planned queue (rids) per proc *)
-  }
-
   type t = {
-    tm : template;
+    g : Dag.t;
+    pl : Platform.t;
+    inst : Instance.t;
+    plan : Comm_plan.t;
+    eps : int;
+    kk : int;  (* eps + 1 *)
+    n_static : int;  (* v * (eps + 1) *)
+    (* the DAG's CSR rows the emissions read: a message's destination
+       task and edge from the successor row, its input position from
+       [in_pos] (per edge id, its position in the destination's
+       predecessor row), its volume from the predecessor row *)
+    pred_off : int array;
+    pred_vol : float array;
+    succ_off : int array;
+    succ_edges : int array;
+    succ_tasks : int array;
+    in_pos : int array;
+    (* The receivers walks' output, a stack: a walk writes its entries
+       (successor-row index, destination replica) from [w_top] up and
+       pops them when its loop is done, so a walk nested in that loop (a
+       loss cascading) writes above them.  [w_row] bounds one edge's
+       entries. *)
+    w_row : int;
+    mutable w_idx : int array;
+    mutable w_dst : int array;
+    mutable w_top : int;
     network : network_model;
     faults : Scenario.comm_faults;
     frng : Rng.t;  (* loss-draw stream; untouched when faults are reliable *)
@@ -219,7 +207,7 @@ module Engine = struct
      completion, packed into one word at 21 bits per field (the position
      is stored shifted by one so -1 packs as 0).  A ready event is packed
      as the arrival of the input that completes its replica's inputs.
-     A row's key is its [(task, k)] prefix.  [template] bounds the task
+     A row's key is its [(task, k)] prefix.  [create] bounds the task
      count below 2^21 — which also bounds in-edge positions — and
      [inject] bounds the replica index. *)
   let payload_bits = 21
@@ -246,16 +234,38 @@ module Engine = struct
     Heap.push eng.heap ~key:at ~seq:eng.seq ~payload:(payload eng.key.(rid) pos)
 
   (* The two places that tell the kinds of replica apart.  Replica [rep]
-     of [task] is a static row below [t_nstatic] or an injected one; and
+     of [task] is a static row below [n_static] or an injected one; and
      only static rows have plan emissions and, under [fold], folded
      inputs. *)
   let rid_of eng task rep =
-    let tm = eng.tm in
-    if rep < tm.t_k then (task * tm.t_k) + rep
-    else eng.extra.(task).(rep - tm.t_k)
+    if rep < eng.kk then (task * eng.kk) + rep
+    else eng.extra.(task).(rep - eng.kk)
 
-  let static_row tm rid = rid < tm.t_nstatic
-  let folded eng rid = eng.fold && static_row eng.tm rid
+  let static_row eng rid = rid < eng.n_static
+  let folded eng rid = eng.fold && static_row eng rid
+
+  let grown a len fill =
+    let b = Array.make len fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  (* The plan receivers of static row [rid]: one {!Comm_plan.receivers}
+     walk over its task's successor row, pushed on the walk stack.  They
+     are the entries [lo] (returned) to [w_top − 1]; the caller pops
+     them with [w_top <- lo] once its loop is done. *)
+  let walk eng rid =
+    let task = rid / eng.kk and lo = eng.w_top in
+    let s0 = eng.succ_off.(task) and s1 = eng.succ_off.(task + 1) in
+    let need = lo + ((s1 - s0) * eng.w_row) in
+    if need > Array.length eng.w_idx then begin
+      let len = max need (2 * Array.length eng.w_idx) in
+      eng.w_idx <- grown eng.w_idx len 0;
+      eng.w_dst <- grown eng.w_dst len 0
+    end;
+    eng.w_top <-
+      Comm_plan.receivers eng.plan ~eps:eng.eps eng.succ_edges ~lo:s0 ~hi:s1
+        ~src:(rid mod eng.kk) ~idx:eng.w_idx ~dsts:eng.w_dst ~at:lo;
+    lo
 
   (* Has the arrival keyed [(at, seq)] been delivered?  Keys at or below
      the delivered high-water mark have been. *)
@@ -298,22 +308,26 @@ module Engine = struct
   (* Losing a replica cascades: every plan receiver and runtime
      subscriber loses one potential sender. *)
   let rec lose eng rid =
-    let tm = eng.tm in
     let tg = eng.tag.(rid) in
     if tg = t_waiting || tg = t_running then begin
       eng.tag.(rid) <- t_lost;
       log_loss eng rid;
       Queue.add eng.proc.(rid) eng.dirty;
-      if static_row tm rid then begin
+      if static_row eng rid then begin
         (* As of now, a lost replica has only the arrivals already
            delivered; forget the folded ones still in flight. *)
         if eng.fold then
           for slot = eng.slot_off.(rid) to eng.slot_off.(rid + 1) - 1 do
             if not (slot_delivered eng slot) then eng.sat.(slot) <- infinity
           done;
-        for i = tm.em_off.(rid) to tm.em_off.(rid + 1) - 1 do
-          drop_sender eng tm.em_rid.(i) tm.em_slot.(i)
-        done
+        let lo = walk eng rid in
+        for i = lo to eng.w_top - 1 do
+          let j = eng.w_idx.(i) in
+          let drid = (eng.succ_tasks.(j) * eng.kk) + eng.w_dst.(i) in
+          drop_sender eng drid
+            (eng.slot_off.(drid) + eng.in_pos.(eng.succ_edges.(j)))
+        done;
+        eng.w_top <- lo
       end;
       List.iter
         (fun sub -> drop_sender eng sub.sub_rid sub.sub_slot)
@@ -331,7 +345,6 @@ module Engine = struct
     end
 
   let try_advance eng p =
-    let tm = eng.tm in
     let continue_p = ref true in
     while !continue_p do
       if eng.q_head.(p) >= eng.q_tail.(p) then continue_p := false
@@ -358,7 +371,7 @@ module Engine = struct
           in
           let task = eng.key.(rid) lsr payload_bits in
           let start = Float.max inputs_ready eng.free_at.(p) in
-          let finish = start +. Instance.exec tm.t_inst task p in
+          let finish = start +. Instance.exec eng.inst task p in
           if start >= eng.fail_times.(p) || finish > eng.fail_times.(p)
           then begin
             lose eng rid;
@@ -412,125 +425,58 @@ module Engine = struct
           invalid_arg "Event_sim.run: outage names an unknown processor")
       faults.Scenario.outages
 
-  let template ?release s =
-    let inst = Schedule.instance s in
-    let g = Instance.dag inst in
-    let pl = Instance.platform inst in
-    let eps = Schedule.eps s in
-    let plan = Schedule.comm s in
-    let v = Dag.n_tasks g and m = Instance.n_procs inst in
-    validate_release ~m release;
-    check_tasks v;
-    let kk = eps + 1 in
-    let n_static = v * kk in
-    let ne = Dag.n_edges g in
-    let pred_off = Dag.Csr.pred_offsets g and pred_edges = Dag.Csr.pred_edges g in
-    let succ_off = Dag.Csr.succ_offsets g and succ_edges = Dag.Csr.succ_edges g in
-    let succ_tasks = Dag.Csr.succ_tasks g in
-    (* An input is addressed by its position in the task's predecessor
-       row (the engine's position contract); [pos_of_edge] is the
-       inverse edge -> position map. *)
-    let pos_of_edge = Array.make ne 0 in
-    for t = 0 to v - 1 do
-      for k = pred_off.(t) to pred_off.(t + 1) - 1 do
-        pos_of_edge.(pred_edges.(k)) <- k - pred_off.(t)
-      done
-    done;
-    let slot_off = Array.make (n_static + 1) 0 in
-    for t = 0 to v - 1 do
-      let nt = Dag.in_degree g t in
-      for k = 0 to kk - 1 do
-        let rid = (t * kk) + k in
-        slot_off.(rid + 1) <- slot_off.(rid) + nt
-      done
-    done;
-    let proc0 =
-      Array.init n_static (fun rid ->
-          (Schedule.replica s (rid / kk) (rid mod kk)).Schedule.proc)
-    in
-    (* One walk of every edge's plan pairs counts the pristine pending
-       senders, one per retained pair, and each source replica's
-       emissions, at [em_off.(rid + 1)]. *)
-    let pend0 = Array.make (ne * kk) 0 in
-    let em_off = Array.make (n_static + 1) 0 in
-    let pred_tasks = Dag.Csr.pred_tasks g in
-    let ps = Array.make (Comm_plan.widest plan ~eps) 0 in
-    let pd = Array.make (Array.length ps) 0 in
-    for t = 0 to v - 1 do
-      for k = pred_off.(t) to pred_off.(t + 1) - 1 do
-        let pos = k - pred_off.(t) and src0 = pred_tasks.(k) * kk in
-        let n = Comm_plan.pairs plan ~eps pred_edges.(k) ~srcs:ps ~dsts:pd in
-        for i = 0 to n - 1 do
-          let slot = slot_off.((t * kk) + pd.(i)) + pos in
-          pend0.(slot) <- pend0.(slot) + 1;
-          em_off.(src0 + ps.(i) + 1) <- em_off.(src0 + ps.(i) + 1) + 1
-        done
-      done
-    done;
-    (* plan emission CSR: offsets, then a fill iterating tasks, then
-       out-edges, then plan pairs — exactly the legacy emission order *)
-    for rid = 0 to n_static - 1 do
-      em_off.(rid + 1) <- em_off.(rid) + em_off.(rid + 1)
-    done;
-    let n_em = em_off.(n_static) in
-    let em_rid = Array.make n_em 0 in
-    let em_slot = Array.make n_em 0 in
-    let cursor = Array.copy em_off in
-    for t = 0 to v - 1 do
-      for k = succ_off.(t) to succ_off.(t + 1) - 1 do
-        let e = succ_edges.(k) and dst = succ_tasks.(k) in
-        let pos = pos_of_edge.(e) in
-        for j = 0 to Comm_plan.pairs plan ~eps e ~srcs:ps ~dsts:pd - 1 do
-          let rid = (t * kk) + ps.(j) in
-          let i = cursor.(rid) in
-          cursor.(rid) <- i + 1;
-          let drid = (dst * kk) + pd.(j) in
-          em_rid.(i) <- drid;
-          em_slot.(i) <- slot_off.(drid) + pos
-        done
-      done
-    done;
-    let q0 =
-      Array.init m (fun p ->
-          Array.map
-            (fun (r : Schedule.replica) -> (r.task * kk) + r.index)
-            (Schedule.timeline s p))
-    in
-    {
-      t_s = s;
-      t_release = release;
-      t_g = g;
-      t_pl = pl;
-      t_inst = inst;
-      t_eps = eps;
-      t_v = v;
-      t_m = m;
-      t_k = kk;
-      t_nstatic = n_static;
-      slot_off; pend0; proc0;
-      key0 =
-        Array.init n_static (fun rid ->
-            key_of ~task:(rid / kk) ~rep:(rid mod kk));
-      em_off; em_rid; em_slot;
-      pred_off; pred_vol = Dag.Csr.pred_volumes g;
-      q0;
-    }
-
-  let grown a len fill =
-    let b = Array.make len fill in
-    Array.blit a 0 b 0 (Array.length a);
-    b
-
   (* Slot capacity for [n] slots: an eighth more, so the first injections
      of a recovery append in place instead of copying every static
      slot. *)
   let with_headroom n = n + max 64 (n / 8)
 
-  let of_template ?(network = Contention_free) ?(faults = Scenario.reliable)
-      tm ~fail_times =
-    let m = tm.t_m in
+  let create ?(network = Contention_free) ?(faults = Scenario.reliable) ?release
+      s ~fail_times =
+    let inst = Schedule.instance s in
+    let g = Instance.dag inst in
+    let m = Instance.n_procs inst in
     validate_fail_times ~m fail_times;
+    validate_release ~m release;
     validate_faults ~m faults;
+    let eps = Schedule.eps s and plan = Schedule.comm s in
+    let v = Dag.n_tasks g in
+    check_tasks v;
+    let kk = eps + 1 in
+    let n_static = v * kk in
+    let pred_off = Dag.Csr.pred_offsets g and pred_edges = Dag.Csr.pred_edges g in
+    (* An input is addressed by its position in the task's predecessor
+       row (the engine's position contract); [in_pos] is the inverse
+       edge -> position map. *)
+    let in_pos = Array.make (Dag.n_edges g) 0 in
+    for t = 0 to v - 1 do
+      for k = pred_off.(t) to pred_off.(t + 1) - 1 do
+        in_pos.(pred_edges.(k)) <- k - pred_off.(t)
+      done
+    done;
+    let slot_off = Array.make (n_static + 1) 0 in
+    for t = 0 to v - 1 do
+      let nt = pred_off.(t + 1) - pred_off.(t) in
+      for k = 0 to kk - 1 do
+        let rid = (t * kk) + k in
+        slot_off.(rid + 1) <- slot_off.(rid) + nt
+      done
+    done;
+    (* One walk of every edge's plan pairs counts the pending senders of
+       each input slot, one per retained pair. *)
+    let n_slots = slot_off.(n_static) in
+    let pend = Array.make (with_headroom n_slots) 0 in
+    let w = Comm_plan.widest plan ~eps in
+    let ps = Array.make w 0 and pd = Array.make w 0 in
+    for t = 0 to v - 1 do
+      for k = pred_off.(t) to pred_off.(t + 1) - 1 do
+        let pos = k - pred_off.(t) in
+        let n = Comm_plan.pairs plan ~eps pred_edges.(k) ~srcs:ps ~dsts:pd in
+        for i = 0 to n - 1 do
+          let slot = slot_off.((t * kk) + pd.(i)) + pos in
+          pend.(slot) <- pend.(slot) + 1
+        done
+      done
+    done;
     (* Outgoing-port free instants per processor (empty = contention-free).
        Messages grab the earliest-free port FIFO in production order. *)
     let make_ports k =
@@ -548,49 +494,68 @@ module Engine = struct
       | Contention_free | Sender_ports _ -> [||]
       | Duplex_ports k -> make_ports k
     in
-    let n_slots = Array.length tm.pend0 in
-    let unsat =
-      Array.init tm.t_nstatic (fun rid ->
-          tm.slot_off.(rid + 1) - tm.slot_off.(rid))
+    let q_buf =
+      Array.init m (fun p ->
+          Array.map
+            (fun (r : Schedule.replica) -> (r.task * kk) + r.index)
+            (Schedule.timeline s p))
     in
     let eng =
       {
-        tm; network; faults;
+        g;
+        pl = Instance.platform inst;
+        inst; plan; eps; kk; n_static;
+        pred_off;
+        pred_vol = Dag.Csr.pred_volumes g;
+        succ_off = Dag.Csr.succ_offsets g;
+        succ_edges = Dag.Csr.succ_edges g;
+        succ_tasks = Dag.Csr.succ_tasks g;
+        in_pos;
+        w_row = w;
+        w_idx = [||];
+        w_dst = [||];
+        w_top = 0;
+        network; faults;
         frng = Rng.create ~seed:faults.Scenario.seed;
         fault_free = Scenario.is_reliable faults;
         retransmissions = 0;
         lost_messages = 0;
         fail_times;
-        n_rows = tm.t_nstatic;
-        tag = Array.make tm.t_nstatic t_waiting;
-        st_start = Array.make tm.t_nstatic 0.;
-        st_finish = Array.make tm.t_nstatic 0.;
-        unsat;
-        subs = Array.make tm.t_nstatic [];
-        proc = Array.copy tm.proc0;
-        key = Array.copy tm.key0;
-        slot_off = Array.copy tm.slot_off;
+        n_rows = n_static;
+        tag = Array.make n_static t_waiting;
+        st_start = Array.make n_static 0.;
+        st_finish = Array.make n_static 0.;
+        unsat =
+          Array.init n_static (fun rid -> slot_off.(rid + 1) - slot_off.(rid));
+        subs = Array.make n_static [];
+        proc =
+          Array.init n_static (fun rid ->
+              (Schedule.replica s (rid / kk) (rid mod kk)).Schedule.proc);
+        key =
+          Array.init n_static (fun rid ->
+              key_of ~task:(rid / kk) ~rep:(rid mod kk));
+        slot_off;
         sat = Array.make (with_headroom n_slots) infinity;
-        pend = grown tm.pend0 (with_headroom n_slots) 0;
-        extra = Array.make tm.t_v [||];
-        q_buf = Array.map Array.copy tm.q0;
+        pend;
+        extra = Array.make v [||];
+        q_buf;
         q_head = Array.make m 0;
-        q_tail = Array.map Array.length tm.q0;
+        q_tail = Array.map Array.length q_buf;
         (* Residual occupancy: the processor is busy with foreign work
            until its release instant and cannot start replicas before. *)
         free_at =
-          (match tm.t_release with
+          (match release with
           | Some r -> Array.copy r
           | None -> Array.make m 0.);
         ports; recv_ports;
-        heap = Heap.create ~capacity:(max 64 tm.t_nstatic) ();
+        heap = Heap.create ~capacity:(max 64 n_static) ();
         seq = 0;
         events = 0;
         pops = 0;
         dirty = Queue.create ();
         now = 0.;
         fold = network = Contention_free && Scenario.is_reliable faults;
-        rdy = Array.make tm.t_nstatic (-1);
+        rdy = Array.make n_static (-1);
         hi_at = neg_infinity;
         hi_seq = 0;
         vmax_at = neg_infinity;
@@ -606,15 +571,6 @@ module Engine = struct
       drain_dirty eng
     done;
     eng
-
-  let create ?network ?faults ?release s ~fail_times =
-    (* Validate in the legacy order (fail_times before release/faults) so
-       error reporting is unchanged. *)
-    let m = Instance.n_procs (Schedule.instance s) in
-    validate_fail_times ~m fail_times;
-    validate_release ~m release;
-    (match faults with Some f -> validate_faults ~m f | None -> ());
-    of_template ?network ?faults (template ?release s) ~fail_times
 
   (* One message to deliver, to input [slot] of row [rid]. *)
   let arrival_event eng at rid slot =
@@ -680,7 +636,7 @@ module Engine = struct
      modules compiled with [-opaque] that call returns a boxed float. *)
   let emit eng ~src_proc ~finish rid slot vol =
     let dproc = eng.proc.(rid) in
-    let w = vol *. (Platform.delay_row eng.tm.t_pl src_proc).(dproc) in
+    let w = vol *. (Platform.delay_row eng.pl src_proc).(dproc) in
     if w = 0. then arrival_event eng (finish +. w) rid slot
     else
       match eng.network with
@@ -710,24 +666,16 @@ module Engine = struct
             (* transfer cut off by the sender's death *)
             drop_sender eng rid slot
 
-  (* The message-free path's emission: plan message [i] arrives at
-     [finish + w], fixed now.  It takes the sequence number its arrival
-     event would have taken and counts as processed; its slot keeps the
-     earliest arrival (first copy wins), and the receiver gets one ready
-     event once every input has an arrival. *)
-  (* Plan message [i]'s destination input as a predecessor-CSR position,
-     where its volume is: an index, so reading the volume boxes no
-     float. *)
-  let em_input tm i =
-    let drid = tm.em_rid.(i) in
-    tm.pred_off.(drid / tm.t_k) + tm.em_slot.(i) - tm.slot_off.(drid)
-
-  let fold_arrival eng ~src_proc ~finish i =
-    let tm = eng.tm in
-    let drid = tm.em_rid.(i) in
+  (* The message-free path's emission: a plan message to input [slot]
+     of row [drid] arrives at [finish + w], fixed now.  It takes the
+     sequence number its arrival event would have taken and counts as
+     processed; its slot keeps the earliest arrival (first copy wins),
+     and the receiver gets one ready event once every input has an
+     arrival.  [vi] is the input's predecessor-CSR index, where its
+     volume is: an index, so reading the volume boxes no float. *)
+  let fold_arrival eng ~src_proc ~finish drid slot vi =
     let w =
-      tm.pred_vol.(em_input tm i)
-      *. (Platform.delay_row tm.t_pl src_proc).(eng.proc.(drid))
+      eng.pred_vol.(vi) *. (Platform.delay_row eng.pl src_proc).(eng.proc.(drid))
     in
     let at = finish +. w in
     eng.seq <- eng.seq + 1;
@@ -737,7 +685,6 @@ module Engine = struct
       eng.vmax_seq <- eng.seq
     end;
     if eng.tag.(drid) = t_waiting then begin
-      let slot = tm.em_slot.(i) in
       if eng.sat.(slot) = infinity then begin
         eng.sat.(slot) <- at;
         eng.pend.(slot) <- eng.seq;
@@ -759,15 +706,22 @@ module Engine = struct
      of a retroactive one are arrival events, counted here like the
      folded ones. *)
   let emit_completions eng ~src_proc ~finish ~retro rid =
-    let tm = eng.tm in
-    if static_row tm rid then
-      for i = tm.em_off.(rid) to tm.em_off.(rid + 1) - 1 do
-        if eng.fold && not retro then fold_arrival eng ~src_proc ~finish i
+    if static_row eng rid then begin
+      let lo = walk eng rid in
+      for i = lo to eng.w_top - 1 do
+        let j = eng.w_idx.(i) in
+        let dst = eng.succ_tasks.(j) and pos = eng.in_pos.(eng.succ_edges.(j)) in
+        let drid = (dst * eng.kk) + eng.w_dst.(i) in
+        let slot = eng.slot_off.(drid) + pos and vi = eng.pred_off.(dst) + pos in
+        if eng.fold && not retro then
+          fold_arrival eng ~src_proc ~finish drid slot vi
         else begin
           if eng.fold then eng.events <- eng.events + 1;
-          emit eng ~src_proc ~finish tm.em_rid.(i) tm.em_slot.(i) tm.pred_vol.(em_input tm i)
+          emit eng ~src_proc ~finish drid slot eng.pred_vol.(vi)
         end
       done;
+      eng.w_top <- lo
+    end;
     List.iter
       (fun sub ->
         emit eng ~src_proc ~finish sub.sub_rid sub.sub_slot sub.sub_vol)
@@ -872,7 +826,7 @@ module Engine = struct
   let now eng = eng.now
   let events_processed eng = eng.events
   let heap_pops eng = eng.pops
-  let n_replicas eng task = eng.tm.t_k + Array.length eng.extra.(task)
+  let n_replicas eng task = eng.kk + Array.length eng.extra.(task)
 
   let replica_state eng ~task ~rep =
     let rid = rid_of eng task rep in
@@ -973,16 +927,15 @@ module Engine = struct
     end
 
   let inject eng ~task ~proc ~inputs =
-    let tm = eng.tm in
-    if task < 0 || task >= tm.t_v then
+    if task < 0 || task >= Array.length eng.extra then
       invalid_arg "Event_sim.Engine.inject: task";
-    if proc < 0 || proc >= tm.t_m then
+    if proc < 0 || proc >= Array.length eng.free_at then
       invalid_arg "Event_sim.Engine.inject: proc";
-    let pbase = (Dag.Csr.pred_offsets tm.t_g).(task) in
-    let net = Dag.in_degree tm.t_g task in
+    let pbase = eng.pred_off.(task) in
+    let net = eng.pred_off.(task + 1) - pbase in
     if Array.length inputs <> net then
       invalid_arg "Event_sim.Engine.inject: one source list per in-edge";
-    let k = tm.t_k + Array.length eng.extra.(task) in
+    let k = eng.kk + Array.length eng.extra.(task) in
     check_replica k;
     reserve eng net;
     let rid = eng.n_rows in
@@ -995,8 +948,8 @@ module Engine = struct
       (fun pos sources ->
         if sources = [] then
           invalid_arg "Event_sim.Engine.inject: input with no source";
-        let esrc = (Dag.Csr.pred_tasks tm.t_g).(pbase + pos) in
-        let vol = (Dag.Csr.pred_volumes tm.t_g).(pbase + pos) in
+        let esrc = (Dag.Csr.pred_tasks eng.g).(pbase + pos) in
+        let vol = eng.pred_vol.(pbase + pos) in
         List.iter
           (function
             | Resend { arrival } ->
@@ -1050,9 +1003,8 @@ module Engine = struct
      run; report it as lost.  (After [drain] no replica is [Running]: a
      running replica always has a pending completion event.) *)
   let result eng =
-    let tm = eng.tm in
     let outcomes =
-      Array.init tm.t_v (fun t ->
+      Array.init (Array.length eng.extra) (fun t ->
           Array.init (n_replicas eng t) (fun k ->
               let rid = rid_of eng t k in
               if eng.tag.(rid) = t_done then
@@ -1071,7 +1023,7 @@ module Engine = struct
         Some
           (Array.fold_left
              (fun acc e -> Float.max acc (earliest_finish outcomes.(e)))
-             0. (Dag.exits tm.t_g))
+             0. (Dag.exits eng.g))
     in
     {
       latency;

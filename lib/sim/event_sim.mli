@@ -150,33 +150,33 @@ module Engine : sig
       [Invalid_argument] on a malformed [fail_times]/[release] length, a
       NaN fail time, a negative/NaN/infinite release entry, a loss
       probability outside [[0, 1]], negative retries, or an outage naming
-      a processor the platform does not have. *)
+      a processor the platform does not have.
 
-  type template
-  (** The fail-time-independent part of an engine for one
-      [(schedule, release)] pair: input/emission tables unrolled from the
-      DAG and one walk of each edge's plan pairs, in row order (the
-      all-to-all plan's by arithmetic), pristine pending-sender counts and
-      planned per-processor queues.  Immutable and shareable — building
-      one costs the full analysis, forking engines from it only copies
-      the mutable state. *)
+      {b Cost.}  [create] reads the schedule directly: it sizes one input
+      slot per (static replica, in-edge), counts each slot's pending
+      senders with one {!Ftsched_schedule.Comm_plan.pairs} walk per edge
+      (under all-to-all by arithmetic), and copies each processor's
+      planned order.  That is O(v·(ε+1) + e·(ε+1)²) time and
+      O(v·(ε+1) + e·(ε+1)) words, with nothing kept per plan message:
+      who sends to whom is asked of the plan when a sender completes or
+      is lost.
 
-  val template :
-    ?release:float array -> Ftsched_schedule.Schedule.t -> template
-  (** Prepare the shared tables.  Raises [Invalid_argument] on a
-      malformed [release] (same checks as {!create}). *)
+      {b Emission order.}  When static replica [k] of task [t] completes
+      (or is lost), one {!Ftsched_schedule.Comm_plan.receivers} walk over
+      [t]'s successor row lists its receivers: out-edges in successor-row
+      order, then, per edge, the plan row's pairs with source replica
+      [k] in row order (under all-to-all the destination replicas
+      [0 … ε]).  Messages take sequence numbers in that order, which the
+      replay digests of a redundant plan (one source feeding two
+      destinations) pin.  The walks nest — a loss cascading from inside
+      one walks again — and each walk's output lives on a stack the
+      engine owns until its loop ends.
 
-  val of_template :
-    ?network:network_model ->
-    ?faults:Scenario.comm_faults ->
-    template ->
-    fail_times:float array ->
-    t
-  (** Fork a fresh engine from the shared tables.
-      [of_template (template ?release s) ~fail_times] is equivalent to
-      [create ?release s ~fail_times] — bit for bit.  The stream
-      runtime's shadow-plan loop forks one template once per candidate
-      crash instead of re-deriving the tables [m] times. *)
+      {b Plan indices.}  The replay reads the plan's replica indices
+      arithmetically (receiver row = destination task × (ε+1) + index),
+      so it requires every index in [0 … ε];
+      {!Ftsched_schedule.Validate.check} reports a plan that breaks this,
+      the replay does not. *)
 
   val advance_until : t -> float -> unit
   (** Process every pending event with timestamp [<= horizon]; virtual
@@ -270,7 +270,7 @@ module Private : sig
 
   val check_tasks : int -> unit
   (** Raises [Invalid_argument] when that many tasks do not fit the
-      encoding (at [2^payload_bits]); {!Engine.template} calls it. *)
+      encoding (at [2^payload_bits]); {!Engine.create} calls it. *)
 
   val check_replica : int -> unit
   (** Raises [Invalid_argument] when that replica index does not fit

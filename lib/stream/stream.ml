@@ -328,13 +328,11 @@ let run_trace ?(config = default_config) ~seed () =
   let outages = gen_outages chaos_rng ~m:c.m ~chaos:c.chaos ~horizon in
   let arrivals = poisson_times arrivals_rng ~rate:c.rate ~horizon:c.duration in
   let ctrl = Admission.create ~m:c.m ~capacity:c.capacity in
-  (* Warm-start arenas, owned by this trace: jobs run sequentially within
+  (* Warm-start arena, owned by this trace: jobs run sequentially within
      a trace (campaign parallelism is across traces), so one scheduling
      workspace serves the isolated-makespan probe and the whole admission
-     ladder, and one recovery workspace carries the engine template from
-     the shadow-plan loop to the final execution of each admitted job. *)
+     ladder. *)
   let sched_ws = Driver.workspace () in
-  let rec_ws = Recovery.workspace () in
   let run_job idx arrival =
     let job_seed = base + 100 + (13 * idx) in
     let job_rng = Rng.create ~seed:job_seed in
@@ -413,7 +411,9 @@ let run_trace ?(config = default_config) ~seed () =
         (* Shadow plans: one precomputed single-processor-loss recovery
            per processor the plan uses, computed before any failure.  An
            entry is usable only if the precomputed reaction completes
-           the whole job. *)
+           the whole job.  Each run builds its own engine from the plan:
+           the engine keeps no per-message table, so there is nothing to
+           share between the runs. *)
         let shadow_entries =
           if not c.shadow then []
           else
@@ -422,8 +422,7 @@ let run_trace ?(config = default_config) ~seed () =
                 let ft = Array.make c.m infinity in
                 ft.(p) <- 0.;
                 let o =
-                  Recovery.run ~release ~delta:0. ~workspace:rec_ws s
-                    ~fail_times:ft
+                  Recovery.run ~release ~delta:0. s ~fail_times:ft
                 in
                 o.Recovery.degraded.Metrics.complete)
               used
@@ -456,8 +455,7 @@ let run_trace ?(config = default_config) ~seed () =
               match status with Shadow_stale -> c.delta | _ -> 0.
             in
             let o =
-              Recovery.run ~faults ~release ~delta ~workspace:rec_ws s
-                ~fail_times
+              Recovery.run ~faults ~release ~delta s ~fail_times
             in
             (status, o.Recovery.result.Event_sim.latency, o.Recovery.degraded)
           end

@@ -31,19 +31,7 @@ type outcome = Recovery.outcome = {
   detected_failures : int;
 }
 
-(* Warm-start cache for repeated runs over the same schedule: the
-   engine's fail-time-independent template (CSR tables, pristine queues).
-   Keyed by physical equality on the schedule — the shadow-plan loop of
-   the streaming runtime calls [run] once per candidate crash with the
-   same plan, and pays the table derivation once instead of [m] times. *)
-type workspace = {
-  mutable w_tmpl : (Schedule.t * float array option * Engine.template) option;
-}
-
-let workspace () = { w_tmpl = None }
-
-let run ?network ?faults ?release ?(delta = 0.) ?rounds ?workspace s ~fail_times
-    =
+let run ?network ?faults ?release ?(delta = 0.) ?rounds s ~fail_times =
   let inst = Schedule.instance s in
   let g = Instance.dag inst in
   let pl = Instance.platform inst in
@@ -59,20 +47,7 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds ?workspace s ~fail_times
     | None -> m
   in
   let det = Detector.create ~fail_times ~delta in
-  let eng =
-    match workspace with
-    | None -> Engine.create ?network ?faults ?release s ~fail_times
-    | Some w ->
-        let tmpl =
-          match w.w_tmpl with
-          | Some (cs, crel, t) when cs == s && crel = release -> t
-          | _ ->
-              let t = Engine.template ?release s in
-              w.w_tmpl <- Some (s, release, t);
-              t
-        in
-        Engine.of_template ?network ?faults tmpl ~fail_times
-  in
+  let eng = Engine.create ?network ?faults ?release s ~fail_times in
   (* in-edge [pos] of [task] is row entry [pred_off.(task) + pos] *)
   let pred_off = Dag.Csr.pred_offsets g in
   let pred_edges = Dag.Csr.pred_edges g and pred_tasks = Dag.Csr.pred_tasks g in
@@ -313,7 +288,7 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds ?workspace s ~fail_times
     detected_failures = Detector.n_failures det;
   }
 
-let run_timed ?network ?faults ?release ?delta ?rounds ?workspace s timed =
+let run_timed ?network ?faults ?release ?delta ?rounds s timed =
   let m = Instance.n_procs (Schedule.instance s) in
   let fail_times = Array.make m infinity in
   List.iter
@@ -321,4 +296,4 @@ let run_timed ?network ?faults ?release ?delta ?rounds ?workspace s timed =
       if proc < 0 || proc >= m then invalid_arg "Recovery.run_timed";
       fail_times.(proc) <- Float.min fail_times.(proc) at)
     timed;
-  run ?network ?faults ?release ?delta ?rounds ?workspace s ~fail_times
+  run ?network ?faults ?release ?delta ?rounds s ~fail_times

@@ -23,19 +23,12 @@ type outcome = Ftsched_recovery.Recovery.outcome = {
   detected_failures : int;
 }
 
-type workspace
-(** The reference's own warm-start cache (same contract as
-    {!Ftsched_recovery.Recovery.workspace}). *)
-
-val workspace : unit -> workspace
-
 val run :
   ?network:Event_sim.network_model ->
   ?faults:Scenario.comm_faults ->
   ?release:float array ->
   ?delta:float ->
   ?rounds:int ->
-  ?workspace:workspace ->
   Ftsched_schedule.Schedule.t ->
   fail_times:float array ->
   outcome
@@ -48,7 +41,6 @@ val run_timed :
   ?release:float array ->
   ?delta:float ->
   ?rounds:int ->
-  ?workspace:workspace ->
   Ftsched_schedule.Schedule.t ->
   Scenario.timed list ->
   outcome

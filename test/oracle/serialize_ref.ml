@@ -6,8 +6,9 @@
    {!Ftsched_schedule.Serialize} must emit the same bytes and give the
    same outcome — the same document, or the same exception and message —
    on every input; [test_schedule] and the scale oracle compare the two.
-   The only change since it was frozen: parse errors name the line that
-   was read rather than the one after it.  Keep this file frozen;
+   The only changes since it was frozen: parse errors name the line that
+   was read rather than the one after it, and a second [pairs] line for
+   one edge fails at its line.  Keep this file frozen;
    behavioural changes belong in {!Ftsched_schedule.Serialize}. *)
 
 module Dag = Ftsched_dag.Dag
@@ -296,12 +297,14 @@ let schedule_of_string s =
     | [ "comm"; "all" ] -> Comm_plan.all_to_all
     | [ "comm"; "selected" ] ->
         let e = Dag.n_edges (Instance.dag inst) in
-        let sel = Array.make e [] in
+        let sel = Array.make e [] and seen = Array.make e false in
         for _ = 1 to e do
           match words (next cur) with
           | "pairs" :: idx :: body ->
               let idx = int_of_word cur idx in
               if idx < 0 || idx >= e then fail cur "pairs edge out of range";
+              if seen.(idx) then fail cur "pairs edge %d repeated" idx;
+              seen.(idx) <- true;
               sel.(idx) <-
                 List.map
                   (fun w ->

@@ -19,9 +19,8 @@
    - the flat [Event_sim] against the reference engine, fault-free and
      with one crash of the busiest processor at a quarter of M*;
    - the whole [Recovery] outcome from the benchmarks' three timed
-     crashes with delta = 0.02 M*, pinned bit for bit, cold and with a
-     warm workspace, and equal to the frozen list-based controller's
-     ([Recovery_ref]), cold and warm;
+     crashes with delta = 0.02 M*, pinned bit for bit, and equal to the
+     frozen list-based controller's ([Recovery_ref]);
    - the heap pops of the fault-free FTSA replay, printed with the
      events it processes, at most a tenth of those on the layered graph;
    - the [Serialize] round trip of both plans;
@@ -304,8 +303,6 @@ let pinned_recovery =
     ("pegasus", "mc-ftsa", "149422edaa0727409fd7b8a0702259ff");
   ]
 
-(* Cold (no workspace) and warm (a workspace already holding the plan's
-   template) recovery runs must both hit the pin. *)
 let recovery_pinned name algo s =
   let want =
     List.find_map
@@ -315,29 +312,16 @@ let recovery_pinned name algo s =
   in
   let crashes = benchmark_crashes s in
   let delta = 0.02 *. Schedule.latency_lower_bound s in
-  let cold = recovery_digest (Recovery.run_timed ~delta s crashes) in
-  let workspace = Recovery.workspace () in
-  ignore (Recovery.run_timed ~delta ~workspace s crashes);
-  let warm = recovery_digest (Recovery.run_timed ~delta ~workspace s crashes) in
-  if cold <> want then Error (Printf.sprintf "cold digest %s, pinned %s" cold want)
-  else of_bool (Printf.sprintf "warm digest %s, pinned %s" warm want) (warm = want)
+  let got = recovery_digest (Recovery.run_timed ~delta s crashes) in
+  of_bool (Printf.sprintf "digest %s, pinned %s" got want) (got = want)
 
 (* The whole outcome of the same recovery run against the frozen
-   list-based controller, cold, and warm on each side's own workspace. *)
+   list-based controller. *)
 let recovery_races s =
   let crashes = benchmark_crashes s in
   let delta = 0.02 *. Schedule.latency_lower_bound s in
-  let cold = Recovery.run_timed ~delta s crashes in
-  if cold <> Recovery_ref.run_timed ~delta s crashes then
-    Error "cold outcome differs"
-  else
-    let workspace = Recovery.workspace () in
-    let ws_ref = Recovery_ref.workspace () in
-    ignore (Recovery.run_timed ~delta ~workspace s crashes);
-    ignore (Recovery_ref.run_timed ~delta ~workspace:ws_ref s crashes);
-    of_bool "warm outcome differs"
-      (Recovery.run_timed ~delta ~workspace s crashes
-      = Recovery_ref.run_timed ~delta ~workspace:ws_ref s crashes)
+  of_bool "outcome differs"
+    (Recovery.run_timed ~delta s crashes = Recovery_ref.run_timed ~delta s crashes)
 
 (* Heap pops of the fault-free FTSA replay.  The per-message engine
    popped one event per delivery and completion, 2,056,866 on the
@@ -448,9 +432,9 @@ let graph name generate =
       check (algo ^ ": schedule digest = pinned") (fun () ->
           digest_pinned name algo s);
       check (algo ^ ": flat Event_sim = reference") (fun () -> engines_agree s);
-      check (algo ^ ": Recovery = pinned, cold and warm") (fun () ->
+      check (algo ^ ": Recovery = pinned") (fun () ->
           recovery_pinned name algo s);
-      check (algo ^ ": Recovery = reference, cold and warm") (fun () ->
+      check (algo ^ ": Recovery = reference") (fun () ->
           recovery_races s);
       check (algo ^ ": serialize round trip") (fun () -> round_trips s);
       check (algo ^ ": codec = reference codec") (fun () -> codecs_agree s);

@@ -105,8 +105,6 @@ let test_nan_fail_time_rejected () =
        with Invalid_argument _ -> true)
   in
   rejects "Engine.create" (fun () -> Event_sim.Engine.create s ~fail_times);
-  rejects "Engine.of_template" (fun () ->
-      Event_sim.Engine.of_template (Event_sim.Engine.template s) ~fail_times);
   rejects "Event_sim.run" (fun () -> Event_sim.run s ~fail_times);
   rejects "Event_sim.run_timed" (fun () -> Event_sim.run_timed s timed);
   rejects "Recovery.run" (fun () -> Recovery.run s ~fail_times);
@@ -289,7 +287,7 @@ let prop_recovery_equals_reference =
 (* The same race over the rest of the controller's inputs, one variant
    per seed: lossy links, an outage window, residual occupancy
    ([release]), a small re-mapping budget, one-port and duplex
-   networks, and warm workspaces (each side's reused once before). *)
+   networks, and lossy links under one-port. *)
 let prop_recovery_equals_reference_variants =
   QCheck.Test.make ~name:"reference race: variant inputs"
     ~count:120
@@ -329,12 +327,9 @@ let prop_recovery_equals_reference_variants =
       | 4 -> race ~network:(Event_sim.Sender_ports 1) ()
       | 5 -> race ~network:(Event_sim.Duplex_ports 1) ()
       | _ ->
-          let ws = Recovery.workspace () in
-          let ws_ref = Recovery_ref.workspace () in
-          ignore (Recovery.run_timed ~workspace:ws ~delta s timed);
-          ignore (Recovery_ref.run_timed ~workspace:ws_ref ~delta s timed);
-          Recovery.run_timed ~workspace:ws ~delta s timed
-          = Recovery_ref.run_timed ~workspace:ws_ref ~delta s timed)
+          race ~network:(Event_sim.Sender_ports 1)
+            ~faults:(Scenario.lossy ~loss:0.2 ~retries:2 ~seed ())
+            ())
 
 (* The engine's message-free path (reliable, contention-free) against
    its per-message path on the same physics — zero loss plus an outage
@@ -438,46 +433,6 @@ let test_exponential_scenario () =
     timed;
   check_int "one entry per failing proc" 3 (List.length timed)
 
-(* Warm-start workspace: the template/DAG caches must be invisible —
-   identical outcomes versus the cold path while the workspace is reused
-   across fail patterns of one schedule, then across schedules, up to
-   the benchmark-size v=800, m=50, eps=2 layered FTSA schedule with one
-   processor failing at 30% of its fault-free horizon (the shadow-plan
-   candidates of a streaming job). *)
-let test_recovery_workspace_identical () =
-  let ws = Recovery.workspace () in
-  let same ?delta s ~fail_times =
-    let cold = Recovery.run ?delta s ~fail_times in
-    let warm = Recovery.run ?delta ~workspace:ws s ~fail_times in
-    check_bool "warm outcome = cold outcome" true (warm = cold)
-  in
-  List.iter
-    (fun seed ->
-      let inst = random_instance ~n_tasks:25 ~m:5 ~seed () in
-      let s = Ftsa.schedule ~seed inst ~eps:1 in
-      List.iter
-        (fun fail_times -> same ~delta:0.3 s ~fail_times)
-        [
-          [| infinity; infinity; infinity; infinity; infinity |];
-          [| 2.; infinity; infinity; 40.; infinity |];
-          [| 1.; 5.; infinity; infinity; 9. |];
-        ])
-    [ 11; 12 ];
-  let inst = layered_v800 () in
-  let s = Ftsa.schedule ~seed:2008 inst ~eps:2 in
-  let no_fail = Array.make (Instance.n_procs inst) infinity in
-  let horizon =
-    match (Event_sim.run s ~fail_times:no_fail).Event_sim.latency with
-    | Some l -> l
-    | None -> Alcotest.fail "fault-free run defeated"
-  in
-  List.iter
-    (fun p ->
-      let fail_times = Array.copy no_fail in
-      fail_times.(p) <- 0.3 *. horizon;
-      same s ~fail_times)
-    [ 0; 7; 23; 49 ]
-
 let () =
   Alcotest.run "recovery"
     [
@@ -518,8 +473,6 @@ let () =
           quick prop_recovery_message_free_equals_per_message;
           quick prop_recovery_equals_reference;
           quick prop_recovery_equals_reference_variants;
-          Alcotest.test_case "workspace reuse bit-identical" `Quick
-            test_recovery_workspace_identical;
         ] );
       ( "scenario-exponential",
         [ Alcotest.test_case "exponential generator" `Quick test_exponential_scenario ] );

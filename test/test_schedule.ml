@@ -54,7 +54,7 @@ let test_senders_to () =
     (senders Comm_plan.all_to_all ~eps:3 7 ~dst:2)
 
 (* Rows keep the order they were written in, empty rows stay empty, a
-   row written again is replaced, and the walks read exactly the rows. *)
+   row is written once, and the walks read exactly the rows. *)
 let test_builder_rows () =
   let b = Comm_plan.builder () in
   Comm_plan.clear b ~n_edges:3;
@@ -63,9 +63,10 @@ let test_builder_rows () =
   Comm_plan.push b ~src:0 ~dst:0;
   Comm_plan.push b ~src:1 ~dst:1;
   Comm_plan.start_row b 0;
-  Comm_plan.push b ~src:0 ~dst:1;
-  Comm_plan.start_row b 0;
   Comm_plan.push b ~src:1 ~dst:1;
+  Alcotest.check_raises "row written twice"
+    (Invalid_argument "Comm_plan.start_row: row written twice") (fun () ->
+      Comm_plan.start_row b 0);
   Alcotest.(check (list (pair int int))) "row 0 so far" [ (1, 1) ]
     (Comm_plan.row_list b 0);
   let plan = Comm_plan.build b in
@@ -75,7 +76,7 @@ let test_builder_rows () =
   check_bool "not 4" false (Comm_plan.fits plan ~n_edges:4);
   check_bool "all-to-all fits any" true
     (Comm_plan.fits Comm_plan.all_to_all ~n_edges:4);
-  Alcotest.(check (list (pair int int))) "replaced row" [ (1, 1) ]
+  Alcotest.(check (list (pair int int))) "row 0" [ (1, 1) ]
     (pairs_of plan ~eps:1 0);
   Alcotest.(check (list (pair int int))) "empty row" [] (pairs_of plan ~eps:1 1);
   Alcotest.(check (list (pair int int))) "row order kept"
@@ -95,6 +96,86 @@ let test_builder_rows () =
   Alcotest.check_raises "edge out of range"
     (Invalid_argument "Comm_plan.start_row: edge") (fun () ->
       Comm_plan.start_row b 3)
+
+(* [receivers] over a run of edges, against the list view: for each
+   edge in run order, the row's pairs with that source, in row order,
+   written from [at] on; under all-to-all the destinations 0 … eps. *)
+let receivers_match plan ~eps edges ~lo ~hi =
+  let w = (hi - lo) * Comm_plan.widest plan ~eps in
+  let at = 3 in
+  let idx = Array.make (at + w) (-1) and dsts = Array.make (at + w) (-1) in
+  List.for_all
+    (fun src ->
+      let n =
+        Comm_plan.receivers plan ~eps edges ~lo ~hi ~src ~idx ~dsts ~at
+      in
+      let got = List.init (n - at) (fun i -> (idx.(at + i), dsts.(at + i))) in
+      let want =
+        List.concat
+          (List.init (hi - lo) (fun i ->
+               let j = lo + i in
+               List.filter_map
+                 (fun p ->
+                   if p.Comm_plan.src_replica = src then
+                     Some (j, p.Comm_plan.dst_replica)
+                   else None)
+                 (Comm_plan.to_list plan ~eps edges.(j))))
+      in
+      got = want && idx.(at - 1) = -1)
+    (List.init (eps + 1) Fun.id)
+
+let test_receivers () =
+  let row l =
+    List.map (fun (s, d) -> { Comm_plan.src_replica = s; dst_replica = d }) l
+  in
+  (* redundant rows: one source feeding two destinations, out of index
+     order, and an empty row *)
+  let plan =
+    Comm_plan.of_lists
+      [| row [ (1, 2); (0, 0); (1, 0); (2, 1) ];
+         row [];
+         row [ (2, 2); (2, 0); (0, 1); (1, 1); (0, 2) ];
+         row [ (0, 0); (1, 1); (2, 2) ] |]
+  in
+  let edges = [| 3; 0; 2; 1; 2 |] in
+  check_bool "hand rows" true (receivers_match plan ~eps:2 edges ~lo:0 ~hi:5);
+  check_bool "a sub-run" true (receivers_match plan ~eps:2 edges ~lo:1 ~hi:3);
+  check_bool "an empty run" true (receivers_match plan ~eps:2 edges ~lo:2 ~hi:2);
+  let idx = Array.make 16 0 and dsts = Array.make 16 0 in
+  let n =
+    Comm_plan.receivers plan ~eps:2 edges ~lo:1 ~hi:3 ~src:1 ~idx ~dsts ~at:0
+  in
+  Alcotest.(check (list (pair int int))) "source 1: edge 0 row order, then edge 2"
+    [ (1, 2); (1, 0); (2, 1) ]
+    (List.init n (fun i -> (idx.(i), dsts.(i))));
+  let n =
+    Comm_plan.receivers Comm_plan.all_to_all ~eps:2 edges ~lo:0 ~hi:2 ~src:1
+      ~idx ~dsts ~at:0
+  in
+  Alcotest.(check (list (pair int int))) "all-to-all: 0 … eps per edge"
+    [ (0, 0); (0, 1); (0, 2); (1, 0); (1, 1); (1, 2) ]
+    (List.init n (fun i -> (idx.(i), dsts.(i))));
+  (* scheduled plans, over every task's successor row *)
+  for seed = 0 to 19 do
+    let inst = random_instance ~seed ~n_tasks:(4 + seed) ~m:(3 + (seed mod 3)) () in
+    let g = Instance.dag inst in
+    let eps = 1 + (seed mod 2) in
+    let off = Dag.Csr.succ_offsets g and edges = Dag.Csr.succ_edges g in
+    List.iter
+      (fun (name, plan) ->
+        for t = 0 to Dag.n_tasks g - 1 do
+          if not (receivers_match plan ~eps edges ~lo:off.(t) ~hi:off.(t + 1))
+          then Alcotest.failf "%s seed %d task %d" name seed t
+        done)
+      [
+        ("all-to-all", Comm_plan.all_to_all);
+        ("mc-ftsa", Schedule.comm (Ftsched_core.Mc_ftsa.schedule ~seed inst ~eps));
+        ( "mc-ftsa redundant 2",
+          Schedule.comm
+            (Ftsched_core.Mc_ftsa.schedule ~seed
+               ~strategy:(Ftsched_core.Mc_ftsa.Redundant 2) inst ~eps) );
+      ]
+  done
 
 let test_is_one_to_one () =
   let one pairs ~eps = one_to_one_pairs pairs ~eps in
@@ -533,6 +614,45 @@ let test_data_feasible_matches_ref () =
     (fun check -> check_bool (check ^ " exercised") true (Hashtbl.mem seen check))
     [ "negative-start"; "duration"; "senders"; "arrival-opt"; "arrival-pess" ]
 
+(* A plan pair naming a source replica above eps is a validation error,
+   not an exception: the seed-2008 paper instance's MC-FTSA eps = 1 plan
+   with a first row of [2:0] (which [Schedule.create] accepts; it only
+   counts rows). *)
+let test_validate_source_out_of_range () =
+  let inst =
+    Ftsched_exp.Workload.instance Ftsched_exp.Workload.paper ~master_seed:2008
+      ~granularity:1.0 ~index:0
+  in
+  let eps = 1 in
+  let s = Ftsched_core.Mc_ftsa.schedule ~seed:2008 inst ~eps in
+  let plan = Schedule.comm s in
+  let rows =
+    Array.init (Dag.n_edges (Instance.dag inst)) (fun e ->
+        if e = 0 then [ { Comm_plan.src_replica = 2; dst_replica = 0 } ]
+        else Comm_plan.to_list plan ~eps e)
+  in
+  let bad =
+    Schedule.create ~instance:inst ~eps
+      ~replicas:(Array.init (Instance.n_tasks inst) (Schedule.replicas s))
+      ~comm:(Comm_plan.of_lists rows)
+  in
+  match Validate.check bad with
+  | Ok () -> Alcotest.fail "an out-of-range source replica validated"
+  | Error errs ->
+      let src, _ = Dag.edge_endpoints (Instance.dag inst) 0 in
+      check_bool "replica-range error names edge 0" true
+        (List.mem
+           {
+             Validate.check = "replica-range";
+             detail =
+               Printf.sprintf
+                 "edge 0: source replica 2 of task %d does not exist (ε = 1)"
+                 src;
+           }
+           errs);
+      check_bool "one-to-one error" true
+        (List.exists (fun e -> e.Validate.check = "one-to-one") errs)
+
 (* The flat [Validate.robust_selection] against the frozen list-based
    one: the same errors, in the same order, on FTSA, MC-FTSA greedy,
    bottleneck and redundant-2 plans as scheduled, and on copies whose
@@ -879,6 +999,37 @@ let test_serialize_rejects_duplicate_edge () =
     | exception e -> Printexc.to_string e
     | _ -> "parsed")
 
+(* A second [pairs] line for one edge used to replace the first, leaving
+   the edge it displaced with an empty row.  Renaming the second line to
+   the first line's edge id fails at that line, in the codec and in the
+   frozen reference parser alike. *)
+let test_serialize_rejects_repeated_pairs_row () =
+  let doc =
+    Serialize.schedule_to_string
+      (Mc_ftsa.schedule ~seed:0 (tiny_instance ()) ~eps:1)
+  in
+  let lines = Array.of_list (String.split_on_char '\n' doc) in
+  let first = ref (-1) in
+  Array.iteri
+    (fun i l -> if !first < 0 && starts_with "pairs " l then first := i)
+    lines;
+  let n = !first + 2 in
+  let second = lines.(n - 1) in
+  check_bool "second pairs line names edge 1" true (starts_with "pairs 1 " second);
+  let dup =
+    replace_line n
+      (fun l -> "pairs 0" ^ String.sub l 7 (String.length l - 7))
+      doc
+  in
+  Alcotest.(check string) "repeated row"
+    (Printf.sprintf "line %d: pairs edge 0 repeated" n)
+    (parse_failure dup);
+  Alcotest.(check string) "reference parser" (parse_failure dup)
+    (match Ftsched_oracle.Serialize_ref.schedule_of_string dup with
+    | exception Failure msg -> msg
+    | exception e -> Printexc.to_string e
+    | _ -> "parsed")
+
 (* ---- regression: replica times must be finite -----------------------
    NaN compares false against everything, so [finish < start] let a NaN
    time through [Schedule.create]. *)
@@ -1138,6 +1289,7 @@ let () =
           Alcotest.test_case "all-to-all pairs" `Quick test_all_to_all_pairs;
           Alcotest.test_case "senders_to" `Quick test_senders_to;
           Alcotest.test_case "builder rows" `Quick test_builder_rows;
+          Alcotest.test_case "receivers walk" `Quick test_receivers;
           Alcotest.test_case "is_one_to_one" `Quick test_is_one_to_one;
           Alcotest.test_case "is_one_to_one edge cases" `Quick
             test_is_one_to_one_edge_cases;
@@ -1172,6 +1324,8 @@ let () =
             test_validate_unsorted_timeline;
           Alcotest.test_case "data feasibility equals the list oracle" `Quick
             test_data_feasible_matches_ref;
+          Alcotest.test_case "source replica out of range" `Quick
+            test_validate_source_out_of_range;
           Alcotest.test_case "robust selection equals the list oracle" `Quick
             test_robust_selection_matches_ref;
         ] );
@@ -1199,6 +1353,8 @@ let () =
           Alcotest.test_case "error lines" `Quick test_serialize_error_lines;
           Alcotest.test_case "rejects a duplicate edge" `Quick
             test_serialize_rejects_duplicate_edge;
+          Alcotest.test_case "rejects a repeated pairs row" `Quick
+            test_serialize_rejects_repeated_pairs_row;
           Alcotest.test_case "build allocation guard" `Quick
             test_build_allocation_guard;
           Alcotest.test_case "non-finite replica times" `Quick

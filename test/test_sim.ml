@@ -794,6 +794,120 @@ let prop_flat_engine_equals_reference =
           && Event_sim.run_crash s crash = Event_sim_ref.run_crash s crash)
         [ "ftsa"; "mc-ftsa"; "mc-redundant" ])
 
+(* Loss cascades nest the engine's receiver walks: a lost replica walks
+   its plan receivers, a receiver it starves is lost inside that walk
+   and walks its own, and under one port a completion's walk drops the
+   transfers its processor's crash cuts off.  Redundant-2 plans (one
+   source feeding two destinations), one port, the busiest processor
+   crashing at a tenth of M*, with and without lossy links: these runs
+   nest walks at least three deep (an engine whose third nested walk
+   overwrites the outer walks' receivers fails this race).  The flat
+   engine must agree with the reference bit for bit, and the cascades
+   must starve replicas on processors that never fail. *)
+let test_nested_walks_equal_reference () =
+  let starved = ref 0 in
+  for seed = 0 to 29 do
+    let m = 6 in
+    let inst = random_instance ~seed ~n_tasks:60 ~m () in
+    let s = plan "mc-redundant" ~seed inst ~eps:2 in
+    let busiest = ref 0 in
+    for p = 1 to m - 1 do
+      if Schedule.busy_time s p > Schedule.busy_time s !busiest then busiest := p
+    done;
+    let fail_times = Array.make m infinity in
+    fail_times.(!busiest) <- 0.1 *. Schedule.latency_lower_bound s;
+    let network = Event_sim.Sender_ports 1 in
+    let faults = Scenario.lossy ~loss:0.3 ~retries:1 ~seed () in
+    List.iter
+      (fun (what, faults) ->
+        let r = flat ~network ?faults s ~fail_times in
+        if r <> Event_sim_ref.run ~network ?faults s ~fail_times then
+          Alcotest.failf "seed %d %s: flat and reference engines disagree" seed
+            what;
+        Array.iteri
+          (fun t reps ->
+            Array.iteri
+              (fun k o ->
+                if o = Event_sim.Lost && Schedule.proc_of s t k <> !busiest then
+                  incr starved)
+              reps)
+          r.Event_sim.outcomes)
+      [ ("reliable", None); ("lossy", Some faults) ]
+  done;
+  check_bool "cascades starve replicas on live processors" true (!starved > 0)
+
+(* Words allocated per processed event by whole replays of the kernel
+   allocation guard's 1,000-task layered graph (m = 20, eps = 2; FTSA
+   and MC-FTSA at seed 1): fault-free and with the busiest processor
+   crashing at a quarter of M*, through [Event_sim.run], and that crash
+   through [Recovery.run_timed] with delta = 0.02 M*.  A count is minor
+   words plus words allocated directly in the major heap (the engine's
+   large arrays), after a minor collection so that every promoted word
+   was allocated inside the window.  It is deterministic: equal over
+   three runs in one domain and in each of two worker domains.
+
+   Pinned counts (words per run / events, parent → now):
+   - FTSA fault-free 753,523 → 314,992 / 183,810;
+   - FTSA one crash 751,099 → 312,568 / 172,029;
+   - FTSA recovery 752,485 → 313,954 / 172,029;
+   - MC-FTSA fault-free 504,329 → 305,906 / 63,270;
+   - MC-FTSA one crash 460,107 → 263,632 / 17,554;
+   - MC-FTSA recovery 1,442,076 → 1,244,905 / 34,181.
+   Each bound is the count plus 1,000 words per run, per event: under
+   one two-word block per completed replica (3,000 static replicas), so
+   an allocation per completion fails the guard.  A budget change goes
+   through CHANGES.md with its reason. *)
+let test_replay_allocation_guard () =
+  let module Recovery = Ftsched_recovery.Recovery in
+  let rng = Rng.create ~seed:2008 in
+  let dag = Generators.layered rng ~n_tasks:1000 () in
+  let platform = Platform.random rng ~m:20 ~delay_lo:0.5 ~delay_hi:1.0 () in
+  let inst = Instance.random_exec rng ~dag ~platform () in
+  let m = 20 in
+  let per_event run () =
+    Gc.minor ();
+    let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
+    let events = run () in
+    let _, promoted1, major1 = Gc.counters () and minor1 = Gc.minor_words () in
+    (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+    /. float_of_int events
+  in
+  let runs name s bounds =
+    let busiest = ref 0 in
+    for p = 1 to m - 1 do
+      if Schedule.busy_time s p > Schedule.busy_time s !busiest then busiest := p
+    done;
+    let mstar = Schedule.latency_lower_bound s in
+    let crash = { Scenario.proc = !busiest; at = 0.25 *. mstar } in
+    let events (r : Event_sim.result) = r.Event_sim.events_processed in
+    List.combine
+      [
+        ( name ^ " fault-free",
+          fun () -> events (Event_sim.run s ~fail_times:(Array.make m infinity)) );
+        (name ^ " one crash", fun () -> events (Event_sim.run_timed s [ crash ]));
+        ( name ^ " recovery",
+          fun () ->
+            events
+              (Recovery.run_timed ~delta:(0.02 *. mstar) s [ crash ]).Recovery.result
+        );
+      ]
+      bounds
+  in
+  List.iter
+    (fun ((name, run), bound) ->
+      let words = per_event run () in
+      let again = List.init 2 (fun _ -> per_event run ()) in
+      let parallel =
+        Ftsched_par.Par.parallel_map ~jobs:2 (fun () -> per_event run ()) [ (); () ]
+      in
+      List.iter
+        (fun w -> Alcotest.(check (float 0.)) (name ^ " words per event repeat") words w)
+        (again @ parallel);
+      if words > bound then
+        Alcotest.failf "%s: %.4f words per event, budget %.3f" name words bound)
+    (runs "ftsa" (Ftsa.schedule ~seed:1 inst ~eps:2) [ 1.719; 1.822; 1.830 ]
+    @ runs "mc-ftsa" (Mc_ftsa.schedule ~seed:1 inst ~eps:2) [ 4.850; 15.075; 36.450 ])
+
 (* The same differential at benchmark size: the v=800, m=50, eps=2
    layered FTSA and MC-FTSA schedules under the scenarios a streaming
    replay hits hardest — fault-free, one timed crash, loss plus an
@@ -1140,6 +1254,10 @@ let () =
       ( "engine-differential",
         [
           quick prop_flat_engine_equals_reference;
+          Alcotest.test_case "nested walks = reference" `Quick
+            test_nested_walks_equal_reference;
+          Alcotest.test_case "replay allocation guard" `Quick
+            test_replay_allocation_guard;
           Alcotest.test_case "v=800 layered = reference" `Quick
             test_flat_engine_equals_reference_v800;
           Alcotest.test_case "retroactive completions = reference" `Quick

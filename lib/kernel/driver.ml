@@ -13,6 +13,24 @@ type committed = {
   finish_pess : float;
 }
 
+(* The pruned evaluation's scratch, owned by the workspace: per task,
+   every predecessor replica's optimistic and pessimistic finish and
+   processor, gathered into flat columns ([off.(j)] is predecessor [j]'s
+   first column, [off.(n_preds)] the end), each predecessor's earliest
+   remote arrival [remote.(j)], the predecessors with the largest ones
+   ([top], descending by [remote]), and the platform's delay matrix
+   transposed, [delay_t.(p).(q) = d(q, p)].  The columns grow, never
+   shrink; [delay_t] is refilled per run. *)
+type columns = {
+  mutable c_fo : float array;
+  mutable c_fp : float array;
+  mutable c_proc : int array;
+  mutable c_off : int array;
+  mutable c_remote : float array;
+  c_top : int array;
+  mutable c_delay_t : float array array;
+}
+
 type state = {
   inst : Instance.t;
   rng : Rng.t;
@@ -35,6 +53,7 @@ type state = {
   edges : Edge_select.t;
   trace : Trace.t option;
   delay : float array array;
+  cols : columns;
   (* CSR adjacency of the instance's DAG (Dag.Csr), cached here so the
      per-task hot loops index flat arrays instead of walking freshly
      allocated predecessor/successor lists. *)
@@ -141,29 +160,6 @@ let best_by_key key ~n ~k out =
     end
   done
 
-(* One processor's equations (1)/(3), processor-major: for [p] it makes
-   the comparisons [prepare_inputs] makes, in the same order, so the
-   finishes are bit-identical to [eval_inputs]'. *)
-let eval_proc st t exec p =
-  let in_o = ref 0. and in_p = ref 0. in
-  for k = st.pred_off.(t) to st.pred_off.(t + 1) - 1 do
-    let vol = st.pred_vol.(k) in
-    let rs = replicas_of st st.pred_task.(k) in
-    let ao = ref infinity and ap = ref 0. in
-    for i = 0 to Array.length rs - 1 do
-      let c = rs.(i) in
-      let w = vol *. st.delay.(c.proc).(p) in
-      let o = c.finish_opt +. w and q = c.finish_pess +. w in
-      if o < !ao then ao := o;
-      if q > !ap then ap := q
-    done;
-    if !ao > !in_o then in_o := !ao;
-    if !ap > !in_p then in_p := !ap
-  done;
-  let e = exec.(p) in
-  st.fin_opt.(p) <- e +. Float.max !in_o st.ready_opt.(p);
-  st.fin_pess.(p) <- e +. Float.max !in_p st.ready_pess.(p)
-
 (* [keep_best best ~k ~n fin p] adds [fin.(p)] to the [n] smallest
    finishes so far, increasing in [best.(0 .. n-1)], cut to [k]; returns
    the new count.  It reads the finish by index so no float is boxed. *)
@@ -180,15 +176,89 @@ let keep_best (best : float array) ~k ~n (fin : float array) p =
   end
   else n
 
+(* One processor's equations (1)/(3) over the gathered columns of
+   [np] predecessors: for [p] it makes the comparisons [prepare_inputs]
+   makes, in the same order, on the same products [vol *. d(q, p)], so
+   the finishes are bit-identical to [eval_inputs']. *)
+let eval_columns st cols ~lo ~np exec p =
+  let fo = cols.c_fo and fp = cols.c_fp and procs = cols.c_proc in
+  let off = cols.c_off and d_to = cols.c_delay_t.(p) in
+  let in_o = ref 0. and in_p = ref 0. in
+  for j = 0 to np - 1 do
+    let vol = st.pred_vol.(lo + j) in
+    let ao = ref infinity and ap = ref 0. in
+    for c = off.(j) to off.(j + 1) - 1 do
+      let w = vol *. d_to.(procs.(c)) in
+      let o = fo.(c) +. w and q = fp.(c) +. w in
+      if o < !ao then ao := o;
+      if q > !ap then ap := q
+    done;
+    if !ao > !in_o then in_o := !ao;
+    if !ap > !in_p then in_p := !ap
+  done;
+  let e = exec.(p) in
+  st.fin_opt.(p) <- e +. Float.max !in_o st.ready_opt.(p);
+  st.fin_pess.(p) <- e +. Float.max !in_p st.ready_pess.(p)
+
+(* [keep_top cols ~n j] adds predecessor [j] to the [n] listed in
+   [c_top], descending by [c_remote], cut to the list's length; returns
+   the new count.  It reads the arrival by index so no float is boxed. *)
+let keep_top cols ~n j =
+  let top = cols.c_top and remote = cols.c_remote in
+  let len = Array.length top and x = remote.(j) in
+  if n < len || x > remote.(top.(len - 1)) then begin
+    let i = ref (if n < len then n else len - 1) in
+    while !i > 0 && x > remote.(top.(!i - 1)) do
+      top.(!i) <- top.(!i - 1);
+      decr i
+    done;
+    top.(!i) <- j;
+    if n < len then n + 1 else n
+  end
+  else n
+
+(* Does processor [p] hold a replica of gathered predecessor [j]? *)
+let hosts cols j p =
+  let procs = cols.c_proc in
+  let c = ref cols.c_off.(j) and stop = cols.c_off.(j + 1) in
+  while !c < stop && procs.(!c) <> p do
+    incr c
+  done;
+  !c < stop
+
+(* Grow the columns to hold [cap] replicas of [np] predecessors. *)
+let ensure_columns cols ~np ~cap =
+  if Array.length cols.c_fo < cap then begin
+    let cap = max cap (2 * Array.length cols.c_fo) in
+    cols.c_fo <- Array.make cap 0.;
+    cols.c_fp <- Array.make cap 0.;
+    cols.c_proc <- Array.make cap 0
+  end;
+  if Array.length cols.c_remote < np then begin
+    let np = max np (2 * Array.length cols.c_remote) in
+    cols.c_off <- Array.make (np + 1) 0;
+    cols.c_remote <- Array.make np 0.
+  end
+
 (* Equations (1)/(3) on the processors that can still make the
-   [replicas] best.  [bound p = exec p + max (ready_opt p) lb], with [lb]
-   the latest predecessor's earliest replica finish, never exceeds
-   [fin_opt p]: delays and volumes are finite and >= 0, and [+.], [min]
-   and [max] are monotone.  The [replicas] smallest bounds are evaluated
-   first; one scan then evaluates each other processor whose bound is
-   at most the running [replicas]-th best finish and leaves [infinity]
-   in [fin_opt] elsewhere.  A skipped processor's bound, hence its
-   finish, is strictly above that of [replicas] evaluated ones, so the
+   [replicas] best.  One pass over the predecessor replicas gathers
+   them into the columns and computes [lb], the latest predecessor's
+   earliest replica finish, and per predecessor [k] its earliest remote
+   arrival [c_k = min over replicas i of F_opt(i) + V_k dmin(proc i)],
+   [dmin] the least delay out of a processor
+   ({!Platform.min_delays_from}).  A processor [p] holding no replica
+   of [k] gets [k]'s data no earlier than [c_k]: [d(proc i, p) >= dmin
+   (proc i)], and float [*.] by [V_k >= 0] and [+.] are monotone.  Every
+   input arrives no earlier than its sender's finish, so
+   [bound p = E(t,p) + max (ready_opt p) (max lb c_k)] never exceeds
+   [fin_opt p] for any [k] with no replica on [p].  Every processor
+   takes the largest [c_k]; the hosts of that predecessor take the
+   first listed one they do not host ([c_top], the four largest), or
+   [lb] alone.  The [replicas] smallest bounds are evaluated first; one
+   scan then evaluates each other processor whose bound is at most the
+   running [replicas]-th best finish and leaves [infinity] in [fin_opt]
+   elsewhere.  A skipped processor's bound, hence its finish, is
+   strictly above that of [replicas] evaluated ones, so the
    (finish, index) choice of {!best_by_finish} is the full one.  The
    bounds live in [tmp_opt], the running best finishes, increasing, in
    [tmp_pess]; [chosen] holds the first picks until [choose] overwrites
@@ -199,27 +269,61 @@ let eval_pruned st t =
       prepare_inputs st t;
       eval_inputs st t
   | None ->
-      let m = st.n_procs and k = st.replicas in
+      let m = st.n_procs and k = st.replicas and cols = st.cols in
       let exec = Instance.exec_row st.inst t in
-      let bound = st.tmp_opt and best = st.tmp_pess in
-      let lb = ref 0. in
-      for j = st.pred_off.(t) to st.pred_off.(t + 1) - 1 do
-        let rs = replicas_of st st.pred_task.(j) in
-        let earliest = ref infinity in
+      let dmin = Platform.min_delays_from (Instance.platform st.inst) in
+      let lo = st.pred_off.(t) in
+      let np = st.pred_off.(t + 1) - lo in
+      ensure_columns cols ~np ~cap:(np * k);
+      let fo = cols.c_fo and fp = cols.c_fp and procs = cols.c_proc in
+      let off = cols.c_off and remote = cols.c_remote in
+      let lb = ref 0. and n = ref 0 and listed = ref 0 in
+      for j = 0 to np - 1 do
+        let rs = replicas_of st st.pred_task.(lo + j) in
+        let vol = st.pred_vol.(lo + j) in
+        let earliest = ref infinity and arrival = ref infinity in
+        off.(j) <- !n;
         for i = 0 to Array.length rs - 1 do
-          let f = rs.(i).finish_opt in
-          if f < !earliest then earliest := f
+          let r = rs.(i) in
+          let c = !n + i in
+          fo.(c) <- r.finish_opt;
+          fp.(c) <- r.finish_pess;
+          procs.(c) <- r.proc;
+          if r.finish_opt < !earliest then earliest := r.finish_opt;
+          let a = r.finish_opt +. (vol *. dmin.(r.proc)) in
+          if a < !arrival then arrival := a
         done;
-        if !earliest > !lb then lb := !earliest
+        n := !n + Array.length rs;
+        if !earliest > !lb then lb := !earliest;
+        remote.(j) <- !arrival;
+        listed := keep_top cols ~n:!listed j
       done;
+      off.(np) <- !n;
+      let bound = st.tmp_opt and best = st.tmp_pess and ready = st.ready_opt in
+      let top = cols.c_top in
+      let far = if !listed = 0 then !lb else Float.max !lb remote.(top.(0)) in
       for p = 0 to m - 1 do
-        bound.(p) <- exec.(p) +. Float.max st.ready_opt.(p) !lb
+        bound.(p) <- exec.(p) +. Float.max ready.(p) far
       done;
+      if !listed > 0 then
+        for c = off.(top.(0)) to off.(top.(0) + 1) - 1 do
+          let p = procs.(c) in
+          let near = ref !lb and i = ref 1 in
+          while !i < !listed do
+            let j = top.(!i) in
+            if hosts cols j p then incr i
+            else begin
+              near := Float.max !lb remote.(j);
+              i := !listed
+            end
+          done;
+          bound.(p) <- exec.(p) +. Float.max ready.(p) !near
+        done;
       let n = ref 0 in
       best_by_key bound ~n:m ~k st.chosen;
       for i = 0 to k - 1 do
         let p = st.chosen.(i) in
-        eval_proc st t exec p;
+        eval_columns st cols ~lo ~np exec p;
         n := keep_best best ~k ~n:!n st.fin_opt p;
         (* marks [p] evaluated: no bound is [neg_infinity] *)
         bound.(p) <- neg_infinity
@@ -228,7 +332,7 @@ let eval_pruned st t =
         let b = bound.(p) in
         if b = neg_infinity then ()
         else if b <= best.(k - 1) then begin
-          eval_proc st t exec p;
+          eval_columns st cols ~lo ~np exec p;
           n := keep_best best ~k ~n:!n st.fin_opt p
         end
         else st.fin_opt.(p) <- infinity
@@ -330,6 +434,7 @@ type workspace = {
   w_alpha : Alpha.t;
   mutable w_next : int array;
   mutable w_prev : int array;
+  w_cols : columns;
 }
 
 let empty_workspace () =
@@ -352,13 +457,33 @@ let empty_workspace () =
     w_alpha = Alpha.create ~capacity:64 ();
     w_next = [||];
     w_prev = [||];
+    w_cols =
+      {
+        c_fo = [||];
+        c_fp = [||];
+        c_proc = [||];
+        c_off = [| 0 |];
+        c_remote = [||];
+        c_top = Array.make 4 0;
+        c_delay_t = [||];
+      };
   }
 
 let workspace = empty_workspace
 
 (* Bring a workspace to the exact state fresh allocation would produce
    for this call shape, growing (never shrinking) what mismatches. *)
-let ready_workspace w ~v ~m ~ne ~insertion ~selected =
+let ready_workspace w ~v ~platform ~ne ~insertion ~selected =
+  let m = Platform.n_procs platform in
+  let cols = w.w_cols in
+  if Array.length cols.c_delay_t <> m then
+    cols.c_delay_t <- Array.make_matrix m m 0.;
+  for q = 0 to m - 1 do
+    let row = Platform.delay_row platform q in
+    for p = 0 to m - 1 do
+      cols.c_delay_t.(p).(q) <- row.(p)
+    done
+  done;
   if w.w_m <> m || w.w_insertion <> insertion then begin
     w.w_timeline <- Proc_state.create ~m ~insertion;
     w.w_m <- m;
@@ -407,7 +532,8 @@ let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
   | _ -> ());
   let ne = Dag.n_edges g in
   let w = match workspace with Some w -> w | None -> empty_workspace () in
-  ready_workspace w ~v ~m ~ne ~insertion:policy.insertion
+  ready_workspace w ~v ~platform:(Instance.platform instance) ~ne
+    ~insertion:policy.insertion
     ~selected:policy.selected_comm;
   let st =
     {
@@ -432,6 +558,7 @@ let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
       edges = w.w_edges;
       trace;
       delay = Array.init m (Platform.delay_row (Instance.platform instance));
+      cols = w.w_cols;
       pred_off = Dag.Csr.pred_offsets g;
       pred_task = Dag.Csr.pred_tasks g;
       pred_vol = Dag.Csr.pred_volumes g;
@@ -532,6 +659,9 @@ let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
       for i = 0 to k - 1 do
         st.replica_on.(st.chosen.(i)) <- -1
       done;
+      (* [eval_pruned] sizes its columns for [k] replicas a predecessor *)
+      if Array.length committed <> k then
+        invalid_arg "Driver.run: commit must return one row per replica";
       st.placed.(t) <- Some committed;
       Array.iter
         (fun c ->

@@ -37,10 +37,11 @@
     out of the per-processor loop: each predecessor's replica row is
     folded into per-target-processor arrival bounds once per task,
     instead of once per candidate processor.  The pruned one
-    ({!eval_pruned}, FTSA and MC-FTSA) evaluates exactly only the
-    processors whose cheap lower bound can still reach the ε+1 best and
-    makes the same choice bit for bit; a traced run takes the full
-    one. *)
+    ({!eval_pruned}, FTSA and MC-FTSA) gathers the predecessor replicas
+    into flat columns, bounds every processor's finish from below with
+    the inputs' earliest remote arrivals, evaluates exactly only the
+    processors whose bound can still reach the ε+1 best, and makes the
+    same choice bit for bit; a traced run takes the full one. *)
 
 type committed = {
   proc : int;
@@ -51,6 +52,11 @@ type committed = {
 }
 (** A committed replica: optimistic (eq. 1) and pessimistic (eq. 3)
     times. *)
+
+type columns
+(** {!eval_pruned}'s scratch, owned by the {!workspace}: the current
+    task's predecessor replicas gathered into flat columns, and the
+    platform's delay matrix transposed once per run. *)
 
 type state = {
   inst : Ftsched_model.Instance.t;
@@ -91,6 +97,7 @@ type state = {
   delay : float array array;
       (** the platform's delay rows: [delay.(q)] is
           {!Ftsched_platform.Platform.delay_row} [q]; read-only *)
+  cols : columns;  (** {!eval_pruned}'s scratch *)
   pred_off : int array;
       (** CSR offsets of the DAG's predecessor adjacency
           ({!Ftsched_dag.Dag.Csr.pred_offsets}), cached for the hot
@@ -165,8 +172,8 @@ type deadline_failure = { task : int; deadline : float; finish : float }
 
 type workspace
 (** A reusable allocation arena for {!run}: the per-call arrays (timeline
-    state, placement rows, per-processor scratch, priority heap, free-set
-    links) live here and are resized only when the instance shape grows.
+    state, placement rows, per-processor scratch, {!eval_pruned}'s
+    columns, priority heap, free-set links) live here and are resized only when the instance shape grows.
     Passing the same workspace to successive calls removes the per-call
     allocation cost entirely — the warm-start path of the streaming
     admission controller, which schedules the same-shaped instance once
@@ -255,10 +262,21 @@ val eval_pruned : state -> int -> unit
     finishes: it writes the exact equation-(1)/(3) finishes of those
     into [fin_opt] / [fin_pess] and [infinity] into [fin_opt] elsewhere,
     so {!best_by_finish} makes the choice it makes on the full
-    evaluation, bit for bit.  A processor is skipped only when the lower
-    bound [E(t,p) + max(ready_opt p, max over predecessors of their
-    earliest replica finish)] is strictly above [replicas] exact
-    finishes.  Uses [tmp_opt], [tmp_pess] and [chosen] as scratch and
+    evaluation, bit for bit.  A processor [p] is skipped only when its
+    lower bound [E(t,p) + max(ready_opt p, max(lb, c_k))] is strictly
+    above [replicas] exact finishes.  [lb] is the latest predecessor's
+    earliest replica finish; [c_k], for a predecessor [k] with no
+    replica on [p], is [k]'s earliest remote arrival, the least
+    [F_opt(i) + V_k × dmin(proc i)] over its replicas [i], with [dmin]
+    from {!Ftsched_platform.Platform.min_delays_from}.  [p] cannot get
+    [k]'s data earlier: its link from [proc i] is no shorter than
+    [dmin], and float [×] by [V_k ≥ 0] and [+] are monotone.  Every
+    processor takes the largest [c_k]; the (at most [replicas]) hosts of
+    that predecessor take the first of the next three largest they do
+    not host, or [lb] alone.  The survivors are evaluated over the
+    gathered columns and the transposed delay matrix of the run's
+    {!workspace}, with [prepare_inputs]' products and comparisons in its
+    order.  Uses [tmp_opt], [tmp_pess] and [chosen] as scratch and
     leaves [in_opt] / [in_pess] unset.  A traced run evaluates every
     processor, exactly as {!prepare_inputs} and {!eval_inputs} do. *)
 

@@ -9,21 +9,33 @@ type t = {
   avg_exec : float array;    (* per task *)
 }
 
+(* Loops rather than [Array.iter] / [Array.fold_left]: those box every
+   cost they pass to their closure.  Each row is summed left to right,
+   as [Array.fold_left ( +. ) 0.] sums it. *)
 let compute_avg exec m =
-  Array.map (fun row -> Array.fold_left ( +. ) 0. row /. float_of_int m) exec
+  let avg = Array.make (Array.length exec) 0. in
+  for t = 0 to Array.length exec - 1 do
+    let row = exec.(t) in
+    let sum = ref 0. in
+    for p = 0 to Array.length row - 1 do
+      sum := !sum +. row.(p)
+    done;
+    avg.(t) <- !sum /. float_of_int m
+  done;
+  avg
 
 let create ~dag ~platform ~exec =
   let v = Dag.n_tasks dag and m = Platform.n_procs platform in
   if Array.length exec <> v then invalid_arg "Instance.create: exec rows";
-  Array.iter
-    (fun row ->
-      if Array.length row <> m then invalid_arg "Instance.create: exec cols";
-      Array.iter
-        (fun c ->
-          if c <= 0. || not (Float.is_finite c) then
-            invalid_arg "Instance.create: exec cost must be positive")
-        row)
-    exec;
+  for t = 0 to v - 1 do
+    let row = exec.(t) in
+    if Array.length row <> m then invalid_arg "Instance.create: exec cols";
+    for p = 0 to m - 1 do
+      let c = row.(p) in
+      if c <= 0. || not (Float.is_finite c) then
+        invalid_arg "Instance.create: exec cost must be positive"
+    done
+  done;
   let exec = Array.map Array.copy exec in
   { dag; platform; exec; avg_exec = compute_avg exec m }
 

@@ -7,23 +7,27 @@ type t = {
   delay : float array array;
   avg_delay : float;
   max_delay_from : float array;
+  min_delay_from : float array;
 }
 
 let compute_derived delay =
   let m = Array.length delay in
   let sum = ref 0. in
   let max_from = Array.make m 0. in
+  (* one processor has no other to send to: its least delay is 0 *)
+  let min_from = Array.make m (if m = 1 then 0. else infinity) in
   for k = 0 to m - 1 do
     for h = 0 to m - 1 do
       if k <> h then begin
         sum := !sum +. delay.(k).(h);
-        if delay.(k).(h) > max_from.(k) then max_from.(k) <- delay.(k).(h)
+        if delay.(k).(h) > max_from.(k) then max_from.(k) <- delay.(k).(h);
+        if delay.(k).(h) < min_from.(k) then min_from.(k) <- delay.(k).(h)
       end
     done
   done;
   let pairs = m * (m - 1) in
   let avg = if pairs = 0 then 0. else !sum /. float_of_int pairs in
-  (avg, max_from)
+  (avg, max_from, min_from)
 
 let create ~delay =
   let m = Array.length delay in
@@ -40,8 +44,8 @@ let create ~delay =
     done
   done;
   let delay = Array.map Array.copy delay in
-  let avg_delay, max_delay_from = compute_derived delay in
-  { m; delay; avg_delay; max_delay_from }
+  let avg_delay, max_delay_from, min_delay_from = compute_derived delay in
+  { m; delay; avg_delay; max_delay_from; min_delay_from }
 
 let n_procs t = t.m
 let delay t k h = t.delay.(k).(h)
@@ -49,6 +53,7 @@ let delay_row t k = t.delay.(k)
 let avg_delay t = t.avg_delay
 let max_delay_from t k = t.max_delay_from.(k)
 let max_delays_from t = t.max_delay_from
+let min_delays_from t = t.min_delay_from
 
 let max_delay t = Array.fold_left Float.max 0. t.max_delay_from
 

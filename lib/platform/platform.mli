@@ -41,6 +41,13 @@ val max_delays_from : t -> float array
     Exposed so the dynamic top level reads it without boxing a float per
     replica. *)
 
+val min_delays_from : t -> float array
+(** [min_delays_from t] is, per processor [q], [min_(j ≠ q) d(q, Pj)]:
+    the least delay from [q] to any other processor (0 when [m = 1]).
+    Indexed by processor and physically shared with the platform —
+    {b treat it as read-only}.  The pruned equation-(1) evaluation
+    bounds a remote input's arrival with it. *)
+
 val max_delay : t -> float
 (** Largest off-diagonal entry. *)
 

@@ -1,19 +1,26 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in eight bytes: a [mutable int64]
+   field would box a fresh Int64 on every draw. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed }
-let copy g = { state = g.state }
+let of_state state =
+  let g = Bytes.create 8 in
+  Bytes.set_int64_le g 0 state;
+  g
+
+let create ~seed = of_state (Int64.of_int seed)
+let copy = Bytes.copy
 
 (* splitmix64 output function: advance by the golden gamma, then mix. *)
-let bits64 g =
-  g.state <- Int64.add g.state golden_gamma;
-  let z = g.state in
+let[@inline] bits64 g =
+  let z = Int64.add (Bytes.get_int64_le g 0) golden_gamma in
+  Bytes.set_int64_le g 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split g = { state = bits64 g }
+let split g = of_state (bits64 g)
 
 (* Non-negative 62-bit integer: clearing the sign bits keeps [Int64.to_int]
    exact on 63-bit OCaml ints. *)
@@ -34,7 +41,7 @@ let int_in g lo hi =
   lo + int g (hi - lo + 1)
 
 (* 53 uniform mantissa bits mapped to [0,1). *)
-let unit_float g =
+let[@inline] unit_float g =
   let r = Int64.to_float (Int64.shift_right_logical (bits64 g) 11) in
   r *. 0x1p-53
 

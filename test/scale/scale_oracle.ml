@@ -23,6 +23,9 @@
      frozen list-based controller's ([Recovery_ref]);
    - the heap pops of the fault-free FTSA replay, printed with the
      events it processes, at most a tenth of those on the layered graph;
+   - the processors an untraced FTSA and MC-FTSA run evaluate eq. (1)
+     exactly on per task, printed and bounded, the counting run's plan
+     equal to the pinned one;
    - the [Serialize] round trip of both plans;
    - the codec against the frozen [Printf]-and-[split] one on both
      plans: the two writers emit the same bytes, and each parser reads
@@ -45,6 +48,8 @@ module Comm_plan = Ftsched_schedule.Comm_plan
 module Serialize = Ftsched_schedule.Serialize
 module Ftsa = Ftsched_core.Ftsa
 module Mc_ftsa = Ftsched_core.Mc_ftsa
+module Ftsa_policy = Ftsched_core.Ftsa_policy
+module Driver = Ftsched_kernel.Driver
 module Event_sim = Ftsched_sim.Event_sim
 module Scenario = Ftsched_sim.Scenario
 module Crash_exec = Ftsched_sim.Crash_exec
@@ -344,6 +349,54 @@ let heap_pops_bounded name s =
         (Printf.sprintf "%d heap pops for %d events" pops events)
         (pops <= events)
 
+(* Processors evaluated exactly per task by an untraced run: [m] minus
+   those [Driver.eval_pruned] left at [infinity] in [fin_opt] when
+   [choose] runs.  Measured 5.473 / 5.195 (layered) and 4.248 / 4.145
+   (pegasus) for FTSA / MC-FTSA; the bounds leave about 5% of headroom.
+   The bound without the remote-arrival term evaluated 10.66 / 9.81 and
+   7.61 / 7.21. *)
+let max_evaluated =
+  [
+    ("layered", "ftsa", 5.75);
+    ("layered", "mc-ftsa", 5.45);
+    ("pegasus", "ftsa", 4.45);
+    ("pegasus", "mc-ftsa", 4.35);
+  ]
+
+let evaluated_bounded name algo inst s =
+  let mode =
+    if algo = "ftsa" then Ftsa_policy.All_to_all_comm
+    else Ftsa_policy.Min_comm Ftsa_policy.Greedy_edges
+  in
+  let policy = Ftsa_policy.policy ~instance:inst ~eps ~mode in
+  let evaluated = ref 0 in
+  let counting =
+    {
+      policy with
+      Driver.choose =
+        (fun st t ->
+          for p = 0 to m - 1 do
+            if st.Driver.fin_opt.(p) <> infinity then incr evaluated
+          done;
+          policy.Driver.choose st t);
+    }
+  in
+  let counted = Ftsa_policy.run ~seed ~instance:inst counting in
+  let per_task = float_of_int !evaluated /. float_of_int (Instance.n_tasks inst) in
+  let bound =
+    List.find_map
+      (fun (g, a, b) -> if g = name && a = algo then Some b else None)
+      max_evaluated
+    |> Option.get
+  in
+  Printf.printf "  %s: %.3f processors evaluated per task (bound %.2f)\n%!" algo
+    per_task bound;
+  if schedule_digest counted <> schedule_digest s then
+    Error "the counting run made another plan"
+  else if per_task > bound then
+    Error (Printf.sprintf "%.3f processors evaluated per task, bound %.2f" per_task bound)
+  else Ok ()
+
 let survives_subsets s =
   let rng = Rng.create ~seed in
   let rec go i =
@@ -431,6 +484,8 @@ let graph name generate =
           planned_order s);
       check (algo ^ ": schedule digest = pinned") (fun () ->
           digest_pinned name algo s);
+      check (algo ^ ": evaluated processors per task bounded") (fun () ->
+          evaluated_bounded name algo inst s);
       check (algo ^ ": flat Event_sim = reference") (fun () -> engines_agree s);
       check (algo ^ ": Recovery = pinned") (fun () ->
           recovery_pinned name algo s);

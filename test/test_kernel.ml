@@ -285,31 +285,77 @@ let tie_instance ~seed ~n_tasks ~m ~zero_volumes =
   in
   Instance.create ~dag ~platform:(Platform.homogeneous ~m ~unit_delay:1.) ~exec
 
+(* A random instance on asymmetric delays ([d(q,p) <> d(p,q)]); with
+   [zero_delays] the off-diagonal delays with [(q + 2p) mod 3 = 0] are 0,
+   so some processors have no least remote delay above 0 and the remote
+   arrival bound [c_k] of {!Driver.eval_pruned} falls to the finish. *)
+let asymmetric_instance ~seed ~n_tasks ~m ~zero_delays =
+  let rng = Rng.create ~seed in
+  let dag = Ftsched_dag.Generators.layered rng ~n_tasks () in
+  let pl = Platform.random rng ~m ~delay_lo:0.5 ~delay_hi:1.0 ~symmetric:false () in
+  let platform =
+    if not zero_delays then pl
+    else
+      Platform.create
+        ~delay:
+          (Array.init m (fun q ->
+               Array.init m (fun p ->
+                   if (q + (2 * p)) mod 3 = 0 then 0. else Platform.delay pl q p)))
+  in
+  Instance.random_exec rng ~dag ~platform ()
+
+(* [policy] whose [choose] first adds to [skipped] the processors
+   [evaluate] left at [infinity] in [fin_opt]. *)
+let counting_skipped policy ~m skipped =
+  {
+    policy with
+    Driver.choose =
+      (fun st t ->
+        for p = 0 to m - 1 do
+          if st.Driver.fin_opt.(p) = infinity then incr skipped
+        done;
+        policy.Driver.choose st t);
+  }
+
 (* A traced run evaluates every processor; an untraced FTSA or MC-FTSA
    run only those whose lower bound can still make the ε+1 best.  Every
    policy built on [Ftsa_policy] must return the same plan both ways, on
-   random and on tie-heavy instances, on residual timelines and from a
-   warm workspace.  [pruned] counts the processors an untraced FTSA run
-   skipped ([infinity] left in [fin_opt]), so the race is not vacuous. *)
+   random and on tie-heavy instances, on asymmetric delays, on delays of
+   0 between distinct processors, at m = ε+1 (every predecessor has a
+   replica on every processor, so every bound falls back to [lb]) and at
+   m = ε+2 (hosts of the latest remote predecessor often host the whole
+   list), on residual timelines and from a warm workspace.  [pruned]
+   counts the processors an untraced FTSA run skipped ([infinity] left
+   in [fin_opt]), overall and on the asymmetric and zero-delay
+   instances, so the race is not vacuous. *)
 let test_pruned_equals_full () =
   let ws = Driver.workspace () and ws_mc = Driver.workspace () in
-  let pruned = ref 0 in
+  let pruned = ref 0 and pruned_asymmetric = ref 0 in
   let instances =
     List.concat_map
       (fun seed ->
         let m = 3 + (seed mod 6) in
         let n_tasks = 10 + (7 * seed mod 40) in
+        let eps = seed mod m and small = 1 + (seed mod 4) in
         [
-          ("random", seed, random_instance ~seed ~n_tasks ~m ());
-          ("ties", seed, tie_instance ~seed ~n_tasks ~m ~zero_volumes:false);
-          ("zero volumes", seed, tie_instance ~seed ~n_tasks ~m ~zero_volumes:true);
+          ("random", seed, eps, random_instance ~seed ~n_tasks ~m ());
+          ("ties", seed, eps, tie_instance ~seed ~n_tasks ~m ~zero_volumes:false);
+          ("zero volumes", seed, eps, tie_instance ~seed ~n_tasks ~m ~zero_volumes:true);
+          ( "asymmetric", seed, eps,
+            asymmetric_instance ~seed ~n_tasks ~m ~zero_delays:false );
+          ( "zero delays", seed, eps,
+            asymmetric_instance ~seed ~n_tasks ~m ~zero_delays:true );
+          ( "m = eps+1", seed, small - 1,
+            asymmetric_instance ~seed ~n_tasks ~m:small ~zero_delays:false );
+          ( "m = eps+2", seed, small - 1,
+            asymmetric_instance ~seed ~n_tasks ~m:(small + 1) ~zero_delays:false );
         ])
       (List.init 12 Fun.id)
   in
   List.iter
-    (fun (kind, seed, inst) ->
+    (fun (kind, seed, eps, inst) ->
       let m = Instance.n_procs inst in
-      let eps = seed mod m in
+      let asymmetric = kind = "asymmetric" || kind = "zero delays" in
       let what name = Printf.sprintf "%s seed %d eps %d: %s" kind seed eps name in
       let race name run =
         let full = run (Some (Trace.create ())) and fast = run None in
@@ -319,19 +365,13 @@ let test_pruned_equals_full () =
       let release = Array.init m (fun _ -> float_of_int (Rng.int rng 4)) in
       let mc strategy = Ftsa_policy.policy ~instance:inst ~eps ~mode:(Ftsa_policy.Min_comm strategy) in
       let ftsa = Ftsa_policy.policy ~instance:inst ~eps ~mode:Ftsa_policy.All_to_all_comm in
-      let counting =
-        {
-          ftsa with
-          Driver.choose =
-            (fun st t ->
-              for p = 0 to m - 1 do
-                if st.Driver.fin_opt.(p) = infinity then incr pruned
-              done;
-              ftsa.Driver.choose st t);
-        }
-      in
+      let skipped = ref 0 in
+      let counting = counting_skipped ftsa ~m skipped in
       race "ftsa" (fun trace -> Ftsa.schedule ~seed ?trace inst ~eps);
-      race "ftsa, pruned count" (fun trace -> Ftsa_policy.run ~seed ?trace ~instance:inst counting);
+      race "ftsa, pruned count" (fun trace ->
+          Ftsa_policy.run ~seed ?trace ~instance:inst counting);
+      pruned := !pruned + !skipped;
+      if asymmetric then pruned_asymmetric := !pruned_asymmetric + !skipped;
       race "ftsa with release" (fun trace -> Ftsa.schedule ~seed ~release ?trace inst ~eps);
       race "ftsa, warm workspace" (fun trace ->
           Ftsa.schedule ~seed ~release ~workspace:ws ?trace inst ~eps);
@@ -377,22 +417,29 @@ let test_pruned_equals_full () =
                 Printf.sprintf "missed %d %h %h" task deadline finish))
         [ 0.9; 1.0; 1.5; 3.0 ])
     instances;
-  check_bool "untraced FTSA skipped processors" true (!pruned > 0)
+  check_bool "untraced FTSA skipped processors" true (!pruned > 0);
+  check_bool "untraced FTSA skipped processors on asymmetric delays" true
+    (!pruned_asymmetric > 0)
+
+(* The guards' instance: a 1,000-task layered graph at m = 20. *)
+let guard_instance () =
+  let rng = Rng.create ~seed:2008 in
+  let dag = Ftsched_dag.Generators.layered rng ~n_tasks:1000 () in
+  let platform = Platform.random rng ~m:20 ~delay_lo:0.5 ~delay_hi:1.0 () in
+  Instance.random_exec rng ~dag ~platform ()
 
 (* Minor words per task of a whole untraced FTSA and MC-FTSA run on a
    fixed 1,000-task layered graph at m = 20, eps = 2: 219.9 and 225.6
-   when pinned (MC-FTSA took 406.4 while it kept a pair list per edge,
-   so re-adding one fails the guard).  The count is deterministic:
+   when pinned, 213.8 and 219.4 since [Rng] draws stopped boxing
+   (MC-FTSA took 406.4 while it kept a pair list per edge, so
+   re-adding one fails the guard).  The count is deterministic:
    equal over three runs in one domain and in each of two worker
    domains.  The bounds leave 10 words per task of headroom, half of one
    per-task [Array.make m], so a per-task allocation in the evaluation
    fails the guard.  A budget change goes through CHANGES.md with its
    reason. *)
 let test_kernel_allocation_guard () =
-  let rng = Rng.create ~seed:2008 in
-  let dag = Ftsched_dag.Generators.layered rng ~n_tasks:1000 () in
-  let platform = Platform.random rng ~m:20 ~delay_lo:0.5 ~delay_hi:1.0 () in
-  let inst = Instance.random_exec rng ~dag ~platform () in
+  let inst = guard_instance () in
   let per_task run () =
     let w0 = Gc.minor_words () in
     ignore (Sys.opaque_identity (run ()));
@@ -411,6 +458,43 @@ let test_kernel_allocation_guard () =
     [
       ("ftsa", 230., fun () -> Ftsa.schedule ~seed:1 inst ~eps:2);
       ("mc-ftsa", 236., fun () -> Mc_ftsa.schedule ~seed:1 inst ~eps:2);
+    ]
+
+(* Processors an untraced FTSA and MC-FTSA run evaluate eq. (1) exactly
+   on, per task ([m] minus those left at [infinity] in [fin_opt] when
+   [choose] runs), on the allocation guard's instance: 3.766 and 3.755
+   when pinned, against 5.547 and 5.235 when the bound left out the
+   remote-arrival term [c_k] of {!Driver.eval_pruned}.  The budget of
+   4.0 leaves 0.23 and 0.24 per task (6%) of headroom, so a bound that
+   drops [c_k] fails it.  The count is deterministic: equal over three
+   runs in one domain and in each of two worker domains.  A budget
+   change goes through CHANGES.md with its reason. *)
+let test_evaluation_budget () =
+  let inst = guard_instance () in
+  let m = Instance.n_procs inst and v = Instance.n_tasks inst in
+  List.iter
+    (fun (name, bound, mode) ->
+      let per_task () =
+        let skipped = ref 0 in
+        let policy =
+          counting_skipped (Ftsa_policy.policy ~instance:inst ~eps:2 ~mode) ~m skipped
+        in
+        ignore (Ftsa_policy.run ~seed:1 ~instance:inst policy);
+        float_of_int ((m * v) - !skipped) /. float_of_int v
+      in
+      let evaluated = per_task () in
+      let again = List.init 2 (fun _ -> per_task ()) in
+      let parallel = Ftsched_par.Par.parallel_map ~jobs:2 per_task [ (); () ] in
+      List.iter
+        (fun e ->
+          Alcotest.(check (float 0.)) (name ^ " evaluated per task repeat") evaluated e)
+        (again @ parallel);
+      if evaluated > bound then
+        Alcotest.failf "%s: %.3f processors evaluated per task, budget %.1f" name
+          evaluated bound)
+    [
+      ("ftsa", 4.0, Ftsa_policy.All_to_all_comm);
+      ("mc-ftsa", 4.0, Ftsa_policy.Min_comm Ftsa_policy.Greedy_edges);
     ]
 
 let () =
@@ -437,5 +521,6 @@ let () =
             test_pruned_equals_full;
           Alcotest.test_case "kernel allocation guard" `Quick
             test_kernel_allocation_guard;
+          Alcotest.test_case "evaluation budget" `Quick test_evaluation_budget;
         ] );
     ]

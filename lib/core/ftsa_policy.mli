@@ -6,9 +6,12 @@
     that can still be among the [ε+1] best ({!Ftsched_kernel.Driver.eval_pruned};
     every processor in a traced run), the [ε+1] best processors kept,
     replicas committed.  In
-    minimum-communication mode the commit rule additionally runs the
-    robust edge selection of §4.2 per incoming DAG edge and re-times the
-    replicas against their single selected sender.
+    minimum-communication mode the commit rule is the kernel's
+    {!Ftsched_kernel.Driver.commit_min_comm}: per incoming DAG edge it
+    builds the §4.2 replica graph from the predecessor columns the
+    evaluation gathered, runs the mode's robust edge selection
+    ({!Ftsched_kernel.Edge_select}) and re-times the replicas against
+    their selected senders.
 
     This module is the implementation substrate of the whole FTSA family;
     user-facing entry points are {!Ftsa}, {!Mc_ftsa}, {!R_ftsa},

@@ -13,20 +13,24 @@ type committed = {
   finish_pess : float;
 }
 
-(* The pruned evaluation's scratch, owned by the workspace: per task,
-   every predecessor replica's optimistic and pessimistic finish and
+(* The gathered columns, owned by the workspace: per task, every
+   predecessor replica's optimistic and pessimistic finish and
    processor, gathered into flat columns ([off.(j)] is predecessor [j]'s
    first column, [off.(n_preds)] the end), each predecessor's earliest
-   remote arrival [remote.(j)], the predecessors with the largest ones
-   ([top], descending by [remote]), and the platform's delay matrix
-   transposed, [delay_t.(p).(q) = d(q, p)].  The columns grow, never
-   shrink; [delay_t] is refilled per run. *)
+   replica finish [early.(j)] and earliest remote arrival [remote.(j)],
+   the task they were gathered for ([task], [-1] at the start of a run),
+   the predecessors with the largest remote arrivals ([top], descending
+   by [remote]), and the platform's delay matrix transposed,
+   [delay_t.(p).(q) = d(q, p)].  The columns grow, never shrink;
+   [delay_t] is refilled per run. *)
 type columns = {
   mutable c_fo : float array;
   mutable c_fp : float array;
   mutable c_proc : int array;
   mutable c_off : int array;
+  mutable c_early : float array;
   mutable c_remote : float array;
+  mutable c_task : int;
   c_top : int array;
   mutable c_delay_t : float array array;
 }
@@ -237,14 +241,50 @@ let ensure_columns cols ~np ~cap =
   if Array.length cols.c_remote < np then begin
     let np = max np (2 * Array.length cols.c_remote) in
     cols.c_off <- Array.make (np + 1) 0;
+    cols.c_early <- Array.make np 0.;
     cols.c_remote <- Array.make np 0.
   end
 
+(* Gather [t]'s predecessor replicas into the columns and stamp them
+   with [t].  They depend only on placed tasks, which never change
+   within a run, so a stamp of [t] means the columns are [t]'s. *)
+let gather (st : state) t =
+  let k = st.replicas and cols = st.cols in
+  let dmin = Platform.min_delays_from (Instance.platform st.inst) in
+  let lo = st.pred_off.(t) in
+  let np = st.pred_off.(t + 1) - lo in
+  ensure_columns cols ~np ~cap:(np * k);
+  let fo = cols.c_fo and fp = cols.c_fp and procs = cols.c_proc in
+  let off = cols.c_off in
+  let n = ref 0 in
+  for j = 0 to np - 1 do
+    let rs = replicas_of st st.pred_task.(lo + j) in
+    let vol = st.pred_vol.(lo + j) in
+    let earliest = ref infinity and arrival = ref infinity in
+    off.(j) <- !n;
+    for i = 0 to Array.length rs - 1 do
+      let r = rs.(i) in
+      let c = !n + i in
+      fo.(c) <- r.finish_opt;
+      fp.(c) <- r.finish_pess;
+      procs.(c) <- r.proc;
+      if r.finish_opt < !earliest then earliest := r.finish_opt;
+      let a = r.finish_opt +. (vol *. dmin.(r.proc)) in
+      if a < !arrival then arrival := a
+    done;
+    n := !n + Array.length rs;
+    cols.c_early.(j) <- !earliest;
+    cols.c_remote.(j) <- !arrival
+  done;
+  off.(np) <- !n;
+  cols.c_task <- t
+
 (* Equations (1)/(3) on the processors that can still make the
    [replicas] best.  One pass over the predecessor replicas gathers
-   them into the columns and computes [lb], the latest predecessor's
-   earliest replica finish, and per predecessor [k] its earliest remote
-   arrival [c_k = min over replicas i of F_opt(i) + V_k dmin(proc i)],
+   them into the columns ({!gather}); one pass over the predecessors
+   then computes [lb], the latest predecessor's earliest replica finish,
+   and lists those with the largest earliest remote arrival
+   [c_k = min over replicas i of F_opt(i) + V_k dmin(proc i)],
    [dmin] the least delay out of a processor
    ({!Platform.min_delays_from}).  A processor [p] holding no replica
    of [k] gets [k]'s data no earlier than [c_k]: [d(proc i, p) >= dmin
@@ -271,34 +311,15 @@ let eval_pruned st t =
   | None ->
       let m = st.n_procs and k = st.replicas and cols = st.cols in
       let exec = Instance.exec_row st.inst t in
-      let dmin = Platform.min_delays_from (Instance.platform st.inst) in
       let lo = st.pred_off.(t) in
       let np = st.pred_off.(t + 1) - lo in
-      ensure_columns cols ~np ~cap:(np * k);
-      let fo = cols.c_fo and fp = cols.c_fp and procs = cols.c_proc in
-      let off = cols.c_off and remote = cols.c_remote in
-      let lb = ref 0. and n = ref 0 and listed = ref 0 in
+      gather st t;
+      let procs = cols.c_proc and off = cols.c_off and remote = cols.c_remote in
+      let lb = ref 0. and listed = ref 0 in
       for j = 0 to np - 1 do
-        let rs = replicas_of st st.pred_task.(lo + j) in
-        let vol = st.pred_vol.(lo + j) in
-        let earliest = ref infinity and arrival = ref infinity in
-        off.(j) <- !n;
-        for i = 0 to Array.length rs - 1 do
-          let r = rs.(i) in
-          let c = !n + i in
-          fo.(c) <- r.finish_opt;
-          fp.(c) <- r.finish_pess;
-          procs.(c) <- r.proc;
-          if r.finish_opt < !earliest then earliest := r.finish_opt;
-          let a = r.finish_opt +. (vol *. dmin.(r.proc)) in
-          if a < !arrival then arrival := a
-        done;
-        n := !n + Array.length rs;
-        if !earliest > !lb then lb := !earliest;
-        remote.(j) <- !arrival;
+        if cols.c_early.(j) > !lb then lb := cols.c_early.(j);
         listed := keep_top cols ~n:!listed j
       done;
-      off.(np) <- !n;
       let bound = st.tmp_opt and best = st.tmp_pess and ready = st.ready_opt in
       let top = cols.c_top in
       let far = if !listed = 0 then !lb else Float.max !lb remote.(top.(0)) in
@@ -369,6 +390,77 @@ let commit_straight st t =
         finish_opt = st.fin_opt.(p);
         start_pess = st.fin_pess.(p) -. e;
         finish_pess = st.fin_pess.(p);
+      })
+
+(* MC-FTSA's commit (§4.2): per incoming DAG edge, build the bipartite
+   replica graph over the gathered columns in the workspace's candidate
+   set, select a robust edge set, write it, in selection order, as the
+   edge's row of the run's plan, and re-time every replica of [t]
+   against its retained senders.  The input bounds reuse
+   [in_opt]/[in_pess] and the per-edge arrivals [tmp_opt]/[tmp_pess]:
+   evaluation is over.  A traced run evaluated without gathering, so the
+   commit gathers when the columns are not [t]'s. *)
+let commit_min_comm ~select ~fan_out (st : state) t =
+  let k = st.replicas and cols = st.cols and chosen = st.chosen in
+  let exec = Instance.exec_row st.inst t in
+  if cols.c_task <> t then gather st t;
+  let lo = st.pred_off.(t) in
+  let fo = cols.c_fo and fp = cols.c_fp and procs = cols.c_proc in
+  let delay_t = cols.c_delay_t and cands = st.edges in
+  (* Data arrival per replica of t, from the selected senders only: the
+     optimistic bound chains optimistic sender finishes, the pessimistic
+     bound pessimistic ones. *)
+  let input_opt = st.in_opt and input_pess = st.in_pess in
+  let arr_opt = st.tmp_opt and arr_pess = st.tmp_pess in
+  for r = 0 to k - 1 do
+    input_opt.(r) <- 0.;
+    input_pess.(r) <- 0.
+  done;
+  for j = 0 to st.pred_off.(t + 1) - lo - 1 do
+    let first = cols.c_off.(j) in
+    Edge_select.build cands ~k ~finish:fo ~procs ~first ~vols:st.pred_vol
+      ~vol_at:(lo + j) ~delay_t ~chosen ~replica_on:st.replica_on
+      ~ready:st.ready_opt ~exec ~fan_out;
+    select cands;
+    let n = Edge_select.selected cands in
+    let lefts = Edge_select.selected_lefts cands
+    and rights = Edge_select.selected_rights cands in
+    Comm_plan.write_row st.selected st.pred_edge.(lo + j) ~n ~srcs:lefts
+      ~dsts:rights;
+    (* Per destination replica and per edge: the optimistic bound is the
+       first retained copy to arrive, the pessimistic one the last — with
+       a single sender per replica (pure MC) the two coincide. *)
+    for r = 0 to k - 1 do
+      arr_opt.(r) <- infinity;
+      arr_pess.(r) <- 0.
+    done;
+    let vol = st.pred_vol.(lo + j) in
+    for i = 0 to n - 1 do
+      let c = first + lefts.(i) and r = rights.(i) in
+      let w = vol *. delay_t.(chosen.(r)).(procs.(c)) in
+      let a_opt = fo.(c) +. w and a_pess = fp.(c) +. w in
+      if a_opt < arr_opt.(r) then arr_opt.(r) <- a_opt;
+      if a_pess > arr_pess.(r) then arr_pess.(r) <- a_pess
+    done;
+    for r = 0 to k - 1 do
+      if arr_opt.(r) < infinity && arr_opt.(r) > input_opt.(r) then
+        input_opt.(r) <- arr_opt.(r);
+      if arr_pess.(r) > input_pess.(r) then input_pess.(r) <- arr_pess.(r)
+    done
+  done;
+  Array.init k (fun r ->
+      let p = chosen.(r) in
+      let e = exec.(p) in
+      let start = Float.max input_opt.(r) st.ready_opt.(p) in
+      (* A single sender per input: the optimistic/pessimistic gap stems
+         only from the senders' own gaps and the processor ready times. *)
+      let start_pess = Float.max input_pess.(r) st.ready_pess.(p) in
+      {
+        proc = p;
+        start_opt = start;
+        finish_opt = start +. e;
+        start_pess;
+        finish_pess = start_pess +. e;
       })
 
 let no_after_commit _ _ _ = ()
@@ -463,7 +555,9 @@ let empty_workspace () =
         c_fp = [||];
         c_proc = [||];
         c_off = [| 0 |];
+        c_early = [||];
         c_remote = [||];
+        c_task = -1;
         c_top = Array.make 4 0;
         c_delay_t = [||];
       };
@@ -476,6 +570,7 @@ let workspace = empty_workspace
 let ready_workspace w ~v ~platform ~ne ~insertion ~selected =
   let m = Platform.n_procs platform in
   let cols = w.w_cols in
+  cols.c_task <- -1;
   if Array.length cols.c_delay_t <> m then
     cols.c_delay_t <- Array.make_matrix m m 0.;
   for q = 0 to m - 1 do
@@ -659,7 +754,7 @@ let run ?(seed = 0) ~instance ~policy ?release ?deadlines ?trace ?workspace () =
       for i = 0 to k - 1 do
         st.replica_on.(st.chosen.(i)) <- -1
       done;
-      (* [eval_pruned] sizes its columns for [k] replicas a predecessor *)
+      (* [gather] sizes its columns for [k] replicas a predecessor *)
       if Array.length committed <> k then
         invalid_arg "Driver.run: commit must return one row per replica";
       st.placed.(t) <- Some committed;

@@ -25,11 +25,12 @@
     {!workspace} owns: [evaluate] writes the candidate processors'
     finish estimates into [fin_opt] / [fin_pess], [choose] writes the chosen
     processors into [chosen] ({!best_by_finish} keeps the ε+1 best in
-    one partial insertion pass, no sort), and selected-communication
-    commit rules build each DAG edge's candidate graph in the
-    workspace's flat {!Edge_select.t}.  A step allocates only the rows
-    the schedule keeps: the committed replica row and, under MC-FTSA,
-    each edge's message list.
+    one partial insertion pass, no sort), and MC-FTSA's commit rule
+    ({!commit_min_comm}) builds each DAG edge's candidate graph in the
+    workspace's flat {!Edge_select.t} from the predecessor columns the
+    evaluation gathered, and writes its selection as one row of
+    [selected].  A step allocates only the row the schedule keeps: the
+    committed replicas.
 
     Equation (1)/(3) evaluation is provided here in two forms.  The full
     one ({!prepare_inputs} / {!eval_inputs}) evaluates every processor,
@@ -54,9 +55,16 @@ type committed = {
     times. *)
 
 type columns
-(** {!eval_pruned}'s scratch, owned by the {!workspace}: the current
-    task's predecessor replicas gathered into flat columns, and the
-    platform's delay matrix transposed once per run. *)
+(** The gathered columns, owned by the {!workspace}: a task's
+    predecessor replicas gathered into flat columns (finishes and
+    processors, per predecessor its earliest finish and earliest remote
+    arrival), stamped with the task they were gathered for, and the
+    platform's delay matrix transposed once per run.  {!eval_pruned}
+    gathers them; {!commit_min_comm} reads them, and gathers them itself
+    when the stamp is another task's (a traced run evaluates without
+    gathering).  Each run starts with no task stamped, so a warm
+    workspace never hands a run another run's columns; within a run the
+    columns depend only on placed tasks, which never change. *)
 
 type state = {
   inst : Ftsched_model.Instance.t;
@@ -97,7 +105,7 @@ type state = {
   delay : float array array;
       (** the platform's delay rows: [delay.(q)] is
           {!Ftsched_platform.Platform.delay_row} [q]; read-only *)
-  cols : columns;  (** {!eval_pruned}'s scratch *)
+  cols : columns;  (** the gathered columns *)
   pred_off : int array;
       (** CSR offsets of the DAG's predecessor adjacency
           ({!Ftsched_dag.Dag.Csr.pred_offsets}), cached for the hot
@@ -301,6 +309,24 @@ val best_by_finish : state -> k:int -> unit
 val commit_straight : state -> int -> committed array
 (** The identity commit rule: each chosen replica starts [E(t,p)] before
     its estimated finish, exactly as evaluated. *)
+
+val commit_min_comm :
+  select:(Edge_select.t -> unit) -> fan_out:bool -> state -> int -> committed array
+(** MC-FTSA's commit rule (§4.2).  Per incoming DAG edge, in the
+    predecessor order of the DAG's CSR rows: one {!Edge_select.build}
+    over the gathered columns (the chosen processors, [replica_on], the
+    ready times, the task's cost row, the edge's volume by index, the
+    transposed delay matrix; [fan_out] as there), then [select] on the
+    candidate set ({!Edge_select.greedy}, {!Edge_select.bottleneck} or
+    {!Edge_select.redundant}), then one {!Ftsched_schedule.Comm_plan.write_row}
+    of the selection, in its order, as the edge's row of the run's plan.
+    Each replica of the task is then re-timed against its retained
+    senders only: it starts at the later of its processor's ready time
+    and, per input, the earliest (optimistic) or latest (pessimistic)
+    retained arrival.  Reads the columns {!eval_pruned} gathered for
+    the task and gathers them itself when they are stamped with another
+    task.  Uses [in_opt], [in_pess], [tmp_opt] and [tmp_pess] as
+    scratch.  Policies with [selected_comm = true] use it. *)
 
 val no_after_commit : state -> int -> committed array -> unit
 

@@ -7,10 +7,13 @@ let infeasible fmt = Format.kasprintf (fun s -> raise (Infeasible s)) fmt
 type t = {
   mutable k : int;
   mutable weight : float array;  (* k × k, row-major by left *)
+  mutable cand : bool array;  (* k × k: is (left, right) a candidate? *)
   mutable n : int;  (* candidates, in the order added *)
   mutable c_left : int array;
   mutable c_right : int array;
   mutable c_forced : bool array;
+  mutable n_forced : int;  (* the forced candidates, in the order added *)
+  mutable forced : int array;
   mutable left_taken : bool array;  (* k *)
   mutable right_taken : bool array;  (* k *)
   mutable fan_in : int array;  (* k: the redundant rule's senders per right *)
@@ -24,10 +27,13 @@ let create () =
   {
     k = 0;
     weight = [||];
+    cand = [||];
     n = 0;
     c_left = [||];
     c_right = [||];
     c_forced = [||];
+    n_forced = 0;
+    forced = [||];
     left_taken = [||];
     right_taken = [||];
     fan_in = [||];
@@ -37,14 +43,17 @@ let create () =
     sel_right = [||];
   }
 
-let reset t ~k =
-  if k < 1 then invalid_arg "Edge_select.reset: need k >= 1";
+(* Size the set for [k] replicas a side, empty of candidates and
+   selection; [cand] is left as it was. *)
+let resize t ~k =
   if Array.length t.left_taken < k then begin
     let kk = k * k in
     t.weight <- Array.make kk 0.;
+    t.cand <- Array.make kk false;
     t.c_left <- Array.make kk 0;
     t.c_right <- Array.make kk 0;
     t.c_forced <- Array.make kk false;
+    t.forced <- Array.make kk 0;
     t.left_taken <- Array.make k false;
     t.right_taken <- Array.make k false;
     t.fan_in <- Array.make k 0;
@@ -54,21 +63,69 @@ let reset t ~k =
   end;
   t.k <- k;
   t.n <- 0;
+  t.n_forced <- 0;
   t.n_sel <- 0
+
+let reset t ~k =
+  if k < 1 then invalid_arg "Edge_select.reset: need k >= 1";
+  resize t ~k;
+  Array.fill t.cand 0 (k * k) false
 
 let weights t = t.weight
 
-let add t ~left ~right ~forced =
+let[@inline] push_cand t ~left ~right ~forced =
   let i = t.n in
   t.c_left.(i) <- left;
   t.c_right.(i) <- right;
   t.c_forced.(i) <- forced;
-  t.n <- i + 1
+  t.n <- i + 1;
+  if forced then begin
+    t.forced.(t.n_forced) <- i;
+    t.n_forced <- t.n_forced + 1
+  end
+
+let add t ~left ~right ~forced =
+  t.cand.((left * t.k) + right) <- true;
+  push_cand t ~left ~right ~forced
+
+(* The weight of left [l] through right [r] on processor [chosen.(r)]:
+   the finish its input [l] alone would give. *)
+let[@inline] edge_weight t ~l ~r ~f ~src ~vol ~delay_t ~chosen ~ready ~exec =
+  let p = chosen.(r) in
+  t.weight.((l * t.k) + r) <-
+    Float.max (f +. (vol *. delay_t.(p).(src))) ready.(p) +. exec.(p)
+
+let build t ~k ~finish ~procs ~first ~vols ~vol_at ~delay_t ~chosen
+    ~replica_on ~ready ~exec ~fan_out =
+  resize t ~k;
+  let vol = vols.(vol_at) and cand = t.cand in
+  for l = k - 1 downto 0 do
+    let src = procs.(first + l) and f = finish.(first + l) in
+    let colocated = replica_on.(src) in
+    let row = l * k in
+    if colocated < 0 || fan_out then begin
+      for r = k - 1 downto 0 do
+        cand.(row + r) <- true;
+        if r <> colocated then begin
+          edge_weight t ~l ~r ~f ~src ~vol ~delay_t ~chosen ~ready ~exec;
+          push_cand t ~left:l ~right:r ~forced:false
+        end
+      done
+    end
+    else
+      for r = 0 to k - 1 do
+        cand.(row + r) <- r = colocated
+      done;
+    if colocated >= 0 then begin
+      edge_weight t ~l ~r:colocated ~f ~src ~vol ~delay_t ~chosen ~ready ~exec;
+      push_cand t ~left:l ~right:colocated ~forced:true
+    end
+  done
 
 let selected t = t.n_sel
 
-let selected_left t i = t.sel_left.(i)
-let selected_right t i = t.sel_right.(i)
+let selected_lefts t = t.sel_left
+let selected_rights t = t.sel_right
 let[@inline] cand_weight t i = t.weight.((t.c_left.(i) * t.k) + t.c_right.(i))
 
 let[@inline] select t l r =
@@ -76,62 +133,57 @@ let[@inline] select t l r =
   t.sel_right.(t.n_sel) <- r;
   t.n_sel <- t.n_sel + 1
 
-(* [i] strictly before [j] in increasing (weight, left, right) order,
-   ties in the order added — the list version's stable sort. *)
-let before t i j =
-  match Float.compare (cand_weight t i) (cand_weight t j) with
-  | 0 ->
-      let li = t.c_left.(i) and lj = t.c_left.(j) in
-      if li <> lj then li < lj
-      else
-        let ri = t.c_right.(i) and rj = t.c_right.(j) in
-        if ri <> rj then ri < rj else i < j
-  | c -> c < 0
-
-let take t i =
-  let l = t.c_left.(i) and r = t.c_right.(i) in
+let take t l r =
   t.left_taken.(l) <- true;
   t.right_taken.(r) <- true;
   select t l r
 
-(* A scan in sorted order keeps a candidate iff both its nodes are still
-   free, and a candidate it skips never becomes free again: so the next
-   kept one is always the least free candidate.  At most k rounds of one
-   pass each, instead of a sort. *)
-let rec greedy_rounds t =
-  let best = ref (-1) in
-  for i = 0 to t.n - 1 do
-    if
-      (not (t.left_taken.(t.c_left.(i)) || t.right_taken.(t.c_right.(i))))
-      && (!best < 0 || before t i !best)
-    then best := i
-  done;
-  if !best >= 0 then begin
-    take t !best;
-    greedy_rounds t
-  end
-
+(* A scan in (weight, left, right) order keeps a candidate iff both its
+   nodes are still free, and a candidate it skips never becomes free
+   again: so the next kept one is always the least free candidate, and
+   one pass over the free rows' cells, rows then columns ascending with
+   a strict [<], finds it.  At most k passes, instead of a sort. *)
 let greedy t =
-  let k = t.k in
-  Array.fill t.left_taken 0 k false;
-  Array.fill t.right_taken 0 k false;
+  let k = t.k and weight = t.weight and cand = t.cand in
+  let left_taken = t.left_taken and right_taken = t.right_taken in
+  for i = 0 to k - 1 do
+    left_taken.(i) <- false;
+    right_taken.(i) <- false
+  done;
   t.n_sel <- 0;
   (* Forced (internal) edges have absolute priority. *)
-  for i = 0 to t.n - 1 do
-    if t.c_forced.(i) then begin
-      if t.left_taken.(t.c_left.(i)) || t.right_taken.(t.c_right.(i)) then
-        infeasible "conflicting forced edges (left %d / right %d)" t.c_left.(i)
-          t.c_right.(i);
-      take t i
-    end
+  for f = 0 to t.n_forced - 1 do
+    let i = t.forced.(f) in
+    let l = t.c_left.(i) and r = t.c_right.(i) in
+    if left_taken.(l) || right_taken.(r) then
+      infeasible "conflicting forced edges (left %d / right %d)" l r;
+    take t l r
   done;
-  greedy_rounds t;
+  let searching = ref true in
+  while !searching && t.n_sel < k do
+    let best = ref (-1) in
+    for l = 0 to k - 1 do
+      if not left_taken.(l) then begin
+        let row = l * k in
+        for r = 0 to k - 1 do
+          let c = row + r in
+          if
+            cand.(c)
+            && (not right_taken.(r))
+            && (!best < 0 || Float.compare weight.(c) weight.(!best) < 0)
+          then best := c
+        done
+      end
+    done;
+    if !best < 0 then searching := false
+    else take t (!best / k) (!best mod k)
+  done;
   for l = 0 to k - 1 do
-    if not t.left_taken.(l) then
+    if not left_taken.(l) then
       infeasible "greedy selection could not saturate every source replica"
   done;
   for r = 0 to k - 1 do
-    if not t.right_taken.(r) then
+    if not right_taken.(r) then
       infeasible "greedy selection could not saturate every target replica"
   done
 
@@ -183,7 +235,7 @@ let bottleneck t =
 
 let bottleneck_value t = fst (bottleneck_result t)
 
-(* Extra senders for {!redundant}: as in {!greedy_rounds}, a candidate
+(* Extra senders for {!redundant}: as in {!greedy}, a candidate
    once ineligible stays so, so each round keeps the least eligible one,
    by weight, ties in the order added. *)
 let rec redundant_rounds t ~senders =

@@ -24,7 +24,9 @@ let compute_avg exec m =
   done;
   avg
 
-let create ~dag ~platform ~exec =
+(* [exec] checked and kept as is: the caller hands over rows no one
+   else holds. *)
+let of_rows ~dag ~platform ~exec =
   let v = Dag.n_tasks dag and m = Platform.n_procs platform in
   if Array.length exec <> v then invalid_arg "Instance.create: exec rows";
   for t = 0 to v - 1 do
@@ -36,8 +38,10 @@ let create ~dag ~platform ~exec =
         invalid_arg "Instance.create: exec cost must be positive"
     done
   done;
-  let exec = Array.map Array.copy exec in
   { dag; platform; exec; avg_exec = compute_avg exec m }
+
+let create ~dag ~platform ~exec =
+  of_rows ~dag ~platform ~exec:(Array.map Array.copy exec)
 
 let dag t = t.dag
 let platform t = t.platform
@@ -92,14 +96,19 @@ let random_exec rng ~dag ~platform ?(task_weight = (50., 150.))
     invalid_arg "Instance.random_exec: inconsistency must be in [0,1)";
   let v = Dag.n_tasks dag and m = Platform.n_procs platform in
   let wlo, whi = task_weight and slo, shi = proc_speed in
-  let w = Array.init v (fun _ -> Rng.float_in rng wlo whi) in
-  let s = Array.init m (fun _ -> Rng.float_in rng slo shi) in
+  let w = Array.make v 0. and s = Array.make m 0. in
+  Rng.fill_float_in rng w wlo whi;
+  Rng.fill_float_in rng s slo shi;
+  let lo = 1. -. inconsistency and hi = 1. +. inconsistency in
+  (* each row holds its noise draws, then the costs, multiplied as
+     [w_i *. s_j *. noise] *)
   let exec =
     Array.init v (fun i ->
-        Array.init m (fun j ->
-            let noise =
-              Rng.float_in rng (1. -. inconsistency) (1. +. inconsistency)
-            in
-            w.(i) *. s.(j) *. noise))
+        let row = Array.make m 0. in
+        Rng.fill_float_in rng row lo hi;
+        for j = 0 to m - 1 do
+          row.(j) <- w.(i) *. s.(j) *. row.(j)
+        done;
+        row)
   in
-  create ~dag ~platform ~exec
+  of_rows ~dag ~platform ~exec

@@ -140,20 +140,38 @@ let start_row b e =
   b.row <- e;
   b.rows <- b.rows + 1
 
-let push b ~src ~dst =
-  if b.row < 0 then invalid_arg "Comm_plan.push: no row started";
-  if src < 0 || src > mask || dst < 0 || dst > mask then
-    invalid_arg "Comm_plan.push: replica index out of range";
-  if b.n = Array.length b.buf then begin
-    (* room for every edge's row at the rows' mean length so far *)
+(* Room for [n] more pairs: when full, for every edge's row at the rows'
+   mean length so far. *)
+let reserve b n =
+  if b.n + n > Array.length b.buf then begin
     let mean = (b.n + b.rows - 1) / b.rows in
-    let a = Array.make (max 64 (max (2 * b.n) (mean * b.edges))) 0 in
+    let a = Array.make (max (b.n + n) (max 64 (max (2 * b.n) (mean * b.edges)))) 0 in
     Array.blit b.buf 0 a 0 b.n;
     b.buf <- a
-  end;
+  end
+
+let[@inline] check_pair fn ~src ~dst =
+  if src < 0 || src > mask || dst < 0 || dst > mask then
+    invalid_arg ("Comm_plan." ^ fn ^ ": replica index out of range")
+
+let push b ~src ~dst =
+  if b.row < 0 then invalid_arg "Comm_plan.push: no row started";
+  check_pair "push" ~src ~dst;
+  reserve b 1;
   b.buf.(b.n) <- (src lsl shift) lor dst;
   b.n <- b.n + 1;
   b.len.(b.row) <- b.len.(b.row) + 1
+
+let write_row b e ~n ~srcs ~dsts =
+  start_row b e;
+  reserve b n;
+  for i = 0 to n - 1 do
+    let src = srcs.(i) and dst = dsts.(i) in
+    check_pair "write_row" ~src ~dst;
+    b.buf.(b.n + i) <- (src lsl shift) lor dst
+  done;
+  b.n <- b.n + n;
+  b.len.(e) <- n
 
 let build b =
   let off = Array.make (b.edges + 1) 0 and widest = ref 0 in

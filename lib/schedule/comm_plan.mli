@@ -104,6 +104,11 @@ val push : builder -> src:int -> dst:int -> unit
     [Invalid_argument] on a negative replica index, one of [2^30] or
     more, or when no row was started. *)
 
+val write_row : builder -> int -> n:int -> srcs:int array -> dsts:int array -> unit
+(** [write_row b e ~n ~srcs ~dsts] is {!start_row} [b e] then {!push} of
+    [(srcs.(i), dsts.(i))] for [i] in [0 … n−1], in one call.  Raises
+    [Invalid_argument] as those do. *)
+
 val build : builder -> t
 (** The selected plan of the rows written since {!clear}, each row in
     the order pushed; the builder keeps its buffers. *)

@@ -53,6 +53,12 @@ let float_in g lo hi =
   assert (lo <= hi);
   lo +. (unit_float g *. (hi -. lo))
 
+let fill_float_in g a lo hi =
+  assert (lo <= hi);
+  for i = 0 to Array.length a - 1 do
+    a.(i) <- lo +. (unit_float g *. (hi -. lo))
+  done
+
 let bool g = Int64.logand (bits64 g) 1L = 1L
 let bernoulli g p = unit_float g < p
 

@@ -38,6 +38,11 @@ val float : t -> float -> float
 val float_in : t -> float -> float -> float
 (** [float_in g lo hi] is uniform over [lo, hi). Requires [lo <= hi]. *)
 
+val fill_float_in : t -> float array -> float -> float -> unit
+(** [fill_float_in g a lo hi] sets [a.(0)], [a.(1)], … in order to
+    [float_in g lo hi] draws: the same values from the same stream,
+    without boxing a float per draw.  Requires [lo <= hi]. *)
+
 val bool : t -> bool
 (** Fair coin. *)
 

@@ -149,4 +149,4 @@ let load flat ~eps edges =
 
 let selection flat =
   List.init (Flat.selected flat) (fun i ->
-      (Flat.selected_left flat i, Flat.selected_right flat i))
+      ((Flat.selected_lefts flat).(i), (Flat.selected_rights flat).(i)))

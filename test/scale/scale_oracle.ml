@@ -15,7 +15,9 @@
      polymorphic sort of the replica table by (start, task, index
      descending);
    - the schedule digests of both plans (MC-FTSA with the greedy
-     selector), pinned bit for bit;
+     selector), pinned bit for bit, and the MD5 of the MC-FTSA plan's
+     text, communication plan included, from an untraced and from a
+     traced run;
    - the flat [Event_sim] against the reference engine, fault-free and
      with one crash of the busiest processor at a quarter of M*;
    - the whole [Recovery] outcome from the benchmarks' three timed
@@ -123,6 +125,22 @@ let digest_pinned name algo s =
   of_bool
     (Printf.sprintf "digest %s, pinned %s" got (Option.get want))
     (Some got = want)
+
+(* MD5 of each MC-FTSA plan's [ftsched v1] text (every replica time as
+   a hex float, the communication plan in full), untraced and traced.
+   A traced run evaluates every processor without gathering the
+   predecessor columns, so its commit gathers them itself: the one path
+   where it does. *)
+let pinned_mc_plans =
+  [
+    ("layered", "9478bf687dbf4de71878660a99047d35");
+    ("pegasus", "8c6c36e4f71230cfe60fa9b061cf9e8a");
+  ]
+
+let mc_plan_pinned name s =
+  let want = List.assoc name pinned_mc_plans in
+  let got = Digest.to_hex (Digest.string (Serialize.schedule_to_string s)) in
+  of_bool (Printf.sprintf "plan MD5 %s, pinned %s" got want) (got = want)
 
 let validated s =
   match Validate.check s with
@@ -472,6 +490,10 @@ let graph name generate =
       duplicate_rejected dag);
   let ftsa = Ftsa.schedule ~seed inst ~eps in
   let mc = Mc_ftsa.schedule ~seed inst ~eps in
+  check "mc-ftsa: plan MD5 = pinned" (fun () -> mc_plan_pinned name mc);
+  check "mc-ftsa traced: plan MD5 = pinned" (fun () ->
+      mc_plan_pinned name
+        (Mc_ftsa.schedule ~seed ~trace:(Ftsched_kernel.Trace.create ()) inst ~eps));
   List.iter
     (fun (algo, s) ->
       check (algo ^ ": Validate.check") (fun () -> validated s);

@@ -421,6 +421,42 @@ let test_pruned_equals_full () =
   check_bool "untraced FTSA skipped processors on asymmetric delays" true
     (!pruned_asymmetric > 0)
 
+(* One workspace through three MC-FTSA runs: untraced on a 60-task
+   instance, traced on a 20-task one (its task ids are the first run's
+   too), untraced on the 60-task one again.  A traced run evaluates
+   without gathering the predecessor columns, so its commit gathers them
+   itself whenever they are stamped with another task; each plan must
+   equal the plan of the same run from a cold workspace. *)
+let test_gathered_columns_stamp () =
+  let ws = Driver.workspace () in
+  List.iter
+    (fun seed ->
+      let big = random_instance ~seed ~n_tasks:60 ~m:6 ()
+      and small = random_instance ~seed:(seed + 100) ~n_tasks:20 ~m:6 () in
+      List.iter
+        (fun (name, strategy) ->
+          List.iter
+            (fun (what, inst, traced) ->
+              let run ?workspace () =
+                let trace = if traced then Some (Trace.create ()) else None in
+                Ftsa_policy.run ~seed ?trace ?workspace ~instance:inst
+                  (Ftsa_policy.policy ~instance:inst ~eps:2
+                     ~mode:(Ftsa_policy.Min_comm strategy))
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "seed %d %s: %s" seed name what)
+                (plan_digest (run ())) (plan_digest (run ~workspace:ws ())))
+            [
+              ("untraced, 60 tasks", big, false);
+              ("traced, 20 tasks", small, true);
+              ("untraced, 60 tasks again", big, false);
+            ])
+        [
+          ("greedy", Ftsa_policy.Greedy_edges);
+          ("redundant 2", Ftsa_policy.Redundant_edges 2);
+        ])
+    [ 1; 2; 3 ]
+
 (* The guards' instance: a 1,000-task layered graph at m = 20. *)
 let guard_instance () =
   let rng = Rng.create ~seed:2008 in
@@ -430,9 +466,10 @@ let guard_instance () =
 
 (* Minor words per task of a whole untraced FTSA and MC-FTSA run on a
    fixed 1,000-task layered graph at m = 20, eps = 2: 219.9 and 225.6
-   when pinned, 213.8 and 219.4 since [Rng] draws stopped boxing
-   (MC-FTSA took 406.4 while it kept a pair list per edge, so
-   re-adding one fails the guard).  The count is deterministic:
+   when pinned, 213.8 and 219.4 since [Rng] draws stopped boxing, and
+   MC-FTSA 218.6 since its commit reads the gathered columns (MC-FTSA
+   took 406.4 while it kept a pair list per edge, so re-adding one fails
+   the guard).  The count is deterministic:
    equal over three runs in one domain and in each of two worker
    domains.  The bounds leave 10 words per task of headroom, half of one
    per-task [Array.make m], so a per-task allocation in the evaluation
@@ -457,7 +494,7 @@ let test_kernel_allocation_guard () =
         Alcotest.failf "%s: %.1f minor words per task, budget %.0f" name words bound)
     [
       ("ftsa", 230., fun () -> Ftsa.schedule ~seed:1 inst ~eps:2);
-      ("mc-ftsa", 236., fun () -> Mc_ftsa.schedule ~seed:1 inst ~eps:2);
+      ("mc-ftsa", 229., fun () -> Mc_ftsa.schedule ~seed:1 inst ~eps:2);
     ]
 
 (* Processors an untraced FTSA and MC-FTSA run evaluate eq. (1) exactly
@@ -519,6 +556,8 @@ let () =
             test_golden_trace_digests;
           Alcotest.test_case "pruned evaluation = full evaluation" `Quick
             test_pruned_equals_full;
+          Alcotest.test_case "gathered columns stamp" `Quick
+            test_gathered_columns_stamp;
           Alcotest.test_case "kernel allocation guard" `Quick
             test_kernel_allocation_guard;
           Alcotest.test_case "evaluation budget" `Quick test_evaluation_budget;

@@ -53,15 +53,16 @@ let test_senders_to () =
   Alcotest.(check (list int)) "all-to-all senders, eps 3" [ 0; 1; 2; 3 ]
     (senders Comm_plan.all_to_all ~eps:3 7 ~dst:2)
 
-(* Rows keep the order they were written in, empty rows stay empty, a
-   row is written once, and the walks read exactly the rows. *)
+(* Rows keep the order they were written in, pair by pair or in one
+   [write_row] (which reads only the first [n] entries), empty rows stay
+   empty, a row is written once, and the walks read exactly the rows. *)
 let test_builder_rows () =
   let b = Comm_plan.builder () in
   Comm_plan.clear b ~n_edges:3;
-  Comm_plan.start_row b 2;
-  Comm_plan.push b ~src:1 ~dst:0;
-  Comm_plan.push b ~src:0 ~dst:0;
-  Comm_plan.push b ~src:1 ~dst:1;
+  Comm_plan.write_row b 2 ~n:3 ~srcs:[| 1; 0; 1; 7 |] ~dsts:[| 0; 0; 1; 7 |];
+  Alcotest.check_raises "row written twice in one call"
+    (Invalid_argument "Comm_plan.start_row: row written twice") (fun () ->
+      Comm_plan.write_row b 2 ~n:0 ~srcs:[||] ~dsts:[||]);
   Comm_plan.start_row b 0;
   Comm_plan.push b ~src:1 ~dst:1;
   Alcotest.check_raises "row written twice"
@@ -95,7 +96,11 @@ let test_builder_rows () =
       Comm_plan.push b ~src:(-1) ~dst:0);
   Alcotest.check_raises "edge out of range"
     (Invalid_argument "Comm_plan.start_row: edge") (fun () ->
-      Comm_plan.start_row b 3)
+      Comm_plan.start_row b 3);
+  Comm_plan.clear b ~n_edges:1;
+  Alcotest.check_raises "negative replica in one call"
+    (Invalid_argument "Comm_plan.write_row: replica index out of range")
+    (fun () -> Comm_plan.write_row b 0 ~n:1 ~srcs:[| 0 |] ~dsts:[| -1 |])
 
 (* [receivers] over a run of edges, against the list view: for each
    edge in run order, the row's pairs with that source, in row order,
@@ -1281,6 +1286,35 @@ let test_build_allocation_guard () =
   check ("instance_of_string", 16.5, fun () -> ignore (Serialize.instance_of_string doc));
   check ("builder", 7.6, fun () -> ignore (build ()))
 
+(* Minor words per cost of [Instance.random_exec] on the same graph and
+   platform (20,000 costs): 1.05 when pinned, the 21-word rows it keeps
+   (the weights, the cost and average arrays of 1,000 entries are
+   allocated in the major heap); 10.60 while every draw and every cost
+   was boxed and [Instance.create] copied the rows.  The count is
+   deterministic: equal over three runs in one domain and in each of two
+   worker domains.  The bound leaves 0.45 words per cost of headroom,
+   less than one boxed float (2 words) per cost.  A budget change goes
+   through CHANGES.md with its reason. *)
+let test_random_exec_allocation_guard () =
+  let rng = Rng.create ~seed:2008 in
+  let dag = Generators.layered rng ~n_tasks:1000 () in
+  let platform = Platform.random rng ~m:20 ~delay_lo:0.5 ~delay_hi:1.0 () in
+  let costs = float_of_int (Dag.n_tasks dag * Platform.n_procs platform) in
+  let per_cost () =
+    let rng = Rng.copy rng in
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Instance.random_exec rng ~dag ~platform ()));
+    (Gc.minor_words () -. w0) /. costs
+  in
+  let words = per_cost () in
+  let again = List.init 2 (fun _ -> per_cost ()) in
+  let parallel = Ftsched_par.Par.parallel_map ~jobs:2 per_cost [ (); () ] in
+  List.iter
+    (fun w -> Alcotest.(check (float 0.)) "random_exec words per cost repeat" words w)
+    (again @ parallel);
+  if words > 1.5 then
+    Alcotest.failf "random_exec: %.2f minor words per cost, budget 1.5" words
+
 let () =
   Alcotest.run "schedule"
     [
@@ -1357,6 +1391,8 @@ let () =
             test_serialize_rejects_repeated_pairs_row;
           Alcotest.test_case "build allocation guard" `Quick
             test_build_allocation_guard;
+          Alcotest.test_case "random_exec allocation guard" `Quick
+            test_random_exec_allocation_guard;
           Alcotest.test_case "non-finite replica times" `Quick
             test_nonfinite_replica_times;
         ] );

@@ -2,7 +2,6 @@ module Dag = Ftsched_dag.Dag
 module Platform = Ftsched_platform.Platform
 module Instance = Ftsched_model.Instance
 module Schedule = Ftsched_schedule.Schedule
-module Comm_plan = Ftsched_schedule.Comm_plan
 module Metrics = Ftsched_schedule.Metrics
 module Event_sim = Ftsched_sim.Event_sim
 module Scenario = Ftsched_sim.Scenario
@@ -22,16 +21,6 @@ let grown a len fill =
   Array.blit a 0 b 0 (Array.length a);
   b
 
-(* A growable int vector: the injected rows' wiring. *)
-type ivec = { mutable a : int array; mutable n : int }
-
-let ivec () = { a = Array.make 64 0; n = 0 }
-
-let push iv x =
-  if iv.n = Array.length iv.a then iv.a <- grown iv.a (2 * iv.n) 0;
-  iv.a.(iv.n) <- x;
-  iv.n <- iv.n + 1
-
 let run ?network ?faults ?release ?(delta = 0.) ?rounds s ~fail_times =
   let inst = Schedule.instance s in
   let g = Instance.dag inst in
@@ -39,7 +28,6 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds s ~fail_times =
   let m = Instance.n_procs inst in
   let v = Dag.n_tasks g in
   let eps = Schedule.eps s in
-  let plan = Schedule.comm s in
   if Array.length fail_times <> m then invalid_arg "Recovery.run: fail_times";
   let rounds =
     match rounds with
@@ -50,8 +38,7 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds s ~fail_times =
   let det = Detector.create ~fail_times ~delta in
   let eng = Engine.create ?network ?faults ?release s ~fail_times in
   (* in-edge [pos] of [task] is row entry [pred_off.(task) + pos] *)
-  let pred_off = Dag.Csr.pred_offsets g in
-  let pred_edges = Dag.Csr.pred_edges g and pred_tasks = Dag.Csr.pred_tasks g in
+  let pred_off = Dag.Csr.pred_offsets g and pred_tasks = Dag.Csr.pred_tasks g in
   let pred_vols = Dag.Csr.pred_volumes g in
   let succ_off = Dag.Csr.succ_offsets g and succ_tasks = Dag.Csr.succ_tasks g in
   let order = Dag.topological_order g in
@@ -76,50 +63,28 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds s ~fail_times =
   in
   (* Injected row [j] (engine row [n_static + j]): its estimated
      completion, for the eq. (1) placement rule only (a static row's is
-     the schedule's optimistic finish), and its wiring: the sources of
-     its input [pos] are the rows [wire_src.(i)] for [i] from
-     [wire_pos.(row_pos.(j) + pos)] up to the next entry. *)
+     the schedule's optimistic finish). *)
   let est = ref (Array.make 16 0.) in
-  let row_pos = ivec () and wire_pos = ivec () and wire_src = ivec () in
-  (* Does a viable row of the predecessor feed input [pos] of row [rid]
-     (replica [rep] of [task])?  Static rows follow the communication
-     plan, injected ones our own wiring. *)
-  let from = Array.make (Comm_plan.widest plan ~eps) 0 in
-  let fed rid task rep pos =
-    let k = pred_off.(task) + pos in
-    if rep <= eps then begin
-      let src = pred_tasks.(k) * kk in
-      let n = Comm_plan.senders plan ~eps pred_edges.(k) ~dst:rep from in
-      let i = ref 0 in
-      while !i < n && not (is_viable (src + from.(!i))) do
-        incr i
-      done;
-      !i < n
-    end
-    else begin
-      let w = row_pos.a.(rid - n_static) + pos in
-      let found = ref false and i = ref wire_pos.a.(w) in
-      while (not !found) && !i < wire_pos.a.(w + 1) do
-        found := is_viable wire_src.a.(!i);
-        incr i
-      done;
-      !found
-    end
-  in
-  let covered rid task rep =
+  (* Is every input of row [rid] (of [task]) delivered, or fed by a
+     viable row?  The engine's wiring says who feeds it: the plan's
+     senders for a static row, the sources it was injected with
+     otherwise. *)
+  let covered rid task =
     let ok = ref true and pos = ref 0 in
     while !ok && !pos < Dag.in_degree g task do
-      ok := Engine.row_input_satisfied eng rid !pos || fed rid task rep !pos;
+      ok :=
+        Engine.row_input_satisfied eng rid !pos
+        || Engine.exists_source eng rid !pos is_viable;
       incr pos
     done;
     !ok
   in
   (* Scratch for one re-mapping: the viable sources of input [pos] are
      entries [src_lo.(pos)] to [src_lo.(pos + 1) - 1], each with its
-     row, replica index, processor's delay row and base time (the
-     estimated departure of its data). *)
+     row, processor's delay row and base time (the estimated departure
+     of its data), then the arrival [Engine.inject] reads. *)
   let cap = ref 64 in
-  let src_rid = ref (Array.make !cap 0) and src_rep = ref (Array.make !cap 0) in
+  let src_rid = ref (Array.make !cap 0) and src_at = ref (Array.make !cap 0.) in
   let src_base = ref (Array.make !cap 0.) in
   let src_delay = ref (Array.make !cap [||]) in
   let src_lo = ref (Array.make 64 0) in
@@ -158,7 +123,7 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds s ~fail_times =
         | Row_lost -> false
         | Row_waiting ->
             let ok =
-              (not force) && (not detected.(proc)) && covered rid task rep
+              (not force) && (not detected.(proc)) && covered rid task
             in
             if not ok then begin
               !kill_reps.(!n_kills) <- rep;
@@ -214,12 +179,11 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds s ~fail_times =
             if !ns = !cap then begin
               cap := 2 * !cap;
               src_rid := grown !src_rid !cap 0;
-              src_rep := grown !src_rep !cap 0;
+              src_at := grown !src_at !cap 0.;
               src_base := grown !src_base !cap 0.;
               src_delay := grown !src_delay !cap [||]
             end;
             !src_rid.(!ns) <- rid;
-            !src_rep.(!ns) <- sr;
             !src_base.(!ns) <- base;
             !src_delay.(!ns) <-
               Platform.delay_row pl (Engine.row_proc eng rid);
@@ -237,7 +201,13 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds s ~fail_times =
            arrival is a running minimum over its sources, processor by
            processor, and the inputs' latest one their running maximum
            (in source and input order, so every float is that of the
-           per-processor formula). *)
+           per-processor formula).  The minimum, the maximum and the start
+           are plain comparisons: [Float.min] and [Float.max] call C
+           whenever their second operand is not the larger, and they pick
+           the same operand here, where no operand is NaN (instances,
+           platforms and DAGs reject it) or -0.0 (each is [now], a
+           finish, a base at least [now] plus a volume-delay product,
+           or a [tail] at least [now]). *)
         let src_lo = !src_lo and src_base = !src_base in
         let src_delay = !src_delay in
         let vol_base = pred_off.(task) in
@@ -248,18 +218,20 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds s ~fail_times =
           for i = src_lo.(pos) to src_lo.(pos + 1) - 1 do
             let base = src_base.(i) and delay = src_delay.(i) in
             for p = 0 to m - 1 do
-              arrival.(p) <- Float.min arrival.(p) (base +. (vol *. delay.(p)))
+              let a = base +. (vol *. delay.(p)) in
+              if a < arrival.(p) then arrival.(p) <- a
             done
           done;
           for p = 0 to m - 1 do
-            ready.(p) <- Float.max ready.(p) arrival.(p)
+            if arrival.(p) > ready.(p) then ready.(p) <- arrival.(p)
           done
         done;
         let exec = Instance.exec_row inst task in
         let best_p = ref (-1) and best_f = ref infinity in
         for p = 0 to m - 1 do
           if not detected.(p) then begin
-            let f = Float.max ready.(p) tail.(p) +. exec.(p) in
+            let r = ready.(p) and t = tail.(p) in
+            let f = (if t > r then t else r) +. exec.(p) in
             if f < !best_f then begin
               best_f := f;
               best_p := p
@@ -274,46 +246,28 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds s ~fail_times =
                holder is in fact already dead (arrival [infinity]);
                pending sources deliver on completion through the
                engine's usual message path. *)
-            let inputs =
-              Array.init d (fun pos ->
-                  let vol = pred_vols.(vol_base + pos) in
-                  let src = pred_tasks.(vol_base + pos) in
-                  let l = ref [] in
-                  for i = src_lo.(pos + 1) - 1 downto src_lo.(pos) do
-                    let rid = !src_rid.(i) in
-                    let source =
-                      match Engine.row_state eng rid with
-                      | Row_done ->
-                          let sp = Engine.row_proc eng rid in
-                          let depart = src_base.(i) in
-                          let w = vol *. src_delay.(i).(p) in
-                          let arrival =
-                            if depart +. w <= fail_times.(sp) then depart +. w
-                            else infinity
-                          in
-                          Engine.Resend { arrival }
-                      | Row_running | Row_waiting ->
-                          Engine.On_completion
-                            { src_task = src; src_rep = !src_rep.(i) }
-                      | Row_lost -> assert false
-                    in
-                    l := source :: !l
-                  done;
-                  !l)
+            let src_at = !src_at in
+            for pos = 0 to d - 1 do
+              let vol = pred_vols.(vol_base + pos) in
+              for i = src_lo.(pos) to src_lo.(pos + 1) - 1 do
+                let rid = !src_rid.(i) in
+                src_at.(i) <-
+                  (match Engine.row_state eng rid with
+                  | Row_done ->
+                      let a = src_base.(i) +. (vol *. src_delay.(i).(p)) in
+                      if a <= fail_times.(Engine.row_proc eng rid) then a
+                      else infinity
+                  | Row_running | Row_waiting -> Engine.on_completion
+                  | Row_lost -> assert false)
+              done
+            done;
+            let rep =
+              Engine.inject eng ~task ~proc:p ~src_lo ~src_row:!src_rid ~src_at
             in
-            let rep = Engine.inject eng ~task ~proc:p ~inputs in
             let rid = Engine.rid eng ~task ~rep in
             let j = rid - n_static in
             if j = Array.length !est then est := grown !est (2 * j) 0.;
             !est.(j) <- !best_f;
-            push row_pos wire_pos.n;
-            for pos = 0 to d - 1 do
-              push wire_pos wire_src.n;
-              for i = src_lo.(pos) to src_lo.(pos + 1) - 1 do
-                push wire_src !src_rid.(i)
-              done
-            done;
-            push wire_pos wire_src.n;
             injections_per_task.(task) <- injections_per_task.(task) + 1;
             incr total_injections;
             tail.(p) <- !best_f;

@@ -39,7 +39,14 @@
     set changed — grew or shrank.  Any other task would keep its viable
     set, kill nothing and inject nothing, so the outcome is that of a
     full pass, bit for bit.  Viability is one byte per engine row, read
-    through the engine's non-allocating row accessors.
+    through the engine's non-allocating row accessors.  Who feeds a
+    waiting row is the engine's wiring, read in place through
+    {!Ftsched_sim.Event_sim.Engine.exists_source}: the plan's senders of
+    a static row, the sources an injected row was given.  A re-mapped
+    replica's sources are handed to the engine as flat columns — each a
+    source row and a priced arrival or
+    {!Ftsched_sim.Event_sim.Engine.on_completion} — and the controller
+    keeps no wiring of its own.
 
     Re-mapping is bounded: at most [rounds] re-mappings per task (default
     [n_procs], enough to survive any failure pattern that leaves one
@@ -107,8 +114,9 @@ val run :
     sweeps fire at [fail + δ] however late that is, and the worst case
     is a degraded outcome ([degraded.complete = false]), never a hang or
     an exception.  [faults] (default reliable) subjects {e planned}
-    messages and [On_completion] re-wirings to the communication-fault
-    model; recovery's own [Resend]s are priced by the controller and
+    messages and the re-wirings that deliver on a source's completion
+    ({!Event_sim.Engine.on_completion}) to the communication-fault
+    model; recovery's own re-sends are priced by the controller and
     stay reliable, so recovery remains an effective answer to message
     loss.  [release] forwards residual processor occupancy to the engine
     (see {!Event_sim.Engine.create}); the recovery sweeps price

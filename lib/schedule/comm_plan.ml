@@ -81,6 +81,20 @@ let receivers t ~eps edges ~lo ~hi ~src ~idx ~dsts ~at =
       done);
   !n
 
+let sender_counts t ~eps edges ~lo ~hi ~counts ~at =
+  let n = hi - lo in
+  match t with
+  | All_to_all -> Array.fill counts at ((eps + 1) * n) (eps + 1)
+  | Selected { off; pairs; _ } ->
+      Array.fill counts at ((eps + 1) * n) 0;
+      for j = lo to hi - 1 do
+        let e = edges.(j) in
+        for i = off.(e) to off.(e + 1) - 1 do
+          let c = at + ((pairs.(i) land mask) * n) + (j - lo) in
+          counts.(c) <- counts.(c) + 1
+        done
+      done
+
 let is_one_to_one t ~eps e =
   let k = eps + 1 and w = widest t ~eps in
   let srcs = Array.make w 0 and dsts = Array.make w 0 in

@@ -26,7 +26,8 @@
     order — under all-to-all the replicas [0 … ε] in index order, in
     [ε+1] steps, without looking at the other pairs; {!receivers}, its
     mirror, gives the destinations one source replica feeds over a whole
-    successor row.  Arrays of {!widest} entries hold any one-edge walk's
+    successor row; {!sender_counts} counts the senders of every replica's
+    inputs over a whole predecessor row.  Arrays of {!widest} entries hold any one-edge walk's
     output. *)
 
 type t
@@ -77,6 +78,25 @@ val receivers :
     [edges] in [idx], its destination replica in [dsts].  Returns [at]
     plus the count written; [idx] and [dsts] need room for
     [(hi − lo) × widest] entries past [at]. *)
+
+val sender_counts :
+  t ->
+  eps:int ->
+  int array ->
+  lo:int ->
+  hi:int ->
+  counts:int array ->
+  at:int ->
+  unit
+(** The mirror of {!receivers} over a destination task's predecessor
+    row: how many senders each (replica, input) slot of the task has.
+    [sender_counts t ~eps edges ~lo ~hi ~counts ~at] writes, for each
+    destination replica [d] in [0 … ε] and each [j] in [lo … hi − 1],
+    the number of edge [edges.(j)]'s pairs feeding [d] at index
+    [at + d × (hi − lo) + (j − lo)]: one block of [(ε+1) × (hi − lo)]
+    entries, replica-major, one input row per replica.  Under all-to-all
+    every count is [ε+1], written by arithmetic.  Allocates nothing;
+    requires every destination index of the rows in [0 … ε]. *)
 
 val is_one_to_one : t -> eps:int -> int -> bool
 (** [true] iff edge [e]'s row saturates each of the [ε+1] source

@@ -237,18 +237,24 @@ let run ?(policy = Strict) s scenario =
     incr head;
     let task = id / kk and k = id mod kk in
     let p = proc.(id) in
+    (* The first copy, the latest input and the start are plain
+       comparisons: [Float.min] and [Float.max] call C whenever their
+       second operand is not the larger, and they pick the same operand
+       here, where no operand is NaN (instances, platforms and DAGs
+       reject it) or -0.0 (each is +0, a finish, or a finish plus a
+       volume-delay product). *)
     let arrival = ref 0. in
     for j = pred_off.(task) to pred_off.(task + 1) - 1 do
       let vol = pred_vols.(j) and slot = (j * kk) + k in
       let first = ref infinity in
       for i = snd_off.(slot) to snd_off.(slot + 1) - 1 do
         let sender = snd.(i) in
-        let w = vol *. delay.(proc.(sender)).(p) in
-        first := Float.min !first (finish_of.(sender) +. w)
+        let a = finish_of.(sender) +. (vol *. delay.(proc.(sender)).(p)) in
+        if a < !first then first := a
       done;
-      arrival := Float.max !arrival !first
+      if !first > !arrival then arrival := !first
     done;
-    let start = Float.max !arrival proc_free.(p) in
+    let start = if proc_free.(p) > !arrival then proc_free.(p) else !arrival in
     let finish = start +. Instance.exec inst task p in
     start_of.(id) <- start;
     finish_of.(id) <- finish;

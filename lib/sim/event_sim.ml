@@ -6,7 +6,8 @@
      grid's rows [rid = task * (eps+1) + k] first, then the replicas
      recovery injects at runtime, appended in injection order.  A row's
      state is a set of parallel arrays (tag/start/finish/unsatisfied-input
-     count/subscribers/host processor) instead of a record per replica;
+     count/first subscription/host processor) instead of a record per
+     replica;
    - per-replica input slots ([satisfied_at], [pending_senders]) are two
      flat arrays addressed through a per-row offset table, replacing the
      [(task, edge) -> position] Hashtbl; an injected row appends its
@@ -28,8 +29,9 @@
 
    Two things tell the kinds of row apart: the [(task, rep) -> rid] map,
    and the static-row test, since only static rows have plan emissions
-   and folded inputs.  Injected rows receive their inputs through
-   runtime subscriptions and re-sends, and keep the exact legacy
+   and folded inputs.  Injected rows receive their inputs through one
+   flat wiring table (a source row per entry, the subscriptions chained
+   through it as int links) and re-sends, and keep the exact legacy
    ordering of subscriptions, re-sends and queue placement.
 
    Message-free replay.  Under the paper's network ([Contention_free],
@@ -104,18 +106,7 @@ and t_running = 1
 and t_done = 2
 and t_lost = 3
 
-(* A runtime subscription: row [sub_rid] waits on its input slot
-   [sub_slot] for the completion of the subscribed-to source replica,
-   which then sends it [sub_vol] units.  Subscriptions are how injected
-   (recovery) replicas receive their inputs; plan messages cover only
-   the static grid. *)
-type sub = { sub_rid : int; sub_slot : int; sub_vol : float }
-
 module Engine = struct
-  type source =
-    | Resend of { arrival : float }
-    | On_completion of { src_task : int; src_rep : int }
-
   type t = {
     g : Dag.t;
     pl : Platform.t;
@@ -129,6 +120,8 @@ module Engine = struct
        [in_pos] (per edge id, its position in the destination's
        predecessor row), its volume from the predecessor row *)
     pred_off : int array;
+    pred_edges : int array;
+    pred_tasks : int array;
     pred_vol : float array;
     succ_off : int array;
     succ_edges : int array;
@@ -143,7 +136,7 @@ module Engine = struct
     mutable w_idx : int array;
     mutable w_dst : int array;
     mutable w_top : int;
-    network : network_model;
+    from : int array;  (* [exists_source]'s plan-senders walk *)
     faults : Scenario.comm_faults;
     frng : Rng.t;  (* loss-draw stream; untouched when faults are reliable *)
     fault_free : bool;
@@ -158,7 +151,7 @@ module Engine = struct
     mutable st_start : float array;
     mutable st_finish : float array;
     mutable unsat : int array;  (* input positions not yet satisfied *)
-    mutable subs : sub list array;  (* runtime subscribers *)
+    mutable sub_head : int array;  (* newest wiring entry subscribed, or -1 *)
     mutable proc : int array;  (* host processor *)
     mutable key : int array;  (* (task, rep) packed as a payload key *)
     mutable slot_off : int array;  (* length >= n_rows + 1 *)
@@ -171,7 +164,21 @@ module Engine = struct
        Injected rows append their slots past the static ones. *)
     mutable sat : float array;
     mutable pend : int array;
+    (* The wiring table of injected rows, one entry per (input slot,
+       source) in injection order: the source row [wire_src], the
+       receiving row and slot [wire_row], [wire_slot], and [wire_next],
+       the next older entry subscribed to the same source's completion
+       (-1 for none; a re-send's entry is in no chain).  Injected slot [s]'s
+       entries are [wire_lo.(s - slot_off.(n_static))] up to the next
+       slot's first. *)
+    mutable wire_lo : int array;
+    mutable wire_src : int array;
+    mutable wire_row : int array;
+    mutable wire_slot : int array;
+    mutable wire_next : int array;
+    mutable n_wire : int;
     extra : int array array;  (* per task: injected rids, in order *)
+    n_extra : int array;  (* per task: its injected rids in [extra] *)
     (* per-processor planned queues as cursors over flat arrays *)
     q_buf : int array array;
     q_head : int array;
@@ -228,8 +235,9 @@ module Engine = struct
     if k > payload_mask then
       invalid_arg "Event_sim.Engine.inject: replica index exceeds the event encoding"
 
-  (* Event [pos] (-1 = completion) of row [rid] at [at]. *)
-  let push_event eng at rid pos =
+  (* Event [pos] (-1 = completion) of row [rid] at [at].  Inlined, like
+     [arrival_event], so that [at] stays unboxed up to the heap. *)
+  let[@inline] push_event eng at rid pos =
     eng.seq <- eng.seq + 1;
     Heap.push eng.heap ~key:at ~seq:eng.seq ~payload:(payload eng.key.(rid) pos)
 
@@ -240,6 +248,8 @@ module Engine = struct
   let rid_of eng task rep =
     if rep < eng.kk then (task * eng.kk) + rep
     else eng.extra.(task).(rep - eng.kk)
+
+  let row_task eng rid = eng.key.(rid) lsr payload_bits
 
   let static_row eng rid = rid < eng.n_static
   let folded eng rid = eng.fold && static_row eng rid
@@ -329,9 +339,11 @@ module Engine = struct
         done;
         eng.w_top <- lo
       end;
-      List.iter
-        (fun sub -> drop_sender eng sub.sub_rid sub.sub_slot)
-        eng.subs.(rid)
+      let w = ref eng.sub_head.(rid) in
+      while !w >= 0 do
+        drop_sender eng eng.wire_row.(!w) eng.wire_slot.(!w);
+        w := eng.wire_next.(!w)
+      done
     end
 
   (* One potential sender of input [slot] of row [rid] is gone: an input
@@ -369,9 +381,10 @@ module Engine = struct
               !latest
             end
           in
-          let task = eng.key.(rid) lsr payload_bits in
           let start = Float.max inputs_ready eng.free_at.(p) in
-          let finish = start +. Instance.exec eng.inst task p in
+          let finish =
+            start +. (Instance.exec_row eng.inst (row_task eng rid)).(p)
+          in
           if start >= eng.fail_times.(p) || finish > eng.fail_times.(p)
           then begin
             lose eng rid;
@@ -461,22 +474,16 @@ module Engine = struct
         slot_off.(rid + 1) <- slot_off.(rid) + nt
       done
     done;
-    (* One walk of every edge's plan pairs counts the pending senders of
-       each input slot, one per retained pair. *)
+    (* A task's slots are one replica-major block, so one walk of its
+       predecessor row counts the pending senders of all of them, one per
+       retained plan pair. *)
     let n_slots = slot_off.(n_static) in
     let pend = Array.make (with_headroom n_slots) 0 in
-    let w = Comm_plan.widest plan ~eps in
-    let ps = Array.make w 0 and pd = Array.make w 0 in
     for t = 0 to v - 1 do
-      for k = pred_off.(t) to pred_off.(t + 1) - 1 do
-        let pos = k - pred_off.(t) in
-        let n = Comm_plan.pairs plan ~eps pred_edges.(k) ~srcs:ps ~dsts:pd in
-        for i = 0 to n - 1 do
-          let slot = slot_off.((t * kk) + pd.(i)) + pos in
-          pend.(slot) <- pend.(slot) + 1
-        done
-      done
+      Comm_plan.sender_counts plan ~eps pred_edges ~lo:pred_off.(t)
+        ~hi:pred_off.(t + 1) ~counts:pend ~at:slot_off.(t * kk)
     done;
+    let w = Comm_plan.widest plan ~eps in
     (* Outgoing-port free instants per processor (empty = contention-free).
        Messages grab the earliest-free port FIFO in production order. *)
     let make_ports k =
@@ -505,7 +512,8 @@ module Engine = struct
         g;
         pl = Instance.platform inst;
         inst; plan; eps; kk; n_static;
-        pred_off;
+        pred_off; pred_edges;
+        pred_tasks = Dag.Csr.pred_tasks g;
         pred_vol = Dag.Csr.pred_volumes g;
         succ_off = Dag.Csr.succ_offsets g;
         succ_edges = Dag.Csr.succ_edges g;
@@ -515,7 +523,8 @@ module Engine = struct
         w_idx = [||];
         w_dst = [||];
         w_top = 0;
-        network; faults;
+        from = Array.make w 0;
+        faults;
         frng = Rng.create ~seed:faults.Scenario.seed;
         fault_free = Scenario.is_reliable faults;
         retransmissions = 0;
@@ -527,7 +536,7 @@ module Engine = struct
         st_finish = Array.make n_static 0.;
         unsat =
           Array.init n_static (fun rid -> slot_off.(rid + 1) - slot_off.(rid));
-        subs = Array.make n_static [];
+        sub_head = Array.make n_static (-1);
         proc =
           Array.init n_static (fun rid ->
               (Schedule.replica s (rid / kk) (rid mod kk)).Schedule.proc);
@@ -537,7 +546,14 @@ module Engine = struct
         slot_off;
         sat = Array.make (with_headroom n_slots) infinity;
         pend;
+        wire_lo = [||];
+        wire_src = [||];
+        wire_row = [||];
+        wire_slot = [||];
+        wire_next = [||];
+        n_wire = 0;
         extra = Array.make v [||];
+        n_extra = Array.make v 0;
         q_buf;
         q_head = Array.make m 0;
         q_tail = Array.map Array.length q_buf;
@@ -573,7 +589,7 @@ module Engine = struct
     eng
 
   (* One message to deliver, to input [slot] of row [rid]. *)
-  let arrival_event eng at rid slot =
+  let[@inline] arrival_event eng at rid slot =
     push_event eng at rid (slot - eng.slot_off.(rid))
 
   (* Index of the earliest-free port. *)
@@ -584,10 +600,20 @@ module Engine = struct
     done;
     !best
 
-  (* The lossy channel.  Attempt [i] departs at [depart] and would arrive
-     [w] later; a per-attempt Bernoulli draw or an outage window on the
-     (src_proc, destination) link claims it.  The sender notices at an
-     ack timeout of [rtt_factor *. w] after departure — doubled on each
+  (* One message from completed row [srid] to input [slot] of row [rid]:
+     its volume is entry [vi] of the predecessor CSR, its delay entry
+     [proc rid] of [drow], the sender's delay row.  Only ints and arrays
+     come in and the floats stay local, so a message boxes no float here
+     (the heap's push, across libraries, boxes its key).
+
+     Under a port model a non-local message must wait for a free
+     outgoing port, and dies with the sender if the transfer has not
+     finished by the sender's failure instant.
+
+     On lossy links attempt [i] departs at [depart] and would arrive [w]
+     later; a per-attempt Bernoulli draw or an outage window on the
+     (sender, destination) link claims it.  The sender notices at an ack
+     timeout of [rtt_factor *. w] after departure — doubled on each
      attempt, exponential backoff — and retries, never past its own
      death, up to [retries] times.  A message that exhausts its retries
      is declared permanently lost and feeds the same starvation
@@ -595,89 +621,71 @@ module Engine = struct
      plan priced one transfer per message, and charging ports for
      adversarial re-sends would let a fault perturb fault-free traffic
      ordering (same simplification as the recovery layer's re-sends). *)
-  let rec attempt eng ~src_proc ~w i depart rid slot =
-    let arrival = depart +. w in
-    let f = eng.faults in
-    if
-      Rng.bernoulli eng.frng f.Scenario.loss
-      || (match f.Scenario.outages with
-         | [] -> false
-         | _ ->
-             Scenario.in_outage f ~src:src_proc ~dst:eng.proc.(rid)
-               ~at:arrival)
-    then
-      if i >= f.Scenario.retries then begin
-        eng.lost_messages <- eng.lost_messages + 1;
-        drop_sender eng rid slot
-      end
-      else begin
-        let redepart = depart +. (f.Scenario.rtt_factor *. w *. ldexp 1. i) in
-        if redepart > eng.fail_times.(src_proc) then begin
-          (* the sender dies before it can re-send *)
-          eng.lost_messages <- eng.lost_messages + 1;
-          drop_sender eng rid slot
-        end
-        else begin
-          eng.retransmissions <- eng.retransmissions + 1;
-          attempt eng ~src_proc ~w (i + 1) redepart rid slot
-        end
-      end
-    else arrival_event eng arrival rid slot
-
-  let deliver eng ~src_proc ~w depart rid slot =
-    if eng.fault_free then arrival_event eng (depart +. w) rid slot
-    else attempt eng ~src_proc ~w 0 depart rid slot
-
-  (* One message of [vol] units from [src_proc], done at [finish], to
-     input [slot] of row [rid].  Under a port model a non-local message
-     must wait for a free outgoing port, and dies with the sender if the
-     transfer has not finished by the sender's failure instant.  The
-     delay is read from its row, not through [Platform.delay]: across
-     modules compiled with [-opaque] that call returns a boxed float. *)
-  let emit eng ~src_proc ~finish rid slot vol =
-    let dproc = eng.proc.(rid) in
-    let w = vol *. (Platform.delay_row eng.pl src_proc).(dproc) in
+  let emit eng ~srid ~drow rid slot vi =
+    let src_proc = eng.proc.(srid) and dproc = eng.proc.(rid) in
+    let finish = eng.st_finish.(srid) and w = eng.pred_vol.(vi) *. drow.(dproc) in
     if w = 0. then arrival_event eng (finish +. w) rid slot
-    else
-      match eng.network with
-      | Contention_free -> deliver eng ~src_proc ~w finish rid slot
-      | Sender_ports _ | Duplex_ports _ ->
-          let send_free = eng.ports.(src_proc) in
-          let si = min_idx send_free in
-          let duplex =
-            match eng.network with Duplex_ports _ -> true | _ -> false
-          in
-          let depart =
-            if duplex then
-              let recv_free = eng.recv_ports.(dproc) in
-              Float.max finish
-                (Float.max send_free.(si) recv_free.(min_idx recv_free))
-            else Float.max finish send_free.(si)
-          in
-          if depart +. w <= eng.fail_times.(src_proc) then begin
-            send_free.(si) <- depart +. w;
-            if duplex then begin
-              let recv_free = eng.recv_ports.(dproc) in
-              recv_free.(min_idx recv_free) <- depart +. w
-            end;
-            deliver eng ~src_proc ~w depart rid slot
+    else begin
+      (* [infinity] once the sender's death cuts the transfer off *)
+      let depart = ref finish in
+      if Array.length eng.ports > 0 then begin
+        let send_free = eng.ports.(src_proc) and recv_free = eng.recv_ports in
+        let si = min_idx send_free and duplex = Array.length recv_free > 0 in
+        let recv_free = if duplex then recv_free.(dproc) else send_free in
+        let ri = min_idx recv_free in
+        depart := Float.max finish send_free.(si);
+        if duplex then depart := Float.max !depart recv_free.(ri);
+        if !depart +. w <= eng.fail_times.(src_proc) then begin
+          send_free.(si) <- !depart +. w;
+          if duplex then recv_free.(ri) <- !depart +. w
+        end
+        else depart := infinity
+      end;
+      if !depart = infinity then drop_sender eng rid slot
+      else if eng.fault_free then arrival_event eng (!depart +. w) rid slot
+      else begin
+        (* attempt [!i] departs at [!depart]; -1 once it is settled *)
+        let f = eng.faults and i = ref 0 in
+        while !i >= 0 do
+          let arrival = !depart +. w in
+          if
+            not
+              (Rng.bernoulli eng.frng f.Scenario.loss
+              || (f.Scenario.outages <> []
+                 && Scenario.in_outage f ~src:src_proc ~dst:dproc ~at:arrival))
+          then begin
+            i := -1;
+            arrival_event eng arrival rid slot
           end
-          else
-            (* transfer cut off by the sender's death *)
-            drop_sender eng rid slot
+          else begin
+            let redepart = !depart +. (f.Scenario.rtt_factor *. w *. ldexp 1. !i) in
+            (* out of retries, or the sender dies before it can re-send *)
+            if !i < f.Scenario.retries && redepart <= eng.fail_times.(src_proc)
+            then begin
+              eng.retransmissions <- eng.retransmissions + 1;
+              depart := redepart;
+              incr i
+            end
+            else begin
+              i := -1;
+              eng.lost_messages <- eng.lost_messages + 1;
+              drop_sender eng rid slot
+            end
+          end
+        done
+      end
+    end
 
-  (* The message-free path's emission: a plan message to input [slot]
-     of row [drid] arrives at [finish + w], fixed now.  It takes the
-     sequence number its arrival event would have taken and counts as
-     processed; its slot keeps the earliest arrival (first copy wins),
-     and the receiver gets one ready event once every input has an
-     arrival.  [vi] is the input's predecessor-CSR index, where its
-     volume is: an index, so reading the volume boxes no float. *)
-  let fold_arrival eng ~src_proc ~finish drid slot vi =
-    let w =
-      eng.pred_vol.(vi) *. (Platform.delay_row eng.pl src_proc).(eng.proc.(drid))
-    in
-    let at = finish +. w in
+  (* The message-free path's emission: a plan message from completed
+     row [srid] to input [slot] of row [drid] arrives at [finish + w],
+     fixed now.  It takes the sequence number its arrival event would
+     have taken and counts as processed; its slot keeps the earliest
+     arrival (first copy wins), and the receiver gets one ready event
+     once every input has an arrival.  [vi] and [drow] are as in
+     [emit]. *)
+  let fold_arrival eng ~srid ~drow drid slot vi =
+    let w = eng.pred_vol.(vi) *. drow.(eng.proc.(drid)) in
+    let at = eng.st_finish.(srid) +. w in
     eng.seq <- eng.seq + 1;
     eng.events <- eng.events + 1;
     if at >= eng.vmax_at then begin
@@ -699,13 +707,14 @@ module Engine = struct
       end
     end
 
-  (* Emit one message per retained plan pair originating at a completed
-     static row, plus one per runtime subscription; a dropped message
-     costs the receiver one potential sender.  In the message-free path
-     the plan messages of a completion popped in order are folded; those
-     of a retroactive one are arrival events, counted here like the
-     folded ones. *)
-  let emit_completions eng ~src_proc ~finish ~retro rid =
+  (* Emit one message per retained plan pair originating at completed
+     static row [rid], plus one per runtime subscription, newest first;
+     a dropped message costs the receiver one potential sender.  In the
+     message-free path the plan messages of a completion popped in order
+     are folded; those of a retroactive one are arrival events, counted
+     here like the folded ones. *)
+  let emit_completions eng ~retro rid =
+    let drow = Platform.delay_row eng.pl eng.proc.(rid) in
     if static_row eng rid then begin
       let lo = walk eng rid in
       for i = lo to eng.w_top - 1 do
@@ -713,19 +722,21 @@ module Engine = struct
         let dst = eng.succ_tasks.(j) and pos = eng.in_pos.(eng.succ_edges.(j)) in
         let drid = (dst * eng.kk) + eng.w_dst.(i) in
         let slot = eng.slot_off.(drid) + pos and vi = eng.pred_off.(dst) + pos in
-        if eng.fold && not retro then
-          fold_arrival eng ~src_proc ~finish drid slot vi
+        if eng.fold && not retro then fold_arrival eng ~srid:rid ~drow drid slot vi
         else begin
           if eng.fold then eng.events <- eng.events + 1;
-          emit eng ~src_proc ~finish drid slot eng.pred_vol.(vi)
+          emit eng ~srid:rid ~drow drid slot vi
         end
       done;
       eng.w_top <- lo
     end;
-    List.iter
-      (fun sub ->
-        emit eng ~src_proc ~finish sub.sub_rid sub.sub_slot sub.sub_vol)
-      eng.subs.(rid)
+    let w = ref eng.sub_head.(rid) in
+    while !w >= 0 do
+      let drid = eng.wire_row.(!w) and slot = eng.wire_slot.(!w) in
+      let vi = eng.pred_off.(row_task eng drid) + slot - eng.slot_off.(drid) in
+      emit eng ~srid:rid ~drow drid slot vi;
+      w := eng.wire_next.(!w)
+    done
 
   (* A pop of an arrival-kind event for a static replica in the
      message-free path: its ready event (the key recorded in the slot),
@@ -770,11 +781,10 @@ module Engine = struct
          cannot happen: losses only strike waiting replicas or processors
          already checked at start. *)
       assert (eng.tag.(rid) = t_running);
-      let finish = eng.st_finish.(rid) in
       eng.tag.(rid) <- t_done;
       let p = eng.proc.(rid) in
-      eng.free_at.(p) <- finish;
-      emit_completions eng ~src_proc:p ~finish ~retro rid;
+      eng.free_at.(p) <- eng.st_finish.(rid);
+      emit_completions eng ~retro rid;
       try_advance eng p
     end;
     drain_dirty eng
@@ -826,7 +836,7 @@ module Engine = struct
   let now eng = eng.now
   let events_processed eng = eng.events
   let heap_pops eng = eng.pops
-  let n_replicas eng task = eng.kk + Array.length eng.extra.(task)
+  let n_replicas eng task = eng.kk + eng.n_extra.(task)
 
   let replica_state eng ~task ~rep =
     let rid = rid_of eng task rep in
@@ -851,8 +861,6 @@ module Engine = struct
 
   let row_finish eng rid = eng.st_finish.(rid)
   let row_proc eng rid = eng.proc.(rid)
-  let row_task eng rid = eng.key.(rid) lsr payload_bits
-
   let iter_hosted eng p f =
     let buf = eng.q_buf.(p) in
     for i = 0 to eng.q_tail.(p) - 1 do
@@ -902,11 +910,12 @@ module Engine = struct
     eng.q_buf.(p).(tail) <- rid;
     eng.q_tail.(p) <- tail + 1
 
-  (* Room for one more row with [n] input slots.  Both the rows and the
-     slots grow by an eighth, so a recovery that injects a few hundred
-     replicas copies the large static slot arrays once or twice instead
-     of doubling them. *)
-  let reserve eng n =
+  (* Room for one more row with [n] input slots fed by [n_src] sources.
+     Both the rows and the slots grow by an eighth, so a recovery that
+     injects a few hundred replicas copies the large static slot arrays
+     once or twice instead of doubling them; the wiring, which only
+     injected rows have, doubles. *)
+  let reserve eng n n_src =
     let rows = Array.length eng.tag in
     if eng.n_rows = rows then begin
       let len = rows + max 16 (rows / 8) in
@@ -914,7 +923,7 @@ module Engine = struct
       eng.st_start <- grown eng.st_start len 0.;
       eng.st_finish <- grown eng.st_finish len 0.;
       eng.unsat <- grown eng.unsat len 0;
-      eng.subs <- grown eng.subs len [];
+      eng.sub_head <- grown eng.sub_head len (-1);
       eng.proc <- grown eng.proc len 0;
       eng.key <- grown eng.key len 0;
       eng.slot_off <- grown eng.slot_off (len + 1) 0
@@ -924,71 +933,92 @@ module Engine = struct
       let len = max (used + n) (with_headroom slots) in
       eng.sat <- grown eng.sat len infinity;
       eng.pend <- grown eng.pend len 0
+    end;
+    let wired = used + n + 1 - eng.slot_off.(eng.n_static) in
+    if wired > Array.length eng.wire_lo then
+      eng.wire_lo <- grown eng.wire_lo (max wired (2 * Array.length eng.wire_lo)) 0;
+    let need = eng.n_wire + n_src in
+    if need > Array.length eng.wire_src then begin
+      let len = max (max 64 need) (2 * Array.length eng.wire_src) in
+      eng.wire_src <- grown eng.wire_src len 0;
+      eng.wire_row <- grown eng.wire_row len 0;
+      eng.wire_slot <- grown eng.wire_slot len 0;
+      eng.wire_next <- grown eng.wire_next len (-1)
     end
 
-  let inject eng ~task ~proc ~inputs =
+  let on_completion = neg_infinity
+
+  let inject eng ~task ~proc ~src_lo ~src_row ~src_at =
     if task < 0 || task >= Array.length eng.extra then
       invalid_arg "Event_sim.Engine.inject: task";
     if proc < 0 || proc >= Array.length eng.free_at then
       invalid_arg "Event_sim.Engine.inject: proc";
     let pbase = eng.pred_off.(task) in
     let net = eng.pred_off.(task + 1) - pbase in
-    if Array.length inputs <> net then
-      invalid_arg "Event_sim.Engine.inject: one source list per in-edge";
-    let k = eng.kk + Array.length eng.extra.(task) in
+    if Array.length src_lo <= net then
+      invalid_arg "Event_sim.Engine.inject: one source range per in-edge";
+    let k = eng.kk + eng.n_extra.(task) in
     check_replica k;
-    reserve eng net;
-    let rid = eng.n_rows in
-    let base = eng.slot_off.(rid) in
-    (* Validate and collect sources before publishing the row: a
-       malformed call must not leave a half-subscribed ghost behind. *)
-    let subs_to_add = ref [] in
-    let resends = ref [] in
-    Array.iteri
-      (fun pos sources ->
-        if sources = [] then
-          invalid_arg "Event_sim.Engine.inject: input with no source";
-        let esrc = (Dag.Csr.pred_tasks eng.g).(pbase + pos) in
-        let vol = eng.pred_vol.(pbase + pos) in
-        List.iter
-          (function
-            | Resend { arrival } ->
-                if arrival < eng.now then
-                  invalid_arg "Event_sim.Engine.inject: arrival in the past";
-                if arrival < infinity then resends := (arrival, pos) :: !resends
-            | On_completion { src_task; src_rep } ->
-                if src_task <> esrc then
-                  invalid_arg "Event_sim.Engine.inject: source task mismatch";
-                if src_rep < 0 || src_rep >= n_replicas eng src_task then
-                  invalid_arg "Event_sim.Engine.inject: source replica";
-                let srid = rid_of eng src_task src_rep in
-                if eng.tag.(srid) = t_done then
-                  invalid_arg
-                    "Event_sim.Engine.inject: source already completed \
-                     (use Resend)"
-                else if eng.tag.(srid) = t_lost then
-                  invalid_arg "Event_sim.Engine.inject: lost source";
-                let sub =
-                  { sub_rid = rid; sub_slot = base + pos; sub_vol = vol }
-                in
-                subs_to_add := (srid, sub) :: !subs_to_add)
-          sources)
-      inputs;
+    reserve eng net (src_lo.(net) - src_lo.(0));
+    (* Validate every source while writing the row's slots and wiring
+       past the used ones, and publish the row only then: a malformed
+       call must not leave a half-wired ghost behind. *)
+    let rid = eng.n_rows and n_static_slots = eng.slot_off.(eng.n_static) in
+    let base = eng.slot_off.(rid) and w0 = eng.n_wire - src_lo.(0) in
+    for pos = 0 to net - 1 do
+      let slot = base + pos in
+      if src_lo.(pos + 1) <= src_lo.(pos) then
+        invalid_arg "Event_sim.Engine.inject: input with no source";
+      eng.pend.(slot) <- src_lo.(pos + 1) - src_lo.(pos);
+      eng.wire_lo.(slot - n_static_slots) <- w0 + src_lo.(pos);
+      for i = src_lo.(pos) to src_lo.(pos + 1) - 1 do
+        let srid = src_row.(i) and at = src_at.(i) in
+        if srid < 0 || srid >= eng.n_rows then
+          invalid_arg "Event_sim.Engine.inject: source row";
+        if row_task eng srid <> eng.pred_tasks.(pbase + pos) then
+          invalid_arg "Event_sim.Engine.inject: source task mismatch";
+        if at = on_completion then begin
+          if eng.tag.(srid) = t_done || eng.tag.(srid) = t_lost then
+            invalid_arg "Event_sim.Engine.inject: subscribed source done or lost"
+        end
+        else if Float.is_nan at then
+          invalid_arg "Event_sim.Engine.inject: NaN arrival"
+        else if at < eng.now then
+          invalid_arg "Event_sim.Engine.inject: arrival in the past";
+        eng.wire_src.(w0 + i) <- srid;
+        eng.wire_row.(w0 + i) <- rid;
+        eng.wire_slot.(w0 + i) <- slot;
+        eng.wire_next.(w0 + i) <- -1
+      done
+    done;
     (* Publish the row.  Rows and slots past the used ones are fresh from
        [reserve]: waiting, no subscribers, no arrival. *)
-    Array.iteri
-      (fun pos sources -> eng.pend.(base + pos) <- List.length sources)
-      inputs;
+    eng.n_wire <- w0 + src_lo.(net);
+    eng.wire_lo.(base + net - n_static_slots) <- eng.n_wire;
     eng.unsat.(rid) <- net;
     eng.proc.(rid) <- proc;
     eng.key.(rid) <- key_of ~task ~rep:k;
     eng.slot_off.(rid + 1) <- base + net;
     eng.n_rows <- rid + 1;
-    eng.extra.(task) <- Array.append eng.extra.(task) [| rid |];
-    List.iter
-      (fun (srid, sub) -> eng.subs.(srid) <- sub :: eng.subs.(srid))
-      !subs_to_add;
-    List.iter (fun (arrival, pos) -> push_event eng arrival rid pos) !resends;
+    let n = eng.n_extra.(task) in
+    if n = Array.length eng.extra.(task) then
+      eng.extra.(task) <- grown eng.extra.(task) (max 2 (2 * n)) 0;
+    eng.extra.(task).(n) <- rid;
+    eng.n_extra.(task) <- n + 1;
+    (* Subscriptions and re-sends, last source first: the order the
+       legacy source lists took them in, which fixes the subscribers'
+       emission order and the re-sends' sequence numbers. *)
+    for pos = net - 1 downto 0 do
+      for i = src_lo.(pos + 1) - 1 downto src_lo.(pos) do
+        let at = src_at.(i) in
+        if at = on_completion then begin
+          let srid = src_row.(i) in
+          eng.wire_next.(w0 + i) <- eng.sub_head.(srid);
+          eng.sub_head.(srid) <- w0 + i
+        end
+        else if at < infinity then push_event eng at rid pos
+      done
+    done;
     enqueue eng proc rid;
     (* An injection decided at virtual time [now] cannot start earlier
        than [now], even on an idle processor.  Bumping the availability is
@@ -998,6 +1028,28 @@ module Engine = struct
     Queue.add proc eng.dirty;
     drain_dirty eng;
     k
+
+  let exists_source eng rid pos f =
+    if static_row eng rid then begin
+      let k = eng.pred_off.(row_task eng rid) + pos in
+      let n =
+        Comm_plan.senders eng.plan ~eps:eng.eps eng.pred_edges.(k)
+          ~dst:(rid mod eng.kk) eng.from
+      in
+      let src = eng.pred_tasks.(k) * eng.kk and i = ref 0 in
+      while !i < n && not (f (src + eng.from.(!i))) do
+        incr i
+      done;
+      !i < n
+    end
+    else begin
+      let s = eng.slot_off.(rid) + pos - eng.slot_off.(eng.n_static) in
+      let i = ref eng.wire_lo.(s) in
+      while !i < eng.wire_lo.(s + 1) && not (f eng.wire_src.(!i)) do
+        incr i
+      done;
+      !i < eng.wire_lo.(s + 1)
+    end
 
   (* Anything not completed when the event heap has drained can never
      run; report it as lost.  (After [drain] no replica is [Running]: a

@@ -116,24 +116,13 @@ type row_state = Row_waiting | Row_running | Row_done | Row_lost
     Injected replicas are appended after the static replicas [0..eps] of
     their task, execute at the tail of their processor's FIFO queue, and
     receive each input either as a re-sent copy with a known arrival time
-    ([Resend], for sources that already completed) or as a subscription to
-    a not-yet-finished source replica ([On_completion], delivering a
+    (for sources that already completed) or as a subscription to a
+    not-yet-finished source replica ({!Engine.on_completion}, delivering a
     message with the usual communication cost and sender-death cut-off
-    when that source completes). *)
+    when that source completes).  Who feeds an injected row is kept in
+    one flat wiring table, read back by {!Engine.exists_source}. *)
 module Engine : sig
   type t
-
-  type source =
-    | Resend of { arrival : float }
-        (** a copy of the input reaches the injected replica at [arrival]
-            (the caller prices the transfer; the engine trusts it).  An
-            [infinity] arrival models a re-send that is physically cut off
-            (e.g. the holder is dead but the controller does not know
-            yet): it counts as a potential sender that never delivers.
-            Finite arrivals must not lie in the past. *)
-    | On_completion of { src_task : int; src_rep : int }
-        (** deliver when that replica of the predecessor task completes;
-            invalid if it is already [Done] (use [Resend]) or lost *)
 
   val create :
     ?network:network_model ->
@@ -153,10 +142,10 @@ module Engine : sig
       a processor the platform does not have.
 
       {b Cost.}  [create] reads the schedule directly: it sizes one input
-      slot per (static replica, in-edge), counts each slot's pending
-      senders with one {!Ftsched_schedule.Comm_plan.pairs} walk per edge
-      (under all-to-all by arithmetic), and copies each processor's
-      planned order.  That is O(v·(ε+1) + e·(ε+1)²) time and
+      slot per (static replica, in-edge), counts the pending senders of a
+      task's slots with one {!Ftsched_schedule.Comm_plan.sender_counts}
+      walk over its predecessor row (under all-to-all by arithmetic), and
+      copies each processor's planned order.  That is O(v·(ε+1) + e·(ε+1)²) time and
       O(v·(ε+1) + e·(ε+1)) words, with nothing kept per plan message:
       who sends to whom is asked of the plan when a sender completes or
       is lost.
@@ -246,12 +235,51 @@ module Engine : sig
       or already-lost replicas; invalid on a [Running] one (a running
       replica can only be cut down by its processor's death). *)
 
-  val inject : t -> task:int -> proc:int -> inputs:source list array -> int
-  (** Add a replica of [task] at the tail of [proc]'s queue.  [inputs]
-      has one non-empty source list per in-edge of the task (in
-      predecessor-row order).  Returns the new replica index.  The engine
-      does not check [proc] against [fail_times]: re-mapping onto a
-      dead-but-undetected processor is a legitimate (and costly) move. *)
+  val on_completion : float
+  (** The arrival that subscribes an injected input to its source's
+      completion ([neg_infinity], never a priced arrival). *)
+
+  val inject :
+    t ->
+    task:int ->
+    proc:int ->
+    src_lo:int array ->
+    src_row:int array ->
+    src_at:float array ->
+    int
+  (** Add a replica of [task] at the tail of [proc]'s queue and return
+      its replica index.  Its inputs come from three columns the caller
+      owns (the engine copies what it keeps): the sources of in-edge
+      [pos] (predecessor-row order) are the entries [i] from
+      [src_lo.(pos)] to [src_lo.(pos + 1) − 1], at least one per input,
+      so [src_lo] has at least [in_degree + 1] entries.  Entry [i] names
+      a source row [src_row.(i)] (see {!rid}), a replica of that input's
+      predecessor task, and how its copy arrives, [src_at.(i)]:
+      - a priced arrival: a copy reaches the injected replica then (the
+        caller prices the transfer; the engine trusts it).  [infinity]
+        models a re-send that is physically cut off (the holder is dead
+        but the controller does not know yet): it counts as a potential
+        sender that never delivers.  A finite arrival must not lie
+        before {!now};
+      - {!on_completion}: deliver when the source row completes, with the
+        usual communication cost and sender-death cut-off.  The source
+        must not be done (price its arrival instead) or lost.
+
+      Raises [Invalid_argument], before changing anything, on a task or
+      processor out of range, an input without a source, a source row
+      out of range or of another task, and on a NaN arrival: it would
+      count as a sender that is never queued, and its replica would wait
+      on it until lost.  The engine does not check [proc] against
+      [fail_times]: re-mapping onto a dead-but-undetected processor is a
+      legitimate (and costly) move. *)
+
+  val exists_source : t -> int -> int -> (int -> bool) -> bool
+  (** [exists_source eng rid pos f] tells whether [f] holds for a row
+      wired to input [pos] of row [rid], trying them in wiring order and
+      stopping at the first that does: a static row's plan senders of
+      that input (the communication plan's pairs feeding its replica),
+      an injected row's sources as given to {!inject}.  Allocates
+      nothing. *)
 
   val result : t -> result
   (** Call after [drain]; replicas not [Done] are reported [Lost]. *)

@@ -8,7 +8,9 @@
    {!Recovery.run} must return a structurally equal outcome on every
    run — the recovery tests, the fuzzer and the scale oracle compare
    the two.  Keep this file frozen; behavioural changes belong in
-   {!Recovery}. *)
+   {!Recovery}.  The one edit since it froze: its [inject] call turns
+   each input's source list (a source row and an arrival, or
+   [Engine.on_completion]) into the engine's flat source columns. *)
 
 module Dag = Ftsched_dag.Dag
 module Platform = Ftsched_platform.Platform
@@ -218,15 +220,25 @@ let run ?network ?faults ?release ?(delta = 0.) ?rounds s ~fail_times =
                                   depart +. w
                                 else infinity
                               in
-                              Engine.Resend { arrival }
+                              (Engine.rid eng ~task:src ~rep:sr, arrival)
                           | Running _ | Waiting ->
-                              Engine.On_completion
-                                { src_task = src; src_rep = sr }
+                              ( Engine.rid eng ~task:src ~rep:sr,
+                                Engine.on_completion )
                           | Lost_replica -> assert false)
                         srcs)
                     pos_sources
                 in
-                let rep = Engine.inject eng ~task ~proc:p ~inputs in
+                (* the lists as the engine's source columns *)
+                let flat = List.concat (Array.to_list inputs) in
+                let src_lo = Array.make (Array.length inputs + 1) 0 in
+                Array.iteri
+                  (fun pos l -> src_lo.(pos + 1) <- src_lo.(pos) + List.length l)
+                  inputs;
+                let rep =
+                  Engine.inject eng ~task ~proc:p ~src_lo
+                    ~src_row:(Array.of_list (List.map fst flat))
+                    ~src_at:(Array.of_list (List.map snd flat))
+                in
                 Hashtbl.replace injected_sources (task, rep)
                   (Array.map
                      (fun (src, srcs, _) -> List.map (fun sr -> (src, sr)) srcs)

@@ -19,7 +19,10 @@
      text, communication plan included, from an untraced and from a
      traced run;
    - the flat [Event_sim] against the reference engine, fault-free and
-     with one crash of the busiest processor at a quarter of M*;
+     with one crash of the busiest processor at a quarter of M*, and
+     that crash under the one-port network ([Sender_ports 1]), where
+     every message is an event, on both MC-FTSA plans and the pegasus
+     FTSA plan;
    - the whole [Recovery] outcome from the benchmarks' three timed
      crashes with delta = 0.02 M*, pinned bit for bit, and equal to the
      frozen list-based controller's ([Recovery_ref]);
@@ -251,22 +254,33 @@ let codecs_agree s =
       (String.equal doc_ref
          (Serialize_ref.schedule_to_string (Serialize.schedule_of_string doc_ref)))
 
+(* One crash of the busiest processor at a quarter of M*. *)
+let busiest_crash s =
+  let busiest = ref 0 in
+  for p = 1 to m - 1 do
+    if Schedule.busy_time s p > Schedule.busy_time s !busiest then busiest := p
+  done;
+  let crash = Array.make m infinity in
+  crash.(!busiest) <- 0.25 *. Schedule.latency_lower_bound s;
+  crash
+
 let engines_agree s =
   let no_fail = Array.make m infinity in
   let flat = Event_sim.run s ~fail_times:no_fail in
   if flat <> Event_sim_ref.run s ~fail_times:no_fail then
     Error "fault-free run differs"
   else
-    let busiest = ref 0 in
-    for p = 1 to m - 1 do
-      if Schedule.busy_time s p > Schedule.busy_time s !busiest then
-        busiest := p
-    done;
-    let crash = Array.copy no_fail in
-    crash.(!busiest) <- 0.25 *. Schedule.latency_lower_bound s;
+    let crash = busiest_crash s in
     of_bool "single-crash run differs"
       (Event_sim.run s ~fail_times:crash
       = Event_sim_ref.run s ~fail_times:crash)
+
+(* The per-message path at scale: the single crash under one port. *)
+let one_port_engines_agree s =
+  let crash = busiest_crash s and network = Event_sim.Sender_ports 1 in
+  of_bool "one-port single-crash run differs"
+    (Event_sim.run ~network s ~fail_times:crash
+    = Event_sim_ref.run ~network s ~fail_times:crash)
 
 (* MD5 over the whole [Recovery.outcome] (the regression suite's
    [recovery_digest]): every replica's outcome with its times as [%h],
@@ -509,6 +523,9 @@ let graph name generate =
       check (algo ^ ": evaluated processors per task bounded") (fun () ->
           evaluated_bounded name algo inst s);
       check (algo ^ ": flat Event_sim = reference") (fun () -> engines_agree s);
+      if algo = "mc-ftsa" || name = "pegasus" then
+        check (algo ^ ": one-port Event_sim = reference") (fun () ->
+            one_port_engines_agree s);
       check (algo ^ ": Recovery = pinned") (fun () ->
           recovery_pinned name algo s);
       check (algo ^ ": Recovery = reference") (fun () ->

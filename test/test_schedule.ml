@@ -182,6 +182,75 @@ let test_receivers () =
       ]
   done
 
+(* [sender_counts] over a predecessor row, against counts of the list
+   view's pairs: the slot of destination replica [d] and row index [j]
+   holds how many of [edges.(j)]'s pairs feed [d], written from [at] on
+   in one replica-major block, nothing outside it. *)
+let sender_counts_match plan ~eps edges ~lo ~hi =
+  let n = hi - lo and at = 3 in
+  let counts = Array.make (at + ((eps + 1) * n) + 2) (-1) in
+  Comm_plan.sender_counts plan ~eps edges ~lo ~hi ~counts ~at;
+  let ok = ref (counts.(at - 1) = -1 && counts.(at + ((eps + 1) * n)) = -1) in
+  for d = 0 to eps do
+    for j = lo to hi - 1 do
+      let want =
+        List.length
+          (List.filter
+             (fun p -> p.Comm_plan.dst_replica = d)
+             (Comm_plan.to_list plan ~eps edges.(j)))
+      in
+      if counts.(at + (d * n) + (j - lo)) <> want then ok := false
+    done
+  done;
+  !ok
+
+let test_sender_counts () =
+  let row l =
+    List.map (fun (s, d) -> { Comm_plan.src_replica = s; dst_replica = d }) l
+  in
+  (* redundant rows: one source feeding two destinations, two sources
+     feeding one, and an empty row *)
+  let plan =
+    Comm_plan.of_lists
+      [| row [ (1, 2); (0, 0); (1, 0); (2, 1) ];
+         row [];
+         row [ (2, 2); (2, 0); (0, 1); (1, 1); (0, 2) ];
+         row [ (0, 1); (0, 2) ] |]
+  in
+  let edges = [| 3; 0; 2; 1; 2 |] in
+  check_bool "hand rows" true (sender_counts_match plan ~eps:2 edges ~lo:0 ~hi:5);
+  check_bool "a sub-run" true (sender_counts_match plan ~eps:2 edges ~lo:1 ~hi:3);
+  check_bool "an empty run" true
+    (sender_counts_match plan ~eps:2 edges ~lo:2 ~hi:2);
+  let counts = Array.make 6 0 in
+  Comm_plan.sender_counts plan ~eps:2 edges ~lo:0 ~hi:1 ~counts ~at:2;
+  Alcotest.(check (array int)) "one source feeding two: counted per destination"
+    [| 0; 0; 0; 1; 1; 0 |] counts;
+  check_bool "all-to-all" true
+    (sender_counts_match Comm_plan.all_to_all ~eps:2 edges ~lo:0 ~hi:5);
+  (* scheduled plans, over every task's predecessor row *)
+  for seed = 0 to 19 do
+    let inst = random_instance ~seed ~n_tasks:(4 + seed) ~m:(3 + (seed mod 3)) () in
+    let g = Instance.dag inst in
+    let eps = 1 + (seed mod 2) in
+    let off = Dag.Csr.pred_offsets g and edges = Dag.Csr.pred_edges g in
+    let mc strategy =
+      Schedule.comm (Ftsched_core.Mc_ftsa.schedule ~seed ~strategy inst ~eps)
+    in
+    List.iter
+      (fun (name, plan) ->
+        for t = 0 to Dag.n_tasks g - 1 do
+          if not (sender_counts_match plan ~eps edges ~lo:off.(t) ~hi:off.(t + 1))
+          then Alcotest.failf "%s seed %d task %d" name seed t
+        done)
+      [
+        ("all-to-all", Comm_plan.all_to_all);
+        ("mc-ftsa", mc Ftsched_core.Mc_ftsa.Greedy);
+        ("mc-ftsa bottleneck", mc Ftsched_core.Mc_ftsa.Bottleneck);
+        ("mc-ftsa redundant 2", mc (Ftsched_core.Mc_ftsa.Redundant 2));
+      ]
+  done
+
 let test_is_one_to_one () =
   let one pairs ~eps = one_to_one_pairs pairs ~eps in
   check_bool "valid bijection" true (one [ (0, 1); (1, 0) ] ~eps:1);
@@ -1324,6 +1393,7 @@ let () =
           Alcotest.test_case "senders_to" `Quick test_senders_to;
           Alcotest.test_case "builder rows" `Quick test_builder_rows;
           Alcotest.test_case "receivers walk" `Quick test_receivers;
+          Alcotest.test_case "sender counts walk" `Quick test_sender_counts;
           Alcotest.test_case "is_one_to_one" `Quick test_is_one_to_one;
           Alcotest.test_case "is_one_to_one edge cases" `Quick
             test_is_one_to_one_edge_cases;

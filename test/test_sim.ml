@@ -839,24 +839,35 @@ let test_nested_walks_equal_reference () =
 (* Words allocated per processed event by whole replays of the kernel
    allocation guard's 1,000-task layered graph (m = 20, eps = 2; FTSA
    and MC-FTSA at seed 1): fault-free and with the busiest processor
-   crashing at a quarter of M*, through [Event_sim.run], and that crash
-   through [Recovery.run_timed] with delta = 0.02 M*.  A count is minor
-   words plus words allocated directly in the major heap (the engine's
-   large arrays), after a minor collection so that every promoted word
-   was allocated inside the window.  It is deterministic: equal over
-   three runs in one domain and in each of two worker domains.
+   crashing at a quarter of M*, through [Event_sim.run], that crash
+   through [Recovery.run_timed] with delta = 0.02 M*, and fault-free
+   under the one-port network ([Sender_ports 1]), the per-message path.
+   A count is minor words plus words allocated directly in the major
+   heap (the engine's large arrays), after a minor collection so that
+   every promoted word was allocated inside the window.  It is
+   deterministic: equal over three runs in one domain and in each of two
+   worker domains.
 
    Pinned counts (words per run / events, parent → now):
-   - FTSA fault-free 753,523 → 314,992 / 183,810;
-   - FTSA one crash 751,099 → 312,568 / 172,029;
-   - FTSA recovery 752,485 → 313,954 / 172,029;
-   - MC-FTSA fault-free 504,329 → 305,906 / 63,270;
-   - MC-FTSA one crash 460,107 → 263,632 / 17,554;
-   - MC-FTSA recovery 1,442,076 → 1,244,905 / 34,181.
+   - FTSA fault-free 314,992 → 285,987 / 183,810;
+   - FTSA one crash 312,568 → 284,048 / 172,029;
+   - FTSA recovery 313,954 → 285,527 / 172,029;
+   - FTSA one-port 1,858,169 → 1,467,549 / 183,810;
+   - MC-FTSA fault-free 305,906 → 276,907 / 63,270;
+   - MC-FTSA one crash 263,632 → 245,465 / 17,554;
+   - MC-FTSA recovery 1,244,905 → 776,806 / 34,181;
+   - MC-FTSA one-port 766,856 → 617,322 / 63,270.
    Each bound is the count plus 1,000 words per run, per event: under
    one two-word block per completed replica (3,000 static replicas), so
-   an allocation per completion fails the guard.  A budget change goes
-   through CHANGES.md with its reason. *)
+   an allocation per completion fails the guard.
+
+   Recovery's own words per injection — its run's words less those of
+   the [Event_sim] run with the same crash, over its injections — are
+   pinned beside them: MC-FTSA 981,239 → 531,341 words over 696
+   injections (1,409.8 → 763.4 per injection); FTSA
+   injects nothing there.  The bound is the count plus 1,000 words per
+   run, per injection.  A budget change goes through CHANGES.md with its
+   reason. *)
 let test_replay_allocation_guard () =
   let module Recovery = Ftsched_recovery.Recovery in
   let rng = Rng.create ~seed:2008 in
@@ -864,15 +875,35 @@ let test_replay_allocation_guard () =
   let platform = Platform.random rng ~m:20 ~delay_lo:0.5 ~delay_hi:1.0 () in
   let inst = Instance.random_exec rng ~dag ~platform () in
   let m = 20 in
-  let per_event run () =
+  (* words allocated by [run], and the count it returns *)
+  let words run () =
     Gc.minor ();
     let minor0 = Gc.minor_words () and _, promoted0, major0 = Gc.counters () in
-    let events = run () in
+    let n = run () in
     let _, promoted1, major1 = Gc.counters () and minor1 = Gc.minor_words () in
-    (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
-    /. float_of_int events
+    (minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0), n)
   in
-  let runs name s bounds =
+  let per_event run () =
+    let w, events = words run () in
+    w /. float_of_int events
+  in
+  let deterministic name measure =
+    let x = measure () in
+    let again = List.init 2 (fun _ -> measure ()) in
+    let parallel =
+      Ftsched_par.Par.parallel_map ~jobs:2 (fun () -> measure ()) [ (); () ]
+    in
+    List.iter
+      (fun y -> Alcotest.(check (float 0.)) (name ^ " repeat") x y)
+      (again @ parallel);
+    x
+  in
+  let bounded name what x bound =
+    Printf.printf "%s: %.4f words per %s, budget %.3f\n" name x what bound;
+    if x > bound then
+      Alcotest.failf "%s: %.4f words per %s, budget %.3f" name x what bound
+  in
+  let runs name s ~per_event:bounds ~per_injection =
     let busiest = ref 0 in
     for p = 1 to m - 1 do
       if Schedule.busy_time s p > Schedule.busy_time s !busiest then busiest := p
@@ -880,33 +911,44 @@ let test_replay_allocation_guard () =
     let mstar = Schedule.latency_lower_bound s in
     let crash = { Scenario.proc = !busiest; at = 0.25 *. mstar } in
     let events (r : Event_sim.result) = r.Event_sim.events_processed in
-    List.combine
+    let one_crash () = events (Event_sim.run_timed s [ crash ]) in
+    let recovery () =
+      (Recovery.run_timed ~delta:(0.02 *. mstar) s [ crash ]).Recovery.injections
+    in
+    List.iter2
+      (fun (what, run) bound ->
+        let name = name ^ " " ^ what in
+        bounded name "event"
+          (deterministic (name ^ " words per event") (per_event run))
+          bound)
       [
-        ( name ^ " fault-free",
-          fun () -> events (Event_sim.run s ~fail_times:(Array.make m infinity)) );
-        (name ^ " one crash", fun () -> events (Event_sim.run_timed s [ crash ]));
-        ( name ^ " recovery",
+        ("fault-free", fun () -> events (Event_sim.run s ~fail_times:(Array.make m infinity)));
+        ("one crash", one_crash);
+        ( "recovery",
           fun () ->
             events
               (Recovery.run_timed ~delta:(0.02 *. mstar) s [ crash ]).Recovery.result
         );
+        ( "one-port",
+          fun () ->
+            events
+              (Event_sim.run ~network:(Event_sim.Sender_ports 1) s
+                 ~fail_times:(Array.make m infinity)) );
       ]
-      bounds
+      bounds;
+    let own () =
+      let w, injections = words recovery () and w0, _ = words one_crash () in
+      (w -. w0, injections)
+    in
+    let w, injections = own () in
+    let per = if injections = 0 then 0. else w /. float_of_int injections in
+    ignore (deterministic (name ^ " recovery words") (fun () -> fst (own ())));
+    bounded (name ^ " recovery") "injection" per per_injection
   in
-  List.iter
-    (fun ((name, run), bound) ->
-      let words = per_event run () in
-      let again = List.init 2 (fun _ -> per_event run ()) in
-      let parallel =
-        Ftsched_par.Par.parallel_map ~jobs:2 (fun () -> per_event run ()) [ (); () ]
-      in
-      List.iter
-        (fun w -> Alcotest.(check (float 0.)) (name ^ " words per event repeat") words w)
-        (again @ parallel);
-      if words > bound then
-        Alcotest.failf "%s: %.4f words per event, budget %.3f" name words bound)
-    (runs "ftsa" (Ftsa.schedule ~seed:1 inst ~eps:2) [ 1.719; 1.822; 1.830 ]
-    @ runs "mc-ftsa" (Mc_ftsa.schedule ~seed:1 inst ~eps:2) [ 4.850; 15.075; 36.450 ])
+  runs "ftsa" (Ftsa.schedule ~seed:1 inst ~eps:2)
+    ~per_event:[ 1.562; 1.657; 1.666; 7.990 ] ~per_injection:0.;
+  runs "mc-ftsa" (Mc_ftsa.schedule ~seed:1 inst ~eps:2)
+    ~per_event:[ 4.393; 14.041; 22.756; 9.773 ] ~per_injection:764.858
 
 (* The same differential at benchmark size: the v=800, m=50, eps=2
    layered FTSA and MC-FTSA schedules under the scenarios a streaming
@@ -1203,6 +1245,86 @@ let test_crash_exec_equals_reference_sec6 () =
         (replay_plans ~seed:index inst ~eps))
     [ 1; 2; 5; 2 ]
 
+(* A NaN re-send compares false against [now] and against [infinity]:
+   it would count as a sender and never be queued, and its replica
+   would wait on it until lost.  [inject] rejects it before publishing
+   the row. *)
+let test_inject_rejects_nan_arrival () =
+  let inst = tiny_instance () in
+  let s = Ftsa.schedule ~seed:0 inst ~eps:0 in
+  let eng = Event_sim.Engine.create s ~fail_times:[| infinity; infinity |] in
+  Event_sim.Engine.drain eng;
+  let src = Event_sim.Engine.rid eng ~task:0 ~rep:0 in
+  Alcotest.check_raises "NaN arrival"
+    (Invalid_argument "Event_sim.Engine.inject: NaN arrival") (fun () ->
+      ignore
+        (Event_sim.Engine.inject eng ~task:1 ~proc:1 ~src_lo:[| 0; 1 |]
+           ~src_row:[| src |] ~src_at:[| Float.nan |]));
+  check_int "no row published" 1 (Event_sim.Engine.n_replicas eng 1);
+  let rep =
+    Event_sim.Engine.inject eng ~task:1 ~proc:1 ~src_lo:[| 0; 1 |]
+      ~src_row:[| src |] ~src_at:[| Event_sim.Engine.now eng |]
+  in
+  Event_sim.Engine.drain eng;
+  check_bool "a priced re-send delivers" true
+    (match Event_sim.Engine.replica_state eng ~task:1 ~rep with
+    | Event_sim.Done _ -> true
+    | _ -> false)
+
+(* −0.0 volumes and delays and a −0.0 release are legal input.  The
+   replay's plain comparisons ([Crash_exec]'s arrival loop, [Recovery]'s
+   pricing) stand in for [Float.min]/[Float.max], which order −0.0
+   below +0.0; on such instances each engine must still equal its
+   reference, bit for bit. *)
+let test_signed_zeros_equal_references () =
+  let module Recovery = Ftsched_recovery.Recovery in
+  let module Recovery_ref = Ftsched_oracle.Recovery_ref in
+  let module Crash_exec_ref = Ftsched_oracle.Crash_exec_ref in
+  let m = 5 in
+  for seed = 0 to 7 do
+    let rng = Rng.create ~seed in
+    let g = Generators.layered rng ~n_tasks:30 () in
+    let b = Dag.Builder.create () in
+    for _ = 1 to Dag.n_tasks g do
+      ignore (Dag.Builder.add_task b)
+    done;
+    Dag.iter_edges g (fun e ~src ~dst ~volume ->
+        Dag.Builder.add_edge b ~src ~dst
+          ~volume:(if e mod 2 = 0 then -0. else volume));
+    let dag = Dag.Builder.build b in
+    let delay =
+      Array.init m (fun k ->
+          Array.init m (fun h ->
+              if k = h then 0.
+              else if (k + h + seed) mod 3 = 0 then -0.
+              else Rng.float_in rng 0.5 1.))
+    in
+    let platform = Platform.create ~delay in
+    let inst = Instance.random_exec rng ~dag ~platform () in
+    let release = Array.init m (fun p -> if p mod 2 = 0 then -0. else 0.5) in
+    let fail_times = Array.make m infinity in
+    fail_times.(seed mod m) <- Rng.float_in rng 0. 10.;
+    List.iter
+      (fun name ->
+        let s = plan name ~seed inst ~eps:(1 + (seed mod 2)) in
+        let what = Printf.sprintf "%s seed %d" name seed in
+        check_bool (what ^ ": Event_sim") true
+          (Event_sim.run ~release s ~fail_times
+          = Event_sim_ref.run ~release s ~fail_times
+          && Event_sim.run s ~fail_times = Event_sim_ref.run s ~fail_times);
+        let crash = Scenario.of_list [ seed mod m ] in
+        List.iter
+          (fun policy ->
+            check_bool (what ^ ": Crash_exec") true
+              (Crash_exec.run ~policy s crash
+              = Crash_exec_ref.run ~policy s crash))
+          [ Crash_exec.Strict; Crash_exec.Reroute ];
+        check_bool (what ^ ": Recovery") true
+          (Recovery.run ~release ~delta:0.5 s ~fail_times
+          = Recovery_ref.run ~release ~delta:0.5 s ~fail_times))
+      [ "ftsa"; "mc-ftsa"; "mc-redundant" ]
+  done
+
 (* Pinned regression for the queue-cursor rewrite: replicas injected on
    one processor execute in injection (FIFO) order, back to back — the
    list engine appended with [@ [x]], the flat engine moves a tail
@@ -1226,7 +1348,8 @@ let test_injection_fifo_order () =
   let reps =
     List.map
       (fun task ->
-        (task, Event_sim.Engine.inject eng ~task ~proc:1 ~inputs:[||]))
+        (task, Event_sim.Engine.inject eng ~task ~proc:1 ~src_lo:[| 0 |]
+            ~src_row:[||] ~src_at:[||] ))
       [ 0; 1; 2 ]
   in
   Event_sim.Engine.drain eng;
@@ -1267,6 +1390,10 @@ let () =
             test_payload_packing;
           Alcotest.test_case "injection FIFO order" `Quick
             test_injection_fifo_order;
+          Alcotest.test_case "inject rejects a NaN arrival" `Quick
+            test_inject_rejects_nan_arrival;
+          Alcotest.test_case "signed zeros = references" `Quick
+            test_signed_zeros_equal_references;
           quick prop_crash_exec_equals_reference;
           Alcotest.test_case "crash replay = reference at §6 size" `Quick
             test_crash_exec_equals_reference_sec6;
